@@ -1,9 +1,13 @@
 """E13 + E14: coercion throughput and the ingestion claim.
 
 E13 measures array↔table coercions across cell counts (both should be
-linear).  E14 measures the paper's motivating complaint — "ingestion of
-terabytes of data is too slow" with tuple-at-a-time interfaces — by
-comparing three load paths for the same cells:
+linear), and ``Result.grid()`` alone on a 512x512 result for the three
+shapes rows arrive in: already cell-ordered (a reshape), coarsened by
+``[x/2]`` with HAVING-masked duplicates, and permuted (both scatter
+through the general addressing path).  E14 measures the paper's
+motivating complaint — "ingestion of terabytes of data is too slow"
+with tuple-at-a-time interfaces — by comparing three load paths for the
+same cells:
 
 * tuple-at-a-time INSERT statements (the status quo),
 * one bulk multi-row INSERT,
@@ -48,6 +52,45 @@ def test_table_to_array(benchmark, conn, side):
 
     grid = benchmark(coerce)
     assert grid.shape == (side, side)
+
+
+GRID_SIDE = 512
+GRID_QUERIES = {
+    "dense": ("SELECT [x], [y], 255 - v FROM img", GRID_SIDE),
+    "halved-duplicates": (
+        "SELECT [x / 2], [y / 2], AVG(v) FROM img GROUP BY img[x:x+2][y:y+2] "
+        "HAVING x MOD 2 = 0 AND y MOD 2 = 0",
+        GRID_SIDE // 2,
+    ),
+    "permuted": ("SELECT [px], [py], v FROM shuffled", GRID_SIDE),
+}
+
+
+@pytest.mark.benchmark(group="E13-result-grid")
+@pytest.mark.parametrize("shape", list(GRID_QUERIES))
+def test_result_grid(benchmark, conn, shape):
+    """``grid()`` only: the query runs once, outside the timed call."""
+    rng = np.random.default_rng(7)
+    image = rng.integers(0, 256, (GRID_SIDE, GRID_SIDE)).astype(np.int32)
+    conn.register_array("img", image)
+    if shape == "permuted":
+        order = rng.permutation(image.size)
+        conn.register_array(
+            "shuffled",
+            {
+                "px": (order // GRID_SIDE).astype(np.int32),
+                "py": (order % GRID_SIDE).astype(np.int32),
+                "v": image.reshape(-1)[order],
+            },
+            dims=["i"],
+        )
+    sql, side = GRID_QUERIES[shape]
+    result = conn.execute(sql)
+    grid = benchmark(result.grid)
+    assert grid.shape == (side, side)
+    if shape != "halved-duplicates":
+        expected = 255 - image if shape == "dense" else image
+        assert np.array_equal(grid, expected)
 
 
 @pytest.mark.benchmark(group="E14-ingestion")

@@ -41,6 +41,7 @@ DEFAULT_SUITES = [
     "benchmarks/bench_durability.py",
     "benchmarks/bench_server.py",
     "benchmarks/bench_storage.py",
+    "benchmarks/bench_coercion_ingestion.py",
 ]
 
 

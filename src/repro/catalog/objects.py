@@ -19,6 +19,7 @@ from repro.errors import CatalogError, DimensionError
 from repro.gdk import dictenc
 from repro.gdk.atoms import Atom
 from repro.gdk.bat import BAT
+from repro.gdk.cells import Coordinate, cell_positions
 from repro.gdk.column import Column
 
 
@@ -76,16 +77,17 @@ class DimensionDef:
             return False
         return (value - self.start) % self.step == 0
 
+    @property
+    def axis(self) -> tuple[int, int, int]:
+        """``(start, step, size)`` — the range as the cell kernel takes it."""
+        return self.start, self.step, self.size
+
     def rank_of(self, value: np.ndarray) -> np.ndarray:
         """Position of dimension values within the range (vectorised).
 
         Out-of-domain values map to ``-1``.
         """
-        value = np.asarray(value, dtype=np.int64)
-        offset = value - self.start
-        rank = offset // self.step
-        valid = (value >= self.start) & (value < self.stop) & (offset % self.step == 0)
-        return np.where(valid, rank, -1)
+        return cell_positions([np.asarray(value)], [self.axis])
 
     def spec(self) -> str:
         """Render the range constraint as SciQL surface syntax."""
@@ -401,27 +403,16 @@ class Array(_DeltaJournal):
     # ------------------------------------------------------------------
     # cell addressing
     # ------------------------------------------------------------------
-    def cell_oids(self, coordinates: list[np.ndarray]) -> np.ndarray:
-        """Linear cell oids for per-dimension coordinate arrays.
+    def cell_oids(self, coordinates: list[Coordinate]) -> np.ndarray:
+        """Linear cell oids for per-dimension coordinate arrays or columns.
 
-        Coordinates outside the dimension domains yield ``-1``.
+        NULL coordinates and ones outside the dimension domains yield ``-1``.
         """
         if len(coordinates) != len(self.dimensions):
             raise DimensionError(
                 f"array {self.name}: expected {len(self.dimensions)} coordinates"
             )
-        sizes = self.shape()
-        oids = np.zeros(len(coordinates[0]) if coordinates else 0, dtype=np.int64)
-        valid = np.ones_like(oids, dtype=np.bool_)
-        stride = 1
-        for size in sizes:
-            stride *= size
-        for dimension, size, coordinate in zip(self.dimensions, sizes, coordinates):
-            stride //= size
-            rank = dimension.rank_of(np.asarray(coordinate, dtype=np.int64))
-            valid &= rank >= 0
-            oids += np.where(rank >= 0, rank, 0) * stride
-        return np.where(valid, oids, -1)
+        return cell_positions(coordinates, [d.axis for d in self.dimensions])
 
     def grid(self, attribute: str) -> np.ndarray:
         """Cell values of one attribute as an ndarray of ``shape()``.

@@ -12,42 +12,39 @@ coordinate column, it infers the tightest ``[start:step:stop)`` range
 (step = gcd of the gaps between distinct values), and scatters row
 values into the dense cell grid; absent cells become NULL holes (or a
 caller-provided default, inherited "from the default values in the
-original table").
+original table").  Ranges and cell positions come from the addressing
+kernel in :mod:`repro.gdk.cells`, which ``array.cellindex`` and
+``Array.cell_oids`` share.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import CoercionError
 from repro.gdk.atoms import Atom
+from repro.gdk.cells import Axis, address_cells, cell_positions, infer_axis
 from repro.gdk.column import Column
 from repro.catalog.objects import DimensionDef
+
+
+def _dimension(name: str, axis: Axis) -> DimensionDef:
+    start, step, size = axis
+    return DimensionDef(name, Atom.INT, start, step, start + step * size)
 
 
 def infer_dimension_range(values: Sequence[int], name: str = "dim") -> DimensionDef:
     """Tightest fixed range covering the distinct coordinate values.
 
     The step is the greatest common divisor of the gaps between the
-    sorted distinct values (1 for a single value), so every observed
-    value is a valid dimension value.
+    distinct values (1 for a single value), so every observed value is
+    a valid dimension value.
     """
     if len(values) == 0:
         raise CoercionError(f"cannot infer dimension {name!r} from no values")
-    distinct = np.unique(np.asarray(values, dtype=np.int64))
-    start = int(distinct[0])
-    if len(distinct) == 1:
-        return DimensionDef(name, Atom.INT, start, 1, start + 1)
-    gaps = np.diff(distinct)
-    step = 0
-    for gap in gaps.tolist():
-        step = math.gcd(step, int(gap))
-    step = max(step, 1)
-    stop = int(distinct[-1]) + step
-    return DimensionDef(name, Atom.INT, start, step, stop)
+    return _dimension(name, infer_axis(np.asarray(values, dtype=np.int64)))
 
 
 def rows_to_cells(
@@ -57,19 +54,7 @@ def rows_to_cells(
     """Linear cell positions of each row; ``-1`` for out-of-domain rows."""
     if len(coordinates) != len(dimensions):
         raise CoercionError("coordinate column count differs from dimensions")
-    n = len(coordinates[0]) if coordinates else 0
-    positions = np.zeros(n, dtype=np.int64)
-    valid = np.ones(n, dtype=np.bool_)
-    stride = 1
-    for dimension in dimensions:
-        stride *= dimension.size
-    for coordinate, dimension in zip(coordinates, dimensions):
-        stride //= dimension.size
-        rank = dimension.rank_of(coordinate.values.astype(np.int64))
-        rank = np.where(coordinate.validity(), rank, -1)
-        valid &= rank >= 0
-        positions += np.where(rank >= 0, rank, 0) * stride
-    return np.where(valid, positions, -1)
+    return cell_positions(coordinates, [d.axis for d in dimensions])
 
 
 def table_to_array_columns(
@@ -91,17 +76,27 @@ def table_to_array_columns(
     stays a hole either way, but they can no longer clobber a real
     value that shares the cell (e.g. HAVING-masked anchors after a
     dimension-scaling projection like ``[x/2]``).
+
+    The cost is O(rows) with no sort; rows that already are the cells
+    in row-major order come back as they are, without a scatter.
     """
     if dimensions is None:
         names = dimension_names or [f"dim_{i}" for i in range(len(coordinates))]
-        dimensions = [
-            infer_dimension_range(c.values.astype(np.int64), name)
-            for c, name in zip(coordinates, names)
-        ]
+        if coordinates and len(coordinates[0]) == 0:
+            raise CoercionError(f"cannot infer dimension {names[0]!r} from no values")
+        axes, positions = address_cells(coordinates)
+        dimensions = [_dimension(name, axis) for name, axis in zip(names, axes)]
+    else:
+        _, positions = address_cells(coordinates, [d.axis for d in dimensions])
+    if positions is None:
+        # Row r is cell r.  Only a default that all-NULL rows must not
+        # overwrite still needs the scatter below.
+        if not (skip_all_null_rows and defaults):
+            return dimensions, list(values)
+        positions = np.arange(len(coordinates[0]), dtype=np.int64)
     cell_count = 1
     for dimension in dimensions:
         cell_count *= dimension.size
-    positions = rows_to_cells(coordinates, dimensions)
     keep = positions >= 0
     if skip_all_null_rows and values:
         all_null = values[0].effective_mask().copy()

@@ -995,16 +995,14 @@ class Connection:
                 }
             )
         array = catalog.get_array(plan.target)
-        coordinates = []
-        valid_rows = np.ones(len(seq), dtype=np.bool_)
-        for dimension in array.dimensions:
-            column = Column.from_pylist(Atom.LNG, per_column[dimension.name])
-            if column.mask is not None:
-                # NULL coordinates never address a cell — drop those
-                # rows, exactly like the per-row execute path does.
-                valid_rows &= ~column.mask
-            coordinates.append(column.values)
-        oids = np.where(valid_rows, array.cell_oids(coordinates), -1)
+        # NULL coordinates never address a cell (oid -1) — those rows are
+        # dropped, exactly like the per-row execute path does.
+        oids = array.cell_oids(
+            [
+                Column.from_pylist(Atom.LNG, per_column[dimension.name])
+                for dimension in array.dimensions
+            ]
+        )
         keep = oids >= 0
         positions = np.flatnonzero(keep)
         for column in plan.columns:

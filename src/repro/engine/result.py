@@ -18,7 +18,7 @@ from repro.errors import CoercionError, SciQLError
 from repro.gdk.bat import BAT
 from repro.gdk.column import Column
 from repro.catalog.objects import DimensionDef
-from repro.core.coercion import infer_dimension_range, table_to_array_columns
+from repro.core.coercion import table_to_array_columns
 
 
 def _column_to_numpy(column: Column) -> np.ndarray:
@@ -190,24 +190,17 @@ class Result:
         name_to_column = {}
         for name, column in zip(self.names, self.columns):
             name_to_column.setdefault(name, column)
-        coordinates = [name_to_column[name] for name in dim_names]
-        dimensions = [
-            infer_dimension_range(c.values.astype(np.int64), name)
-            for c, name in zip(coordinates, dim_names)
-        ]
-        shape = tuple(d.size for d in dimensions)
-        values = [
-            (name, name_to_column[name]) for name in self.value_names()
-        ]
-        _, dense = table_to_array_columns(
-            coordinates,
-            [column for _, column in values],
-            dimensions,
+        names = self.value_names()
+        dimensions, dense = table_to_array_columns(
+            [name_to_column[name] for name in dim_names],
+            [name_to_column[name] for name in names],
+            dimension_names=dim_names,
             skip_all_null_rows=True,
         )
+        shape = tuple(d.size for d in dimensions)
         grids = {
             name: column.to_numpy().reshape(shape)
-            for (name, _), column in zip(values, dense)
+            for name, column in zip(names, dense)
         }
         return dimensions, grids
 

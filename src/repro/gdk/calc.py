@@ -66,10 +66,11 @@ def arithmetic(op: str, left: Any, right: Any) -> Column:
     out_atom = common_numeric(lcol.atom, rcol.atom)
     mask = _combined_mask(lcol, rcol)
 
-    if op == "/" and out_atom is not Atom.DBL:
-        return _int_div(lcol, rcol, out_atom, mask)
+    if op in ("/", "%") and out_atom is not Atom.DBL:
+        divisor = int(right) if isinstance(right, (int, np.integer)) else rcol.values
+        return _int_divmod(op, lcol.values, divisor, out_atom, mask)
     if op == "%":
-        return _int_mod(lcol, rcol, out_atom, mask)
+        return _dbl_mod(lcol, rcol, mask)
 
     lvals = lcol.values.astype(np.float64)
     rvals = rcol.values.astype(np.float64)
@@ -95,39 +96,55 @@ def arithmetic(op: str, left: Any, right: Any) -> Column:
     return Column(out_atom, np.round(result).astype(NUMPY_DTYPE[out_atom]), mask)
 
 
-def _int_div(lcol: Column, rcol: Column, out_atom: Atom, mask: np.ndarray | None) -> Column:
-    lvals = lcol.values.astype(np.int64)
-    rvals = rcol.values.astype(np.int64)
+def _dbl_mod(lcol: Column, rcol: Column, mask: np.ndarray | None) -> Column:
+    lvals = lcol.values.astype(np.float64)
+    rvals = rcol.values.astype(np.float64)
     zero = rvals == 0
-    safe = np.where(zero, 1, rvals)
-    # C-style truncation toward zero.
-    quotient = np.abs(lvals) // np.abs(safe)
-    quotient = np.where((lvals < 0) ^ (safe < 0), -quotient, quotient)
+    safe = np.where(zero, 1.0, rvals)
+    result = np.fmod(lvals, safe)
     if zero.any():
         mask = zero if mask is None else (mask | zero)
-    return Column(out_atom, quotient.astype(NUMPY_DTYPE[out_atom]), mask)
+    return Column(Atom.DBL, result, mask)
 
 
-def _int_mod(lcol: Column, rcol: Column, out_atom: Atom, mask: np.ndarray | None) -> Column:
-    if out_atom is Atom.DBL:
-        lvals = lcol.values.astype(np.float64)
-        rvals = rcol.values.astype(np.float64)
-        zero = rvals == 0
-        safe = np.where(zero, 1.0, rvals)
-        result = np.fmod(lvals, safe)
+def _int_divmod(
+    op: str,
+    lvals: np.ndarray,
+    divisor: np.ndarray | int,
+    out_atom: Atom,
+    mask: np.ndarray | None,
+) -> Column:
+    """Integer ``/`` and ``%`` with C semantics, in the result's own width.
+
+    The quotient truncates toward zero and the remainder takes the
+    dividend's sign; a zero divisor yields NULL.  A constant divisor (a
+    Python int) needs no per-row zero handling and divides by
+    multiplication inside NumPy.
+    """
+    dtype = NUMPY_DTYPE[out_atom]
+    lvals = lvals.astype(dtype, copy=False)
+    if isinstance(divisor, np.ndarray):
+        divisor = divisor.astype(dtype, copy=False)
+        zero = divisor == 0
         if zero.any():
             mask = zero if mask is None else (mask | zero)
-        return Column(Atom.DBL, result, mask)
-    lvals = lcol.values.astype(np.int64)
-    rvals = rcol.values.astype(np.int64)
-    zero = rvals == 0
-    safe = np.where(zero, 1, rvals)
-    quotient = np.abs(lvals) // np.abs(safe)
-    quotient = np.where((lvals < 0) ^ (safe < 0), -quotient, quotient)
-    remainder = lvals - quotient * safe
-    if zero.any():
-        mask = zero if mask is None else (mask | zero)
-    return Column(out_atom, remainder.astype(NUMPY_DTYPE[out_atom]), mask)
+            divisor = np.where(zero, 1, divisor)
+    elif divisor == 0:
+        return Column.nulls(out_atom, len(lvals))
+    # INT_MIN / -1 wraps, as the narrowing cast always made it.
+    with np.errstate(over="ignore"):
+        quotient = lvals // divisor
+    remainder = quotient * divisor
+    np.subtract(lvals, remainder, out=remainder)
+    # Floor rounds away from zero where the signs differ and the
+    # division is inexact: step those rows back.
+    adjust = remainder != 0
+    adjust &= (lvals < 0) ^ (divisor < 0)
+    if op == "/":
+        quotient += adjust
+        return Column(out_atom, quotient, mask)
+    remainder -= np.multiply(adjust, divisor, dtype=dtype)
+    return Column(out_atom, remainder, mask)
 
 
 def negate(operand: Column) -> Column:

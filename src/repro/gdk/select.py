@@ -41,6 +41,23 @@ from repro.gdk.dictenc import DictColumn
 THETA_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
+def _comparand(value: Any, atom: Atom) -> Any:
+    """*value* in the type its comparison with an *atom* column runs in.
+
+    That is the column's atom, except that a non-integral number against
+    an integer column stays a double: the binder widened that comparison
+    and truncating the constant here would undo it (``v < 1.5`` is not
+    ``v < 1``).  NumPy and the zone-map verdicts then compare in double.
+    """
+    if (
+        atom in (Atom.INT, Atom.LNG, Atom.OID)
+        and isinstance(value, (float, np.floating))
+        and not float(value).is_integer()
+    ):
+        return float(value)
+    return coerce_scalar(value, atom)
+
+
 def _candidate_positions(b: BAT, candidates: BAT | None) -> tuple[np.ndarray, bool]:
     """Positions (0-based into *b*) restricted by an optional candidate list.
 
@@ -199,7 +216,7 @@ def thetaselect(
         raise GDKError(f"unknown theta operator {op!r}")
     if value is None:
         return BAT.empty(Atom.OID)
-    coerced = coerce_scalar(value, b.atom)
+    coerced = _comparand(value, b.atom)
     tail = b.tail
     if isinstance(tail, DictColumn):
         predicate = _theta_code_predicate(tail.dictionary, coerced, op)
@@ -263,10 +280,10 @@ def rangeselect(
         code_hi = None
         if low is not None:
             side = "left" if low_inclusive else "right"
-            code_lo = int(np.searchsorted(dictionary, coerce_scalar(low, b.atom), side=side))
+            code_lo = int(np.searchsorted(dictionary, _comparand(low, b.atom), side=side))
         if high is not None:
             side = "right" if high_inclusive else "left"
-            code_hi = int(np.searchsorted(dictionary, coerce_scalar(high, b.atom), side=side))
+            code_hi = int(np.searchsorted(dictionary, _comparand(high, b.atom), side=side))
         verdict = _verdict(
             b, prune, "interval", code_lo, code_hi, True, False, anti
         )
@@ -284,8 +301,8 @@ def rangeselect(
         if anti:
             keep = ~keep
         return _finish(b, positions, presorted, keep)
-    lo = None if low is None else coerce_scalar(low, b.atom)
-    hi = None if high is None else coerce_scalar(high, b.atom)
+    lo = None if low is None else _comparand(low, b.atom)
+    hi = None if high is None else _comparand(high, b.atom)
     verdict = _verdict(
         b, prune, "interval", lo, hi, low_inclusive, high_inclusive, anti
     )
@@ -329,7 +346,7 @@ def in_select(
     prune: bool = False,
 ) -> BAT:
     """Oids whose tail equals any of *values* (NULL members ignored)."""
-    concrete = [coerce_scalar(v, b.atom) for v in values if v is not None]
+    concrete = [_comparand(v, b.atom) for v in values if v is not None]
     if not concrete:
         return BAT.empty(Atom.OID)
     tail = b.tail

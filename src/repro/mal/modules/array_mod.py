@@ -27,6 +27,7 @@ import numpy as np
 from repro.errors import GDKError, MALError
 from repro.gdk.atoms import Atom, atom_for_python, coerce_scalar
 from repro.gdk.bat import BAT, partition_bounds
+from repro.gdk.cells import cell_positions
 from repro.gdk.column import Column
 from repro.core.tiling import TileSpec, tile_aggregate, tile_aggregate_fragment
 from repro.mal.modules import cached_loads, mal_op
@@ -161,17 +162,5 @@ def _cellindex(ctx, shape_json: str, dims_json: str, *coordinate_bats: BAT):
     dims = cached_loads(dims_json)
     if len(coordinate_bats) != len(shape):
         raise MALError("array.cellindex: coordinate arity mismatch")
-    n = len(coordinate_bats[0]) if coordinate_bats else 0
-    oids = np.zeros(n, dtype=np.int64)
-    valid = np.ones(n, dtype=np.bool_)
-    stride = int(np.prod(shape)) if shape else 1
-    for (start, step, stop), size, coords in zip(dims, shape, coordinate_bats):
-        stride //= size
-        values = coords.tail.values.astype(np.int64)
-        offset = values - start
-        rank = offset // step
-        ok = (values >= start) & (values < stop) & (offset % step == 0)
-        ok &= coords.tail.validity()
-        valid &= ok
-        oids += np.where(ok, rank, 0) * stride
-    return BAT.from_oids(np.where(valid, oids, -1))
+    axes = [(start, step, size) for (start, step, _), size in zip(dims, shape)]
+    return BAT.from_oids(cell_positions([b.tail for b in coordinate_bats], axes))

@@ -57,11 +57,35 @@ class TestResultApi:
 
 
 class TestExplain:
-    def test_explain_contains_pipeline_ops(self, obs_conn):
-        text = obs_conn.explain("SELECT station FROM obs WHERE day = 1")
+    @pytest.fixture
+    def zm_conn(self):
+        """An ``obs`` table behind the pipeline that has the zonemaps pass.
+
+        ``nr_threads > 1`` selects it whatever the host's CPU count;
+        with one thread ``connect()`` runs the default pipeline.
+        """
+        connection = repro.connect(nr_threads=2)
+        connection.execute(
+            "CREATE TABLE obs (station VARCHAR(10), day INT, temp DOUBLE)"
+        )
+        return connection
+
+    def test_explain_contains_pipeline_ops(self, zm_conn):
+        text = zm_conn.explain("SELECT station FROM obs WHERE day = 1")
         assert "sql.bind" in text
-        assert "algebra.select" in text
+        # zonemaps folds batcalc.eq + algebra.select into one prunable op.
+        assert "algebra.thetaselectzm(" in text
+        assert "batcalc.eq(" not in text
         assert "sql.resultSet" in text
+
+    def test_explain_with_zonemaps_ablated_keeps_select(self, zm_conn):
+        zm_conn.pipeline = tuple(
+            p for p in zm_conn.pipeline if p.name != "zonemaps"
+        )
+        text = zm_conn.explain("SELECT station FROM obs WHERE day = 1")
+        assert "batcalc.eq(" in text
+        assert "algebra.select(" in text
+        assert "thetaselectzm" not in text
 
     def test_explain_tiling_uses_tileagg(self, conn):
         conn.execute("CREATE ARRAY a (x INT DIMENSION[0:1:4], v INT DEFAULT 0)")

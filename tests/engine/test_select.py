@@ -1,5 +1,7 @@
 """Engine tests: SELECT shapes (projection, filters, ordering, grouping)."""
 
+import math
+
 import pytest
 
 import repro
@@ -151,6 +153,92 @@ class TestOrderLimitDistinct:
         conn.execute("CREATE TABLE t (a INT, b INT)")
         conn.execute("INSERT INTO t VALUES (1, 1), (1, 1), (1, 2)")
         assert len(conn.execute("SELECT DISTINCT a, b FROM t").rows()) == 2
+
+
+class TestNonIntegralConstants:
+    """``int_column <op> 1.5`` compares in double (ROADMAP item 0(a)).
+
+    Run on the default pipeline (``batcalc`` compare + ``algebra.select``)
+    and on fragmented ones, where the zonemaps pass folds the constant
+    into ``algebra.{theta,range,in}selectzm`` — literal and parameter.
+    """
+
+    VALUES = [None if i % 7 == 3 else (i * 5) % 23 - 8 for i in range(40)]
+    CONSTANTS = (1.5, -0.5, 2.0, -7.25, 100.5)
+
+    @pytest.fixture(
+        params=[(1, math.inf), (1, 7), (4, 7), (2, 64)],
+        ids=lambda knobs: f"threads{knobs[0]}-rows{knobs[1]}",
+    )
+    def tconn(self, request):
+        nr_threads, fragment_rows = request.param
+        connection = repro.connect(
+            nr_threads=nr_threads, fragment_rows=fragment_rows
+        )
+        connection.execute("CREATE TABLE t (v INT, w BIGINT)")
+        connection.executemany(
+            "INSERT INTO t VALUES (?, ?)", [(v, v) for v in self.VALUES]
+        )
+        return connection
+
+    def _expect(self, predicate):
+        return sorted(v for v in self.VALUES if v is not None and predicate(v))
+
+    def _both(self, connection, column, where, params):
+        """Rows for *where* with literals inlined and as parameters."""
+        marks = iter(params)
+        literal = "".join(
+            repr(next(marks)) if ch == "?" else ch for ch in where
+        )
+        sql = f"SELECT {column} FROM t WHERE "
+        return (
+            sorted(connection.execute(sql + literal).column(column)),
+            sorted(connection.execute(sql + where, tuple(params)).column(column)),
+        )
+
+    @pytest.mark.parametrize("column", ["v", "w"])
+    @pytest.mark.parametrize(
+        "op, compare",
+        [
+            ("<", lambda v, c: v < c),
+            ("<=", lambda v, c: v <= c),
+            (">", lambda v, c: v > c),
+            (">=", lambda v, c: v >= c),
+            ("=", lambda v, c: v == c),
+            ("<>", lambda v, c: v != c),
+        ],
+    )
+    def test_theta(self, tconn, column, op, compare):
+        for constant in self.CONSTANTS:
+            expected = self._expect(lambda v: compare(v, constant))
+            literal, bound = self._both(tconn, column, f"{column} {op} ?", [constant])
+            assert literal == expected, (op, constant)
+            assert bound == expected, (op, constant)
+
+    @pytest.mark.parametrize("column", ["v", "w"])
+    def test_between(self, tconn, column):
+        for low, high in [(-0.5, 2.5), (1.5, 1.75), (-3, 4.5), (0.5, 9)]:
+            inside = self._expect(lambda v: low <= v <= high)
+            outside = self._expect(lambda v: not low <= v <= high)
+            assert self._both(
+                tconn, column, f"{column} BETWEEN ? AND ?", [low, high]
+            ) == (inside, inside)
+            assert self._both(
+                tconn, column, f"{column} NOT BETWEEN ? AND ?", [low, high]
+            ) == (outside, outside)
+
+    @pytest.mark.parametrize("column", ["v", "w"])
+    def test_in_list(self, tconn, column):
+        for members in [(1.5, 2), (0.5, 1.5), (2.0, 7), (1.5,)]:
+            marks = ", ".join("?" * len(members))
+            inside = self._expect(lambda v: v in members)
+            outside = self._expect(lambda v: v not in members)
+            assert self._both(
+                tconn, column, f"{column} IN ({marks})", members
+            ) == (inside, inside)
+            assert self._both(
+                tconn, column, f"{column} NOT IN ({marks})", members
+            ) == (outside, outside)
 
 
 class TestSubqueries:

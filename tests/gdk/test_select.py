@@ -106,6 +106,63 @@ class TestInSelect:
         assert select.in_select(bat, ["a", "c"]).tail_pylist() == [0, 2]
 
 
+class TestNonIntegralBounds:
+    """A double constant against an integer column compares as double.
+
+    The binder widens ``v < 1.5``; the select kernels must not undo
+    that by truncating the constant to the column atom (ROADMAP 0(a)).
+    """
+
+    @pytest.fixture(params=[Atom.INT, Atom.LNG])
+    def ints(self, request):
+        return BAT.from_pylist(request.param, [5, None, 3, 7, 3, -2, 1, 0])
+
+    @pytest.mark.parametrize(
+        "op, expected",
+        [
+            ("<", [5, 6, 7]),
+            ("<=", [5, 6, 7]),
+            (">", [0, 2, 3, 4]),
+            (">=", [0, 2, 3, 4]),
+            ("==", []),
+            ("!=", [0, 2, 3, 4, 5, 6, 7]),
+        ],
+    )
+    def test_theta(self, ints, op, expected):
+        assert select.thetaselect(ints, 1.5, op).tail_pylist() == expected
+        assert select.thetaselect(ints, np.float64(1.5), op).tail_pylist() == expected
+
+    def test_theta_negative_bound(self, ints):
+        assert select.thetaselect(ints, -1.5, ">").tail_pylist() == [0, 2, 3, 4, 6, 7]
+        assert select.thetaselect(ints, -2.5, "<").tail_pylist() == []
+
+    def test_integral_double_still_matches(self, ints):
+        assert select.thetaselect(ints, 3.0, "==").tail_pylist() == [2, 4]
+
+    def test_infinite_bound(self, ints):
+        assert len(select.thetaselect(ints, float("inf"), "<")) == 7
+
+    def test_range(self, ints):
+        assert select.rangeselect(ints, 0.5, 3.5).tail_pylist() == [2, 4, 6]
+        assert select.rangeselect(ints, 1.5, 1.75).tail_pylist() == []
+        assert select.rangeselect(ints, 0.5, 3.5, anti=True).tail_pylist() == [
+            0, 3, 5, 7,
+        ]
+
+    def test_in(self, ints):
+        assert select.in_select(ints, [1.5, 3]).tail_pylist() == [2, 4]
+        assert select.in_select(ints, [1.5]).tail_pylist() == []
+
+    def test_zone_verdict_keeps_the_fraction(self, monkeypatch):
+        # Every value is 1: "v < 1.5" is provably *all*, "v < 1" none.
+        monkeypatch.setenv("REPRO_ZONE_ROWS", "4")
+        ones = BAT.from_pylist(Atom.INT, [1] * 16)
+        assert len(select.thetaselect(ones, 1.5, "<", prune=True)) == 16
+        assert len(select.thetaselect(ones, 1.5, ">", prune=True)) == 0
+        assert len(select.rangeselect(ones, 0.5, 1.5, prune=True)) == 16
+        assert len(select.in_select(ones, [1.5], prune=True)) == 0
+
+
 class TestCandidateAlgebra:
     def test_intersect(self):
         a = BAT.from_oids(np.array([1, 3, 5]))

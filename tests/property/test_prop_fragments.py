@@ -11,11 +11,13 @@ cell is compared row-for-row against it.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.apps.life import numpy_life_step
 
 #: the knob matrix of the acceptance criterion.
 KNOBS = [
@@ -281,3 +283,94 @@ class TestFragmentedPlanInvariants:
         profile = conn.last_profile()
         assert profile and profile[0]["seconds"] >= 0
         conn.close()
+
+
+#: Scenario II (grey-scale imaging) as the benchmark runs it, plus
+#: Scenario I's generation step below: every statement hands its answer
+#: back through table→array coercion, and `edge`/Life address cells
+#: through ``array.cellindex`` once per fragment.
+SCENARIO_II = {
+    "invert": "SELECT [x], [y], 255 - v FROM img",
+    "edge": (
+        "SELECT [x], [y], ABS(img[x][y] - img[x-1][y]) + "
+        "ABS(img[x][y] - img[x][y-1]) FROM img"
+    ),
+    "avg3": "SELECT [x], [y], AVG(v) FROM img GROUP BY img[x-1:x+2][y-1:y+2]",
+    "avg17": "SELECT [x], [y], AVG(v) FROM img GROUP BY img[x-8:x+9][y-8:y+9]",
+    "min3": "SELECT [x], [y], MIN(v) FROM img GROUP BY img[x-1:x+2][y-1:y+2]",
+    "reduce": (
+        "SELECT [x / 2], [y / 2], AVG(v) FROM img GROUP BY img[x:x+2][y:y+2] "
+        "HAVING x MOD 2 = 0 AND y MOD 2 = 0"
+    ),
+}
+LIFE_STEP = (
+    "INSERT INTO life SELECT [x], [y], "
+    "CASE WHEN SUM(v) - v = 3 OR (SUM(v) - v = 2 AND v = 1) "
+    "THEN 1 ELSE 0 END "
+    "FROM life GROUP BY life[x-1:x+2][y-1:y+2]"
+)
+
+
+class TestScenarioGrids:
+    """``grid()`` is byte-identical however the plan was fragmented.
+
+    The image is 12x16: ``fragment_rows=64`` cuts it into whole rows
+    (coordinate fragments still spell a row-major series, so cells are
+    addressed per axis), ``fragment_rows=7`` cuts inside rows (the
+    general per-row path), and the sequential cell is one series.
+    """
+
+    SHAPE = (12, 16)
+
+    @staticmethod
+    def _same(grid, expected):
+        return (
+            grid.dtype == expected.dtype
+            and grid.shape == expected.shape
+            and grid.tobytes() == expected.tobytes()
+        )
+
+    def test_scenario_two(self):
+        image = np.random.default_rng(13).integers(0, 256, self.SHAPE).astype(np.int32)
+        grids = {}
+        for nr_threads, fragment_rows in KNOBS:
+            conn = _make_connection(nr_threads, fragment_rows)
+            conn.register_array("img", image)
+            grids[nr_threads, fragment_rows] = {
+                part: conn.execute(sql).grid() for part, sql in SCENARIO_II.items()
+            }
+            conn.close()
+        expected = grids[1, math.inf]
+        for knobs, per_part in grids.items():
+            for part, grid in per_part.items():
+                assert self._same(grid, expected[part]), (part, knobs)
+        # ...and the sequential cell is right, dtype and NaN holes included.
+        assert self._same(expected["invert"], 255 - image)
+        edge = np.full(self.SHAPE, np.nan)
+        edge[1:, 1:] = np.abs(image[1:, 1:] - image[:-1, 1:]) + np.abs(
+            image[1:, 1:] - image[1:, :-1]
+        )
+        assert self._same(expected["edge"], edge)
+        blocks = image.reshape(6, 2, 8, 2).astype(np.float64)
+        assert self._same(expected["reduce"], blocks.mean(axis=(1, 3)))
+        assert expected["avg3"].dtype == np.float64
+        assert expected["min3"].dtype == np.int32
+        assert expected["avg17"].shape == self.SHAPE
+
+    def test_life_generations(self):
+        board = (np.random.default_rng(5).random(self.SHAPE) < 0.35).astype(np.int32)
+        for nr_threads, fragment_rows in KNOBS:
+            conn = _make_connection(nr_threads, fragment_rows)
+            conn.execute(
+                f"CREATE ARRAY life (x INT DIMENSION[0:1:{self.SHAPE[0]}], "
+                f"y INT DIMENSION[0:1:{self.SHAPE[1]}], v INT DEFAULT 0)"
+            )
+            conn.register_array("seed", board)
+            conn.execute("INSERT INTO life SELECT [x], [y], v FROM seed")
+            expected = board
+            for _ in range(4):
+                assert conn.execute(LIFE_STEP).affected == board.size
+                expected = numpy_life_step(expected)
+                grid = conn.execute("SELECT [x], [y], v FROM life").grid()
+                assert self._same(grid, expected), (nr_threads, fragment_rows)
+            conn.close()

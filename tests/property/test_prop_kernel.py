@@ -405,3 +405,83 @@ class TestCalcProperties:
         lhs = calc.logical_not(calc.logical_and(a, b)).to_pylist()
         rhs = calc.logical_or(calc.logical_not(a), calc.logical_not(b)).to_pylist()
         assert lhs == rhs
+
+
+def _int_divmod_reference(op, lcol, rcol, out_atom):
+    """Integer ``/`` and ``%`` as ``gdk.calc`` computed them before the
+    native-width kernel: up-cast to int64, |a| // |b| with the sign put
+    back, zero divisors masked out.  Kept as the oracle.
+    """
+    mask = None
+    for column in (lcol, rcol):
+        if column.mask is not None:
+            mask = column.mask.copy() if mask is None else (mask | column.mask)
+    lvals = lcol.values.astype(np.int64)
+    rvals = rcol.values.astype(np.int64)
+    zero = rvals == 0
+    safe = np.where(zero, 1, rvals)
+    quotient = np.abs(lvals) // np.abs(safe)
+    quotient = np.where((lvals < 0) ^ (safe < 0), -quotient, quotient)
+    result = quotient if op == "/" else lvals - quotient * safe
+    if zero.any():
+        mask = zero if mask is None else (mask | zero)
+    dtype = np.int32 if out_atom is Atom.INT else np.int64
+    return Column(out_atom, result.astype(dtype), mask)
+
+
+_INT32 = st.integers(-(2**31) + 1, 2**31 - 1)
+_DIVIDENDS = st.lists(
+    st.one_of(st.none(), st.integers(-40, 40), _INT32), min_size=1, max_size=40
+)
+_DIVISORS = st.one_of(
+    st.integers(-5, 5), st.sampled_from([-(2**31) + 1, 2**31 - 1, 2**40, -(2**40)])
+)
+
+
+class TestIntegerDivMod:
+    """C semantics: truncate toward zero, remainder follows the dividend,
+    divisor 0 -> NULL — for a constant divisor and a divisor column."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["/", "%"]), st.sampled_from([Atom.INT, Atom.LNG]),
+           _DIVIDENDS, _DIVISORS)
+    def test_constant_divisor(self, op, atom, dividends, divisor):
+        left = Column.from_pylist(atom, dividends)
+        out = calc.arithmetic(op, left, divisor)
+        out_atom = Atom.LNG if atom is Atom.LNG or abs(divisor) >= 2**31 else Atom.INT
+        broadcast = Column.constant(out_atom, divisor, len(left))
+        expected = _int_divmod_reference(op, left, broadcast, out_atom)
+        assert out.atom is expected.atom
+        assert out.values.dtype == expected.values.dtype
+        assert out.to_pylist() == expected.to_pylist()
+        for a, got in zip(dividends, out.to_pylist()):
+            if a is None or divisor == 0:
+                assert got is None
+                continue
+            truncated = abs(a) // abs(divisor) * (-1 if (a < 0) != (divisor < 0) else 1)
+            assert got == (truncated if op == "/" else a - divisor * truncated)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["/", "%"]), st.sampled_from([Atom.INT, Atom.LNG]),
+           st.sampled_from([Atom.INT, Atom.LNG]), st.data())
+    def test_divisor_column(self, op, left_atom, right_atom, data):
+        dividends = data.draw(_DIVIDENDS)
+        divisors = data.draw(
+            st.lists(
+                st.one_of(st.none(), st.integers(-5, 5), _INT32),
+                min_size=len(dividends), max_size=len(dividends),
+            )
+        )
+        left = Column.from_pylist(left_atom, dividends)
+        right = Column.from_pylist(right_atom, divisors)
+        out = calc.arithmetic(op, left, right)
+        out_atom = Atom.LNG if Atom.LNG in (left_atom, right_atom) else Atom.INT
+        expected = _int_divmod_reference(op, left, right, out_atom)
+        assert out.atom is expected.atom
+        assert out.values.dtype == expected.values.dtype
+        assert out.to_pylist() == expected.to_pylist()
+
+    def test_scalar_dividend(self):
+        divisors = Column.from_pylist(Atom.INT, [3, -3, 0, None, 7])
+        assert calc.arithmetic("/", 7, divisors).to_pylist() == [2, -2, None, None, 1]
+        assert calc.arithmetic("%", -7, divisors).to_pylist() == [-1, -1, None, None, 0]
