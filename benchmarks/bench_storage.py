@@ -5,9 +5,9 @@ counts:
 
 * ``E22-scan-*`` — a selective range scan over a 2M-row column at 1%,
   10% and 90% selectivity, with zone-map pruning armed vs disabled
-  (``REPRO_ZONEMAPS``).  The folded plan is identical either way — the
-  knob gates only the runtime short-circuit — so the gap is pure
-  fragment pruning.
+  (``REPRO_ZONEMAPS``).  The plan (one ``algebra.rangeselect`` per
+  fragment) is identical either way — the knob only stops the kernel
+  consulting zone statistics — so the gap is pure fragment pruning.
 * ``E22-dict-*`` — equality select, LIKE, and grouping over a 512k-row
   low-cardinality string column, dictionary-encoded (int32 codes) vs
   the plain object payload.  The encoded kernels run per *distinct*

@@ -643,9 +643,11 @@ def plan_select(statement: ast.SelectStatement, catalog: Catalog) -> nodes.Query
     elif any(contains_aggregate(item.expression) for item in items):
         for item in items:
             _validate_grouped_expression(item.expression, [])
+        if having is not None:
+            _validate_grouped_expression(having, [])
         if node is None:
             raise SemanticError("aggregates need a FROM clause")
-        projecting = nodes.ScalarAggregate(node, items)
+        projecting = nodes.ScalarAggregate(node, items, having)
     else:
         if having is not None:
             raise SemanticError("HAVING requires GROUP BY")

@@ -6,9 +6,17 @@ linear MAL program.  Conventions:
 * every relational node yields a *binding*: a set of head-aligned BAT
   variables, one per visible column, plus a reference variable used
   for alignment (constant broadcasting);
-* predicates become ``bit`` BATs followed by ``algebra.select`` into a
-  candidate list, then ``algebra.projection`` of every column —
-  MonetDB's classic select/project dance;
+* predicates lower straight from the bound AST into candidate lists
+  (:meth:`MALGenerator._select`): comparisons against a scalar, BETWEEN,
+  IN and IS NULL become the value selects ``algebra.thetaselect`` /
+  ``rangeselect`` / ``inselect`` / ``isnilselect``, conjunctions chain
+  them, and only what has no value form goes through a ``bit`` BAT and
+  ``algebra.select`` — then ``algebra.projection`` of every referenced
+  column, MonetDB's classic select/project dance;
+* one expression walker (:meth:`MALGenerator._eval`) serves every
+  context; the row, scalar-aggregate, grouped and tiled contexts only
+  say how their leaves (columns, grouping keys, aggregate calls)
+  resolve and which BAT a scalar broadcasts against;
 * structural grouping lowers to ``array.tileagg`` per aggregate — a
   tile-size-independent prefix-sum/sliding-window kernel; no join is
   ever built (the whole point of the paper's Scenario I comparison).
@@ -22,6 +30,7 @@ linear MAL program.  Conventions:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -85,6 +94,19 @@ class Binding:
         self.pending[key] = None
         return var
 
+    def leaf(
+        self, generator: "MALGenerator", expression: Any
+    ) -> Optional[EvalResult]:
+        """Row mode: a bare column or cell reference of the current row."""
+        if isinstance(expression, BoundColumn):
+            var = self.column_var(generator, (expression.source, expression.column))
+            return EvalResult(_BAT, Var(var), expression.atom)
+        if isinstance(expression, BoundCellRef):
+            return generator._eval_cell_ref(expression, self)
+        if is_aggregate_call(expression):
+            raise SemanticError("aggregate used outside GROUP BY context")
+        return None
+
     def restrict(self, generator: "MALGenerator", positions: str) -> "Binding":
         """New binding narrowed to *positions* (oids into the current row set).
 
@@ -121,47 +143,22 @@ def _source_indexes(node: nodes.PlanNode) -> set[int]:
 
 
 def _expression_sources(expression: Any) -> set[int]:
+    """Source ordinals of every column referenced inside *expression*.
+
+    Bound expression nodes are dataclasses whose children sit in fields
+    or tuples of fields, so one structural walk covers every node type.
+    """
     if isinstance(expression, BoundColumn):
         return {expression.source}
-    if isinstance(expression, BoundCellRef):
-        out: set[int] = set()
-        for index in expression.indexes:
-            out |= _expression_sources(index)
-        return out
-    if isinstance(expression, ast.BinaryOp):
-        return _expression_sources(expression.left) | _expression_sources(
-            expression.right
-        )
-    if isinstance(expression, ast.UnaryOp):
-        return _expression_sources(expression.operand)
-    if isinstance(expression, ast.FunctionCall):
-        out = set()
-        for argument in expression.args:
-            out |= _expression_sources(argument)
-        return out
-    if isinstance(expression, ast.CaseExpression):
-        out = set()
-        for condition, value in expression.whens:
-            out |= _expression_sources(condition) | _expression_sources(value)
-        if expression.otherwise is not None:
-            out |= _expression_sources(expression.otherwise)
-        return out
-    if isinstance(expression, ast.IsNull):
-        return _expression_sources(expression.operand)
-    if isinstance(expression, ast.InList):
-        out = _expression_sources(expression.operand)
-        for item in expression.items:
-            out |= _expression_sources(item)
-        return out
-    if isinstance(expression, ast.Between):
-        return (
-            _expression_sources(expression.operand)
-            | _expression_sources(expression.low)
-            | _expression_sources(expression.high)
-        )
-    if isinstance(expression, ast.CastExpression):
-        return _expression_sources(expression.operand)
-    return set()
+    if isinstance(expression, tuple):
+        children = expression
+    elif dataclasses.is_dataclass(expression):
+        children = [
+            getattr(expression, f.name) for f in dataclasses.fields(expression)
+        ]
+    else:
+        return set()
+    return set().union(*(_expression_sources(child) for child in children))
 
 
 def _split_equi_conjuncts(
@@ -193,6 +190,19 @@ def _split_equi_conjuncts(
                     continue
         residual.append(conjunct)
     return equi, residual
+
+
+#: SQL comparison → theta operator of the select family.
+_THETA = {
+    "=": "==", "<>": "!=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+}
+#: theta operator with its operands swapped (scalar <op> column).
+_FLIP = {"==": "==", "!=": "!=", ">": "<", ">=": "<=", "<": ">", "<=": ">="}
+#: theta operator under NOT (a NULL operand matches neither way).
+_NEGATE = {"==": "!=", "!=": "==", ">": "<=", ">=": "<", "<": ">=", "<=": ">"}
+#: bound operators → whether the bound is inclusive.
+_LOWER = {">": False, ">=": True}
+_UPPER = {"<": False, "<=": True}
 
 
 class MALGenerator:
@@ -333,37 +343,38 @@ class MALGenerator:
             membership = self.program.emit1(
                 "batcalc", "not", [Var(membership)], bat_type(Atom.BIT)
             )
-        candidates = self.program.emit1(
-            "algebra", "select", [Var(membership)], bat_type(Atom.OID)
+        return self._distinct_vars(
+            self._project(self._select_true(membership), cast_left)
         )
-        selected = [
-            self.program.emit1(
-                "algebra", "projection", [Var(candidates), Var(v)],
-                self.program.type_of(v),
-            )
-            for v in cast_left
-        ]
-        return self._distinct_vars(selected)
 
     def _distinct_vars(self, variables: list[str]) -> list[str]:
         """Duplicate elimination over aligned result columns."""
         if not variables:
             return variables
+        _, extents = self._group_by(variables)
+        return self._project(extents, variables)
+
+    def _group_by(self, key_vars: list[str]) -> tuple[str, str]:
+        """(group ids, extents) of the grouping refined key by key."""
         groups = extents = None
-        for variable in variables:
+        for key_var in key_vars:
             if groups is None:
                 groups, extents, _ = self.program.emit(
-                    "group", "group", [Var(variable)],
+                    "group", "group", [Var(key_var)],
                     [bat_type(Atom.OID), bat_type(Atom.OID), bat_type(Atom.OID)],
                 )
             else:
                 groups, extents, _ = self.program.emit(
-                    "group", "subgroup", [Var(variable), Var(groups)],
+                    "group", "subgroup", [Var(key_var), Var(groups)],
                     [bat_type(Atom.OID), bat_type(Atom.OID), bat_type(Atom.OID)],
                 )
+        return groups, extents
+
+    def _project(self, positions: str, variables: list[str]) -> list[str]:
+        """Every aligned column of *variables* fetched at *positions*."""
         return [
             self.program.emit1(
-                "algebra", "projection", [Var(extents), Var(v)],
+                "algebra", "projection", [Var(positions), Var(v)],
                 self.program.type_of(v),
             )
             for v in variables
@@ -397,39 +408,10 @@ class MALGenerator:
                 [json.dumps(flags)] + [Var(v) for v in key_vars],
                 bat_type(Atom.OID),
             )
-            out = [
-                self.program.emit1(
-                    "algebra", "projection", [Var(order), Var(v)],
-                    self.program.type_of(v),
-                )
-                for v in child_vars
-            ]
-            return out, items
+            return self._project(order, child_vars), items
         if isinstance(node, nodes.Distinct):
             child_vars, items = self._emit_output(node.child)
-            if not child_vars:
-                return child_vars, items
-            groups = None
-            extents = None
-            for var in child_vars:
-                if groups is None:
-                    groups, extents, _ = self.program.emit(
-                        "group", "group", [Var(var)],
-                        [bat_type(Atom.OID), bat_type(Atom.OID), bat_type(Atom.OID)],
-                    )
-                else:
-                    groups, extents, _ = self.program.emit(
-                        "group", "subgroup", [Var(var), Var(groups)],
-                        [bat_type(Atom.OID), bat_type(Atom.OID), bat_type(Atom.OID)],
-                    )
-            out = [
-                self.program.emit1(
-                    "algebra", "projection", [Var(extents), Var(v)],
-                    self.program.type_of(v),
-                )
-                for v in child_vars
-            ]
-            return out, items
+            return self._distinct_vars(child_vars), items
         if isinstance(node, nodes.Project):
             return self._emit_project(node), node.items
         if isinstance(node, nodes.Aggregate):
@@ -466,13 +448,7 @@ class MALGenerator:
             return binding
         if isinstance(node, nodes.Filter):
             binding = self._emit_relational(node.child)
-            predicate = self._force_bat(
-                self._eval(node.predicate, binding), binding
-            )
-            candidates = self.program.emit1(
-                "algebra", "select", [Var(predicate)], bat_type(Atom.OID)
-            )
-            return binding.restrict(self, candidates)
+            return binding.restrict(self, self._select(node.predicate, binding))
         if isinstance(node, nodes.Join):
             return self._emit_join(node)
         raise SemanticError(f"unexpected relational node {type(node).__name__}")
@@ -566,11 +542,7 @@ class MALGenerator:
             binding = combine(loids, roids)
             extra = [node.condition]
         for conjunct in extra:
-            predicate = self._force_bat(self._eval(conjunct, binding), binding)
-            candidates = self.program.emit1(
-                "algebra", "select", [Var(predicate)], bat_type(Atom.OID)
-            )
-            binding = binding.restrict(self, candidates)
+            binding = binding.restrict(self, self._select(conjunct, binding))
         return binding
 
     # ------------------------------------------------------------------
@@ -581,7 +553,7 @@ class MALGenerator:
             # FROM-less SELECT: every item must be scalar; one result row.
             out: list[str] = []
             for item in node.items:
-                result = self._eval(item.expression, None)
+                result = self._eval(item.expression, Binding())
                 if result.kind != _SCALAR:
                     raise SemanticError("SELECT without FROM must be constant")
                 out.append(
@@ -604,108 +576,36 @@ class MALGenerator:
             key_vars.append(
                 self._force_bat(self._eval(key, binding), binding)
             )
-        groups = extents = None
-        for key_var in key_vars:
-            if groups is None:
-                groups, extents, _ = self.program.emit(
-                    "group", "group", [Var(key_var)],
-                    [bat_type(Atom.OID), bat_type(Atom.OID), bat_type(Atom.OID)],
-                )
-            else:
-                groups, extents, _ = self.program.emit(
-                    "group", "subgroup", [Var(key_var), Var(groups)],
-                    [bat_type(Atom.OID), bat_type(Atom.OID), bat_type(Atom.OID)],
-                )
+        groups, extents = self._group_by(key_vars)
         ngroups = self.program.emit1(
             "bat", "getcount", [Var(extents)], scalar_type(Atom.LNG)
         )
         grouped = _GroupedContext(
-            self, binding, node.keys, key_vars, groups, extents, ngroups
+            binding, node.keys, key_vars, groups, extents, ngroups
         )
         output = [
-            grouped.force_bat(grouped.eval(item.expression), item.atom)
+            self._force_bat(self._eval(item.expression, grouped), grouped, item.atom)
             for item in node.items
         ]
         if node.having is not None:
-            predicate = grouped.force_bat(grouped.eval(node.having))
-            candidates = self.program.emit1(
-                "algebra", "select", [Var(predicate)], bat_type(Atom.OID)
-            )
-            output = [
-                self.program.emit1(
-                    "algebra", "projection", [Var(candidates), Var(v)],
-                    self.program.type_of(v),
-                )
-                for v in output
-            ]
+            output = self._project(self._select(node.having, grouped), output)
         return output
 
     def _emit_scalar_aggregate(self, node: nodes.ScalarAggregate) -> list[str]:
-        binding = self._emit_relational(node.child)
+        scalar = _ScalarContext(self._emit_relational(node.child))
         out: list[str] = []
         for item in node.items:
-            result = self._eval_scalar_aggregate(item.expression, binding)
+            result = self._eval(item.expression, scalar)
             out.append(
                 self.program.emit1(
                     "bat", "pack", [result.value],
                     bat_type(result.atom or item.atom or Atom.INT),
                 )
             )
+        if node.having is not None:
+            scalar.ref = out[0]  # the one output row
+            out = self._project(self._select(node.having, scalar), out)
         return out
-
-    def _eval_scalar_aggregate(self, expression: Any, binding: Binding) -> EvalResult:
-        if is_aggregate_call(expression):
-            name = expression.name
-            if expression.star:
-                count = self.program.emit1(
-                    "bat", "getcount", [Var(binding.ref)], scalar_type(Atom.LNG)
-                )
-                return EvalResult(_SCALAR, Var(count), Atom.LNG)
-            value = self._force_bat(
-                self._eval(expression.args[0], binding), binding
-            )
-            atom = infer_atom(expression)
-            if expression.distinct:
-                if name != "count":
-                    raise SemanticError(
-                        f"DISTINCT is only supported for COUNT, not {name.upper()}"
-                    )
-                var = self.program.emit1(
-                    "aggr", "countdistinct", [Var(value)], scalar_type(Atom.LNG)
-                )
-                return EvalResult(_SCALAR, Var(var), Atom.LNG)
-            var = self.program.emit1(
-                "aggr", name, [Var(value)], scalar_type(atom or Atom.DBL)
-            )
-            return EvalResult(_SCALAR, Var(var), atom)
-        if isinstance(expression, ast.Literal):
-            return EvalResult(
-                _SCALAR, Constant(expression.value), infer_atom(expression)
-            )
-        if isinstance(expression, Parameter):
-            return EvalResult(_SCALAR, Param(expression.key), expression.atom)
-        if isinstance(expression, ast.BinaryOp):
-            left = self._eval_scalar_aggregate(expression.left, binding)
-            right = self._eval_scalar_aggregate(expression.right, binding)
-            return self._scalar_binary(expression.op, left, right, expression)
-        if isinstance(expression, ast.UnaryOp):
-            operand = self._eval_scalar_aggregate(expression.operand, binding)
-            op_name = "not" if expression.op == "NOT" else "negate"
-            var = self.program.emit1(
-                "calc", op_name, [operand.value],
-                scalar_type(operand.atom or Atom.BIT),
-            )
-            return EvalResult(_SCALAR, Var(var), operand.atom)
-        if isinstance(expression, ast.CastExpression):
-            operand = self._eval_scalar_aggregate(expression.operand, binding)
-            atom = infer_atom(expression)
-            var = self.program.emit1(
-                "calc", "cast", [operand.value, atom.value], scalar_type(atom)
-            )
-            return EvalResult(_SCALAR, Var(var), atom)
-        raise SemanticError(
-            "scalar aggregate output may only combine aggregates and constants"
-        )
 
     def _emit_tile(self, node: nodes.TileProject) -> list[str]:
         binding = self._emit_relational(node.child)
@@ -718,57 +618,162 @@ class MALGenerator:
                 "offsets": [list(o) for o in node.spec.offsets],
             }
         )
-        tile = _TileContext(self, binding, meta_json)
+        tile = _TileContext(binding, meta_json)
         output = [
-            tile.force_bat(tile.eval(item.expression), item.atom)
+            self._force_bat(self._eval(item.expression, tile), tile, item.atom)
             for item in node.items
         ]
-        if node.having is not None:
-            predicate = tile.force_bat(tile.eval(node.having))
-            is_array_result = any(item.is_dimension for item in node.items)
-            if is_array_result:
-                # Array-shaped result: non-qualifying anchors stay in the
-                # array but their aggregate values become NULL (Fig 1(e)).
-                masked: list[str] = []
-                for item, var in zip(node.items, output):
-                    if item.is_dimension:
-                        masked.append(var)
-                    else:
-                        masked.append(
-                            self.program.emit1(
-                                "batcalc", "ifthenelse",
-                                [Var(predicate), Var(var), Constant(None)],
-                                self.program.type_of(var),
-                            )
-                        )
-                output = masked
-            else:
-                candidates = self.program.emit1(
-                    "algebra", "select", [Var(predicate)], bat_type(Atom.OID)
+        if node.having is None:
+            return output
+        if any(item.is_dimension for item in node.items):
+            # Array-shaped result: non-qualifying anchors stay in the
+            # array but their aggregate values become NULL (Fig 1(e)).
+            predicate = self._force_bat(self._eval(node.having, tile), tile)
+            return [
+                var
+                if item.is_dimension
+                else self.program.emit1(
+                    "batcalc", "ifthenelse",
+                    [Var(predicate), Var(var), Constant(None)],
+                    self.program.type_of(var),
                 )
-                output = [
-                    self.program.emit1(
-                        "algebra", "projection", [Var(candidates), Var(v)],
-                        self.program.type_of(v),
-                    )
-                    for v in output
-                ]
-        return output
+                for item, var in zip(node.items, output)
+            ]
+        return self._project(self._select(node.having, tile), output)
 
     # ------------------------------------------------------------------
-    # row-mode expression evaluation
+    # predicates → candidate lists
     # ------------------------------------------------------------------
-    def _force_bat(
-        self,
-        result: EvalResult,
-        binding: Optional[Binding],
-        atom: Optional[Atom] = None,
-    ) -> str:
-        """Ensure an evaluation result is an aligned BAT variable."""
+    def _select(self, predicate: Any, ctx) -> str:
+        """Candidate list of the rows of *ctx* on which *predicate* is TRUE.
+
+        The one predicate lowering.  Conjuncts that compare a BAT with a
+        scalar (literal, parameter or computed scalar) become value
+        selects, which never materialise a bit column and let the kernel
+        consult zone statistics; everything else is evaluated to a bit
+        BAT.  The value selects run first, each feeding its candidates
+        to the next, so the bit columns are only read where rows
+        survive.  Value selects skip NULL rows, which is exactly the
+        rows SQL's three-valued logic makes non-TRUE.
+        """
+        chain: list[tuple[str, str, list]] = []
+        bits: list[str] = []
+        self._conjunct(predicate, False, ctx, chain, bits)
+        candidates = None
+        for module, function, args in chain:
+            if candidates is not None:
+                args = args + [Var(candidates)]
+            candidates = self.program.emit1(
+                module, function, args, bat_type(Atom.OID)
+            )
+        for bit_var in bits:
+            candidates = self._select_true(bit_var, candidates)
+        return candidates
+
+    def _select_true(self, bits: str, candidates: Optional[str] = None) -> str:
+        """Oids (within *candidates*) where the bit BAT *bits* is TRUE."""
+        args = [Var(bits)] if candidates is None else [Var(bits), Var(candidates)]
+        return self.program.emit1("algebra", "select", args, bat_type(Atom.OID))
+
+    def _conjunct(
+        self, node: Any, negated: bool, ctx, chain: list, bits: list[str]
+    ) -> None:
+        """Lower ``[NOT] node``: a value select appended to *chain*, or a
+        bit BAT appended to *bits* when the conjunct has no value form."""
+        if isinstance(node, ast.UnaryOp) and node.op == "NOT":
+            self._conjunct(node.operand, not negated, ctx, chain, bits)
+            return
+        if isinstance(node, ast.BinaryOp) and node.op == ("OR" if negated else "AND"):
+            # NOT (a OR b) is NOT a AND NOT b, in three-valued logic too.
+            self._conjunct(node.left, negated, ctx, chain, bits)
+            self._conjunct(node.right, negated, ctx, chain, bits)
+            return
+        if isinstance(node, ast.BinaryOp) and node.op in _THETA:
+            left = self._eval(node.left, ctx)
+            right = self._eval(node.right, ctx)
+            op = _THETA[node.op]
+            if left.kind == _SCALAR and right.kind == _BAT:
+                left, right, op = right, left, _FLIP[op]
+            if left.kind == _BAT and right.kind == _SCALAR:
+                self._theta(chain, left.value, _NEGATE[op] if negated else op, right.value)
+                return
+            truth = self._binary(node.op, left, right, Atom.BIT)
+        elif isinstance(node, ast.IsNull):
+            operand = self._eval(node.operand, ctx)
+            if operand.kind == _BAT:
+                chain.append(
+                    ("algebra", "isnilselect", [operand.value, node.negated == negated])
+                )
+                return
+            truth = self._is_null(node, operand)
+        elif isinstance(node, ast.Between):
+            operand, low, high = (
+                self._eval(part, ctx) for part in (node.operand, node.low, node.high)
+            )
+            if operand.kind == _BAT and low.kind == high.kind == _SCALAR:
+                chain.append(
+                    (
+                        "algebra", "rangeselect",
+                        [operand.value, low.value, high.value, True, True,
+                         node.negated != negated],
+                    )
+                )
+                return
+            truth = self._between(node, operand, low, high)
+        elif isinstance(node, ast.InList):
+            operand = self._eval(node.operand, ctx)
+            if operand.kind == _BAT and all(
+                isinstance(item, ast.Literal) for item in node.items
+            ):
+                values = [item.value for item in node.items]
+                if node.negated == negated:
+                    chain.append(
+                        ("algebra", "inselect", [operand.value, json.dumps(values)])
+                    )
+                else:
+                    # NOT IN is a conjunction of <> (never TRUE once the
+                    # list holds a NULL).
+                    for value in values:
+                        self._theta(chain, operand.value, "!=", Constant(value))
+                return
+            truth = self._in_list(
+                node, operand, [self._eval(item, ctx) for item in node.items]
+            )
+        else:
+            truth = self._eval(node, ctx)
+        if negated:
+            truth = self._unary("NOT", truth)
+        bits.append(self._force_bat(truth, ctx, Atom.BIT))
+
+    @staticmethod
+    def _theta(chain: list, operand: Var, op: str, value: Any) -> None:
+        """Append ``operand <op> value``; a lower and an upper bound on
+        one operand in a row fuse into a single ``algebra.rangeselect``
+        (exact for a parameter bound to NULL too: the kernel reads a
+        NULL bound as unknown, like ``thetaselect``'s NULL value)."""
+        if chain and chain[-1][1] == "thetaselect" and chain[-1][2][0] == operand:
+            _, prior_value, prior_op = chain[-1][2]
+            for (low, low_op), (high, high_op) in (
+                ((prior_value, prior_op), (value, op)),
+                ((value, op), (prior_value, prior_op)),
+            ):
+                if low_op in _LOWER and high_op in _UPPER:
+                    chain[-1] = (
+                        "algebra", "rangeselect",
+                        [operand, low, high, _LOWER[low_op], _UPPER[high_op], False],
+                    )
+                    return
+        chain.append(("algebra", "thetaselect", [operand, value, op]))
+
+    # ------------------------------------------------------------------
+    # expression evaluation
+    # ------------------------------------------------------------------
+    def _force_bat(self, result: EvalResult, ctx, atom: Optional[Atom] = None) -> str:
+        """Ensure an evaluation result is a BAT aligned with *ctx*'s rows."""
         if result.kind == _BAT:
             assert isinstance(result.value, Var)
             return result.value.name
-        if binding is None or binding.ref is None:
+        if ctx.ref is None:
             raise SemanticError("cannot broadcast a constant without a FROM row set")
         target_atom = result.atom or atom
         if target_atom is None and isinstance(result.value, Param):
@@ -776,71 +781,69 @@ class MALGenerator:
             # bound value instead of coercing through a guessed type.
             return self.program.emit1(
                 "bat", "project_const",
-                [Var(binding.ref), result.value, None],
+                [Var(ctx.ref), result.value, None],
                 bat_type(None),
             )
         if target_atom is None:
             target_atom = Atom.INT
         return self.program.emit1(
             "bat", "project_const",
-            [Var(binding.ref), result.value, target_atom.value],
+            [Var(ctx.ref), result.value, target_atom.value],
             bat_type(target_atom),
         )
 
-    def _eval(self, expression: Any, binding: Optional[Binding]) -> EvalResult:
-        """Evaluate an expression over a row binding (no aggregates)."""
+    def _eval(self, expression: Any, ctx) -> EvalResult:
+        """Evaluate a bound expression — the one expression walker.
+
+        *ctx* resolves the leaves that differ between contexts (bare
+        columns, grouping keys, aggregate calls) and names the BAT a
+        scalar broadcasts against; the operator case analysis below is
+        the same everywhere and picks ``calc.*`` or ``batcalc.*`` from
+        the operand kinds.
+        """
+        leaf = ctx.leaf(self, expression)
+        if leaf is not None:
+            return leaf
         if isinstance(expression, ast.Literal):
             return EvalResult(
                 _SCALAR, Constant(expression.value), infer_atom(expression)
             )
         if isinstance(expression, Parameter):
             return EvalResult(_SCALAR, Param(expression.key), expression.atom)
-        if isinstance(expression, BoundColumn):
-            if binding is None:
-                raise SemanticError("column reference without a FROM clause")
-            var = binding.column_var(self, (expression.source, expression.column))
-            return EvalResult(_BAT, Var(var), expression.atom)
-        if isinstance(expression, BoundCellRef):
-            return self._eval_cell_ref(expression, binding)
         if isinstance(expression, ast.BinaryOp):
-            left = self._eval(expression.left, binding)
-            right = self._eval(expression.right, binding)
-            return self._binary(expression.op, left, right, expression, binding)
+            return self._binary(
+                expression.op,
+                self._eval(expression.left, ctx),
+                self._eval(expression.right, ctx),
+                infer_atom(expression),
+            )
         if isinstance(expression, ast.UnaryOp):
-            operand = self._eval(expression.operand, binding)
-            return self._unary(expression.op, operand, binding)
+            return self._unary(expression.op, self._eval(expression.operand, ctx))
         if isinstance(expression, ast.FunctionCall):
-            return self._function(expression, binding)
+            if not expression.args:
+                raise SemanticError(f"function {expression.name!r} needs arguments")
+            return self._function(expression, self._eval(expression.args[0], ctx))
         if isinstance(expression, ast.CaseExpression):
-            return self._case(expression, binding, lambda e: self._eval(e, binding))
+            return self._case(expression, ctx)
         if isinstance(expression, ast.IsNull):
-            operand = self._eval(expression.operand, binding)
-            forced = self._force_bat(operand, binding)
-            var = self.program.emit1(
-                "batcalc", "isnil", [Var(forced)], bat_type(Atom.BIT)
-            )
-            result = EvalResult(_BAT, Var(var), Atom.BIT)
-            if expression.negated:
-                return self._unary("NOT", result, binding)
-            return result
+            return self._is_null(expression, self._eval(expression.operand, ctx))
         if isinstance(expression, ast.InList):
-            return self._in_list(expression, binding, lambda e: self._eval(e, binding))
-        if isinstance(expression, ast.Between):
-            return self._between(expression, binding, lambda e: self._eval(e, binding))
-        if isinstance(expression, ast.CastExpression):
-            operand = self._eval(expression.operand, binding)
-            atom = infer_atom(expression)
-            if operand.kind == _SCALAR:
-                var = self.program.emit1(
-                    "calc", "cast", [operand.value, atom.value], scalar_type(atom)
-                )
-                return EvalResult(_SCALAR, Var(var), atom)
-            var = self.program.emit1(
-                "batcalc", "cast", [operand.value, atom.value], bat_type(atom)
+            return self._in_list(
+                expression,
+                self._eval(expression.operand, ctx),
+                [self._eval(item, ctx) for item in expression.items],
             )
-            return EvalResult(_BAT, Var(var), atom)
-        if is_aggregate_call(expression):
-            raise SemanticError("aggregate used outside GROUP BY context")
+        if isinstance(expression, ast.Between):
+            return self._between(
+                expression,
+                self._eval(expression.operand, ctx),
+                self._eval(expression.low, ctx),
+                self._eval(expression.high, ctx),
+            )
+        if isinstance(expression, ast.CastExpression):
+            operand = self._eval(expression.operand, ctx)
+            atom = infer_atom(expression)
+            return self._calc("cast", [operand.value, atom.value], operand.kind, atom)
         raise SemanticError(f"cannot evaluate {type(expression).__name__}")
 
     _OP_NAMES = {
@@ -849,136 +852,72 @@ class MALGenerator:
         ">": "gt", ">=": "ge", "AND": "and", "OR": "or", "||": "concat",
     }
 
-    def _binary(
+    def _calc(
         self,
-        op: str,
-        left: EvalResult,
-        right: EvalResult,
-        expression: Any,
-        binding: Optional[Binding],
+        name: str,
+        args: list,
+        kind: str,
+        atom: Optional[Atom],
+        default: Optional[Atom] = None,
+    ) -> EvalResult:
+        """Emit ``calc.<name>`` over scalars or ``batcalc.<name>`` over BATs."""
+        if kind == _SCALAR:
+            var = self.program.emit1("calc", name, args, scalar_type(atom or default))
+        else:
+            var = self.program.emit1("batcalc", name, args, bat_type(atom or default))
+        return EvalResult(kind, Var(var), atom)
+
+    def _binary(
+        self, op: str, left: EvalResult, right: EvalResult, atom: Optional[Atom]
     ) -> EvalResult:
         name = self._OP_NAMES.get(op)
         if name is None:
             raise SemanticError(f"unsupported operator {op!r}")
-        atom = infer_atom(expression)
-        if left.kind == _SCALAR and right.kind == _SCALAR:
-            var = self.program.emit1(
-                "calc", name, [left.value, right.value],
-                scalar_type(atom or Atom.INT),
-            )
-            return EvalResult(_SCALAR, Var(var), atom)
-        var = self.program.emit1(
-            "batcalc", name, [left.value, right.value],
-            bat_type(atom or Atom.INT),
-        )
-        return EvalResult(_BAT, Var(var), atom)
+        kind = _SCALAR if left.kind == right.kind == _SCALAR else _BAT
+        return self._calc(name, [left.value, right.value], kind, atom, Atom.INT)
 
-    def _scalar_binary(
-        self, op: str, left: EvalResult, right: EvalResult, expression: Any
-    ) -> EvalResult:
-        name = self._OP_NAMES.get(op)
-        if name is None:
-            raise SemanticError(f"unsupported operator {op!r}")
-        atom = infer_atom(expression)
-        var = self.program.emit1(
-            "calc", name, [left.value, right.value], scalar_type(atom or Atom.INT)
-        )
-        return EvalResult(_SCALAR, Var(var), atom)
-
-    def _unary(
-        self, op: str, operand: EvalResult, binding: Optional[Binding]
-    ) -> EvalResult:
+    def _unary(self, op: str, operand: EvalResult) -> EvalResult:
         name = "not" if op == "NOT" else "negate"
-        module = "calc" if operand.kind == _SCALAR else "batcalc"
-        result_type = (
-            scalar_type(operand.atom or Atom.BIT)
-            if operand.kind == _SCALAR
-            else bat_type(operand.atom or Atom.BIT)
-        )
-        var = self.program.emit1(module, name, [operand.value], result_type)
-        return EvalResult(operand.kind, Var(var), operand.atom)
+        return self._calc(name, [operand.value], operand.kind, operand.atom, Atom.BIT)
 
     def _function(
-        self, expression: ast.FunctionCall, binding: Optional[Binding]
+        self, expression: ast.FunctionCall, operand: EvalResult
     ) -> EvalResult:
-        if not expression.args:
-            raise SemanticError(f"function {expression.name!r} needs arguments")
-        operand = self._eval(expression.args[0], binding)
-        return self._function_on(expression, operand)
-
-    def _function_on(
-        self, expression: ast.FunctionCall, operand: Optional[EvalResult]
-    ) -> EvalResult:
-        """Apply a non-aggregate function to an already evaluated operand."""
-        if operand is None:
-            raise SemanticError(f"function {expression.name!r} needs arguments")
-        name = expression.name
-        atom = infer_atom(expression)
-        module = "calc" if operand.kind == _SCALAR else "batcalc"
-        result_type = (
-            scalar_type(atom) if operand.kind == _SCALAR else bat_type(atom)
-        )
-        if name == "abs":
-            var = self.program.emit1(module, "abs", [operand.value], result_type)
-            return EvalResult(operand.kind, Var(var), atom)
+        """Apply a non-aggregate function to its evaluated first argument."""
+        from repro.algebra.compiler import fold_constant
         from repro.semantic.types import (
             MATH_FUNCTIONS,
             ROUNDING_FUNCTIONS,
             STRING_FUNCTIONS,
         )
 
-        if name in MATH_FUNCTIONS or name in ROUNDING_FUNCTIONS:
-            var = self.program.emit1(
-                module, "math", [Constant(name), operand.value], result_type
-            )
-            return EvalResult(operand.kind, Var(var), atom)
-        if name in STRING_FUNCTIONS:
-            return self._string_function(expression, operand, module, result_type)
-        raise SemanticError(f"unknown function {name!r}")
-
-    def _string_function(
-        self,
-        expression: ast.FunctionCall,
-        operand: EvalResult,
-        module: str,
-        result_type,
-    ) -> EvalResult:
-        """Lower lower/upper/trim/length/substring/like applications."""
-        from repro.algebra.compiler import fold_constant
-
         name = expression.name
         atom = infer_atom(expression)
-        if name in ("lower", "upper", "trim"):
-            var = self.program.emit1(module, name, [operand.value], result_type)
-            return EvalResult(operand.kind, Var(var), atom)
-        if name in ("length", "char_length"):
-            var = self.program.emit1(module, "length", [operand.value], result_type)
-            return EvalResult(operand.kind, Var(var), atom)
-        if name in ("substring", "substr"):
+        args = [operand.value]
+        if name in MATH_FUNCTIONS or name in ROUNDING_FUNCTIONS:
+            name, args = "math", [Constant(name), operand.value]
+        elif name in ("length", "char_length"):
+            name = "length"
+        elif name in ("substring", "substr"):
             if len(expression.args) not in (2, 3):
                 raise SemanticError("SUBSTRING needs (string, start[, length])")
-            extra = [Constant(int(fold_constant(a))) for a in expression.args[1:]]
-            var = self.program.emit1(
-                module, "substring", [operand.value] + extra, result_type
-            )
-            return EvalResult(operand.kind, Var(var), atom)
-        if name == "like":
+            name = "substring"
+            args += [Constant(int(fold_constant(a))) for a in expression.args[1:]]
+        elif name == "like":
             if len(expression.args) != 2:
                 raise SemanticError("LIKE needs (string, pattern)")
-            pattern = fold_constant(expression.args[1])
-            var = self.program.emit1(
-                module, "like", [operand.value, Constant(pattern)], result_type
-            )
-            return EvalResult(operand.kind, Var(var), atom)
-        raise SemanticError(f"unknown string function {name!r}")
+            args.append(Constant(fold_constant(expression.args[1])))
+        elif name != "abs" and name not in STRING_FUNCTIONS:
+            raise SemanticError(f"unknown function {name!r}")
+        return self._calc(name, args, operand.kind, atom)
 
-    def _case(self, expression: ast.CaseExpression, binding, evaluator) -> EvalResult:
+    def _case(self, expression: ast.CaseExpression, ctx) -> EvalResult:
         pieces: list[tuple[EvalResult, EvalResult]] = [
-            (evaluator(condition), evaluator(value))
+            (self._eval(condition, ctx), self._eval(value, ctx))
             for condition, value in expression.whens
         ]
         otherwise = (
-            evaluator(expression.otherwise)
+            self._eval(expression.otherwise, ctx)
             if expression.otherwise is not None
             else EvalResult(_SCALAR, Constant(None), None)
         )
@@ -989,7 +928,7 @@ class MALGenerator:
         accumulator = otherwise
         for condition, value in reversed(pieces):
             if any_bat:
-                cond_var = self._force_bat(condition, binding, Atom.BIT)
+                cond_var = self._force_bat(condition, ctx, Atom.BIT)
                 var = self.program.emit1(
                     "batcalc", "ifthenelse",
                     [Var(cond_var), value.value, accumulator.value],
@@ -1005,53 +944,41 @@ class MALGenerator:
                 accumulator = EvalResult(_SCALAR, Var(var), atom or value.atom)
         return accumulator
 
-    def _in_list(self, expression: ast.InList, binding, evaluator) -> EvalResult:
-        operand = evaluator(expression.operand)
+    def _is_null(self, expression: ast.IsNull, operand: EvalResult) -> EvalResult:
+        result = self._calc("isnil", [operand.value], operand.kind, Atom.BIT)
+        return self._unary("NOT", result) if expression.negated else result
+
+    def _in_list(
+        self, expression: ast.InList, operand: EvalResult, items: list[EvalResult]
+    ) -> EvalResult:
         result: Optional[EvalResult] = None
-        for item in expression.items:
-            item_result = evaluator(item)
-            comparison = self._binary(
-                "=", operand, item_result,
-                ast.BinaryOp("=", expression.operand, item), binding,
-            )
+        for item in items:
+            comparison = self._binary("=", operand, item, Atom.BIT)
             if result is None:
                 result = comparison
             else:
-                result = self._binary(
-                    "OR", result, comparison,
-                    ast.BinaryOp("OR", ast.Literal(True), ast.Literal(True)),
-                    binding,
-                )
+                result = self._binary("OR", result, comparison, Atom.BIT)
         assert result is not None
-        if expression.negated:
-            return self._unary("NOT", result, binding)
-        return result
+        return self._unary("NOT", result) if expression.negated else result
 
-    def _between(self, expression: ast.Between, binding, evaluator) -> EvalResult:
-        operand = evaluator(expression.operand)
-        low = evaluator(expression.low)
-        high = evaluator(expression.high)
-        ge = self._binary(
-            ">=", operand, low,
-            ast.BinaryOp(">=", expression.operand, expression.low), binding,
-        )
-        le = self._binary(
-            "<=", operand, high,
-            ast.BinaryOp("<=", expression.operand, expression.high), binding,
-        )
+    def _between(
+        self,
+        expression: ast.Between,
+        operand: EvalResult,
+        low: EvalResult,
+        high: EvalResult,
+    ) -> EvalResult:
         result = self._binary(
-            "AND", ge, le,
-            ast.BinaryOp("AND", ast.Literal(True), ast.Literal(True)), binding,
+            "AND",
+            self._binary(">=", operand, low, Atom.BIT),
+            self._binary("<=", operand, high, Atom.BIT),
+            Atom.BIT,
         )
-        if expression.negated:
-            return self._unary("NOT", result, binding)
-        return result
+        return self._unary("NOT", result) if expression.negated else result
 
     def _eval_cell_ref(
-        self, expression: BoundCellRef, binding: Optional[Binding]
+        self, expression: BoundCellRef, binding: Binding
     ) -> EvalResult:
-        if binding is None:
-            raise SemanticError("cell reference without a FROM clause")
         array = self.catalog.get_array(expression.array)
         shape_json = json.dumps(list(array.shape()))
         dims_json = json.dumps(
@@ -1211,10 +1138,7 @@ class MALGenerator:
             return self.program.emit1(
                 "bat", "mirror", [Var(binding.ref)], bat_type(Atom.OID)
             )
-        predicate = self._force_bat(self._eval(where, binding), binding)
-        return self.program.emit1(
-            "algebra", "select", [Var(predicate)], bat_type(Atom.OID)
-        )
+        return self._select(where, binding)
 
     def _emit_update(self, plan: nodes.UpdatePlan) -> None:
         obj = self.catalog.get(plan.target)
@@ -1250,14 +1174,61 @@ class MALGenerator:
 
 
 # ----------------------------------------------------------------------
-# grouped / tiled evaluation contexts
+# aggregate evaluation contexts
 # ----------------------------------------------------------------------
+# Each context gives MALGenerator._eval two things: ``leaf`` (how a
+# grouping key, an aggregate call or a bare column resolves; ``None``
+# hands the node back to the shared walker) and ``ref`` (the BAT a
+# scalar broadcasts against).  Aggregate arguments always evaluate in
+# row mode over the child's binding.
+def _aggregate_argument(generator: MALGenerator, call: Any, binding: Binding) -> str:
+    value = generator._eval(call.args[0], binding)
+    return generator._force_bat(value, binding)
+
+
+def _count_only(call: Any) -> None:
+    if call.name != "count":
+        raise SemanticError(
+            f"DISTINCT is only supported for COUNT, not {call.name.upper()}"
+        )
+
+
+class _ScalarContext:
+    """Aggregation without GROUP BY: every aggregate is a scalar."""
+
+    def __init__(self, binding: Binding):
+        self.binding = binding
+        #: set to the packed one-row output once it exists (HAVING).
+        self.ref: Optional[str] = None
+
+    def leaf(self, generator: MALGenerator, expression: Any) -> Optional[EvalResult]:
+        if not is_aggregate_call(expression):
+            return None
+        program = generator.program
+        if expression.star:
+            var = program.emit1(
+                "bat", "getcount", [Var(self.binding.ref)], scalar_type(Atom.LNG)
+            )
+            return EvalResult(_SCALAR, Var(var), Atom.LNG)
+        value = _aggregate_argument(generator, expression, self.binding)
+        if expression.distinct:
+            _count_only(expression)
+            var = program.emit1(
+                "aggr", "countdistinct", [Var(value)], scalar_type(Atom.LNG)
+            )
+            return EvalResult(_SCALAR, Var(var), Atom.LNG)
+        atom = infer_atom(expression)
+        var = program.emit1(
+            "aggr", expression.name, [Var(value)], scalar_type(atom or Atom.DBL)
+        )
+        return EvalResult(_SCALAR, Var(var), atom)
+
+
 class _GroupedContext:
-    """Evaluates output expressions of a value-based GROUP BY."""
+    """Value-based GROUP BY: keys and aggregates are one row per group."""
 
     def __init__(
         self,
-        generator: MALGenerator,
         binding: Binding,
         keys: list[Any],
         key_vars: list[str],
@@ -1265,188 +1236,68 @@ class _GroupedContext:
         extents: str,
         ngroups: str,
     ):
-        self.generator = generator
         self.binding = binding
         self.keys = keys
         self.key_vars = key_vars
         self.groups = groups
-        self.extents = extents
+        self.ref = extents
         self.ngroups = ngroups
-        self._group_ref: Optional[str] = None
 
-    def group_ref(self) -> str:
-        if self._group_ref is None:
-            self._group_ref = self.extents
-        return self._group_ref
-
-    def force_bat(self, result: EvalResult, atom: Optional[Atom] = None) -> str:
-        if result.kind == _BAT:
-            assert isinstance(result.value, Var)
-            return result.value.name
-        target_atom = result.atom or atom or Atom.INT
-        return self.generator.program.emit1(
-            "bat", "project_const",
-            [Var(self.group_ref()), result.value, target_atom.value],
-            bat_type(target_atom),
-        )
-
-    def eval(self, expression: Any) -> EvalResult:
-        program = self.generator.program
+    def leaf(self, generator: MALGenerator, expression: Any) -> Optional[EvalResult]:
+        program = generator.program
         for key, key_var in zip(self.keys, self.key_vars):
             if expression == key:
                 var = program.emit1(
-                    "algebra", "projection", [Var(self.extents), Var(key_var)],
+                    "algebra", "projection", [Var(self.ref), Var(key_var)],
                     program.type_of(key_var),
                 )
                 return EvalResult(_BAT, Var(var), infer_atom(expression))
-        if is_aggregate_call(expression):
-            name = expression.name
-            if expression.star:
-                var = program.emit1(
-                    "aggr", "subcountstar", [Var(self.groups), Var(self.ngroups)],
-                    bat_type(Atom.LNG),
-                )
-                return EvalResult(_BAT, Var(var), Atom.LNG)
-            value = self.generator._force_bat(
-                self.generator._eval(expression.args[0], self.binding), self.binding
-            )
-            atom = infer_atom(expression)
-            if expression.distinct:
-                if name != "count":
-                    raise SemanticError(
-                        f"DISTINCT is only supported for COUNT, not {name.upper()}"
-                    )
-                var = program.emit1(
-                    "aggr", "subcountdistinct",
-                    [Var(value), Var(self.groups), Var(self.ngroups)],
-                    bat_type(Atom.LNG),
-                )
-                return EvalResult(_BAT, Var(var), Atom.LNG)
+        if not is_aggregate_call(expression):
+            return None
+        grouping = [Var(self.groups), Var(self.ngroups)]
+        if expression.star:
             var = program.emit1(
-                "aggr", f"sub{name}",
-                [Var(value), Var(self.groups), Var(self.ngroups)],
-                bat_type(atom or Atom.DBL),
+                "aggr", "subcountstar", grouping, bat_type(Atom.LNG)
             )
-            return EvalResult(_BAT, Var(var), atom)
-        if isinstance(expression, ast.Literal):
-            return EvalResult(
-                _SCALAR, Constant(expression.value), infer_atom(expression)
+            return EvalResult(_BAT, Var(var), Atom.LNG)
+        value = _aggregate_argument(generator, expression, self.binding)
+        if expression.distinct:
+            _count_only(expression)
+            var = program.emit1(
+                "aggr", "subcountdistinct", [Var(value)] + grouping,
+                bat_type(Atom.LNG),
             )
-        if isinstance(expression, Parameter):
-            return EvalResult(_SCALAR, Param(expression.key), expression.atom)
-        if isinstance(expression, ast.BinaryOp):
-            left = self.eval(expression.left)
-            right = self.eval(expression.right)
-            return self.generator._binary(
-                expression.op, left, right, expression, None
-            )
-        if isinstance(expression, ast.UnaryOp):
-            return self.generator._unary(
-                expression.op, self.eval(expression.operand), None
-            )
-        if isinstance(expression, ast.CaseExpression):
-            return self.generator._case(expression, _FakeBinding(self), self.eval)
-        if isinstance(expression, ast.IsNull):
-            operand = self.force_bat(self.eval(expression.operand))
-            var = self.generator.program.emit1(
-                "batcalc", "isnil", [Var(operand)], bat_type(Atom.BIT)
-            )
-            result = EvalResult(_BAT, Var(var), Atom.BIT)
-            if expression.negated:
-                return self.generator._unary("NOT", result, None)
-            return result
-        if isinstance(expression, ast.InList):
-            return self.generator._in_list(expression, _FakeBinding(self), self.eval)
-        if isinstance(expression, ast.Between):
-            return self.generator._between(expression, _FakeBinding(self), self.eval)
-        if isinstance(expression, ast.CastExpression):
-            operand = self.eval(expression.operand)
-            atom = infer_atom(expression)
-            module = "calc" if operand.kind == _SCALAR else "batcalc"
-            mal_type = scalar_type(atom) if operand.kind == _SCALAR else bat_type(atom)
-            var = self.generator.program.emit1(
-                module, "cast", [operand.value, atom.value], mal_type
-            )
-            return EvalResult(operand.kind, Var(var), atom)
-        if isinstance(expression, ast.FunctionCall):
-            inner = self.eval(expression.args[0]) if expression.args else None
-            return self.generator._function_on(expression, inner)
-        raise SemanticError(
-            f"unsupported grouped expression {type(expression).__name__}"
+            return EvalResult(_BAT, Var(var), Atom.LNG)
+        atom = infer_atom(expression)
+        var = program.emit1(
+            "aggr", f"sub{expression.name}", [Var(value)] + grouping,
+            bat_type(atom or Atom.DBL),
         )
-
-
-class _FakeBinding:
-    """Adapter letting grouped/tiled contexts reuse _case/_in_list/_between."""
-
-    def __init__(self, context):
-        self._context = context
-
-    @property
-    def ref(self):
-        return self._context.group_ref()
+        return EvalResult(_BAT, Var(var), atom)
 
 
 class _TileContext:
-    """Evaluates output expressions of a structural GROUP BY (tiling).
+    """Structural GROUP BY (tiling): everything stays cell-aligned.
 
-    Everything stays cell-aligned: non-aggregate references are the
-    anchor cell's own values; aggregates fold the anchor's tile via
-    ``array.tileagg``.
+    Non-aggregate references are the anchor cell's own values;
+    aggregates fold the anchor's tile via ``array.tileagg``.
     """
 
-    def __init__(
-        self,
-        generator: MALGenerator,
-        binding: Binding,
-        meta_json: str,
-    ):
-        self.generator = generator
+    def __init__(self, binding: Binding, meta_json: str):
         self.binding = binding
+        self.ref = binding.ref
         self.meta_json = meta_json
 
-    def group_ref(self) -> str:
-        return self.binding.ref
-
-    def force_bat(self, result: EvalResult, atom: Optional[Atom] = None) -> str:
-        return self.generator._force_bat(result, self.binding, atom)
-
-    def eval(self, expression: Any) -> EvalResult:
-        program = self.generator.program
-        if is_aggregate_call(expression):
-            name = expression.name
-            if expression.star:
-                var = program.emit1(
-                    "array", "tileagg",
-                    [Var(self.binding.ref), "count_star", self.meta_json],
-                    bat_type(Atom.LNG),
-                )
-                return EvalResult(_BAT, Var(var), Atom.LNG)
-            value = self.generator._force_bat(
-                self.generator._eval(expression.args[0], self.binding), self.binding
-            )
-            atom = infer_atom(expression)
-            var = program.emit1(
-                "array", "tileagg",
-                [Var(value), name, self.meta_json],
-                bat_type(atom or Atom.DBL),
-            )
-            return EvalResult(_BAT, Var(var), atom)
-        if isinstance(expression, ast.BinaryOp):
-            left = self.eval(expression.left)
-            right = self.eval(expression.right)
-            return self.generator._binary(
-                expression.op, left, right, expression, self.binding
-            )
-        if isinstance(expression, ast.UnaryOp):
-            return self.generator._unary(
-                expression.op, self.eval(expression.operand), self.binding
-            )
-        if isinstance(expression, ast.CaseExpression):
-            return self.generator._case(expression, self.binding, self.eval)
-        if isinstance(expression, ast.InList):
-            return self.generator._in_list(expression, self.binding, self.eval)
-        if isinstance(expression, ast.Between):
-            return self.generator._between(expression, self.binding, self.eval)
-        # Bare columns, literals, cell refs, IS NULL, casts: plain row mode.
-        return self.generator._eval(expression, self.binding)
+    def leaf(self, generator: MALGenerator, expression: Any) -> Optional[EvalResult]:
+        if not is_aggregate_call(expression):
+            return self.binding.leaf(generator, expression)
+        if expression.star:
+            value, name, atom = self.ref, "count_star", Atom.LNG
+        else:
+            value = _aggregate_argument(generator, expression, self.binding)
+            name, atom = expression.name, infer_atom(expression)
+        var = generator.program.emit1(
+            "array", "tileagg", [Var(value), name, self.meta_json],
+            bat_type(atom or Atom.DBL),
+        )
+        return EvalResult(_BAT, Var(var), atom)

@@ -89,10 +89,11 @@ class Aggregate:
 
 @dataclass
 class ScalarAggregate:
-    """Aggregation without GROUP BY: one output row."""
+    """Aggregation without GROUP BY: one output row (none if HAVING fails)."""
 
     child: "PlanNode"
     items: list[OutputItem]
+    having: Any = None
 
 
 @dataclass

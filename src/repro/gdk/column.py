@@ -290,15 +290,6 @@ class Column:
         """Alias of :meth:`concat` (MonetDB's BATappend)."""
         return self.concat(other)
 
-    def fill_nulls(self, value: Any) -> "Column":
-        """New column with every NULL replaced by *value*."""
-        if self.mask is None:
-            return self.copy()
-        coerced = coerce_scalar(value, self.atom)
-        values = self.values.copy()
-        values[self.mask] = coerced
-        return Column(self.atom, values)
-
     # ------------------------------------------------------------------
     # casting
     # ------------------------------------------------------------------

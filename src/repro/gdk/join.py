@@ -25,7 +25,6 @@ from repro.gdk.atoms import Atom, canon_key as _canon_key
 from repro.gdk.bat import BAT
 from repro.gdk.column import Column
 from repro.gdk.dictenc import DictColumn
-from repro.gdk.select import THETA_OPS
 from repro.gdk.select import _candidate_positions as _select_candidate_positions
 
 
@@ -223,40 +222,6 @@ def leftjoin(
     return BAT.from_oids(loids), BAT.from_oids(roids)
 
 
-def thetajoin(left: BAT, right: BAT, op: str) -> tuple[BAT, BAT]:
-    """Join on an arbitrary comparison ``left.tail <op> right.tail``.
-
-    Quadratic nested-loop evaluated with numpy broadcasting; used for the
-    rare non-equi join predicates in the demo queries.
-    """
-    if op not in THETA_OPS:
-        raise GDKError(f"unknown theta operator {op!r}")
-    lvalues = left.tail.values
-    rvalues = right.tail.values
-    if op == "==":
-        grid = lvalues[:, None] == rvalues[None, :]
-    elif op == "!=":
-        grid = lvalues[:, None] != rvalues[None, :]
-    elif op == "<":
-        grid = lvalues[:, None] < rvalues[None, :]
-    elif op == "<=":
-        grid = lvalues[:, None] <= rvalues[None, :]
-    elif op == ">":
-        grid = lvalues[:, None] > rvalues[None, :]
-    else:
-        grid = lvalues[:, None] >= rvalues[None, :]
-    grid = np.asarray(grid, dtype=np.bool_)
-    if left.tail.mask is not None:
-        grid &= ~left.tail.mask[:, None]
-    if right.tail.mask is not None:
-        grid &= ~right.tail.mask[None, :]
-    lpos, rpos = np.nonzero(grid)
-    return (
-        BAT.from_oids(lpos.astype(np.int64) + left.hseqbase),
-        BAT.from_oids(rpos.astype(np.int64) + right.hseqbase),
-    )
-
-
 def crossproduct(left_count: int, right_count: int,
                  left_base: int = 0, right_base: int = 0) -> tuple[BAT, BAT]:
     """Cartesian product of two dense heads as aligned oid BATs."""
@@ -265,42 +230,6 @@ def crossproduct(left_count: int, right_count: int,
     loids = np.repeat(np.arange(left_count, dtype=np.int64), right_count) + left_base
     roids = np.tile(np.arange(right_count, dtype=np.int64), left_count) + right_base
     return BAT.from_oids(loids), BAT.from_oids(roids)
-
-
-def semijoin(
-    left: BAT,
-    right: BAT,
-    lcand: BAT | None = None,
-    rcand: BAT | None = None,
-) -> BAT:
-    """Left oids having at least one equi-match in *right*."""
-    _check_join_types(left, right)
-    lsrc, rsrc = _pair_sources(left.tail, right.tail)
-    lpos, lvals, _ = _valid_split(left, lcand, lsrc)
-    _, rvals, _ = _valid_split(right, rcand, rsrc)
-    # Same span probe as join() so NaN keys stay in one equivalence class
-    # (np.isin would never equate NaN with NaN).
-    rsorted = rvals[_sort_values(rvals)]
-    lo, hi = _span_search(rsorted, lvals)
-    keep = hi > lo
-    return BAT.from_oids(lpos[keep] + left.hseqbase)
-
-
-def antijoin(
-    left: BAT,
-    right: BAT,
-    lcand: BAT | None = None,
-    rcand: BAT | None = None,
-) -> BAT:
-    """Left oids with no equi-match in *right* (NULL left tails excluded)."""
-    _check_join_types(left, right)
-    lsrc, rsrc = _pair_sources(left.tail, right.tail)
-    lpos, lvals, _ = _valid_split(left, lcand, lsrc)
-    _, rvals, _ = _valid_split(right, rcand, rsrc)
-    rsorted = rvals[_sort_values(rvals)]
-    lo, hi = _span_search(rsorted, lvals)
-    keep = hi == lo
-    return BAT.from_oids(lpos[keep] + left.hseqbase)
 
 
 # ----------------------------------------------------------------------
@@ -477,33 +406,6 @@ def leftjoin_reference(left: BAT, right: BAT) -> tuple[BAT, BAT]:
     roids = np.asarray(routs, dtype=np.int64)
     roids = np.where(roids >= 0, roids + right.hseqbase, -1)
     return BAT.from_oids(loids), BAT.from_oids(roids)
-
-
-def semijoin_reference(left: BAT, right: BAT) -> BAT:
-    """Tuple-at-a-time semijoin (the seed implementation)."""
-    index = set()
-    rmask = right.tail.mask
-    for pos, value in enumerate(right.tail.values.tolist()):
-        if rmask is None or not rmask[pos]:
-            index.add(_canon_key(value))
-    keep = []
-    lmask = left.tail.mask
-    for pos, value in enumerate(left.tail.values.tolist()):
-        if lmask is not None and lmask[pos]:
-            continue
-        if _canon_key(value) in index:
-            keep.append(pos)
-    return BAT.from_oids(np.asarray(keep, dtype=np.int64) + left.hseqbase)
-
-
-def antijoin_reference(left: BAT, right: BAT) -> BAT:
-    """Tuple-at-a-time antijoin (the seed implementation)."""
-    matched = semijoin_reference(left, right)
-    all_oids = np.arange(left.hseqbase, left.hseqbase + len(left), dtype=np.int64)
-    if left.tail.mask is not None:
-        all_oids = all_oids[~left.tail.mask]
-    out = np.setdiff1d(all_oids, matched.tail.values)
-    return BAT.from_oids(out)
 
 
 def multi_column_join_reference(

@@ -5,15 +5,22 @@ the head-oids of qualifying BUNs in ascending order — exactly how
 MonetDB's ``algebra.select`` family communicates sub-sets between
 operators without copying payloads.
 
-Two storage-engine integrations live here:
+There is one select family — :func:`select_true` over a bit column and
+the value selects :func:`thetaselect`, :func:`rangeselect`,
+:func:`isnull_select`, :func:`in_select` — and two storage-engine
+integrations live in it:
 
-* **Zone-map pruning** — with ``prune=True`` (the ``algebra.*zm``
-  twins emitted by the zone-map optimizer pass) a selection first asks
-  the input's zone map for a whole-fragment verdict: provably-empty
-  fragments return the empty candidate list and provably-full ones
-  return the complete (candidate-restricted) oid range, in both cases
-  without touching the payload.  Pruned fragments are counted in
-  :func:`repro.gdk.storage.note_pruned`.
+* **Zone-map pruning** — pruning is a property of the data, not of the
+  operator: every value select first asks the zone statistics its
+  input has (:func:`_zone_window`: the zone map a farm column was
+  loaded with, or its source's when the BAT is a ``mat.partition``
+  fragment) for a whole-input verdict; a BAT with neither is scanned.  Provably-empty inputs return the empty candidate list and
+  provably-full ones the complete (candidate-restricted) oid range, in
+  both cases without touching the payload.  Pruned inputs are counted
+  in :func:`repro.gdk.storage.note_pruned`; ``REPRO_ZONEMAPS=0``
+  switches the short-circuit off (results are identical either way).
+  :func:`select_true` never asks: its bit column was computed for this
+  one query, so statistics over it could not be reused.
 * **Dictionary codes** — selections over a
   :class:`~repro.gdk.dictenc.DictColumn` translate the predicate into
   code space (the dictionary is sorted, so one ``searchsorted`` per
@@ -90,19 +97,22 @@ def _zone_window(b: BAT) -> tuple:
     """(zone map, start-row offset) serving *b*, or ``(None, 0)``.
 
     A fragment produced by ``mat.partition`` carries its source and
-    start row, so the source's single zone map answers for any
-    fragment count; a whole BAT is its own window from row 0.
+    start row, so the source's single zone map — built on first use —
+    answers for any fragment count.  A whole BAT is its own window from
+    row 0 when it came with statistics (a farm column); none are built
+    for it here, so a computed temporary or a small in-memory table
+    never pays for statistics one select could not repay.
     """
     origin = b._zone_origin
     if origin is not None:
         source, start = origin
         return zonemap.ensure(source), start
-    return zonemap.ensure(b), 0
+    return b._zones or None, 0
 
 
-def _verdict(b: BAT, prune: bool, kind: str, *args):
-    """Whole-fragment zone verdict, or ``None`` when a scan is needed."""
-    if not prune or not storage.zonemaps_enabled():
+def _verdict(b: BAT, kind: str, *args):
+    """Whole-input zone verdict, or ``None`` when a scan is needed."""
+    if not storage.zonemaps_enabled():
         return None
     zm, base = _zone_window(b)
     if zm is None:
@@ -150,14 +160,10 @@ def _finish(
 # ----------------------------------------------------------------------
 # selection kernels
 # ----------------------------------------------------------------------
-def select_true(b: BAT, candidates: BAT | None = None, prune: bool = False) -> BAT:
+def select_true(b: BAT, candidates: BAT | None = None) -> BAT:
     """Oids where a bit column is TRUE (NULL counts as not-true)."""
     if b.atom is not Atom.BIT:
         raise GDKError("select_true needs a bit BAT")
-    verdict = _verdict(b, prune, "theta", True, "==")
-    short = _verdict_result(b, candidates, verdict)
-    if short is not None:
-        return short
     positions, presorted = _candidate_positions(b, candidates)
     storage.note_scan(b.tail.values)
     values = b.tail.values[positions]
@@ -205,7 +211,6 @@ def thetaselect(
     value: Any,
     op: str,
     candidates: BAT | None = None,
-    prune: bool = False,
 ) -> BAT:
     """Oids whose tail satisfies ``tail <op> value``.
 
@@ -227,7 +232,7 @@ def thetaselect(
             keep = np.ones(len(positions), dtype=np.bool_)
             return _finish(b, positions, presorted, keep)
         code_op, code = predicate
-        verdict = _verdict(b, prune, "theta", code, code_op)
+        verdict = _verdict(b, "theta", code, code_op)
         short = _verdict_result(b, candidates, verdict)
         if short is not None:
             return short
@@ -235,7 +240,7 @@ def thetaselect(
         storage.note_scan(tail.codes)
         keep = _apply_code_predicate(tail.codes[positions], code_op, code)
         return _finish(b, positions, presorted, keep)
-    verdict = _verdict(b, prune, "theta", coerced, op)
+    verdict = _verdict(b, "theta", coerced, op)
     short = _verdict_result(b, candidates, verdict)
     if short is not None:
         return short
@@ -265,58 +270,42 @@ def rangeselect(
     high_inclusive: bool = True,
     anti: bool = False,
     candidates: BAT | None = None,
-    prune: bool = False,
 ) -> BAT:
-    """Oids with tail in the (optionally open) interval [low, high].
+    """Oids with ``low <(=) tail <(=) high``; with ``anti=True`` the
+    oids where that conjunction is FALSE (never NULL tails).
 
-    ``None`` bounds are unbounded.  With ``anti=True`` the complement is
-    returned (still excluding NULL tails).
+    A ``None`` bound is SQL's NULL, as :func:`thetaselect`'s ``None``
+    value is: its comparison is unknown, so the conjunction is never
+    TRUE, and it is FALSE only where the other bound already fails.
+    A one-sided range is a :func:`thetaselect`.
     """
+    if low is None or high is None:
+        if not anti or (low is None and high is None):
+            return BAT.empty(Atom.OID)
+        if low is None:
+            return thetaselect(b, high, ">" if high_inclusive else ">=", candidates)
+        return thetaselect(b, low, "<" if low_inclusive else "<=", candidates)
     tail = b.tail
+    lo = _comparand(low, b.atom)
+    hi = _comparand(high, b.atom)
     if isinstance(tail, DictColumn):
-        # Half-open window [code_lo, code_hi) in code space.
+        # Half-open window [lo, hi) in code space.
         dictionary = tail.dictionary
-        code_lo = None
-        code_hi = None
-        if low is not None:
-            side = "left" if low_inclusive else "right"
-            code_lo = int(np.searchsorted(dictionary, _comparand(low, b.atom), side=side))
-        if high is not None:
-            side = "right" if high_inclusive else "left"
-            code_hi = int(np.searchsorted(dictionary, _comparand(high, b.atom), side=side))
-        verdict = _verdict(
-            b, prune, "interval", code_lo, code_hi, True, False, anti
-        )
-        short = _verdict_result(b, candidates, verdict)
-        if short is not None:
-            return short
-        positions, presorted = _candidate_positions(b, candidates)
-        storage.note_scan(tail.codes)
-        codes = tail.codes[positions]
-        keep = np.ones(len(positions), dtype=np.bool_)
-        if code_lo is not None:
-            keep &= codes >= code_lo
-        if code_hi is not None:
-            keep &= codes < code_hi
-        if anti:
-            keep = ~keep
-        return _finish(b, positions, presorted, keep)
-    lo = None if low is None else _comparand(low, b.atom)
-    hi = None if high is None else _comparand(high, b.atom)
-    verdict = _verdict(
-        b, prune, "interval", lo, hi, low_inclusive, high_inclusive, anti
-    )
+        lo = int(np.searchsorted(dictionary, lo, side="left" if low_inclusive else "right"))
+        hi = int(np.searchsorted(dictionary, hi, side="right" if high_inclusive else "left"))
+        low_inclusive, high_inclusive = True, False
+        payload = tail.codes
+    else:
+        payload = tail.values
+    verdict = _verdict(b, "interval", lo, hi, low_inclusive, high_inclusive, anti)
     short = _verdict_result(b, candidates, verdict)
     if short is not None:
         return short
     positions, presorted = _candidate_positions(b, candidates)
-    storage.note_scan(tail.values)
-    values = tail.values[positions]
-    keep = np.ones(len(positions), dtype=np.bool_)
-    if lo is not None:
-        keep &= (values >= lo) if low_inclusive else (values > lo)
-    if hi is not None:
-        keep &= (values <= hi) if high_inclusive else (values < hi)
+    storage.note_scan(payload)
+    values = payload[positions]
+    keep = (values >= lo) if low_inclusive else (values > lo)
+    keep &= (values <= hi) if high_inclusive else (values < hi)
     if anti:
         keep = ~keep
     return _finish(b, positions, presorted, keep)
@@ -326,10 +315,9 @@ def isnull_select(
     b: BAT,
     want_null: bool = True,
     candidates: BAT | None = None,
-    prune: bool = False,
 ) -> BAT:
     """Oids whose tail is NULL (or NOT NULL with ``want_null=False``)."""
-    verdict = _verdict(b, prune, "null", want_null)
+    verdict = _verdict(b, "null", want_null)
     short = _verdict_result(b, candidates, verdict)
     if short is not None:
         return short
@@ -343,7 +331,6 @@ def in_select(
     b: BAT,
     values: list[Any],
     candidates: BAT | None = None,
-    prune: bool = False,
 ) -> BAT:
     """Oids whose tail equals any of *values* (NULL members ignored)."""
     concrete = [_comparand(v, b.atom) for v in values if v is not None]
@@ -360,7 +347,7 @@ def in_select(
         ]
         if not present:
             return BAT.from_oids(np.empty(0, dtype=np.int64))
-        verdict = _verdict(b, prune, "in", present)
+        verdict = _verdict(b, "in", present)
         short = _verdict_result(b, candidates, verdict)
         if short is not None:
             return short
@@ -368,7 +355,7 @@ def in_select(
         storage.note_scan(tail.codes)
         keep = np.isin(tail.codes[positions], np.array(present, dtype=np.int32))
         return _finish(b, positions, presorted, keep)
-    verdict = _verdict(b, prune, "in", concrete)
+    verdict = _verdict(b, "in", concrete)
     short = _verdict_result(b, candidates, verdict)
     if short is not None:
         return short
@@ -380,37 +367,6 @@ def in_select(
     else:
         keep = np.isin(gathered, np.array(concrete))
     return _finish(b, positions, presorted, keep)
-
-
-def intersect_candidates(a: BAT, b: BAT) -> BAT:
-    """Intersection of two sorted candidate lists."""
-    if a.atom is not Atom.OID or b.atom is not Atom.OID:
-        raise GDKError("candidate intersection needs oid tails")
-    common = np.intersect1d(a.tail.values, b.tail.values)
-    return BAT.from_oids(common)
-
-
-def union_candidates(a: BAT, b: BAT) -> BAT:
-    """Union of two sorted candidate lists."""
-    if a.atom is not Atom.OID or b.atom is not Atom.OID:
-        raise GDKError("candidate union needs oid tails")
-    merged = np.union1d(a.tail.values, b.tail.values)
-    return BAT.from_oids(merged)
-
-
-def difference_candidates(a: BAT, b: BAT) -> BAT:
-    """Candidates of *a* not present in *b*."""
-    if a.atom is not Atom.OID or b.atom is not Atom.OID:
-        raise GDKError("candidate difference needs oid tails")
-    out = np.setdiff1d(a.tail.values, b.tail.values)
-    return BAT.from_oids(out)
-
-
-def firstn(candidates: BAT, n: int) -> BAT:
-    """First *n* oids of a candidate list (LIMIT support)."""
-    if n < 0:
-        raise GDKError("firstn needs n >= 0")
-    return BAT.from_oids(candidates.tail.values[:n])
 
 
 def boolean_column_from_candidates(length: int, hseqbase: int, candidates: BAT) -> Column:

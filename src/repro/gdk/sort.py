@@ -1,4 +1,4 @@
-"""Sorting kernels (MAL module ``algebra.sort`` / ``algebra.firstn``).
+"""Sorting kernels (behind MAL's ``algebra.sortmulti``).
 
 Sorts return the permutation (*order*) as an oid column so aligned
 payload columns can be re-ordered by projection, matching MonetDB's

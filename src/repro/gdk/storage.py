@@ -90,9 +90,10 @@ def storage_token() -> tuple:
 def zonemaps_enabled() -> bool:
     """``REPRO_ZONEMAPS`` (default on) — runtime zone-pruning ablation.
 
-    The optimizer always emits the zone-aware select twins; this knob
-    only disables their short-circuit, so toggling it never invalidates
-    a cached plan (results are byte-identical either way).
+    Plans never depend on it: the select kernels read it on every call
+    and merely skip their zone-statistics short-circuit when it is off,
+    so toggling it never invalidates a cached plan (results are
+    byte-identical either way).
     """
     raw = (knobs.raw("REPRO_ZONEMAPS") or "1").strip().lower()
     return raw not in ("0", "off", "false", "no")

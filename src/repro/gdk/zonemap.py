@@ -3,9 +3,11 @@
 A :class:`ZoneMap` summarises a column in fixed-size *zones* of
 ``REPRO_ZONE_ROWS`` rows (default 4096): per zone the minimum and
 maximum over the usable (non-NULL, non-NaN) values, the NULL count and
-the NaN count.  Selections consult the zones overlapping a fragment's
-row window and can often answer for the whole fragment without
-touching the payload:
+the NaN count.  Pruning is a property of the data: whichever value
+select of :mod:`repro.gdk.select` reads a BAT that has zone statistics
+— its own, or through its partition origin its source's — consults the
+zones overlapping the BAT's row window and can often answer for the
+whole input without touching the payload:
 
 * ``"none"`` — no row of the fragment can satisfy the predicate; the
   selection returns the empty candidate list;
@@ -259,7 +261,7 @@ class ZoneMap:
 
 
 def ensure(b) -> Optional[ZoneMap]:
-    """The (lazily built, cached) zone map of a source BAT.
+    """The (lazily built, cached) zone map of a ``mat.partition`` source.
 
     Builds over the dictionary codes for dictionary-encoded tails (the
     dictionary is sorted, so code order is value order) and over the

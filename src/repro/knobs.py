@@ -68,8 +68,8 @@ KNOBS: tuple[Knob, ...] = (
     Knob(
         "REPRO_ZONEMAPS",
         "1",
-        "Zone-map pruning short-circuit in the select kernels "
-        "(folding is unconditional; results are identical either way).",
+        "Zone-map pruning in the value-select kernels: `0` makes every "
+        "select scan its input (results are identical either way).",
         "storage",
     ),
     Knob(

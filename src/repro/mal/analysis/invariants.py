@@ -1,7 +1,7 @@
 """Structural invariants for fragment-parallel plans.
 
-The checks here encode what ``mitosis``/``mergetable``/``zonemaps``
-promise each other and what the kernels silently assume:
+The checks here encode what ``mitosis`` and ``mergetable`` promise each
+other and what the kernels silently assume:
 
 * every ``mat.partition`` fragment group covers its source disjointly
   (indexes exactly ``0..pieces-1``, each exactly once per group);
@@ -10,8 +10,8 @@ promise each other and what the kernels silently assume:
   (candidate concatenation is only sorted if fragments concatenate
   canonically) and no fragment is packed twice;
 * instructions never mix two different fragments of the same source
-  (an ``algebra.*selectzm`` candidate chain must stay within one
-  fragment's bounds);
+  (a candidate chain of selects must stay within one fragment's
+  bounds);
 * ``array.tilepart`` halo slabs carry a sane index/pieces pair and
   parseable tile metadata.
 

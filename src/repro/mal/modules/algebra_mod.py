@@ -13,6 +13,10 @@ from repro.gdk.bat import BAT
 from repro.mal.modules import mal_op
 
 
+# The select family.  Every member returns a candidate list, optionally
+# restricted to an incoming one, and never matches a NULL tail.  The
+# value selects consult the zone statistics of their input (or of the
+# source it is a ``mat.partition`` fragment of) before scanning.
 @mal_op("algebra", "select", sig="bat(bit), cand? -> cand")
 def _select(ctx, b: BAT, candidates=None):
     """Candidate list of oids whose bit tail is TRUE."""
@@ -32,39 +36,6 @@ def _rangeselect(ctx, b: BAT, low, high, li, hi, anti, candidates=None):
 @mal_op("algebra", "isnilselect", sig="bat, bool, cand? -> cand")
 def _isnilselect(ctx, b: BAT, want_null, candidates=None):
     return select_kernel.isnull_select(b, bool(want_null), candidates)
-
-
-# Zone-map twins of the select family.  The ``zonemaps`` optimizer pass
-# renames fragment-level selects to these after mitosis; they run the
-# identical kernels but with fragment pruning armed, so a fragment whose
-# zone statistics prove all-match / no-match never touches its payload.
-@mal_op("algebra", "selectzm", sig="bat(bit), cand? -> cand")
-def _selectzm(ctx, b: BAT, candidates=None):
-    return select_kernel.select_true(b, candidates, prune=True)
-
-
-@mal_op("algebra", "thetaselectzm", sig="bat, scalar, str, cand? -> cand")
-def _thetaselectzm(ctx, b: BAT, value, op: str, candidates=None):
-    return select_kernel.thetaselect(b, value, op, candidates, prune=True)
-
-
-@mal_op("algebra", "rangeselectzm", sig="bat, scalar, scalar, bool, bool, bool, cand? -> cand")
-def _rangeselectzm(ctx, b: BAT, low, high, li, hi, anti, candidates=None):
-    return select_kernel.rangeselect(
-        b, low, high, bool(li), bool(hi), bool(anti), candidates, prune=True
-    )
-
-
-@mal_op("algebra", "isnilselectzm", sig="bat, bool, cand? -> cand")
-def _isnilselectzm(ctx, b: BAT, want_null, candidates=None):
-    return select_kernel.isnull_select(b, bool(want_null), candidates, prune=True)
-
-
-@mal_op("algebra", "inselectzm", sig="bat, json, cand? -> cand")
-def _inselectzm(ctx, b: BAT, values_json: str, candidates=None):
-    import json
-
-    return select_kernel.in_select(b, json.loads(values_json), candidates, prune=True)
 
 
 @mal_op("algebra", "projection", sig="oids, bat -> bat")
@@ -93,51 +64,9 @@ def _leftjoin(ctx, left: BAT, right: BAT, lcand=None, rcand=None):
     return join_kernel.leftjoin(left, right, lcand, rcand)
 
 
-@mal_op("algebra", "thetajoin", sig="bat, bat, str -> oids, oids")
-def _thetajoin(ctx, left: BAT, right: BAT, op: str):
-    return join_kernel.thetajoin(left, right, op)
-
-
 @mal_op("algebra", "crossproduct", sig="int, int -> oids, oids")
 def _crossproduct(ctx, left_count, right_count):
     return join_kernel.crossproduct(int(left_count), int(right_count))
-
-
-@mal_op("algebra", "semijoin", sig="bat, bat, cand?, cand? -> cand")
-def _semijoin(ctx, left: BAT, right: BAT, lcand=None, rcand=None):
-    return join_kernel.semijoin(left, right, lcand, rcand)
-
-
-@mal_op("algebra", "antijoin", sig="bat, bat, cand?, cand? -> cand")
-def _antijoin(ctx, left: BAT, right: BAT, lcand=None, rcand=None):
-    return join_kernel.antijoin(left, right, lcand, rcand)
-
-
-@mal_op("algebra", "intersect", sig="cand, cand -> cand")
-def _intersect(ctx, a: BAT, b: BAT):
-    return select_kernel.intersect_candidates(a, b)
-
-
-@mal_op("algebra", "union", sig="cand, cand -> cand")
-def _union(ctx, a: BAT, b: BAT):
-    return select_kernel.union_candidates(a, b)
-
-
-@mal_op("algebra", "difference", sig="cand, cand -> cand")
-def _difference(ctx, a: BAT, b: BAT):
-    return select_kernel.difference_candidates(a, b)
-
-
-@mal_op("algebra", "firstn", sig="cand, int -> cand")
-def _firstn(ctx, candidates: BAT, n):
-    return select_kernel.firstn(candidates, int(n))
-
-
-@mal_op("algebra", "sort", sig="bat, bool? -> bat, oids")
-def _sort(ctx, b: BAT, descending=False):
-    """Returns (sorted-tail BAT, order oid BAT)."""
-    order = sort_kernel.sort_order(b.tail, bool(descending))
-    return BAT(b.tail.take(order)), BAT.from_oids(order + b.hseqbase)
 
 
 @mal_op("algebra", "sortmulti", sig="json, bat+ -> oids")

@@ -7,10 +7,13 @@ materialisation, reproduced here with their signatures:
         :bat[:oid,:int]
     pattern array.filler(cnt:lng, v:any_1) :bat[:oid,:any_1]
 
-plus the tiling kernels the structural GROUP BY compiles into
-(``array.tileagg`` and its halo-fragment sibling ``array.tilepart``)
-and a relative-cell-access gather (``array.shift``) used for
-expressions like ``A[x-1][y]``.
+(the catalog materialises a new array through :func:`series_column` and
+:func:`filler_column` directly; no plan emits ``array.filler``, so only
+``array.series`` is registered as an op), plus the tiling kernels the
+structural GROUP BY compiles into (``array.tileagg`` and its
+halo-fragment sibling ``array.tilepart``) and the coordinate → cell oid
+mapping behind relative cell access such as ``A[x-1][y]``
+(``array.cellindex``).
 
 Tiling ops carry one JSON metadata constant ``{"shape": [...],
 "offsets": [[...], ...]}`` — the tile spec the optimizer passes read to
@@ -68,12 +71,6 @@ def _series(ctx, start, step, stop, inner, outer):
     return BAT(series_column(int(start), int(step), int(stop), int(inner), int(outer)))
 
 
-@mal_op("array", "filler", sig="int, scalar, str? -> bat")
-def _filler(ctx, count, value, atom_name=None):
-    atom = Atom(atom_name) if atom_name else None
-    return BAT(filler_column(int(count), value, atom))
-
-
 def _tile_meta(meta_json: str) -> tuple[tuple[int, ...], TileSpec]:
     """Decode the tile metadata constant malgen puts on tiling ops."""
     meta = cached_loads(meta_json)
@@ -115,40 +112,6 @@ def _tilepart(ctx, values: BAT, aggregate: str, meta_json: str, index, pieces):
         values.tail, shape, spec, aggregate, start, stop
     )
     return BAT(fragment, hseqbase=values.hseqbase + start)
-
-
-@mal_op("array", "shift", sig="bat, json, json -> bat")
-def _shift(ctx, values: BAT, shape_json: str, deltas_json: str):
-    """Relative cell access: entry *a* becomes ``values[a + deltas]``.
-
-    Cells whose shifted position falls outside the array become NULL —
-    the gather behind expressions such as ``A[x-1][y]`` (EdgeDetection,
-    Scenario II).
-    """
-    if not isinstance(values, BAT):
-        raise MALError("array.shift expects a BAT of cell values")
-    shape = tuple(cached_loads(shape_json))
-    deltas = tuple(cached_loads(deltas_json))
-    if len(deltas) != len(shape):
-        raise MALError("array.shift: deltas rank differs from shape")
-    cell_count = int(np.prod(shape))
-    if len(values) != cell_count:
-        raise MALError("array.shift: value BAT not cell-aligned")
-    # Compute source linear positions; -1 marks out-of-bounds.
-    positions = np.arange(cell_count, dtype=np.int64)
-    sources = np.zeros(cell_count, dtype=np.int64)
-    valid = np.ones(cell_count, dtype=np.bool_)
-    remaining = positions
-    stride = cell_count
-    for size, delta in zip(shape, deltas):
-        stride //= size
-        rank = remaining // stride
-        remaining = remaining % stride
-        target = rank + delta
-        valid &= (target >= 0) & (target < size)
-        sources += np.where(valid, target, 0) * stride
-    sources = np.where(valid, sources, -1)
-    return BAT(values.tail.take_with_invalid(sources))
 
 
 @mal_op("array", "cellindex", sig="json, json, bat+ -> oids")

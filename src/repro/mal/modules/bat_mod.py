@@ -2,23 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import MALError
 from repro.gdk.atoms import Atom
 from repro.gdk.bat import BAT
 from repro.gdk.column import Column
 from repro.mal.modules import mal_op
-
-
-@mal_op("bat", "new", sig="str -> bat")
-def _new(ctx, atom_name: str):
-    return BAT.empty(Atom(atom_name))
-
-
-@mal_op("bat", "densebat", sig="int -> cand")
-def _densebat(ctx, count):
-    return BAT.dense(0, int(count))
 
 
 @mal_op("bat", "mirror", sig="bat -> cand")
@@ -29,13 +17,6 @@ def _mirror(ctx, b: BAT):
 @mal_op("bat", "append", sig="bat, bat -> bat")
 def _append(ctx, target: BAT, source: BAT):
     return target.append(source)
-
-
-@mal_op("bat", "replace", sig="bat, oids, bat -> bat")
-def _replace(ctx, target: BAT, oids: BAT, values: BAT):
-    if oids.atom is not Atom.OID:
-        raise MALError("bat.replace positions must be oids")
-    return target.replace(oids.tail.values, values.tail)
 
 
 @mal_op("bat", "slice", sig="bat, int, int -> bat")
@@ -62,28 +43,22 @@ def _getcount(ctx, b: BAT):
     return len(b)
 
 
-@mal_op("bat", "fetch", sig="bat, int -> scalar")
-def _fetch(ctx, b: BAT, position):
-    """Scalar tail value at a physical position (0-based)."""
-    index = int(position)
-    if index < 0 or index >= len(b):
-        raise MALError(f"bat.fetch position {index} out of range")
-    return b.tail.get(index)
-
-
 @mal_op("bat", "project_const", sig="bat, scalar, str? -> bat")
 def _project_const(ctx, b: BAT, value, atom_name: str | None = None):
     """Constant column aligned with *b* (MAL's ``algebra.project`` w/ const).
 
-    Without an explicit atom (untyped bind parameters) the atom is
-    inferred from the runtime value.
+    The result keeps *b*'s head, so a fragment's constant column lines
+    up with the fragment's candidate lists.  Without an explicit atom
+    (untyped bind parameters) the atom is inferred from the runtime
+    value.
     """
     if value is None:
-        return BAT(Column.nulls(Atom(atom_name) if atom_name else Atom.INT, len(b)))
+        atom = Atom(atom_name) if atom_name else Atom.INT
+        return BAT(Column.nulls(atom, len(b)), b.hseqbase)
     from repro.gdk.atoms import atom_for_python
 
     atom = Atom(atom_name) if atom_name else atom_for_python(value)
-    return BAT(Column.constant(atom, value, len(b)))
+    return BAT(Column.constant(atom, value, len(b)), b.hseqbase)
 
 
 @mal_op("bat", "cast", sig="bat, str -> bat")
@@ -99,11 +74,3 @@ def _mergecand(ctx, *parts: BAT):
     if not parts or not all(isinstance(p, BAT) for p in parts):
         raise MALError("bat.mergecand expects candidate BATs")
     return merge_candidates(parts)
-
-
-@mal_op("bat", "negative_oids", sig="oids -> cand")
-def _negative_oids(ctx, b: BAT):
-    """Positions of -1 entries in an oid BAT (invalid cell markers)."""
-    if b.atom is not Atom.OID:
-        raise MALError("bat.negative_oids needs an oid BAT")
-    return BAT.from_oids(np.flatnonzero(b.tail.values < 0).astype(np.int64))

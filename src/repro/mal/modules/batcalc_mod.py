@@ -121,14 +121,6 @@ def _cast(ctx, operand, atom_name: str):
     return _wrap(column.cast(Atom(atom_name)), operand)
 
 
-@mal_op("batcalc", "fillnulls", sig="bat, scalar -> bat")
-def _fillnulls(ctx, operand, value):
-    column = _unwrap(operand)
-    if not isinstance(column, Column):
-        raise MALError("batcalc.fillnulls needs a BAT")
-    return _wrap(column.fill_nulls(value), operand)
-
-
 # ----------------------------------------------------------------------
 # string kernels
 # ----------------------------------------------------------------------

@@ -49,11 +49,6 @@ def _bind(ctx, name: str, column: str):
     return ctx.catalog.get(name).bind(column)
 
 
-@mal_op("sql", "count", sig="str -> scalar", effect="read")
-def _count(ctx, name: str):
-    return ctx.catalog.get(name).count
-
-
 @mal_op("sql", "createTable", sig="str, json, bool? -> scalar", effect="write")
 def _create_table(ctx, name: str, defs_json: str, if_not_exists=False):
     if if_not_exists and name.lower() in ctx.catalog:
@@ -116,14 +111,6 @@ def _delete(ctx, name: str, oids: BAT):
     else:
         obj.delete_rows(positions)
     return len(positions)
-
-
-@mal_op("sql", "clear_table", sig="str -> scalar", effect="write")
-def _clear(ctx, name: str):
-    table = ctx.catalog.get_table(name)
-    count = table.count
-    table.clear()
-    return count
 
 
 class InternalResult:

@@ -14,7 +14,9 @@ mergetable optimizer:
 * ``algebra.projection`` fetches payloads per candidate fragment;
 * ``algebra.join``/``leftjoin`` fragment their *left* side — the join
   kernels emit output in canonical left-oid order, so concatenated
-  fragment results reproduce the sequential output exactly;
+  fragment results reproduce the sequential output exactly (their oid
+  outputs may repeat and the right side is unsorted, so they rejoin
+  with ``mat.pack``, never as candidate lists);
 * ``group.group``/``subgroup`` + ``aggr.sub*`` become per-fragment
   groupings with partial aggregates, rejoined by regrouping the
   per-fragment distinct keys and merging partials
@@ -65,7 +67,7 @@ ELEMENTWISE = {
         "add", "sub", "mul", "div", "mod",
         "eq", "ne", "lt", "le", "gt", "ge",
         "and", "or", "not", "isnil", "ifthenelse",
-        "negate", "abs", "math", "concat", "cast", "fillnulls",
+        "negate", "abs", "math", "concat", "cast",
         "lower", "upper", "length", "trim", "substring", "like",
     )
 } | {("bat", "cast")}
@@ -74,10 +76,7 @@ ELEMENTWISE = {
 #: per-fragment candidate lists.
 SELECTS = {
     ("algebra", name)
-    for name in ("select", "thetaselect", "rangeselect", "isnilselect", "inselect",
-                 # zone-map twins (renamed by the zonemaps pass upstream)
-                 "selectzm", "thetaselectzm", "rangeselectzm", "isnilselectzm",
-                 "inselectzm")
+    for name in ("select", "thetaselect", "rangeselect", "isnilselect", "inselect")
 }
 
 #: grouped aggregates whose per-fragment partials merge exactly.
@@ -130,7 +129,7 @@ class GroupInfo:
 class Entry:
     """Fragmentation state of one program variable."""
 
-    kind: str                      # val | cand | groups | extents | ngroups | histogram | partial
+    kind: str                      # val | cand | oids | groups | extents | ngroups | histogram | partial
     parts: list[str] = field(default_factory=list)
     space: Optional[Space] = None
     whole: Optional[str] = None    # var holding the merged value, once known
@@ -171,7 +170,7 @@ class _Mergetable:
             return var
         if entry.whole is not None:
             return entry.whole
-        if entry.kind == "val":
+        if entry.kind in ("val", "oids"):
             self.emit("mat", "pack", [var], [Var(p) for p in entry.parts])
         elif entry.kind == "cand":
             self.emit("bat", "mergecand", [var], [Var(p) for p in entry.parts])
@@ -452,7 +451,7 @@ class _Mergetable:
         if ref.kind == "val":
             self._per_fragment(instruction, fragmented, ref.space)
             return True
-        if ref.kind == "cand":
+        if ref.kind in ("cand", "oids"):
             entry = self._per_fragment(
                 instruction, fragmented, self.result_space_of(ref)
             )
@@ -474,7 +473,7 @@ class _Mergetable:
         # A trailing candidate list may itself be fragmented, but only
         # as the candidate fragments of the same space: fragment i's
         # candidates lie inside fragment i's head range, so pairing
-        # them per index is exact (zone-map chains emit this shape).
+        # them per index is exact (malgen's select chains have this shape).
         for entry in fragmented[1:]:
             if entry is not None and not (
                 entry.kind == "cand" and entry.space is predicate.space
@@ -487,7 +486,7 @@ class _Mergetable:
         index_entry = fragmented[0]
         if (
             index_entry is None
-            or index_entry.kind not in ("val", "cand")
+            or index_entry.kind not in ("val", "cand", "oids")
             or len(instruction.results) != 1
             or len(instruction.args) != 2
         ):
@@ -547,10 +546,10 @@ class _Mergetable:
             lparts.append(lo)
             rparts.append(ro)
         self.entries[lresult] = Entry(
-            "cand", parts=lparts, space=left.space, result_space=join_space
+            "oids", parts=lparts, space=left.space, result_space=join_space
         )
         self.entries[rresult] = Entry(
-            "cand", parts=rparts, space=None, result_space=join_space
+            "oids", parts=rparts, space=None, result_space=join_space
         )
         return True
 

@@ -7,6 +7,11 @@ operations flow through it).  The default pipeline here is:
 
     constant_fold → strength_reduction → common_terms → dead_code →
     garbage_collect
+
+and, when a connection's knobs ask for fragment-parallel execution:
+
+    constant_fold → strength_reduction → common_terms → mitosis →
+    mergetable → dead_code → garbage_collect
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from typing import Callable, Optional
 from repro.mal.optimizer import passes
 from repro.mal.optimizer.mergetable import mergetable as _mergetable
 from repro.mal.optimizer.mitosis import make_mitosis
-from repro.mal.optimizer.zonemaps import zonemaps as _zonemaps
 from repro.mal.program import MALProgram
 
 
@@ -35,7 +39,6 @@ COMMON_TERMS = OptimizerPass("common_terms", passes.common_terms)
 DEAD_CODE = OptimizerPass("dead_code", passes.dead_code)
 GARBAGE_COLLECT = OptimizerPass("garbage_collect", passes.garbage_collect)
 MERGETABLE = OptimizerPass("mergetable", _mergetable)
-ZONEMAPS = OptimizerPass("zonemaps", _zonemaps)
 
 DEFAULT_PIPELINE: tuple[OptimizerPass, ...] = (
     CONSTANT_FOLD,
@@ -75,7 +78,6 @@ def build_pipeline(
         STRENGTH_REDUCTION,
         COMMON_TERMS,
         mitosis_pass(catalog, fragment_rows, nr_threads),
-        ZONEMAPS,
         MERGETABLE,
         DEAD_CODE,
         GARBAGE_COLLECT,

@@ -106,7 +106,6 @@ SIDE_EFFECT_OPS = {
     ("sql", "append"),
     ("sql", "update"),
     ("sql", "delete"),
-    ("sql", "clear_table"),
     ("sql", "resultSet"),
     ("sql", "createArray"),
     ("sql", "createTable"),
@@ -127,7 +126,6 @@ WRITE_OPS = {
     ("sql", "append"),
     ("sql", "update"),
     ("sql", "delete"),
-    ("sql", "clear_table"),
     ("sql", "createArray"),
     ("sql", "createTable"),
     ("sql", "dropObject"),

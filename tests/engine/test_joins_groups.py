@@ -197,3 +197,68 @@ class TestScalarAggregates:
     def test_bare_column_next_to_aggregate_rejected(self, obs_conn):
         with pytest.raises(SemanticError):
             obs_conn.execute("SELECT station, COUNT(*) FROM obs")
+
+
+class TestOneWalkerForEveryContext:
+    """Every output context accepts the same expression forms.
+
+    The scalar-aggregate, grouped and tiled contexts share one expression
+    walker, so what works around an aggregate under GROUP BY works
+    without it (and under structural grouping) and returns the value of
+    its one-group twin.
+    """
+
+    FORMS = [
+        ("ABS(SUM(v))", 3),
+        ("CASE WHEN COUNT(*) > 2 THEN 1 ELSE 0 END", 1),
+        ("SUM(v) IS NULL", False),
+        ("SUM(v) BETWEEN -10 AND 10", True),
+        ("SUM(v) IN (-3, 9)", True),
+        ("CAST(SUM(v) AS DOUBLE) / 2", -1.5),
+        ("MIN(w) IS NULL", True),
+    ]
+
+    @pytest.fixture
+    def tconn(self, conn):
+        conn.execute("CREATE TABLE t (g INT, v INT, w INT)")
+        conn.execute(
+            "INSERT INTO t VALUES (1, -5, NULL), (1, 2, NULL), (2, NULL, NULL)"
+        )
+        return conn
+
+    @pytest.mark.parametrize("form,expected", FORMS)
+    def test_scalar_aggregate_matches_its_one_group_twin(self, tconn, form, expected):
+        scalar = tconn.execute(f"SELECT {form} FROM t").rows()
+        grouped = tconn.execute(f"SELECT {form} FROM t GROUP BY g * 0").rows()
+        assert scalar == grouped == [(expected,)]
+
+    def test_is_null_of_a_scalar_is_calc_isnil(self, tconn):
+        plan = tconn.explain("SELECT SUM(v) IS NULL FROM t")
+        assert "calc.isnil(" in plan
+        assert "batcalc.isnil(" not in plan
+        assert "bat.project_const(" not in plan  # never broadcast to a BAT
+
+    def test_having_over_a_scalar_aggregate(self, tconn):
+        keep = "SELECT SUM(v), COUNT(*) FROM t HAVING SUM(v) < 0"
+        drop = "SELECT SUM(v), COUNT(*) FROM t HAVING SUM(v) > 0 AND COUNT(*) = 3"
+        assert tconn.execute(keep).rows() == [(-3, 3)]
+        assert tconn.execute(drop).rows() == []
+        for sql in (keep, drop):
+            twin = sql.replace("HAVING", "GROUP BY g * 0 HAVING")
+            assert tconn.execute(twin).rows() == tconn.execute(sql).rows()
+
+    def test_tiled_select_list_wraps_aggregates(self, conn):
+        conn.execute("CREATE ARRAY a (x INT DIMENSION[0:1:4], v INT DEFAULT 0)")
+        conn.execute("UPDATE a SET v = x * 3")
+        conn.execute("DELETE FROM a WHERE x = 3")
+        result = conn.execute(
+            "SELECT x, CAST(SUM(v) AS DOUBLE) / 2, MIN(v) IS NULL, "
+            "CASE WHEN COUNT(v) BETWEEN 1 AND 1 THEN -1 ELSE ABS(MAX(v)) END "
+            "FROM a GROUP BY a[x:x+2]"
+        )
+        assert result.rows() == [
+            (0, 1.5, False, 3),
+            (1, 4.5, False, 6),
+            (2, 3.0, False, -1),
+            (3, None, True, None),
+        ]

@@ -57,35 +57,48 @@ class TestResultApi:
 
 
 class TestExplain:
-    @pytest.fixture
-    def zm_conn(self):
-        """An ``obs`` table behind the pipeline that has the zonemaps pass.
+    @pytest.fixture(params=[1, 2], ids=["default-pipeline", "fragmented-pipeline"])
+    def any_conn(self, request):
+        """An ``obs`` table behind either optimizer pipeline.
 
-        ``nr_threads > 1`` selects it whatever the host's CPU count;
-        with one thread ``connect()`` runs the default pipeline.
+        ``nr_threads > 1`` selects the fragmented pipeline whatever the
+        host's CPU count; with one thread ``connect()`` runs the
+        default one.  The select lowering is malgen's, so it must not
+        depend on which passes run.
         """
-        connection = repro.connect(nr_threads=2)
+        connection = repro.connect(nr_threads=request.param)
         connection.execute(
             "CREATE TABLE obs (station VARCHAR(10), day INT, temp DOUBLE)"
         )
         return connection
 
-    def test_explain_contains_pipeline_ops(self, zm_conn):
-        text = zm_conn.explain("SELECT station FROM obs WHERE day = 1")
+    def test_explain_contains_pipeline_ops(self, any_conn):
+        text = any_conn.explain("SELECT station FROM obs WHERE day = 1")
         assert "sql.bind" in text
-        # zonemaps folds batcalc.eq + algebra.select into one prunable op.
-        assert "algebra.thetaselectzm(" in text
+        # One value select; no batcalc.eq bit column, no algebra.select.
+        assert "algebra.thetaselect(" in text
         assert "batcalc.eq(" not in text
+        assert "algebra.select(" not in text
         assert "sql.resultSet" in text
 
-    def test_explain_with_zonemaps_ablated_keeps_select(self, zm_conn):
-        zm_conn.pipeline = tuple(
-            p for p in zm_conn.pipeline if p.name != "zonemaps"
+    def test_explain_parameter_comparand_is_a_value_select(self, any_conn):
+        text = any_conn.explain(
+            "SELECT station FROM obs WHERE day = ? AND temp BETWEEN ? AND ?"
         )
-        text = zm_conn.explain("SELECT station FROM obs WHERE day = 1")
+        assert 'algebra.thetaselect(X_1, ?0, "==")' in text
+        assert "algebra.rangeselect(X_2, ?1, ?2, true, true, false, " in text
+        assert "batcalc." not in text
+
+    def test_explain_opaque_predicate_keeps_the_bit_column(self, any_conn):
+        text = any_conn.explain("SELECT station FROM obs WHERE day = temp")
         assert "batcalc.eq(" in text
         assert "algebra.select(" in text
-        assert "thetaselectzm" not in text
+        assert "thetaselect" not in text
+
+    def test_select_lowering_is_unoptimized_too(self, any_conn):
+        text = any_conn.explain_unoptimized("SELECT station FROM obs WHERE day = 1")
+        assert "algebra.thetaselect(" in text
+        assert "batcalc.eq(" not in text
 
     def test_explain_tiling_uses_tileagg(self, conn):
         conn.execute("CREATE ARRAY a (x INT DIMENSION[0:1:4], v INT DEFAULT 0)")

@@ -158,9 +158,9 @@ class TestOrderLimitDistinct:
 class TestNonIntegralConstants:
     """``int_column <op> 1.5`` compares in double (ROADMAP item 0(a)).
 
-    Run on the default pipeline (``batcalc`` compare + ``algebra.select``)
-    and on fragmented ones, where the zonemaps pass folds the constant
-    into ``algebra.{theta,range,in}selectzm`` — literal and parameter.
+    Run on the default pipeline and on fragmented ones; malgen lowers
+    the comparison to ``algebra.{theta,range,in}select`` on both, for a
+    literal and for a parameter.
     """
 
     VALUES = [None if i % 7 == 3 else (i * 5) % 23 - 8 for i in range(40)]

@@ -150,10 +150,6 @@ class TestStructural:
         with pytest.raises(GDKError):
             column.replace(np.array([0, 0]), Column.from_pylist(Atom.INT, [1]))
 
-    def test_fill_nulls(self):
-        column = Column.from_pylist(Atom.INT, [1, None])
-        assert column.fill_nulls(0).to_pylist() == [1, 0]
-
     def test_copy_independent(self):
         column = Column.from_pylist(Atom.INT, [1, 2])
         clone = column.copy()

@@ -85,25 +85,6 @@ class TestLeftJoin:
         assert fetched.to_pylist() == [None, "match"]
 
 
-class TestThetaJoin:
-    def test_less_than(self):
-        left = BAT.from_pylist(Atom.INT, [1, 5])
-        right = BAT.from_pylist(Atom.INT, [3])
-        l, r = join.thetajoin(left, right, "<")
-        assert l.tail_pylist() == [0]
-
-    def test_nulls_excluded(self):
-        left = BAT.from_pylist(Atom.INT, [None, 1])
-        right = BAT.from_pylist(Atom.INT, [2])
-        l, _ = join.thetajoin(left, right, "<")
-        assert l.tail_pylist() == [1]
-
-    def test_unknown_operator(self):
-        bat = BAT.from_pylist(Atom.INT, [1])
-        with pytest.raises(GDKError):
-            join.thetajoin(bat, bat, "<<")
-
-
 class TestCrossProduct:
     def test_cardinality(self):
         l, r = join.crossproduct(2, 3)
@@ -118,23 +99,6 @@ class TestCrossProduct:
     def test_negative_rejected(self):
         with pytest.raises(GDKError):
             join.crossproduct(-1, 1)
-
-
-class TestSemiAntiJoin:
-    def test_semijoin(self):
-        left = BAT.from_pylist(Atom.INT, [1, 2, 3])
-        right = BAT.from_pylist(Atom.INT, [2, 2, 9])
-        assert join.semijoin(left, right).tail_pylist() == [1]
-
-    def test_antijoin(self):
-        left = BAT.from_pylist(Atom.INT, [1, 2, 3])
-        right = BAT.from_pylist(Atom.INT, [2])
-        assert join.antijoin(left, right).tail_pylist() == [0, 2]
-
-    def test_antijoin_excludes_null_left(self):
-        left = BAT.from_pylist(Atom.INT, [None, 1])
-        right = BAT.from_pylist(Atom.INT, [2])
-        assert join.antijoin(left, right).tail_pylist() == [1]
 
 
 class TestMultiColumnJoin:
@@ -193,18 +157,6 @@ class TestCandidateLists:
         assert l.tail_pylist() == [1, 2]
         assert r.tail_pylist() == [0, -1]
 
-    def test_semijoin_with_candidates(self):
-        left = BAT.from_pylist(Atom.INT, [1, 2, 2])
-        right = BAT.from_pylist(Atom.INT, [2])
-        lcand = BAT.from_oids(np.array([0, 1], dtype=np.int64))
-        assert join.semijoin(left, right, lcand=lcand).tail_pylist() == [1]
-
-    def test_antijoin_with_candidates(self):
-        left = BAT.from_pylist(Atom.INT, [1, 2, 2])
-        right = BAT.from_pylist(Atom.INT, [2])
-        lcand = BAT.from_oids(np.array([0, 1], dtype=np.int64))
-        assert join.antijoin(left, right, lcand=lcand).tail_pylist() == [0]
-
     def test_join_ordering_is_canonical(self):
         left = BAT.from_pylist(Atom.INT, [2, 1, 2])
         right = BAT.from_pylist(Atom.INT, [2, 2, 1])
@@ -245,20 +197,6 @@ class TestNaNKeySemantics:
         ref = aggregate.grouped_count_distinct_reference(values, grouping)
         assert vec.to_pylist() == [2]
         assert vec.to_pylist() == ref.to_pylist()
-
-    def test_nan_semijoin_antijoin_agree_with_reference(self):
-        left = BAT(Column(Atom.DBL, np.array([1.0, np.nan, 3.0])))
-        right = BAT(Column(Atom.DBL, np.array([np.nan, 3.0])))
-        assert join.semijoin(left, right).tail_pylist() == [1, 2]
-        assert (
-            join.semijoin(left, right).tail_pylist()
-            == join.semijoin_reference(left, right).tail_pylist()
-        )
-        assert join.antijoin(left, right).tail_pylist() == [0]
-        assert (
-            join.antijoin(left, right).tail_pylist()
-            == join.antijoin_reference(left, right).tail_pylist()
-        )
 
     def test_nan_poisons_group_median(self):
         from repro.gdk import aggregate, group

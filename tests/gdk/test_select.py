@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import GDKError
-from repro.gdk import select
+from repro.gdk import select, storage
 from repro.gdk.atoms import Atom
-from repro.gdk.bat import BAT
+from repro.gdk.bat import BAT, partition
 
 
 @pytest.fixture
@@ -58,9 +58,17 @@ class TestRangeSelect:
                                  high_inclusive=False)
         assert out.tail_pylist() == [0]
 
-    def test_unbounded_low(self, numbers):
-        out = select.rangeselect(numbers, None, 3)
-        assert out.tail_pylist() == [2, 4, 5]
+    def test_null_bound_is_unknown_not_unbounded(self, numbers):
+        # NULL <= v AND v <= 3 is never TRUE; it is FALSE where v > 3.
+        assert select.rangeselect(numbers, None, 3).tail_pylist() == []
+        assert select.rangeselect(numbers, 3, None).tail_pylist() == []
+        assert select.rangeselect(numbers, None, 3, anti=True).tail_pylist() == (
+            select.thetaselect(numbers, 3, ">").tail_pylist()
+        )
+        assert select.rangeselect(numbers, 3, None, anti=True).tail_pylist() == (
+            select.thetaselect(numbers, 3, "<").tail_pylist()
+        )
+        assert select.rangeselect(numbers, None, None, anti=True).tail_pylist() == []
 
     def test_anti(self, numbers):
         out = select.rangeselect(numbers, 3, 5, anti=True)
@@ -156,46 +164,33 @@ class TestNonIntegralBounds:
     def test_zone_verdict_keeps_the_fraction(self, monkeypatch):
         # Every value is 1: "v < 1.5" is provably *all*, "v < 1" none.
         monkeypatch.setenv("REPRO_ZONE_ROWS", "4")
+        ones = partition(BAT.from_pylist(Atom.INT, [1] * 16), 0, 1)
+        before = storage.counters()[0]
+        assert len(select.thetaselect(ones, 1.5, "<")) == 16
+        assert len(select.thetaselect(ones, 1.5, ">")) == 0
+        assert len(select.rangeselect(ones, 0.5, 1.5)) == 16
+        assert len(select.in_select(ones, [1.5])) == 0
+        # All four were answered by the zone statistics, not by a scan.
+        assert storage.counters()[0] == before + 4
+
+    def test_statistics_are_built_for_partition_sources_only(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ZONE_ROWS", "4")
         ones = BAT.from_pylist(Atom.INT, [1] * 16)
-        assert len(select.thetaselect(ones, 1.5, "<", prune=True)) == 16
-        assert len(select.thetaselect(ones, 1.5, ">", prune=True)) == 0
-        assert len(select.rangeselect(ones, 0.5, 1.5, prune=True)) == 16
-        assert len(select.in_select(ones, [1.5], prune=True)) == 0
+        before = storage.counters()[0]
+        assert len(select.thetaselect(ones, 2, ">")) == 0
+        assert ones._zones is None  # a whole BAT without statistics is scanned
+        assert storage.counters()[0] == before
+        assert len(select.thetaselect(partition(ones, 1, 2), 2, ">")) == 0
+        assert ones._zones is not None  # built once, on the fragment's source
+        assert len(select.thetaselect(ones, 2, ">")) == 0  # and used where present
+        assert storage.counters()[0] == before + 2
 
 
 class TestCandidateAlgebra:
-    def test_intersect(self):
-        a = BAT.from_oids(np.array([1, 3, 5]))
-        b = BAT.from_oids(np.array([3, 5, 7]))
-        assert select.intersect_candidates(a, b).tail_pylist() == [3, 5]
-
-    def test_union(self):
-        a = BAT.from_oids(np.array([1, 3]))
-        b = BAT.from_oids(np.array([3, 7]))
-        assert select.union_candidates(a, b).tail_pylist() == [1, 3, 7]
-
-    def test_difference(self):
-        a = BAT.from_oids(np.array([1, 3, 5]))
-        b = BAT.from_oids(np.array([3]))
-        assert select.difference_candidates(a, b).tail_pylist() == [1, 5]
-
-    def test_firstn(self):
-        a = BAT.from_oids(np.array([1, 3, 5]))
-        assert select.firstn(a, 2).tail_pylist() == [1, 3]
-
-    def test_firstn_negative(self):
-        with pytest.raises(GDKError):
-            select.firstn(BAT.from_oids(np.array([1])), -1)
-
     def test_densify(self):
         candidates = BAT.from_oids(np.array([0, 2]))
         column = select.boolean_column_from_candidates(4, 0, candidates)
         assert column.to_pylist() == [True, False, True, False]
-
-    def test_non_oid_rejected(self):
-        ints = BAT.from_pylist(Atom.INT, [1])
-        with pytest.raises(GDKError):
-            select.intersect_candidates(ints, ints)
 
 
 class TestSeqbaseHandling:

@@ -23,64 +23,94 @@ def run_one(interp, program):
     return context
 
 
+def tail(context, name="v"):
+    """Python list of the BAT a program exported under *name*."""
+    return context.variables[name].tail_pylist()
+
+
+def export(program, var, name="v"):
+    program.emit("sql", "setVariable", [name, Var(var)], [scalar_type(Atom.INT)])
+
+
 class TestBatModule:
-    def test_new_and_append(self, interp):
+    def test_append(self, interp):
         program = MALProgram()
-        empty = program.emit1("bat", "new", ["int"], bat_type(Atom.INT))
+        head = program.emit1("bat", "pack", [0], bat_type(None))
         packed = program.emit1("bat", "pack", [1, 2], bat_type(None))
         merged = program.emit1(
-            "bat", "append", [Var(empty), Var(packed)], bat_type(Atom.INT)
+            "bat", "append", [Var(head), Var(packed)], bat_type(Atom.INT)
         )
         count = program.emit1("bat", "getcount", [Var(merged)], scalar_type(Atom.LNG))
-        program.emit("sql", "setVariable", ["n", Var(count)], [scalar_type(Atom.INT)])
-        assert run_one(interp, program).variables["n"] == 2
+        export(program, count, "n")
+        export(program, merged)
+        context = run_one(interp, program)
+        assert context.variables["n"] == 3
+        assert tail(context) == [0, 1, 2]
 
     def test_pack_infers_atom(self, interp):
         program = MALProgram()
-        packed = program.emit1("bat", "pack", ["a", None, "b"], bat_type(None))
-        fetched = program.emit1("bat", "fetch", [Var(packed), 0], scalar_type(Atom.STR))
-        program.emit("sql", "setVariable", ["v", Var(fetched)], [scalar_type(Atom.STR)])
-        assert run_one(interp, program).variables["v"] == "a"
+        export(program, program.emit1("bat", "pack", ["a", None, "b"], bat_type(None)))
+        context = run_one(interp, program)
+        assert context.variables["v"].atom is Atom.STR
+        assert tail(context) == ["a", None, "b"]
 
     def test_pack_all_null(self, interp):
         program = MALProgram()
-        packed = program.emit1("bat", "pack", [None, None], bat_type(None))
-        fetched = program.emit1("bat", "fetch", [Var(packed), 1], scalar_type(Atom.INT))
-        program.emit("sql", "setVariable", ["v", Var(fetched)], [scalar_type(Atom.INT)])
-        assert run_one(interp, program).variables["v"] is None
+        export(program, program.emit1("bat", "pack", [None, None], bat_type(None)))
+        assert tail(run_one(interp, program)) == [None, None]
 
-    def test_densebat_mirror_slice(self, interp):
+    def test_pack_needs_a_value(self, interp):
         program = MALProgram()
-        dense = program.emit1("bat", "densebat", [5], bat_type(Atom.OID))
-        sliced = program.emit1("bat", "slice", [Var(dense), 1, 3], bat_type(Atom.OID))
-        fetched = program.emit1("bat", "fetch", [Var(sliced), 0], scalar_type(Atom.LNG))
-        program.emit("sql", "setVariable", ["v", Var(fetched)], [scalar_type(Atom.INT)])
-        assert run_one(interp, program).variables["v"] == 1
+        program.emit1("bat", "pack", [], bat_type(None))
+        with pytest.raises(MALError):
+            interp.run(program)
+
+    def test_mirror_slice(self, interp):
+        program = MALProgram()
+        packed = program.emit1("bat", "pack", [9, 8, 7, 6, 5], bat_type(None))
+        dense = program.emit1("bat", "mirror", [Var(packed)], bat_type(Atom.OID))
+        export(
+            program,
+            program.emit1("bat", "slice", [Var(dense), 1, 3], bat_type(Atom.OID)),
+        )
+        assert tail(run_one(interp, program)) == [1, 2]
 
     def test_cast(self, interp):
         program = MALProgram()
         packed = program.emit1("bat", "pack", [1.9], bat_type(None))
-        cast = program.emit1("bat", "cast", [Var(packed), "int"], bat_type(Atom.INT))
-        fetched = program.emit1("bat", "fetch", [Var(cast), 0], scalar_type(Atom.INT))
-        program.emit("sql", "setVariable", ["v", Var(fetched)], [scalar_type(Atom.INT)])
-        assert run_one(interp, program).variables["v"] == 1
+        export(
+            program,
+            program.emit1("bat", "cast", [Var(packed), "int"], bat_type(Atom.INT)),
+        )
+        assert tail(run_one(interp, program)) == [1]
 
     def test_project_const(self, interp):
         program = MALProgram()
-        base = program.emit1("bat", "densebat", [3], bat_type(Atom.OID))
-        const = program.emit1(
-            "bat", "project_const", [Var(base), 7, "int"], bat_type(Atom.INT)
+        base = program.emit1("bat", "pack", [0, 0, 0], bat_type(None))
+        export(
+            program,
+            program.emit1(
+                "bat", "project_const", [Var(base), 7, "int"], bat_type(Atom.INT)
+            ),
         )
-        count = program.emit1("bat", "getcount", [Var(const)], scalar_type(Atom.LNG))
-        program.emit("sql", "setVariable", ["n", Var(count)], [scalar_type(Atom.INT)])
-        assert run_one(interp, program).variables["n"] == 3
+        assert tail(run_one(interp, program)) == [7, 7, 7]
 
-    def test_fetch_out_of_range(self, interp):
+    @pytest.mark.parametrize("value", [True, None])
+    def test_project_const_keeps_the_fragment_head(self, interp, value):
+        # A fragment's constant column is selected with the fragment's
+        # candidate lists, whose oids start at the fragment's base.
         program = MALProgram()
-        packed = program.emit1("bat", "pack", [1], bat_type(None))
-        program.emit1("bat", "fetch", [Var(packed), 5], scalar_type(Atom.INT))
-        with pytest.raises(MALError):
-            interp.run(program)
+        base = program.emit1("bat", "pack", [0, 0, 0, 0], bat_type(None))
+        piece = program.emit1("mat", "partition", [Var(base), 1, 2], bat_type(None))
+        export(
+            program,
+            program.emit1(
+                "bat", "project_const", [Var(piece), value, "bit"], bat_type(Atom.BIT)
+            ),
+        )
+        context = run_one(interp, program)
+        assert context.variables["v"].hseqbase == 2
+        assert tail(context) == [value, value]
 
 
 class TestSqlModuleSideEffects:
@@ -89,29 +119,9 @@ class TestSqlModuleSideEffects:
         conn.execute("CREATE TABLE t (a INT)")
         conn.execute("INSERT INTO t VALUES (5)")
         program = MALProgram()
-        bound = program.emit1("sql", "bind", ["t", "a"], bat_type(Atom.INT))
-        fetched = program.emit1("bat", "fetch", [Var(bound), 0], scalar_type(Atom.INT))
-        program.emit("sql", "setVariable", ["v", Var(fetched)], [scalar_type(Atom.INT)])
+        export(program, program.emit1("sql", "bind", ["t", "a"], bat_type(Atom.INT)))
         context, _ = conn.interpreter.run(program)
-        assert context.variables["v"] == 5
-
-    def test_count(self):
-        conn = repro.connect()
-        conn.execute("CREATE ARRAY m (x INT DIMENSION[0:1:7], v INT DEFAULT 0)")
-        program = MALProgram()
-        count = program.emit1("sql", "count", ["m"], scalar_type(Atom.LNG))
-        program.emit("sql", "setVariable", ["n", Var(count)], [scalar_type(Atom.INT)])
-        context, _ = conn.interpreter.run(program)
-        assert context.variables["n"] == 7
-
-    def test_clear_table(self):
-        conn = repro.connect()
-        conn.execute("CREATE TABLE t (a INT)")
-        conn.execute("INSERT INTO t VALUES (1), (2)")
-        program = MALProgram()
-        program.emit("sql", "clear_table", ["t"], [scalar_type(Atom.INT)])
-        conn.interpreter.run(program)
-        assert conn.execute("SELECT COUNT(*) FROM t").scalar() == 0
+        assert tail(context) == [5]
 
     def test_result_set_alignment_checked(self):
         conn = repro.connect()

@@ -28,9 +28,9 @@ from repro.mal.program import Constant, Instruction, MALProgram, Var, bat_type
 class TestDependencyGraph:
     def build(self):
         program = MALProgram()
-        a = program.emit1("bat", "densebat", [4], bat_type(Atom.OID))
-        b = program.emit1("bat", "densebat", [4], bat_type(Atom.OID))
-        c = program.emit1("bat", "append", [Var(a), Var(b)], bat_type(Atom.OID))
+        a = program.emit1("array", "series", [0, 1, 4, 1, 1], bat_type(Atom.LNG))
+        b = program.emit1("array", "series", [0, 1, 4, 1, 1], bat_type(Atom.LNG))
+        c = program.emit1("bat", "append", [Var(a), Var(b)], bat_type(Atom.LNG))
         return program, (a, b, c)
 
     def test_data_edges(self):
@@ -46,16 +46,16 @@ class TestDependencyGraph:
 
     def test_side_effects_are_barriers(self):
         program = MALProgram()
-        program.emit1("bat", "densebat", [4], bat_type(Atom.OID))
+        program.emit1("array", "series", [0, 1, 4, 1, 1], bat_type(Atom.LNG))
         program.emit("sql", "affected", [1], [bat_type(None)])
-        program.emit1("bat", "densebat", [4], bat_type(Atom.OID))
+        program.emit1("array", "series", [0, 1, 4, 1, 1], bat_type(Atom.LNG))
         deps = program.dependencies()
         assert deps[1] == {0}  # the barrier waits for everything before it
         assert 1 in deps[2]  # and everything after waits for the barrier
 
     def test_free_waits_for_consumers(self):
         program = MALProgram()
-        a = program.emit1("bat", "densebat", [4], bat_type(Atom.OID))
+        a = program.emit1("array", "series", [0, 1, 4, 1, 1], bat_type(Atom.LNG))
         program.emit1("bat", "getcount", [Var(a)], bat_type(None))
         program.instructions.append(
             Instruction("language", "free", [], [Constant(a)])
@@ -157,10 +157,10 @@ class TestFragmentedPlans:
     def test_select_project_fragmented(self):
         conn = self.fragmented_connection()
         plan = conn.explain("SELECT v FROM t WHERE v > 10")
-        # The zonemaps pass folds the comparison into a value-based
-        # select armed with pruning; one copy per fragment.
-        assert plan.count("algebra.thetaselectzm") == 8
-        assert "batcalc.gt" not in plan  # predicate folded, bits swept
+        # malgen lowers the comparison to a value select; mergetable
+        # fans it out, one copy per fragment.
+        assert plan.count("algebra.thetaselect(") == 8
+        assert "batcalc.gt" not in plan  # no bit column is ever built
         assert "bat.mergecand" not in plan  # candidates never re-merged
         assert "mat.pack" in plan  # payload fragments rejoin for the result
 
@@ -170,6 +170,24 @@ class TestFragmentedPlans:
         assert plan.count("group.group") == 9  # 8 fragments + distinct-key merge
         assert "aggr.mergeavg" in plan
         assert "aggr.mergecount" in plan
+
+    def test_join_outputs_rejoin_by_concatenation(self):
+        # A two-column equi join: the second key runs as a residual
+        # select over the joined rows, which makes mergetable re-merge
+        # the per-fragment join oid lists.  They may repeat and the
+        # right side is unsorted, so they are no candidate lists: the
+        # verifier rejects bat.mergecand over them, mat.pack keeps the
+        # left-oid order the sequential join produces.
+        conn = self.fragmented_connection()
+        conn.execute("CREATE TABLE p (pk INT, pv INT)")
+        conn.execute("INSERT INTO p VALUES (2, 5), (0, 3), (2, 8), (1, 61)")
+        sql = "SELECT t.v, p.pv FROM t INNER JOIN p ON t.k = p.pk AND t.v = p.pv"
+        report = conn.verify_plan(sql)
+        assert report.fragment_groups
+        plan = conn.explain(sql)
+        assert plan.count("algebra.join(") == 8  # one per left fragment
+        assert "bat.mergecand" not in plan
+        assert conn.execute(sql).rows() == [(3, 3), (5, 5), (8, 8), (61, 61)]
 
     def test_nondecomposable_falls_back_to_row_groups(self):
         conn = self.fragmented_connection()
@@ -309,11 +327,11 @@ class TestDataflowScheduler:
         catalog = Catalog()
         interpreter = Interpreter(catalog, nr_threads=4)
         program = MALProgram()
-        base = program.emit1("bat", "densebat", [4], bat_type(Atom.OID))
+        base = program.emit1("array", "series", [0, 1, 4, 1, 1], bat_type(Atom.LNG))
         bad = program.emit1(
-            "mat", "partition", [Var(base), 5, 2], bat_type(Atom.OID)
+            "mat", "partition", [Var(base), 5, 2], bat_type(Atom.LNG)
         )
-        program.emit("mat", "pack", [Var(bad)], [bat_type(Atom.OID)])
+        program.emit("mat", "pack", [Var(bad)], [bat_type(Atom.LNG)])
         with pytest.raises(MALError):
             interpreter.run(program)
         interpreter.close()

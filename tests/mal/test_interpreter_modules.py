@@ -64,23 +64,7 @@ class TestSeriesFiller:
         context, _ = run(interp, program)
 
 
-class TestArrayShiftAndCellIndex:
-    def test_shift_right(self, interp):
-        program = MALProgram()
-        v = program.emit1("array", "filler", [4, 1], bat_type(Atom.INT))
-        program.emit(
-            "sql", "resultSet",
-            ["table", json.dumps(["v"]), json.dumps({}),
-             Var(program.emit1(
-                 "array", "shift", [Var(v), json.dumps([2, 2]), json.dumps([1, 0])],
-                 bat_type(Atom.INT))),
-             ],
-            [scalar_type(Atom.INT)],
-        )
-        context, _ = run(interp, program)
-        # shape (2,2); anchor (x,y) reads (x+1,y): bottom row valid, top null
-        assert context.result.bats[0].tail_pylist() == [1, 1, None, None]
-
+class TestCellIndexAndTiling:
     def test_cellindex_out_of_domain(self, interp):
         program = MALProgram()
         coords = program.emit1("bat", "pack", [0, 5, 1], bat_type(None))
@@ -132,7 +116,7 @@ class TestInterpreterMechanics:
     def test_kernel_error_wrapped(self, interp):
         program = MALProgram()
         b = program.emit1("bat", "pack", [1], bat_type(None))
-        program.emit1("bat", "fetch", [Var(b), 99], scalar_type(Atom.INT))
+        program.emit1("mat", "partition", [Var(b), 99, 2], bat_type(Atom.INT))
         with pytest.raises(MALError):
             run(interp, program)
 

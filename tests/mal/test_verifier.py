@@ -34,14 +34,25 @@ from repro.mal.program import Constant, Instruction
 # ----------------------------------------------------------------------
 # plan builders (all verify cleanly before mutation)
 # ----------------------------------------------------------------------
+def source(p):
+    """A column to read; the verifier is static, so nothing binds it."""
+    return p.emit1("sql", "bind", ["t", "v"], bat_type(Atom.INT))
+
+
 def fragment_plan(pieces=3):
-    """Partition a source, project each fragment, pack, deliver."""
+    """Partition a source, run a select chain and a projection on each
+    fragment, pack, deliver — the shape mergetable emits for a filter."""
     p = MALProgram()
-    src = p.emit1("bat", "new", ["int"], bat_type(Atom.INT))
+    src = source(p)
     projected = []
     for i in range(pieces):
         part = p.emit1("mat", "partition", [src, i, pieces], bat_type(Atom.INT))
-        cand = p.emit1("bat", "mirror", [part], bat_type(Atom.OID))
+        cand = p.emit1(
+            "algebra", "thetaselect", [part, 3, ">"], bat_type(Atom.OID)
+        )
+        cand = p.emit1(
+            "algebra", "thetaselect", [part, 9, "!=", cand], bat_type(Atom.OID)
+        )
         projected.append(
             p.emit1("algebra", "projection", [cand, part], bat_type(Atom.INT))
         )
@@ -57,7 +68,7 @@ def fragment_plan(pieces=3):
 def free_plan():
     """Count a BAT, free it after its last read, report the count."""
     p = MALProgram()
-    src = p.emit1("bat", "new", ["int"], bat_type(Atom.INT))
+    src = source(p)
     count = p.emit1("bat", "getcount", [src], scalar_type(Atom.LNG))
     p.instructions.append(Instruction("language", "free", [], [Constant(src)]))
     p.emit("sql", "setVariable", ["out", count], [scalar_type(Atom.LNG)])
@@ -67,8 +78,8 @@ def free_plan():
 def join_plan():
     """Join two columns and project through the left oid list."""
     p = MALProgram()
-    left = p.emit1("bat", "new", ["int"], bat_type(Atom.INT))
-    right = p.emit1("bat", "new", ["int"], bat_type(Atom.INT))
+    left = source(p)
+    right = source(p)
     lo, _ro = p.emit(
         "algebra", "join", [left, right],
         [bat_type(Atom.OID), bat_type(Atom.OID)],
@@ -84,7 +95,7 @@ def join_plan():
 
 def tilepart_plan():
     p = MALProgram()
-    src = p.emit1("bat", "new", ["int"], bat_type(Atom.INT))
+    src = source(p)
     meta = json.dumps({"shape": [2, 2], "offsets": [0, 0]})
     slab = p.emit1(
         "array", "tilepart", [src, "sum", meta, 0, 2], bat_type(Atom.INT)
@@ -219,14 +230,16 @@ class TestMutations:
         error = mutate(fragment_plan, "evil_rewrite", swap)
         assert "algebra.projection" in str(error)
 
-    def test_candidate_chain_crosses_fragments(self):
+    def test_select_chain_crosses_fragments(self):
+        # A mergetable that pairs fragment 1's second select with the
+        # candidates of fragment 0's first one.
         def cross(program):
-            first = find(program, "algebra", "projection", nth=0)
-            second = find(program, "algebra", "projection", nth=1)
-            second.args[0] = first.args[0]  # fragment 0 cand on fragment 1
+            chain_0_head = find(program, "algebra", "thetaselect", nth=0)
+            chain_1_tail = find(program, "algebra", "thetaselect", nth=3)
+            chain_1_tail.args[3] = Var(chain_0_head.results[0])
             return program
 
-        error = mutate(fragment_plan, "evil_zonemaps", cross)
+        error = mutate(fragment_plan, "evil_mergetable", cross)
         assert "must stay within one fragment" in str(error)
 
     def test_use_after_free(self):

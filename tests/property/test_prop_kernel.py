@@ -64,15 +64,6 @@ class TestJoinProperties:
         l, r = join.leftjoin(left, right)
         assert set(l.tail_pylist()) == set(range(len(left_items)))
 
-    @given(small_ints, small_ints)
-    def test_semijoin_antijoin_partition(self, left_items, right_items):
-        left = BAT.from_pylist(Atom.INT, left_items)
-        right = BAT.from_pylist(Atom.INT, right_items)
-        semi = set(join.semijoin(left, right).tail_pylist())
-        anti = set(join.antijoin(left, right).tail_pylist())
-        assert semi | anti == set(range(len(left_items)))
-        assert semi & anti == set()
-
 
 class TestGroupAggregateProperties:
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=40))
@@ -182,21 +173,6 @@ class TestVectorizedVsReference:
         l_ref, r_ref = join.leftjoin_reference(left, right)
         assert l_vec.tail_pylist() == l_ref.tail_pylist()
         assert r_vec.tail_pylist() == r_ref.tail_pylist()
-
-    @pytest.mark.parametrize("atom,values", VALUE_STRATEGIES)
-    @given(data=st.data())
-    @settings(max_examples=25)
-    def test_semijoin_antijoin_match_reference(self, atom, values, data):
-        left = BAT.from_pylist(atom, data.draw(_lists_of(values)))
-        right = BAT.from_pylist(atom, data.draw(_lists_of(values)))
-        assert (
-            join.semijoin(left, right).tail_pylist()
-            == join.semijoin_reference(left, right).tail_pylist()
-        )
-        assert (
-            join.antijoin(left, right).tail_pylist()
-            == join.antijoin_reference(left, right).tail_pylist()
-        )
 
     @given(
         st.lists(

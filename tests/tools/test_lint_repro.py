@@ -104,6 +104,32 @@ class TestRules:
     def test_syntax_errors_are_reported_not_raised(self, tmp_path):
         assert rules_in(tmp_path, "def broken(:\n") == ["syntax"]
 
+    def test_emitted_pairs_reads_calls_and_tuples(self, tmp_path):
+        path = tmp_path / "emitter.py"
+        path.write_text(
+            "program.emit1('algebra', 'projection', [a, b], t)\n"
+            "out.append(Instruction(\n    'mat', 'pack', [r], args))\n"
+            "chain.append(('algebra', 'thetaselect', [x, 1, '==']))\n"
+            "name = 'select'\n"
+            "program.emit1('algebra', name, [x], t)\n",
+            encoding="utf-8",
+        )
+        assert lint.emitted_pairs([path]) == {
+            ("algebra", "projection"),
+            ("mat", "pack"),
+            ("algebra", "thetaselect"),
+        }
+
+    def test_op_without_an_emitter_is_flagged(self, monkeypatch):
+        from repro.mal.modules import REGISTRY, load_all
+
+        load_all()
+        monkeypatch.setitem(REGISTRY, ("algebra", "nobody_emits_me"), lambda ctx: None)
+        findings = []
+        lint._check_orphan_ops(findings)
+        assert [f.rule for f in findings] == ["orphan-op"]
+        assert "algebra.nobody_emits_me" in findings[0].message
+
 
 class TestRealTree:
     def test_repo_is_lint_clean(self):
@@ -116,3 +142,9 @@ class TestRealTree:
         findings = []
         lint._check_signatures(findings)
         assert findings == []
+
+    def test_every_registered_op_has_an_emitter(self):
+        findings = []
+        ops = lint._check_orphan_ops(findings)
+        assert findings == [], "\n".join(str(f) for f in findings)
+        assert ops <= 125

@@ -17,7 +17,13 @@ AST-based checks over ``src/repro`` (and this ``tools`` directory):
   discipline), unless the rename line carries ``# lint: allow-rename``;
 * ``signatures``    — every op in the MAL interpreter registry has a
   declared static signature (the plan verifier's completeness
-  guarantee).
+  guarantee);
+* ``orphan-op``     — every registered MAL op is emitted by the MAL
+  generator, an optimizer pass or the engine: its ``"module",
+  "function"`` pair appears literally in a call or tuple under
+  ``algebra/``, ``mal/optimizer/`` or ``engine/``, or it belongs to one
+  of the computed-name families of :data:`EMITTED_FAMILIES`.  An op
+  nothing emits is registered, typed and verified for no plan.
 
 Exit status 0 when clean; 1 with ``file:line: [rule] message`` findings.
 """
@@ -36,6 +42,51 @@ FSYNC_FILES = {
     SRC / "repro" / "engine" / "wal.py",
 }
 ALLOW_RENAME = "# lint: allow-rename"
+
+#: where MAL instructions are emitted from.
+EMITTER_DIRS = (
+    SRC / "repro" / "algebra",
+    SRC / "repro" / "mal" / "optimizer",
+    SRC / "repro" / "engine",
+)
+
+_BINARY = (  # the values of MALGenerator._OP_NAMES
+    "add", "sub", "mul", "div", "mod", "eq", "ne", "lt", "le", "gt", "ge",
+    "and", "or", "concat",
+)
+_UNARY = (  # MALGenerator._unary / _is_null / _function / CAST
+    "not", "negate", "isnil", "cast", "abs", "math",
+    "lower", "upper", "trim", "length", "substring", "like",
+)
+_AGGREGATES = (  # repro.semantic.types.AGGREGATE_FUNCTIONS
+    "sum", "avg", "min", "max", "count", "prod", "stddev", "median",
+)
+
+#: ops whose function name is computed where they are emitted, keyed by
+#: that site.  Everything else must appear as a literal pair.
+EMITTED_FAMILIES = {
+    # MALGenerator._calc picks the module from the operand kinds.
+    "malgen._calc: calc.<name> over scalars, batcalc.<name> over BATs": {
+        (module, name)
+        for module in ("calc", "batcalc")
+        for name in _BINARY + _UNARY
+    },
+    # _ScalarContext emits aggr.<name>, _GroupedContext aggr.sub<name>.
+    "malgen aggregate contexts: aggr.<name>, aggr.sub<name>": {
+        ("aggr", prefix + name) for prefix in ("", "sub") for name in _AGGREGATES
+    },
+    # _Mergetable._merge_partial over mergetable.DECOMPOSABLE.
+    "mergetable._merge_partial: aggr.merge<agg>": {
+        ("aggr", "merge" + name) for name in ("sum", "prod", "min", "max", "count")
+    },
+    # No plan contains these two; hand-written MAL programs (the mal/
+    # test suites, ad-hoc tooling) have no other constant-argument BAT
+    # source and no other way to export a value from a run.
+    "hand-written MAL only: the source and the sink": {
+        ("array", "series"),
+        ("sql", "setVariable"),
+    },
+}
 
 
 class Finding:
@@ -223,6 +274,53 @@ def _check_signatures(findings: list[Finding]) -> None:
         )
 
 
+def emitted_pairs(paths: list[Path]) -> set[tuple[str, str]]:
+    """Adjacent string-literal pairs in calls and tuples of *paths*.
+
+    ``program.emit1("algebra", "projection", ...)``, ``Instruction("mat",
+    "pack", ...)`` and malgen's ``("algebra", "thetaselect", args)``
+    links all spell the op as two consecutive string constants.
+    """
+    pairs: set[tuple[str, str]] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                items = node.args
+            elif isinstance(node, ast.Tuple):
+                items = node.elts
+            else:
+                continue
+            for first, second in zip(items, items[1:]):
+                if (
+                    isinstance(first, ast.Constant)
+                    and isinstance(first.value, str)
+                    and isinstance(second, ast.Constant)
+                    and isinstance(second.value, str)
+                ):
+                    pairs.add((first.value, second.value))
+    return pairs
+
+
+def _check_orphan_ops(findings: list[Finding]) -> int:
+    """Flag registered ops nothing emits; returns the registered op count."""
+    from repro.mal.modules import REGISTRY, load_all
+
+    load_all()
+    paths = [p for root in EMITTER_DIRS for p in sorted(root.rglob("*.py"))]
+    emitted = emitted_pairs(paths).union(*EMITTED_FAMILIES.values())
+    for module, function in sorted(set(REGISTRY) - emitted):
+        findings.append(
+            Finding(
+                SRC / "repro" / "mal" / "modules" / f"{module}_mod.py", 0,
+                "orphan-op",
+                f"{module}.{function} is registered but nothing under "
+                "algebra/, mal/optimizer/ or engine/ emits it — delete the "
+                "op or add its emitter",
+            )
+        )
+    return len(REGISTRY)
+
+
 def lint_paths(paths: list[Path]) -> list[Finding]:
     from repro.testing.faultpoints import REGISTERED_POINTS
 
@@ -253,12 +351,16 @@ def main(argv: list[str]) -> int:
     findings = lint_paths(paths)
     if "--no-signatures" not in argv:
         _check_signatures(findings)
+    ops = _check_orphan_ops(findings)
     for finding in findings:
         print(finding)
     if findings:
         print(f"{len(findings)} finding(s)")
         return 1
-    print(f"lint clean: {len(paths)} files, signature registry complete")
+    print(
+        f"lint clean: {len(paths)} files, {ops} MAL ops, each with a "
+        "signature and an emitter"
+    )
     return 0
 
 
