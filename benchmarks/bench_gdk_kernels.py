@@ -2,8 +2,9 @@
 
 Each group pairs a vectorized production kernel with the retained
 ``_reference`` loop implementation (the seed behaviour) on identical
-inputs at the paper's 128x128 scale, so ``BENCH_gdk.json`` records the
-speedup of the NumPy hot path directly.  Every benchmark asserts the two
+inputs at the paper's 128x128 scale, so the ``run_benchmarks.py`` report
+(``.benchmarks/BENCH_gdk.json``, not tracked) records the speedup of
+the NumPy hot path directly.  Every benchmark asserts the two
 implementations agree before timing results count.
 """
 

@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""Benchmark driver: run the GDK perf suites and write ``BENCH_gdk.json``.
+"""Benchmark driver: run the GDK perf suites, write a local JSON report.
 
-This is the tracked performance baseline of the repository.  It runs the
-pytest-benchmark suites that exercise the vectorized GDK hot path (the
-kernel microbenchmarks, the Figure 1 array-operation suite, and the E11
-tiling-scaling suite) and stores pytest-benchmark's JSON report, plus a
-compact per-group summary on stdout.
+It runs the pytest-benchmark suites that exercise the vectorized GDK
+hot path (the kernel microbenchmarks, the Figure 1 array-operation
+suite, and the E11 tiling-scaling suite) and stores pytest-benchmark's
+raw JSON report under the git-ignored ``.benchmarks/`` directory, plus
+a compact per-group summary on stdout.  The repository's *tracked*
+benchmark is ``benchmarks/e2e`` (see ``BENCHMARK.json``); raw rounds
+stay out of git.
 
 Usage::
 
@@ -49,7 +51,7 @@ def run(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--output",
-        default="BENCH_gdk.json",
+        default=".benchmarks/BENCH_gdk.json",
         help="where to write the pytest-benchmark JSON report",
     )
     parser.add_argument(
@@ -76,6 +78,7 @@ def run(argv: list[str] | None = None) -> int:
     if args.quick:
         command.append("--benchmark-disable")
     else:
+        (REPO_ROOT / args.output).parent.mkdir(parents=True, exist_ok=True)
         command.append(f"--benchmark-json={args.output}")
     result = subprocess.run(command, cwd=REPO_ROOT, env=env)
     if result.returncode != 0:

@@ -49,8 +49,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro import errors
-from repro.errors import InterfaceError, ProgrammingError, QueryGovernanceError
+from repro.errors import ProgrammingError, QueryGovernanceError
 from repro.lifecycle import QueryContext
 from repro.catalog import Catalog
 from repro.catalog.objects import Array, ColumnDef, DimensionDef
@@ -63,19 +62,19 @@ from repro.algebra.compiler import plan_statement
 from repro.algebra.malgen import MALGenerator
 from repro.mal.interpreter import ExecutionStats
 from repro.mal.analysis import annotate_program, verify_program
-from repro.mal.optimizer import optimize
+from repro.mal.optimizer import optimize as optimize_program
 from repro.mal.program import MALProgram
 from repro.semantic.binder import Parameter
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import Parser, parse
-from repro.engine.cursor import Cursor, Params
+from repro.engine.cursor import Params, Session, Statement, scalar_parameter
 from repro.engine.database import (
     DEFAULT_STATEMENT_CACHE_SIZE,
     Database,
     Transaction,
     default_mem_budget,
     default_statement_timeout,
-    resolve_durable_mode,
+    resolve_durable,
     resolve_fragment_rows,
     resolve_nr_threads,
 )
@@ -129,19 +128,13 @@ class CompiledStatement:
         return bool(self.write_targets)
 
 
-def _normalize_value(value: Any) -> Any:
-    """NumPy scalars -> Python scalars; everything else passes through."""
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
 def bind_parameters(param_keys: tuple, params: Params) -> dict:
     """Validate *params* against a statement's parameter signature.
 
     Returns the ``key -> value`` bindings the interpreter resolves
     :class:`~repro.mal.program.Param` operands from.  Raises
-    :class:`ProgrammingError` on arity or style mismatches.
+    :class:`ProgrammingError` on arity or style mismatches and on
+    values :func:`~repro.engine.cursor.scalar_parameter` rejects.
     """
     if not param_keys:
         if params:
@@ -158,7 +151,7 @@ def bind_parameters(param_keys: tuple, params: Params) -> dict:
         for key in param_keys:
             if key not in params:
                 raise ProgrammingError(f"missing value for parameter :{key}")
-            bindings[key] = _normalize_value(params[key])
+            bindings[key] = scalar_parameter(params[key])
         return bindings
     expected = max(param_keys) + 1  # positional style (?)
     if (
@@ -175,7 +168,7 @@ def bind_parameters(param_keys: tuple, params: Params) -> dict:
             f"statement takes {expected} positional parameters, "
             f"{len(params)} given"
         )
-    return {index: _normalize_value(value) for index, value in enumerate(params)}
+    return {index: scalar_parameter(value) for index, value in enumerate(params)}
 
 
 def _atom_for_dtype(dtype: np.dtype) -> Atom:
@@ -211,20 +204,8 @@ def _ingest_column(array_values: np.ndarray, atom: Atom) -> Column:
 _DEFAULT_DIMENSION_NAMES = ("x", "y", "z", "w")
 
 
-class Connection:
+class Connection(Session):
     """One transactional session against a shared :class:`Database`."""
-
-    # PEP 249: exceptions available as Connection attributes.
-    Warning = errors.Warning
-    Error = errors.Error
-    InterfaceError = errors.InterfaceError
-    DatabaseError = errors.DatabaseError
-    DataError = errors.DataError
-    OperationalError = errors.OperationalError
-    IntegrityError = errors.IntegrityError
-    InternalError = errors.InternalError
-    ProgrammingError = errors.ProgrammingError
-    NotSupportedError = errors.NotSupportedError
 
     def __init__(
         self,
@@ -279,7 +260,6 @@ class Connection:
         self.cache_misses = 0
         self._txn: Optional[Transaction] = None
         self._lock = threading.RLock()
-        self._closed = False
         #: query governance: deadline (seconds; None = unbounded) and
         #: per-query memory budget (bytes; None = unbounded), seeded
         #: from REPRO_STATEMENT_TIMEOUT_MS / REPRO_MEM_BUDGET_BYTES.
@@ -408,25 +388,14 @@ class Connection:
         return out
 
     # ------------------------------------------------------------------
-    # PEP 249 lifecycle
+    # PEP 249 lifecycle (the rest is inherited from Session)
     # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("connection is closed")
-        if self._database.closed:
-            raise InterfaceError("database is closed")
-
-    @property
-    def closed(self) -> bool:
-        return self._closed or self._database.closed
-
-    def cursor(self) -> Cursor:
-        """A new DB-API cursor over this session."""
-        self._check_open()
-        return Cursor(self)
-
     def _close_session(self) -> None:
-        """Close this session only (rolls back any open transaction)."""
+        """Close this session only (rolls back any open transaction).
+
+        :meth:`Database.close` calls this on every session, so a closed
+        engine means a closed session.
+        """
         with self._lock:
             self._txn = None
             self._closed = True
@@ -442,12 +411,6 @@ class Connection:
         self._close_session()
         if self._owns_database:
             self._database.close()
-
-    def __enter__(self) -> "Connection":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # transactions
@@ -550,23 +513,34 @@ class Connection:
             return txn.schema_token
         return self._database.head().schema_version
 
-    def _exec_catalog(self) -> Catalog:
-        txn = self._txn
-        if txn is not None:
-            return txn.catalog
-        return self._database.head().catalog
-
-    def _compile_plan(
+    def _compile(
         self,
-        plan: nodes.StatementPlan,
+        statement,
         catalog: Catalog,
+        optimize: bool = True,
         verify: Optional[bool] = None,
-    ) -> MALProgram:
-        self._database.note_compile(self)
+    ):
+        """The one compile entry: statement → (plan, program, report).
+
+        plan → MAL generation → the session's optimizer pipeline.
+        ``optimize=False`` stops at the generated program and does not
+        count as a compile (the ``explain_unoptimized`` listing);
+        ``verify=True`` forces per-pass verification on and returns the
+        final :class:`~repro.mal.analysis.VerificationReport` (``None``
+        defers to ``REPRO_VERIFY_PLANS`` and yields no report).
+        """
+        if isinstance(statement, ast.Explain):
+            statement = statement.statement
+        plan = plan_statement(statement, catalog)
         program = MALGenerator(catalog).generate(plan)
-        if self.optimize_programs:
-            program = optimize(program, self.pipeline, verify=verify)
-        return program
+        if optimize:
+            self._database.note_compile(self)
+            if self.optimize_programs:
+                program = optimize_program(program, self.pipeline, verify=verify)
+        # The pipeline already re-checked after every pass; one final
+        # run produces the report EXPLAIN VERIFY / verify_plan display.
+        report = verify_program(program, phase="final") if verify else None
+        return plan, program, report
 
     def _cache_key(self, sql: str) -> tuple:
         # The optimizer settings are part of the identity: benchmarks
@@ -588,16 +562,25 @@ class Connection:
         )
 
     def _build_entry(
-        self,
-        statement,
-        param_keys: tuple,
-        sql: str,
-        token,
-        catalog: Catalog,
+        self, statement, param_keys: tuple, sql: str = ""
     ) -> CompiledStatement:
+        """Compile *statement* against the snapshot this session sees.
+
+        ``sql=""`` marks a script entry: it keeps the AST so
+        :meth:`_refresh` can recompile without statement text.
+        """
+        token = self._schema_token()
         is_explain = isinstance(statement, ast.Explain)
-        wants_verify = is_explain and statement.verify
         inner = statement.statement if is_explain else statement
+        entry = CompiledStatement(
+            sql,
+            MALProgram(),
+            param_keys,
+            is_explain,
+            isinstance(inner, _DDL_NODES),
+            token,
+            statement=None if sql else statement,
+        )
         if isinstance(inner, (ast.ShowQueries, ast.KillQuery)):
             if is_explain:
                 raise ProgrammingError(
@@ -605,67 +588,42 @@ class Connection:
                 )
             # Administrative statements never reach the planner: they
             # execute against the query registry at run time.
-            return CompiledStatement(
-                sql,
-                MALProgram(),
-                param_keys,
-                False,
-                False,
-                token,
-                statement=None if sql else statement,
-                admin=inner,
-            )
-        plan = plan_statement(inner, catalog)
-        program = self._compile_plan(
-            plan, catalog, verify=True if wants_verify else None
+            entry.admin = inner
+            return entry
+        wants_verify = is_explain and statement.verify
+        plan, entry.program, entry.verify_report = self._compile(
+            inner, self.catalog, verify=True if wants_verify else None
         )
-        program.param_keys = param_keys
-        report = None
-        if wants_verify:
-            # The pipeline already re-checked after every pass; one
-            # final run produces the report the listing displays.
-            report = verify_program(program, phase="final")
-        bulk = None
+        entry.program.param_keys = param_keys
         if isinstance(plan, nodes.InsertValuesPlan) and len(plan.rows) == 1:
-            bulk = plan
-        return CompiledStatement(
-            sql,
-            program,
-            param_keys,
-            is_explain,
-            isinstance(inner, _DDL_NODES),
-            token,
-            bulk,
-            frozenset() if is_explain else program.write_targets(),
-            None if sql else statement,
-            report,
-        )
-
-    def _compile_sql(self, sql: str, token) -> CompiledStatement:
-        parser = Parser(sql)
-        statement = parser.parse_statement()
-        return self._build_entry(
-            statement, tuple(parser.parameters), sql, token, self._exec_catalog()
-        )
+            entry.bulk_insert = plan
+        if not is_explain:
+            entry.write_targets = entry.program.write_targets()
+        return entry
 
     def _compiled(self, sql: str) -> CompiledStatement:
         """Shared-cache lookup or full compile of one statement text."""
         self._check_open()
-        token = self._schema_token()
         database = self._database
-        cacheable = (
-            isinstance(token, int) and database.statement_cache_size > 0
-        )
-        if cacheable:
+        key = None
+        # Plans compiled against transaction-private DDL (a tuple token)
+        # are valid for that transaction only and bypass the cache.
+        if (
+            isinstance(self._schema_token(), int)
+            and database.statement_cache_size > 0
+        ):
             key = self._cache_key(sql)
             entry = database.lookup_plan(key, self)
             if entry is not None:
                 return entry
-            entry = self._compile_sql(sql, token)
+        else:
+            database.note_uncached_miss(self)
+        parser = Parser(sql)
+        statement = parser.parse_statement()
+        entry = self._build_entry(statement, tuple(parser.parameters), sql)
+        if key is not None:
             database.store_plan(key, entry)
-            return entry
-        database.note_uncached_miss(self)
-        return self._compile_sql(sql, token)
+        return entry
 
     def _refresh(self, entry: CompiledStatement) -> CompiledStatement:
         """Re-validate a compiled statement against the current snapshot."""
@@ -673,13 +631,8 @@ class Connection:
             return entry
         if entry.sql:
             return self._compiled(entry.sql)
-        return self._build_entry(  # script entry: recompile from the AST
-            entry.statement,
-            entry.param_keys,
-            "",
-            self._schema_token(),
-            self._exec_catalog(),
-        )
+        # script entry: recompile from the AST
+        return self._build_entry(entry.statement, entry.param_keys)
 
     def compile(self, sql: str) -> MALProgram:
         """Compile one statement down to (optimized) MAL."""
@@ -827,13 +780,23 @@ class Connection:
             {"dims": [], "atoms": [Atom.STR.value]},
         )
 
-    def _execute_on(
+    def _execute_entry(
         self,
-        catalog: Catalog,
         entry: CompiledStatement,
         bindings: dict,
         collect_stats: bool,
+        txn: Optional[Transaction] = None,
     ) -> Result:
+        """Interpret *entry* in *txn*'s fork, or on the committed head."""
+        if txn is None:
+            catalog = self._database.head().catalog
+        else:
+            # Track targets before running so a half-failed statement
+            # still conflicts correctly at commit time.
+            txn.writes.update(entry.write_targets)
+            if entry.is_ddl:
+                txn.note_schema_change()
+            catalog = txn.catalog
         with self._query_lock:
             query = self._active_query
         context, stats = self._database.interpreter.run(
@@ -849,19 +812,24 @@ class Connection:
             return Result.from_internal(context.result, context.affected)
         return Result(affected=context.affected)
 
-    def _apply_entry(
-        self,
-        txn: Transaction,
-        entry: CompiledStatement,
-        bindings: dict,
-        collect_stats: bool,
-    ) -> Result:
-        # Track targets before running so a half-failed statement still
-        # conflicts correctly at commit time.
-        txn.writes.update(entry.write_targets)
-        if entry.is_ddl:
-            txn.note_schema_change()
-        return self._execute_on(txn.catalog, entry, bindings, collect_stats)
+    @contextmanager
+    def _autocommit(self):
+        """The transaction a write stages into — the one write span.
+
+        The session's open transaction when there is one (left open);
+        otherwise fork → body → publish, all under the writer lock, so
+        concurrent autocommit writers serialise instead of conflicting.
+        A body that raises publishes nothing.
+        """
+        txn = self._txn
+        if txn is not None:
+            yield txn
+            return
+        database = self._database
+        with database._writer_lock:
+            txn = database.begin_transaction()
+            yield txn
+            database.commit_transaction(txn)
 
     def _run_compiled(
         self,
@@ -881,29 +849,15 @@ class Connection:
         bindings = bind_parameters(entry.param_keys, params)
         with self._lock:
             with self._governed(entry.sql or "<script statement>"):
-                txn = self._txn
-                if txn is not None:
-                    return self._apply_entry(txn, entry, bindings, collect_stats)
-                if not entry.is_write:
+                if self._txn is None and not entry.is_write:
                     # Read-only autocommit: bind against the committed
                     # head snapshot — never blocks on, nor observes,
                     # writers.
-                    return self._execute_on(
-                        self._database.head().catalog,
-                        entry,
-                        bindings,
-                        collect_stats,
+                    return self._execute_entry(entry, bindings, collect_stats)
+                with self._autocommit() as txn:
+                    return self._execute_entry(
+                        self._refresh(entry), bindings, collect_stats, txn
                     )
-                # Autocommit write: fork, execute, publish — all under
-                # the writer lock, so concurrent autocommit writers
-                # serialise instead of conflicting.
-                database = self._database
-                with database._writer_lock:
-                    entry = self._refresh(entry)
-                    txn = database.begin_transaction()
-                    result = self._apply_entry(txn, entry, bindings, collect_stats)
-                    database.commit_transaction(txn)
-                    return result
 
     def executemany(
         self, sql: str, seq_of_params: Iterable[Params]
@@ -931,48 +885,26 @@ class Connection:
         # The whole batch is one governed statement: one qid, one
         # deadline, one budget — KILL aborts every remaining row.
         with self._lock, self._governed(entry.sql or "<script statement>"):
-            if entry.bulk_insert is not None and entry.param_keys and seq:
-                txn = self._txn
-                if txn is not None:
+            if not entry.is_write:
+                total = 0
+                for params in seq:
+                    total += self._run_compiled(entry, params).affected
+                return Result(affected=total)
+            # One transaction for the whole batch: a single fork +
+            # publish instead of one per parameter row, and the batch
+            # becomes atomic (all rows or none).
+            with self._autocommit() as txn:
+                entry = self._refresh(entry)
+                if entry.bulk_insert is not None and entry.param_keys and seq:
                     txn.writes.update(entry.write_targets)
                     return Result(
                         affected=self._bulk_insert(txn.catalog, entry, seq)
                     )
-                database = self._database
-                with database._writer_lock:
-                    entry = self._refresh(entry)
-                    txn = database.begin_transaction()
-                    txn.writes.update(entry.write_targets)
-                    result = Result(
-                        affected=self._bulk_insert(txn.catalog, entry, seq)
-                    )
-                    database.commit_transaction(txn)
-                    return result
-            if entry.is_write:
-                # One implicit transaction for the whole batch: a single
-                # fork + publish instead of one per parameter row, and
-                # the batch becomes atomic (all rows or none).
-                if self._txn is not None:
-                    total = 0
-                    for params in seq:
-                        total += self._run_compiled(entry, params).affected
-                    return Result(affected=total)
-                database = self._database
-                with database._writer_lock:
-                    entry = self._refresh(entry)
-                    txn = database.begin_transaction()
-                    total = 0
-                    for params in seq:
-                        total += self._apply_entry(
-                            txn, entry, bind_parameters(entry.param_keys, params),
-                            False,
-                        ).affected
-                    database.commit_transaction(txn)
-                    return Result(affected=total)
-            total = 0
-            for params in seq:
-                total += self._run_compiled(entry, params).affected
-            return Result(affected=total)
+                total = 0
+                for params in seq:
+                    bindings = bind_parameters(entry.param_keys, params)
+                    total += self._execute_entry(entry, bindings, False, txn).affected
+                return Result(affected=total)
 
     def _bulk_insert(
         self, catalog: Catalog, entry: CompiledStatement, seq: list
@@ -1028,13 +960,10 @@ class Connection:
         statements = parser.parse_script()
         if parser.parameters:
             raise ProgrammingError("bind parameters are not allowed in scripts")
-        results = []
-        for statement in statements:
-            entry = self._build_entry(
-                statement, (), "", self._schema_token(), self._exec_catalog()
-            )
-            results.append(self._run_compiled(entry))
-        return results
+        return [
+            self._run_compiled(self._build_entry(statement, ()))
+            for statement in statements
+        ]
 
     # ------------------------------------------------------------------
     # plan inspection
@@ -1058,23 +987,14 @@ class Connection:
         naming the offending pass and instruction.
         """
         self._check_open()
-        statement = parse(sql)
-        if isinstance(statement, ast.Explain):
-            statement = statement.statement
-        catalog = self._exec_catalog()
-        plan = plan_statement(statement, catalog)
-        program = self._compile_plan(plan, catalog, verify=True)
-        return verify_program(program, phase="final")
+        _, _, report = self._compile(parse(sql), self.catalog, verify=True)
+        return report
 
     def explain_unoptimized(self, sql: str) -> str:
         """The MAL program before the optimizer pipeline runs."""
         self._check_open()
-        statement = parse(sql)
-        if isinstance(statement, ast.Explain):
-            statement = statement.statement
-        catalog = self._exec_catalog()
-        plan = plan_statement(statement, catalog)
-        return MALGenerator(catalog).generate(plan).to_text()
+        _, program, _ = self._compile(parse(sql), self.catalog, optimize=False)
+        return program.to_text()
 
     # ------------------------------------------------------------------
     # NumPy array ingestion
@@ -1131,30 +1051,13 @@ class Connection:
             attr: _atom_for_dtype(array.dtype) for attr, array in arrays.items()
         }
         attributes = [ColumnDef(attr, atoms[attr]) for attr in arrays]
-        with self._lock:
-            txn = self._txn
-            if txn is not None:
-                return self._install_array(
-                    txn, name, dimensions, attributes, arrays, atoms
-                )
-            database = self._database
-            with database._writer_lock:
-                txn = database.begin_transaction()
-                array_obj = self._install_array(
-                    txn, name, dimensions, attributes, arrays, atoms
-                )
-                database.commit_transaction(txn)
-                return array_obj
-
-    def _install_array(
-        self, txn: Transaction, name, dimensions, attributes, arrays, atoms
-    ) -> Array:
-        array_obj = txn.catalog.create_array(name, dimensions, attributes)
-        for attr, array in arrays.items():
-            array_obj.bats[attr] = BAT(_ingest_column(array, atoms[attr]))
-        txn.note_write(name)
-        txn.note_schema_change()
-        return array_obj
+        with self._lock, self._autocommit() as txn:
+            array_obj = txn.catalog.create_array(name, dimensions, attributes)
+            for attr, array in arrays.items():
+                array_obj.bats[attr] = BAT(_ingest_column(array, atoms[attr]))
+            txn.note_write(name)
+            txn.note_schema_change()
+            return array_obj
 
     # ------------------------------------------------------------------
     # persistence
@@ -1168,38 +1071,8 @@ class Connection:
         self._check_open()
         self._database.save(directory)
 
-    @classmethod
-    def open(
-        cls,
-        directory: str | Path,
-        optimize: bool = True,
-        nr_threads: Optional[int] = None,
-        fragment_rows: Optional[float] = None,
-        statement_cache_size: int = DEFAULT_STATEMENT_CACHE_SIZE,
-        durable: bool | str = False,
-    ) -> "Connection":
-        """Open a database previously written by :meth:`save`.
 
-        Opening runs crash recovery (checkpoint + write-ahead-log
-        replay; see :meth:`Database.open`).  Returns an owning session
-        of the freshly loaded engine; ``durable=True`` keeps every
-        commit durable via the WAL, ``durable="full"`` republishes the
-        whole farm per commit instead.
-        """
-        database = Database.open(
-            directory,
-            optimize=optimize,
-            statement_cache_size=statement_cache_size,
-            nr_threads=nr_threads,
-            fragment_rows=fragment_rows,
-            durable=durable,
-        )
-        connection = database.connect()
-        connection._owns_database = True
-        return connection
-
-
-class PreparedStatement:
+class PreparedStatement(Statement):
     """A statement compiled once, re-executed under fresh bindings.
 
     Re-execution skips lexing, parsing, binding, MAL generation and
@@ -1209,17 +1082,8 @@ class PreparedStatement:
     """
 
     def __init__(self, connection: Connection, compiled: CompiledStatement):
-        self.connection = connection
+        super().__init__(connection, compiled.sql, compiled.param_keys)
         self._compiled = compiled
-
-    @property
-    def sql(self) -> str:
-        return self._compiled.sql
-
-    @property
-    def parameters(self) -> tuple:
-        """Bind-parameter keys in occurrence order."""
-        return self._compiled.param_keys
 
     @property
     def program(self) -> MALProgram:
@@ -1228,6 +1092,7 @@ class PreparedStatement:
 
     def execute(self, params: Params = None, collect_stats: bool = False) -> Result:
         """Run the compiled plan under *params*."""
+        self._check_open()
         self._compiled = self.connection._refresh(self._compiled)
         return self.connection._run_compiled(self._compiled, params, collect_stats)
 
@@ -1237,6 +1102,7 @@ class PreparedStatement:
         Single-row parameterized INSERTs take the same bulk columnar
         path as :meth:`Connection.executemany`.
         """
+        self._check_open()
         self._compiled = self.connection._refresh(self._compiled)
         return self.connection._executemany_compiled(self._compiled, seq_of_params)
 
@@ -1251,7 +1117,7 @@ def connect(
     statement_cache_size: int = DEFAULT_STATEMENT_CACHE_SIZE,
     nr_threads: Optional[int] = None,
     fragment_rows: Optional[float] = None,
-    durable: bool | str = False,
+    durable: bool = False,
     **client_options,
 ) -> Connection:
     """Create a session: in-memory by default, or load a saved farm.
@@ -1271,13 +1137,15 @@ def connect(
     *path*) makes every commit crash-safe: the commit's logical delta
     is fsync'd to a write-ahead log (``<path>.wal``) before the commit
     returns, and checkpoints fold the log into the farm; reopening the
-    path replays the log automatically.  ``durable="full"`` keeps the
-    legacy mode of republishing the whole farm per commit.
+    path replays the log automatically.  ``durable`` is a bool — to
+    republish the whole farm at a moment of your choosing call
+    :meth:`Connection.save` or :meth:`Database.checkpoint`.
 
     *path* may also be a ``repro://host:port`` URL, in which case the
     call connects to a running :mod:`repro.net` server instead and
-    returns a :class:`~repro.net.client.RemoteConnection` with the
-    same DB-API surface (the remaining keyword arguments are
+    returns a :class:`~repro.net.client.RemoteConnection`: the same
+    :class:`~repro.engine.cursor.Session` / cursor / prepared-statement
+    surface over a socket (the remaining keyword arguments are
     server-side concerns and are ignored for remote sessions).
     Extra keyword arguments — ``user``, ``password``, ``batch_rows``,
     ``timeout``, ``statement_timeout_ms`` — are client options
@@ -1297,18 +1165,22 @@ def connect(
             "repro:// URLs"
         )
     if path is None:
-        resolve_durable_mode(durable, None)
+        resolve_durable(durable, None)
         return Connection(
             optimize=optimize,
             statement_cache_size=statement_cache_size,
             nr_threads=nr_threads,
             fragment_rows=fragment_rows,
         )
-    return Connection.open(
+    # Opening runs crash recovery (checkpoint + write-ahead-log replay;
+    # see Database.open); the session owns the freshly loaded engine.
+    session = Database.open(
         Path(path),
         optimize=optimize,
+        statement_cache_size=statement_cache_size,
         nr_threads=nr_threads,
         fragment_rows=fragment_rows,
-        statement_cache_size=statement_cache_size,
         durable=durable,
-    )
+    ).connect()
+    session._owns_database = True
+    return session

@@ -75,28 +75,23 @@ DEFAULT_CHECKPOINT_BYTES = 64 * 1024 * 1024
 DEFAULT_CHECKPOINT_RECORDS = 1024
 
 
-def resolve_durable_mode(value, path) -> Optional[str]:
-    """Normalise the ``durable`` knob: None, ``"wal"`` or ``"full"``.
+def resolve_durable(value, path) -> bool:
+    """Validate the ``durable`` knob: a bool, honoured only with a *path*.
 
-    ``True`` (and ``"wal"``) selects write-ahead logging — commits
-    append fsync'd deltas to ``<farm>.wal`` and checkpoints fold them
-    into the farm.  ``"full"`` keeps the legacy behaviour of
-    republishing the whole farm on every commit (the benchmark
-    baseline).  Durability requires a farm *path*.
+    ``True`` selects write-ahead logging — commits append fsync'd
+    deltas to ``<farm>.wal`` and checkpoints fold them into the farm.
     """
-    if value is None or value is False:
-        return None
-    if value is True:
-        mode = "wal"
-    elif isinstance(value, str) and value.lower() in ("wal", "full"):
-        mode = value.lower()
-    elif isinstance(value, str) and value.lower() in ("off", "none", ""):
-        return None
-    else:
-        raise ProgrammingError(
-            f"invalid durable value {value!r}: expected a bool, 'wal' or 'full'"
+    if not isinstance(value, bool):
+        hint = (
+            "; the whole-farm republish it selected is Database.save() / "
+            "Database.checkpoint() after the commit"
+            if value == "full"
+            else ""
         )
-    if path is None:
+        raise ProgrammingError(
+            f"invalid durable value {value!r}: expected True or False{hint}"
+        )
+    if value and path is None:
         # Durability requires a farm path (an in-memory database has
         # nowhere to log to).  Historically this *silently* stayed
         # in-memory; now the dropped request is loud.
@@ -107,8 +102,8 @@ def resolve_durable_mode(value, path) -> Optional[str]:
             DurabilityWarning,
             stacklevel=3,
         )
-        return None
-    return mode
+        return False
+    return value
 
 
 def _resolve_checkpoint_threshold(env_name: str, default: int) -> int:
@@ -307,7 +302,7 @@ class Database:
         nr_threads: Optional[int] = None,
         fragment_rows: Optional[float] = None,
         path: Optional[str | Path] = None,
-        durable: bool | str = False,
+        durable: bool = False,
     ):
         self._head = CatalogVersion(
             catalog if catalog is not None else Catalog(), 0, 0
@@ -333,13 +328,11 @@ class Database:
         #: registry of running statements (SHOW QUERIES / KILL <qid>).
         self._queries = QueryRegistry()
         self._closed = False
-        #: commit-time durability.  ``durable_mode`` is ``"wal"`` (append
-        #: fsync'd logical deltas to ``<farm>.wal``, checkpoint on
-        #: thresholds), ``"full"`` (legacy: republish the whole farm per
-        #: commit) or ``None``; ``durable`` keeps the boolean view.
+        #: commit-time durability: append fsync'd logical deltas to
+        #: ``<farm>.wal`` before a commit returns, checkpoint on
+        #: thresholds.
         self.path = Path(path) if path is not None else None
-        self.durable_mode = resolve_durable_mode(durable, self.path)
-        self.durable = self.durable_mode is not None
+        self.durable = resolve_durable(durable, self.path)
         self._wal: Optional[wal_mod.WriteAheadLog] = None
         self.checkpoint_bytes = _resolve_checkpoint_threshold(
             "REPRO_WAL_CHECKPOINT_BYTES", DEFAULT_CHECKPOINT_BYTES
@@ -477,7 +470,7 @@ class Database:
                 "cache_misses": self.cache_misses,
                 "plan_cache_entries": len(self._plan_cache),
                 "plan_cache_capacity": self.statement_cache_size,
-                "durable_mode": self.durable_mode,
+                "durable": self.durable,
                 "path": str(self.path) if self.path is not None else None,
             }
 
@@ -548,7 +541,7 @@ class Database:
                 head.version + 1,
                 head.schema_version + txn.schema_changes,
             )
-            if self.durable_mode == "wal":
+            if self.durable:
                 # Write-ahead: the logical delta must be on stable
                 # storage *before* the commit is visible or acknowledged.
                 changes = wal_mod.extract_changes(txn)
@@ -557,15 +550,11 @@ class Database:
                 )
             self._head = published
             crash_point("commit.published")
-            if self.durable_mode == "full":
-                catalog.save(
-                    self.path, published.version, published.schema_version
-                )
             for name in txn.writes:
                 obj = catalog.entry(name)
                 if obj is not None:
                     obj._disarm_journal()
-            if self.durable_mode == "wal":
+            if self.durable:
                 log = self._wal
                 if (
                     log.record_count >= self.checkpoint_records
@@ -708,7 +697,7 @@ class Database:
         statement_cache_size: int = DEFAULT_STATEMENT_CACHE_SIZE,
         nr_threads: Optional[int] = None,
         fragment_rows: Optional[float] = None,
-        durable: bool | str = False,
+        durable: bool = False,
     ) -> "Database":
         """Open a database farm previously written by :meth:`save`.
 
@@ -721,9 +710,7 @@ class Database:
         therefore exactly the last acknowledged commit (plus at most
         one fully-logged in-flight commit that crashed before its ack).
 
-        ``durable=True`` (or ``"wal"``) keeps subsequent commits
-        durable via the WAL; ``durable="full"`` republishes the whole
-        farm per commit instead.
+        ``durable=True`` keeps subsequent commits durable via the WAL.
         """
         directory = Path(directory)
         recover_farm(directory)
@@ -753,7 +740,7 @@ class Database:
             durable=durable,
         )
         database._head = CatalogVersion(catalog, version, schema_version)
-        if database.durable_mode == "wal":
+        if database.durable:
             log = wal_mod.WriteAheadLog(wal_path)
             log.open()
             log.record_count = len(records)

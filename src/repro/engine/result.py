@@ -4,8 +4,9 @@ A :class:`Result` wraps the columns a plan delivered through
 ``sql.resultSet``.  Array-shaped results (queries with ``[dim]``
 projection items) additionally expose a dense grid view via the
 table→array coercion rules.  For the DB-API layer a result carries
-PEP 249 ``description`` metadata and a columnar :meth:`to_numpy`
-export that never materialises Python tuples.
+the column atoms in ``meta`` (what ``Cursor.description`` reports) and
+a columnar :meth:`to_numpy` export that never materialises Python
+tuples.
 """
 
 from __future__ import annotations
@@ -60,24 +61,6 @@ class Result:
     @property
     def is_query(self) -> bool:
         return self.kind in ("table", "array")
-
-    @property
-    def description(self) -> Optional[list[tuple]]:
-        """PEP 249 column descriptions: 7-tuples, one per result column.
-
-        ``(name, type_code, display_size, internal_size, precision,
-        scale, null_ok)`` — the type code is the atom name (``"int"``,
-        ``"dbl"``, ...) or None when the column is untyped (bare NULL).
-        None for DDL/DML results.
-        """
-        if not self.is_query:
-            return None
-        atoms = list(self.meta.get("atoms") or [])
-        atoms += [None] * (len(self.names) - len(atoms))
-        return [
-            (name, atom, None, None, None, None, True)
-            for name, atom in zip(self.names, atoms)
-        ]
 
     @property
     def row_count(self) -> int:

@@ -1,21 +1,30 @@
 """The client driver: PEP 249 sessions over a ``repro://`` socket.
 
 ``repro.connect("repro://host:port")`` returns a
-:class:`RemoteConnection` whose surface mirrors the in-process
-:class:`~repro.engine.connection.Connection`: cursors, ``?``/``:name``
-parameter binding, ``prepare()``, ``executemany`` bulk ingest,
-transactions (``begin``/``commit``/``rollback`` and the SQL
-statements), ``fetchnumpy`` — with byte-identical results, because
-batches arrive in the kernel's own columnar encoding and reassemble
-into the same :class:`Column`/:class:`Result` objects.
+:class:`RemoteConnection`.  Its DB-API surface *is* the in-process
+one: the connection lifecycle, the cursor's fetch state machine and
+the prepared-statement shell are the shared classes of
+:mod:`repro.engine.cursor`, and bind parameters pass the same
+:func:`~repro.engine.cursor.scalar_parameter` rule.  What this module
+adds is transport only — framing requests, pulling columnar batches
+off the socket, draining a displaced stream, reconnecting — so results
+are byte-identical: batches arrive in the kernel's own columnar
+encoding and reassemble into the same :class:`Column`/:class:`Result`
+objects.
 
 Result sets **stream**: :meth:`RemoteCursor.execute` returns after
 the result header, and ``fetch*`` pulls columnar batches off the
 socket on demand — a 100M-row scan holds one batch client-side, and
 the un-read tail exerts TCP backpressure on the server.
 ``RemoteConnection.execute`` (the convenience path) drains the stream
-into a regular :class:`Result` instead, exactly like the in-process
-method it mirrors.
+into a regular :class:`Result` instead, which is what the in-process
+``Connection.execute`` returns.
+
+Idempotent conversations (handshake, ``ping``, ``stats``) reconnect
+with backoff when the socket is lost; a reconnect is a *new* server
+session, so every live :class:`RemotePreparedStatement` re-prepares
+itself from its SQL text on next use.  Neither happens inside an open
+transaction — its server state died with the old socket.
 
 Errors map onto the PEP 249 hierarchy: server-side failures re-raise
 as their local class (``ProgrammingError``, ``OperationalError``
@@ -32,12 +41,11 @@ import queue as queue_mod
 import socket
 import threading
 import time
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Optional
 from urllib.parse import parse_qsl, urlsplit
 
-import numpy as np
-
 from repro import errors, knobs
+from repro.engine.cursor import Cursor, Session, Statement
 from repro.engine.result import Result
 from repro.errors import (
     InterfaceError,
@@ -45,7 +53,6 @@ from repro.errors import (
     ProgrammingError,
     ProtocolError,
 )
-from repro.gdk.atoms import Atom
 from repro.gdk.column import Column
 from repro.net import protocol
 from repro.net.protocol import Msg
@@ -119,36 +126,8 @@ def connect_url(url: str, **kwargs) -> "RemoteConnection":
     return RemoteConnection(host, port, **options)
 
 
-def _concat_columns(batches: list[list[Column]]) -> list[Column]:
-    """Concatenate per-batch column slices into whole result columns."""
-    if not batches:
-        return []
-    out: list[Column] = []
-    for index, first in enumerate(batches[0]):
-        parts = [batch[index] for batch in batches]
-        values = np.concatenate([part.values for part in parts])
-        if any(part.mask is not None for part in parts):
-            mask = np.concatenate([part.effective_mask() for part in parts])
-        else:
-            mask = None
-        out.append(Column(first.atom, values, mask))
-    return out
-
-
-class RemoteConnection:
+class RemoteConnection(Session):
     """One server session over TCP, with the PEP 249 surface."""
-
-    # PEP 249: exceptions available as Connection attributes.
-    Warning = errors.Warning
-    Error = errors.Error
-    InterfaceError = errors.InterfaceError
-    DatabaseError = errors.DatabaseError
-    DataError = errors.DataError
-    OperationalError = errors.OperationalError
-    IntegrityError = errors.IntegrityError
-    InternalError = errors.InternalError
-    ProgrammingError = errors.ProgrammingError
-    NotSupportedError = errors.NotSupportedError
 
     def __init__(
         self,
@@ -163,7 +142,6 @@ class RemoteConnection:
     ):
         self.host = host
         self.port = port
-        self._closed = False
         #: serialises whole request/response conversations (PEP 249
         #: threadsafety 2: threads may share the connection).
         self._lock = threading.RLock()
@@ -181,6 +159,9 @@ class RemoteConnection:
             "statement_timeout_ms": statement_timeout_ms,
         }
         self._in_transaction = False
+        #: server sessions opened so far; a prepared statement id is
+        #: only valid in the generation that issued it.
+        self._generation = 0
         try:
             # _establish opens its own fresh socket per attempt; no
             # reconnect step needed between retries.
@@ -211,6 +192,7 @@ class RemoteConnection:
             raise
         self.server_version = header.get("server_version")
         self.batch_rows = header.get("batch_rows")
+        self._generation += 1
 
     def _reconnect(self) -> None:
         """Replace a dead socket with a fresh session (idle state only)."""
@@ -272,12 +254,9 @@ class RemoteConnection:
             except OSError as exc:
                 raise NetworkError(f"connection lost: {exc}") from None
 
-    def _read_frame(self) -> tuple[Msg, dict, bytes]:
-        return protocol.read_frame(self._read_exactly)
-
     def _expect(self, *expected: Msg) -> tuple[Msg, dict, bytes]:
         """Read one frame; raise mapped errors, enforce the expected type."""
-        msg, header, blob = self._read_frame()
+        msg, header, blob = protocol.read_frame(self._read_exactly)
         if msg is Msg.ERROR:
             protocol.raise_remote_error(header)
         if expected and msg not in expected:
@@ -290,14 +269,6 @@ class RemoteConnection:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("connection is closed")
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self) -> None:
         """Send GOODBYE (best effort) and close the socket."""
         if self._closed:
@@ -309,12 +280,6 @@ class RemoteConnection:
             pass
         finally:
             self._sock.close()
-
-    def __enter__(self) -> "RemoteConnection":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # requests
@@ -332,12 +297,15 @@ class RemoteConnection:
             cursor._buffer_remaining()
             self._active_cursor = None
 
-    def _request(self, msg: Msg, header: dict) -> tuple[Msg, dict, bytes]:
+    def _request(
+        self, msg: Msg, header: dict, *expected: Msg
+    ) -> tuple[Msg, dict, bytes]:
+        """One request/reply conversation (reply type in *expected*)."""
         with self._lock:
             self._check_open()
             self._drain_active()
             self._send(msg, header)
-            return self._expect()
+            return self._expect(*expected)
 
     def cancel(self) -> None:
         """Ask the server to abandon the in-flight statement.
@@ -364,55 +332,31 @@ class RemoteConnection:
             return False
         with self._lock:
             try:
-                self._drain_active()
-                self._send(Msg.PING, {})
-                self._expect(Msg.PONG)
+                self._request(Msg.PING, {}, Msg.PONG)
                 return True
             except errors.Error:
-                self._closed = True
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
+                self.close()
                 return False
 
     # ------------------------------------------------------------------
     # PEP 249 connection surface
     # ------------------------------------------------------------------
-    def cursor(self) -> "RemoteCursor":
-        self._check_open()
-        return RemoteCursor(self)
-
     def execute(self, sql: str, params: Any = None) -> Result:
         """Execute one statement; returns a fully materialised Result.
 
-        Mirrors the in-process ``Connection.execute``.  For scans too
-        large to hold, use a cursor — its ``fetch*`` methods consume
-        the stream incrementally.
+        For scans too large to hold, use a cursor — its ``fetch*``
+        methods consume the stream incrementally.
         """
-        cursor = self.cursor()
-        cursor.execute(sql, params)
-        return cursor._materialise()
+        return self.cursor().execute(sql, params).result
 
     def executemany(self, sql: str, seq_of_params: Iterable[Any]) -> Result:
         """Bulk execution; single-row INSERTs take the server's
         columnar ingest path, the Result totals affected rows."""
-        cursor = self.cursor()
-        cursor.executemany(sql, seq_of_params)
-        return cursor._materialise()
+        return self.cursor().executemany(sql, seq_of_params).result
 
     def prepare(self, sql: str) -> "RemotePreparedStatement":
         """Compile once server-side; re-execute under fresh bindings."""
-        with self._lock:
-            msg, header, _ = self._request(Msg.PREPARE, {"sql": sql})
-            if msg is not Msg.PREPARED:
-                raise ProtocolError(f"expected PREPARED, got {msg.name}")
-            return RemotePreparedStatement(
-                self,
-                header["statement_id"],
-                sql,
-                tuple(header.get("parameters", ())),
-            )
+        return RemotePreparedStatement(self, sql)
 
     def begin(self) -> None:
         """Open an explicit transaction (snapshot isolation)."""
@@ -428,7 +372,7 @@ class RemoteConnection:
 
     def _txn_command(self, msg: Msg) -> None:
         with self._lock:
-            _, header, _ = self._request(msg, {})
+            _, header, _ = self._request(msg, {}, Msg.OK)
             self._in_transaction = bool(header.get("in_transaction"))
 
     @property
@@ -443,64 +387,21 @@ class RemoteConnection:
         (``REPRO_NET_RETRIES`` / ``REPRO_NET_RETRY_BACKOFF_MS``)
         before the ``NetworkError`` surfaces.
         """
-        return self._idempotent(self._stats_once)
-
-    def _stats_once(self) -> dict:
-        with self._lock:
-            msg, header, _ = self._request(Msg.STATS, {})
-            if msg is not Msg.STATS_DATA:
-                raise ProtocolError(f"expected STATS_DATA, got {msg.name}")
-            return header
+        return self._idempotent(
+            lambda: self._request(Msg.STATS, {}, Msg.STATS_DATA)[1]
+        )
 
 
-class RemoteCursor:
-    """A PEP 249 cursor pulling columnar batches off the socket."""
+class RemoteCursor(Cursor):
+    """The shared cursor fed by columnar batches off the socket."""
 
-    def __init__(self, connection: RemoteConnection):
-        self.connection = connection
-        self.arraysize = 1
-        self._closed = False
-        self._reset()
-
-    def _reset(self) -> None:
-        self._header: Optional[dict] = None
-        self._affected = -1
-        #: batches already pulled off the wire but not yet consumed.
-        self._batches: list[list[Column]] = []
-        #: row offset into the first buffered batch.
-        self._offset = 0
-        self._exhausted = True
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._closed:
-            return
-        if self.connection._active_cursor is self and not self.connection.closed:
-            with self.connection._lock:
-                self.connection._drain_active()
-        self._closed = True
-        self._reset()
+        connection = self.connection
+        if connection._active_cursor is self and not connection.closed:
+            with connection._lock:
+                connection._drain_active()
+        super().close()
 
-    def __enter__(self) -> "RemoteCursor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("cursor is closed")
-        self.connection._check_open()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed or self.connection.closed
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
     def execute(self, sql: str, params: Any = None) -> "RemoteCursor":
         """Execute one statement; fetch methods stream the result.
 
@@ -510,62 +411,55 @@ class RemoteCursor:
         memory up front; use :attr:`result` or
         ``connection.execute(...)`` when that is what you want.
         """
-        self._check_open()
-        self._start_request(
+        return self._start_request(
             Msg.EXECUTE,
             {"sql": sql, "params": protocol.jsonable_params(params)},
         )
-        return self
 
     def executemany(
         self, sql: str, seq_of_params: Iterable[Any]
     ) -> "RemoteCursor":
-        self._check_open()
-        self._start_request(
+        return self._start_request(
             Msg.EXECUTEMANY,
-            {
-                "sql": sql,
-                "params_seq": [
-                    protocol.jsonable_params(params)
-                    for params in seq_of_params
-                ],
-            },
+            {"sql": sql, "params_seq": _params_seq(seq_of_params)},
         )
-        return self
 
-    def _start_request(self, msg: Msg, header: dict) -> None:
+    def _start_request(self, msg: Msg, header: dict) -> "RemoteCursor":
+        """Send one statement request and install the reply's header."""
+        self._check_open()
         connection = self.connection
         with connection._lock:
-            reply, reply_header, _ = connection._request(msg, header)
-            self._reset()
+            reply, reply_header, _ = connection._request(
+                msg, header, Msg.OK, Msg.RESULT_HEADER
+            )
+            affected = reply_header.get("affected", 0)
             if reply is Msg.OK:
-                self._affected = reply_header.get("affected", 0)
+                self._begin(Result(affected=affected))
                 connection._in_transaction = bool(
                     reply_header.get("in_transaction")
                 )
-                return
-            if reply is not Msg.RESULT_HEADER:
-                raise ProtocolError(
-                    f"expected RESULT_HEADER or OK, got {reply.name}"
+            else:
+                self._begin(
+                    Result(
+                        reply_header.get("kind", "table"),
+                        reply_header.get("names"),
+                        None,
+                        reply_header.get("meta"),
+                        affected,
+                    ),
+                    reply_header.get("row_count", -1),
                 )
-            self._header = reply_header
-            self._affected = reply_header.get("affected", 0)
-            self._exhausted = False
-            connection._active_cursor = self
+                connection._active_cursor = self
+        return self
 
-    # ------------------------------------------------------------------
-    # streaming
-    # ------------------------------------------------------------------
-    def _pull_batch(self) -> bool:
-        """Read one more RESULT_BATCH into the buffer; False at DONE."""
-        if self._exhausted:
-            return False
+    def _pull(self) -> Optional[list[Column]]:
+        """Read one more RESULT_BATCH off the wire; None at RESULT_DONE."""
         connection = self.connection
         with connection._lock:
             if connection._active_cursor is not self:
-                # Another statement displaced us; everything left was
-                # buffered by _buffer_remaining already.
-                return False
+                # The stream ended, or another statement displaced us
+                # and _drain_active buffered everything that was left.
+                return None
             try:
                 msg, header, blob = connection._expect(
                     Msg.RESULT_BATCH, Msg.RESULT_DONE
@@ -573,226 +467,75 @@ class RemoteCursor:
             except BaseException:
                 # Mid-stream failure (cancel, network, server error):
                 # the stream is over either way.
-                self._exhausted = True
                 connection._active_cursor = None
                 raise
             if msg is Msg.RESULT_DONE:
-                self._exhausted = True
                 connection._active_cursor = None
-                return False
-            self._batches.append(protocol.decode_batch(header, blob))
-            return True
-
-    def _buffer_remaining(self) -> None:
-        """Pull every outstanding batch into the client-side buffer."""
-        while not self._exhausted:
-            if not self._pull_batch():
-                break
-
-    def _ensure_rows(self) -> bool:
-        """True when the buffer holds at least one unconsumed row."""
-        while True:
-            if self._batches:
-                first = self._batches[0]
-                if first and self._offset < len(first[0]):
-                    return True
-                self._batches.pop(0)
-                self._offset = 0
-                continue
-            if not self._pull_batch():
-                return False
-
-    def _require_result(self) -> dict:
-        self._check_open()
-        if self._header is None:
-            raise ProgrammingError(
-                "no result set to fetch from; execute a query first"
-            )
-        return self._header
-
-    # ------------------------------------------------------------------
-    # PEP 249 attributes
-    # ------------------------------------------------------------------
-    @property
-    def description(self) -> Optional[list[tuple]]:
-        """PEP 249 column descriptions, or None for non-query statements."""
-        self._check_open()
-        if self._header is None:
-            return None
-        names = self._header.get("names", [])
-        atoms = list((self._header.get("meta") or {}).get("atoms") or [])
-        atoms += [None] * (len(names) - len(atoms))
-        return [
-            (name, atom, None, None, None, None, True)
-            for name, atom in zip(names, atoms)
-        ]
-
-    @property
-    def rowcount(self) -> int:
-        """Result rows (queries, known from the header) or affected rows."""
-        self._check_open()
-        if self._header is not None:
-            return self._header.get("row_count", -1)
-        return self._affected
-
-    def setinputsizes(self, sizes) -> None:
-        self._check_open()
-
-    def setoutputsize(self, size, column=None) -> None:
-        self._check_open()
-
-    # ------------------------------------------------------------------
-    # fetching
-    # ------------------------------------------------------------------
-    def fetchone(self) -> Optional[tuple]:
-        """The next row, pulling a new batch off the wire when needed."""
-        self._require_result()
-        if not self._ensure_rows():
-            return None
-        columns = self._batches[0]
-        row = tuple(column.get(self._offset) for column in columns)
-        self._offset += 1
-        return row
-
-    def fetchmany(self, size: Optional[int] = None) -> list[tuple]:
-        self._require_result()
-        if size is None:
-            size = self.arraysize
-        out: list[tuple] = []
-        while len(out) < size:
-            row = self.fetchone()
-            if row is None:
-                break
-            out.append(row)
-        return out
-
-    def fetchall(self) -> list[tuple]:
-        self._require_result()
-        out: list[tuple] = []
-        while self._ensure_rows():
-            columns = self._batches.pop(0)
-            lists = [column.to_pylist()[self._offset :] for column in columns]
-            self._offset = 0
-            out.extend(zip(*lists))
-        return out
-
-    def _remaining_columns(self) -> list[Column]:
-        """All unconsumed rows as whole columns (drains the stream)."""
-        self._buffer_remaining()
-        if self._batches and self._offset:
-            self._batches[0] = [
-                column.slice(self._offset, len(column))
-                for column in self._batches[0]
-            ]
-            self._offset = 0
-        columns = _concat_columns(self._batches)
-        self._batches = []
-        header = self._header or {}
-        if not columns:
-            # Stream fully consumed (or empty): rebuild typed empty
-            # columns from the header so to_numpy stays shape-faithful.
-            atoms = list((header.get("meta") or {}).get("atoms") or [])
-            if len(atoms) == len(header.get("names", [])):
-                columns = [Column.empty(Atom(atom)) for atom in atoms]
-        return columns
-
-    def _materialise(self) -> Result:
-        """The whole remaining stream as an engine Result object."""
-        header = self._header
-        if header is None:
-            return Result(affected=max(self._affected, 0))
-        return Result(
-            header.get("kind", "table"),
-            list(header.get("names", [])),
-            self._remaining_columns(),
-            dict(header.get("meta") or {}),
-            header.get("affected", 0),
-        )
-
-    def fetchnumpy(self) -> dict[str, np.ndarray]:
-        """All remaining rows as columnar ndarrays (name -> array).
-
-        Identical semantics (and bytes) to the in-process
-        ``Cursor.fetchnumpy``: NULLs widen numerics to float64 NaN,
-        strings/bools become object arrays with ``None``.
-        """
-        self._require_result()
-        return self._materialise().to_numpy()
-
-    @property
-    def result(self) -> Optional[Result]:
-        """Materialise the remaining stream (DB-API extension)."""
-        self._check_open()
-        if self._header is None and self._affected < 0:
-            return None
-        return self._materialise()
-
-    def __iter__(self) -> Iterator[tuple]:
-        while True:
-            row = self.fetchone()
-            if row is None:
-                return
-            yield row
+                return None
+            return protocol.decode_batch(header, blob)
 
 
-class RemotePreparedStatement:
+RemoteConnection._cursor_class = RemoteCursor
+
+
+def _params_seq(seq_of_params: Iterable[Any]) -> list:
+    return [protocol.jsonable_params(params) for params in seq_of_params]
+
+
+class RemotePreparedStatement(Statement):
     """A server-side compiled statement, addressed by id."""
 
-    def __init__(
-        self,
-        connection: RemoteConnection,
-        statement_id: int,
-        sql: str,
-        parameters: tuple,
-    ):
-        self.connection = connection
-        self.statement_id = statement_id
-        self.sql = sql
-        #: bind-parameter keys in occurrence order.
-        self.parameters = parameters
-        self._closed = False
+    def __init__(self, connection: RemoteConnection, sql: str):
+        super().__init__(connection, sql, ())
+        self._prepare()
+
+    def _prepare(self) -> None:
+        connection = self.connection
+        with connection._lock:
+            _, header, _ = connection._request(
+                Msg.PREPARE, {"sql": self.sql}, Msg.PREPARED
+            )
+            self.statement_id = header["statement_id"]
+            self.parameters = tuple(header.get("parameters", ()))
+            self._generation = connection._generation
+
+    def _run(self, msg: Msg, **fields) -> Result:
+        """One request naming this statement (materialised Result).
+
+        Statement ids die with the server session that issued them, so
+        after the connection's own reconnect the statement re-prepares
+        from its SQL first — the remote twin of the in-process
+        re-prepare on a schema change.
+        """
+        self._check_open()
+        connection = self.connection
+        with connection._lock:
+            if self._generation != connection._generation:
+                self._prepare()
+            header = {"statement_id": self.statement_id, **fields}
+            return connection.cursor()._start_request(msg, header).result
 
     def execute(self, params: Any = None) -> Result:
         """Run the compiled plan under *params* (materialised Result)."""
-        self._check_open()
-        cursor = self.connection.cursor()
-        cursor._start_request(
-            Msg.EXECUTE_PREPARED,
-            {
-                "statement_id": self.statement_id,
-                "params": protocol.jsonable_params(params),
-            },
+        return self._run(
+            Msg.EXECUTE_PREPARED, params=protocol.jsonable_params(params)
         )
-        return cursor._materialise()
 
     def executemany(self, seq_of_params: Iterable[Any]) -> Result:
-        self._check_open()
-        cursor = self.connection.cursor()
-        cursor._start_request(
-            Msg.EXECUTEMANY,
-            {
-                "statement_id": self.statement_id,
-                "params_seq": [
-                    protocol.jsonable_params(params)
-                    for params in seq_of_params
-                ],
-            },
-        )
-        return cursor._materialise()
+        return self._run(Msg.EXECUTEMANY, params_seq=_params_seq(seq_of_params))
 
     def close(self) -> None:
         """Release the server-side plan handle."""
-        if self._closed or self.connection.closed:
-            self._closed = True
-            return
-        self._closed = True
-        self.connection._request(
-            Msg.CLOSE_STATEMENT, {"statement_id": self.statement_id}
-        )
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("prepared statement is closed")
+        connection = self.connection
+        if (
+            not self._closed
+            and not connection.closed
+            and self._generation == connection._generation
+        ):
+            connection._request(
+                Msg.CLOSE_STATEMENT, {"statement_id": self.statement_id}, Msg.OK
+            )
+        super().close()
 
 
 class ConnectionPool:

@@ -40,6 +40,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from repro import errors
+from repro.engine.cursor import scalar_parameter
 from repro.errors import ProgrammingError, ProtocolError
 from repro.gdk.atoms import NUMPY_DTYPE, Atom
 from repro.gdk.column import Column
@@ -275,27 +276,18 @@ def jsonable_params(params: Any) -> Any:
     """Bind parameters as a wire-safe structure (NumPy scalars unwrapped).
 
     Accepts the same shapes the engine does — ``None``, a sequence for
-    ``?`` placeholders, a mapping for ``:name`` — and only scalar
-    values JSON can carry exactly (int, float incl. NaN, str, bool,
-    None).
+    ``?`` placeholders, a mapping for ``:name`` — and the scalar values
+    :func:`~repro.engine.cursor.scalar_parameter` admits, all of which
+    JSON carries exactly (int, float incl. NaN, str, bool, None).
     """
     if params is None:
         return None
-
-    def scalar(value: Any) -> Any:
-        if isinstance(value, np.generic):
-            value = value.item()
-        if value is None or isinstance(value, (bool, int, float, str)):
-            return value
-        raise ProgrammingError(
-            f"cannot send parameter of type {type(value).__name__!r} "
-            "over the wire (int, float, str, bool or None)"
-        )
-
     if isinstance(params, dict):
-        return {str(key): scalar(value) for key, value in params.items()}
+        return {
+            str(key): scalar_parameter(value) for key, value in params.items()
+        }
     if isinstance(params, (list, tuple)):
-        return [scalar(value) for value in params]
+        return [scalar_parameter(value) for value in params]
     raise ProgrammingError(
         "parameters must be a sequence (?), a mapping (:name) or None"
     )

@@ -761,7 +761,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--batch-rows", type=int, default=None)
     args = parser.parse_args(argv)
     if args.path is not None:
-        database = Database.open(args.path, durable="wal" if args.durable else False)
+        database = Database.open(args.path, durable=args.durable)
     else:
         database = Database()
     try:

@@ -1,7 +1,8 @@
-"""PEP 249 conformance-style tests: module globals, cursors, exceptions."""
+"""PEP 249 module globals and the exception hierarchy.
 
-import numpy as np
-import pytest
+The connection / cursor / prepared-statement contract is asserted once
+for both transports in ``tests/net/test_dbapi_conformance.py``.
+"""
 
 import repro
 from repro.errors import (
@@ -16,18 +17,6 @@ from repro.errors import (
     ProgrammingError,
     SciQLError,
 )
-
-
-@pytest.fixture
-def tconn():
-    conn = repro.connect()
-    cur = conn.cursor()
-    cur.execute("CREATE TABLE people (id INT, name VARCHAR(30), score DOUBLE)")
-    cur.executemany(
-        "INSERT INTO people VALUES (?, ?, ?)",
-        [(1, "ada", 9.5), (2, "grace", 8.0), (3, "edsger", None)],
-    )
-    return conn
 
 
 class TestModuleGlobals:
@@ -79,180 +68,3 @@ class TestExceptionHierarchy:
         assert issubclass(MALError, OperationalError)
         assert issubclass(GDKError, InternalError)
         assert issubclass(CoercionError, DataError)
-
-    def test_exceptions_on_connection(self, tconn):
-        assert tconn.ProgrammingError is ProgrammingError
-        assert tconn.Error is Error
-        with pytest.raises(tconn.ProgrammingError):
-            tconn.execute("SELECT nope FROM people")
-
-
-class TestConnection:
-    def test_cursor_factory(self, tconn):
-        assert tconn.cursor() is not tconn.cursor()
-
-    def test_commit_outside_transaction_is_noop(self, tconn):
-        tconn.commit()
-
-    def test_rollback_outside_transaction_is_noop(self, tconn):
-        tconn.rollback()
-
-    def test_rollback_discards_staged_writes(self, tconn):
-        tconn.begin()
-        tconn.execute("DELETE FROM people WHERE id = 1")
-        assert tconn.execute("SELECT COUNT(*) FROM people").scalar() == 2
-        tconn.rollback()
-        assert tconn.execute("SELECT COUNT(*) FROM people").scalar() == 3
-
-    def test_close_then_use_raises(self):
-        conn = repro.connect()
-        cur = conn.cursor()
-        conn.close()
-        with pytest.raises(InterfaceError):
-            conn.execute("SELECT 1")
-        with pytest.raises(InterfaceError):
-            conn.cursor()
-        with pytest.raises(InterfaceError):
-            cur.execute("SELECT 1")
-
-    def test_context_manager_closes(self):
-        with repro.connect() as conn:
-            conn.execute("CREATE TABLE t (a INT)")
-        with pytest.raises(InterfaceError):
-            conn.execute("SELECT a FROM t")
-
-
-class TestDescription:
-    def test_query_description(self, tconn):
-        cur = tconn.cursor()
-        cur.execute("SELECT id, name, score FROM people")
-        assert [d[0] for d in cur.description] == ["id", "name", "score"]
-        assert [d[1] for d in cur.description] == ["int", "str", "dbl"]
-        assert all(len(d) == 7 for d in cur.description)
-
-    def test_ddl_dml_description_is_none(self, tconn):
-        cur = tconn.cursor()
-        cur.execute("CREATE TABLE other (a INT)")
-        assert cur.description is None
-        cur.execute("INSERT INTO other VALUES (1)")
-        assert cur.description is None
-
-    def test_no_statement_yet(self, tconn):
-        cur = tconn.cursor()
-        assert cur.description is None
-        assert cur.rowcount == -1
-
-
-class TestRowcount:
-    def test_select_rowcount(self, tconn):
-        cur = tconn.cursor()
-        cur.execute("SELECT * FROM people")
-        assert cur.rowcount == 3
-
-    def test_dml_rowcount(self, tconn):
-        cur = tconn.cursor()
-        cur.execute("UPDATE people SET score = 1.0 WHERE id <= ?", (2,))
-        assert cur.rowcount == 2
-        cur.execute("DELETE FROM people WHERE id = ?", (3,))
-        assert cur.rowcount == 1
-
-
-class TestFetch:
-    def test_fetchone_exhausts_to_none(self, tconn):
-        cur = tconn.cursor()
-        cur.execute("SELECT id FROM people ORDER BY id")
-        assert cur.fetchone() == (1,)
-        assert cur.fetchone() == (2,)
-        assert cur.fetchone() == (3,)
-        assert cur.fetchone() is None
-
-    def test_fetchmany_default_arraysize(self, tconn):
-        cur = tconn.cursor()
-        cur.execute("SELECT id FROM people ORDER BY id")
-        assert cur.fetchmany() == [(1,)]  # arraysize defaults to 1
-        cur.arraysize = 2
-        assert cur.fetchmany() == [(2,), (3,)]
-        assert cur.fetchmany() == []
-
-    def test_fetchall_after_partial(self, tconn):
-        cur = tconn.cursor()
-        cur.execute("SELECT id FROM people ORDER BY id")
-        cur.fetchone()
-        assert cur.fetchall() == [(2,), (3,)]
-        assert cur.fetchall() == []
-
-    def test_iteration(self, tconn):
-        cur = tconn.cursor()
-        cur.execute("SELECT id FROM people ORDER BY id")
-        assert [row for row in cur] == [(1,), (2,), (3,)]
-
-    def test_null_becomes_none(self, tconn):
-        cur = tconn.cursor()
-        cur.execute("SELECT score FROM people WHERE id = 3")
-        assert cur.fetchone() == (None,)
-
-    def test_fetch_without_result_set_raises(self, tconn):
-        cur = tconn.cursor()
-        with pytest.raises(ProgrammingError):
-            cur.fetchone()
-        cur.execute("INSERT INTO people VALUES (4, 'alan', 7.0)")
-        with pytest.raises(ProgrammingError):
-            cur.fetchall()
-
-    def test_execute_resets_position(self, tconn):
-        cur = tconn.cursor()
-        cur.execute("SELECT id FROM people ORDER BY id")
-        cur.fetchone()
-        cur.execute("SELECT id FROM people ORDER BY id")
-        assert cur.fetchone() == (1,)
-
-    def test_cursor_close_and_context_manager(self, tconn):
-        cur = tconn.cursor()
-        cur.execute("SELECT id FROM people")
-        cur.close()
-        with pytest.raises(InterfaceError):
-            cur.fetchone()
-        with tconn.cursor() as cur2:
-            cur2.execute("SELECT id FROM people")
-        with pytest.raises(InterfaceError):
-            cur2.fetchone()
-
-    def test_setinputsizes_are_noops(self, tconn):
-        cur = tconn.cursor()
-        cur.setinputsizes([10])
-        cur.setoutputsize(10)
-        cur.setoutputsize(10, 0)
-
-
-class TestFetchNumpy:
-    def test_columnar_export(self, tconn):
-        cur = tconn.cursor()
-        cur.execute("SELECT id, score FROM people ORDER BY id")
-        arrays = cur.fetchnumpy()
-        assert arrays["id"].tolist() == [1, 2, 3]
-        # score has a NULL -> float64 with NaN hole
-        assert np.isnan(arrays["score"][2])
-        # fetchnumpy consumed everything
-        assert cur.fetchall() == []
-
-    def test_respects_fetch_position(self, tconn):
-        cur = tconn.cursor()
-        cur.execute("SELECT id FROM people ORDER BY id")
-        cur.fetchone()
-        assert cur.fetchnumpy()["id"].tolist() == [2, 3]
-
-    def test_string_nulls_become_none(self, tconn):
-        cur = tconn.cursor()
-        cur.execute("INSERT INTO people VALUES (9, ?, 1.0)", (None,))
-        cur.execute("SELECT name FROM people WHERE id = 9")
-        assert cur.fetchnumpy()["name"].tolist() == [None]
-
-    def test_result_to_numpy_without_nulls_keeps_dtype(self, tconn):
-        result = tconn.execute("SELECT id FROM people ORDER BY id")
-        assert result.to_numpy()["id"].dtype == np.int32
-
-    def test_execute_returns_backing_result(self, tconn):
-        cur = tconn.cursor()
-        result = cur.execute("SELECT id FROM people")
-        assert result is cur.result
-        assert result.row_count == 3

@@ -171,6 +171,13 @@ class TestCrashMatrix:
 
 
 class TestWALRecovery:
+    @pytest.fixture(autouse=True)
+    def _keep_commits_in_the_log(self, monkeypatch):
+        # These cases damage the WAL tail, so the commits must still be
+        # there: the CI durability leg's REPRO_WAL_CHECKPOINT_RECORDS=2
+        # would fold them into the farm first.
+        monkeypatch.setenv("REPRO_WAL_CHECKPOINT_RECORDS", "1000000")
+
     def _commit_some(self, farm, rows):
         conn = repro.connect(farm, durable=True, nr_threads=1)
         for row in rows:
@@ -250,15 +257,6 @@ class TestWALRecovery:
         assert len(wal_mod.load_records(wal_path)) == 1
         conn.database.checkpoint()
         assert wal_mod.load_records(wal_path) == []
-        assert Catalog.load(farm).get_table("obs").count == 3
-        conn.close()
-
-    def test_durable_full_republishes_per_commit(self, tmp_path):
-        farm = _seed_farm(tmp_path)
-        conn = repro.connect(farm, durable="full", nr_threads=1)
-        conn.execute("INSERT INTO obs VALUES (401, 'f')")
-        # No WAL in full mode; the farm itself holds the commit.
-        assert not wal_mod.wal_path_for(farm).exists()
         assert Catalog.load(farm).get_table("obs").count == 3
         conn.close()
 
@@ -352,17 +350,21 @@ class TestStrandedFarm:
 class TestInProcessFaults:
     def test_failed_publish_leaves_old_farm_intact(self, tmp_path):
         farm = _seed_farm(tmp_path)
-        conn = repro.connect(farm, durable="full", nr_threads=1)
+        conn = repro.connect(farm, durable=True, nr_threads=1)
+        conn.execute("INSERT INTO obs VALUES (501, 'logged')")
         with activate("publish.staged"):
             with pytest.raises(FaultInjected):
-                conn.execute("INSERT INTO obs VALUES (501, 'lost')")
+                conn.database.checkpoint()
         conn.close()
         # The fault hit before the swap: the farm still holds the
-        # pre-crash state and stays openable.
+        # pre-checkpoint state and stays openable ...
+        assert Catalog.load(farm).get_table("obs").count == 2
+        # ... and the commit the failed checkpoint was folding in is
+        # still in the log.
         reopened = repro.connect(farm)
         assert (
             reopened.execute("SELECT COUNT(*) FROM obs WHERE a = 501").scalar()
-            == 0
+            == 1
         )
         reopened.close()
 

@@ -238,6 +238,57 @@ class TestConnectRetry:
             repro.connect("repro://127.0.0.1:1")
 
 
+class TestReconnectReprepare:
+    """Statement ids are per server session; a reconnect is a new one."""
+
+    @pytest.fixture(autouse=True)
+    def _fast_backoff(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NET_RETRY_BACKOFF_MS", "1")
+
+    def test_prepared_statement_survives_reconnect(self, db, remote):
+        remote.execute("CREATE TABLE r (v INT)")
+        remote.execute("INSERT INTO r VALUES (1), (2), (3)")
+        select = remote.prepare("SELECT v FROM r WHERE v > ? ORDER BY v")
+        insert = remote.prepare("INSERT INTO r VALUES (?)")
+        assert select.execute((1,)).rows() == [(2,), (3,)]
+        compiles = db.stats()["compile_count"]
+        remote._sock.shutdown(socket.SHUT_RDWR)
+        # stats() is idempotent: it silently opens a fresh server
+        # session, in which the old statement ids mean nothing.
+        assert remote.stats()["sessions"] >= 1
+        assert select.execute((2,)).rows() == [(3,)]
+        assert select.parameters == (0,)
+        assert insert.executemany([(4,), (5,)]).affected == 2
+        assert select.execute((3,)).rows() == [(4,), (5,)]
+        # Re-preparing found both plans in the shared cache, once each.
+        assert db.stats()["compile_count"] == compiles
+        # close() must not release an id of the dead session — in the
+        # new one that number may name someone else's statement.
+        stale = remote.prepare("SELECT 1")
+        remote._sock.shutdown(socket.SHUT_RDWR)
+        remote.stats()
+        survivor = [
+            remote.prepare("SELECT COUNT(*) FROM r")
+            for _ in range(stale.statement_id)
+        ][-1]
+        assert survivor.statement_id == stale.statement_id
+        stale.close()
+        assert survivor.execute().scalar() == 5
+
+    def test_no_reprepare_inside_a_transaction(self, remote):
+        remote.execute("CREATE TABLE r (v INT)")
+        statement = remote.prepare("INSERT INTO r VALUES (?)")
+        remote.begin()
+        statement.execute((1,))
+        remote._sock.shutdown(socket.SHUT_RDWR)
+        # The transaction died with the socket: nothing reconnects,
+        # so nothing re-prepares — the loss stays loud.
+        with pytest.raises(NetworkError):
+            remote.stats()
+        with pytest.raises(NetworkError):
+            statement.execute((2,))
+
+
 class TestPoolHealth:
     def test_ping_on_acquire_evicts_dead_connection(self, server):
         with ConnectionPool(server.url, size=1) as pool:

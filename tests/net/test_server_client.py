@@ -1,10 +1,10 @@
-"""The network front door: DB-API acceptance over a real socket.
+"""The network front door: what only exists over a real socket.
 
-Every behaviour the in-process driver guarantees must hold — with
-byte-identical results — through ``repro.connect("repro://...")``:
-parameter binding, prepared statements, ``executemany`` ingest,
-transactions with snapshot isolation and first-committer-wins,
-``fetchnumpy``.  Plus the server-only concerns: admission control,
+The DB-API contract itself (cursors, parameters, prepared statements)
+is asserted for both transports in ``test_dbapi_conformance.py``; here
+remote results are compared byte for byte with in-process ones, and
+transactions with snapshot isolation and first-committer-wins run
+across sockets.  Plus the server-only concerns: admission control,
 mid-statement disconnect reclaim, cancellation, auth, stats.
 """
 
@@ -18,7 +18,6 @@ import pytest
 
 import repro
 from repro.errors import (
-    InterfaceError,
     NetworkError,
     OperationalError,
     ProgrammingError,
@@ -171,121 +170,6 @@ class TestByteIdentity:
             assert len(remote_arrays[name]) == 0
 
 
-class TestCursorSurface:
-    def test_fetchone_iteration_arraysize(self, filled):
-        cur = filled.cursor()
-        cur.execute("SELECT a FROM t ORDER BY a")
-        assert cur.fetchone() == (1,)
-        cur.arraysize = 2
-        assert cur.fetchmany() == [(2,), (3,)]
-        assert cur.fetchmany(10) == [(4,)]
-        assert cur.fetchone() is None
-        cur.execute("SELECT a FROM t ORDER BY a")
-        assert [row for row in cur] == [(1,), (2,), (3,), (4,)]
-
-    def test_fetch_without_result_raises(self, remote):
-        cur = remote.cursor()
-        with pytest.raises(ProgrammingError):
-            cur.fetchone()
-        cur.execute("CREATE TABLE u (v INT)")
-        assert cur.description is None
-        with pytest.raises(ProgrammingError):
-            cur.fetchall()
-
-    def test_rowcount_dml(self, filled):
-        cur = filled.cursor()
-        cur.execute("UPDATE t SET d = 0.0 WHERE a >= 3")
-        assert cur.rowcount == 2
-
-    def test_closed_cursor_raises(self, remote):
-        cur = remote.cursor()
-        cur.close()
-        with pytest.raises(InterfaceError):
-            cur.execute("SELECT 1")
-
-    def test_closed_connection_raises(self, server):
-        conn = repro.connect(server.url)
-        conn.close()
-        with pytest.raises(InterfaceError):
-            conn.execute("SELECT 1")
-        conn.close()  # idempotent
-
-    def test_interleaved_cursors(self, db, remote):
-        session = db.connect()
-        session.register_array("seq", np.arange(1000, dtype=np.int64))
-        session.close()
-        first = repro.connect(remote.host and f"repro://{remote.host}:{remote.port}")
-        try:
-            a = first.cursor().execute("SELECT v FROM seq ORDER BY x")
-            assert a.fetchone() == (0,)
-            # Starting a second statement on the same connection drains
-            # the first stream client-side; both stay fully readable.
-            b = first.cursor().execute("SELECT COUNT(*) FROM seq")
-            assert b.fetchone() == (1000,)
-            assert a.fetchone() == (1,)
-            assert len(a.fetchall()) == 998
-        finally:
-            first.close()
-
-    def test_executemany_ingest(self, remote, local):
-        remote.execute("CREATE TABLE ing (a INT, b STRING)")
-        result = remote.executemany(
-            "INSERT INTO ing VALUES (?, ?)",
-            [(i, f"s{i}") for i in range(500)] + [(None, None)],
-        )
-        assert result.affected == 501
-        assert local.execute("SELECT COUNT(*) FROM ing").scalar() == 501
-        assert local.execute(
-            "SELECT b FROM ing WHERE a = 17"
-        ).scalar() == "s17"
-
-    def test_unsendable_parameter_rejected(self, remote):
-        with pytest.raises(ProgrammingError):
-            remote.execute("SELECT ?", (object(),))
-
-
-class TestPrepared:
-    def test_prepare_execute(self, filled, local):
-        ps = filled.prepare("SELECT b FROM t WHERE a = :k")
-        try:
-            assert ps.parameters == ("k",)
-            assert ps.execute({"k": 1}).rows() == [("x",)]
-            assert ps.execute({"k": 3}).rows() == [(None,)]
-        finally:
-            ps.close()
-
-    def test_prepared_executemany(self, remote, local):
-        remote.execute("CREATE TABLE p (v INT)")
-        ps = remote.prepare("INSERT INTO p VALUES (?)")
-        try:
-            result = ps.executemany([(i,) for i in range(100)])
-            assert result.affected == 100
-        finally:
-            ps.close()
-        assert local.execute("SELECT SUM(v) FROM p").scalar() == 4950
-
-    def test_closed_statement_raises(self, filled):
-        ps = filled.prepare("SELECT 1")
-        ps.close()
-        with pytest.raises(InterfaceError):
-            ps.execute()
-
-    def test_unknown_statement_id(self, filled):
-        ps = filled.prepare("SELECT a FROM t")
-        ps.close()
-        ps._closed = False  # simulate a stale handle after server release
-        with pytest.raises(ProgrammingError):
-            ps.execute()
-
-    def test_prepare_shares_plan_cache(self, db, remote):
-        before = db.stats()["compile_count"]
-        for _ in range(3):
-            remote.execute("SELECT 41 + 1").scalar()
-        after = db.stats()
-        assert after["cache_hits"] >= 2
-        assert after["compile_count"] <= before + 1
-
-
 class TestTransactions:
     def test_begin_commit_visible(self, filled, db):
         filled.begin()
@@ -435,7 +319,7 @@ class TestStats:
         assert stats["connections_active"] >= 1
         assert stats["batch_rows"] > 0
         assert stats["plan_cache_capacity"] > 0
-        assert stats["durable_mode"] is None
+        assert stats["durable"] is False
 
 
 class TestConnectionPool:
