@@ -25,7 +25,6 @@ def mitosis_only_pipeline(conn):
     re-merges immediately, isolating the pure fragmentation overhead."""
     return (
         optimizer_pipeline.CONSTANT_FOLD,
-        optimizer_pipeline.STRENGTH_REDUCTION,
         optimizer_pipeline.COMMON_TERMS,
         optimizer_pipeline.mitosis_pass(conn.catalog, ABLATION_FRAGMENT_ROWS, 1),
         optimizer_pipeline.DEAD_CODE,

@@ -20,7 +20,10 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
+import numpy as np
+
 from repro.errors import SemanticError
+from repro.gdk import calc
 from repro.gdk.atoms import Atom, atom_for_sql_type
 from repro.catalog import Array, Catalog, Table
 from repro.core.tiling import TileSpec
@@ -42,6 +45,8 @@ from repro.sql import ast_nodes as ast
 from repro.algebra import nodes
 
 _INTEGRAL_ATOMS = (Atom.INT, Atom.LNG)
+#: constant-expression operators -> the scalar kernel that folds them.
+_CONSTANT_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "mod", "||": "concat"}
 
 
 # ----------------------------------------------------------------------
@@ -69,41 +74,22 @@ def fold_constant(expression: Any, allow_params: bool = False) -> Any:
     if isinstance(expression, ast.Literal):
         return expression.value
     if isinstance(expression, ast.UnaryOp) and expression.op == "-":
-        value = fold_constant(expression.operand)
-        if value is None:
-            return None
-        return -value
-    if isinstance(expression, ast.BinaryOp):
+        folded = calc.scalar("negate", fold_constant(expression.operand))
+    elif isinstance(expression, ast.BinaryOp) and expression.op in _CONSTANT_OPS:
         left = fold_constant(expression.left)
         right = fold_constant(expression.right)
-        if left is None or right is None:
-            return None
-        op = expression.op
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise SemanticError("division by zero in constant expression")
-            if isinstance(left, int) and isinstance(right, int):
-                quotient = abs(left) // abs(right)
-                return -quotient if (left < 0) != (right < 0) else quotient
-            return left / right
-        if op == "%":
-            if right == 0:
-                raise SemanticError("modulo by zero in constant expression")
-            return left % right
-        if op == "||":
-            return str(left) + str(right)
-    if isinstance(expression, ast.CastExpression):
-        from repro.gdk.atoms import coerce_scalar
-
-        value = fold_constant(expression.operand)
-        return coerce_scalar(value, atom_for_sql_type(expression.type_name))
-    raise SemanticError("expected a constant expression")
+        folded = calc.scalar(_CONSTANT_OPS[expression.op], left, right)
+        if folded is None and None not in (left, right):
+            # NULL for that row in a query; in a constant, a mistake.
+            zero = {"/": "division by zero", "%": "modulo by zero"}.get(expression.op)
+            raise SemanticError(f"{zero if right == 0 else 'overflow'} in constant expression")
+    elif isinstance(expression, ast.CastExpression):
+        atom = atom_for_sql_type(expression.type_name)
+        folded = calc.scalar("cast", fold_constant(expression.operand), atom.value)
+    else:
+        raise SemanticError("expected a constant expression")
+    # The scalar kernels' value (a small lng is a NumPy scalar there).
+    return folded.item() if isinstance(folded, np.generic) else folded
 
 
 # ----------------------------------------------------------------------

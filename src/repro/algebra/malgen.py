@@ -16,7 +16,11 @@ linear MAL program.  Conventions:
 * one expression walker (:meth:`MALGenerator._eval`) serves every
   context; the row, scalar-aggregate, grouped and tiled contexts only
   say how their leaves (columns, grouping keys, aggregate calls)
-  resolve and which BAT a scalar broadcasts against;
+  resolve and which BAT a scalar broadcasts against.  Element-wise
+  evaluation is a lowering decision of that walker: an operator over
+  scalars emits ``calc.<name>``, an operator with a BAT operand only
+  builds a node, and each maximal element-wise subtree is emitted as
+  ONE ``batcalc.expr`` where a BAT is actually needed;
 * structural grouping lowers to ``array.tileagg`` per aggregate — a
   tile-size-independent prefix-sum/sliding-window kernel; no join is
   ever built (the whole point of the paper's Scenario I comparison).
@@ -37,6 +41,7 @@ from typing import Any, Optional
 
 from repro.errors import SemanticError
 from repro.gdk.atoms import Atom
+from repro.gdk.calc import NEUTRAL
 from repro.catalog import Array, Catalog
 from repro.semantic.binder import BoundCellRef, BoundColumn, Parameter
 from repro.semantic.types import infer_atom, is_aggregate_call
@@ -50,10 +55,17 @@ _SCALAR = "scalar"
 
 @dataclass
 class EvalResult:
-    """Either an aligned BAT variable or a scalar (variable/constant)."""
+    """A scalar (variable/constant/parameter) or an aligned BAT.
+
+    A BAT is a variable, or a pending element-wise expression: a node
+    ``(name, operand, ...)`` whose operands are nodes, BAT or scalar
+    variables, constants and parameters.  Nodes are plain tuples, so a
+    sub-expression built twice is one value; :meth:`MALGenerator._force_bat`
+    emits a node as one ``batcalc.expr``.
+    """
 
     kind: str  # "bat" | "scalar"
-    value: Var | Constant
+    value: Var | Constant | Param | tuple
     atom: Optional[Atom]
 
 
@@ -128,6 +140,45 @@ class Binding:
                 )
             out.pending[key] = (composed[candidates], safe)
         return out
+
+
+def _render(node: Any, leaves: list) -> str:
+    """Text of an expression node; *leaves* collects, in first-use order,
+    the distinct variables and parameters the text names ``$0``, ``$1``..."""
+    if isinstance(node, tuple):
+        return f"{node[0]}({','.join(_render(child, leaves) for child in node[1:])})"
+    if isinstance(node, Constant):
+        return str(node)
+    if node not in leaves:
+        leaves.append(node)
+    return f"${leaves.index(node)}"
+
+
+def _keeps_cell_order(plan: nodes.InsertSelectPlan, array: Array, catalog: Catalog) -> bool:
+    """True when row *i* of the INSERT's query is cell *i* of its target *array*.
+
+    That is ``INSERT INTO A SELECT [x], [y], f(..) FROM A [GROUP BY
+    A[..][..]]``: a projection or tiling straight off the unrestricted
+    scan of the target itself that hands every dimension back as its own
+    bare column.  Any filter, join, ordering, or shifted or computed
+    coordinate addresses cells by value instead.
+    """
+    root = plan.query.root
+    scan = getattr(root, "child", None)
+    if (
+        not isinstance(root, (nodes.Project, nodes.TileProject))
+        or not isinstance(scan, nodes.Scan)
+        or catalog.get(scan.source.object_name) is not array
+    ):
+        return False
+    if isinstance(root, nodes.TileProject) and root.having is not None:
+        if not any(item.is_dimension for item in root.items):
+            return False  # table-shaped: HAVING drops rows
+    expressions = dict(zip(plan.columns, (item.expression for item in root.items)))
+    return all(
+        expressions[d.name] == BoundColumn(scan.source_index, d.name, d.atom, True)
+        for d in array.dimensions
+    )
 
 
 def _source_indexes(node: nodes.PlanNode) -> set[int]:
@@ -307,20 +358,9 @@ class MALGenerator:
         left_vars = self._emit_query_side(plan.left)
         right_vars = self._emit_query_side(plan.right)
         # Reconcile atoms: cast both sides to the merged item atoms.
-        cast_left: list[str] = []
-        cast_right: list[str] = []
-        for item, lvar, rvar in zip(plan.items, left_vars, right_vars):
-            atom = item.atom or Atom.INT
-            cast_left.append(
-                self.program.emit1(
-                    "bat", "cast", [Var(lvar), atom.value], bat_type(atom)
-                )
-            )
-            cast_right.append(
-                self.program.emit1(
-                    "bat", "cast", [Var(rvar), atom.value], bat_type(atom)
-                )
-            )
+        atoms = [item.atom or Atom.INT for item in plan.items]
+        cast_left = [self._cast_var(v, atom) for v, atom in zip(left_vars, atoms)]
+        cast_right = [self._cast_var(v, atom) for v, atom in zip(right_vars, atoms)]
         if plan.op == "union":
             merged = [
                 self.program.emit1(
@@ -340,8 +380,8 @@ class MALGenerator:
             bat_type(Atom.BIT),
         )
         if plan.op == "except":
-            membership = self.program.emit1(
-                "batcalc", "not", [Var(membership)], bat_type(Atom.BIT)
+            membership = self._force_bat(
+                EvalResult(_BAT, ("not", Var(membership)), Atom.BIT), None
             )
         return self._distinct_vars(
             self._project(self._select_true(membership), cast_left)
@@ -380,8 +420,26 @@ class MALGenerator:
             for v in variables
         ]
 
-    def _emit_output(self, node: nodes.PlanNode) -> tuple[list[str], list[nodes.OutputItem]]:
-        """Emit a projecting pipeline; returns aligned output vars + items."""
+    def _emit_output(
+        self, node: nodes.PlanNode, casts: Optional[list[Atom]] = None
+    ) -> tuple[list[str], list[nodes.OutputItem]]:
+        """Emit a projecting pipeline; returns aligned output vars + items.
+
+        *casts* are the atoms a DML target wants the leading outputs in.
+        A projecting root applies them inside its items' expressions;
+        above a LIMIT/ORDER BY/DISTINCT they are cast afterwards, since
+        those do not commute with a cast.
+        """
+        fused = isinstance(node, (nodes.Aggregate, nodes.TileProject)) or (
+            isinstance(node, nodes.Project) and node.child is not None
+        )
+        if casts is not None and not fused:
+            output, items = self._emit_output(node)
+            cast = [
+                self._cast_var(var, atom) if atom else var
+                for var, atom in zip(output, casts)
+            ]
+            return cast + output[len(cast):], items
         if isinstance(node, nodes.LimitNode):
             child_vars, items = self._emit_output(node.child)
             start = node.offset or 0
@@ -413,14 +471,33 @@ class MALGenerator:
             child_vars, items = self._emit_output(node.child)
             return self._distinct_vars(child_vars), items
         if isinstance(node, nodes.Project):
-            return self._emit_project(node), node.items
+            return self._emit_project(node, casts), node.items
         if isinstance(node, nodes.Aggregate):
-            return self._emit_aggregate(node), node.items
+            return self._emit_aggregate(node, casts), node.items
         if isinstance(node, nodes.ScalarAggregate):
             return self._emit_scalar_aggregate(node), node.items
         if isinstance(node, nodes.TileProject):
-            return self._emit_tile(node), node.items
+            return self._emit_tile(node, casts), node.items
         raise SemanticError(f"unexpected output node {type(node).__name__}")
+
+    def _items(
+        self, items: list, ctx, casts: Optional[list[Atom]], guard: Optional[Var] = None
+    ) -> list[str]:
+        """One aligned BAT per output item, cast where a DML target asks;
+        under a *guard* bit BAT the non-dimension items are NULL where it
+        is not TRUE."""
+        output = []
+        for index, item in enumerate(items):
+            result = self._eval(item.expression, ctx)
+            if guard is not None and not item.is_dimension:
+                result = self._calc(
+                    "case", [guard, result.value, Constant(None)],
+                    _BAT, result.atom or item.atom,
+                )
+            if casts is not None and index < len(casts) and casts[index]:
+                result = self._cast(result, casts[index])
+            output.append(self._force_bat(result, ctx, item.atom))
+        return output
 
     # ------------------------------------------------------------------
     # relational sub-tree
@@ -548,7 +625,7 @@ class MALGenerator:
     # ------------------------------------------------------------------
     # projecting nodes
     # ------------------------------------------------------------------
-    def _emit_project(self, node: nodes.Project) -> list[str]:
+    def _emit_project(self, node: nodes.Project, casts=None) -> list[str]:
         if node.child is None:
             # FROM-less SELECT: every item must be scalar; one result row.
             out: list[str] = []
@@ -563,13 +640,9 @@ class MALGenerator:
                     )
                 )
             return out
-        binding = self._emit_relational(node.child)
-        return [
-            self._force_bat(self._eval(item.expression, binding), binding, item.atom)
-            for item in node.items
-        ]
+        return self._items(node.items, self._emit_relational(node.child), casts)
 
-    def _emit_aggregate(self, node: nodes.Aggregate) -> list[str]:
+    def _emit_aggregate(self, node: nodes.Aggregate, casts=None) -> list[str]:
         binding = self._emit_relational(node.child)
         key_vars: list[str] = []
         for key in node.keys:
@@ -583,10 +656,7 @@ class MALGenerator:
         grouped = _GroupedContext(
             binding, node.keys, key_vars, groups, extents, ngroups
         )
-        output = [
-            self._force_bat(self._eval(item.expression, grouped), grouped, item.atom)
-            for item in node.items
-        ]
+        output = self._items(node.items, grouped, casts)
         if node.having is not None:
             output = self._project(self._select(node.having, grouped), output)
         return output
@@ -607,7 +677,7 @@ class MALGenerator:
             out = self._project(self._select(node.having, scalar), out)
         return out
 
-    def _emit_tile(self, node: nodes.TileProject) -> list[str]:
+    def _emit_tile(self, node: nodes.TileProject, casts=None) -> list[str]:
         binding = self._emit_relational(node.child)
         array = self.catalog.get_array(node.array_name)
         # One canonical metadata constant per tiling op: the optimizer
@@ -619,26 +689,15 @@ class MALGenerator:
             }
         )
         tile = _TileContext(binding, meta_json)
-        output = [
-            self._force_bat(self._eval(item.expression, tile), tile, item.atom)
-            for item in node.items
-        ]
-        if node.having is None:
-            return output
-        if any(item.is_dimension for item in node.items):
+        guard = None
+        if node.having is not None and any(item.is_dimension for item in node.items):
             # Array-shaped result: non-qualifying anchors stay in the
-            # array but their aggregate values become NULL (Fig 1(e)).
-            predicate = self._force_bat(self._eval(node.having, tile), tile)
-            return [
-                var
-                if item.is_dimension
-                else self.program.emit1(
-                    "batcalc", "ifthenelse",
-                    [Var(predicate), Var(var), Constant(None)],
-                    self.program.type_of(var),
-                )
-                for item, var in zip(node.items, output)
-            ]
+            # array but their aggregate values become NULL (Fig 1(e)) —
+            # the predicate joins each value's expression as a CASE.
+            guard = Var(self._force_bat(self._eval(node.having, tile), tile, Atom.BIT))
+        output = self._items(node.items, tile, casts, guard)
+        if node.having is None or guard is not None:
+            return output
         return self._project(self._select(node.having, tile), output)
 
     # ------------------------------------------------------------------
@@ -695,14 +754,17 @@ class MALGenerator:
             if left.kind == _SCALAR and right.kind == _BAT:
                 left, right, op = right, left, _FLIP[op]
             if left.kind == _BAT and right.kind == _SCALAR:
-                self._theta(chain, left.value, _NEGATE[op] if negated else op, right.value)
+                self._theta(
+                    chain, self._bat(left, ctx), _NEGATE[op] if negated else op, right.value
+                )
                 return
             truth = self._binary(node.op, left, right, Atom.BIT)
         elif isinstance(node, ast.IsNull):
             operand = self._eval(node.operand, ctx)
             if operand.kind == _BAT:
                 chain.append(
-                    ("algebra", "isnilselect", [operand.value, node.negated == negated])
+                    ("algebra", "isnilselect",
+                     [self._bat(operand, ctx), node.negated == negated])
                 )
                 return
             truth = self._is_null(node, operand)
@@ -714,7 +776,7 @@ class MALGenerator:
                 chain.append(
                     (
                         "algebra", "rangeselect",
-                        [operand.value, low.value, high.value, True, True,
+                        [self._bat(operand, ctx), low.value, high.value, True, True,
                          node.negated != negated],
                     )
                 )
@@ -726,15 +788,14 @@ class MALGenerator:
                 isinstance(item, ast.Literal) for item in node.items
             ):
                 values = [item.value for item in node.items]
+                column = self._bat(operand, ctx)
                 if node.negated == negated:
-                    chain.append(
-                        ("algebra", "inselect", [operand.value, json.dumps(values)])
-                    )
+                    chain.append(("algebra", "inselect", [column, json.dumps(values)]))
                 else:
                     # NOT IN is a conjunction of <> (never TRUE once the
                     # list holds a NULL).
                     for value in values:
-                        self._theta(chain, operand.value, "!=", Constant(value))
+                        self._theta(chain, column, "!=", Constant(value))
                 return
             truth = self._in_list(
                 node, operand, [self._eval(item, ctx) for item in node.items]
@@ -769,28 +830,44 @@ class MALGenerator:
     # expression evaluation
     # ------------------------------------------------------------------
     def _force_bat(self, result: EvalResult, ctx, atom: Optional[Atom] = None) -> str:
-        """Ensure an evaluation result is a BAT aligned with *ctx*'s rows."""
+        """Ensure an evaluation result is a BAT aligned with *ctx*'s rows.
+
+        A pending expression is emitted here, as one ``batcalc.expr``:
+        the rendered text, then the distinct leaves it names ``$0..``.
+        """
         if result.kind == _BAT:
-            assert isinstance(result.value, Var)
-            return result.value.name
+            if isinstance(result.value, Var):
+                return result.value.name
+            leaves: list = []
+            text = _render(result.value, leaves)
+            return self.program.emit1(
+                "batcalc", "expr", [Constant(text)] + leaves,
+                bat_type(result.atom or atom),
+            )
         if ctx.ref is None:
             raise SemanticError("cannot broadcast a constant without a FROM row set")
-        target_atom = result.atom or atom
-        if target_atom is None and isinstance(result.value, Param):
-            # Untyped parameter: let the runtime infer the atom from the
-            # bound value instead of coercing through a guessed type.
-            return self.program.emit1(
-                "bat", "project_const",
-                [Var(ctx.ref), result.value, None],
-                bat_type(None),
-            )
-        if target_atom is None:
-            target_atom = Atom.INT
+        target = result.atom or atom
+        if target is None and not isinstance(result.value, Param):
+            target = Atom.INT
+        # An untyped parameter stays untyped: the runtime infers the atom
+        # from the bound value instead of coercing through a guess.
         return self.program.emit1(
             "bat", "project_const",
-            [Var(ctx.ref), result.value, target_atom.value],
-            bat_type(target_atom),
+            [Var(ctx.ref), result.value, target.value if target else None],
+            bat_type(target),
         )
+
+    def _bat(self, result: EvalResult, ctx) -> Var:
+        return Var(self._force_bat(result, ctx))
+
+    def _cast(self, result: EvalResult, atom: Atom) -> EvalResult:
+        """*result* as *atom*.  The static atom cannot excuse the cast (an
+        untyped parameter may widen the value at run time); the kernel
+        passes a column already of the target atom through untouched."""
+        return self._calc("cast", [result.value, Constant(atom.value)], result.kind, atom)
+
+    def _cast_var(self, var: str, atom: Atom) -> str:
+        return self._force_bat(self._cast(EvalResult(_BAT, Var(var), None), atom), None)
 
     def _eval(self, expression: Any, ctx) -> EvalResult:
         """Evaluate a bound expression — the one expression walker.
@@ -798,8 +875,9 @@ class MALGenerator:
         *ctx* resolves the leaves that differ between contexts (bare
         columns, grouping keys, aggregate calls) and names the BAT a
         scalar broadcasts against; the operator case analysis below is
-        the same everywhere and picks ``calc.*`` or ``batcalc.*`` from
-        the operand kinds.
+        the same everywhere, and :meth:`_calc` decides from the operand
+        kinds whether an operator is a ``calc`` instruction or a node of
+        a pending element-wise expression.
         """
         leaf = ctx.leaf(self, expression)
         if leaf is not None:
@@ -841,9 +919,7 @@ class MALGenerator:
                 self._eval(expression.high, ctx),
             )
         if isinstance(expression, ast.CastExpression):
-            operand = self._eval(expression.operand, ctx)
-            atom = infer_atom(expression)
-            return self._calc("cast", [operand.value, atom.value], operand.kind, atom)
+            return self._cast(self._eval(expression.operand, ctx), infer_atom(expression))
         raise SemanticError(f"cannot evaluate {type(expression).__name__}")
 
     _OP_NAMES = {
@@ -860,12 +936,11 @@ class MALGenerator:
         atom: Optional[Atom],
         default: Optional[Atom] = None,
     ) -> EvalResult:
-        """Emit ``calc.<name>`` over scalars or ``batcalc.<name>`` over BATs."""
-        if kind == _SCALAR:
-            var = self.program.emit1("calc", name, args, scalar_type(atom or default))
-        else:
-            var = self.program.emit1("batcalc", name, args, bat_type(atom or default))
-        return EvalResult(kind, Var(var), atom)
+        """``calc.<name>`` over scalars; over BATs a node, emitted later."""
+        if kind == _BAT:
+            return EvalResult(_BAT, (name, *args), atom or default)
+        var = self.program.emit1("calc", name, args, scalar_type(atom or default))
+        return EvalResult(_SCALAR, Var(var), atom)
 
     def _binary(
         self, op: str, left: EvalResult, right: EvalResult, atom: Optional[Atom]
@@ -873,12 +948,23 @@ class MALGenerator:
         name = self._OP_NAMES.get(op)
         if name is None:
             raise SemanticError(f"unsupported operator {op!r}")
+        for index, (constant, other) in enumerate(((left, right), (right, left))):
+            # A neutral literal operand (x + 0, x AND TRUE, ...) leaves
+            # the other operand itself — no node, no ``calc`` instruction.
+            if (
+                atom is not None
+                and other.atom is atom
+                and isinstance(constant.value, Constant)
+                and (name, index, constant.value.value) in NEUTRAL
+            ):
+                return other
         kind = _SCALAR if left.kind == right.kind == _SCALAR else _BAT
         return self._calc(name, [left.value, right.value], kind, atom, Atom.INT)
 
     def _unary(self, op: str, operand: EvalResult) -> EvalResult:
-        name = "not" if op == "NOT" else "negate"
-        return self._calc(name, [operand.value], operand.kind, operand.atom, Atom.BIT)
+        if op == "NOT":
+            return self._calc("not", [operand.value], operand.kind, Atom.BIT)
+        return self._calc("negate", [operand.value], operand.kind, operand.atom, Atom.INT)
 
     def _function(
         self, expression: ast.FunctionCall, operand: EvalResult
@@ -895,7 +981,7 @@ class MALGenerator:
         atom = infer_atom(expression)
         args = [operand.value]
         if name in MATH_FUNCTIONS or name in ROUNDING_FUNCTIONS:
-            name, args = "math", [Constant(name), operand.value]
+            name, args = "math", [operand.value, Constant(name)]
         elif name in ("length", "char_length"):
             name = "length"
         elif name in ("substring", "substr"):
@@ -912,37 +998,17 @@ class MALGenerator:
         return self._calc(name, args, operand.kind, atom)
 
     def _case(self, expression: ast.CaseExpression, ctx) -> EvalResult:
-        pieces: list[tuple[EvalResult, EvalResult]] = [
-            (self._eval(condition, ctx), self._eval(value, ctx))
-            for condition, value in expression.whens
-        ]
-        otherwise = (
-            self._eval(expression.otherwise, ctx)
-            if expression.otherwise is not None
-            else EvalResult(_SCALAR, Constant(None), None)
-        )
-        any_bat = otherwise.kind == _BAT or any(
-            c.kind == _BAT or v.kind == _BAT for c, v in pieces
-        )
-        atom = infer_atom(expression)
-        accumulator = otherwise
-        for condition, value in reversed(pieces):
-            if any_bat:
-                cond_var = self._force_bat(condition, ctx, Atom.BIT)
-                var = self.program.emit1(
-                    "batcalc", "ifthenelse",
-                    [Var(cond_var), value.value, accumulator.value],
-                    bat_type(atom or value.atom or Atom.INT),
-                )
-                accumulator = EvalResult(_BAT, Var(var), atom or value.atom)
-            else:
-                var = self.program.emit1(
-                    "calc", "ifthenelse",
-                    [condition.value, value.value, accumulator.value],
-                    scalar_type(atom or value.atom or Atom.INT),
-                )
-                accumulator = EvalResult(_SCALAR, Var(var), atom or value.atom)
-        return accumulator
+        """``case(cond, value, ..., otherwise)``: one n-ary operator."""
+        operands: list[EvalResult] = []
+        for condition, value in expression.whens:
+            operands += [self._eval(condition, ctx), self._eval(value, ctx)]
+        if expression.otherwise is not None:
+            operands.append(self._eval(expression.otherwise, ctx))
+        else:
+            operands.append(EvalResult(_SCALAR, Constant(None), None))
+        kind = _BAT if any(o.kind == _BAT for o in operands) else _SCALAR
+        atom = infer_atom(expression) or operands[1].atom
+        return self._calc("case", [o.value for o in operands], kind, atom, Atom.INT)
 
     def _is_null(self, expression: ast.IsNull, operand: EvalResult) -> EvalResult:
         result = self._calc("isnil", [operand.value], operand.kind, Atom.BIT)
@@ -979,20 +1045,12 @@ class MALGenerator:
     def _eval_cell_ref(
         self, expression: BoundCellRef, binding: Binding
     ) -> EvalResult:
-        array = self.catalog.get_array(expression.array)
-        shape_json = json.dumps(list(array.shape()))
-        dims_json = json.dumps(
-            [[d.start, d.step, d.stop] for d in array.dimensions]
-        )
-        coordinate_vars: list[str] = []
-        for index_expression in expression.indexes:
-            coordinate_vars.append(
-                self._force_bat(self._eval(index_expression, binding), binding, Atom.LNG)
-            )
-        oids = self.program.emit1(
-            "array", "cellindex",
-            [shape_json, dims_json] + [Var(v) for v in coordinate_vars],
-            bat_type(Atom.OID),
+        oids = self._cellindex(
+            self.catalog.get_array(expression.array),
+            [
+                self._force_bat(self._eval(index, binding), binding, Atom.LNG)
+                for index in expression.indexes
+            ],
         )
         attribute = self.program.emit1(
             "sql", "bind", [expression.array, expression.attribute],
@@ -1016,9 +1074,7 @@ class MALGenerator:
             ],
             bat_type(None),
         )
-        return self.program.emit1(
-            "bat", "cast", [Var(packed), atom.value], bat_type(atom)
-        )
+        return self._cast_var(packed, atom)
 
     def _emit_insert_values(self, plan: nodes.InsertValuesPlan) -> None:
         obj = self.catalog.get(plan.target)
@@ -1039,92 +1095,87 @@ class MALGenerator:
             self.program.emit("sql", "affected", [Var(count)], [scalar_type(Atom.INT)])
             return
         array = self.catalog.get_array(plan.target)
-        oids = self._cell_oids_from_columns(array, plan.columns, per_column)
+        column_vars = {
+            column: self._pack_column(
+                per_column[column],
+                Atom.LNG if array.is_dimension(column) else array.attribute_def(column).atom,
+            )
+            for column in plan.columns
+        }
+        oids = self._cellindex(array, [column_vars[d.name] for d in array.dimensions])
+        self._update_cells(plan.target, array, oids, column_vars)
+
+    def _cellindex(self, array: Array, coordinates: list[str]) -> str:
+        """Cell oids of per-row coordinates, one BAT per dimension."""
+        return self.program.emit1(
+            "array", "cellindex",
+            [
+                json.dumps(list(array.shape())),
+                json.dumps([[d.start, d.step, d.stop] for d in array.dimensions]),
+            ]
+            + [Var(v) for v in coordinates],
+            bat_type(Atom.OID),
+        )
+
+    def _update_cells(
+        self, target: str, array: Array, oids: str, column_vars: dict[str, str]
+    ) -> None:
+        """``sql.update`` every attribute of *column_vars* at *oids*."""
         affected = None
-        for column in plan.columns:
-            if array.is_dimension(column):
-                continue
-            values = self._pack_column(
-                per_column[column], array.attribute_def(column).atom
-            )
-            affected = self.program.emit1(
-                "sql", "update", [plan.target, column, Var(oids), Var(values)],
-                scalar_type(Atom.INT),
-            )
+        for column, values in column_vars.items():
+            if not array.is_dimension(column):
+                affected = self.program.emit1(
+                    "sql", "update", [target, column, Var(oids), Var(values)],
+                    scalar_type(Atom.INT),
+                )
         if affected is not None:
             self.program.emit(
                 "sql", "affected", [Var(affected)], [scalar_type(Atom.INT)]
             )
 
-    def _cell_oids_from_columns(
-        self, array: Array, columns: list[str], per_column: dict[str, list[Any]]
-    ) -> str:
-        shape_json = json.dumps(list(array.shape()))
-        dims_json = json.dumps([[d.start, d.step, d.stop] for d in array.dimensions])
-        coordinate_vars = []
-        for dimension in array.dimensions:
-            coordinate_vars.append(
-                Var(self._pack_column(per_column[dimension.name], Atom.LNG))
-            )
-        return self.program.emit1(
-            "array", "cellindex", [shape_json, dims_json] + coordinate_vars,
-            bat_type(Atom.OID),
-        )
-
     def _emit_insert_select(self, plan: nodes.InsertSelectPlan) -> None:
         obj = self.catalog.get(plan.target)
-        output_vars, _ = self._emit_output(plan.query.root)
-        output_vars = output_vars[: len(plan.query.items)]
+        # The target's atoms join the query's own expressions as casts
+        # (coordinates address cells as they are).
+        output_vars, _ = self._emit_output(
+            plan.query.root,
+            [
+                None
+                if plan.target_kind == "array" and obj.is_dimension(column)
+                else obj.column_def(column).atom
+                for column in plan.columns
+            ],
+        )
         column_vars = dict(zip(plan.columns, output_vars))
         if plan.target_kind == "table":
-            bats = []
-            for column in plan.columns:
-                atom = obj.column_def(column).atom
-                bats.append(
-                    Var(
-                        self.program.emit1(
-                            "bat", "cast", [Var(column_vars[column]), atom.value],
-                            bat_type(atom),
-                        )
-                    )
-                )
             count = self.program.emit1(
-                "sql", "append", [plan.target, json.dumps(plan.columns)] + bats,
+                "sql", "append",
+                [plan.target, json.dumps(plan.columns)]
+                + [Var(column_vars[column]) for column in plan.columns],
                 scalar_type(Atom.INT),
             )
             self.program.emit("sql", "affected", [Var(count)], [scalar_type(Atom.INT)])
             return
         array = self.catalog.get_array(plan.target)
-        shape_json = json.dumps(list(array.shape()))
-        dims_json = json.dumps([[d.start, d.step, d.stop] for d in array.dimensions])
-        coordinate_vars = []
         for dimension in array.dimensions:
             if dimension.name not in column_vars:
                 raise SemanticError(
                     f"INSERT into array {array.name!r} must supply dimension "
                     f"{dimension.name!r}"
                 )
-            coordinate_vars.append(Var(column_vars[dimension.name]))
-        oids = self.program.emit1(
-            "array", "cellindex", [shape_json, dims_json] + coordinate_vars,
-            bat_type(Atom.OID),
-        )
-        affected = None
-        for column in plan.columns:
-            if array.is_dimension(column):
-                continue
-            atom = array.attribute_def(column).atom
-            values = self.program.emit1(
-                "bat", "cast", [Var(column_vars[column]), atom.value], bat_type(atom)
+        if _keeps_cell_order(plan, array, self.catalog):
+            # Row i of the query is cell i of the target: address the
+            # cells with the dense oid range instead of computing it.
+            values = next(
+                (column_vars[c] for c in plan.columns if not array.is_dimension(c)),
+                output_vars[0],
             )
-            affected = self.program.emit1(
-                "sql", "update", [plan.target, column, Var(oids), Var(values)],
-                scalar_type(Atom.INT),
+            oids = self.program.emit1(
+                "bat", "mirror", [Var(values)], bat_type(Atom.OID)
             )
-        if affected is not None:
-            self.program.emit(
-                "sql", "affected", [Var(affected)], [scalar_type(Atom.INT)]
-            )
+        else:
+            oids = self._cellindex(array, [column_vars[d.name] for d in array.dimensions])
+        self._update_cells(plan.target, array, oids, column_vars)
 
     def _target_binding(self, plan) -> Binding:
         from repro.semantic.binder import source_from_catalog
@@ -1147,9 +1198,8 @@ class MALGenerator:
         affected = None
         for column, expression in plan.assignments:
             atom = obj.column_def(column).atom
-            full = self._force_bat(self._eval(expression, binding), binding, atom)
-            cast = self.program.emit1(
-                "bat", "cast", [Var(full), atom.value], bat_type(atom)
+            cast = self._force_bat(
+                self._cast(self._eval(expression, binding), atom), binding, atom
             )
             selected = self.program.emit1(
                 "algebra", "projection", [Var(candidates), Var(cast)], bat_type(atom)
@@ -1287,10 +1337,18 @@ class _TileContext:
         self.binding = binding
         self.ref = binding.ref
         self.meta_json = meta_json
+        #: aggregate call -> its result: ``SUM(v)`` written twice is one
+        #: leaf, so the expressions around it are one node too.
+        self.folded: dict[Any, EvalResult] = {}
 
     def leaf(self, generator: MALGenerator, expression: Any) -> Optional[EvalResult]:
         if not is_aggregate_call(expression):
             return self.binding.leaf(generator, expression)
+        if expression not in self.folded:
+            self.folded[expression] = self._fold(generator, expression)
+        return self.folded[expression]
+
+    def _fold(self, generator: MALGenerator, expression: Any) -> EvalResult:
         if expression.star:
             value, name, atom = self.ref, "count_star", Atom.LNG
         else:

@@ -1,138 +1,220 @@
-"""Element-wise calculator kernels (MAL modules ``calc``/``batcalc``).
+"""Element-wise calculator kernels and the expression evaluator behind
+the MAL modules ``calc`` (scalars) and ``batcalc`` (BATs).
 
-Every operation accepts columns and/or Python scalars (scalars are
-broadcast), propagates NULLs, and returns a fresh column.  Semantics
-follow MonetDB/SQL where it matters for the demo queries:
+:data:`KERNELS` is the one table of element-wise operations.  Every
+kernel accepts columns and/or Python scalars (NumPy broadcasts the
+scalars; ``None`` is NULL), propagates NULLs and returns a fresh
+column.  ``batcalc.expr`` evaluates a whole expression through the
+table (:func:`evaluate`); ``calc.<name>`` runs the same kernel over
+one-row columns (:func:`scalar`), so a scalar and a BAT of the same
+values cannot disagree.  Semantics follow MonetDB/SQL where it matters
+for the demo queries:
 
-* arithmetic on two integers stays integral; any double operand widens
-  the result to double;
-* integer division truncates toward zero (C semantics), and ``MOD``
-  takes the sign of the dividend;
-* division or modulo by zero yields NULL for the affected entries (the
+* arithmetic computes in the result atom's own width: two integers stay
+  integral (``int`` < ``lng``), any double operand widens the result to
+  double;
+* a result that does not fit its atom is NULL for that row — integer
+  ``+ - *``, unary minus, ``ABS`` and ``MIN / -1`` overflow, a double
+  result that is not finite, and division or modulo by zero alike (the
   guarded-update evaluation of Section 2 evaluates *all* branches of a
   CASE, so entries that a guard excludes must not abort the query);
+* integer division truncates toward zero (C semantics), and ``MOD``
+  takes the sign of the dividend;
 * comparisons yield ``bit`` with NULL when either side is NULL;
-* AND/OR use SQL three-valued logic.
+* AND/OR use SQL three-valued logic; CASE takes the first branch whose
+  condition is TRUE (an unknown condition does not fire).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+import functools
+import itertools
+import operator
+import re
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.errors import GDKError
-from repro.gdk.atoms import NUMPY_DTYPE, Atom, atom_for_python, coerce_scalar, common_numeric
+from repro.gdk import strings
+from repro.gdk.atoms import (
+    NUMERIC_ATOMS,
+    NUMPY_DTYPE,
+    Atom,
+    atom_for_python,
+    coerce_scalar,
+    common_numeric,
+)
 from repro.gdk.column import Column
 
 ARITH_OPS = ("+", "-", "*", "/", "%")
 COMPARE_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
-
-def _as_column(operand: Any, length: int, atom_hint: Atom | None = None) -> Column:
-    """Broadcast a scalar to a column of *length*; pass columns through."""
-    if isinstance(operand, Column):
-        if len(operand) != length:
-            raise GDKError(f"operand length {len(operand)} != {length}")
-        return operand
-    if operand is None:
-        return Column.nulls(atom_hint or Atom.INT, length)
-    atom = atom_hint or atom_for_python(operand)
-    return Column.constant(atom, coerce_scalar(operand, atom), length)
+_ARITH = dict(zip(ARITH_OPS, (np.add, np.subtract, np.multiply, np.true_divide, np.fmod)))
+#: the same on Python integers, which never wrap: the overflow oracle.
+_EXACT = dict(zip(ARITH_OPS, (operator.add, operator.sub, operator.mul)))
+_RANGE = {atom: (-(2**bits), 2**bits - 1) for atom, bits in ((Atom.INT, 31), (Atom.LNG, 63))}
+_COMPARE = dict(
+    zip(COMPARE_OPS, (np.equal, np.not_equal, np.less, np.less_equal, np.greater, np.greater_equal))
+)
 
 
-def _operand_length(left: Any, right: Any) -> int:
-    for operand in (left, right):
+# ----------------------------------------------------------------------
+# operands: a column, or a scalar NumPy broadcasts
+# ----------------------------------------------------------------------
+def _operand_length(*operands: Any) -> int:
+    length = None
+    for operand in operands:
         if isinstance(operand, Column):
-            return len(operand)
-    raise GDKError("at least one operand must be a column")
+            if length is None:
+                length = len(operand)
+            elif len(operand) != length:
+                raise GDKError(f"operand length {len(operand)} != {length}")
+    if length is None:
+        raise GDKError("at least one operand must be a column")
+    return length
 
 
-def _combined_mask(*columns: Column) -> np.ndarray | None:
-    mask: np.ndarray | None = None
-    for column in columns:
-        if column.mask is not None:
-            mask = column.mask.copy() if mask is None else (mask | column.mask)
-    return mask
+def scalar_atom(value: Any) -> Atom:
+    """Atom of a non-NULL scalar: a Python value types by magnitude, a
+    NumPy scalar (what :func:`scalar` returns for a small ``lng``) by width."""
+    if isinstance(value, np.int64):
+        return Atom.LNG
+    return atom_for_python(value)
 
 
+def _split(operand: Any) -> tuple[Any, Atom, Any]:
+    """``(values, atom, NULL mask)`` of a column or a scalar.
+
+    A mask is an array, ``None`` (no NULLs) or ``True`` (a NULL scalar,
+    which types as ``int`` like an all-NULL column always did).
+    """
+    if isinstance(operand, Column):
+        return operand.values, operand.atom, operand.mask
+    if operand is None:
+        return 0, Atom.INT, True
+    atom = scalar_atom(operand)
+    return (operand.item() if isinstance(operand, np.generic) else operand), atom, None
+
+
+def _either(left: Any, right: Any) -> Any:
+    """OR of two NULL masks; a shared or absent mask is never copied."""
+    if left is None or left is right:
+        return right
+    if right is None:
+        return left
+    if left is True or right is True:
+        return True
+    return left | right
+
+
+def _masked(atom: Atom, values: np.ndarray, mask: Any, bad: Any, length: int) -> Column:
+    """Result column: operand NULLs plus the rows the kernel flagged."""
+    if bad is not None and bad is not True and not np.ndim(bad):
+        bad = True if bad else None  # flagged by a scalar operand: all rows or none
+    mask = _either(mask, bad)
+    if mask is True:
+        return Column.nulls(atom, length)
+    return Column(atom, values, mask)
+
+
+# ----------------------------------------------------------------------
+# arithmetic
+# ----------------------------------------------------------------------
 def arithmetic(op: str, left: Any, right: Any) -> Column:
     """Binary arithmetic with numeric widening and NULL propagation."""
     if op not in ARITH_OPS:
         raise GDKError(f"unknown arithmetic operator {op!r}")
     length = _operand_length(left, right)
-    lcol = _as_column(left, length)
-    rcol = _as_column(right, length)
-    out_atom = common_numeric(lcol.atom, rcol.atom)
-    mask = _combined_mask(lcol, rcol)
+    lvals, latom, lnull = _split(left)
+    rvals, ratom, rnull = _split(right)
+    atom = common_numeric(latom, ratom)
+    mask = _either(lnull, rnull)
+    if mask is True:
+        return Column.nulls(atom, length)
+    if atom is Atom.DBL:
+        values, bad = _dbl_arith(op, lvals, rvals)
+    elif op in ("/", "%"):
+        values, bad = _int_divmod(op, lvals, rvals, atom)
+    else:
+        values, bad = _int_arith(op, lvals, rvals, atom)
+    return _masked(atom, values, mask, bad, length)
 
-    if op in ("/", "%") and out_atom is not Atom.DBL:
-        divisor = int(right) if isinstance(right, (int, np.integer)) else rcol.values
-        return _int_divmod(op, lcol.values, divisor, out_atom, mask)
+
+def _span(values: Any) -> tuple[int, int]:
+    """Exact (min, max) of an integer operand; a scalar is its own span."""
+    if isinstance(values, np.ndarray):
+        return (int(values.min()), int(values.max())) if len(values) else (0, 0)
+    return values, values
+
+
+def _int_arith(op: str, lvals: Any, rvals: Any, atom: Atom) -> tuple[np.ndarray, Any]:
+    """Integer ``+ - *`` in the result atom's own width; overflow is NULL.
+
+    Interval arithmetic over the operands' (min, max) proves the common
+    case overflow-free, which then is one native NumPy pass.  Only when
+    a corner leaves the atom's range are the rows recomputed with
+    Python integers, which never wrap, to find the ones that do not fit.
+    """
+    ufunc, dtype, (lowest, highest) = _ARITH[op], NUMPY_DTYPE[atom], _RANGE[atom]
+    corners = [
+        _EXACT[op](left, right) for left in _span(lvals) for right in _span(rvals)
+    ]
+    if lowest <= min(corners) and max(corners) <= highest:
+        # Widen first: a mixed-width ufunc call is several times slower.
+        lvals, rvals = (
+            v.astype(dtype, copy=False) if isinstance(v, np.ndarray) else v
+            for v in (lvals, rvals)
+        )
+        return ufunc(lvals, rvals, dtype=dtype), None
+    exact = ufunc(
+        *(v.astype(object) if isinstance(v, np.ndarray) else v for v in (lvals, rvals))
+    )
+    bad = np.asarray((exact < lowest) | (exact > highest), dtype=np.bool_)
+    return np.where(bad, 0, exact).astype(dtype), bad
+
+
+def _dbl_arith(op: str, lvals: Any, rvals: Any) -> tuple[np.ndarray, Any]:
+    """Double arithmetic; a zero divisor or a non-finite result is NULL."""
+    lvals, rvals = (
+        v.astype(np.float64, copy=False) if isinstance(v, np.ndarray) else float(v)
+        for v in (lvals, rvals)
+    )
     if op == "%":
-        return _dbl_mod(lcol, rcol, mask)
-
-    lvals = lcol.values.astype(np.float64)
-    rvals = rcol.values.astype(np.float64)
+        zero = rvals == 0
+        return np.fmod(lvals, np.where(zero, 1.0, rvals)), zero
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if op == "+":
-            result = lvals + rvals
-        elif op == "-":
-            result = lvals - rvals
-        elif op == "*":
-            result = lvals * rvals
-        else:  # "/" with a double operand
-            result = lvals / rvals
-            zero = rvals == 0
-            if zero.any():
-                mask = zero if mask is None else (mask | zero)
-            out_atom = Atom.DBL
+        result = _ARITH[op](lvals, rvals)
     bad = ~np.isfinite(result)
-    if bad.any():
-        mask = bad if mask is None else (mask | bad)
-        result = np.where(bad, 0.0, result)
-    if out_atom is Atom.DBL:
-        return Column(Atom.DBL, result, mask)
-    return Column(out_atom, np.round(result).astype(NUMPY_DTYPE[out_atom]), mask)
-
-
-def _dbl_mod(lcol: Column, rcol: Column, mask: np.ndarray | None) -> Column:
-    lvals = lcol.values.astype(np.float64)
-    rvals = rcol.values.astype(np.float64)
-    zero = rvals == 0
-    safe = np.where(zero, 1.0, rvals)
-    result = np.fmod(lvals, safe)
-    if zero.any():
-        mask = zero if mask is None else (mask | zero)
-    return Column(Atom.DBL, result, mask)
+    if not bad.any():
+        return result, None
+    result[bad] = 0.0
+    return result, bad
 
 
 def _int_divmod(
-    op: str,
-    lvals: np.ndarray,
-    divisor: np.ndarray | int,
-    out_atom: Atom,
-    mask: np.ndarray | None,
-) -> Column:
+    op: str, lvals: Any, divisor: Any, atom: Atom
+) -> tuple[np.ndarray, Any]:
     """Integer ``/`` and ``%`` with C semantics, in the result's own width.
 
     The quotient truncates toward zero and the remainder takes the
-    dividend's sign; a zero divisor yields NULL.  A constant divisor (a
+    dividend's sign; a zero divisor yields NULL, and so does the one
+    quotient that does not fit, ``MIN / -1``.  A constant divisor (a
     Python int) needs no per-row zero handling and divides by
     multiplication inside NumPy.
     """
-    dtype = NUMPY_DTYPE[out_atom]
-    lvals = lvals.astype(dtype, copy=False)
+    dtype = NUMPY_DTYPE[atom]
+    lvals = np.asarray(lvals, dtype=dtype)
+    bad = None
     if isinstance(divisor, np.ndarray):
         divisor = divisor.astype(dtype, copy=False)
         zero = divisor == 0
         if zero.any():
-            mask = zero if mask is None else (mask | zero)
+            bad = zero
             divisor = np.where(zero, 1, divisor)
     elif divisor == 0:
-        return Column.nulls(out_atom, len(lvals))
-    # INT_MIN / -1 wraps, as the narrowing cast always made it.
-    with np.errstate(over="ignore"):
+        return lvals, True
+    with np.errstate(over="ignore"):  # MIN // -1 wraps; flagged below
         quotient = lvals // divisor
     remainder = quotient * divisor
     np.subtract(lvals, remainder, out=remainder)
@@ -140,222 +222,451 @@ def _int_divmod(
     # division is inexact: step those rows back.
     adjust = remainder != 0
     adjust &= (lvals < 0) ^ (divisor < 0)
-    if op == "/":
-        quotient += adjust
-        return Column(out_atom, quotient, mask)
-    remainder -= np.multiply(adjust, divisor, dtype=dtype)
-    return Column(out_atom, remainder, mask)
+    if op == "%":
+        remainder -= np.multiply(adjust, divisor, dtype=dtype)
+        return remainder, bad
+    quotient += adjust
+    minus_one = divisor == -1
+    if np.any(minus_one):
+        bad = _either(bad, minus_one & (lvals == _RANGE[atom][0]))
+    return quotient, bad
 
 
 def negate(operand: Column) -> Column:
-    """Unary minus."""
+    """Unary minus (``-MIN`` does not fit and is NULL)."""
     if operand.atom is Atom.DBL:
         return Column(Atom.DBL, -operand.values, operand.mask)
-    if operand.atom in (Atom.INT, Atom.LNG):
-        return Column(operand.atom, -operand.values, operand.mask)
-    raise GDKError(f"cannot negate {operand.atom}")
+    if operand.atom not in NUMERIC_ATOMS:
+        raise GDKError(f"cannot negate {operand.atom}")
+    return arithmetic("-", 0, operand)
 
 
 def absolute(operand: Column) -> Column:
-    """ABS()."""
-    if operand.atom in (Atom.INT, Atom.LNG, Atom.DBL):
-        return Column(operand.atom, np.abs(operand.values), operand.mask)
-    raise GDKError(f"no abs for {operand.atom}")
+    """ABS() (``|MIN|`` does not fit and is NULL)."""
+    if operand.atom not in NUMERIC_ATOMS:
+        raise GDKError(f"no abs for {operand.atom}")
+    values = np.abs(operand.values)
+    if operand.atom is Atom.DBL:
+        return Column(Atom.DBL, values, operand.mask)
+    return Column(operand.atom, values, _either(operand.mask, values < 0))
 
 
-#: comparison with swapped operand order (a < b  ==  b > a).
-_SWAPPED_COMPARE = {
-    "==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<=",
+_MATH = {
+    "sqrt": np.sqrt, "floor": np.floor, "ceil": np.ceil, "ceiling": np.ceil,
+    "round": np.round, "exp": np.exp, "log": np.log, "ln": np.log,
+    "log10": np.log10, "sin": np.sin, "cos": np.cos, "tan": np.tan,
 }
+_ROUNDING = ("floor", "ceil", "ceiling", "round")
 
 
-def _compare_column_scalar(op: str, column: Column, scalar: Any) -> Column:
-    """Column-vs-scalar comparison via broadcasting (no materialisation)."""
-    if scalar is None:
-        return Column.nulls(Atom.BIT, len(column))
-    lvals: Any = column.values
-    if column.atom is Atom.STR:
-        value: Any = coerce_scalar(scalar, Atom.STR)
-        lvals = lvals.astype(object)
-    elif (
-        column.atom in (Atom.INT, Atom.LNG, Atom.DBL, Atom.OID)
-        and isinstance(scalar, (int, float, np.integer, np.floating))
-        and not isinstance(scalar, (bool, np.bool_))
+def apply_unary_math(operand: Column, name: str) -> Column:
+    """Math functions used by the imaging demo (sqrt, floor, ceil, ...)."""
+    try:
+        fn = _MATH[name.lower()]
+    except KeyError:
+        raise GDKError(f"unknown math function {name!r}") from None
+    with np.errstate(invalid="ignore", divide="ignore"):
+        result = fn(operand.values.astype(np.float64))
+    bad = ~np.isfinite(result)
+    mask = operand.mask
+    if bad.any():
+        mask = _either(mask, bad)
+        result = np.where(bad, 0.0, result)
+    if name.lower() in _ROUNDING and operand.atom in (Atom.INT, Atom.LNG):
+        return Column(operand.atom, result.astype(NUMPY_DTYPE[operand.atom]), mask)
+    return Column(Atom.DBL, result, mask)
+
+
+def cast(operand: Column, atom_name: str) -> Column:
+    """CAST; a column already of the target atom passes through."""
+    atom = Atom(atom_name)
+    return operand if operand.atom is atom else operand.cast(atom)
+
+
+# ----------------------------------------------------------------------
+# comparison and three-valued logic
+# ----------------------------------------------------------------------
+def _comparand(operand: Any, other: Any, as_text: bool) -> tuple[Any, Any]:
+    """``(values, NULL mask)`` of one comparison side, typed by *other*."""
+    if isinstance(operand, Column):
+        values = operand.values
+        return (np.asarray(values, dtype=object) if as_text else values), operand.mask
+    if operand is None:
+        return 0, True
+    if isinstance(operand, np.generic):
+        operand = operand.item()
+    if (
+        not as_text
+        and other.atom in (Atom.INT, Atom.LNG, Atom.DBL, Atom.OID)
+        and isinstance(operand, (int, float))
+        and not isinstance(operand, bool)
     ):
         # Numeric vs numeric: let numpy widen instead of truncating the
         # scalar to the column atom (1.5 must stay 1.5 against an INT
         # column, so v < 1.5 keeps v = 1).
-        value = scalar.item() if isinstance(scalar, np.generic) else scalar
-    else:
-        value = coerce_scalar(scalar, column.atom)
-    if op == "==":
-        result = lvals == value
-    elif op == "!=":
-        result = lvals != value
-    elif op == "<":
-        result = lvals < value
-    elif op == "<=":
-        result = lvals <= value
-    elif op == ">":
-        result = lvals > value
-    else:
-        result = lvals >= value
-    mask = None if column.mask is None else column.mask.copy()
-    return Column(Atom.BIT, np.asarray(result, dtype=np.bool_), mask)
+        return operand, None
+    return coerce_scalar(operand, other.atom), None
 
 
 def compare(op: str, left: Any, right: Any) -> Column:
     """Comparison producing a bit column (NULL when either side is NULL)."""
     if op not in COMPARE_OPS:
         raise GDKError(f"unknown comparison {op!r}")
-    # Scalar fast path: broadcast instead of building a constant column
-    # (the hot case for parameterized point selects: col = ?).
-    if isinstance(left, Column) and not isinstance(right, Column):
-        return _compare_column_scalar(op, left, right)
-    if isinstance(right, Column) and not isinstance(left, Column):
-        return _compare_column_scalar(_SWAPPED_COMPARE[op], right, left)
     length = _operand_length(left, right)
-    atom_hint = None
-    for operand in (left, right):
-        if isinstance(operand, Column):
-            atom_hint = operand.atom
-            break
-    lcol = _as_column(left, length, atom_hint)
-    rcol = _as_column(right, length, atom_hint)
-    mask = _combined_mask(lcol, rcol)
-    lvals, rvals = lcol.values, rcol.values
-    if lcol.atom is Atom.STR or rcol.atom is Atom.STR:
-        lvals = lvals.astype(object)
-        rvals = rvals.astype(object)
-    if op == "==":
-        result = lvals == rvals
-    elif op == "!=":
-        result = lvals != rvals
-    elif op == "<":
-        result = lvals < rvals
-    elif op == "<=":
-        result = lvals <= rvals
-    elif op == ">":
-        result = lvals > rvals
-    else:
-        result = lvals >= rvals
+    as_text = any(
+        isinstance(operand, Column) and operand.atom is Atom.STR
+        for operand in (left, right)
+    )
+    lvals, lnull = _comparand(left, right, as_text)
+    rvals, rnull = _comparand(right, left, as_text)
+    mask = _either(lnull, rnull)
+    if mask is True:
+        return Column.nulls(Atom.BIT, length)
+    result = _COMPARE[op](lvals, rvals)
     return Column(Atom.BIT, np.asarray(result, dtype=np.bool_), mask)
+
+
+def _bits(operand: Any) -> tuple[Any, Any]:
+    """``(truth values, NULL mask)``; scalars as NumPy bools, which ``~`` inverts."""
+    if isinstance(operand, Column):
+        if operand.atom is not Atom.BIT:
+            raise GDKError(f"a truth value needs a bit column, not {operand.atom}")
+        return operand.values, operand.mask
+    if operand is None:
+        return np.False_, np.True_
+    return np.bool_(operand), None
+
+
+def _logical(left: Any, right: Any, absorbing: bool) -> Column:
+    """Three-valued AND (*absorbing* FALSE) / OR (*absorbing* TRUE)."""
+    _operand_length(left, right)
+    lvals, lnull = _bits(left)
+    rvals, rnull = _bits(right)
+    combine = np.logical_or if absorbing else np.logical_and
+    if lnull is None and rnull is None:
+        return Column(Atom.BIT, combine(lvals, rvals))
+    lnull = np.False_ if lnull is None else lnull
+    rnull = np.False_ if rnull is None else rnull
+    # A side decides the result when it is not NULL and holds the
+    # absorbing value; otherwise a NULL on either side makes it unknown.
+    decides = ((lvals == absorbing) & ~lnull) | ((rvals == absorbing) & ~rnull)
+    unknown = (lnull | rnull) & ~decides
+    values = decides if absorbing else combine(lvals, rvals) & ~unknown
+    return Column(Atom.BIT, values, unknown)
 
 
 def logical_and(left: Any, right: Any) -> Column:
     """SQL three-valued AND."""
-    length = _operand_length(left, right)
-    lcol = _as_column(left, length, Atom.BIT)
-    rcol = _as_column(right, length, Atom.BIT)
-    lvals, lnull = lcol.values.astype(np.bool_), lcol.effective_mask()
-    rvals, rnull = rcol.values.astype(np.bool_), rcol.effective_mask()
-    # false AND anything = false; null only when neither side is false.
-    false_l = ~lvals & ~lnull
-    false_r = ~rvals & ~rnull
-    result = lvals & rvals
-    nulls = (lnull | rnull) & ~false_l & ~false_r
-    return Column(Atom.BIT, result & ~nulls, nulls if nulls.any() else None)
+    return _logical(left, right, False)
 
 
 def logical_or(left: Any, right: Any) -> Column:
     """SQL three-valued OR."""
-    length = _operand_length(left, right)
-    lcol = _as_column(left, length, Atom.BIT)
-    rcol = _as_column(right, length, Atom.BIT)
-    lvals, lnull = lcol.values.astype(np.bool_), lcol.effective_mask()
-    rvals, rnull = rcol.values.astype(np.bool_), rcol.effective_mask()
-    true_l = lvals & ~lnull
-    true_r = rvals & ~rnull
-    result = (lvals & ~lnull) | (rvals & ~rnull)
-    nulls = (lnull | rnull) & ~true_l & ~true_r
-    return Column(Atom.BIT, result | np.zeros_like(result), nulls if nulls.any() else None)
+    return _logical(left, right, True)
 
 
 def logical_not(operand: Column) -> Column:
     """SQL NOT (NULL stays NULL)."""
-    if operand.atom is not Atom.BIT:
-        raise GDKError("NOT needs a bit column")
-    return Column(Atom.BIT, ~operand.values.astype(np.bool_), operand.mask)
+    values, mask = _bits(operand)
+    return Column(Atom.BIT, ~values, mask)
 
 
 def isnull(operand: Column) -> Column:
     """IS NULL as a (never-null) bit column."""
-    return Column(Atom.BIT, operand.effective_mask().copy())
+    return Column(Atom.BIT, operand.effective_mask())
 
 
-def ifthenelse(condition: Column, then_value: Any, else_value: Any) -> Column:
-    """Element-wise CASE: NULL/false conditions take the else branch...
+def _widest(atoms: Any) -> Optional[Atom]:
+    """Common atom of CASE branches / arithmetic operands; ``None`` = unknown."""
+    merged = None
+    for atom in atoms:
+        if atom is not None:
+            merged = atom if merged in (None, atom) else common_numeric(merged, atom)
+    return merged
 
-    ...except that a NULL condition yields the *else* value, matching
-    SQL's ``CASE WHEN cond``: an unknown condition does not fire.
+
+def _select(fire: Any, then_values: Any, values: Any, atom: Atom) -> np.ndarray:
+    """``np.where(fire, then, else)``.  Two integer scalars are selected by
+    arithmetic, ``else + fire * (then - else)``: NumPy's ``where`` branches
+    per row and is several times slower on an unpredictable condition."""
+    if atom in _RANGE and np.ndim(fire) and not np.ndim(then_values) and not np.ndim(values):
+        step = int(then_values) - int(values)
+        if _RANGE[atom][0] <= step <= _RANGE[atom][1]:
+            out = fire.astype(NUMPY_DTYPE[atom])
+            out *= step
+            out += values
+            return out
+    return np.where(fire, then_values, values)
+
+
+def case(*operands: Any) -> Column:
+    """``case(cond, value[, cond, value ...], otherwise)`` element-wise.
+
+    Each row takes the value of the first condition that is TRUE — a
+    NULL condition does not fire — and *otherwise* when none is.  The
+    branches widen to their common atom; a ``None`` branch is NULL.
     """
-    if condition.atom is not Atom.BIT:
-        raise GDKError("ifthenelse needs a bit condition")
-    length = len(condition)
-    atom_hint = None
-    for operand in (then_value, else_value):
-        if isinstance(operand, Column):
-            atom_hint = operand.atom
-            break
-        if operand is not None and atom_hint is None:
-            atom_hint = atom_for_python(operand)
-    tcol = _as_column(then_value, length, atom_hint)
-    ecol = _as_column(else_value, length, atom_hint)
-    if tcol.atom is not ecol.atom:
-        widened = common_numeric(tcol.atom, ecol.atom)
-        tcol = tcol.cast(widened)
-        ecol = ecol.cast(widened)
-    fire = condition.values.astype(np.bool_) & condition.validity()
-    values = np.where(fire, tcol.values, ecol.values)
-    if tcol.atom is Atom.STR:
-        values = values.astype(object)
-    mask = np.where(fire, tcol.effective_mask(), ecol.effective_mask())
-    return Column(tcol.atom, values, mask if mask.any() else None)
+    if len(operands) < 3 or len(operands) % 2 == 0:
+        raise GDKError("case needs (condition, value) pairs and an otherwise")
+    length = _operand_length(*operands)
+    atom = _widest(
+        branch.atom if isinstance(branch, Column) else scalar_atom(branch)
+        for branch in operands[1::2] + operands[-1:]
+        if branch is not None
+    ) or Atom.INT
+    dtype = NUMPY_DTYPE[atom]
+
+    def payload(branch: Any) -> tuple[Any, Any]:
+        if isinstance(branch, Column):
+            column = branch if branch.atom is atom else branch.cast(atom)
+            return column.values, column.mask
+        if branch is None:
+            return np.zeros((), dtype=dtype) if atom is not Atom.STR else "", np.True_
+        return np.asarray(coerce_scalar(branch, atom), dtype=dtype), None
+
+    values, nulls = payload(operands[-1])
+    for condition, branch in zip(operands[-3::-2], operands[-2::-2]):
+        truth, unknown = _bits(condition)
+        fire = truth if unknown is None else truth & ~unknown
+        then_values, then_nulls = payload(branch)
+        values = _select(fire, then_values, values, atom)
+        if then_nulls is not None or nulls is not None:
+            nulls = np.where(
+                fire,
+                np.False_ if then_nulls is None else then_nulls,
+                np.False_ if nulls is None else nulls,
+            )
+    nulls = None if nulls is None else np.broadcast_to(nulls, (length,))
+    return Column(atom, np.asarray(np.broadcast_to(values, (length,)), dtype=dtype), nulls)
 
 
 def concat_str(left: Any, right: Any) -> Column:
     """String concatenation (``||``)."""
-    length = _operand_length(left, right)
-    lcol = _as_column(left, length, Atom.STR).cast(Atom.STR)
-    rcol = _as_column(right, length, Atom.STR).cast(Atom.STR)
-    mask = _combined_mask(lcol, rcol)
-    values = np.array(
-        [str(a) + str(b) for a, b in zip(lcol.values, rcol.values)], dtype=object
-    )
-    return Column(Atom.STR, values, mask)
+    _operand_length(left, right)
+
+    def texts(operand: Any) -> tuple[Any, Any]:
+        if isinstance(operand, Column):
+            column = operand if operand.atom is Atom.STR else operand.cast(Atom.STR)
+            return column.values, column.mask
+        if operand is None:
+            return itertools.repeat(""), True
+        return itertools.repeat(str(operand)), None
+
+    (lvals, lnull), (rvals, rnull) = texts(left), texts(right)
+    values = np.array([str(a) + str(b) for a, b in zip(lvals, rvals)], dtype=object)
+    return _masked(Atom.STR, values, lnull, rnull, len(values))
 
 
-def apply_unary_math(name: str, operand: Column) -> Column:
-    """Math functions used by the imaging demo (sqrt, floor, ceil, ...)."""
-    functions: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-        "sqrt": np.sqrt,
-        "floor": np.floor,
-        "ceil": np.ceil,
-        "ceiling": np.ceil,
-        "round": np.round,
-        "exp": np.exp,
-        "log": np.log,
-        "ln": np.log,
-        "log10": np.log10,
-        "sin": np.sin,
-        "cos": np.cos,
-        "tan": np.tan,
-    }
-    try:
-        fn = functions[name.lower()]
-    except KeyError:
-        raise GDKError(f"unknown math function {name!r}") from None
-    values = operand.values.astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        result = fn(values)
-    bad = ~np.isfinite(result)
-    mask = operand.mask
-    if bad.any():
-        mask = bad if mask is None else (mask | bad)
-        result = np.where(bad, 0.0, result)
-    if name.lower() in ("floor", "ceil", "ceiling", "round") and operand.atom in (
-        Atom.INT,
-        Atom.LNG,
-    ):
-        return Column(operand.atom, result.astype(NUMPY_DTYPE[operand.atom]), mask)
-    return Column(Atom.DBL, result, mask)
+# ----------------------------------------------------------------------
+# the kernel table and the expression evaluator
+# ----------------------------------------------------------------------
+#: name -> (kernel, leading operands that may be columns (None = all),
+#: fewest operands, most operands (None = any)).  Operands past the
+#: leading ones are literal parameters (a function name, an atom, a
+#: pattern).  Expression nodes and the ``calc.<name>`` ops both resolve
+#: through here.
+KERNELS: dict[str, tuple] = {
+    **{
+        name: (functools.partial(arithmetic, op), 2, 2, 2)
+        for name, op in zip(("add", "sub", "mul", "div", "mod"), ARITH_OPS)
+    },
+    **{
+        name: (functools.partial(compare, op), 2, 2, 2)
+        for name, op in zip(("eq", "ne", "lt", "le", "gt", "ge"), COMPARE_OPS)
+    },
+    "and": (logical_and, 2, 2, 2),
+    "or": (logical_or, 2, 2, 2),
+    "concat": (concat_str, 2, 2, 2),
+    "not": (logical_not, 1, 1, 1),
+    "isnil": (isnull, 1, 1, 1),
+    "negate": (negate, 1, 1, 1),
+    "abs": (absolute, 1, 1, 1),
+    "lower": (strings.lower, 1, 1, 1),
+    "upper": (strings.upper, 1, 1, 1),
+    "trim": (strings.trim, 1, 1, 1),
+    "length": (strings.length, 1, 1, 1),
+    "math": (apply_unary_math, 1, 2, 2),
+    "cast": (cast, 1, 2, 2),
+    "like": (strings.like, 1, 2, 2),
+    "substring": (strings.substring, 1, 2, 3),
+    "case": (case, None, 3, None),
+}
+
+#: neutral operands, ``(name, operand index, value)``: the application
+#: is its other operand (NULL-transparent identities only — absorbing
+#: rules like ``x * 0`` would be wrong for a NULL ``x``).
+NEUTRAL = {
+    ("add", 1, 0), ("add", 0, 0),
+    ("sub", 1, 0),
+    ("mul", 1, 1), ("mul", 0, 1),
+    ("div", 1, 1),
+    ("and", 1, True), ("and", 0, True),
+    ("or", 1, False), ("or", 0, False),
+}
+
+_ARITH_NAMES = ("add", "sub", "mul", "div", "mod")
+_STR_NAMES = ("concat", "lower", "upper", "trim", "substring")
+
+# operand reference kinds of a compiled expression
+_STEP, _LEAF, _CONST = range(3)
+_WORDS = {"nil": None, "true": True, "false": False}
+#: one token per match; ``lastindex`` says which: leaf, string, word,
+#: number, the name opening a call, ``,`` or ``)``.
+_TOKEN = re.compile(
+    r"""\s*(?:\$(\d+)|"((?:[^"\\]|\\.)*)"|(nil|true|false)\b"""
+    r"""|([-+]?(?:\d+(?:\.\d*)?(?:e[-+]?\d+)?|inf\b|nan\b))|([A-Za-z_]\w*)\(|([,)]))"""
+)
+
+
+@functools.lru_cache(maxsize=1024)
+def compile_expr(text: str) -> tuple[tuple, int]:
+    """Parse an expression text into ``(steps, leaf count)``.
+
+    The text is ``name(operand, ...)`` over leaves ``$0 .. $n-1`` and
+    literals (numbers, ``"strings"``, ``nil``/``true``/``false``), as
+    ``MALGenerator`` renders it.  Each *distinct* node becomes one step
+    ``(name, operand refs)`` in evaluation order — a sub-expression
+    written twice is hash-consed on its text and computed once.  Raises
+    :class:`GDKError` on anything malformed: syntax, an unknown name, a
+    wrong operand count, leaf numbers with a gap.
+    """
+    steps: list[tuple] = []
+    seen: dict[str, int] = {}
+    leaves: set[int] = set()
+    calls: list[tuple[str, int, list]] = []  # open calls: name, offset, refs so far
+    root, end, operand_next = None, 0, True
+    for match in iter(_TOKEN.scanner(text).match, None):
+        kind = match.lastindex
+        if (kind == 6) == operand_next or root is not None:
+            break  # an operand where a separator belongs, or the reverse
+        end = match.end()
+        if kind == 5:
+            if match[5] not in KERNELS:
+                raise GDKError(f"unknown operation {match[5]!r} in {text!r}")
+            calls.append((match[5], match.start(5), []))
+            continue
+        if kind == 6 and match[6] == ",":
+            operand_next = True
+            continue
+        if kind == 6:
+            name, start, refs = calls.pop()
+            _, _, fewest, most = KERNELS[name]
+            if len(refs) < fewest or (most and len(refs) > most):
+                raise GDKError(f"{name} in {text!r}: bad operand list")
+            node = text[start:end]
+            if node not in seen:
+                seen[node] = len(steps)
+                steps.append((name, tuple(refs)))
+            ref = _STEP, seen[node]
+        elif kind == 1:
+            leaves.add(int(match[1]))
+            ref = _LEAF, int(match[1])
+        elif kind == 2:
+            ref = _CONST, re.sub(r"\\(.)", r"\1", match[2])
+        elif kind == 3:
+            ref = _CONST, _WORDS[match[3]]
+        else:
+            number = match[4]
+            ref = _CONST, int(number) if number.lstrip("+-").isdigit() else float(number)
+        operand_next = False
+        if calls:
+            calls[-1][2].append(ref)
+        else:
+            root = ref
+    if root is None or root[0] != _STEP or calls or text[end:].strip():
+        raise GDKError(f"malformed expression {text!r} at offset {end}")
+    if leaves != set(range(len(leaves))):
+        raise GDKError(f"expression {text!r} does not number its leaves $0..$n-1")
+    return tuple(steps), len(leaves)
+
+
+def evaluate(text: str, leaves: list) -> Column:
+    """Evaluate an expression over *leaves* (columns and scalars)."""
+    steps, count = compile_expr(text)
+    if count != len(leaves):
+        raise GDKError(f"expression {text!r} takes {count} leaves, got {len(leaves)}")
+    done: list[Column] = []
+    for name, refs in steps:
+        operands = [
+            done[v] if kind == _STEP else leaves[v] if kind == _LEAF else v for kind, v in refs
+        ]
+        done.append(KERNELS[name][0](*operands))
+    return done[-1]
+
+
+#: integer results that may not fit ``int`` although their operands do.
+_WIDENS = ("add", "sub", "mul", "div", "negate", "abs")
+
+
+def scalar(name: str, *operands: Any) -> Any:
+    """``calc.<name>`` over Python scalars: the kernel on one-row columns.
+
+    One semantics at two granularities, but a BAT has a declared atom
+    and a scalar only what its value says: a ``numpy.int64`` is a
+    declared ``lng`` (a small ``lng`` result comes back as one), a plain
+    Python int — a literal, a bound parameter — types by magnitude, so
+    an ``int`` result that does not fit is recomputed in ``lng``.
+    """
+    kernel, columns = KERNELS[name][:2]
+    first = next((i for i, v in enumerate(operands[:columns]) if v is not None), None)
+    if first is None:
+        return True if name == "isnil" else None
+    if name == "cast" and scalar_atom(operands[0]).value == operands[1]:
+        return operands[0]  # already of the target atom, like a column: passes through
+    promoted = list(operands)
+    promoted[first] = Column.constant(scalar_atom(operands[first]), operands[first], 1)
+    result = kernel(*promoted)
+    value = result.get(0)
+    if value is None:
+        if result.atom is Atom.INT and name in _WIDENS and None not in operands:
+            wide = (np.int64(v) if isinstance(v, (int, np.integer)) else v for v in operands)
+            return scalar(name, *wide)
+    elif result.atom is Atom.LNG and -(2**31) <= value < 2**31:
+        return np.int64(value)  # keeps its width: a Python int types by magnitude
+    return value
+
+
+def result_atom(text: str, atoms: list) -> Optional[Atom]:
+    """Static result atom of an expression over leaves of *atoms*.
+
+    ``None`` stands for an atom only known at run time (an untyped
+    parameter, a NULL literal), in the leaves and in the answer.  Raises
+    like :func:`compile_expr`, and :class:`~repro.errors.TypeError_` for
+    arithmetic over a non-numeric operand.
+    """
+    steps, count = compile_expr(text)
+    if count != len(atoms):
+        raise GDKError(f"expression {text!r} takes {count} leaves, got {len(atoms)}")
+    done: list[Optional[Atom]] = []
+
+    def atom_of(ref: tuple) -> Optional[Atom]:
+        kind, value = ref
+        if kind == _CONST:
+            return None if value is None else scalar_atom(value)
+        return done[value] if kind == _STEP else atoms[value]
+
+    for name, refs in steps:
+        operand_atoms = [atom_of(ref) for ref in refs]
+        literal = refs[1][1] if len(refs) > 1 and refs[1][0] == _CONST else None
+        if name in _ARITH_NAMES:
+            atom = _widest(operand_atoms)
+            if atom is not None:
+                common_numeric(atom, atom)  # raises for a non-numeric operand
+        elif name in ("negate", "abs"):
+            atom = operand_atoms[0]
+        elif name == "math":
+            rounds = isinstance(literal, str) and literal.lower() in _ROUNDING
+            # floor/ceil/round keep an integer atom (and an unknown one unknown)
+            atom = operand_atoms[0] if rounds and operand_atoms[0] is not Atom.DBL else Atom.DBL
+        elif name == "cast":
+            atom = Atom(literal) if isinstance(literal, str) else None
+        elif name == "case":
+            atom = _widest(operand_atoms[1::2] + operand_atoms[-1:])
+        elif name in _STR_NAMES:
+            atom = Atom.STR
+        elif name == "length":
+            atom = Atom.INT
+        else:
+            atom = Atom.BIT
+        done.append(atom)
+    return done[-1]

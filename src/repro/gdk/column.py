@@ -276,9 +276,20 @@ class Column:
         if replacement.atom is not self.atom:
             raise GDKError(f"replace with {replacement.atom} into {self.atom}")
         positions = np.asarray(positions, dtype=np.int64)
-        if len(positions) != len(replacement):
+        count = len(positions)
+        if count != len(replacement):
             raise GDKError("replace: position/value length mismatch")
-        if len(positions) and (positions.min() < 0 or positions.max() >= len(self)):
+        if (
+            count
+            and count == len(self)
+            and positions[0] == 0
+            and positions[-1] == count - 1
+            and (positions[1:] > positions[:-1]).all()
+        ):
+            # The dense range 0..n-1 overwrites every entry: the
+            # replacement is the new column, nothing to copy or scatter.
+            return replacement
+        if count and (positions.min() < 0 or positions.max() >= len(self)):
             raise GDKError("replace: position out of range")
         values = self.values.copy()
         values[positions] = replacement.values

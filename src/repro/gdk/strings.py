@@ -112,13 +112,6 @@ def _like_regex(pattern: str) -> re.Pattern:
     return re.compile("^" + "".join(out) + "$", re.DOTALL)
 
 
-def scalar_like(value: str | None, pattern: str | None) -> bool | None:
-    """Scalar SQL LIKE with NULL propagation (either side NULL → NULL)."""
-    if value is None or pattern is None:
-        return None
-    return bool(_like_regex(pattern).match(value))
-
-
 def like(column: Column, pattern: str | None) -> Column:
     """SQL LIKE as a bit column (NULL input or pattern stays NULL)."""
     _require_str(column, "like")

@@ -3,7 +3,9 @@
 One linear scan over the program checks, per instruction:
 
 * a signature is registered for the op and the arguments match it
-  (arity, operand kinds, atom constraints, JSON constants parse);
+  (arity, operand kinds, atom constraints, JSON constants parse), and
+  a ``batcalc.expr`` expression parses, names exactly its leaves and
+  types to its declared result atom;
 * single assignment and def-before-use, with every result variable
   carrying a declared type whose kind agrees with the signature;
 * no use after ``language.free`` (the static mirror of the
@@ -28,8 +30,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.errors import PlanVerificationError
+from repro.errors import DatabaseError, PlanVerificationError
 from repro.gdk.atoms import Atom
+from repro.gdk.calc import result_atom, scalar_atom
 from repro.mal.analysis.invariants import FragmentState
 from repro.mal.analysis.signatures import Operand, OpSignature, signature_table
 from repro.mal.program import Constant, Instruction, MALProgram, Param, Var
@@ -263,6 +266,37 @@ class _Checker:
                 f"{len(names)} columns but receives {bats} BATs"
             )
 
+    def _check_expression(self, instruction: Instruction) -> None:
+        """batcalc.expr: the text against its leaves and its result type."""
+        if (instruction.module, instruction.function) != ("batcalc", "expr"):
+            return
+        text, *leaves = instruction.args
+        if not isinstance(text, Constant):
+            self.fail("batcalc.expr needs its expression as a constant")
+        atoms: list[Atom | None] = []
+        bats = 0
+        try:
+            for leaf in leaves:
+                if isinstance(leaf, Var):
+                    mtype = self.program.types.get(leaf.name)
+                    atoms.append(mtype.atom if mtype else None)
+                    bats += mtype is not None and mtype.kind == "bat"
+                elif isinstance(leaf, Constant) and leaf.value is not None:
+                    atoms.append(scalar_atom(leaf.value))
+                else:
+                    atoms.append(leaf.atom)
+            inferred = result_atom(text.value, atoms)
+        except (DatabaseError, ValueError) as exc:  # malformed text, ill-typed node
+            self.fail(f"batcalc.expr: {exc}")
+        if not bats:
+            self.fail("batcalc.expr has no BAT leaf to align its result with")
+        declared = self.program.types.get(instruction.results[0])
+        if declared and None not in (inferred, declared.atom) and inferred is not declared.atom:
+            self.fail(
+                f"batcalc.expr {text.value!r} yields {inferred.value}, but "
+                f"{instruction.results[0]!r} is declared {declared}"
+            )
+
     def _record_results(self, instruction: Instruction, sig: OpSignature) -> None:
         if len(instruction.results) != len(sig.results):
             self.fail(
@@ -325,6 +359,7 @@ class _Checker:
             self._match_args(sig, instruction.args)
             self._check_effects(sig)
             self._check_name_counts(instruction)
+            self._check_expression(instruction)
             self._record_results(instruction, sig)
             self.fragments.observe(instruction)
             checked += 1

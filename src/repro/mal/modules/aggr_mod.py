@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import MALError
 from repro.gdk import aggregate as aggregate_kernel
 from repro.gdk import group as group_kernel
+from repro.gdk.atoms import Atom
 from repro.gdk.bat import BAT
 from repro.mal.modules import mal_op
 
@@ -20,7 +23,10 @@ def _register_scalar(name: str) -> None:
     def _op(ctx, b: BAT, _name=name):
         if not isinstance(b, BAT):
             raise MALError(f"aggr.{_name} expects a BAT")
-        return aggregate_kernel.scalar(_name, b.tail)
+        value = aggregate_kernel.scalar(_name, b.tail)
+        # A declared lng says so: a Python int types by magnitude in calc.
+        lng = _name in ("count", "sum") or b.tail.atom is Atom.LNG
+        return np.int64(value) if lng and type(value) is int else value
 
 
 for _name in ("sum", "avg", "min", "max", "count", "stddev", "median"):
@@ -54,7 +60,7 @@ def _subcountdistinct(ctx, b: BAT, groups: BAT, ngroups):
 
 @mal_op("aggr", "countdistinct", sig="bat -> scalar")
 def _countdistinct(ctx, b: BAT):
-    return aggregate_kernel.scalar_count_distinct(b.tail)
+    return np.int64(aggregate_kernel.scalar_count_distinct(b.tail))
 
 
 def _register_merge(name: str) -> None:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import MALError
-from repro.gdk.atoms import Atom
+from repro.gdk.atoms import Atom, common_numeric, is_numeric
 from repro.gdk.bat import BAT
+from repro.gdk.calc import scalar_atom
 from repro.gdk.column import Column
 from repro.mal.modules import mal_op
 
@@ -40,7 +43,7 @@ def _pack(ctx, *values):
 
 @mal_op("bat", "getcount", sig="bat -> scalar")
 def _getcount(ctx, b: BAT):
-    return len(b)
+    return np.int64(len(b))  # declared lng
 
 
 @mal_op("bat", "project_const", sig="bat, scalar, str? -> bat")
@@ -48,22 +51,20 @@ def _project_const(ctx, b: BAT, value, atom_name: str | None = None):
     """Constant column aligned with *b* (MAL's ``algebra.project`` w/ const).
 
     The result keeps *b*'s head, so a fragment's constant column lines
-    up with the fragment's candidate lists.  Without an explicit atom
-    (untyped bind parameters) the atom is inferred from the runtime
-    value.
+    up with the fragment's candidate lists.  *atom_name* is the static
+    atom; the value decides where there is none (an untyped bind
+    parameter) and where it is wider (``0 + ?`` bound to ``2.5`` is a
+    double, as it would be inside an expression).
     """
     if value is None:
         atom = Atom(atom_name) if atom_name else Atom.INT
         return BAT(Column.nulls(atom, len(b)), b.hseqbase)
-    from repro.gdk.atoms import atom_for_python
-
-    atom = Atom(atom_name) if atom_name else atom_for_python(value)
+    atom = scalar_atom(value)
+    if atom_name and is_numeric(atom) and is_numeric(Atom(atom_name)):
+        atom = common_numeric(atom, Atom(atom_name))
+    elif atom_name:
+        atom = Atom(atom_name)
     return BAT(Column.constant(atom, value, len(b)), b.hseqbase)
-
-
-@mal_op("bat", "cast", sig="bat, str -> bat")
-def _cast(ctx, b: BAT, atom_name: str):
-    return BAT(b.tail.cast(Atom(atom_name)), b.hseqbase)
 
 
 @mal_op("bat", "mergecand", sig="cand+ -> cand")

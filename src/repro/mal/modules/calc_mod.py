@@ -1,198 +1,23 @@
-"""MAL module ``calc`` — scalar computation (constants, fold targets)."""
+"""MAL module ``calc`` — scalar computation (constants, fold targets).
+
+One op per entry of :data:`repro.gdk.calc.KERNELS`, each running the
+kernel ``batcalc.expr`` uses over one-row columns.
+"""
 
 from __future__ import annotations
 
-from repro.errors import MALError
+from repro.gdk import calc
 from repro.mal.modules import mal_op
 
 
-def _both_null(left, right) -> bool:
-    return left is None or right is None
+def _register(name: str, fewest: int, most: int | None) -> None:
+    operands = ["scalar"] * fewest
+    operands += ["scalar*"] if most is None else ["scalar?"] * (most - fewest)
+
+    @mal_op("calc", name, sig=f"{', '.join(operands)} -> scalar")
+    def _op(ctx, *values):
+        return calc.scalar(name, *values)
 
 
-def _register_arith(symbol: str, name: str) -> None:
-    @mal_op("calc", name, sig="scalar, scalar -> scalar")
-    def _op(ctx, left, right, _symbol=symbol):
-        if _both_null(left, right):
-            return None
-        if _symbol == "+":
-            return left + right
-        if _symbol == "-":
-            return left - right
-        if _symbol == "*":
-            return left * right
-        if _symbol == "/":
-            if right == 0:
-                return None
-            if isinstance(left, int) and isinstance(right, int):
-                quotient = abs(left) // abs(right)
-                return -quotient if (left < 0) != (right < 0) else quotient
-            return left / right
-        # modulo, C truncation semantics
-        if right == 0:
-            return None
-        if isinstance(left, int) and isinstance(right, int):
-            quotient = abs(left) // abs(right)
-            quotient = -quotient if (left < 0) != (right < 0) else quotient
-            return left - quotient * right
-        import math
-
-        return math.fmod(left, right)
-
-
-for _symbol, _name in (("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "div"), ("%", "mod")):
-    _register_arith(_symbol, _name)
-
-
-_COMPARATORS = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-}
-
-
-def _register_compare(name: str) -> None:
-    @mal_op("calc", name, sig="scalar, scalar -> scalar")
-    def _op(ctx, left, right, _name=name):
-        if _both_null(left, right):
-            return None
-        return _COMPARATORS[_name](left, right)
-
-
-for _name in _COMPARATORS:
-    _register_compare(_name)
-
-
-@mal_op("calc", "and", sig="scalar, scalar -> scalar")
-def _and(ctx, left, right):
-    if left is False or right is False:
-        return False
-    if left is None or right is None:
-        return None
-    return bool(left) and bool(right)
-
-
-@mal_op("calc", "or", sig="scalar, scalar -> scalar")
-def _or(ctx, left, right):
-    if left is True or right is True:
-        return True
-    if left is None or right is None:
-        return None
-    return bool(left) or bool(right)
-
-
-@mal_op("calc", "not", sig="scalar -> scalar")
-def _not(ctx, operand):
-    if operand is None:
-        return None
-    return not bool(operand)
-
-
-@mal_op("calc", "isnil", sig="scalar -> scalar")
-def _isnil(ctx, operand):
-    return operand is None
-
-
-@mal_op("calc", "negate", sig="scalar -> scalar")
-def _negate(ctx, operand):
-    return None if operand is None else -operand
-
-
-@mal_op("calc", "abs", sig="scalar -> scalar")
-def _abs(ctx, operand):
-    return None if operand is None else abs(operand)
-
-
-@mal_op("calc", "ifthenelse", sig="scalar, scalar, scalar -> scalar")
-def _ifthenelse(ctx, condition, then_value, else_value):
-    return then_value if condition else else_value
-
-
-@mal_op("calc", "cast", sig="scalar, str -> scalar")
-def _cast(ctx, operand, atom_name: str):
-    from repro.gdk.atoms import Atom, coerce_scalar
-
-    if operand is None:
-        return None
-    return coerce_scalar(operand, Atom(atom_name))
-
-
-@mal_op("calc", "concat", sig="scalar, scalar -> scalar")
-def _concat(ctx, left, right):
-    if _both_null(left, right):
-        return None
-    return str(left) + str(right)
-
-
-@mal_op("calc", "math", sig="str, scalar -> scalar")
-def _math(ctx, name: str, operand):
-    import math
-
-    if operand is None:
-        return None
-    functions = {
-        "sqrt": math.sqrt,
-        "floor": math.floor,
-        "ceil": math.ceil,
-        "ceiling": math.ceil,
-        "round": round,
-        "exp": math.exp,
-        "log": math.log,
-        "ln": math.log,
-        "log10": math.log10,
-        "sin": math.sin,
-        "cos": math.cos,
-        "tan": math.tan,
-    }
-    try:
-        fn = functions[name.lower()]
-    except KeyError:
-        raise MALError(f"unknown math function {name!r}") from None
-    try:
-        return fn(operand)
-    except ValueError:
-        return None
-
-
-# ----------------------------------------------------------------------
-# scalar string functions
-# ----------------------------------------------------------------------
-@mal_op("calc", "lower", sig="scalar -> scalar")
-def _lower(ctx, operand):
-    return None if operand is None else str(operand).lower()
-
-
-@mal_op("calc", "upper", sig="scalar -> scalar")
-def _upper(ctx, operand):
-    return None if operand is None else str(operand).upper()
-
-
-@mal_op("calc", "length", sig="scalar -> scalar")
-def _length(ctx, operand):
-    return None if operand is None else len(str(operand))
-
-
-@mal_op("calc", "trim", sig="scalar -> scalar")
-def _trim(ctx, operand):
-    return None if operand is None else str(operand).strip()
-
-
-@mal_op("calc", "substring", sig="scalar, int, int? -> scalar")
-def _substring(ctx, operand, start, count=None):
-    if operand is None:
-        return None
-    begin = max(0, int(start) - 1)
-    text = str(operand)
-    if count is None:
-        return text[begin:]
-    return text[begin : begin + int(count)]
-
-
-@mal_op("calc", "like", sig="scalar, scalar -> scalar")
-def _like(ctx, operand, pattern):
-    from repro.gdk.strings import scalar_like
-
-    return scalar_like(operand, pattern)
+for _name, (_, _, _fewest, _most) in calc.KERNELS.items():
+    _register(_name, _fewest, _most)

@@ -92,12 +92,14 @@ def _append(ctx, name: str, columns_json: str, *bats: BAT):
 def _update(ctx, name: str, column: str, oids: BAT, values: BAT):
     """Point-update one column/attribute at the given oids."""
     obj = ctx.catalog.get(name)
-    positions = oids.tail.values
-    if len(positions) != len(values):
+    positions, tail = oids.tail.values, values.tail
+    if len(positions) != len(tail):
         raise MALError("sql.update: oid/value arity mismatch")
-    keep = positions >= 0
-    obj.replace_values(column, positions[keep], values.tail.take(np.flatnonzero(keep)))
-    return int(keep.sum())
+    if len(positions) and positions.min() < 0:  # outer-join misses address no row
+        keep = np.flatnonzero(positions >= 0)
+        positions, tail = positions[keep], tail.take(keep)
+    obj.replace_values(column, positions, tail)
+    return len(positions)
 
 
 @mal_op("sql", "delete", sig="str, oids -> scalar", effect="write")

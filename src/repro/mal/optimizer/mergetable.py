@@ -5,9 +5,9 @@ this pass pushes the packs outward so the plan *between* source and
 result runs per fragment.  Propagation rules mirror MonetDB's
 mergetable optimizer:
 
-* element-wise ``batcalc`` chains stay fragment-parallel (fragments
-  keep their global head ranges, so ``algebra.select`` over a fragment
-  emits globally valid candidate oids);
+* element-wise ``batcalc.expr`` expressions stay fragment-parallel
+  (fragments keep their global head ranges, so ``algebra.select`` over
+  a fragment emits globally valid candidate oids);
 * the ``algebra.select`` family turns into per-fragment selections
   whose candidate fragments rejoin with ``bat.mergecand`` (ordered
   union by concatenation);
@@ -59,18 +59,9 @@ from repro.mal.program import (
 )
 from repro.mal.optimizer.passes import _clone_program
 
-#: element-wise operations: per-fragment application is sound whenever
-#: every fragmented operand shares one row space.
-ELEMENTWISE = {
-    ("batcalc", name)
-    for name in (
-        "add", "sub", "mul", "div", "mod",
-        "eq", "ne", "lt", "le", "gt", "ge",
-        "and", "or", "not", "isnil", "ifthenelse",
-        "negate", "abs", "math", "concat", "cast",
-        "lower", "upper", "length", "trim", "substring", "like",
-    )
-} | {("bat", "cast")}
+#: the element-wise operation: one copy of the expression per fragment
+#: is sound whenever every BAT leaf is fragmented over one row space.
+ELEMENTWISE = ("batcalc", "expr")
 
 #: selection operators: fragmented input with a global head range emits
 #: per-fragment candidate lists.
@@ -316,7 +307,9 @@ class _Mergetable:
             self.out.append(instruction)
             return
 
-        if key in ELEMENTWISE and self._elementwise(instruction, fragmented):
+        if key in (ELEMENTWISE, ("array", "cellindex")) and self._elementwise(
+            instruction, fragmented
+        ):
             return
         if key == ("bat", "project_const") and self._project_const(
             instruction, fragmented
@@ -330,10 +323,6 @@ class _Mergetable:
         if key in (("algebra", "join"), ("algebra", "leftjoin")):
             if self._join(instruction, fragmented):
                 return
-        if key == ("array", "cellindex") and self._cellindex(
-            instruction, fragmented
-        ):
-            return
         if key == ("array", "tileagg") and self._tileagg(instruction, fragmented):
             return
         if key in (("group", "group"), ("group", "subgroup")):
@@ -433,6 +422,8 @@ class _Mergetable:
         return entry
 
     def _elementwise(self, instruction, fragmented) -> bool:
+        """Row-aligned maps (an expression, ``array.cellindex``): one copy
+        per fragment when every BAT operand shares one row space."""
         if len(instruction.results) != 1:
             return False
         space = self._shared_space(fragmented)
@@ -551,15 +542,6 @@ class _Mergetable:
         self.entries[rresult] = Entry(
             "oids", parts=rparts, space=None, result_space=join_space
         )
-        return True
-
-    def _cellindex(self, instruction, fragmented) -> bool:
-        if len(instruction.results) != 1:
-            return False
-        space = self._shared_space(fragmented)
-        if space is None or self._has_unfragmented_bat(instruction, fragmented):
-            return False
-        self._per_fragment(instruction, fragmented, space)
         return True
 
     def _tileagg(self, instruction, fragmented) -> bool:

@@ -69,7 +69,12 @@ def constant_fold(program: MALProgram) -> MALProgram:
                 except Exception:
                     out.append(candidate)
                     continue
-                folded[candidate.results[0]] = Constant(value)
+                # A folded NULL keeps the atom it was computed in
+                # (CAST(NULL AS BIGINT)); any other value types itself.
+                declared = program.types.get(candidate.results[0])
+                folded[candidate.results[0]] = Constant(
+                    value, declared.atom if value is None and declared else None
+                )
                 continue
         out.append(candidate)
     return _clone_program(program, out)
@@ -156,79 +161,3 @@ def garbage_collect(program: MALProgram) -> MALProgram:
                 )
             )
     return _clone_program(program, out)
-
-
-_NEUTRAL_RULES = {
-    # (function, constant-argument index, constant value) -> pass through
-    # the other argument unchanged.
-    ("add", 1, 0), ("add", 0, 0),
-    ("sub", 1, 0),
-    ("mul", 1, 1), ("mul", 0, 1),
-    ("div", 1, 1),
-    ("and", 1, True), ("and", 0, True),
-    ("or", 1, False), ("or", 0, False),
-}
-
-def strength_reduction(program: MALProgram) -> MALProgram:
-    """Alias away applications with a neutral constant operand.
-
-    ``x * 1``, ``x + 0``, ``x AND TRUE``, ``x OR FALSE`` (and friends)
-    are NULL-transparent identities, so the result variable becomes an
-    alias of the surviving operand and the instruction disappears.
-    Absorbing rules (``x * 0`` → 0) are deliberately NOT applied: they
-    would be wrong for NULL inputs.
-    """
-    renames: dict[str, Any] = {}
-    out: list[Instruction] = []
-    for instruction in program.instructions:
-        new_args: list[Any] = []
-        for arg in instruction.args:
-            if isinstance(arg, Var) and arg.name in renames:
-                replacement = renames[arg.name]
-                new_args.append(replacement)
-            else:
-                new_args.append(arg)
-        candidate = Instruction(
-            instruction.module,
-            instruction.function,
-            instruction.results,
-            new_args,
-            instruction.comment,
-        )
-        if (
-            candidate.module in ("batcalc", "calc")
-            and len(candidate.results) == 1
-            and len(candidate.args) == 2
-            and candidate.results[0] not in program.pinned
-        ):
-            reduced = False
-            for index in (0, 1):
-                other = candidate.args[1 - index]
-                arg = candidate.args[index]
-                if (
-                    isinstance(arg, Constant)
-                    and isinstance(other, Var)
-                    and (candidate.function, index, arg.value) in _NEUTRAL_RULES
-                ):
-                    # Result type must match the operand type for a pure
-                    # alias; only alias within the same kind (bat/bat).
-                    result_type = program.types.get(candidate.results[0])
-                    operand_type = program.types.get(other.name)
-                    if result_type == operand_type:
-                        renames[candidate.results[0]] = Var(other.name)
-                        reduced = True
-                        break
-            if reduced:
-                continue
-        out.append(candidate)
-    clone = _clone_program(program, out)
-    clone.result_columns = [
-        (
-            name,
-            renames[var].name
-            if var in renames and isinstance(renames[var], Var)
-            else var,
-        )
-        for name, var in program.result_columns
-    ]
-    return clone

@@ -5,13 +5,12 @@ MAL generator and the interpreter; SciQL reuses that machinery
 unchanged (Figure 2 marks the optimizer box grey only because array
 operations flow through it).  The default pipeline here is:
 
-    constant_fold → strength_reduction → common_terms → dead_code →
-    garbage_collect
+    constant_fold → common_terms → dead_code → garbage_collect
 
 and, when a connection's knobs ask for fragment-parallel execution:
 
-    constant_fold → strength_reduction → common_terms → mitosis →
-    mergetable → dead_code → garbage_collect
+    constant_fold → common_terms → mitosis → mergetable → dead_code →
+    garbage_collect
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ class OptimizerPass:
 
 
 CONSTANT_FOLD = OptimizerPass("constant_fold", passes.constant_fold)
-STRENGTH_REDUCTION = OptimizerPass("strength_reduction", passes.strength_reduction)
 COMMON_TERMS = OptimizerPass("common_terms", passes.common_terms)
 DEAD_CODE = OptimizerPass("dead_code", passes.dead_code)
 GARBAGE_COLLECT = OptimizerPass("garbage_collect", passes.garbage_collect)
@@ -42,7 +40,6 @@ MERGETABLE = OptimizerPass("mergetable", _mergetable)
 
 DEFAULT_PIPELINE: tuple[OptimizerPass, ...] = (
     CONSTANT_FOLD,
-    STRENGTH_REDUCTION,
     COMMON_TERMS,
     DEAD_CODE,
     GARBAGE_COLLECT,
@@ -75,8 +72,7 @@ def build_pipeline(
         return DEFAULT_PIPELINE
     return (
         CONSTANT_FOLD,
-        STRENGTH_REDUCTION,
-        COMMON_TERMS,
+            COMMON_TERMS,
         mitosis_pass(catalog, fragment_rows, nr_threads),
         MERGETABLE,
         DEAD_CODE,

@@ -67,7 +67,7 @@ class Constant:
             return f'"{escaped}"'
         if isinstance(self.value, bool):
             return "true" if self.value else "false"
-        return repr(self.value)
+        return str(self.value)  # also how a NumPy scalar (a folded lng) reads
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,8 @@ class Instruction:
                 # Same key ⇒ same runtime value, so CSE stays sound.
                 key_args.append(("p", arg.key))
             else:
-                key_args.append(("c", arg.atom, arg.value))
+                # 1, 1.0, True and numpy.int64(1) are equal, not the same.
+                key_args.append(("c", arg.atom, type(arg.value), arg.value))
         return (self.module, self.function, tuple(key_args))
 
 

@@ -153,13 +153,16 @@ class TestMalLowering:
     def test_filter_is_select_project(self, conn):
         ops = self.ops(conn, "SELECT a FROM t WHERE b = 1")
         assert "algebra.thetaselect" in ops  # value select, no bit column
-        assert "batcalc.eq" not in ops
+        assert "batcalc.expr" not in ops
         assert "algebra.projection" in ops
 
     def test_opaque_filter_goes_through_a_bit_column(self, conn):
         ops = self.ops(conn, "SELECT a FROM t WHERE a = b")
-        assert "batcalc.eq" in ops
+        assert "batcalc.expr" in ops
         assert "algebra.select" in ops
+        assert 'batcalc.expr("eq($0,$1)"' in conn.explain_unoptimized(
+            "SELECT a FROM t WHERE a = b"
+        )
 
     def test_group_by_chain(self, conn):
         ops = self.ops(conn, "SELECT a, b, COUNT(*) FROM t GROUP BY a, b")

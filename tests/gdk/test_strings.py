@@ -79,7 +79,9 @@ class TestLike:
     def test_null_pattern_all_null(self):
         assert strings.like(col(["a", "b"]), None).to_pylist() == [None, None]
 
-    def test_scalar_like(self):
-        assert strings.scalar_like("abc", "a%") is True
-        assert strings.scalar_like(None, "a%") is None
-        assert strings.scalar_like("abc", None) is None
+    def test_scalar_like_is_the_same_kernel(self):
+        from repro.gdk import calc
+
+        assert calc.scalar("like", "abc", "a%") is True
+        assert calc.scalar("like", None, "a%") is None
+        assert calc.scalar("like", "abc", None) is None

@@ -80,7 +80,9 @@ class TestBatModule:
         packed = program.emit1("bat", "pack", [1.9], bat_type(None))
         export(
             program,
-            program.emit1("bat", "cast", [Var(packed), "int"], bat_type(Atom.INT)),
+            program.emit1(
+                "batcalc", "expr", ['cast($0,"int")', Var(packed)], bat_type(Atom.INT)
+            ),
         )
         assert tail(run_one(interp, program)) == [1]
 
@@ -142,8 +144,12 @@ class TestSqlModuleSideEffects:
         program = MALProgram()
         oids = program.emit1("bat", "pack", [1, -1], bat_type(None))
         values = program.emit1("bat", "pack", [9, 9], bat_type(None))
-        cast_oids = program.emit1("bat", "cast", [Var(oids), "oid"], bat_type(Atom.OID))
-        cast_vals = program.emit1("bat", "cast", [Var(values), "int"], bat_type(Atom.INT))
+        cast_oids = program.emit1(
+            "batcalc", "expr", ['cast($0,"oid")', Var(oids)], bat_type(Atom.OID)
+        )
+        cast_vals = program.emit1(
+            "batcalc", "expr", ['cast($0,"int")', Var(values)], bat_type(Atom.INT)
+        )
         program.emit(
             "sql", "update", ["m", "v", Var(cast_oids), Var(cast_vals)],
             [scalar_type(Atom.INT)],

@@ -160,9 +160,34 @@ class TestFragmentedPlans:
         # malgen lowers the comparison to a value select; mergetable
         # fans it out, one copy per fragment.
         assert plan.count("algebra.thetaselect(") == 8
-        assert "batcalc.gt" not in plan  # no bit column is ever built
+        assert "batcalc." not in plan  # no bit column is ever built
         assert "bat.mergecand" not in plan  # candidates never re-merged
         assert "mat.pack" in plan  # payload fragments rejoin for the result
+
+    def test_expression_is_copied_per_fragment_over_one_row_space(self):
+        conn = self.fragmented_connection()
+        sql = "SELECT CASE WHEN v % 2 = 0 THEN v * k ELSE -v END FROM t"
+        plan = conn.explain(sql)
+        text = 'batcalc.expr("case(eq(mod($0,2),0),mul($0,$1),negate($0))", '
+        assert plan.count(text) == 8  # the map rule: one copy per fragment
+        assert plan.count("batcalc.") == 8 and plan.count("mat.pack(") == 1
+        sequential = repro.connect(nr_threads=1, fragment_rows=math.inf)
+        sequential.execute("CREATE TABLE t (k INT, v INT)")
+        sequential.executemany(
+            "INSERT INTO t VALUES (?, ?)", [(i % 3, i) for i in range(64)]
+        )
+        assert conn.execute(sql).rows() == sequential.execute(sql).rows()
+
+    def test_expression_over_two_row_spaces_packs_first(self):
+        conn = self.fragmented_connection()
+        conn.execute("CREATE TABLE u (w INT)")
+        conn.executemany("INSERT INTO u VALUES (?)", [(i,) for i in range(64)])
+        # The join's two sides are fragments of different row spaces:
+        # no per-fragment copy is sound, the leaves re-merge first.
+        sql = "SELECT t.v + u.w FROM t INNER JOIN u ON t.v = u.w WHERE u.w > 60"
+        plan = conn.explain(sql)
+        assert plan.count("batcalc.expr(") == 1
+        assert conn.execute(sql).rows() == [(122,), (124,), (126,)]
 
     def test_grouped_aggregate_uses_partials(self):
         conn = self.fragmented_connection()

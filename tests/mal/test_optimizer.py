@@ -177,7 +177,6 @@ class TestPipeline:
     def test_pipeline_pass_names(self):
         assert [p.name for p in DEFAULT_PIPELINE] == [
             "constant_fold",
-            "strength_reduction",
             "common_terms",
             "dead_code",
             "garbage_collect",

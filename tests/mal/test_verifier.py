@@ -108,6 +108,21 @@ def tilepart_plan():
     return p
 
 
+def expression_plan():
+    """The Life rule as one batcalc.expr over a lng and an int column."""
+    p = MALProgram()
+    total = p.emit1("sql", "bind", ["t", "n"], bat_type(Atom.LNG))
+    alive = source(p)
+    text = "case(or(eq(sub($0,$1),3),and(eq(sub($0,$1),2),eq($1,1))),1,0)"
+    out = p.emit1("batcalc", "expr", [text, total, alive], bat_type(Atom.INT))
+    p.emit(
+        "sql", "resultSet",
+        ["t", json.dumps(["v"]), json.dumps({}), out],
+        [scalar_type(Atom.INT)],
+    )
+    return p
+
+
 def find(program, module, function, nth=0):
     hits = [
         i for i in program.instructions
@@ -144,6 +159,10 @@ class TestWellFormedPlans:
     def test_free_plan_verifies(self):
         report = verify_program(free_plan(), phase="test")
         assert report.frees == 1
+
+    def test_expression_plan_verifies(self):
+        report = verify_program(expression_plan())
+        assert report.checked_ops == 4
 
     def test_join_and_tilepart_plans_verify(self):
         verify_program(join_plan(), phase="test")
@@ -383,6 +402,38 @@ class TestMutations:
 
         error = mutate(build, "evil_merge", drop)
         assert "declares 2 fragments" in str(error)
+
+    @pytest.mark.parametrize(
+        "text, complaint",
+        [
+            ("case(eq($0,$1),1", "malformed expression"),
+            ("frob($0,$1)", "unknown operation"),
+            ("eq($0)", "bad operand list"),
+            ("sub($0,$1,$2)", "bad operand list"),
+            ("sub($0,$2)", "does not number its leaves"),
+            ("sub($0,3)", "takes 1 leaves, got 2"),
+            ("add(sub($0,$1),$2)", "takes 3 leaves, got 2"),
+            ('cast($0,"decimal")', "batcalc.expr"),
+            ("sub($0,$1)", "yields lng"),
+            ("concat($0,$1)", "yields str"),
+            ("add(lower($0),$1)", "no common numeric type"),
+        ],
+    )
+    def test_expression_must_fit_its_leaves_and_result(self, text, complaint):
+        def corrupt(program):
+            find(program, "batcalc", "expr").args[0] = Constant(text)
+            return program
+
+        error = mutate(expression_plan, "evil_fusion", corrupt)
+        assert complaint in str(error)
+        assert "batcalc.expr" in error.instruction
+
+    def test_expression_needs_a_bat_leaf(self):
+        def scalars_only(program):
+            find(program, "batcalc", "expr").args[1:] = [Constant(4), Constant(1)]
+            return program
+
+        assert "no BAT leaf" in str(mutate(expression_plan, "evil_fusion", scalars_only))
 
     def test_error_names_pass_and_instruction(self):
         def drop(program):

@@ -54,9 +54,9 @@ _BINARY = (  # the values of MALGenerator._OP_NAMES
     "add", "sub", "mul", "div", "mod", "eq", "ne", "lt", "le", "gt", "ge",
     "and", "or", "concat",
 )
-_UNARY = (  # MALGenerator._unary / _is_null / _function / CAST
+_UNARY = (  # MALGenerator._unary / _is_null / _function / _cast / _case
     "not", "negate", "isnil", "cast", "abs", "math",
-    "lower", "upper", "trim", "length", "substring", "like",
+    "lower", "upper", "trim", "length", "substring", "like", "case",
 )
 _AGGREGATES = (  # repro.semantic.types.AGGREGATE_FUNCTIONS
     "sum", "avg", "min", "max", "count", "prod", "stddev", "median",
@@ -65,11 +65,10 @@ _AGGREGATES = (  # repro.semantic.types.AGGREGATE_FUNCTIONS
 #: ops whose function name is computed where they are emitted, keyed by
 #: that site.  Everything else must appear as a literal pair.
 EMITTED_FAMILIES = {
-    # MALGenerator._calc picks the module from the operand kinds.
-    "malgen._calc: calc.<name> over scalars, batcalc.<name> over BATs": {
-        (module, name)
-        for module in ("calc", "batcalc")
-        for name in _BINARY + _UNARY
+    # MALGenerator._calc: an operator over scalars is calc.<name>; with a
+    # BAT operand it is a node of a batcalc.expr (a literal pair there).
+    "malgen._calc: calc.<name> over scalars": {
+        ("calc", name) for name in _BINARY + _UNARY
     },
     # _ScalarContext emits aggr.<name>, _GroupedContext aggr.sub<name>.
     "malgen aggregate contexts: aggr.<name>, aggr.sub<name>": {
