@@ -1,8 +1,9 @@
-"""AST → relational algebra compilation (with name binding).
+"""AST → relational algebra compilation.
 
-This is the back half of the "SQL/SciQL Compiler" of Figure 2: bound
-syntax trees become :mod:`repro.algebra.nodes` plans.  SciQL-specific
-rules implemented here:
+This is the back half of the "SQL/SciQL Compiler" of Figure 2: syntax
+trees bound and typed by :class:`repro.semantic.binder.Binder` become
+:mod:`repro.algebra.nodes` plans; every atom here is read off a bound
+node's annotation.  SciQL-specific rules implemented here:
 
 * CREATE ARRAY splits elements into dimensions (materialised ranges)
   and cell attributes;
@@ -24,22 +25,19 @@ import numpy as np
 
 from repro.errors import SemanticError
 from repro.gdk import calc
-from repro.gdk.atoms import Atom, atom_for_sql_type
-from repro.catalog import Array, Catalog, Table
+from repro.gdk.atoms import Atom, atom_for_sql_type, widest
+from repro.catalog import Array, Catalog
 from repro.core.tiling import TileSpec
 from repro.semantic.binder import (
+    Binder,
     BoundCellRef,
     BoundColumn,
     Parameter,
     Scope,
     SourceInfo,
-    source_from_catalog,
-)
-from repro.semantic.types import (
-    AGGREGATE_FUNCTIONS,
-    contains_aggregate,
-    infer_atom,
     is_aggregate_call,
+    source_from_catalog,
+    typed,
 )
 from repro.sql import ast_nodes as ast
 from repro.algebra import nodes
@@ -93,107 +91,6 @@ def fold_constant(expression: Any, allow_params: bool = False) -> Any:
 
 
 # ----------------------------------------------------------------------
-# expression binding
-# ----------------------------------------------------------------------
-class Binder:
-    """Rewrites name references inside expressions for one scope."""
-
-    def __init__(self, scope: Scope, catalog: Catalog):
-        self.scope = scope
-        self.catalog = catalog
-
-    def bind(self, expression: Any) -> Any:
-        if isinstance(expression, (ast.Literal, BoundColumn, BoundCellRef, Parameter)):
-            return expression
-        if isinstance(expression, ast.Placeholder):
-            return Parameter(expression.key)
-        if isinstance(expression, ast.ColumnRef):
-            return self.scope.resolve(expression.name, expression.qualifier)
-        if isinstance(expression, ast.Star):
-            raise SemanticError("* is only allowed as a projection item")
-        if isinstance(expression, ast.CellRef):
-            return self._bind_cell_ref(expression)
-        if isinstance(expression, ast.BinaryOp):
-            return ast.BinaryOp(
-                expression.op, self.bind(expression.left), self.bind(expression.right)
-            )
-        if isinstance(expression, ast.UnaryOp):
-            return ast.UnaryOp(expression.op, self.bind(expression.operand))
-        if isinstance(expression, ast.FunctionCall):
-            return ast.FunctionCall(
-                expression.name,
-                tuple(self.bind(a) for a in expression.args),
-                expression.star,
-                expression.distinct,
-            )
-        if isinstance(expression, ast.CaseExpression):
-            return ast.CaseExpression(
-                tuple(
-                    (self.bind(c), self.bind(v)) for c, v in expression.whens
-                ),
-                None
-                if expression.otherwise is None
-                else self.bind(expression.otherwise),
-            )
-        if isinstance(expression, ast.IsNull):
-            return ast.IsNull(self.bind(expression.operand), expression.negated)
-        if isinstance(expression, ast.InList):
-            return ast.InList(
-                self.bind(expression.operand),
-                tuple(self.bind(i) for i in expression.items),
-                expression.negated,
-            )
-        if isinstance(expression, ast.Between):
-            return ast.Between(
-                self.bind(expression.operand),
-                self.bind(expression.low),
-                self.bind(expression.high),
-                expression.negated,
-            )
-        if isinstance(expression, ast.CastExpression):
-            return ast.CastExpression(
-                self.bind(expression.operand), expression.type_name
-            )
-        raise SemanticError(f"cannot bind {type(expression).__name__}")
-
-    def _bind_cell_ref(self, ref: ast.CellRef) -> BoundCellRef:
-        # Resolve the array: FROM alias first, then catalog name.
-        array_name: Optional[str] = None
-        for source in self.scope.sources:
-            if source.alias == ref.array and source.kind == "array":
-                array_name = source.object_name
-                break
-        if array_name is None:
-            if ref.array in self.catalog and isinstance(
-                self.catalog.get(ref.array), Array
-            ):
-                array_name = ref.array.lower()
-            else:
-                raise SemanticError(f"cell reference to unknown array {ref.array!r}")
-        array = self.catalog.get_array(array_name)
-        if len(ref.indexes) != len(array.dimensions):
-            raise SemanticError(
-                f"array {array_name!r} has {len(array.dimensions)} dimensions, "
-                f"cell reference supplies {len(ref.indexes)}"
-            )
-        attribute = ref.attribute
-        if attribute is None:
-            if len(array.attributes) != 1:
-                raise SemanticError(
-                    f"array {array_name!r} has several attributes; "
-                    "qualify the cell reference (A[i][j].attr)"
-                )
-            attribute = array.attributes[0].name
-        atom = array.attribute_def(attribute).atom
-        return BoundCellRef(
-            array_name,
-            tuple(self.bind(i) for i in ref.indexes),
-            attribute,
-            atom,
-        )
-
-
-# ----------------------------------------------------------------------
 # statement planning
 # ----------------------------------------------------------------------
 def plan_statement(statement: ast.Statement, catalog: Catalog) -> nodes.StatementPlan:
@@ -238,11 +135,9 @@ def _plan_set_operation(
             f"set operation arity mismatch: {len(left.items)} vs "
             f"{len(right.items)} columns"
         )
-    from repro.semantic.types import common_atom
-
     items: list[nodes.OutputItem] = []
     for left_item, right_item in zip(left.items, right.items):
-        atom = common_atom(left_item.atom, right_item.atom)
+        atom = typed(widest, (left_item.atom, right_item.atom))
         items.append(
             nodes.OutputItem(
                 left_item.name, left_item.expression, atom, left_item.is_dimension
@@ -505,58 +400,19 @@ def _tile_spec(
     return TileSpec.from_ranges(ranges, steps)
 
 
-def _validate_grouped_expression(expression: Any, keys: list[Any]) -> None:
+def _check_grouped(expression: Any, keys: list[Any]) -> None:
     """Check that a grouped output only uses keys, constants, aggregates."""
-    if any(expression == key for key in keys):
-        return
-    if isinstance(expression, (ast.Literal, Parameter)):
-        return
-    if is_aggregate_call(expression):
+    if is_aggregate_call(expression) or any(expression == key for key in keys):
         return
     if isinstance(expression, BoundColumn):
         raise SemanticError(
             f"column {expression.column!r} must appear in GROUP BY or inside "
             "an aggregate"
         )
-    if isinstance(expression, ast.BinaryOp):
-        _validate_grouped_expression(expression.left, keys)
-        _validate_grouped_expression(expression.right, keys)
-        return
-    if isinstance(expression, ast.UnaryOp):
-        _validate_grouped_expression(expression.operand, keys)
-        return
-    if isinstance(expression, ast.CaseExpression):
-        for condition, value in expression.whens:
-            _validate_grouped_expression(condition, keys)
-            _validate_grouped_expression(value, keys)
-        if expression.otherwise is not None:
-            _validate_grouped_expression(expression.otherwise, keys)
-        return
-    if isinstance(expression, (ast.IsNull,)):
-        _validate_grouped_expression(expression.operand, keys)
-        return
-    if isinstance(expression, ast.InList):
-        _validate_grouped_expression(expression.operand, keys)
-        for item in expression.items:
-            _validate_grouped_expression(item, keys)
-        return
-    if isinstance(expression, ast.Between):
-        _validate_grouped_expression(expression.operand, keys)
-        _validate_grouped_expression(expression.low, keys)
-        _validate_grouped_expression(expression.high, keys)
-        return
-    if isinstance(expression, ast.CastExpression):
-        _validate_grouped_expression(expression.operand, keys)
-        return
-    if isinstance(expression, ast.FunctionCall):
-        for argument in expression.args:
-            _validate_grouped_expression(argument, keys)
-        return
     if isinstance(expression, BoundCellRef):
         raise SemanticError("cell references are not allowed in grouped output")
-    raise SemanticError(
-        f"unsupported grouped expression {type(expression).__name__}"
-    )
+    for child in ast.children(expression):
+        _check_grouped(child, keys)
 
 
 def plan_select(statement: ast.SelectStatement, catalog: Catalog) -> nodes.QueryPlan:
@@ -592,7 +448,7 @@ def plan_select(statement: ast.SelectStatement, catalog: Catalog) -> nodes.Query
         bound = binder.bind(item.expression)
         name = item.alias or _default_item_name(item.expression, index)
         items.append(
-            nodes.OutputItem(name, bound, infer_atom(bound), item.dimension)
+            nodes.OutputItem(name, bound, bound.atom, item.dimension)
         )
     result_kind = "array" if any(i.is_dimension for i in items) else "table"
 
@@ -620,17 +476,17 @@ def plan_select(statement: ast.SelectStatement, catalog: Catalog) -> nodes.Query
     elif isinstance(statement.group_by, ast.ValueGroupBy):
         keys = [binder.bind(e) for e in statement.group_by.expressions]
         for item in items:
-            _validate_grouped_expression(item.expression, keys)
+            _check_grouped(item.expression, keys)
         if having is not None:
-            _validate_grouped_expression(having, keys)
+            _check_grouped(having, keys)
         if node is None:
             raise SemanticError("GROUP BY without FROM")
         projecting = nodes.Aggregate(node, keys, items, having)
-    elif any(contains_aggregate(item.expression) for item in items):
+    elif any(item.expression.aggregate for item in items):
         for item in items:
-            _validate_grouped_expression(item.expression, [])
+            _check_grouped(item.expression, [])
         if having is not None:
-            _validate_grouped_expression(having, [])
+            _check_grouped(having, [])
         if node is None:
             raise SemanticError("aggregates need a FROM clause")
         projecting = nodes.ScalarAggregate(node, items, having)
@@ -654,14 +510,12 @@ def plan_select(statement: ast.SelectStatement, catalog: Catalog) -> nodes.Query
             if ref is None:
                 bound = binder.bind(order.expression)
                 if isinstance(projecting, nodes.Aggregate):
-                    _validate_grouped_expression(bound, projecting.keys)
+                    _check_grouped(bound, projecting.keys)
                 hidden_index = len(items)
                 items.append(
-                    nodes.OutputItem(
-                        f"%sort_{hidden_index}", bound, infer_atom(bound), False
-                    )
+                    nodes.OutputItem(f"%sort_{hidden_index}", bound, bound.atom, False)
                 )
-                ref = nodes.OutputRef(hidden_index, infer_atom(bound))
+                ref = nodes.OutputRef(hidden_index, bound.atom)
             sort_keys.append((ref, order.descending))
         root = nodes.Sort(root, sort_keys)
 

@@ -34,7 +34,6 @@ linear MAL program.  Conventions:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -43,8 +42,15 @@ from repro.errors import SemanticError
 from repro.gdk.atoms import Atom
 from repro.gdk.calc import NEUTRAL
 from repro.catalog import Array, Catalog
-from repro.semantic.binder import BoundCellRef, BoundColumn, Parameter
-from repro.semantic.types import infer_atom, is_aggregate_call
+from repro.semantic.binder import (
+    OP_NAMES,
+    SCALAR_FUNCTIONS,
+    BoundCellRef,
+    BoundColumn,
+    Parameter,
+    is_aggregate_call,
+    source_from_catalog,
+)
 from repro.sql import ast_nodes as ast
 from repro.algebra import nodes
 from repro.mal.program import Constant, MALProgram, Param, Var, bat_type, scalar_type
@@ -194,22 +200,10 @@ def _source_indexes(node: nodes.PlanNode) -> set[int]:
 
 
 def _expression_sources(expression: Any) -> set[int]:
-    """Source ordinals of every column referenced inside *expression*.
-
-    Bound expression nodes are dataclasses whose children sit in fields
-    or tuples of fields, so one structural walk covers every node type.
-    """
+    """Source ordinals of every column referenced inside *expression*."""
     if isinstance(expression, BoundColumn):
         return {expression.source}
-    if isinstance(expression, tuple):
-        children = expression
-    elif dataclasses.is_dataclass(expression):
-        children = [
-            getattr(expression, f.name) for f in dataclasses.fields(expression)
-        ]
-    else:
-        return set()
-    return set().union(*(_expression_sources(child) for child in children))
+    return set().union(*map(_expression_sources, ast.children(expression)))
 
 
 def _split_equi_conjuncts(
@@ -602,7 +596,7 @@ class MALGenerator:
             )
             binding = combine(loids, roids)
             leftover = equi[1:]
-            extra = [ast.BinaryOp("=", a, b) for a, b in leftover] + residual
+            extra = [ast.BinaryOp("=", a, b, atom=Atom.BIT) for a, b in leftover] + residual
         else:
             if node.kind == "left":
                 raise SemanticError("LEFT JOIN requires an equality condition")
@@ -883,9 +877,7 @@ class MALGenerator:
         if leaf is not None:
             return leaf
         if isinstance(expression, ast.Literal):
-            return EvalResult(
-                _SCALAR, Constant(expression.value), infer_atom(expression)
-            )
+            return EvalResult(_SCALAR, Constant(expression.value), expression.atom)
         if isinstance(expression, Parameter):
             return EvalResult(_SCALAR, Param(expression.key), expression.atom)
         if isinstance(expression, ast.BinaryOp):
@@ -893,13 +885,11 @@ class MALGenerator:
                 expression.op,
                 self._eval(expression.left, ctx),
                 self._eval(expression.right, ctx),
-                infer_atom(expression),
+                expression.atom,
             )
         if isinstance(expression, ast.UnaryOp):
             return self._unary(expression.op, self._eval(expression.operand, ctx))
         if isinstance(expression, ast.FunctionCall):
-            if not expression.args:
-                raise SemanticError(f"function {expression.name!r} needs arguments")
             return self._function(expression, self._eval(expression.args[0], ctx))
         if isinstance(expression, ast.CaseExpression):
             return self._case(expression, ctx)
@@ -919,14 +909,8 @@ class MALGenerator:
                 self._eval(expression.high, ctx),
             )
         if isinstance(expression, ast.CastExpression):
-            return self._cast(self._eval(expression.operand, ctx), infer_atom(expression))
+            return self._cast(self._eval(expression.operand, ctx), expression.atom)
         raise SemanticError(f"cannot evaluate {type(expression).__name__}")
-
-    _OP_NAMES = {
-        "+": "add", "-": "sub", "*": "mul", "/": "div", "%": "mod",
-        "=": "eq", "<>": "ne", "!=": "ne", "<": "lt", "<=": "le",
-        ">": "gt", ">=": "ge", "AND": "and", "OR": "or", "||": "concat",
-    }
 
     def _calc(
         self,
@@ -945,9 +929,7 @@ class MALGenerator:
     def _binary(
         self, op: str, left: EvalResult, right: EvalResult, atom: Optional[Atom]
     ) -> EvalResult:
-        name = self._OP_NAMES.get(op)
-        if name is None:
-            raise SemanticError(f"unsupported operator {op!r}")
+        name = OP_NAMES[op]
         for index, (constant, other) in enumerate(((left, right), (right, left))):
             # A neutral literal operand (x + 0, x AND TRUE, ...) leaves
             # the other operand itself — no node, no ``calc`` instruction.
@@ -971,31 +953,20 @@ class MALGenerator:
     ) -> EvalResult:
         """Apply a non-aggregate function to its evaluated first argument."""
         from repro.algebra.compiler import fold_constant
-        from repro.semantic.types import (
-            MATH_FUNCTIONS,
-            ROUNDING_FUNCTIONS,
-            STRING_FUNCTIONS,
-        )
 
-        name = expression.name
-        atom = infer_atom(expression)
+        name, literal = SCALAR_FUNCTIONS[expression.name]
         args = [operand.value]
-        if name in MATH_FUNCTIONS or name in ROUNDING_FUNCTIONS:
-            name, args = "math", [operand.value, Constant(name)]
-        elif name in ("length", "char_length"):
-            name = "length"
-        elif name in ("substring", "substr"):
+        if literal is not None:
+            args.append(Constant(literal))
+        elif name == "substring":
             if len(expression.args) not in (2, 3):
                 raise SemanticError("SUBSTRING needs (string, start[, length])")
-            name = "substring"
             args += [Constant(int(fold_constant(a))) for a in expression.args[1:]]
         elif name == "like":
             if len(expression.args) != 2:
                 raise SemanticError("LIKE needs (string, pattern)")
             args.append(Constant(fold_constant(expression.args[1])))
-        elif name != "abs" and name not in STRING_FUNCTIONS:
-            raise SemanticError(f"unknown function {name!r}")
-        return self._calc(name, args, operand.kind, atom)
+        return self._calc(name, args, operand.kind, expression.atom)
 
     def _case(self, expression: ast.CaseExpression, ctx) -> EvalResult:
         """``case(cond, value, ..., otherwise)``: one n-ary operator."""
@@ -1007,7 +978,7 @@ class MALGenerator:
         else:
             operands.append(EvalResult(_SCALAR, Constant(None), None))
         kind = _BAT if any(o.kind == _BAT for o in operands) else _SCALAR
-        atom = infer_atom(expression) or operands[1].atom
+        atom = expression.atom or operands[1].atom
         return self._calc("case", [o.value for o in operands], kind, atom, Atom.INT)
 
     def _is_null(self, expression: ast.IsNull, operand: EvalResult) -> EvalResult:
@@ -1178,8 +1149,6 @@ class MALGenerator:
         self._update_cells(plan.target, array, oids, column_vars)
 
     def _target_binding(self, plan) -> Binding:
-        from repro.semantic.binder import source_from_catalog
-
         info = source_from_catalog(self.catalog, plan.target, None)
         scan = nodes.Scan(info, 0)
         return self._emit_relational(scan)
@@ -1267,11 +1236,10 @@ class _ScalarContext:
                 "aggr", "countdistinct", [Var(value)], scalar_type(Atom.LNG)
             )
             return EvalResult(_SCALAR, Var(var), Atom.LNG)
-        atom = infer_atom(expression)
         var = program.emit1(
-            "aggr", expression.name, [Var(value)], scalar_type(atom or Atom.DBL)
+            "aggr", expression.name, [Var(value)], scalar_type(expression.atom or Atom.DBL)
         )
-        return EvalResult(_SCALAR, Var(var), atom)
+        return EvalResult(_SCALAR, Var(var), expression.atom)
 
 
 class _GroupedContext:
@@ -1301,7 +1269,7 @@ class _GroupedContext:
                     "algebra", "projection", [Var(self.ref), Var(key_var)],
                     program.type_of(key_var),
                 )
-                return EvalResult(_BAT, Var(var), infer_atom(expression))
+                return EvalResult(_BAT, Var(var), expression.atom)
         if not is_aggregate_call(expression):
             return None
         grouping = [Var(self.groups), Var(self.ngroups)]
@@ -1318,12 +1286,11 @@ class _GroupedContext:
                 bat_type(Atom.LNG),
             )
             return EvalResult(_BAT, Var(var), Atom.LNG)
-        atom = infer_atom(expression)
         var = program.emit1(
             "aggr", f"sub{expression.name}", [Var(value)] + grouping,
-            bat_type(atom or Atom.DBL),
+            bat_type(expression.atom or Atom.DBL),
         )
-        return EvalResult(_BAT, Var(var), atom)
+        return EvalResult(_BAT, Var(var), expression.atom)
 
 
 class _TileContext:
@@ -1353,7 +1320,7 @@ class _TileContext:
             value, name, atom = self.ref, "count_star", Atom.LNG
         else:
             value = _aggregate_argument(generator, expression, self.binding)
-            name, atom = expression.name, infer_atom(expression)
+            name, atom = expression.name, expression.atom
         var = generator.program.emit1(
             "array", "tileagg", [Var(value), name, self.meta_json],
             bat_type(atom or Atom.DBL),

@@ -56,6 +56,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.errors import DimensionError, GDKError
+from repro.gdk.aggregate import aggregate_atom
 from repro.gdk.atoms import Atom
 from repro.gdk.column import Column
 
@@ -330,7 +331,7 @@ def _finalize(
         result = np.where(empty, 0.0, result)
         return Column(Atom.DBL, result.reshape(-1), empty.reshape(-1))
     result = np.where(empty, acc.dtype.type(0), acc)
-    out_atom = _result_atom(input_atom, aggregate)
+    out_atom = aggregate_atom(aggregate, input_atom)
     flat = result.reshape(-1)
     if out_atom is Atom.DBL and flat.dtype != np.float64:
         flat = flat.astype(np.float64)
@@ -463,16 +464,6 @@ def shifted_scan_tile_aggregate(
     return _scan_tile_aggregate(grid, valid, shape, spec, aggregate, values.atom)
 
 
-def _result_atom(input_atom: Atom, aggregate: str) -> Atom:
-    if input_atom is Atom.DBL or aggregate == "avg":
-        return Atom.DBL
-    if aggregate in ("sum", "prod"):
-        return Atom.LNG
-    if aggregate in ("count", "count_star"):
-        return Atom.LNG
-    return input_atom  # min/max preserve the input type
-
-
 # ----------------------------------------------------------------------
 # halo fragments (fragment-parallel tiling)
 # ----------------------------------------------------------------------
@@ -528,9 +519,9 @@ def tile_aggregate_fragment(
     cells = len(values)
     if not 0 <= start <= stop <= cells:
         raise DimensionError(f"anchor range [{start}, {stop}) outside 0..{cells}")
-    out_atom = _result_atom(values.atom, aggregate)
     if start == stop:
-        return Column.empty(out_atom)
+        # count_star is the tiling engine's own name for COUNT(*).
+        return Column.empty(aggregate_atom(aggregate.removesuffix("_star"), values.atom))
     slab_lo, slab_hi = tile_fragment_bounds(cells, shape, spec, start, stop)
     stride0 = cells // shape[0]
     slab = _column_view(values, slab_lo * stride0, slab_hi * stride0)

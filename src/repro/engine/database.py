@@ -106,15 +106,15 @@ def resolve_durable(value, path) -> bool:
     return value
 
 
-def _resolve_checkpoint_threshold(env_name: str, default: int) -> int:
-    value = knobs.raw(env_name)
+def _checkpoint_records() -> int:
+    value = knobs.raw("REPRO_WAL_CHECKPOINT_RECORDS")
     if not value:
-        return default
+        return DEFAULT_CHECKPOINT_RECORDS
     try:
         return max(1, int(value))
     except ValueError:
         raise ProgrammingError(
-            f"invalid {env_name} value {value!r}: expected an integer"
+            f"invalid REPRO_WAL_CHECKPOINT_RECORDS value {value!r}: expected an integer"
         ) from None
 
 
@@ -334,12 +334,8 @@ class Database:
         self.path = Path(path) if path is not None else None
         self.durable = resolve_durable(durable, self.path)
         self._wal: Optional[wal_mod.WriteAheadLog] = None
-        self.checkpoint_bytes = _resolve_checkpoint_threshold(
-            "REPRO_WAL_CHECKPOINT_BYTES", DEFAULT_CHECKPOINT_BYTES
-        )
-        self.checkpoint_records = _resolve_checkpoint_threshold(
-            "REPRO_WAL_CHECKPOINT_RECORDS", DEFAULT_CHECKPOINT_RECORDS
-        )
+        self.checkpoint_bytes = DEFAULT_CHECKPOINT_BYTES
+        self.checkpoint_records = _checkpoint_records()
         #: aggregate observability across all sessions.
         self.compile_count = 0
         self.cache_hits = 0
@@ -656,7 +652,7 @@ class Database:
         replay skips records no younger than the farm's recorded
         version.  Automatic checkpoints run inside the commit path when
         the WAL passes the size/record thresholds
-        (``REPRO_WAL_CHECKPOINT_BYTES`` / ``REPRO_WAL_CHECKPOINT_RECORDS``).
+        (``Database.checkpoint_bytes`` / ``REPRO_WAL_CHECKPOINT_RECORDS``).
         """
         self._check_open()
         if self.path is None:

@@ -17,24 +17,39 @@ oracles and benchmark baselines.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.errors import GDKError
-from repro.gdk.atoms import Atom, canon_key, common_numeric, is_numeric
+from repro.gdk.atoms import Atom, canon_key, is_numeric
 from repro.gdk.column import Column
 from repro.gdk.group import Grouping
 
-#: aggregate name -> result atom policy ("same", "dbl", "lng").
+#: aggregate name -> result atom policy: the aggregate typing table,
+#: read through :func:`aggregate_atom` by the binder, these kernels, the
+#: tiling kernels and the ``aggr`` MAL module.
 AGGREGATES = {
     "sum": "widen",
     "prod": "widen",
     "avg": "dbl",
+    "stddev": "dbl",
+    "median": "dbl",
     "min": "same",
     "max": "same",
     "count": "lng",
 }
+
+
+def aggregate_atom(name: str, atom: Optional[Atom]) -> Optional[Atom]:
+    """Result atom of aggregate *name* over an input of *atom* (``None``:
+    ``COUNT(*)``, or an input only typed at run time)."""
+    policy = AGGREGATES[name]
+    if policy == "same":
+        return atom
+    if policy == "dbl" or (policy == "widen" and atom is Atom.DBL):
+        return Atom.DBL
+    return Atom.LNG
 
 
 def _prepare(column: Column, grouping: Grouping) -> tuple[np.ndarray, np.ndarray, int]:
@@ -62,19 +77,6 @@ def _segment_starts(sorted_ids: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
 
 
-def _numeric_result_atom(name: str, atom: Atom) -> Atom:
-    policy = AGGREGATES[name]
-    if policy == "dbl":
-        return Atom.DBL
-    if policy == "lng":
-        return Atom.LNG
-    if policy == "widen":
-        if atom is Atom.DBL:
-            return Atom.DBL
-        return common_numeric(atom, Atom.LNG)
-    return atom
-
-
 def grouped_count(column: Column, grouping: Grouping) -> Column:
     """Per-group count of non-NULL entries."""
     positions, ids, ngroups = _prepare(column, grouping)
@@ -89,22 +91,41 @@ def grouped_count_star(grouping: Grouping) -> Column:
     return Column(Atom.LNG, counts)
 
 
+_LNG_MIN, _LNG_MAX = -(2**63), 2**63 - 1
+
+
+def _sums_stay_below(values: np.ndarray, limit: int) -> bool:
+    """Whether ``rows · max|v| < limit``, so that no partial sum of the
+    integer *values* reaches *limit*.  A narrow dtype's own range proves
+    it without reading the values; otherwise two reductions decide."""
+    rows = len(values)
+    if not rows or rows << (8 * values.dtype.itemsize - 1) < limit:
+        return True
+    return rows * max(-int(values.min()), int(values.max())) < limit
+
+
 def grouped_sum(column: Column, grouping: Grouping) -> Column:
-    """Per-group sum; empty groups yield NULL."""
+    """Per-group sum; empty groups yield NULL.
+
+    Integer sums are exact: they accumulate in int64 while that provably
+    cannot wrap and in Python integers past it, and a total that does
+    not fit ``lng`` is NULL — the element-wise overflow rule."""
     if not is_numeric(column.atom):
         raise GDKError(f"sum over non-numeric column {column.atom}")
     positions, ids, ngroups = _prepare(column, grouping)
     values = column.values[positions]
+    null = np.bincount(ids, minlength=ngroups) == 0
     if column.atom is Atom.DBL:
-        sums = np.bincount(ids, weights=values, minlength=ngroups)
-    else:
-        sums = np.bincount(ids, weights=values.astype(np.float64), minlength=ngroups)
-        sums = np.round(sums)
-    counts = np.bincount(ids, minlength=ngroups)
-    out_atom = _numeric_result_atom("sum", column.atom)
-    out = Column(out_atom, sums.astype(np.float64) if out_atom is Atom.DBL else sums.astype(np.int64),
-                 mask=(counts == 0))
-    return out
+        return Column(Atom.DBL, np.bincount(ids, weights=values, minlength=ngroups), mask=null)
+    sums = np.zeros(ngroups, dtype=np.int64 if _sums_stay_below(values, 2**63) else object)
+    np.add.at(sums, ids, values.astype(sums.dtype, copy=False))
+    if sums.dtype == object:
+        overflow = np.asarray((sums < _LNG_MIN) | (sums > _LNG_MAX), dtype=np.bool_)
+        sums[overflow] = 0
+        null |= overflow
+    return Column(
+        aggregate_atom("sum", column.atom), sums.astype(np.int64, copy=False), mask=null
+    )
 
 
 def grouped_prod(column: Column, grouping: Grouping) -> Column:
@@ -116,7 +137,7 @@ def grouped_prod(column: Column, grouping: Grouping) -> Column:
     prods = np.ones(ngroups, dtype=np.float64)
     np.multiply.at(prods, ids, values)
     counts = np.bincount(ids, minlength=ngroups)
-    out_atom = _numeric_result_atom("prod", column.atom)
+    out_atom = aggregate_atom("prod", column.atom)
     data = prods if out_atom is Atom.DBL else np.round(prods).astype(np.int64)
     return Column(out_atom, data, mask=(counts == 0))
 
@@ -203,15 +224,18 @@ def scalar_count(column: Column) -> int:
 
 
 def scalar_sum(column: Column) -> Any:
-    """SUM over the column; NULL when no non-NULL entry exists."""
+    """SUM over the column, exact for integers; NULL when no non-NULL
+    entry exists or the total does not fit ``lng``."""
     valid = column.validity()
     if not valid.any():
         return None
     values = column.values[valid]
-    total = values.astype(np.float64).sum()
     if column.atom is Atom.DBL:
-        return float(total)
-    return int(round(total))
+        return float(values.sum())
+    if _sums_stay_below(values, 2**63):
+        return int(values.sum(dtype=np.int64))
+    total = sum(values.tolist())  # Python integers: exact at any size
+    return total if _LNG_MIN <= total <= _LNG_MAX else None
 
 
 def scalar_avg(column: Column) -> Any:

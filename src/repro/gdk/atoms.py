@@ -24,7 +24,7 @@ keeps numpy arithmetic exact for every domain value (MonetDB reserves
 from __future__ import annotations
 
 import enum
-from typing import Any
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -58,7 +58,9 @@ NUMPY_DTYPE = {
 #: Atoms on which arithmetic (+,-,*,/,%) is defined.
 NUMERIC_ATOMS = (Atom.INT, Atom.LNG, Atom.DBL)
 
-#: Widening order used to reconcile operand types (int < lng < dbl).
+#: Widening order used to reconcile operand types (int < lng < dbl) —
+#: the one rank table: kernels, the binder and the verifier all widen
+#: through :func:`common_numeric` / :func:`widest`.
 _NUMERIC_RANK = {Atom.INT: 0, Atom.LNG: 1, Atom.DBL: 2}
 
 
@@ -73,8 +75,19 @@ def common_numeric(left: Atom, right: Atom) -> Atom:
     Raises :class:`TypeError_` if either operand is not numeric.
     """
     if not is_numeric(left) or not is_numeric(right):
-        raise TypeError_(f"no common numeric type for {left} and {right}")
+        raise TypeError_(f"incompatible types {left.value} and {right.value}")
     return left if _NUMERIC_RANK[left] >= _NUMERIC_RANK[right] else right
+
+
+def widest(atoms: Iterable[Optional[Atom]]) -> Optional[Atom]:
+    """Common atom of CASE branches, set-operation columns or arithmetic
+    operands.  ``None`` — an untyped NULL or parameter — widens nothing;
+    equal atoms are their own common atom, differing ones must be numeric."""
+    merged = None
+    for atom in atoms:
+        if atom is not None:
+            merged = atom if merged in (None, atom) else common_numeric(merged, atom)
+    return merged
 
 
 def atom_for_python(value: Any) -> Atom:

@@ -35,7 +35,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.errors import GDKError
+from repro.errors import GDKError, TypeError_
 from repro.gdk import strings
 from repro.gdk.atoms import (
     NUMERIC_ATOMS,
@@ -44,6 +44,7 @@ from repro.gdk.atoms import (
     atom_for_python,
     coerce_scalar,
     common_numeric,
+    widest,
 )
 from repro.gdk.column import Column
 
@@ -251,7 +252,7 @@ def absolute(operand: Column) -> Column:
     return Column(operand.atom, values, _either(operand.mask, values < 0))
 
 
-_MATH = {
+MATH = {
     "sqrt": np.sqrt, "floor": np.floor, "ceil": np.ceil, "ceiling": np.ceil,
     "round": np.round, "exp": np.exp, "log": np.log, "ln": np.log,
     "log10": np.log10, "sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -262,7 +263,7 @@ _ROUNDING = ("floor", "ceil", "ceiling", "round")
 def apply_unary_math(operand: Column, name: str) -> Column:
     """Math functions used by the imaging demo (sqrt, floor, ceil, ...)."""
     try:
-        fn = _MATH[name.lower()]
+        fn = MATH[name.lower()]
     except KeyError:
         raise GDKError(f"unknown math function {name!r}") from None
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -376,15 +377,6 @@ def isnull(operand: Column) -> Column:
     return Column(Atom.BIT, operand.effective_mask())
 
 
-def _widest(atoms: Any) -> Optional[Atom]:
-    """Common atom of CASE branches / arithmetic operands; ``None`` = unknown."""
-    merged = None
-    for atom in atoms:
-        if atom is not None:
-            merged = atom if merged in (None, atom) else common_numeric(merged, atom)
-    return merged
-
-
 def _select(fire: Any, then_values: Any, values: Any, atom: Atom) -> np.ndarray:
     """``np.where(fire, then, else)``.  Two integer scalars are selected by
     arithmetic, ``else + fire * (then - else)``: NumPy's ``where`` branches
@@ -409,7 +401,7 @@ def case(*operands: Any) -> Column:
     if len(operands) < 3 or len(operands) % 2 == 0:
         raise GDKError("case needs (condition, value) pairs and an otherwise")
     length = _operand_length(*operands)
-    atom = _widest(
+    atom = widest(
         branch.atom if isinstance(branch, Column) else scalar_atom(branch)
         for branch in operands[1::2] + operands[-1:]
         if branch is not None
@@ -460,37 +452,75 @@ def concat_str(left: Any, right: Any) -> Column:
 # ----------------------------------------------------------------------
 # the kernel table and the expression evaluator
 # ----------------------------------------------------------------------
+# The typing rules: ``rule(operand atoms, literal parameter)`` is the
+# atom the kernel next to it returns; ``None`` stands for an atom only
+# known at run time (an untyped parameter, a NULL literal).
+def _arithmetic_atom(atoms: list, literal: Any) -> Optional[Atom]:
+    atom = widest(atoms)
+    if atom is not None and atom not in NUMERIC_ATOMS:
+        raise TypeError_(f"arithmetic on non-numeric type {atom.value}")
+    return atom
+
+
+def _operand_atom(atoms: list, literal: Any) -> Optional[Atom]:
+    return atoms[0]
+
+
+def _math_atom(atoms: list, literal: Any) -> Atom:
+    """floor/ceil/round keep an integer atom; everything else is double."""
+    rounds = isinstance(literal, str) and literal.lower() in _ROUNDING
+    return atoms[0] if rounds and atoms[0] in (Atom.INT, Atom.LNG) else Atom.DBL
+
+
+def _cast_atom(atoms: list, literal: Any) -> Optional[Atom]:
+    return Atom(literal) if isinstance(literal, str) else None
+
+
+def _case_atom(atoms: list, literal: Any) -> Optional[Atom]:
+    return widest(atoms[1::2] + atoms[-1:])
+
+
 #: name -> (kernel, leading operands that may be columns (None = all),
-#: fewest operands, most operands (None = any)).  Operands past the
-#: leading ones are literal parameters (a function name, an atom, a
-#: pattern).  Expression nodes and the ``calc.<name>`` ops both resolve
-#: through here.
+#: fewest operands, most operands (None = any), result atom or typing
+#: rule).  Operands past the leading ones are literal parameters (a
+#: function name, an atom, a pattern).  Expression nodes, the
+#: ``calc.<name>`` ops, the binder and the verifier all resolve through
+#: here (:func:`node_atom` reads the last column).
 KERNELS: dict[str, tuple] = {
     **{
-        name: (functools.partial(arithmetic, op), 2, 2, 2)
+        name: (functools.partial(arithmetic, op), 2, 2, 2, _arithmetic_atom)
         for name, op in zip(("add", "sub", "mul", "div", "mod"), ARITH_OPS)
     },
     **{
-        name: (functools.partial(compare, op), 2, 2, 2)
+        name: (functools.partial(compare, op), 2, 2, 2, Atom.BIT)
         for name, op in zip(("eq", "ne", "lt", "le", "gt", "ge"), COMPARE_OPS)
     },
-    "and": (logical_and, 2, 2, 2),
-    "or": (logical_or, 2, 2, 2),
-    "concat": (concat_str, 2, 2, 2),
-    "not": (logical_not, 1, 1, 1),
-    "isnil": (isnull, 1, 1, 1),
-    "negate": (negate, 1, 1, 1),
-    "abs": (absolute, 1, 1, 1),
-    "lower": (strings.lower, 1, 1, 1),
-    "upper": (strings.upper, 1, 1, 1),
-    "trim": (strings.trim, 1, 1, 1),
-    "length": (strings.length, 1, 1, 1),
-    "math": (apply_unary_math, 1, 2, 2),
-    "cast": (cast, 1, 2, 2),
-    "like": (strings.like, 1, 2, 2),
-    "substring": (strings.substring, 1, 2, 3),
-    "case": (case, None, 3, None),
+    "and": (logical_and, 2, 2, 2, Atom.BIT),
+    "or": (logical_or, 2, 2, 2, Atom.BIT),
+    "concat": (concat_str, 2, 2, 2, Atom.STR),
+    "not": (logical_not, 1, 1, 1, Atom.BIT),
+    "isnil": (isnull, 1, 1, 1, Atom.BIT),
+    "negate": (negate, 1, 1, 1, _operand_atom),
+    "abs": (absolute, 1, 1, 1, _operand_atom),
+    "lower": (strings.lower, 1, 1, 1, Atom.STR),
+    "upper": (strings.upper, 1, 1, 1, Atom.STR),
+    "trim": (strings.trim, 1, 1, 1, Atom.STR),
+    "length": (strings.length, 1, 1, 1, Atom.INT),
+    "math": (apply_unary_math, 1, 2, 2, _math_atom),
+    "cast": (cast, 1, 2, 2, _cast_atom),
+    "like": (strings.like, 1, 2, 2, Atom.BIT),
+    "substring": (strings.substring, 1, 2, 3, Atom.STR),
+    "case": (case, None, 3, None, _case_atom),
 }
+
+
+def node_atom(name: str, atoms: list, literal: Any = None) -> Optional[Atom]:
+    """Static result atom of kernel *name* over operands of *atoms* (and
+    its first literal parameter).  Raises :class:`~repro.errors.TypeError_`
+    for operands the kernel cannot reconcile."""
+    rule = KERNELS[name][4]
+    return rule(atoms, literal) if callable(rule) else rule
+
 
 #: neutral operands, ``(name, operand index, value)``: the application
 #: is its other operand (NULL-transparent identities only — absorbing
@@ -503,9 +533,6 @@ NEUTRAL = {
     ("and", 1, True), ("and", 0, True),
     ("or", 1, False), ("or", 0, False),
 }
-
-_ARITH_NAMES = ("add", "sub", "mul", "div", "mod")
-_STR_NAMES = ("concat", "lower", "upper", "trim", "substring")
 
 # operand reference kinds of a compiled expression
 _STEP, _LEAF, _CONST = range(3)
@@ -550,7 +577,7 @@ def compile_expr(text: str) -> tuple[tuple, int]:
             continue
         if kind == 6:
             name, start, refs = calls.pop()
-            _, _, fewest, most = KERNELS[name]
+            fewest, most = KERNELS[name][2:4]
             if len(refs) < fewest or (most and len(refs) > most):
                 raise GDKError(f"{name} in {text!r}: bad operand list")
             node = text[start:end]
@@ -627,7 +654,8 @@ def scalar(name: str, *operands: Any) -> Any:
 
 
 def result_atom(text: str, atoms: list) -> Optional[Atom]:
-    """Static result atom of an expression over leaves of *atoms*.
+    """Static result atom of an expression over leaves of *atoms*:
+    :func:`node_atom` folded over the steps.
 
     ``None`` stands for an atom only known at run time (an untyped
     parameter, a NULL literal), in the leaves and in the answer.  Raises
@@ -646,27 +674,6 @@ def result_atom(text: str, atoms: list) -> Optional[Atom]:
         return done[value] if kind == _STEP else atoms[value]
 
     for name, refs in steps:
-        operand_atoms = [atom_of(ref) for ref in refs]
         literal = refs[1][1] if len(refs) > 1 and refs[1][0] == _CONST else None
-        if name in _ARITH_NAMES:
-            atom = _widest(operand_atoms)
-            if atom is not None:
-                common_numeric(atom, atom)  # raises for a non-numeric operand
-        elif name in ("negate", "abs"):
-            atom = operand_atoms[0]
-        elif name == "math":
-            rounds = isinstance(literal, str) and literal.lower() in _ROUNDING
-            # floor/ceil/round keep an integer atom (and an unknown one unknown)
-            atom = operand_atoms[0] if rounds and operand_atoms[0] is not Atom.DBL else Atom.DBL
-        elif name == "cast":
-            atom = Atom(literal) if isinstance(literal, str) else None
-        elif name == "case":
-            atom = _widest(operand_atoms[1::2] + operand_atoms[-1:])
-        elif name in _STR_NAMES:
-            atom = Atom.STR
-        elif name == "length":
-            atom = Atom.INT
-        else:
-            atom = Atom.BIT
-        done.append(atom)
+        done.append(node_atom(name, [atom_of(ref) for ref in refs], literal))
     return done[-1]

@@ -15,8 +15,7 @@ in the descriptor's ``encoding`` entry):
 * **dict** — string tails always persist as ``<name>.codes.npy``
   (int32 codes) plus ``<name>.dict.json`` (the sorted dictionary);
   they load back as :class:`~repro.gdk.dictenc.DictColumn`, so
-  selections/joins/grouping run on codes straight off disk.  Legacy
-  ``<name>.values.json`` payloads still load (as plain columns);
+  selections/joins/grouping run on codes straight off disk;
 * **rle** — numeric tails whose (bitwise) run structure compresses
   well persist as ``<name>.rle.npz`` (run values + run lengths),
   decoded eagerly on load.
@@ -405,11 +404,6 @@ def load_bat(directory: Path, name: str) -> BAT:
             )
             codes = _load_array(directory, values_name, checksums)
             column: Column = DictColumn(Atom.STR, codes, dictionary, mask)
-        elif values_name.endswith(".values.json"):
-            # Legacy string payload (pre-dictionary farms).
-            values_data = _read_checked(directory, values_name, checksums)
-            values = np.array(json.loads(values_data.decode())["strings"], dtype=object)
-            column = Column(atom, values, mask)
         elif kind == "rle":
             values_data = _read_checked(directory, values_name, checksums)
             with np.load(io.BytesIO(values_data), allow_pickle=False) as npz:
@@ -445,9 +439,8 @@ def delete_bat(directory: Path, name: str) -> None:
     """Remove a BAT's files; missing files are ignored."""
     directory = Path(directory)
     for suffix in (f"{name}{_DESCRIPTOR_SUFFIX}", f"{name}.values.npy",
-                   f"{name}.values.json", f"{name}.mask.npy",
-                   f"{name}.codes.npy", f"{name}.dict.json",
-                   f"{name}.rle.npz"):
+                   f"{name}.mask.npy", f"{name}.codes.npy",
+                   f"{name}.dict.json", f"{name}.rle.npz"):
         path = directory / suffix
         if path.exists():
             path.unlink()

@@ -92,13 +92,6 @@ KNOBS: tuple[Knob, ...] = (
         "storage",
     ),
     Knob(
-        "REPRO_WAL_CHECKPOINT_BYTES",
-        str(64 * 1024 * 1024),
-        "WAL size that triggers a checkpoint (atomic farm republish + "
-        "log reset).",
-        "durability",
-    ),
-    Knob(
         "REPRO_WAL_CHECKPOINT_RECORDS",
         "1024",
         "WAL record count that triggers a checkpoint.",
@@ -125,26 +118,6 @@ KNOBS: tuple[Knob, ...] = (
         "Default per-query memory budget; BAT materialisations beyond "
         "it abort the statement with `ResourceError`.",
         "governance",
-    ),
-    Knob(
-        "REPRO_NET_MAX_SESSIONS",
-        "64",
-        "Server admission cap; connects beyond it are refused with an "
-        "error frame.",
-        "network",
-    ),
-    Knob(
-        "REPRO_NET_BATCH_ROWS",
-        "65536",
-        "Rows per streamed result batch on the wire.",
-        "network",
-    ),
-    Knob(
-        "REPRO_NET_MAX_PENDING",
-        "8",
-        "Per-connection pipeline queue bound; over-pipelining blocks "
-        "on TCP instead of server memory.",
-        "network",
     ),
     Knob(
         "REPRO_NET_RETRIES",

@@ -3,9 +3,10 @@
 One linear scan over the program checks, per instruction:
 
 * a signature is registered for the op and the arguments match it
-  (arity, operand kinds, atom constraints, JSON constants parse), and
-  a ``batcalc.expr`` expression parses, names exactly its leaves and
-  types to its declared result atom;
+  (arity, operand kinds, atom constraints, JSON constants parse), a
+  ``batcalc.expr`` expression parses, names exactly its leaves and
+  types to its declared result atom, and an ``aggr`` aggregate's result
+  is declared the atom the aggregate typing table gives its input;
 * single assignment and def-before-use, with every result variable
   carrying a declared type whose kind agrees with the signature;
 * no use after ``language.free`` (the static mirror of the
@@ -31,6 +32,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.errors import DatabaseError, PlanVerificationError
+from repro.gdk.aggregate import AGGREGATES, aggregate_atom
 from repro.gdk.atoms import Atom
 from repro.gdk.calc import result_atom, scalar_atom
 from repro.mal.analysis.invariants import FragmentState
@@ -297,6 +299,21 @@ class _Checker:
                 f"{instruction.results[0]!r} is declared {declared}"
             )
 
+    def _check_aggregate(self, instruction: Instruction) -> None:
+        """aggr.<name> / aggr.sub<name>: the result type against the
+        aggregate typing table."""
+        name = instruction.function.removeprefix("sub")
+        if instruction.module != "aggr" or name not in AGGREGATES:
+            return
+        value = self.program.types.get(instruction.args[0].name)
+        declared = self.program.types.get(instruction.results[0])
+        inferred = aggregate_atom(name, value.atom if value else None)
+        if declared and None not in (inferred, declared.atom) and inferred is not declared.atom:
+            self.fail(
+                f"aggr.{instruction.function} over {value} yields {inferred.value}, "
+                f"but {instruction.results[0]!r} is declared {declared}"
+            )
+
     def _record_results(self, instruction: Instruction, sig: OpSignature) -> None:
         if len(instruction.results) != len(sig.results):
             self.fail(
@@ -360,6 +377,7 @@ class _Checker:
             self._check_effects(sig)
             self._check_name_counts(instruction)
             self._check_expression(instruction)
+            self._check_aggregate(instruction)
             self._record_results(instruction, sig)
             self.fragments.observe(instruction)
             checked += 1

@@ -25,7 +25,7 @@ def _register_scalar(name: str) -> None:
             raise MALError(f"aggr.{_name} expects a BAT")
         value = aggregate_kernel.scalar(_name, b.tail)
         # A declared lng says so: a Python int types by magnitude in calc.
-        lng = _name in ("count", "sum") or b.tail.atom is Atom.LNG
+        lng = aggregate_kernel.aggregate_atom(_name, b.tail.atom) is Atom.LNG
         return np.int64(value) if lng and type(value) is int else value
 
 

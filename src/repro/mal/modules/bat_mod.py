@@ -35,10 +35,9 @@ def _pack(ctx, *values):
     sample = next((v for v in values if v is not None), None)
     if sample is None:
         return BAT(Column.nulls(Atom.INT, len(values)))
-    from repro.gdk.atoms import atom_for_python
-
-    atom = atom_for_python(sample)
-    return BAT(Column.from_pylist(atom, list(values)))
+    # A declared lng (COUNT, SUM, a BIGINT column's MIN) arrives as a
+    # ``numpy.int64`` and keeps its width; a Python int types by magnitude.
+    return BAT(Column.from_pylist(scalar_atom(sample), list(values)))
 
 
 @mal_op("bat", "getcount", sig="bat -> scalar")

@@ -19,5 +19,5 @@ def _register(name: str, fewest: int, most: int | None) -> None:
         return calc.scalar(name, *values)
 
 
-for _name, (_, _, _fewest, _most) in calc.KERNELS.items():
+for _name, (_, _, _fewest, _most, _) in calc.KERNELS.items():
     _register(_name, _fewest, _most)

@@ -51,7 +51,7 @@ PROTOCOL_VERSION = 2
 #: magic token the client presents in its HELLO frame.
 CLIENT_MAGIC = "REPRO"
 
-#: default rows per streamed result batch (``REPRO_NET_BATCH_ROWS``).
+#: default rows per streamed result batch (``ReproServer(batch_rows=...)``).
 DEFAULT_BATCH_ROWS = 65536
 
 #: upper bound on one frame; anything larger is a corrupt stream.

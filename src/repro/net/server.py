@@ -43,7 +43,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-from repro import knobs
 from repro.engine.database import Database
 from repro.engine.result import Result
 from repro.errors import (
@@ -70,18 +69,6 @@ HANDSHAKE_TIMEOUT = 10.0
 DEFAULT_DRAIN_TIMEOUT = 300.0
 #: seconds teardown waits for a transport/handler before forcing it.
 CLOSE_GRACE = 5.0
-
-
-def _env_int(name: str, default: int) -> int:
-    value = knobs.raw(name)
-    if not value:
-        return default
-    try:
-        return max(1, int(value))
-    except ValueError:
-        raise ProgrammingError(
-            f"invalid {name} value {value!r}: expected an integer"
-        ) from None
 
 
 class ServerStats:
@@ -156,19 +143,13 @@ class ReproServer:
         self.host = host
         self.port = port
         self.max_sessions = (
-            _env_int("REPRO_NET_MAX_SESSIONS", DEFAULT_MAX_SESSIONS)
-            if max_sessions is None
-            else max(1, int(max_sessions))
+            DEFAULT_MAX_SESSIONS if max_sessions is None else max(1, int(max_sessions))
         )
         self.batch_rows = (
-            _env_int("REPRO_NET_BATCH_ROWS", protocol.DEFAULT_BATCH_ROWS)
-            if batch_rows is None
-            else max(1, int(batch_rows))
+            protocol.DEFAULT_BATCH_ROWS if batch_rows is None else max(1, int(batch_rows))
         )
         self.max_pending = (
-            _env_int("REPRO_NET_MAX_PENDING", DEFAULT_MAX_PENDING)
-            if max_pending is None
-            else max(1, int(max_pending))
+            DEFAULT_MAX_PENDING if max_pending is None else max(1, int(max_pending))
         )
         #: optional ``auth(user, password) -> bool`` hook; None admits all.
         self.auth = auth

@@ -1,20 +1,19 @@
-"""Semantic analysis: name binding and type inference."""
+"""Semantic analysis: name binding and typing, one annotate pass."""
 
-from repro.semantic.binder import BoundColumn, Scope, SourceInfo, source_from_catalog
-from repro.semantic.types import (
-    AGGREGATE_FUNCTIONS,
-    contains_aggregate,
-    infer_atom,
+from repro.semantic.binder import (
+    Binder,
+    BoundColumn,
+    Scope,
+    SourceInfo,
     is_aggregate_call,
+    source_from_catalog,
 )
 
 __all__ = [
-    "AGGREGATE_FUNCTIONS",
+    "Binder",
     "BoundColumn",
     "Scope",
     "SourceInfo",
-    "contains_aggregate",
-    "infer_atom",
     "is_aggregate_call",
     "source_from_catalog",
 ]

@@ -14,15 +14,31 @@ paper exercises:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 
 # ----------------------------------------------------------------------
 # expressions
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class Literal:
+class Annotated:
+    """What binding leaves on a value or operator node.
+
+    The parser builds these nodes bare; the binder's one pass rebuilds
+    each with its result ``atom`` (``None``: an untyped NULL, typed at
+    run time) and whether an ``aggregate`` call occurs in it.  Neither
+    takes part in equality or hashing, so a bound node still matches
+    its GROUP BY key and its parsed twin.
+    """
+
+    atom: Any = field(default=None, compare=False, repr=False, kw_only=True)
+    aggregate: bool = field(default=False, compare=False, repr=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class Literal(Annotated):
     """A constant: int, float, string, bool, or None (NULL)."""
 
     value: Any
@@ -56,7 +72,7 @@ class Star:
 
 
 @dataclass(frozen=True)
-class BinaryOp:
+class BinaryOp(Annotated):
     """Infix operator application."""
 
     op: str  # +, -, *, /, %, ||, =, <>, <, <=, >, >=, AND, OR
@@ -65,7 +81,7 @@ class BinaryOp:
 
 
 @dataclass(frozen=True)
-class UnaryOp:
+class UnaryOp(Annotated):
     """Prefix operator: ``-``, ``+`` or ``NOT``."""
 
     op: str
@@ -73,7 +89,7 @@ class UnaryOp:
 
 
 @dataclass(frozen=True)
-class FunctionCall:
+class FunctionCall(Annotated):
     """Function or aggregate application.
 
     ``COUNT(*)`` is represented with ``star=True`` and empty args.
@@ -86,7 +102,7 @@ class FunctionCall:
 
 
 @dataclass(frozen=True)
-class CaseExpression:
+class CaseExpression(Annotated):
     """Searched CASE: WHEN cond THEN value ... [ELSE value] END."""
 
     whens: tuple[tuple["Expression", "Expression"], ...]
@@ -94,7 +110,7 @@ class CaseExpression:
 
 
 @dataclass(frozen=True)
-class IsNull:
+class IsNull(Annotated):
     """``expr IS [NOT] NULL``."""
 
     operand: "Expression"
@@ -102,7 +118,7 @@ class IsNull:
 
 
 @dataclass(frozen=True)
-class InList:
+class InList(Annotated):
     """``expr [NOT] IN (item, ...)``."""
 
     operand: "Expression"
@@ -111,7 +127,7 @@ class InList:
 
 
 @dataclass(frozen=True)
-class Between:
+class Between(Annotated):
     """``expr [NOT] BETWEEN low AND high``."""
 
     operand: "Expression"
@@ -136,11 +152,30 @@ class CellRef:
 
 
 @dataclass(frozen=True)
-class CastExpression:
+class CastExpression(Annotated):
     """``CAST(expr AS type)``."""
 
     operand: "Expression"
     type_name: str
+
+
+def children(node: Any) -> Iterator[Any]:
+    """Direct sub-expressions of an expression node, parsed or bound.
+
+    Nodes are dataclasses whose children sit in fields or in tuples of
+    fields (argument lists, CASE's ``(condition, value)`` pairs), so one
+    structural walk covers every node type.
+    """
+    for spec in dataclasses.fields(node):
+        yield from _nodes(getattr(node, spec.name))
+
+
+def _nodes(value: Any) -> Iterator[Any]:
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _nodes(item)
+    elif dataclasses.is_dataclass(value):
+        yield value
 
 
 Expression = Union[

@@ -1,10 +1,7 @@
-"""The SQL/SciQL tokenizer.
-
-Hand-written single-pass scanner.  SQL conventions honoured:
+"""The SQL/SciQL tokenizer: one master regex, one match per token.
 
 * keywords and identifiers are case-insensitive (keywords are upper-
-  cased, identifiers lower-cased);
-* ``"double quoted"`` identifiers preserve case;
+  cased, identifiers lower-cased); ``"quoted"`` identifiers keep theirs;
 * ``'string literals'`` with doubled-quote escaping;
 * ``--`` line comments and ``/* ... */`` block comments;
 * ``?`` yields a parameter-marker token (DB-API ``qmark`` binding);
@@ -15,171 +12,69 @@ Hand-written single-pass scanner.  SQL conventions honoured:
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import LexerError
 from repro.sql.tokens import KEYWORDS, OPERATORS, Token, TokenType
 
-_SINGLE_CHAR = {
-    "(": TokenType.LPAREN,
-    ")": TokenType.RPAREN,
-    "[": TokenType.LBRACKET,
-    "]": TokenType.RBRACKET,
-    ",": TokenType.COMMA,
-    ";": TokenType.SEMICOLON,
-    ".": TokenType.DOT,
-    ":": TokenType.COLON,
-    "*": TokenType.STAR,
-    "?": TokenType.PARAM,
+#: alternatives in priority order (``lastgroup`` names the one that matched);
+#: an ``open_*`` group matches only what its closed form did not.
+_TOKEN = re.compile(
+    r"(?s)(?P<skip>[ \t\r\n]+|--[^\n]*|/\*.*?\*/)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<number>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|(?P<string>'(?:[^']|'')*+')"
+    r"|(?P<open_string>')"
+    r'|(?P<quoted>"[^"]*")'
+    r'|(?P<open_quoted>")'
+    rf"|(?P<operator>{'|'.join(map(re.escape, OPERATORS))})"
+    r"|(?P<single>[()\[\],;.:*?])"
+    r"|(?P<unexpected>.)"
+)
+_ERRORS = {
+    "open_comment": "unterminated block comment",
+    "open_string": "unterminated string literal",
+    "open_quoted": "unterminated quoted identifier",
+    "unexpected": "unexpected character {!r}",
 }
 
 
-class Lexer:
-    """Tokenizes one statement string."""
+def _word(lexeme: str) -> tuple:
+    upper = lexeme.upper()
+    return (TokenType.KEYWORD, upper) if upper in KEYWORDS else (TokenType.IDENT, lexeme.lower())
 
-    def __init__(self, text: str):
-        self.text = text
-        self.position = 0
-        self.line = 1
-        self.column = 1
 
-    def tokenize(self) -> list[Token]:
-        """Produce all tokens, terminated by an EOF token."""
-        tokens: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.position >= len(self.text):
-                tokens.append(Token(TokenType.EOF, "", None, self.line, self.column))
-                return tokens
-            tokens.append(self._next_token())
-
-    # ------------------------------------------------------------------
-    def _peek(self, ahead: int = 0) -> str:
-        index = self.position + ahead
-        return self.text[index] if index < len(self.text) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        out = self.text[self.position : self.position + count]
-        for ch in out:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.position += count
-        return out
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.position < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self.position < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.position < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexerError("unterminated block comment", self.line, self.column)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        line, column = self.line, self.column
-        ch = self._peek()
-
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._number(line, column)
-        if ch.isalpha() or ch == "_":
-            return self._word(line, column)
-        if ch == "'":
-            return self._string(line, column)
-        if ch == '"':
-            return self._quoted_identifier(line, column)
-        for operator in OPERATORS:
-            if self.text.startswith(operator, self.position):
-                self._advance(len(operator))
-                return Token(TokenType.OPERATOR, operator, operator, line, column)
-        if ch in _SINGLE_CHAR:
-            self._advance()
-            return Token(_SINGLE_CHAR[ch], ch, ch, line, column)
-        raise LexerError(f"unexpected character {ch!r}", line, column)
-
-    def _number(self, line: int, column: int) -> Token:
-        start = self.position
-        seen_dot = False
-        seen_exp = False
-        while self.position < len(self.text):
-            ch = self._peek()
-            if ch.isdigit():
-                self._advance()
-            elif ch == "." and not seen_dot and not seen_exp:
-                # A dot not followed by a digit terminates the number
-                # (e.g. ``3.v`` never occurs; ``A.x`` handles the dot).
-                if not self._peek(1).isdigit():
-                    break
-                seen_dot = True
-                self._advance()
-            elif ch in "eE" and not seen_exp and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                seen_exp = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-            else:
-                break
-        text = self.text[start : self.position]
-        if seen_dot or seen_exp:
-            return Token(TokenType.FLOAT, text, float(text), line, column)
-        return Token(TokenType.INTEGER, text, int(text), line, column)
-
-    def _word(self, line: int, column: int) -> Token:
-        start = self.position
-        while self.position < len(self.text) and (
-            self._peek().isalnum() or self._peek() == "_"
-        ):
-            self._advance()
-        text = self.text[start : self.position]
-        upper = text.upper()
-        if upper in KEYWORDS:
-            return Token(TokenType.KEYWORD, upper, upper, line, column)
-        return Token(TokenType.IDENT, text.lower(), text.lower(), line, column)
-
-    def _string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        parts: list[str] = []
-        while True:
-            if self.position >= len(self.text):
-                raise LexerError("unterminated string literal", line, column)
-            ch = self._advance()
-            if ch == "'":
-                if self._peek() == "'":  # doubled quote escape
-                    parts.append("'")
-                    self._advance()
-                else:
-                    break
-            else:
-                parts.append(ch)
-        value = "".join(parts)
-        return Token(TokenType.STRING, value, value, line, column)
-
-    def _quoted_identifier(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        start = self.position
-        while self.position < len(self.text) and self._peek() != '"':
-            self._advance()
-        if self.position >= len(self.text):
-            raise LexerError("unterminated quoted identifier", line, column)
-        text = self.text[start : self.position]
-        self._advance()  # closing quote
-        return Token(TokenType.IDENT, text, text, line, column)
+#: matched group -> ``(type, value)``; a token's text is its value (a number's: its lexeme).
+_MAKE = {
+    "number": lambda s: (TokenType.INTEGER, int(s)) if s.isdigit() else (TokenType.FLOAT, float(s)),
+    "word": _word,
+    "string": lambda s: (TokenType.STRING, s[1:-1].replace("''", "'")),
+    "quoted": lambda s: (TokenType.IDENT, s[1:-1]),
+    "operator": lambda s: (TokenType.OPERATOR, s),
+    "single": lambda s: (TokenType(s), s),
+}
 
 
 def tokenize(text: str) -> list[Token]:
-    """Convenience wrapper: tokenize *text*."""
-    return Lexer(text).tokenize()
+    """All tokens of *text*, terminated by an EOF token."""
+    tokens: list[Token] = []
+    position, line, line_start = 0, 1, 0  # line_start: offset of the line's first char
+    while position < len(text):
+        match = _TOKEN.match(text, position)
+        kind, lexeme = match.lastgroup, match.group()
+        if kind in _MAKE:
+            type_, value = _MAKE[kind](lexeme)
+            shown = lexeme if kind == "number" else value
+            tokens.append(Token(type_, shown, value, line, position - line_start + 1))
+        elif kind != "skip":
+            if kind == "open_comment":  # reported where the input it swallowed ends
+                line, line_start = line + text.count("\n", position), text.rfind("\n") + 1
+                position = len(text)
+            raise LexerError(_ERRORS[kind].format(lexeme), line, position - line_start + 1)
+        position = match.end()
+        if "\n" in lexeme:
+            line += lexeme.count("\n")
+            line_start = match.start() + lexeme.rfind("\n") + 1
+    tokens.append(Token(TokenType.EOF, "", None, line, position - line_start + 1))
+    return tokens

@@ -207,12 +207,11 @@ class TestPersistenceErrorPaths:
         assert loaded == bat
         assert persist.list_bats(tmp_path) == ["words"]
 
-    def test_legacy_json_string_payload_still_loads(self, tmp_path):
+    def test_retired_json_string_payload_is_an_unknown_encoding(self, tmp_path):
         import json
         import zlib
 
-        strings = ["x", "", "longer-string"]
-        payload = json.dumps({"strings": strings}).encode()
+        payload = json.dumps({"strings": ["x", "", "longer-string"]}).encode()
         (tmp_path / "old.values.json").write_bytes(payload)
         descriptor = {
             "atom": "str", "hseqbase": 0, "count": 3,
@@ -220,7 +219,8 @@ class TestPersistenceErrorPaths:
             "checksums": {"old.values.json": zlib.crc32(payload)},
         }
         (tmp_path / "old.bat.json").write_text(json.dumps(descriptor))
-        assert persist.load_bat(tmp_path, "old").tail.to_pylist() == strings
+        with pytest.raises(PersistenceError, match="cannot load BAT old"):
+            persist.load_bat(tmp_path, "old")
 
     def test_descriptor_carries_zone_map(self, tmp_path):
         import json

@@ -416,7 +416,7 @@ class TestMutations:
             ('cast($0,"decimal")', "batcalc.expr"),
             ("sub($0,$1)", "yields lng"),
             ("concat($0,$1)", "yields str"),
-            ("add(lower($0),$1)", "no common numeric type"),
+            ("add(lower($0),$1)", "incompatible types str and int"),
         ],
     )
     def test_expression_must_fit_its_leaves_and_result(self, text, complaint):
@@ -434,6 +434,22 @@ class TestMutations:
             return program
 
         assert "no BAT leaf" in str(mutate(expression_plan, "evil_fusion", scalars_only))
+
+    def test_aggregate_result_must_be_typed_by_the_aggregate_table(self):
+        def plan():
+            p = MALProgram()
+            total = p.emit1("aggr", "sum", [source(p)], scalar_type(Atom.LNG))
+            p.emit("sql", "setVariable", ["out", total], [scalar_type(Atom.LNG)])
+            return p
+
+        verify_program(plan())  # SUM over int is lng
+
+        def narrow(program):
+            program.types[find(program, "aggr", "sum").results[0]] = scalar_type(Atom.INT)
+            return program
+
+        error = mutate(plan, "evil_narrowing", narrow)
+        assert "yields lng" in str(error) and "aggr.sum" in error.instruction
 
     def test_error_names_pass_and_instruction(self):
         def drop(program):

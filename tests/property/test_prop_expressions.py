@@ -24,23 +24,11 @@ more: ``MALGenerator._binary`` applies the neutral-operand rules when it
 builds a node, so the corpus pins ``a + 0``, ``1 * d``, ``.. AND TRUE``
 against sqlite instead of ablating them.)
 
-Where sqlite and SciQL differ — the generator stays clear of these for
-the sqlite leg; the fixed ``WIDTHS`` corpus walks straight into them and
-is checked against the scalar fold only:
-
-* **integer width**: sqlite integers are 64-bit; ``INT`` is 32-bit here
-  and ``int ∘ int`` stays ``int`` (a BIGINT operand widens it);
-* **integer overflow**: sqlite promotes an overflowing integer result to
-  REAL; here the row is NULL (as for a division by zero, which both
-  engines make NULL), in ``INT`` and in ``BIGINT``;
-* **typing is static**: a CASE mixing INT and DOUBLE branches is DOUBLE
-  for every row, so ``CASE .. END / 2`` divides doubles; sqlite types
-  each row by the branch taken (the generator keeps branches in one
-  family);
-* ``%`` on doubles is ``fmod`` here and an integer operation in sqlite
-  (the generator applies ``%`` to integers only);
-* integer ``/`` (truncation toward zero) and ``%`` (sign of the
-  dividend) agree, and so does ``CAST(double AS INT)`` (truncation).
+Where sqlite and SciQL differ (32-bit INT, overflow → NULL instead of
+REAL or an error, static CASE typing, ``%`` on doubles) is enumerated
+next to the typing rules in the README, "Typing rules"; the generator
+stays clear of those for the sqlite leg, and the fixed ``WIDTHS`` corpus
+walks straight into them and is checked against the scalar fold only.
 """
 
 import math
@@ -330,6 +318,17 @@ AGGREGATES = [
 ]
 
 
+#: integer SUMs float64 cannot hold (c is 2^53 + k or 2^60 + k on even
+#: rows): each is compared with sqlite, scalar and per group.
+EXACT_SUMS = [
+    "k IN (2, 33)",              # 2^53 + 2 and 3: the total is odd
+    "k % 4 = 2",                 # fifteen values past 2^53
+    "k % 4 = 0 AND k < 28",      # six values past 2^60: 6 * 2^60 fits lng
+    "k < 28",                    # both, and the small odd rows
+    "k % 2 = 1",                 # small values only: what float64 did hold
+]
+
+
 def _aggregated():
     """The aggregates of DATA as the engine's scalars: a declared lng is
     a ``numpy.int64``, an INT aggregate a Python int."""
@@ -457,6 +456,30 @@ class TestExpressionOracle:
         assert _same(expected, oracle.execute(sql, params).fetchone()[0]), sql
         for name, conn in engines.items():
             assert _same(conn.execute(sql, params).scalar(), expected), (name, sql)
+
+    @pytest.mark.parametrize("where", EXACT_SUMS)
+    def test_integer_sums_are_exact(self, engines, oracle, where):
+        scalar = f"SELECT SUM(c), SUM(e), COUNT(c) FROM t WHERE {where}"
+        grouped = f"SELECT k % 3, SUM(c), SUM(e) FROM t WHERE {where} GROUP BY k % 3 ORDER BY 1"
+        for sql in (scalar, grouped):
+            expected = oracle.execute(sql).fetchall()
+            if sql is scalar and where != "k % 2 = 1":
+                assert float(expected[0][0]) != expected[0][0] or expected[0][0] % 2  # past 2^53
+            for name, conn in engines.items():
+                assert conn.execute(sql).rows() == expected, (name, sql)
+
+    def test_an_integer_sum_past_lng_is_null(self, engines, oracle):
+        """The element-wise overflow rule; sqlite raises instead."""
+        with pytest.raises(sqlite3.OperationalError, match="integer overflow"):
+            oracle.execute("SELECT SUM(c) FROM t").fetchall()
+        fits = sum(row[3] for row in DATA if row[3] is not None and row[0] % 4)
+        for name, conn in engines.items():
+            assert conn.execute("SELECT SUM(c), COUNT(c) FROM t").rows() == [(None, 53)], name
+            rows = conn.execute(
+                "SELECT CASE WHEN k % 4 = 0 THEN 0 ELSE 1 END, SUM(c) FROM t GROUP BY "
+                "CASE WHEN k % 4 = 0 THEN 0 ELSE 1 END ORDER BY 1"
+            ).rows()
+            assert rows == [(0, None), (1, fits)], name
 
     @settings(max_examples=150, deadline=None)
     @given(tree=expressions)

@@ -18,9 +18,8 @@ and must select the same keys under ``nr_threads`` in {1, 2} x
 zone maps.  The select instructions a statement compiles to must not
 depend on the thread count either.
 
-Documented divergence from sqlite: none inside this grammar (LIKE is
-compared with ``PRAGMA case_sensitive_like``; constants stay within the
-column's type family so sqlite's type affinity never kicks in).
+Divergence from sqlite inside this grammar: none (README, "Typing
+rules", lists why next to the value-expression ones).
 """
 
 import math

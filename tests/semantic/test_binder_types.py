@@ -1,4 +1,5 @@
-"""Semantic layer unit tests: scopes, binding, type inference."""
+"""Semantic layer unit tests: scopes, and the binder's one annotate pass
+(names resolved, every node carrying its result atom and aggregate-ness)."""
 
 import pytest
 
@@ -6,16 +7,12 @@ import repro
 from repro.errors import SemanticError
 from repro.gdk.atoms import Atom
 from repro.semantic.binder import (
+    Binder,
     BoundColumn,
     Scope,
     SourceInfo,
-    source_from_catalog,
-)
-from repro.semantic.types import (
-    common_atom,
-    contains_aggregate,
-    infer_atom,
     is_aggregate_call,
+    source_from_catalog,
 )
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse
@@ -94,8 +91,8 @@ class TestScope:
 
 
 def expr(sql):
-    """Parse a projection expression in isolation."""
-    return parse(f"SELECT {sql}").items[0].expression
+    """Parse a projection expression in isolation and bind it (no FROM)."""
+    return Binder(Scope([]), None).bind(parse(f"SELECT {sql}").items[0].expression)
 
 
 class TestAggregateDetection:
@@ -106,30 +103,47 @@ class TestAggregateDetection:
         assert not is_aggregate_call(expr("sqrt(1)"))
 
     def test_nested_detection(self):
-        assert contains_aggregate(expr("1 + max(2) * 3"))
-        assert contains_aggregate(expr("CASE WHEN count(*) > 1 THEN 1 END"))
-        assert not contains_aggregate(expr("1 + 2 * 3"))
+        assert expr("1 + max(2) * 3").aggregate
+        assert expr("CASE WHEN count(*) > 1 THEN 1 END").aggregate
+        assert not expr("1 + 2 * 3").aggregate
 
     def test_inside_in_and_between(self):
-        assert contains_aggregate(expr("1 IN (min(2), 3)"))
-        assert contains_aggregate(expr("1 BETWEEN min(2) AND 3"))
+        assert expr("1 IN (min(2), 3)").aggregate
+        assert expr("1 BETWEEN min(2) AND 3").aggregate
+
+    def test_every_node_on_the_way_down_is_annotated(self):
+        bound = expr("abs(1 - max(2)) + sqrt(4)")
+        assert bound.aggregate and bound.left.aggregate and not bound.right.aggregate
+        assert bound.left.args[0].right.aggregate and not bound.left.args[0].left.aggregate
+
+    def test_annotations_do_not_take_part_in_equality(self):
+        parsed = parse("SELECT 1 + max(2)").items[0].expression
+        bound = expr("1 + max(2)")
+        assert bound == parsed and hash(bound) == hash(parsed)
+        assert (parsed.atom, parsed.aggregate) == (None, False)
+        assert (bound.atom, bound.aggregate) == (Atom.INT, True)
+        assert repr(bound) == repr(parsed)
 
 
-class TestCommonAtom:
+class TestWidening:
+    """CASE branches (and set-operation columns) widen through the one
+    rank table; an untyped NULL widens nothing."""
+
     def test_null_is_neutral(self):
-        assert common_atom(None, Atom.INT) is Atom.INT
-        assert common_atom(Atom.STR, None) is Atom.STR
-        assert common_atom(None, None) is None
+        assert expr("CASE WHEN TRUE THEN NULL ELSE 1 END").atom is Atom.INT
+        assert expr("CASE WHEN TRUE THEN 'x' ELSE NULL END").atom is Atom.STR
+        assert expr("CASE WHEN TRUE THEN NULL END").atom is None
 
     def test_numeric_widening(self):
-        assert common_atom(Atom.INT, Atom.DBL) is Atom.DBL
+        assert expr("CASE WHEN TRUE THEN 1 ELSE 2.5 END").atom is Atom.DBL
+        assert expr("CASE WHEN TRUE THEN 1 ELSE 3000000000 END").atom is Atom.LNG
 
     def test_incompatible(self):
-        with pytest.raises(SemanticError):
-            common_atom(Atom.STR, Atom.INT)
+        with pytest.raises(SemanticError, match="incompatible types str and int"):
+            expr("CASE WHEN TRUE THEN 'x' ELSE 1 END")
 
 
-class TestInferAtom:
+class TestAnnotatedAtoms:
     @pytest.mark.parametrize(
         "sql, atom",
         [
@@ -163,15 +177,56 @@ class TestInferAtom:
         ],
     )
     def test_inference_table(self, sql, atom):
-        assert infer_atom(expr(sql)) is atom
+        assert expr(sql).atom is atom
 
     def test_null_literal_untyped(self):
-        assert infer_atom(expr("NULL")) is None
+        assert expr("NULL").atom is None
 
     def test_arithmetic_on_strings_rejected(self):
         with pytest.raises(SemanticError):
-            infer_atom(expr("'a' + 1"))
+            expr("'a' + 1")
 
     def test_unknown_function_rejected(self):
         with pytest.raises(SemanticError):
-            infer_atom(expr("frobnicate(1)"))
+            expr("frobnicate(1)")
+
+
+class TestSemanticErrorTexts:
+    """One case per error the four former walkers raised; the annotate
+    pass and the generic grouped-output walk keep each message."""
+
+    @pytest.fixture
+    def db(self):
+        conn = repro.connect()
+        conn.execute("CREATE TABLE t (a INT, b INT, s VARCHAR(8))")
+        conn.execute("CREATE ARRAY m (x INT DIMENSION[0:1:4], v INT DEFAULT 0)")
+        return conn
+
+    @pytest.mark.parametrize(
+        "sql, message",
+        [
+            (
+                "SELECT a, b + 1 FROM t GROUP BY a",
+                "column 'b' must appear in GROUP BY or inside an aggregate",
+            ),
+            (
+                "SELECT CASE WHEN SUM(a) > 0 THEN b END FROM t",
+                "column 'b' must appear in GROUP BY or inside an aggregate",
+            ),
+            (
+                "SELECT x, SUM(v) + m[x-1] FROM m GROUP BY x",
+                "cell references are not allowed in grouped output",
+            ),
+            ("SELECT s + s FROM t", "arithmetic on non-numeric type str"),
+            ("SELECT s + 1 FROM t", "incompatible types str and int"),
+            ("SELECT a FROM t WHERE frobnicate(a) > 1", "unknown function 'frobnicate'"),
+            ("SELECT sqrt() FROM t", "function 'sqrt' needs arguments"),
+            ("SELECT a FROM t UNION SELECT s FROM t", "incompatible types int and str"),
+            ("SELECT CASE WHEN a > 0 THEN s ELSE b END FROM t", "incompatible types str and int"),
+        ],
+    )
+    def test_message_text(self, db, sql, message):
+        with pytest.raises(SemanticError) as error:
+            db.execute(sql)
+        assert str(error.value) == message
+        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 0  # session survives

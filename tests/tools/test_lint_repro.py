@@ -101,6 +101,25 @@ class TestRules:
         path.write_text(waived, encoding="utf-8")
         assert lint.lint_paths([path]) == []
 
+    def test_expression_walkers_outside_the_allow_list(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lint, "WALKER_DIRS", (tmp_path,))
+        body = (
+            "(self, e):\n"
+            "        if isinstance(e, ast.Literal): return 1\n"
+            "        if isinstance(e, (ast.BinaryOp, ast.UnaryOp)): return self.walk(e.left)\n"
+            "        if isinstance(e, BoundColumn): return e.atom\n"
+        )
+        assert rules_in(tmp_path, f"def atom_of{body}") == ["expression-walker"]
+        assert rules_in(tmp_path, f"class Typer:\n    def bind{body}") == ["expression-walker"]
+        # ... the allow-list names functions and Class.method
+        assert rules_in(tmp_path, f"def fold_constant{body}") == []
+        assert rules_in(tmp_path, f"class Binder:\n    def bind{body}") == []
+        # ... three node classes are a helper, not a walker
+        assert rules_in(tmp_path, f"def atom_of{body}".replace("BoundColumn", "SourceInfo")) == []
+        # ... and only semantic/ and algebra/ are walker territory
+        monkeypatch.setattr(lint, "WALKER_DIRS", (tmp_path / "elsewhere",))
+        assert rules_in(tmp_path, f"def atom_of{body}") == []
+
     def test_syntax_errors_are_reported_not_raised(self, tmp_path):
         assert rules_in(tmp_path, "def broken(:\n") == ["syntax"]
 
@@ -137,6 +156,18 @@ class TestRealTree:
         paths = sorted(p for root in roots for p in root.rglob("*.py"))
         findings = lint.lint_paths(paths)
         assert findings == [], "\n".join(str(f) for f in findings)
+
+    def test_readme_typing_table_is_generated_from_the_typing_tables(self):
+        spec = importlib.util.spec_from_file_location(
+            "typing_rules", REPO / "tools" / "typing_rules.py"
+        )
+        typing_rules = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(typing_rules)
+        assert typing_rules.sync_readme(REPO / "README.md"), (
+            "README typing table is stale; run: python tools/typing_rules.py --write"
+        )
+        table = typing_rules.markdown_table()
+        assert "int, lng → lng" in table and "str, int → error" in table
 
     def test_signature_registry_is_complete(self):
         findings = []

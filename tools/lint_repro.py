@@ -18,6 +18,10 @@ AST-based checks over ``src/repro`` (and this ``tools`` directory):
 * ``signatures``    — every op in the MAL interpreter registry has a
   declared static signature (the plan verifier's completeness
   guarantee);
+* ``expression-walker`` — under ``semantic/`` and ``algebra/`` no
+  function outside :data:`WALKERS` type-switches on four or more
+  expression node classes: the binder annotates every node once, so a
+  second hand-enumerated walk is a second place for the same decision;
 * ``orphan-op``     — every registered MAL op is emitted by the MAL
   generator, an optimizer pass or the engine: its ``"module",
   "function"`` pair appears literally in a call or tuple under
@@ -50,7 +54,14 @@ EMITTER_DIRS = (
     SRC / "repro" / "engine",
 )
 
-_BINARY = (  # the values of MALGenerator._OP_NAMES
+#: where a type switch over expression nodes counts as a walker, and the
+#: walkers there are: the binder's annotate pass, malgen's expression
+#: and predicate lowerings, and the literal folder of DDL/VALUES syntax.
+WALKER_DIRS = (SRC / "repro" / "semantic", SRC / "repro" / "algebra")
+WALKERS = {"Binder.bind", "MALGenerator._eval", "MALGenerator._conjunct", "fold_constant"}
+WALKER_CLASSES = 4
+
+_BINARY = (  # the values of repro.semantic.binder.OP_NAMES
     "add", "sub", "mul", "div", "mod", "eq", "ne", "lt", "le", "gt", "ge",
     "and", "or", "concat",
 )
@@ -58,7 +69,7 @@ _UNARY = (  # MALGenerator._unary / _is_null / _function / _cast / _case
     "not", "negate", "isnil", "cast", "abs", "math",
     "lower", "upper", "trim", "length", "substring", "like", "case",
 )
-_AGGREGATES = (  # repro.semantic.types.AGGREGATE_FUNCTIONS
+_AGGREGATES = (  # repro.gdk.aggregate.AGGREGATES
     "sum", "avg", "min", "max", "count", "prod", "stddev", "median",
 )
 
@@ -252,6 +263,48 @@ def _check_fsync_rename(
             )
 
 
+def _expression_classes() -> frozenset:
+    """Names of the expression node classes, parsed and bound."""
+    import typing
+
+    from repro.sql import ast_nodes
+
+    parsed = {node.__name__ for node in typing.get_args(ast_nodes.Expression)}
+    return frozenset(parsed | {"Parameter", "BoundColumn", "BoundCellRef"})
+
+
+def _check_expression_walkers(
+    tree: ast.AST, path: Path, classes: frozenset, findings: list[Finding]
+) -> None:
+    if not any(root in path.parents for root in WALKER_DIRS):
+        return
+    functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for owner in tree.body:
+        if isinstance(owner, ast.ClassDef):
+            functions += [
+                (f"{owner.name}.{node.name}", node)
+                for node in owner.body
+                if isinstance(node, ast.FunctionDef)
+            ]
+    for name, function in functions:
+        switched: set[str] = set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and _call_name(node) == "isinstance" and len(node.args) == 2:
+                tested = node.args[1]
+                for target in tested.elts if isinstance(tested, ast.Tuple) else [tested]:
+                    switched.add(getattr(target, "attr", getattr(target, "id", "")))
+        switched &= classes
+        if len(switched) >= WALKER_CLASSES and name not in WALKERS:
+            findings.append(
+                Finding(
+                    path, function.lineno, "expression-walker",
+                    f"{name} type-switches on {len(switched)} expression node classes "
+                    f"({', '.join(sorted(switched))}) — read the binder's annotations "
+                    "(.atom, .aggregate) or ast.children() instead of walking again",
+                )
+            )
+
+
 def _check_signatures(findings: list[Finding]) -> None:
     sys.path.insert(0, str(SRC))
     try:
@@ -324,6 +377,7 @@ def lint_paths(paths: list[Path]) -> list[Finding]:
     from repro.testing.faultpoints import REGISTERED_POINTS
 
     registered = frozenset(REGISTERED_POINTS)
+    classes = _expression_classes()
     findings: list[Finding] = []
     for path in paths:
         source = path.read_text(encoding="utf-8")
@@ -340,6 +394,7 @@ def lint_paths(paths: list[Path]) -> list[Finding]:
         _check_imports(tree, path, findings)
         _check_bare_except(tree, path, findings)
         _check_fsync_rename(tree, path, lines, findings)
+        _check_expression_walkers(tree, path, classes, findings)
     return findings
 
 
