@@ -26,7 +26,7 @@ import numpy as np
 from repro.errors import SemanticError
 from repro.gdk import calc
 from repro.gdk.atoms import Atom, atom_for_sql_type, widest
-from repro.catalog import Array, Catalog
+from repro.catalog import Array, Catalog, ColumnDef, DimensionDef
 from repro.core.tiling import TileSpec
 from repro.semantic.binder import (
     Binder,
@@ -149,29 +149,26 @@ def _plan_set_operation(
 
 
 # ------------------------------ DDL ------------------------------
-def _column_entry(spec: ast.ColumnSpec) -> dict:
-    atom = atom_for_sql_type(spec.type_name)
-    default = None
-    if spec.has_default:
-        default = fold_constant(spec.default)
-    return {
-        "name": spec.name,
-        "atom": atom.value,
-        "default": default,
-        "has_default": spec.has_default,
-    }
+def _column_def(spec: ast.ColumnSpec) -> ColumnDef:
+    default = fold_constant(spec.default) if spec.has_default else None
+    return ColumnDef(spec.name, atom_for_sql_type(spec.type_name), default, spec.has_default)
+
+
+def _defs_json(defs: list) -> str:
+    """The JSON constant ``sql.createTable`` / ``createArray`` parse back."""
+    return json.dumps([d.to_json() for d in defs])
 
 
 def _plan_create_table(statement: ast.CreateTable) -> nodes.CreateTablePlan:
-    entries = [_column_entry(c) for c in statement.columns]
+    columns = [_column_def(c) for c in statement.columns]
     return nodes.CreateTablePlan(
-        statement.name.lower(), json.dumps(entries), statement.if_not_exists
+        statement.name.lower(), _defs_json(columns), statement.if_not_exists
     )
 
 
 def _plan_create_array(statement: ast.CreateArray) -> nodes.CreateArrayPlan:
-    dimensions: list[dict] = []
-    attributes: list[dict] = []
+    dimensions: list[DimensionDef] = []
+    attributes: list[ColumnDef] = []
     for spec in statement.elements:
         if spec.is_dimension:
             atom = atom_for_sql_type(spec.type_name)
@@ -184,25 +181,21 @@ def _plan_create_array(statement: ast.CreateArray) -> nodes.CreateArrayPlan:
                     f"dimension {spec.name!r}: unbounded dimensions must gain "
                     "a size through coercion; CREATE ARRAY needs a range"
                 )
-            dimensions.append(
-                {
-                    "name": spec.name,
-                    "atom": atom.value,
-                    "start": int(fold_constant(spec.dimension_range.start)),
-                    "step": int(fold_constant(spec.dimension_range.step)),
-                    "stop": int(fold_constant(spec.dimension_range.stop)),
-                }
+            bounds = spec.dimension_range
+            start, step, stop = (
+                int(fold_constant(bound)) for bound in (bounds.start, bounds.step, bounds.stop)
             )
+            dimensions.append(DimensionDef(spec.name, atom, start, step, stop))
         else:
-            attributes.append(_column_entry(spec))
+            attributes.append(_column_def(spec))
     if not dimensions:
         raise SemanticError("CREATE ARRAY needs at least one DIMENSION element")
     if not attributes:
         raise SemanticError("CREATE ARRAY needs at least one cell attribute")
     return nodes.CreateArrayPlan(
         statement.name.lower(),
-        json.dumps(dimensions),
-        json.dumps(attributes),
+        _defs_json(dimensions),
+        _defs_json(attributes),
         statement.if_not_exists,
     )
 

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.errors import CatalogError, PersistenceError
-from repro.gdk.atoms import Atom
 from repro.gdk.persist import (
     atomic_write_bytes,
     load_bat,
@@ -26,7 +25,13 @@ from repro.gdk.persist import (
     recover_farm,
     save_bat,
 )
-from repro.catalog.objects import Array, ColumnDef, DimensionDef, Table
+from repro.catalog.objects import (
+    Array,
+    ColumnDef,
+    DimensionDef,
+    Table,
+    object_from_schema,
+)
 
 SchemaObject = Table | Array
 
@@ -42,11 +47,14 @@ def read_manifest(directory: Path) -> dict:
     if not manifest_path.exists():
         raise PersistenceError(f"no catalog manifest in {directory}")
     try:
-        return json.loads(manifest_path.read_text())
+        manifest = json.loads(manifest_path.read_text())
     except ValueError as exc:
         raise PersistenceError(
             f"corrupt catalog manifest {manifest_path}: {exc}"
         ) from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("objects"), list):
+        raise PersistenceError(f"catalog manifest {manifest_path} lists no objects")
+    return manifest
 
 
 def farm_versions(directory: Path) -> tuple[int, int]:
@@ -194,60 +202,23 @@ class Catalog:
         the time of the snapshot; recovery replays only write-ahead-log
         records younger than the farm's recorded version.
         """
-        publish_farm(
-            Path(directory),
-            lambda staging: self._write_farm(staging, version, schema_version),
-        )
 
-    def _write_farm(
-        self, directory: Path, version: int = 0, schema_version: int = 0
-    ) -> None:
-        """Write manifest + BATs into an (existing, empty) directory."""
-        manifest: dict = {
-            "format": _FARM_FORMAT,
-            "version": version,
-            "schema_version": schema_version,
-            "objects": [],
-        }
-        for name, obj in sorted(self._objects.items()):
-            entry: dict = {"name": name, "kind": obj.kind}
-            if isinstance(obj, Table):
-                entry["columns"] = [
-                    {
-                        "name": c.name,
-                        "atom": c.atom.value,
-                        "default": c.default,
-                        "has_default": c.has_default,
-                    }
-                    for c in obj.columns
-                ]
-            else:
-                entry["dimensions"] = [
-                    {
-                        "name": d.name,
-                        "atom": d.atom.value,
-                        "start": d.start,
-                        "step": d.step,
-                        "stop": d.stop,
-                    }
-                    for d in obj.dimensions
-                ]
-                entry["attributes"] = [
-                    {
-                        "name": a.name,
-                        "atom": a.atom.value,
-                        "default": a.default,
-                        "has_default": a.has_default,
-                    }
-                    for a in obj.attributes
-                ]
-            manifest["objects"].append(entry)
-            subdir = directory / name
-            for column, bat in obj.bats.items():
-                save_bat(bat, subdir, column)
-        atomic_write_bytes(
-            directory / _CATALOG_FILE, json.dumps(manifest, indent=1).encode()
-        )
+        def write(staging: Path) -> None:
+            objects = sorted(self._objects.items())
+            for name, obj in objects:
+                for column, bat in obj.bats.items():
+                    save_bat(bat, staging / name, column)
+            manifest = {
+                "format": _FARM_FORMAT,
+                "version": version,
+                "schema_version": schema_version,
+                "objects": [{"name": name, **obj.schema_json()} for name, obj in objects],
+            }
+            atomic_write_bytes(
+                staging / _CATALOG_FILE, json.dumps(manifest, indent=1).encode()
+            )
+
+        publish_farm(Path(directory), write)
 
     @classmethod
     def load(cls, directory: Path) -> "Catalog":
@@ -263,34 +234,8 @@ class Catalog:
         manifest = read_manifest(directory)
         catalog = cls()
         for entry in manifest["objects"]:
-            name = entry["name"]
-            subdir = directory / name
-            if entry["kind"] == "table":
-                columns = [
-                    ColumnDef(
-                        c["name"], Atom(c["atom"]), c["default"], c["has_default"]
-                    )
-                    for c in entry["columns"]
-                ]
-                table = Table(name, columns)
-                for column in table.column_names():
-                    table.bats[column] = load_bat(subdir, column)
-                catalog._objects[name] = table
-            else:
-                dimensions = [
-                    DimensionDef(
-                        d["name"], Atom(d["atom"]), d["start"], d["step"], d["stop"]
-                    )
-                    for d in entry["dimensions"]
-                ]
-                attributes = [
-                    ColumnDef(
-                        a["name"], Atom(a["atom"]), a["default"], a["has_default"]
-                    )
-                    for a in entry["attributes"]
-                ]
-                array = Array(name, dimensions, attributes, materialise=False)
-                for column in array.column_names():
-                    array.bats[column] = load_bat(subdir, column)
-                catalog._objects[name] = array
+            obj = object_from_schema(
+                entry, lambda column: load_bat(directory / entry["name"], column)
+            )
+            catalog._objects[obj.name] = obj
         return catalog

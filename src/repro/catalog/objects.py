@@ -10,12 +10,12 @@ attribute, exactly as Figure 3 shows — whereas tables start empty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
 import numpy as np
 
-from repro.errors import CatalogError, DimensionError
+from repro.errors import CatalogError, DimensionError, PersistenceError
 from repro.gdk import dictenc
 from repro.gdk.atoms import Atom
 from repro.gdk.bat import BAT
@@ -23,8 +23,19 @@ from repro.gdk.cells import Coordinate, cell_positions
 from repro.gdk.column import Column
 
 
+class _SchemaEntry:
+    """JSON form of a definition: its fields in order, the atom by value."""
+
+    def to_json(self) -> dict:
+        return {**asdict(self), "atom": self.atom.value}
+
+    @classmethod
+    def from_json(cls, entry: dict):
+        return cls(**{**entry, "atom": Atom(entry["atom"])})
+
+
 @dataclass
-class ColumnDef:
+class ColumnDef(_SchemaEntry):
     """A non-dimensional attribute: name, atom type, optional DEFAULT.
 
     Omitting the default implies NULL (paper, Section 2).
@@ -37,7 +48,7 @@ class ColumnDef:
 
 
 @dataclass
-class DimensionDef:
+class DimensionDef(_SchemaEntry):
     """A named dimension with range constraint ``[start:step:stop)``.
 
     The interval is right-open; a dimension is *fixed* when all three
@@ -95,7 +106,8 @@ class DimensionDef:
 
 
 class _DeltaJournal:
-    """Mix-in: record logical mutations for O(delta) durable commits.
+    """What a table and an array share: one BAT per column, point updates,
+    and a record of logical mutations for O(delta) durable commits.
 
     A transaction fork arms each cloned object with an empty journal
     (:meth:`_arm_journal`); every mutating method then appends one
@@ -130,6 +142,26 @@ class _DeltaJournal:
         if self.journal is not None:
             self.journal.append((method, payload))
             self._journal_bats = dict(self.bats)
+
+    def bind(self, column: str) -> BAT:
+        """The storage BAT of one column (MAL's ``sql.bind``)."""
+        try:
+            return self.bats[column]
+        except KeyError:
+            raise CatalogError(f"{self.kind} {self.name}: no column {column!r}") from None
+
+    def replace_values(self, column: str, oids: np.ndarray, values: Column) -> None:
+        """Point-update one column / cell attribute at the given oids.
+
+        Array INSERT/UPDATE/DELETE all reduce to this; a dimension is
+        not updatable.
+        """
+        cdef = self._updatable_def(column)
+        if values.atom is not cdef.atom:
+            values = values.cast(cdef.atom)
+        oids = np.asarray(oids, dtype=np.int64)
+        self.bats[column] = self.bats[column].replace(oids, values)
+        self._journal_op("replace_values", {"column": column, "oids": oids, "values": values})
 
     def journal_faithful(self) -> bool:
         """True when the journal provably covers every BAT rebinding."""
@@ -168,18 +200,17 @@ class Table(_DeltaJournal):
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
+    def schema_json(self) -> dict:
+        """Kind and column definitions; :func:`object_from_schema` reads it."""
+        return {"kind": self.kind, "columns": [c.to_json() for c in self.columns]}
+
     def column_def(self, name: str) -> ColumnDef:
         for column in self.columns:
             if column.name == name:
                 return column
         raise CatalogError(f"table {self.name}: no column {name!r}")
 
-    def bind(self, column: str) -> BAT:
-        """The storage BAT of one column (MAL's ``sql.bind``)."""
-        try:
-            return self.bats[column]
-        except KeyError:
-            raise CatalogError(f"table {self.name}: no column {column!r}") from None
+    _updatable_def = column_def
 
     def clone(self) -> "Table":
         """Structural copy sharing the (immutable) storage BATs.
@@ -219,21 +250,6 @@ class Table(_DeltaJournal):
             self.bats[cdef.name] = dictenc.maybe_encode_bat(appended)
         self._journal_op("append_rows", {"columns": dict(columns)})
         return n
-
-    def replace_values(self, column: str, oids: np.ndarray, values: Column) -> None:
-        """Point-update one column at the given row oids."""
-        cdef = self.column_def(column)
-        if values.atom is not cdef.atom:
-            values = values.cast(cdef.atom)
-        self.bats[column] = self.bats[column].replace(oids, values)
-        self._journal_op(
-            "replace_values",
-            {
-                "column": column,
-                "oids": np.asarray(oids, dtype=np.int64),
-                "values": values,
-            },
-        )
 
     def delete_rows(self, oids: np.ndarray) -> int:
         """Physically remove rows (tables are bags; arrays never do this)."""
@@ -363,6 +379,14 @@ class Array(_DeltaJournal):
     def column_names(self) -> list[str]:
         return [d.name for d in self.dimensions] + [a.name for a in self.attributes]
 
+    def schema_json(self) -> dict:
+        """Kind, dimension and attribute definitions (see :meth:`Table.schema_json`)."""
+        return {
+            "kind": self.kind,
+            "dimensions": [d.to_json() for d in self.dimensions],
+            "attributes": [a.to_json() for a in self.attributes],
+        }
+
     def dimension_names(self) -> list[str]:
         return [d.name for d in self.dimensions]
 
@@ -387,18 +411,14 @@ class Array(_DeltaJournal):
                 return attribute
         raise CatalogError(f"array {self.name}: no attribute {name!r}")
 
+    _updatable_def = attribute_def
+
     def column_def(self, name: str) -> ColumnDef:
         """Uniform view: dimensions appear as not-null INT columns."""
         for dimension in self.dimensions:
             if dimension.name == name:
                 return ColumnDef(dimension.name, dimension.atom)
         return self.attribute_def(name)
-
-    def bind(self, column: str) -> BAT:
-        try:
-            return self.bats[column]
-        except KeyError:
-            raise CatalogError(f"array {self.name}: no column {column!r}") from None
 
     # ------------------------------------------------------------------
     # cell addressing
@@ -425,21 +445,6 @@ class Array(_DeltaJournal):
     # ------------------------------------------------------------------
     # mutation: SciQL semantics (Section 2)
     # ------------------------------------------------------------------
-    def replace_values(self, attribute: str, oids: np.ndarray, values: Column) -> None:
-        """Point-update cells; INSERT/UPDATE/DELETE all reduce to this."""
-        adef = self.attribute_def(attribute)
-        if values.atom is not adef.atom:
-            values = values.cast(adef.atom)
-        self.bats[attribute] = self.bats[attribute].replace(oids, values)
-        self._journal_op(
-            "replace_values",
-            {
-                "column": attribute,
-                "oids": np.asarray(oids, dtype=np.int64),
-                "values": values,
-            },
-        )
-
     def delete_cells(self, oids: np.ndarray) -> None:
         """DELETE "creates holes by assigning NULL" to every attribute."""
         for attribute in self.attributes:
@@ -485,3 +490,28 @@ class Array(_DeltaJournal):
             "alter_dimension",
             {"dimension": name, "start": start, "step": step, "stop": stop},
         )
+
+
+def object_from_schema(entry: dict, bat_for) -> Table | Array:
+    """Rebuild a stored object from ``{"name": ..., **obj.schema_json()}``.
+
+    ``bat_for(column)`` supplies each storage BAT (a farm loader, or the
+    ``bats`` of a WAL snapshot).  Entries are only ever read from the
+    manifest and the log, so a malformed one is a
+    :class:`PersistenceError` naming the object.
+    """
+    name = None
+    try:
+        name, kind = entry["name"], entry["kind"]
+        if kind == "table":
+            obj = Table(name, [ColumnDef.from_json(c) for c in entry["columns"]])
+        elif kind == "array":
+            dimensions = [DimensionDef.from_json(d) for d in entry["dimensions"]]
+            attributes = [ColumnDef.from_json(a) for a in entry["attributes"]]
+            obj = Array(name, dimensions, attributes, materialise=False)
+        else:
+            raise ValueError(f"unknown object kind {kind!r}")
+        obj.bats = {column: bat_for(column) for column in obj.column_names()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PersistenceError(f"malformed schema entry for object {name!r}: {exc!r}") from None
+    return obj

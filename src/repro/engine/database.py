@@ -69,10 +69,9 @@ DEFAULT_STATEMENT_CACHE_SIZE = 128
 #: cap on the automatic worker-thread count.
 MAX_AUTO_THREADS = 8
 
-#: checkpoint when the WAL grows past this many bytes...
+#: checkpoint when the WAL grows past this many bytes, or past
+#: ``REPRO_WAL_CHECKPOINT_RECORDS`` commit records, whichever comes first.
 DEFAULT_CHECKPOINT_BYTES = 64 * 1024 * 1024
-#: ... or this many commit records, whichever comes first.
-DEFAULT_CHECKPOINT_RECORDS = 1024
 
 
 def resolve_durable(value, path) -> bool:
@@ -107,32 +106,19 @@ def resolve_durable(value, path) -> bool:
 
 
 def _checkpoint_records() -> int:
-    value = knobs.raw("REPRO_WAL_CHECKPOINT_RECORDS")
-    if not value:
-        return DEFAULT_CHECKPOINT_RECORDS
-    try:
-        return max(1, int(value))
-    except ValueError:
-        raise ProgrammingError(
-            f"invalid REPRO_WAL_CHECKPOINT_RECORDS value {value!r}: expected an integer"
-        ) from None
+    return knobs.integer("REPRO_WAL_CHECKPOINT_RECORDS", knobs.WAL_CHECKPOINT_RECORDS, 1)
 
 
 def resolve_nr_threads(value: Optional[int]) -> int:
     """Worker count: explicit knob > ``REPRO_NR_THREADS`` > cpu count."""
-    source = "nr_threads"
     if value is None:
-        env = knobs.raw("REPRO_NR_THREADS")
-        if env:
-            value = env
-            source = "REPRO_NR_THREADS"
-    if value is None:
-        value = min(os.cpu_count() or 1, MAX_AUTO_THREADS)
+        auto = min(os.cpu_count() or 1, MAX_AUTO_THREADS)
+        return knobs.integer("REPRO_NR_THREADS", auto, 1)
     try:
         return max(1, int(value))
     except (TypeError, ValueError):
         raise ProgrammingError(
-            f"invalid {source} value {value!r}: expected an integer"
+            f"invalid nr_threads value {value!r}: expected an integer"
         ) from None
 
 
@@ -171,16 +157,7 @@ def default_statement_timeout() -> Optional[float]:
 
     ``None`` (no deadline) when unset, empty or non-positive.
     """
-    env = knobs.raw("REPRO_STATEMENT_TIMEOUT_MS")
-    if not env:
-        return None
-    try:
-        millis = float(env)
-    except ValueError:
-        raise ProgrammingError(
-            f"invalid REPRO_STATEMENT_TIMEOUT_MS value {env!r}: "
-            "expected milliseconds"
-        ) from None
+    millis = knobs.number("REPRO_STATEMENT_TIMEOUT_MS", 0.0, 0.0)
     return millis / 1000.0 if millis > 0 else None
 
 
@@ -189,16 +166,7 @@ def default_mem_budget() -> Optional[int]:
 
     ``None`` (no budget) when unset, empty or non-positive.
     """
-    env = knobs.raw("REPRO_MEM_BUDGET_BYTES")
-    if not env:
-        return None
-    try:
-        budget = int(env)
-    except ValueError:
-        raise ProgrammingError(
-            f"invalid REPRO_MEM_BUDGET_BYTES value {env!r}: expected bytes"
-        ) from None
-    return budget if budget > 0 else None
+    return knobs.integer("REPRO_MEM_BUDGET_BYTES", 0, 0) or None
 
 
 class CatalogVersion:

@@ -1,57 +1,45 @@
 """The write-ahead log: O(delta) durable commits.
 
 MonetDB's SQL layer persists committed deltas through a write-ahead
-log and folds them into the BAT farm at checkpoints; republishing the
-whole farm per commit (how ``durable=True`` worked before) costs
-O(database) per transaction.  This module reproduces the WAL half:
+log and folds them into the BAT farm at checkpoints.  This module is
+the WAL half:
 
-* :func:`extract_changes` turns a committed transaction into a list of
-  *logical* change records — object creations/drops (full snapshots),
-  and per-object mutation journals (the ``(method, payload)`` entries
-  :class:`~repro.catalog.objects._DeltaJournal` collected, i.e. the
-  inputs of ``append_rows``/``replace_values``/... rather than the
+* :func:`extract_changes` turns a committed transaction into *logical*
+  change records — object creations/drops (full snapshots) and
+  per-object mutation journals (the ``(method, payload)`` inputs
+  :class:`~repro.catalog.objects._DeltaJournal` collected, not the
   resulting BATs);
-* :class:`WriteAheadLog` appends one checksummed, length-prefixed
-  record per commit and fsyncs it *before* the commit is acknowledged;
+* :class:`WriteAheadLog` appends one record per commit and fsyncs it
+  *before* the commit is acknowledged;
 * :func:`load_records` reads a WAL back, truncating a torn final
   record (a crash mid-append) with a :class:`RecoveryWarning`;
 * :func:`apply_record` replays one record through the normal catalog
-  mutation code, so recovery reproduces the committed state
-  byte-identically (the crash-matrix suite asserts this via
-  :func:`repro.testing.verify.catalog_digest`).
+  mutation code, so recovery is byte-identical (the crash matrix holds
+  it to :func:`repro.testing.verify.catalog_digest`).
 
-Record framing — ``[u32 length][u32 crc32(payload)][payload]`` with
-``payload = [u32 header length][header JSON][blob bytes...]`` — keeps
-the log self-describing: the JSON header holds the change structure
-with ``{"__col__": i}``-style placeholders pointing into the raw blob
-section (numeric payloads as machine bytes, strings as JSON).
+Record framing and column bytes are :mod:`repro.gdk.codec`'s (README,
+"Formats"); the JSON header holds the change structure with
+``{"__col__": i}``-style references into the record's blob list.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import struct
 import warnings
-import zlib
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from repro.errors import PersistenceError, RecoveryWarning
 from repro.catalog import Catalog
-from repro.catalog.objects import Array, ColumnDef, DimensionDef, Table
-from repro.gdk.atoms import Atom
+from repro.catalog.objects import object_from_schema
+from repro.gdk import codec
 from repro.gdk.bat import BAT
 from repro.gdk.column import Column
 from repro.testing.faultpoints import crash_point
 
 #: identifies a WAL file; written once at creation/reset.
 _MAGIC = b"SCIQLWAL"
-
-_FRAME = struct.Struct("<II")  # payload length, payload crc32
-_U32 = struct.Struct("<I")
 
 
 def wal_path_for(directory: Path) -> Path:
@@ -66,98 +54,20 @@ def wal_path_for(directory: Path) -> Path:
 
 
 # ----------------------------------------------------------------------
-# value codec: catalog payloads <-> JSON header + blob section
+# value codec: catalog payloads <-> JSON header + blob list
 # ----------------------------------------------------------------------
-class _BlobWriter:
-    """Collects binary payloads; hands out placeholder references."""
-
-    def __init__(self) -> None:
-        self.specs: list[dict] = []
-        self.chunks: list[bytes] = []
-
-    def _add(self, spec: dict, *chunks: bytes) -> int:
-        index = len(self.specs)
-        self.specs.append(spec)
-        self.chunks.extend(chunks)
-        return index
-
-    def add_column(self, column: Column) -> int:
-        if column.atom is Atom.STR:
-            data = json.dumps(list(column.values), ensure_ascii=False).encode()
-            spec = {"t": "str", "n": len(column), "vlen": len(data)}
-        else:
-            data = column.values.tobytes()
-            spec = {
-                "t": "col",
-                "atom": column.atom.value,
-                "dtype": str(column.values.dtype),
-                "n": len(column),
-                "vlen": len(data),
-            }
-        chunks = [data]
-        spec["mlen"] = 0
-        if column.mask is not None:
-            mask_data = column.mask.tobytes()
-            spec["mlen"] = len(mask_data)
-            chunks.append(mask_data)
-        return self._add(spec, *chunks)
-
-    def add_array(self, values: np.ndarray) -> int:
-        data = values.tobytes()
-        return self._add(
-            {"t": "arr", "dtype": str(values.dtype), "vlen": len(data)}, data
-        )
+#: header reference key -> what the referenced blob must decode to.
+_REFS = {"__col__": Column, "__bat__": Column, "__arr__": np.ndarray}
 
 
-class _BlobReader:
-    """Decodes blob references produced by :class:`_BlobWriter`."""
-
-    def __init__(self, specs: list[dict], data: bytes) -> None:
-        self.specs = specs
-        self.offsets: list[int] = []
-        offset = 0
-        for spec in specs:
-            self.offsets.append(offset)
-            offset += spec["vlen"] + spec.get("mlen", 0)
-        if offset != len(data):
-            raise PersistenceError(
-                f"WAL record blob section is {len(data)} bytes, "
-                f"expected {offset}"
-            )
-        self.data = data
-
-    def column(self, index: int) -> Column:
-        spec = self.specs[index]
-        offset = self.offsets[index]
-        raw = self.data[offset:offset + spec["vlen"]]
-        if spec["t"] == "str":
-            values = np.array(json.loads(raw.decode()), dtype=object)
-            atom = Atom.STR
-        else:
-            atom = Atom(spec["atom"])
-            values = np.frombuffer(raw, dtype=np.dtype(spec["dtype"])).copy()
-        mask = None
-        if spec.get("mlen"):
-            mask_raw = self.data[
-                offset + spec["vlen"]:offset + spec["vlen"] + spec["mlen"]
-            ]
-            mask = np.frombuffer(mask_raw, dtype=np.bool_).copy()
-        return Column(atom, values, mask)
-
-    def array(self, index: int) -> np.ndarray:
-        spec = self.specs[index]
-        offset = self.offsets[index]
-        raw = self.data[offset:offset + spec["vlen"]]
-        return np.frombuffer(raw, dtype=np.dtype(spec["dtype"])).copy()
-
-
-def _encode_value(value, blobs: _BlobWriter):
-    if isinstance(value, Column):
-        return {"__col__": blobs.add_column(value)}
+def _encode_value(value, blobs: list):
+    """JSON form of *value*; columns and ndarrays move to *blobs*."""
     if isinstance(value, BAT):
-        return {"__bat__": blobs.add_column(value.tail), "hseq": value.hseqbase}
-    if isinstance(value, np.ndarray):
-        return {"__arr__": blobs.add_array(value)}
+        blobs.append(value.tail)
+        return {"__bat__": len(blobs) - 1, "hseq": value.hseqbase}
+    if isinstance(value, (Column, np.ndarray)):
+        blobs.append(value)
+        return {"__col__" if isinstance(value, Column) else "__arr__": len(blobs) - 1}
     if isinstance(value, dict):
         return {key: _encode_value(item, blobs) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -167,17 +77,15 @@ def _encode_value(value, blobs: _BlobWriter):
     return value
 
 
-def _decode_value(value, blobs: _BlobReader):
+def _decode_value(value, blobs: list):
     if isinstance(value, dict):
-        ref = value.get("__col__")
-        if isinstance(ref, int):
-            return blobs.column(ref)
-        ref = value.get("__bat__")
-        if isinstance(ref, int):
-            return BAT(blobs.column(ref), value.get("hseq", 0))
-        ref = value.get("__arr__")
-        if isinstance(ref, int):
-            return blobs.array(ref)
+        for key, kind in _REFS.items():
+            ref = value.get(key)
+            if isinstance(ref, int):
+                blob = blobs[ref]
+                if not isinstance(blob, kind):
+                    raise TypeError(f"{key} {ref} refers to a {type(blob).__name__}")
+                return BAT(blob, value.get("hseq", 0)) if key == "__bat__" else blob
         return {key: _decode_value(item, blobs) for key, item in value.items()}
     if isinstance(value, list):
         return [_decode_value(item, blobs) for item in value]
@@ -189,39 +97,7 @@ def _decode_value(value, blobs: _BlobReader):
 # ----------------------------------------------------------------------
 def _snapshot_change(op: str, name: str, obj) -> dict:
     """A full-state change record: schema definition plus every BAT."""
-    change: dict = {"op": op, "name": name, "kind": obj.kind}
-    if isinstance(obj, Table):
-        change["columns"] = [
-            {
-                "name": c.name,
-                "atom": c.atom.value,
-                "default": c.default,
-                "has_default": c.has_default,
-            }
-            for c in obj.columns
-        ]
-    else:
-        change["dimensions"] = [
-            {
-                "name": d.name,
-                "atom": d.atom.value,
-                "start": d.start,
-                "step": d.step,
-                "stop": d.stop,
-            }
-            for d in obj.dimensions
-        ]
-        change["attributes"] = [
-            {
-                "name": a.name,
-                "atom": a.atom.value,
-                "default": a.default,
-                "has_default": a.has_default,
-            }
-            for a in obj.attributes
-        ]
-    change["bats"] = dict(obj.bats)
-    return change
+    return {"op": op, "name": name, **obj.schema_json(), "bats": dict(obj.bats)}
 
 
 def extract_changes(txn) -> list[dict]:
@@ -256,16 +132,8 @@ def extract_changes(txn) -> list[dict]:
         ):
             if not after.journal:
                 continue  # armed clone, no mutations: nothing to log
-            changes.append(
-                {
-                    "op": "mutate",
-                    "name": name,
-                    "ops": [
-                        {"method": method, "payload": payload}
-                        for method, payload in after.journal
-                    ],
-                }
-            )
+            ops = [{"method": method, "payload": payload} for method, payload in after.journal]
+            changes.append({"op": "mutate", "name": name, "ops": ops})
         else:
             changes.append(_snapshot_change("replace", name, after))
     return changes
@@ -276,30 +144,41 @@ def extract_changes(txn) -> list[dict]:
 # ----------------------------------------------------------------------
 def encode_record(version: int, schema_version: int, changes: list[dict]) -> bytes:
     """One framed commit record, ready to append to the log."""
-    blobs = _BlobWriter()
+    blobs: list = []
     header = {
         "version": version,
         "schema_version": schema_version,
         "changes": _encode_value(changes, blobs),
-        "blobs": blobs.specs,
     }
-    header_bytes = json.dumps(header).encode()
-    payload = b"".join(
-        [_U32.pack(len(header_bytes)), header_bytes, *blobs.chunks]
-    )
-    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+    header["blobs"], chunks = codec.encode_blobs(blobs)
+    return codec.pack_record(header, chunks)
 
 
 def decode_record(payload: bytes) -> dict:
-    """The in-memory form of one record: version counters + changes."""
-    (header_len,) = _U32.unpack_from(payload)
-    header = json.loads(payload[_U32.size:_U32.size + header_len].decode())
-    blobs = _BlobReader(header["blobs"], payload[_U32.size + header_len:])
-    return {
-        "version": header["version"],
-        "schema_version": header["schema_version"],
-        "changes": _decode_value(header["changes"], blobs),
-    }
+    """The in-memory form of one record: version counters + changes.
+
+    Anything wrong inside a checksum-valid payload is a
+    :class:`PersistenceError` naming the record's commit version.
+    """
+    _, header, blob = codec.split_payload(payload, PersistenceError)
+    version = header.get("version")
+
+    def malformed(message: str) -> PersistenceError:
+        return PersistenceError(f"WAL record v{version} is malformed: {message}")
+
+    try:
+        blobs = codec.decode_blobs(header["blobs"], blob, malformed)
+        return {
+            "version": int(version),
+            "schema_version": int(header["schema_version"]),
+            "changes": _decode_value(header["changes"], blobs),
+        }
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise malformed(repr(exc)) from None
+
+
+class _Torn(Exception):
+    """A record the framing rejects: the signature of a crash mid-append."""
 
 
 def load_records(path: Path, repair: bool = True) -> list[dict]:
@@ -316,24 +195,16 @@ def load_records(path: Path, repair: bool = True) -> list[dict]:
     if not data.startswith(_MAGIC):
         raise PersistenceError(f"{path} is not a write-ahead log")
     records = []
-    offset = len(_MAGIC)
-    valid_end = offset
+    valid_end = len(_MAGIC)
     torn = None
-    while offset < len(data):
-        if offset + _FRAME.size > len(data):
-            torn = "truncated frame header"
-            break
-        length, crc = _FRAME.unpack_from(data, offset)
-        payload = data[offset + _FRAME.size:offset + _FRAME.size + length]
-        if len(payload) < length:
-            torn = "truncated record payload"
-            break
-        if zlib.crc32(payload) != crc:
-            torn = "checksum mismatch"
+    while valid_end < len(data):
+        try:
+            payload, end = codec.unpack_record(data, valid_end, _Torn)
+        except _Torn as exc:
+            torn = str(exc)
             break
         records.append(decode_record(payload))
-        offset += _FRAME.size + length
-        valid_end = offset
+        valid_end = end
     if torn is not None:
         warnings.warn(
             f"write-ahead log {path} ends in a torn record ({torn}, "
@@ -355,80 +226,46 @@ def load_records(path: Path, repair: bool = True) -> list[dict]:
 # ----------------------------------------------------------------------
 # replay (recovery time)
 # ----------------------------------------------------------------------
-def _build_object(change: dict):
-    """Materialise a snapshot change record as a catalog object."""
-    name = change["name"]
-    if change["kind"] == "table":
-        obj = Table.__new__(Table)
-        obj.name = name
-        obj.columns = [
-            ColumnDef(c["name"], Atom(c["atom"]), c["default"], c["has_default"])
-            for c in change["columns"]
-        ]
-    else:
-        obj = Array.__new__(Array)
-        obj.name = name
-        obj.dimensions = [
-            DimensionDef(
-                d["name"], Atom(d["atom"]), d["start"], d["step"], d["stop"]
-            )
-            for d in change["dimensions"]
-        ]
-        obj.attributes = [
-            ColumnDef(a["name"], Atom(a["atom"]), a["default"], a["has_default"])
-            for a in change["attributes"]
-        ]
-    obj.bats = dict(change["bats"])
-    return obj
+#: the journaled catalog methods; a journal payload lists a method's
+#: arguments by position (see ``_DeltaJournal._journal_op`` call sites).
+_JOURNALED = frozenset(
+    {"append_rows", "replace_values", "delete_rows", "delete_cells", "clear", "alter_dimension"}
+)
 
 
 def _replay_mutations(obj, ops: list[dict]) -> None:
     """Re-run journaled mutations through the normal catalog methods."""
     for entry in ops:
-        method = entry["method"]
-        payload = entry["payload"]
-        if method == "append_rows":
-            obj.append_rows(payload["columns"])
-        elif method == "replace_values":
-            obj.replace_values(
-                payload["column"], payload["oids"], payload["values"]
-            )
-        elif method == "delete_rows":
-            obj.delete_rows(payload["oids"])
-        elif method == "delete_cells":
-            obj.delete_cells(payload["oids"])
-        elif method == "clear":
-            obj.clear()
-        elif method == "alter_dimension":
-            obj.alter_dimension(
-                payload["dimension"],
-                payload["start"],
-                payload["step"],
-                payload["stop"],
-            )
-        else:
-            raise PersistenceError(f"WAL replay: unknown mutation {method!r}")
+        if entry["method"] not in _JOURNALED:
+            raise PersistenceError(f"WAL replay: unknown mutation {entry['method']!r}")
+        getattr(obj, entry["method"])(*entry["payload"].values())
 
 
 def apply_record(catalog: Catalog, record: dict) -> None:
     """Apply one decoded commit record to *catalog* in place."""
-    for change in record["changes"]:
-        op = change["op"]
-        name = change["name"]
-        if op == "drop":
-            catalog.set_entry(name, None)
-        elif op in ("create", "replace"):
-            catalog.set_entry(name, _build_object(change))
-        elif op == "mutate":
-            obj = catalog.entry(name)
-            if obj is None:
-                raise PersistenceError(
-                    f"WAL replay: record v{record['version']} mutates "
-                    f"unknown object {name!r}"
-                )
-            _replay_mutations(obj, change["ops"])
-        else:
-            raise PersistenceError(f"WAL replay: unknown change op {op!r}")
+    try:
+        for change in record["changes"]:
+            _apply_change(catalog, change)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise PersistenceError(
+            f"WAL replay: record v{record.get('version')} is malformed: {exc!r}"
+        ) from None
+
+
+def _apply_change(catalog: Catalog, change: dict) -> None:
+    op = change["op"]
+    name = change["name"]
+    if op == "drop":
+        catalog.set_entry(name, None)
+    elif op in ("create", "replace"):
+        catalog.set_entry(name, object_from_schema(change, change["bats"].__getitem__))
+    elif op == "mutate":
+        obj = catalog.entry(name)
+        if obj is None:
+            raise PersistenceError(f"WAL replay: mutation of unknown object {name!r}")
+        _replay_mutations(obj, change["ops"])
+    else:
+        raise PersistenceError(f"WAL replay: unknown change op {op!r}")
 
 
 # ----------------------------------------------------------------------
@@ -486,12 +323,10 @@ class WriteAheadLog:
 
     def reset(self) -> None:
         """Truncate the log to empty (atomically) and keep appending."""
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+        self.close()
         self._write_empty()
         self.record_count = 0
-        self._file = open(self.path, "ab")
+        self.open()
 
     def close(self) -> None:
         if self._file is not None:

@@ -29,15 +29,6 @@ import numpy as np
 
 from repro import knobs
 
-#: default payload size (bytes) above which "auto" mode memory-maps.
-DEFAULT_MMAP_THRESHOLD = 1 << 20
-
-#: default minimum rows before the dictionary encoder considers a column.
-DEFAULT_DICT_MIN_ROWS = 4096
-
-#: default rows per zone-map zone.
-DEFAULT_ZONE_ROWS = 4096
-
 _lock = threading.Lock()
 _fragments_pruned = 0
 _bytes_faulted = 0
@@ -58,13 +49,7 @@ def storage_mmap_mode() -> str:
 
 def mmap_threshold_bytes() -> int:
     """Payload size at which ``auto`` mode switches to memory-mapping."""
-    raw = knobs.raw("REPRO_MMAP_THRESHOLD_BYTES")
-    if not raw:
-        return DEFAULT_MMAP_THRESHOLD
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_MMAP_THRESHOLD
+    return knobs.integer("REPRO_MMAP_THRESHOLD_BYTES", knobs.MMAP_THRESHOLD_BYTES, 0)
 
 
 def should_mmap(nbytes: int) -> bool:
@@ -101,13 +86,7 @@ def zonemaps_enabled() -> bool:
 
 def dict_min_rows() -> int:
     """Minimum column length before in-memory dictionary encoding."""
-    raw = knobs.raw("REPRO_DICT_MIN_ROWS")
-    if not raw:
-        return DEFAULT_DICT_MIN_ROWS
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_DICT_MIN_ROWS
+    return knobs.integer("REPRO_DICT_MIN_ROWS", knobs.DICT_MIN_ROWS, 1)
 
 
 def dict_enabled() -> bool:
@@ -118,13 +97,7 @@ def dict_enabled() -> bool:
 
 def zone_rows() -> int:
     """Rows per zone of a zone map (``REPRO_ZONE_ROWS``)."""
-    raw = knobs.raw("REPRO_ZONE_ROWS")
-    if not raw:
-        return DEFAULT_ZONE_ROWS
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_ZONE_ROWS
+    return knobs.integer("REPRO_ZONE_ROWS", knobs.ZONE_ROWS, 1)
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every environment variable the engine consults is declared here, once,
 with its default and documentation.  Call sites fetch raw values via
 :func:`raw` (which refuses unregistered names, so a typo'd knob fails
-loudly instead of silently reading nothing) and keep their own parsing
-semantics.  The lint rule in ``tools/lint_repro.py`` enforces that no
+loudly instead of silently reading nothing); numeric knobs parse in one
+place, :func:`integer` / :func:`number`, and booleans in :func:`flag`.
+The lint rule in ``tools/lint_repro.py`` enforces that no
 module outside this one touches ``os.environ`` with a ``REPRO_*`` name,
 and the README knob table is generated from this registry
 (``python -m repro.knobs`` prints it; ``python -m repro.knobs --write``
@@ -15,6 +16,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+
+from repro.errors import ProgrammingError
+
+#: defaults of the numeric knobs: the reader passes to :func:`integer` /
+#: :func:`number` the same constant the table below displays.
+MMAP_THRESHOLD_BYTES = 1 << 20
+ZONE_ROWS = 4096
+DICT_MIN_ROWS = 4096
+WAL_CHECKPOINT_RECORDS = 1024
+NET_RETRIES = 2
+NET_RETRY_BACKOFF_MS = 100
 
 
 @dataclass(frozen=True)
@@ -60,7 +72,7 @@ KNOBS: tuple[Knob, ...] = (
     ),
     Knob(
         "REPRO_MMAP_THRESHOLD_BYTES",
-        str(1 << 20),
+        str(MMAP_THRESHOLD_BYTES),
         "Payload size above which `auto` mmap mode maps instead of "
         "loading eagerly.",
         "storage",
@@ -74,7 +86,7 @@ KNOBS: tuple[Knob, ...] = (
     ),
     Knob(
         "REPRO_ZONE_ROWS",
-        "4096",
+        str(ZONE_ROWS),
         "Rows per zone for persisted min/max/null statistics.",
         "storage",
     ),
@@ -86,14 +98,14 @@ KNOBS: tuple[Knob, ...] = (
     ),
     Knob(
         "REPRO_DICT_MIN_ROWS",
-        "4096",
+        str(DICT_MIN_ROWS),
         "Minimum column length before dictionary encoding is "
         "considered.",
         "storage",
     ),
     Knob(
         "REPRO_WAL_CHECKPOINT_RECORDS",
-        "1024",
+        str(WAL_CHECKPOINT_RECORDS),
         "WAL record count that triggers a checkpoint.",
         "durability",
     ),
@@ -121,14 +133,14 @@ KNOBS: tuple[Knob, ...] = (
     ),
     Knob(
         "REPRO_NET_RETRIES",
-        "2",
+        str(NET_RETRIES),
         "Reconnect attempts for idempotent client operations (connect, "
         "ping, stats) before `NetworkError` surfaces.",
         "network",
     ),
     Knob(
         "REPRO_NET_RETRY_BACKOFF_MS",
-        "100",
+        str(NET_RETRY_BACKOFF_MS),
         "Base delay of the client's exponential reconnect backoff "
         "(doubles per attempt, capped at 2s).",
         "network",
@@ -160,6 +172,25 @@ def flag(name: str, default: bool) -> bool:
     if value is None or value.strip() == "":
         return default
     return value.strip().lower() in ("1", "true", "on", "yes")
+
+
+def number(name: str, default: float, minimum: float, parse=float):
+    """A numeric knob: unset/blank → *default*, below *minimum* → clamped."""
+    value = raw(name)
+    if value is None or not value.strip():
+        return default
+    try:
+        return max(minimum, parse(value))
+    except ValueError:
+        expected = "an integer" if parse is int else "a number"
+        raise ProgrammingError(
+            f"invalid {name} value {value!r}: expected {expected}"
+        ) from None
+
+
+def integer(name: str, default: int, minimum: int) -> int:
+    """:func:`number` for a knob that counts something."""
+    return number(name, default, minimum, int)
 
 
 # ----------------------------------------------------------------------

@@ -27,8 +27,9 @@ grammar:
   ``cand`` operands downstream, a plain ``oids`` result may not).
 
 The side-effect class (``none``/``read``/``write``/``result``/``free``)
-is cross-checked against ``WRITE_OPS``/``SIDE_EFFECT_OPS`` so the
-declaration can never drift from what the interpreter barriers on.
+is declared here and nowhere else: the interpreter's barriers and the
+engine's write routing read it through
+:func:`repro.mal.program.effect_classes`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import functools
 from dataclasses import dataclass
 
 from repro.gdk.atoms import Atom
-from repro.mal.program import SIDE_EFFECT_OPS, WRITE_OPS
 
 OPERAND_KINDS = frozenset(
     {"any", "val", "bat", "cand", "oids", "scalar", "int", "str", "bool", "json", "name"}
@@ -131,21 +131,6 @@ def parse_signature(module: str, function: str, sig: str, effect: str) -> OpSign
             raise ValueError(
                 f"{module}.{function}: only the last operand may be variadic"
             )
-    key = (module, function)
-    side_effect = key in SIDE_EFFECT_OPS
-    if side_effect and effect == "none":
-        raise ValueError(
-            f"{module}.{function} is in SIDE_EFFECT_OPS but declares effect 'none'"
-        )
-    if not side_effect and effect in ("write", "result", "free"):
-        raise ValueError(
-            f"{module}.{function} declares effect {effect!r} but is not in "
-            "SIDE_EFFECT_OPS"
-        )
-    if (key in WRITE_OPS) != (effect == "write"):
-        raise ValueError(
-            f"{module}.{function}: effect {effect!r} disagrees with WRITE_OPS"
-        )
     return OpSignature(module, function, operands, results, effect)
 
 

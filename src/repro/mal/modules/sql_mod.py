@@ -2,10 +2,9 @@
 
 These operators carry every side effect a query plan can have: binding
 persistent BATs, appending/updating/deleting, DDL, and delivering the
-result set.  They are the operators :data:`~repro.mal.program.SIDE_EFFECT_OPS`
-protects from dead-code elimination, and the mutating subset
-(:data:`~repro.mal.program.WRITE_OPS`) is what routes a compiled
-program through a transaction.
+result set.  Their ``effect=`` declarations are what protects them from dead-code
+elimination, and ``effect="write"`` is what routes a compiled program
+through a transaction (:func:`repro.mal.program.effect_classes`).
 
 Snapshot contract: every operator resolves names through
 ``ctx.catalog`` — the *execution context's* catalog, which the engine
@@ -22,25 +21,14 @@ import json
 import numpy as np
 
 from repro.errors import MALError
-from repro.gdk.atoms import Atom
 from repro.gdk.bat import BAT
-from repro.gdk.column import Column
 from repro.catalog.objects import Array, ColumnDef, DimensionDef
 from repro.mal.modules import cached_loads, mal_op
 
 
-def _column_defs(defs_json: str) -> list[ColumnDef]:
-    return [
-        ColumnDef(d["name"], Atom(d["atom"]), d.get("default"), d.get("has_default", False))
-        for d in json.loads(defs_json)
-    ]
-
-
-def _dimension_defs(dims_json: str) -> list[DimensionDef]:
-    return [
-        DimensionDef(d["name"], Atom(d["atom"]), d["start"], d["step"], d["stop"])
-        for d in json.loads(dims_json)
-    ]
+def _defs(cls, defs_json: str) -> list:
+    """The definitions a DDL plan constant carries (``cls.to_json`` entries)."""
+    return [cls.from_json(entry) for entry in json.loads(defs_json)]
 
 
 @mal_op("sql", "bind", sig="str, str -> bat", effect="read")
@@ -53,7 +41,7 @@ def _bind(ctx, name: str, column: str):
 def _create_table(ctx, name: str, defs_json: str, if_not_exists=False):
     if if_not_exists and name.lower() in ctx.catalog:
         return 0
-    ctx.catalog.create_table(name, _column_defs(defs_json))
+    ctx.catalog.create_table(name, _defs(ColumnDef, defs_json))
     return 0
 
 
@@ -61,7 +49,7 @@ def _create_table(ctx, name: str, defs_json: str, if_not_exists=False):
 def _create_array(ctx, name: str, dims_json: str, attrs_json: str, if_not_exists=False):
     if if_not_exists and name.lower() in ctx.catalog:
         return 0
-    ctx.catalog.create_array(name, _dimension_defs(dims_json), _column_defs(attrs_json))
+    ctx.catalog.create_array(name, _defs(DimensionDef, dims_json), _defs(ColumnDef, attrs_json))
     return 0
 
 

@@ -15,8 +15,9 @@ optimizer passes rely on (def/use chains, side-effect classification).
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from repro.errors import MALError
@@ -100,37 +101,24 @@ class Var:
 
 Argument = Var | Constant | Param
 
-#: (module, function) pairs whose execution has observable side effects
-#: (catalog/storage mutation, result delivery) — never eliminated.
-SIDE_EFFECT_OPS = {
-    ("sql", "append"),
-    ("sql", "update"),
-    ("sql", "delete"),
-    ("sql", "resultSet"),
-    ("sql", "createArray"),
-    ("sql", "createTable"),
-    ("sql", "dropObject"),
-    ("sql", "alterDimension"),
-    ("sql", "setVariable"),
-    ("sql", "affected"),
-    ("language", "raise"),
-    ("language", "free"),
-}
 
-#: the subset of :data:`SIDE_EFFECT_OPS` that mutates catalog/storage
-#: state.  Their first argument is always the (constant) object name;
-#: the engine uses this to route a program through a transaction and to
-#: track which objects the transaction wrote (first-committer-wins
-#: conflict detection at commit).
-WRITE_OPS = {
-    ("sql", "append"),
-    ("sql", "update"),
-    ("sql", "delete"),
-    ("sql", "createArray"),
-    ("sql", "createTable"),
-    ("sql", "dropObject"),
-    ("sql", "alterDimension"),
-}
+@functools.lru_cache(maxsize=1)
+def effect_classes() -> tuple[frozenset, frozenset]:
+    """``(side-effecting ops, writing ops)`` as (module, function) pairs.
+
+    Read off each op's one declaration, ``@mal_op(..., effect=)``, on
+    first use (this module imports nothing from the op modules):
+    ``write``/``result``/``free`` ops mutate the catalog or deliver the
+    result and are never eliminated.  A ``write`` op's first argument is
+    the (constant) object name — how the engine routes a program through
+    a transaction and tracks what it wrote for conflict detection.
+    """
+    from repro.mal.modules import SIGNATURE_DECLS, load_all
+
+    load_all()
+    declared = {op: effect for op, (_, effect) in SIGNATURE_DECLS.items()}
+    side = frozenset(op for op, e in declared.items() if e in ("write", "result", "free"))
+    return side, frozenset(op for op in side if declared[op] == "write")
 
 
 @dataclass
@@ -158,7 +146,7 @@ class Instruction:
     @property
     def has_side_effects(self) -> bool:
         """True when the instruction must survive dead-code elimination."""
-        return (self.module, self.function) in SIDE_EFFECT_OPS
+        return (self.module, self.function) in effect_classes()[0]
 
     def used_vars(self) -> list[str]:
         """Names of variables read by this instruction."""
@@ -285,8 +273,9 @@ class MALProgram:
         non-empty set inside a (possibly implicit) transaction.
         """
         targets: set[str] = set()
+        write_ops = effect_classes()[1]
         for instruction in self.instructions:
-            if (instruction.module, instruction.function) not in WRITE_OPS:
+            if (instruction.module, instruction.function) not in write_ops:
                 continue
             first = instruction.args[0] if instruction.args else None
             if isinstance(first, Constant) and isinstance(first.value, str):
@@ -307,8 +296,8 @@ class MALProgram:
           variables they release);
         * consumer edges into ``language.free`` — a variable may only be
           released once every reader has finished;
-        * side-effect barriers — instructions in
-          :data:`SIDE_EFFECT_OPS` order against *everything* before
+        * side-effect barriers — instructions with side effects
+          (:func:`effect_classes`) order against *everything* before
           them, and everything after orders against the barrier, so
           catalog mutation and result delivery keep program order.
         """

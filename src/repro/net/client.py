@@ -66,29 +66,12 @@ _BACKOFF_CAP_S = 2.0
 
 def _net_retries() -> int:
     """Reconnect attempts for idempotent operations (``REPRO_NET_RETRIES``)."""
-    value = knobs.raw("REPRO_NET_RETRIES")
-    if value is None or not value.strip():
-        return 2
-    try:
-        return max(0, int(value))
-    except ValueError:
-        raise ProgrammingError(
-            f"invalid REPRO_NET_RETRIES value {value!r}: expected an integer"
-        ) from None
+    return knobs.integer("REPRO_NET_RETRIES", knobs.NET_RETRIES, 0)
 
 
 def _net_backoff_s() -> float:
     """Base backoff in seconds (``REPRO_NET_RETRY_BACKOFF_MS``)."""
-    value = knobs.raw("REPRO_NET_RETRY_BACKOFF_MS")
-    if value is None or not value.strip():
-        return 0.1
-    try:
-        return max(0.0, float(value)) / 1000.0
-    except ValueError:
-        raise ProgrammingError(
-            f"invalid REPRO_NET_RETRY_BACKOFF_MS value {value!r}: "
-            "expected milliseconds"
-        ) from None
+    return knobs.number("REPRO_NET_RETRY_BACKOFF_MS", knobs.NET_RETRY_BACKOFF_MS, 0.0) / 1e3
 
 
 def parse_url(url: str) -> tuple[str, int, dict]:

@@ -52,6 +52,7 @@ from repro.errors import (
     ProtocolError,
     SciQLError,
 )
+from repro.gdk import codec
 from repro.net import protocol
 from repro.net.protocol import Msg
 from repro.testing.faultpoints import crash_point
@@ -340,11 +341,10 @@ class ReproServer:
             writer.close()
 
     async def _read_frame(self, reader) -> tuple[Msg, dict, bytes]:
-        prelude = await reader.readexactly(protocol.FRAME_PRELUDE.size)
-        length, crc = protocol.FRAME_PRELUDE.unpack(prelude)
-        protocol.check_frame_length(length)
-        payload = await reader.readexactly(length)
-        protocol.check_payload(length, crc, payload)
+        # protocol.read_frame with awaits: the same two codec calls.
+        prelude = await reader.readexactly(codec.PRELUDE.size)
+        length, crc = codec.unpack_prelude(prelude, 0, ProtocolError, protocol.MAX_FRAME_BYTES)
+        payload = codec.verified(length, crc, await reader.readexactly(length), ProtocolError)
         return protocol.decode_payload(payload)
 
     async def _handshake(self, state: _ClientState) -> bool:

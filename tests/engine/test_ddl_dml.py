@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro.errors import CatalogError, SciQLError, SemanticError
+from repro.errors import CatalogError, DimensionError, SciQLError, SemanticError
 
 
 class TestCreate:
@@ -36,6 +36,16 @@ class TestCreate:
     def test_unbounded_dimension_rejected_in_create(self, conn):
         with pytest.raises(SemanticError):
             conn.execute("CREATE ARRAY a (x INT DIMENSION, v INT)")
+
+    @pytest.mark.parametrize("bounds", ["[0:0:4]", "[0:-1:4]", "[5:1:2]"])
+    def test_invalid_range_is_rejected_when_the_statement_compiles(self, conn, bounds):
+        # The compiler builds the DimensionDef whose to_json() becomes the
+        # plan constant, so the range is checked before any plan exists.
+        sql = f"CREATE ARRAY a (x INT DIMENSION{bounds}, v INT)"
+        for compile_only in (conn.explain, conn.prepare, conn.execute):
+            with pytest.raises(DimensionError):
+                compile_only(sql)
+        assert "a" not in conn.catalog
 
     def test_array_needs_attribute(self, conn):
         with pytest.raises(SemanticError):

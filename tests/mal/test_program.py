@@ -59,6 +59,26 @@ class TestInstruction:
         assert Instruction("sql", "resultSet", [], []).has_side_effects
         assert not Instruction("batcalc", "add", ["r"], []).has_side_effects
 
+    def test_effect_classes_come_from_the_op_declarations(self):
+        from repro.mal.modules import SIGNATURE_DECLS
+        from repro.mal.program import MALProgram, effect_classes
+
+        writes = {
+            ("sql", name)
+            for name in ("append", "update", "delete", "createArray", "createTable",
+                         "dropObject", "alterDimension")
+        }
+        side_effects = writes | {
+            ("sql", "resultSet"), ("sql", "setVariable"), ("sql", "affected"),
+            ("language", "raise"), ("language", "free"),
+        }
+        assert effect_classes() == (side_effects, writes)
+        assert all(SIGNATURE_DECLS[op][1] == "write" for op in writes)
+        program = MALProgram()
+        program.emit("sql", "update", ["T", "c", "o", "v"], [])
+        program.emit("sql", "bind", ["u", "c"], [])
+        assert program.write_targets() == {"t"}
+
     def test_used_vars(self):
         ins = Instruction("m", "f", ["r"], [Var("a"), Constant(1), Var("b")])
         assert ins.used_vars() == ["a", "b"]

@@ -310,6 +310,23 @@ class TestAuth:
             conn.close()
 
 
+class TestHandshake:
+    def test_a_peer_one_protocol_version_behind_is_turned_away(self, db, monkeypatch):
+        from repro.errors import ProtocolError
+        from repro.net import protocol
+
+        establish = RemoteConnection._establish
+
+        def old_client(self):
+            self._hello["protocol"] = protocol.PROTOCOL_VERSION - 1
+            return establish(self)
+
+        monkeypatch.setattr(RemoteConnection, "_establish", old_client)
+        with ServerThread(db) as thread:
+            with pytest.raises(ProtocolError, match="version mismatch: client speaks 2"):
+                repro.connect(thread.url)
+
+
 class TestStats:
     def test_stats_roundtrip(self, filled, db):
         filled.execute("SELECT COUNT(*) FROM t")

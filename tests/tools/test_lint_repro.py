@@ -120,6 +120,45 @@ class TestRules:
         monkeypatch.setattr(lint, "WALKER_DIRS", (tmp_path / "elsewhere",))
         assert rules_in(tmp_path, f"def atom_of{body}") == []
 
+    def test_serial_forms_have_one_owner(self, tmp_path):
+        copies = (
+            "import struct\n"
+            "_FRAME = struct.Struct('<II')\n"
+            "_U32 = struct.Struct('<I')\n"
+            "def column_entry(c):\n"
+            "    return {'name': c.name, 'atom': c.atom.value, 'default': c.default,\n"
+            "            'has_default': c.has_default}\n"
+            "def column_defs(entries):\n"
+            "    return [(d['name'], d.get('has_default', False)) for d in entries]\n"
+            "class Reader:\n"
+            "    def column(self, spec):\n"
+            "        spec['mlen'] = 0\n"
+            "        return self.data[: spec['vlen']]\n"
+        )
+
+        def forms_in(relative):
+            path = tmp_path / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(copies, encoding="utf-8")
+            findings = lint.lint_paths([path])
+            assert {f.rule for f in findings} <= {"serial-form"}
+            return [(f.line, f.message.split(" spells the ")[1].split(" format")[0]) for f in findings]
+
+        # one finding per function and format, however often it is spelled
+        assert forms_in("copies.py") == [
+            (2, "record prelude"), (5, "schema entry"), (8, "schema entry"), (11, "blob spec"),
+        ]
+        # the owners and the digest oracle are where the spelling lives
+        assert forms_in("repro/catalog/objects.py") == [(2, "record prelude"), (11, "blob spec")]
+        assert forms_in("repro/gdk/codec.py") == [(5, "schema entry"), (8, "schema entry")]
+        assert forms_in("repro/testing/verify.py") == []
+        # other keys, other layouts and attribute access are nobody's format
+        assert rules_in(
+            tmp_path,
+            "import struct\nU = struct.Struct('<I')\n"
+            "d = {'name': 1, 'default': 2}\nx = c.has_default\ny = d['n']\n",
+        ) == []
+
     def test_syntax_errors_are_reported_not_raised(self, tmp_path):
         assert rules_in(tmp_path, "def broken(:\n") == ["syntax"]
 

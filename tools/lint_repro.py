@@ -22,6 +22,12 @@ AST-based checks over ``src/repro`` (and this ``tools`` directory):
   function outside :data:`WALKERS` type-switches on four or more
   expression node classes: the binder annotates every node once, so a
   second hand-enumerated walk is a second place for the same decision;
+* ``serial-form``   — each at-rest / on-wire format has one owning
+  module (:data:`SERIAL_OWNERS`): elsewhere, a dict literal, subscript
+  or ``.get()`` spelling the schema-entry key ``has_default`` or the
+  blob-spec keys ``vlen`` / ``mlen``, or a ``struct.Struct("<II")``
+  record prelude, is a second hand-written copy of that format — call
+  ``to_json``/``from_json``/``object_from_schema`` or ``gdk.codec``;
 * ``orphan-op``     — every registered MAL op is emitted by the MAL
   generator, an optimizer pass or the engine: its ``"module",
   "function"`` pair appears literally in a call or tuple under
@@ -60,6 +66,16 @@ EMITTER_DIRS = (
 WALKER_DIRS = (SRC / "repro" / "semantic", SRC / "repro" / "algebra")
 WALKERS = {"Binder.bind", "MALGenerator._eval", "MALGenerator._conjunct", "fold_constant"}
 WALKER_CLASSES = 4
+
+#: format -> (the keys / struct layout that spell it, its owning module).
+SERIAL_OWNERS = {
+    "schema entry": ({"has_default"}, "repro/catalog/objects.py"),
+    "blob spec": ({"vlen", "mlen"}, "repro/gdk/codec.py"),
+    "record prelude": ({"<II"}, "repro/gdk/codec.py"),
+}
+#: the digest oracle spells the schema out on purpose: it must not
+#: share code with what it checks.
+SERIAL_ALLOWED = ("repro/testing/verify.py",)
 
 _BINARY = (  # the values of repro.semantic.binder.OP_NAMES
     "add", "sub", "mul", "div", "mod", "eq", "ne", "lt", "le", "gt", "ge",
@@ -305,6 +321,55 @@ def _check_expression_walkers(
             )
 
 
+def _serial_spelling(node: ast.AST) -> tuple[bool, set]:
+    """``(is a struct layout, constant strings)`` *node* uses as keys / layout."""
+    keys: list = []
+    layout = False
+    if isinstance(node, ast.Dict):
+        keys = node.keys
+    elif isinstance(node, ast.Subscript):
+        keys = [node.slice]
+    elif isinstance(node, ast.Call):
+        name = _call_name(node)
+        layout = name in ("struct.Struct", "Struct")
+        if layout or name == "get" or name.endswith(".get"):
+            keys = node.args[:1]
+    return layout, {
+        key.value for key in keys
+        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+    }
+
+
+def _check_serial_form(tree: ast.AST, path: Path, findings: list[Finding]) -> None:
+    where = path.as_posix()
+    if where.endswith(SERIAL_ALLOWED):
+        return
+
+    def visit(node: ast.AST, scope: str, seen: set) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        layout, spelled = _serial_spelling(node)
+        for form, (tokens, owner) in SERIAL_OWNERS.items():
+            if (
+                spelled & tokens
+                and layout == (form == "record prelude")
+                and not where.endswith(owner)
+                and (scope, form) not in seen
+            ):
+                seen.add((scope, form))
+                findings.append(
+                    Finding(
+                        path, node.lineno, "serial-form",
+                        f"{scope or '<module>'} spells the {form} format "
+                        f"({', '.join(sorted(spelled & tokens))}) outside its owner {owner}",
+                    )
+                )
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, seen)
+
+    visit(tree, "", set())
+
+
 def _check_signatures(findings: list[Finding]) -> None:
     sys.path.insert(0, str(SRC))
     try:
@@ -395,6 +460,7 @@ def lint_paths(paths: list[Path]) -> list[Finding]:
         _check_bare_except(tree, path, findings)
         _check_fsync_rename(tree, path, lines, findings)
         _check_expression_walkers(tree, path, classes, findings)
+        _check_serial_form(tree, path, findings)
     return findings
 
 
