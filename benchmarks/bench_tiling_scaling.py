@@ -7,11 +7,11 @@ the prefix-sum / van Herk–Gil-Werman kernels are tile-size-independent
 near flat.
 
 E19 pits the tile-size-independent kernels directly against the
-shifted-scan baseline (``shifted_scan_tile_aggregate``, the vectorized
-sibling of the brute-force oracle) on a 512×512 array with an 8×8
-tile, per aggregate.  Every benchmark asserts its result against the
-other engine so a regression can never hide behind a fast wrong
-answer.
+shifted-scan baseline (``shifted_scan_tile_aggregate`` below, the seed
+algorithm: one shifted full-array pass per tile cell) on a 512×512
+array with an 8×8 tile, per aggregate.  Every benchmark asserts its
+result against the other engine so a regression can never hide behind
+a fast wrong answer.
 """
 
 import numpy as np
@@ -20,12 +20,41 @@ import pytest
 import repro
 from repro.gdk.atoms import Atom
 from repro.gdk.column import Column
-from repro.core.tiling import (
-    TileSpec,
-    shifted_scan_tile_aggregate,
-    tile_aggregate,
-)
+from repro.core.tiling import TileSpec, tile_aggregate
 from repro.apps.rasters import ramp_image
+
+
+def shifted_scan_tile_aggregate(values, shape, spec, aggregate):
+    """The E19 baseline, O(|tile| · |array|): shift the whole array once
+    per tile cell and fold the layers (int64 / float64 accumulators)."""
+    integral = values.atom is not Atom.DBL
+    cells = values.values.astype(np.int64 if integral else np.float64).reshape(shape)
+    valid = values.validity().reshape(shape)
+    top = np.iinfo(np.int64).max if integral else np.inf
+    fold, ident = {
+        "sum": (np.add, 0), "avg": (np.add, 0),
+        "min": (np.minimum, top), "max": (np.maximum, -top),
+    }.get(aggregate, (None, 0))
+    counts = np.zeros(shape, dtype=np.int64)
+    acc = np.full(shape, ident, dtype=cells.dtype)
+    for deltas in spec.deltas():
+        src = tuple(slice(max(d, 0), max(min(n, n + d), 0)) for n, d in zip(shape, deltas))
+        dst = tuple(slice(max(-d, 0), max(min(n, n - d), 0)) for n, d in zip(shape, deltas))
+        ok = np.zeros(shape, dtype=np.bool_)
+        ok[dst] = valid[src]
+        counts += ok
+        if fold is not None:
+            layer = np.full(shape, ident, dtype=cells.dtype)
+            layer[dst] = np.where(valid[src], cells[src], ident)
+            fold(acc, layer, out=acc)
+    if fold is None:
+        return Column(Atom.LNG, counts.reshape(-1))
+    empty = counts == 0
+    if aggregate == "avg":
+        acc = acc / np.maximum(counts, 1)
+    acc[empty] = 0
+    atom = Atom.DBL if aggregate == "avg" or not integral else Atom.LNG
+    return Column(atom, acc.reshape(-1), empty.reshape(-1))
 
 
 def build_array(conn, size):

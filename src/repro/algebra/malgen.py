@@ -22,11 +22,14 @@ linear MAL program.  Conventions:
   builds a node, and each maximal element-wise subtree is emitted as
   ONE ``batcalc.expr`` where a BAT is actually needed;
 * structural grouping lowers to ``array.tileagg`` per aggregate — a
-  tile-size-independent prefix-sum/sliding-window kernel; no join is
+  tile-size-independent separable kernel; no join is
   ever built (the whole point of the paper's Scenario I comparison).
   Each tiling op carries a JSON tile-spec metadata constant so the
   optimizer passes can compute halo extents and split the op into
-  fragment-parallel ``array.tilepart`` calls;
+  fragment-parallel ``array.tilepart`` calls.  A cell reference
+  ``A[x-1][y]`` to the scanned array's own cells at constant offsets
+  is the one-cell tile (:meth:`MALGenerator._eval_cell_ref`); any
+  other reference gathers through ``array.cellindex``;
 * DML lowers to ``sql.update`` / ``sql.append`` / ``sql.delete`` with
   SciQL cell semantics preserved for arrays (DELETE punches holes,
   INSERT overwrites cells in place).
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import SemanticError
-from repro.gdk.atoms import Atom
+from repro.gdk.atoms import NUMERIC_ATOMS, Atom
 from repro.gdk.calc import NEUTRAL
 from repro.catalog import Array, Catalog
 from repro.semantic.binder import (
@@ -92,6 +95,9 @@ class Binding:
     vars: dict[tuple[int, str], str] = field(default_factory=dict)
     atoms: dict[tuple[int, str], Atom] = field(default_factory=dict)
     ref: Optional[str] = None  # any variable of row-set length, for broadcast
+    #: ``(source ordinal, array name)`` while the rows are still every
+    #: cell of one scanned array in cell order (no filter, no join).
+    cells_of: Optional[tuple[int, str]] = None
     #: per-column pending candidate list: (oid var, needs projectionsafe)
     pending: dict[tuple[int, str], Optional[tuple[str, bool]]] = field(
         default_factory=dict
@@ -185,6 +191,48 @@ def _keeps_cell_order(plan: nodes.InsertSelectPlan, array: Array, catalog: Catal
         expressions[d.name] == BoundColumn(scan.source_index, d.name, d.atom, True)
         for d in array.dimensions
     )
+
+
+def _tile_meta(array: Array, offsets) -> str:
+    """The one canonical metadata constant of a tiling op: the optimizer
+    passes (mitosis/mergetable) parse it to size halo fragments."""
+    return json.dumps(
+        {"shape": list(array.shape()), "offsets": [list(o) for o in offsets]}
+    )
+
+
+def _own_cell_offsets(
+    expression: BoundCellRef, binding: Binding, array: Array, catalog: Catalog
+) -> Optional[list[int]]:
+    """Per-dimension rank offsets when *expression* reads the scanned
+    array itself at its own cells shifted by constants, else ``None``.
+
+    That is ``A[x-1][y]`` over an unrestricted scan of ``A`` with a
+    numeric attribute: every index is the dimension of its own position
+    plus or minus an integer literal that is a multiple of the
+    dimension's step (any other constant never names a valid cell)."""
+    if (
+        binding.cells_of is None
+        or catalog.get(binding.cells_of[1]) is not array
+        or expression.atom not in NUMERIC_ATOMS
+    ):
+        return None
+    offsets: list[int] = []
+    for index, dimension in zip(expression.indexes, array.dimensions):
+        own = BoundColumn(binding.cells_of[0], dimension.name, dimension.atom, True)
+        delta = 0
+        if (
+            isinstance(index, ast.BinaryOp)
+            and index.op in ("+", "-")
+            and isinstance(index.right, ast.Literal)
+            and isinstance(index.right.value, int)
+        ):
+            delta = index.right.value if index.op == "+" else -index.right.value
+            index = index.left
+        if index != own or delta % dimension.step:
+            return None
+        offsets.append(delta // dimension.step)
+    return offsets
 
 
 def _source_indexes(node: nodes.PlanNode) -> set[int]:
@@ -508,6 +556,8 @@ class MALGenerator:
                 binding.vars[(node.source_index, column)] = var
                 binding.atoms[(node.source_index, column)] = atom
             binding.ref = next(iter(binding.vars.values()), None)
+            if node.source.kind == "array":
+                binding.cells_of = (node.source_index, node.source.object_name)
             return binding
         if isinstance(node, nodes.DerivedScan):
             output_vars = self._emit_query_side(node.plan)
@@ -674,15 +724,7 @@ class MALGenerator:
     def _emit_tile(self, node: nodes.TileProject, casts=None) -> list[str]:
         binding = self._emit_relational(node.child)
         array = self.catalog.get_array(node.array_name)
-        # One canonical metadata constant per tiling op: the optimizer
-        # passes (mitosis/mergetable) parse it to size halo fragments.
-        meta_json = json.dumps(
-            {
-                "shape": list(array.shape()),
-                "offsets": [list(o) for o in node.spec.offsets],
-            }
-        )
-        tile = _TileContext(binding, meta_json)
+        tile = _TileContext(binding, _tile_meta(array, node.spec.offsets))
         guard = None
         if node.having is not None and any(item.is_dimension for item in node.items):
             # Array-shaped result: non-qualifying anchors stay in the
@@ -1016,8 +1058,24 @@ class MALGenerator:
     def _eval_cell_ref(
         self, expression: BoundCellRef, binding: Binding
     ) -> EvalResult:
+        array = self.catalog.get_array(expression.array)
+        offsets = _own_cell_offsets(expression, binding, array, self.catalog)
+        if offsets is not None:
+            # A constant shift of the scanned array's own cells is the
+            # one-cell tile: cell-aligned, NULL where it leaves the array,
+            # and halo-fragmented like any other tile — no gather.
+            attribute = binding.column_var(
+                self, (binding.cells_of[0], expression.attribute)
+            )
+            if any(offsets):
+                attribute = self.program.emit1(
+                    "array", "tileagg",
+                    [Var(attribute), "min", _tile_meta(array, [(o,) for o in offsets])],
+                    bat_type(expression.atom),
+                )
+            return EvalResult(_BAT, Var(attribute), expression.atom)
         oids = self._cellindex(
-            self.catalog.get_array(expression.array),
+            array,
             [
                 self._force_bat(self._eval(index, binding), binding, Atom.LNG)
                 for index in expression.indexes

@@ -16,27 +16,56 @@ Two semantics from the paper drive this module:
   entirely of holes/out-of-range cells aggregates to NULL.
 
 The engine works on the dense cell order used for array storage
-(first-declared dimension varies slowest).  Three kernel families back
-:func:`tile_aggregate`, picked per (tile spec, aggregate):
+(first-declared dimension varies slowest).  A *dense* spec (per
+dimension, a contiguous offset range) is separable: the window runs
+along one axis at a time, each pass reading the previous pass' buffer
+and accumulating in place (``ufunc(..., out=)``) into the other of two
+buffers.  The kernel of an axis depends on that axis' window width
+alone (``w`` cells, :data:`NARROW_WIDTH` = 6), never on the data, so
+halo fragments and whole-array runs always pick the same one:
 
-* **prefix-sum sliding windows** — for ``sum``/``count``/``avg`` over
-  *dense* rectangular specs (per dimension, a contiguous offset range)
-  the window sum along each axis is one cumulative sum plus one clipped
-  difference, applied axis by axis: ``O(|array| · ndim)`` regardless of
-  tile size.  Integer inputs accumulate in int64 (wrapping arithmetic
-  is exact mod 2^64, so any per-tile sum representable in int64 comes
-  out exact — no float64 round-trip);
-* **van Herk–Gil-Werman sliding extrema** — ``min``/``max`` over dense
-  specs run the classic two-accumulation-sweeps-per-axis algorithm:
-  ``O(|array| · ndim)`` independent of window length;
-* **vectorized shifted scans** — the columnar equivalent of MonetDB's
-  implementation (one shifted full-array pass per tile cell,
-  ``O(|tile| · |array|)``) survives as the fallback for sparse specs
-  and for ``prod``, and as the benchmark baseline
-  :func:`shifted_scan_tile_aggregate`.
+===========  ===================  ==================================  ===========
+axis width   aggregate            kernel, passes over the array       allocates
+===========  ===================  ==================================  ===========
+``w == 1``   any, offset 0        none — the axis is skipped          nothing
+``w <= 6``   sum/avg/count,       shifted slices: one copy and        one buffer
+             min/max, prod        ``w-1`` ``add`` / ``minimum`` /
+             (prod: any ``w``)    ``maximum`` / ``multiply`` passes
+``w > 6``    sum/avg/count        prefix sum along the axis, then     two buffers
+                                  ``S[i+hi] - S[i+lo-1]`` by slices   for the call
+                                  (interior + two clipped borders)
+``w > 6``    min/max              van Herk–Gil-Werman block extrema   one padded
+                                  (two running extrema and a merge)   copy
+===========  ===================  ==================================  ===========
+
+A call allocates its result plus at most one more accumulator (plus
+the padded copy of a wide extremum axis).  Extrema compute in the
+cell's own dtype (INT stays int32).  Integer sums accumulate in the
+narrowest of int32 / int64 that ``cells_per_tile · max|v|`` (two
+reductions over the cells) proves cannot wrap — int32 only for cells
+no wider than that — and are widened once at the end; past int64 the
+same kernels run on Python integers and a sum that does not fit
+``lng`` is NULL, the engine's element-wise overflow rule.  ``prod``
+has no such proof: integer products wrap in int64.  Without NULL
+cells the counts stay per-axis vectors: they multiply straight into
+the ``avg`` result's buffer as its divisor, and no per-anchor
+validity grid is built unless an anchor's tile lies wholly outside.
+
+Accumulation order is fixed: axes in declaration order; a narrow axis
+adds its offsets in ascending order starting from the lowest in-range
+one, independent of the anchor's position, so DBL sums over narrow
+windows are bit-equal between a whole-array run and its halo
+fragments; a wide axis differences one running sum that starts at the
+first row of the slab it is given, so a DBL sum whose *first* axis is
+wide may differ by an ulp between the two (which is why the optimizer
+fragments ``sum``/``avg`` for integer cells only).
+
+*Sparse* specs (hand-built offset lists with gaps or repeats) keep the
+columnar equivalent of MonetDB's implementation: one shifted
+full-array pass per tile cell, ``O(|tile| · |array|)``.
 
 NULLs travel as explicit boolean masks end to end; no kernel widens
-integer payloads through NaN-tagged float64 anymore.
+integer payloads through NaN-tagged float64.
 
 :func:`tile_aggregate_fragment` computes one *halo fragment* of the
 result: anchors ``[start, stop)`` of the linear cell order (the same
@@ -56,21 +85,19 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.errors import DimensionError, GDKError
-from repro.gdk.aggregate import aggregate_atom
+from repro.gdk.aggregate import _LNG_MAX, _LNG_MIN, aggregate_atom
 from repro.gdk.atoms import Atom
 from repro.gdk.column import Column
 
 #: aggregates the tiling engine supports.
 TILE_AGGREGATES = ("sum", "avg", "min", "max", "count", "prod", "count_star")
 
-#: tiles at or below this many cells stay on the shifted-scan path —
-#: a 2×2 scan is fewer array passes than the prefix-sum machinery.
-#: sliding extrema amortise later than sliding sums (vHGW runs ~3
-#: accumulation passes per axis), hence the higher extrema cutoff.
-#: Dispatch depends only on (spec, aggregate), never on the data, so
-#: halo fragments and whole-array runs always pick the same kernel.
-SCAN_CUTOFF_SUMS = 4
-SCAN_CUTOFF_EXTREMA = 9
+#: per axis, windows of at most this many cells run one shifted-slice
+#: pass per offset; wider ones amortise a prefix sum or van Herk–
+#: Gil-Werman block extrema.  Measured on 256², 512² and 1024² grids of
+#: every cell dtype the sums cross over at 5–6 cells and the extrema at
+#: 8–10; one width serves both (a 7–10 cell extremum pays ≤ 1.4×).
+NARROW_WIDTH = 6
 
 
 @dataclass(frozen=True)
@@ -155,17 +182,9 @@ class TileSpec:
         return cls(tuple(per_dim))
 
 
-def shifted(grid: np.ndarray, deltas: tuple[int, ...]) -> np.ndarray:
-    """Grid where entry *a* holds ``grid[a + deltas]``; NaN outside.
-
-    Retained for tests/introspection; the production kernels shift
-    values and validity masks separately (:func:`_shift_masked`)."""
-    out = np.full(grid.shape, np.nan)
-    window = _shift_slices(grid.shape, deltas)
-    if window is not None:
-        src, dst = window
-        out[dst] = grid[src]
-    return out
+def _axis_slice(axis: int, start: int, stop: int) -> tuple:
+    """Index selecting ``[start, stop)`` along *axis*, everything else whole."""
+    return (slice(None),) * axis + (slice(start, stop),)
 
 
 def _shift_slices(shape, deltas):
@@ -203,15 +222,14 @@ def _shift_masked(
     return out, ok
 
 
-def in_bounds_count(shape: tuple[int, ...], spec: TileSpec) -> np.ndarray:
-    """Per-anchor number of tile cells inside the array bounds.
-
-    The tile is a cross product of per-dimension offset lists, so the
-    count factors into a product of 1-D per-axis counts — ``O(Σ n_i)``
-    work instead of one shifted scan per tile cell (closed form for
-    contiguous offset ranges, one pass per offset otherwise)."""
-    counts: np.ndarray | None = None
-    for axis, (size, per_dim) in enumerate(zip(shape, spec.offsets)):
+def _axis_counts(shape: tuple[int, ...], spec: TileSpec) -> list[np.ndarray]:
+    """Per axis, how many of that axis' offsets land inside the array for
+    each anchor rank (closed form for contiguous offset ranges, one pass
+    per offset otherwise).  The tile is a cross product of per-dimension
+    offset lists, so an anchor's in-bounds cell count is the product of
+    its per-axis entries."""
+    counts: list[np.ndarray] = []
+    for size, per_dim in zip(shape, spec.offsets):
         positions = np.arange(size, dtype=np.int64)
         lo, hi = min(per_dim), max(per_dim)
         if hi - lo + 1 == len(set(per_dim)) == len(per_dim):
@@ -222,73 +240,197 @@ def in_bounds_count(shape: tuple[int, ...], spec: TileSpec) -> np.ndarray:
             axis_count = np.zeros(size, dtype=np.int64)
             for delta in per_dim:
                 axis_count += (positions + delta >= 0) & (positions + delta < size)
-        view = [1] * len(shape)
-        view[axis] = size
-        axis_count = axis_count.reshape(view)
-        counts = axis_count if counts is None else counts * axis_count
-    assert counts is not None
-    return np.broadcast_to(counts, shape).copy() if counts.shape != shape else counts
+        counts.append(axis_count)
+    return counts
+
+
+def _outer(vectors: list[np.ndarray], dtype) -> np.ndarray:
+    """Broadcast product of per-axis vectors as one grid of *dtype*."""
+    grid = None
+    for axis, vector in enumerate(vectors):
+        view = [1] * len(vectors)
+        view[axis] = len(vector)
+        factor = vector.astype(dtype).reshape(view)
+        grid = factor if grid is None else grid * factor
+    return grid
+
+
+def in_bounds_count(shape: tuple[int, ...], spec: TileSpec) -> np.ndarray:
+    """Per-anchor number of tile cells inside the array bounds —
+    ``O(Σ n_i)`` work plus one product, no pass per tile cell."""
+    return _outer(_axis_counts(shape, spec), np.int64)
 
 
 # ----------------------------------------------------------------------
 # separable per-axis kernels (dense rectangular specs)
 # ----------------------------------------------------------------------
-def _sliding_sum_axis(arr: np.ndarray, lo: int, hi: int, axis: int) -> np.ndarray:
-    """Clipped sliding-window sum ``out[i] = Σ arr[i+lo .. i+hi]`` along
-    *axis* via one cumulative sum — O(n), window-size-independent.
+def _shifted_axis(
+    src: np.ndarray, lo: int, hi: int, axis: int, op: np.ufunc, ident, out: np.ndarray
+) -> None:
+    """``out[i] = op(src[i+lo], .., src[i+hi])`` clipped to the array:
+    one shifted-slice copy, then one in-place *op* pass per further
+    offset, in ascending offset order.  *ident* fills the anchors the
+    first in-range offset does not reach."""
+    n = src.shape[axis]
+    started = False
+    for delta in range(lo, hi + 1):
+        a, b = max(0, -delta), min(n, n - delta)
+        if a >= b:
+            continue  # this offset never lands inside the array
+        dst = _axis_slice(axis, a, b)
+        shifted = src[_axis_slice(axis, a + delta, b + delta)]
+        if started:
+            op(out[dst], shifted, out=out[dst])
+            continue
+        out[dst] = shifted
+        out[_axis_slice(axis, 0, a)] = ident
+        out[_axis_slice(axis, b, n)] = ident
+        started = True
+    if not started:
+        out[...] = ident
 
-    Integer arrays stay integer: int64 wraps mod 2^64, so the windowed
-    difference is exact whenever the true window sum fits in int64."""
-    arr = np.moveaxis(arr, axis, -1)
-    n = arr.shape[-1]
-    prefix = np.zeros(arr.shape[:-1] + (n + 1,), dtype=arr.dtype)
-    np.cumsum(arr, axis=-1, out=prefix[..., 1:])
-    upper = np.clip(np.arange(n) + hi + 1, 0, n)
-    lower = np.clip(np.arange(n) + lo, 0, n)
-    out = prefix[..., upper] - prefix[..., lower]
-    return np.moveaxis(out, -1, axis)
+
+def _cumsum_axis(src: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """Running sum of *src* along *axis* into *out* (which may be *src*).
+
+    ``S[i] = S[i-1] + src[i]`` in that order either way; off the last
+    axis, and when the slabs are at least as long as the axis, the sum
+    walks whole contiguous slabs instead of striding through memory
+    once per line (3 ms against 70 ms along axis 0 of a 2048² grid)."""
+    n = src.shape[axis]
+    if axis == src.ndim - 1 or n * n > src.size:
+        np.cumsum(src, axis=axis, dtype=out.dtype, out=out)
+        return
+    lead = (slice(None),) * axis
+    out[lead + (0,)] = src[lead + (0,)]
+    for i in range(1, n):
+        np.add(out[lead + (i - 1,)], src[lead + (i,)], out=out[lead + (i,)])
+
+
+def _window_difference(
+    prefix: np.ndarray, lo: int, hi: int, axis: int, out: np.ndarray
+) -> None:
+    """``out[i] = S[min(i+hi, n-1)] - S[i+lo-1]`` along *axis*, with
+    ``S[-1] = 0``, for the inclusive running sum ``S`` = *prefix*: the
+    clipped window sum, by slices — an interior run that reads shifted
+    slices of ``S`` and the clipped borders either side (all-zero where
+    the window lies before the array, the grand total past its end)."""
+    n = prefix.shape[axis]
+    total = prefix[_axis_slice(axis, n - 1, n)]
+    a, b = min(n, max(0, -hi)), min(n, max(0, n - hi))
+    out[_axis_slice(axis, 0, a)] = 0
+    out[_axis_slice(axis, a, b)] = prefix[_axis_slice(axis, a + hi, b + hi)]
+    out[_axis_slice(axis, b, n)] = total
+    c, d = min(n, max(0, 1 - lo)), min(n, max(0, n - lo + 1))
+    inner, past = _axis_slice(axis, c, d), _axis_slice(axis, d, n)
+    np.subtract(out[inner], prefix[_axis_slice(axis, c + lo - 1, d + lo - 1)], out=out[inner])
+    np.subtract(out[past], total, out=out[past])
 
 
 def _extremum_identity(dtype: np.dtype, maximum: bool):
-    if dtype == np.float64:
+    if dtype.kind == "f":
         return -np.inf if maximum else np.inf
     info = np.iinfo(dtype)
     return info.min if maximum else info.max
 
 
-def _sliding_extremum_axis(
-    arr: np.ndarray, lo: int, hi: int, axis: int, maximum: bool
-) -> np.ndarray:
-    """Clipped sliding min/max along *axis* — van Herk–Gil-Werman.
+def _block_extrema(
+    src: np.ndarray, lo: int, hi: int, axis: int, op: np.ufunc, ident, out: np.ndarray
+) -> None:
+    """Clipped sliding extrema ``out[i] = op(src[i+lo .. i+hi])`` along
+    *axis* — van Herk–Gil-Werman.  *out* may be *src* itself.
 
-    Two accumulation sweeps over blocks of the window length give every
-    window extremum in O(n) regardless of the window size: partition
-    the (identity-padded) axis into blocks of ``w``, take running
-    extrema forward (``fwd``) and backward (``bwd``) within each block;
-    the window ``[j, j+w)`` spans at most two blocks, so its extremum
-    is ``op(bwd[j], fwd[j+w-1])``."""
-    arr = np.moveaxis(arr, axis, -1)
-    n = arr.shape[-1]
+    *src* is first copied, shifted by *lo* and padded with *ident* to a
+    whole number of ``w``-blocks, so that window ``k`` of the padded
+    index space reads ``src[k+lo .. k+hi]``.  Running extrema forward
+    (``fwd``) and backward (``bwd``) within the blocks give every window
+    extremum in O(n) regardless of the window size: window ``[j, j+w)``
+    spans at most two blocks, so its extremum is ``op(bwd[j],
+    fwd[j+w-1])``.  Each running extremum is ``w-1`` passes over one
+    cell of every block at a time (whole slabs, where
+    ``ufunc.accumulate`` would walk the blocks cell by cell).  ``bwd``
+    is only needed for ``j < n`` and lands in *out*; ``fwd`` overwrites
+    the padded copy."""
+    n = src.shape[axis]
     w = hi - lo + 1
-    ident = _extremum_identity(arr.dtype, maximum)
-    # Window k of the padded index space reads arr[k+lo .. k+hi].
     span = n + w - 1
-    blocks = -(-span // w)
-    padded = np.full(arr.shape[:-1] + (blocks * w,), ident, dtype=arr.dtype)
+    shape = list(src.shape)
+    shape[axis] = -(-span // w) * w
+    padded = np.full(shape, ident, dtype=src.dtype)
     k0, k1 = max(0, -lo), min(span, n - lo)
     if k1 > k0:
-        padded[..., k0:k1] = arr[..., k0 + lo : k1 + lo]
-    if w == 1:
-        out = padded[..., :n]
-        return np.moveaxis(out, -1, axis)
-    op = np.maximum if maximum else np.minimum
-    shaped = padded.reshape(arr.shape[:-1] + (blocks, w))
-    fwd = op.accumulate(shaped, axis=-1).reshape(padded.shape)
-    bwd = (
-        op.accumulate(shaped[..., ::-1], axis=-1)[..., ::-1].reshape(padded.shape)
-    )
-    out = op(bwd[..., :n], fwd[..., w - 1 : w - 1 + n])
-    return np.moveaxis(out, -1, axis)
+        padded[_axis_slice(axis, k0, k1)] = src[_axis_slice(axis, k0 + lo, k1 + lo)]
+    lead = (slice(None),) * axis
+
+    def blocks(array: np.ndarray, count: int) -> np.ndarray:
+        """View of the first *count* blocks: *axis* split into (block, cell)."""
+        head = array[_axis_slice(axis, 0, count * w)]
+        return head.reshape(array.shape[:axis] + (count, w) + array.shape[axis + 1 :])
+
+    def cell(j: int) -> tuple:
+        return lead + (slice(None), j)
+
+    whole = n // w
+    source = blocks(padded, padded.shape[axis] // w)
+    if whole:
+        bwd = blocks(out, whole)
+        bwd[cell(w - 1)] = source[cell(w - 1)][_axis_slice(axis, 0, whole)]
+        for j in range(w - 2, -1, -1):
+            cells = source[cell(j)][_axis_slice(axis, 0, whole)]
+            op(bwd[cell(j + 1)], cells, out=bwd[cell(j)])
+    if whole * w < n:  # the block the array ends in: keep its first cells only
+        first = whole * w
+        running = padded[_axis_slice(axis, first + w - 1, first + w)].copy()
+        for k in range(first + w - 2, first - 1, -1):
+            op(running, padded[_axis_slice(axis, k, k + 1)], out=running)
+            if k < n:
+                out[_axis_slice(axis, k, k + 1)] = running
+    for j in range(1, w):
+        op(source[cell(j - 1)], source[cell(j)], out=source[cell(j)])
+    op(out, padded[_axis_slice(axis, w - 1, w - 1 + n)], out=out)
+
+
+def _separable(
+    src: np.ndarray,
+    owned: bool,
+    ranges: list[tuple[int, int]],
+    op: np.ufunc,
+    ident,
+    dtype: np.dtype,
+) -> np.ndarray:
+    """Fold the window ``ranges[axis]`` with *op* along each axis in turn.
+
+    *src* is read-only unless *owned* (a private buffer of *dtype*).
+    Every pass writes a buffer of *dtype* and then owns it; the buffer
+    it read becomes the next pass' output, so the call allocates two
+    at most.  Returns a fresh array, never *src* itself unless owned."""
+    spare: Optional[np.ndarray] = None
+
+    def take() -> np.ndarray:
+        nonlocal spare
+        buffer, spare = spare, None
+        return np.empty(src.shape, dtype=dtype) if buffer is None else buffer
+
+    for axis, (lo, hi) in enumerate(ranges):
+        if lo == hi == 0:
+            continue
+        width = hi - lo + 1
+        if width <= NARROW_WIDTH or op is np.multiply:
+            out = take()
+            _shifted_axis(src, lo, hi, axis, op, ident, out)
+            if owned:
+                spare = src
+        elif op is np.add:
+            prefix = src if owned else take()
+            _cumsum_axis(src, axis, prefix)
+            out = take()
+            _window_difference(prefix, lo, hi, axis, out)
+            spare = prefix
+        else:
+            out = src if owned else take()
+            _block_extrema(src, lo, hi, axis, op, ident, out)
+        src, owned = out, True
+    return src if owned else src.astype(dtype)
 
 
 # ----------------------------------------------------------------------
@@ -296,16 +438,17 @@ def _sliding_extremum_axis(
 # ----------------------------------------------------------------------
 def _numeric_grid(
     values: Column, shape: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(values grid in its working dtype, validity grid)."""
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(cells in their own dtype, validity grid or ``None`` without NULLs)."""
     atom = values.atom
-    if atom is Atom.DBL:
-        work = values.values
-    elif atom in (Atom.INT, Atom.LNG, Atom.OID, Atom.BIT):
-        work = values.values.astype(np.int64, copy=False)
+    if atom in (Atom.DBL, Atom.INT, Atom.LNG, Atom.OID):
+        cells = values.values
+    elif atom is Atom.BIT:
+        cells = values.values.view(np.uint8)
     else:
         raise GDKError(f"tiling needs numeric cells, not {atom.value}")
-    return work.reshape(shape), values.validity().reshape(shape)
+    valid = ~values.mask.reshape(shape) if values.has_nulls else None
+    return cells.reshape(shape), valid
 
 
 def _validate(values: Column, shape: tuple[int, ...], spec: TileSpec, aggregate: str):
@@ -320,98 +463,142 @@ def _validate(values: Column, shape: tuple[int, ...], spec: TileSpec, aggregate:
         raise DimensionError("tile dimensionality differs from array")
 
 
+def _no_anchors(aggregate: str, input_atom: Atom) -> Column:
+    """The result over zero anchors (an empty array or fragment)."""
+    # count_star is the tiling engine's own name for COUNT(*).
+    return Column.empty(aggregate_atom(aggregate.removesuffix("_star"), input_atom))
+
+
+def _sum_dtype(cells: np.ndarray, terms: int) -> np.dtype:
+    """Narrowest accumulator in which no sum of *terms* of the *cells*
+    can wrap: ``terms · max|v|`` against the dtype's range (int32 is
+    offered only to cells no wider than it); Python integers past int64."""
+    if cells.dtype.kind == "f":
+        return cells.dtype
+    peak = terms * max(-int(cells.min()), int(cells.max()))
+    for candidate in (np.dtype(np.int32), np.dtype(np.int64)):
+        if cells.itemsize <= candidate.itemsize and peak <= np.iinfo(candidate).max:
+            return candidate
+    return np.dtype(object)
+
+
+def _fold_plan(cells: np.ndarray, aggregate: str, terms: int):
+    """(ufunc, identity, accumulator dtype) of one aggregate."""
+    if aggregate in ("sum", "avg"):
+        return np.add, 0, _sum_dtype(cells, terms)
+    if aggregate == "prod":
+        wide = cells.dtype if cells.dtype.kind == "f" else np.dtype(np.int64)
+        return np.multiply, 1, wide
+    maximum = aggregate == "max"
+    return (
+        np.maximum if maximum else np.minimum,
+        _extremum_identity(cells.dtype, maximum),
+        cells.dtype,
+    )
+
+
 def _finalize(
-    acc: np.ndarray, counts: np.ndarray, aggregate: str, input_atom: Atom
+    acc: np.ndarray,
+    aggregate: str,
+    input_atom: Atom,
+    counts: Optional[np.ndarray],
+    axis_counts: Optional[list[np.ndarray]] = None,
 ) -> Column:
-    """Shared epilogue: NULL anchors (no contributing cell), atom choice."""
-    empty = counts == 0
+    """Shared epilogue: NULL anchors (no contributing cell), atom choice.
+
+    The per-anchor cell counts come as a grid (*counts*) or, when no
+    cell is NULL, as the per-axis vectors whose product they are."""
+    overflow = None
     if aggregate == "avg":
+        if acc.dtype == object:
+            acc = acc.astype(np.float64)
+        result = (
+            _outer(axis_counts, np.float64)
+            if counts is None
+            else counts.astype(np.float64)
+        )
         with np.errstate(invalid="ignore", divide="ignore"):
-            result = acc / counts
-        result = np.where(empty, 0.0, result)
-        return Column(Atom.DBL, result.reshape(-1), empty.reshape(-1))
-    result = np.where(empty, acc.dtype.type(0), acc)
-    out_atom = aggregate_atom(aggregate, input_atom)
-    flat = result.reshape(-1)
-    if out_atom is Atom.DBL and flat.dtype != np.float64:
-        flat = flat.astype(np.float64)
-    return Column(out_atom, flat, empty.reshape(-1))
+            np.true_divide(acc, result, out=result)
+        out_atom = Atom.DBL
+    else:
+        result = acc
+        if acc.dtype == object:  # exact sums: one that leaves lng is NULL
+            overflow = np.asarray((acc < _LNG_MIN) | (acc > _LNG_MAX), dtype=np.bool_)
+            result = np.where(overflow, 0, acc).astype(np.int64)
+        out_atom = aggregate_atom(aggregate, input_atom)
+    # NULL anchors carry a zero payload, like every kernel's NULLs.
+    empty = overflow
+    if counts is not None:
+        uncounted = counts == 0
+        if uncounted.any():
+            result[uncounted] = 0
+            empty = uncounted if empty is None else empty | uncounted
+    else:
+        for axis, count in enumerate(axis_counts):
+            outside = (slice(None),) * axis + (count == 0,)
+            if outside[axis].any():
+                if empty is None:
+                    empty = np.zeros(result.shape, dtype=np.bool_)
+                empty[outside] = True
+                result[outside] = 0
+    mask = None if empty is None else empty.reshape(-1)
+    return Column(out_atom, result.reshape(-1), mask)
 
 
 def _dense_tile_aggregate(
-    grid: np.ndarray,
-    valid: np.ndarray,
-    has_nulls: bool,
-    shape: tuple[int, ...],
+    cells: np.ndarray,
+    valid: Optional[np.ndarray],
     ranges: list[tuple[int, int]],
     spec: TileSpec,
     aggregate: str,
     input_atom: Atom,
 ) -> Column:
-    """Separable per-axis passes: O(|array| · ndim), tile-size-free."""
-    if has_nulls:
-        counts = valid.astype(np.int64)
-        for axis, (lo, hi) in enumerate(ranges):
-            counts = _sliding_sum_axis(counts, lo, hi, axis)
+    """Separable per-axis passes: O(|array| · ndim) for any tile size."""
+    terms = spec.cells_per_tile
+    if valid is None:
+        counts, axis_counts = None, _axis_counts(cells.shape, spec)
     else:
-        counts = in_bounds_count(shape, spec)
+        axis_counts = None
+        counts = _separable(valid, False, ranges, np.add, 0, _sum_dtype(valid, terms))
     if aggregate == "count":
+        if counts is None:
+            counts = _outer(axis_counts, np.int64)
         return Column(Atom.LNG, counts.reshape(-1))
-    if aggregate in ("sum", "avg"):
-        acc = np.where(valid, grid, grid.dtype.type(0)) if has_nulls else grid
-        for axis, (lo, hi) in enumerate(ranges):
-            acc = _sliding_sum_axis(acc, lo, hi, axis)
-        return _finalize(acc, counts, aggregate, input_atom)
-    # min / max
-    maximum = aggregate == "max"
-    ident = _extremum_identity(grid.dtype, maximum)
-    acc = np.where(valid, grid, ident) if has_nulls else grid
-    for axis, (lo, hi) in enumerate(ranges):
-        acc = _sliding_extremum_axis(acc, lo, hi, axis, maximum)
-    return _finalize(acc, counts, aggregate, input_atom)
+    op, ident, dtype = _fold_plan(cells, aggregate, terms)
+    src, owned = cells, False
+    if valid is not None:
+        src, owned = np.full(cells.shape, ident, dtype=dtype), True
+        np.copyto(src, cells, where=valid)
+    acc = _separable(src, owned, ranges, op, ident, dtype)
+    return _finalize(acc, aggregate, input_atom, counts, axis_counts)
 
 
 def _scan_tile_aggregate(
-    grid: np.ndarray,
-    valid: np.ndarray,
-    shape: tuple[int, ...],
+    cells: np.ndarray,
+    valid: Optional[np.ndarray],
     spec: TileSpec,
     aggregate: str,
     input_atom: Atom,
 ) -> Column:
-    """One shifted pass per tile cell — O(|tile| · |array|).
-
-    The vectorized sibling of :func:`brute_force_tile_aggregate`:
-    fallback for sparse specs and ``prod``, and the baseline the E19
-    benchmarks pit the prefix-sum/sliding kernels against.  Mask-based,
-    so integer aggregates stay integer-exact here too."""
-    if aggregate == "count_star":
-        counts = np.zeros(shape, dtype=np.int64)
-        ones = np.ones(shape, dtype=np.bool_)
-        for deltas in spec.deltas():
-            counts += _shift_masked(ones, ones, deltas)[1]
-        return Column(Atom.LNG, counts.reshape(-1))
-    counts = np.zeros(shape, dtype=np.int64)
-    acc: np.ndarray | None = None
-    maximum = aggregate == "max"
-    for deltas in spec.deltas():
-        layer, ok = _shift_masked(grid, valid, deltas)
-        counts += ok
-        if aggregate in ("sum", "avg"):
-            term = np.where(ok, layer, grid.dtype.type(0))
-            acc = term if acc is None else acc + term
-        elif aggregate == "prod":
-            term = np.where(ok, layer, grid.dtype.type(1))
-            acc = term if acc is None else acc * term
-        elif aggregate in ("min", "max"):
-            ident = _extremum_identity(grid.dtype, maximum)
-            term = np.where(ok, layer, ident)
-            op = np.maximum if maximum else np.minimum
-            acc = term if acc is None else op(acc, term)
+    """One shifted pass per tile cell — O(|tile| · |array|), for sparse
+    specs.  The vectorized sibling of :func:`brute_force_tile_aggregate`,
+    with the dense kernels' accumulator rule."""
+    if valid is None:
+        valid = np.ones(cells.shape, dtype=np.bool_)
+    counts = np.zeros(cells.shape, dtype=np.int64)
     if aggregate == "count":
+        for deltas in spec.deltas():
+            counts += _shift_masked(valid, valid, deltas)[1]
         return Column(Atom.LNG, counts.reshape(-1))
-    assert acc is not None
-    return _finalize(acc, counts, aggregate, input_atom)
+    op, ident, dtype = _fold_plan(cells, aggregate, spec.cells_per_tile)
+    cells = cells.astype(dtype, copy=False)
+    acc = np.full(cells.shape, ident, dtype=dtype)
+    for deltas in spec.deltas():
+        layer, ok = _shift_masked(cells, valid, deltas)
+        counts += ok
+        layer[~ok] = ident
+        op(acc, layer, out=acc)
+    return _finalize(acc, aggregate, input_atom, counts)
 
 
 def tile_aggregate(
@@ -424,44 +611,22 @@ def tile_aggregate(
     return 0 instead of NULL for such anchors (anchors are always
     valid, so counts never go NULL).
 
-    Kernel choice: dense rectangular specs take the separable
-    prefix-sum (``sum``/``count``/``avg``) or van Herk–Gil-Werman
-    (``min``/``max``) path, O(|array|) regardless of tile size;
-    ``count_star`` is computed analytically from the shape alone;
-    sparse specs and ``prod`` fall back to the vectorized shifted scan.
+    ``count_star`` is computed analytically from the shape alone; dense
+    rectangular specs run the separable per-axis kernels of the module
+    docstring, O(|array|) for any tile size; sparse specs fall back to
+    one shifted pass per tile cell.
     """
     aggregate = aggregate.lower()
     _validate(values, shape, spec, aggregate)
+    if not len(values):
+        return _no_anchors(aggregate, values.atom)
     if aggregate == "count_star":
         return Column(Atom.LNG, in_bounds_count(shape, spec).reshape(-1))
-    grid, valid = _numeric_grid(values, shape)
+    cells, valid = _numeric_grid(values, shape)
     ranges = spec.dense_ranges()
-    cutoff = (
-        SCAN_CUTOFF_EXTREMA if aggregate in ("min", "max") else SCAN_CUTOFF_SUMS
-    )
-    if ranges is not None and aggregate != "prod" and spec.cells_per_tile > cutoff:
-        return _dense_tile_aggregate(
-            grid, valid, values.has_nulls, shape, ranges, spec, aggregate,
-            values.atom,
-        )
-    return _scan_tile_aggregate(grid, valid, shape, spec, aggregate, values.atom)
-
-
-def shifted_scan_tile_aggregate(
-    values: Column, shape: tuple[int, ...], spec: TileSpec, aggregate: str
-) -> Column:
-    """The shifted-scan engine, unconditionally — one pass per tile cell.
-
-    Kept public as the oracle's vectorized sibling and the benchmark
-    baseline the tile-size-independent kernels are measured against."""
-    aggregate = aggregate.lower()
-    _validate(values, shape, spec, aggregate)
-    if aggregate == "count_star":
-        grid = np.zeros(shape, dtype=np.int64)
-        valid = np.ones(shape, dtype=np.bool_)
-        return _scan_tile_aggregate(grid, valid, shape, spec, aggregate, values.atom)
-    grid, valid = _numeric_grid(values, shape)
-    return _scan_tile_aggregate(grid, valid, shape, spec, aggregate, values.atom)
+    if ranges is None:
+        return _scan_tile_aggregate(cells, valid, spec, aggregate, values.atom)
+    return _dense_tile_aggregate(cells, valid, ranges, spec, aggregate, values.atom)
 
 
 # ----------------------------------------------------------------------
@@ -520,8 +685,7 @@ def tile_aggregate_fragment(
     if not 0 <= start <= stop <= cells:
         raise DimensionError(f"anchor range [{start}, {stop}) outside 0..{cells}")
     if start == stop:
-        # count_star is the tiling engine's own name for COUNT(*).
-        return Column.empty(aggregate_atom(aggregate.removesuffix("_star"), values.atom))
+        return _no_anchors(aggregate, values.atom)
     slab_lo, slab_hi = tile_fragment_bounds(cells, shape, spec, start, stop)
     stride0 = cells // shape[0]
     slab = _column_view(values, slab_lo * stride0, slab_hi * stride0)
@@ -562,19 +726,14 @@ def tile_members(
     return members
 
 
-def _wrap_int64(value: int) -> int:
-    """Two's-complement wrap into int64 — the LNG accumulator semantics."""
-    return (value + 2**63) % 2**64 - 2**63
-
-
 def brute_force_tile_aggregate(
     values: Column, shape: tuple[int, ...], spec: TileSpec, aggregate: str
 ) -> list:
     """O(anchors × tile) reference implementation for property tests.
 
-    Integer ``sum``/``prod`` results wrap into int64 exactly like the
-    vectorized kernels' LNG accumulators do, so an overflowing tile
-    product is still a three-way agreement, not an oracle mismatch.
+    It pins the kernels' integer rule: a ``sum`` that does not fit
+    ``lng`` is NULL; ``prod`` wraps into int64 (two's complement) like
+    the vectorized kernels' accumulators do.
     """
     data = values.to_pylist()
     integral = values.atom is not Atom.DBL
@@ -590,7 +749,8 @@ def brute_force_tile_aggregate(
             out.append(None)
         elif aggregate == "sum":
             total = sum(cell_values)
-            out.append(_wrap_int64(total) if integral else total)
+            fits = not integral or _LNG_MIN <= total <= _LNG_MAX
+            out.append(total if fits else None)
         elif aggregate == "avg":
             out.append(sum(cell_values) / len(cell_values))
         elif aggregate == "min":
@@ -601,7 +761,7 @@ def brute_force_tile_aggregate(
             product = 1
             for value in cell_values:
                 product *= value
-            out.append(_wrap_int64(product) if integral else product)
+            out.append((product + 2**63) % 2**64 - 2**63 if integral else product)
         else:
             raise GDKError(f"unsupported aggregate {aggregate!r}")
     return out

@@ -13,7 +13,8 @@ other and what the kernels silently assume:
   (a candidate chain of selects must stay within one fragment's
   bounds);
 * ``array.tilepart`` halo slabs carry a sane index/pieces pair and
-  parseable tile metadata.
+  parseable tile metadata: one non-empty offset list per dimension (a
+  one-cell tile included) whose dim-0 halo fits inside the array.
 
 Provenance is tracked as a set of ``(source, index)`` fragment tags per
 variable: ``mat.partition`` seeds a tag, element-wise/select/join ops
@@ -190,6 +191,27 @@ class FragmentState:
             return
         if not isinstance(meta, dict) or "shape" not in meta or "offsets" not in meta:
             self._fail("array.tilepart tile metadata lacks shape/offsets")
+        shape, offsets = meta["shape"], meta["offsets"]
+        if (
+            not isinstance(shape, list)
+            or not shape
+            or not isinstance(offsets, list)
+            or len(offsets) != len(shape)
+            or not all(isinstance(per_dim, list) and per_dim for per_dim in offsets)
+        ):
+            self._fail(
+                "array.tilepart needs one non-empty offset list per dimension "
+                "(a single offset is a one-cell tile)"
+            )
+        # The slab of a fragment is its own dim-0 rows plus the offset
+        # extent, the anchor's row included; past the whole array there
+        # is nothing left to fragment.
+        halo = max(max(offsets[0]), 0) - min(min(offsets[0]), 0)
+        if halo > shape[0]:
+            self._fail(
+                f"array.tilepart halo of {halo} rows exceeds the array's "
+                f"{shape[0]} — the slab would be the whole heap for every fragment"
+            )
 
     def _propagate(self, instruction: Instruction) -> None:
         merged: set[FragTag] = set()

@@ -39,8 +39,15 @@ from repro.mal.modules import REGISTRY, load_all
 from repro.mal.program import Constant, Instruction, MALProgram, Param, Var
 
 #: instructions whose largest BAT input is below this row count run on
-#: the scheduler thread — pool dispatch overhead would dominate.
-PARALLEL_MIN_ROWS = 4096
+#: the scheduler thread — pool dispatch overhead would dominate.  A
+#: hand-off is two futex wake-ups plus the GIL changing hands around
+#: every kernel call, and what it costs depends on where the host put
+#: the vCPUs, not on the plan: the two-fragment Life plan (65 536
+#: cells, 0.1–0.3 ms kernels) takes 1.0 ms per statement with no system
+#: time on the scheduler thread and 1.6–2.7 ms with 0.6 ms of it on
+#: two workers (2 vCPUs, PR 19), and its throughput swung between runs.
+#: Fragments of 500 000 rows (``scan_agg``) do pay: 13 ms against 20.
+PARALLEL_MIN_ROWS = 131072
 
 #: operations that are (near) zero-cost regardless of input size —
 #: never worth a pool round-trip.  ``mat.partition`` returns a view.

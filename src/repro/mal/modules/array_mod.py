@@ -18,6 +18,19 @@ mapping behind relative cell access such as ``A[x-1][y]``
 Tiling ops carry one JSON metadata constant ``{"shape": [...],
 "offsets": [[...], ...]}`` — the tile spec the optimizer passes read to
 compute halo extents and fragment viability.
+
+A tile with ONE offset per dimension is a constant shift of the value
+BAT, and that is how malgen lowers a cell reference to the scanned
+array itself whose every index is its own unrestricted dimension plus
+or minus a constant: ``img[x-1][y]`` is ``array.tileagg(v, "min",
+{"shape": .., "offsets": [[-1], [0]]})`` — the one cell where it
+exists, NULL where it is a hole or outside the array, exactly what
+``algebra.projectionsafe`` answers for ``array.cellindex``'s -1 (all
+offsets zero is the attribute BAT itself, and no op at all).  Being a
+``tileagg`` it fragments into halo ``tilepart`` calls in the scan's
+row space like any other tile; every other shape of cell reference
+(computed offsets, another array, non-numeric attributes, restricted
+scans) takes ``array.cellindex`` plus the gather.
 """
 
 from __future__ import annotations

@@ -30,8 +30,10 @@ mergetable optimizer:
   ``mat.partition`` bounds, so results stay in the source's row space
   and downstream element-wise consumers keep running per fragment.
   Only byte-exact combinations fragment (``count``/``count_star``/
-  ``min``/``max`` always; ``sum``/``prod``/``avg`` for integer cells,
-  where int64 wrapping arithmetic is exact) — float prefix sums would
+  ``min``/``max`` always — which includes the one-cell tile a constant
+  cell reference ``A[x-1][y]`` lowers to; ``sum``/``prod``/``avg`` for
+  integer cells, whose sums are exact or NULL by the same rule in slab
+  and whole and whose products wrap alike) — float prefix sums would
   drift a ulp between slab and whole-array evaluation;
 * every other consumer forces materialisation: fragments re-merge
   (``mat.pack`` / ``bat.mergecand`` / partial merges) right before the
@@ -44,7 +46,6 @@ fragmented plan returns *byte-identical* results to the sequential one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -57,6 +58,7 @@ from repro.mal.program import (
     bat_type,
     scalar_type,
 )
+from repro.mal.optimizer.mitosis import tile_extent
 from repro.mal.optimizer.passes import _clone_program
 
 #: the element-wise operation: one copy of the expression per fragment
@@ -83,7 +85,8 @@ REASSOCIATING = {"sum", "prod", "avg"}
 TILE_EXACT = {"count", "count_star", "min", "max"}
 
 #: cell atoms whose tiling sums/products are exact under fragmentation
-#: (int64 accumulation wraps mod 2^64 identically for slab and whole).
+#: (integer sums are exact or NULL, products wrap mod 2^64, identically
+#: for slab and whole).
 TILE_INT_ATOMS = {Atom.INT, Atom.LNG, Atom.OID, Atom.BIT}
 
 
@@ -568,23 +571,18 @@ class _Mergetable:
         agg_arg, meta_arg = instruction.args[1], instruction.args[2]
         if not isinstance(agg_arg, Constant) or not isinstance(agg_arg.value, str):
             return False
-        if not isinstance(meta_arg, Constant) or not isinstance(meta_arg.value, str):
+        extent = tile_extent(meta_arg)
+        if extent is None:
             return False
         aggregate = agg_arg.value.lower()
         if aggregate not in TILE_EXACT:
             # Re-associating aggregate: fragment only integer cells,
-            # where slab evaluation is bit-exact (mod-2^64 arithmetic).
+            # where slab evaluation is bit-exact.
             value_atom = self.type_of(instruction.args[0].name).atom
             if value_atom not in TILE_INT_ATOMS:
                 return False
-        try:
-            meta = json.loads(meta_arg.value)
-            rows0 = int(meta["shape"][0])
-            offsets0 = [int(o) for o in meta["offsets"][0]]
-        except (ValueError, KeyError, IndexError, TypeError):
-            return False
+        _, rows0, halo = extent
         pieces = len(entry.parts)
-        halo = max(offsets0) - min(offsets0)
         if pieces < 2 or rows0 < pieces * (halo + 1):
             return False  # halo would dominate the per-fragment slab
         whole = self.resolve(instruction.args[0].name)

@@ -46,6 +46,24 @@ AUTO_MIN_ROWS = 32768
 HALO_ROWS_FACTOR = 2
 
 
+def tile_extent(meta_arg) -> Optional[tuple[int, int, int]]:
+    """``(cells, rows, halo)`` of a tiling op's metadata constant: the
+    tiled array's cell count and dim-0 row count, and the dim-0 rows a
+    halo fragment reads beyond its own anchors' — the offset extent with
+    the anchor's own row included, which is what a one-cell tile such as
+    ``[[-1], [0]]`` widens its slab by.  ``None`` when it does not parse."""
+    if not isinstance(meta_arg, Constant) or not isinstance(meta_arg.value, str):
+        return None
+    try:
+        meta = json.loads(meta_arg.value)
+        shape = [int(s) for s in meta["shape"]]
+        offsets0 = [int(o) for o in meta["offsets"][0]]
+        halo = max(max(offsets0), 0) - min(min(offsets0), 0)
+    except (ValueError, KeyError, IndexError, TypeError):
+        return None
+    return math.prod(shape), shape[0], halo
+
+
 def tiling_fragment_caps(program: MALProgram) -> dict[int, int]:
     """Per-cell-count fragment caps derived from the plan's tiling ops.
 
@@ -62,22 +80,11 @@ def tiling_fragment_caps(program: MALProgram) -> dict[int, int]:
     for instruction in program.instructions:
         if (instruction.module, instruction.function) != ("array", "tileagg"):
             continue
-        meta_arg = instruction.args[2] if len(instruction.args) > 2 else None
-        if not isinstance(meta_arg, Constant) or not isinstance(meta_arg.value, str):
+        extent = tile_extent(instruction.args[2]) if len(instruction.args) > 2 else None
+        if extent is None or extent[0] <= 0:
             continue
-        try:
-            meta = json.loads(meta_arg.value)
-            shape = [int(s) for s in meta["shape"]]
-            offsets0 = [int(o) for o in meta["offsets"][0]]
-        except (ValueError, KeyError, IndexError, TypeError):
-            continue
-        cells = 1
-        for size in shape:
-            cells *= size
-        if cells <= 0 or not offsets0:
-            continue
-        halo = max(offsets0) - min(offsets0)
-        cap = max(1, shape[0] // (HALO_ROWS_FACTOR * (halo + 1)))
+        cells, rows0, halo = extent
+        cap = max(1, rows0 // (HALO_ROWS_FACTOR * (halo + 1)))
         caps[cells] = min(caps.get(cells, cap), cap)
     return caps
 

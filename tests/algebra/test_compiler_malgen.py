@@ -176,8 +176,17 @@ class TestMalLowering:
         assert "algebra.join" not in ops
         assert "algebra.crossproduct" not in ops
 
-    def test_cell_ref_uses_cellindex(self, conn):
+    def test_constant_cell_ref_is_a_one_cell_tile(self, conn):
         ops = self.ops(conn, "SELECT m[x-1] FROM m")
+        assert "array.tileagg" in ops
+        assert "array.cellindex" not in ops
+        assert "algebra.projectionsafe" not in ops
+        assert self.ops(conn, "SELECT m[x] FROM m") == [
+            "sql.bind", "sql.bind", "sql.resultSet"
+        ]
+
+    def test_computed_cell_ref_uses_cellindex(self, conn):
+        ops = self.ops(conn, "SELECT m[x-v] FROM m")
         assert "array.cellindex" in ops
         assert "algebra.projectionsafe" in ops
 

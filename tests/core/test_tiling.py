@@ -10,8 +10,6 @@ from repro.core.tiling import (
     TileSpec,
     brute_force_tile_aggregate,
     in_bounds_count,
-    shifted,
-    shifted_scan_tile_aggregate,
     tile_aggregate,
     tile_aggregate_fragment,
     tile_fragment_bounds,
@@ -62,24 +60,6 @@ class TestTileSpec:
     def test_deltas_cross_product(self):
         spec = TileSpec(((0, 1), (0, 1)))
         assert sorted(spec.deltas()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
-class TestShifted:
-    def test_positive_shift(self):
-        grid = np.arange(4.0).reshape(2, 2)
-        out = shifted(grid, (1, 0))
-        assert out[0, 0] == grid[1, 0]
-        assert np.isnan(out[1, 0])
-
-    def test_negative_shift(self):
-        grid = np.arange(4.0).reshape(2, 2)
-        out = shifted(grid, (0, -1))
-        assert out[0, 1] == grid[0, 0]
-        assert np.isnan(out[0, 0])
-
-    def test_shift_beyond_size(self):
-        grid = np.ones((2, 2))
-        assert np.isnan(shifted(grid, (5, 0))).all()
 
 
 class TestFigure1Tiling:
@@ -206,7 +186,9 @@ class TestIntegerExactness:
 
     The seed kernel accumulated in NaN-tagged float64 and rounded back,
     silently losing exactness above 2^53; the mask-based kernels
-    accumulate integer inputs in int64 end to end.
+    accumulate integer inputs in the narrowest integer that provably
+    cannot wrap, in Python integers past int64, and a sum that leaves
+    ``lng`` is NULL.
     """
 
     def test_sum_near_2_to_60(self):
@@ -227,6 +209,57 @@ class TestIntegerExactness:
         spec = TileSpec(((0, 2),))  # gap -> sparse
         out = tile_aggregate(values, (4,), spec, "sum")
         assert out.get(0) == 2 * base + 6
+
+    def test_bigint_sum_past_lng_is_null(self):
+        """cells_per_tile · max|v| ≥ 2^63: the call recomputes in Python
+        integers; a sum that leaves lng is NULL, the rest stay exact."""
+        big = 2**62
+        items = [big, big, 5, -big, None, 7]
+        values = Column.from_pylist(Atom.LNG, items)
+        spec = TileSpec.from_ranges([(0, 2)])
+        out = tile_aggregate(values, (6,), spec, "sum")
+        assert out.to_pylist() == [None, big + 5, 5 - big, -big, 7, 7]
+        assert out.to_pylist() == brute_force_tile_aggregate(values, (6,), spec, "sum")
+        # the average of the overflowing tile is still a number
+        avg = tile_aggregate(values, (6,), spec, "avg").to_pylist()
+        assert avg[0] == float(big)
+        assert avg == pytest.approx(
+            brute_force_tile_aggregate(values, (6,), spec, "avg")
+        )
+        # sparse specs (the shifted scan) follow the same rule
+        sparse = TileSpec(((0, 0, 1),))
+        assert tile_aggregate(values, (6,), sparse, "sum").to_pylist() == (
+            brute_force_tile_aggregate(values, (6,), sparse, "sum")
+        )
+        assert tile_aggregate(values, (6,), sparse, "sum").get(0) is None
+
+    def test_bigint_sum_fragments_agree_on_the_null(self):
+        # the overflow proof is taken per slab; the answer must not depend on it
+        big = 2**62
+        items = [big, big, big, 1, 2, 3, 4, 5]
+        values = Column.from_pylist(Atom.LNG, items)
+        spec = TileSpec.from_ranges([(0, 3)])
+        whole = tile_aggregate(values, (8,), spec, "sum")
+        assert whole.to_pylist()[:4] == [None, None, big + 3, 6]
+        packed = []
+        for start in range(0, 8, 2):
+            packed += tile_aggregate_fragment(
+                values, (8,), spec, "sum", start, start + 2
+            ).to_pylist()
+        assert packed == whole.to_pylist()
+
+    def test_int_sums_at_the_dtype_limits(self):
+        # nine INT_MAX cells do not fit the int32 accumulator small cells get
+        top = 2**31 - 1
+        values = Column(Atom.INT, np.full(25, top, dtype=np.int32))
+        spec = TileSpec.from_ranges([(-1, 2), (-1, 2)])
+        out = tile_aggregate(values, (5, 5), spec, "sum")
+        assert out.atom is Atom.LNG
+        assert out.get(2 * 5 + 2) == 9 * top
+        assert out.get(0) == 4 * top
+        low = Column(Atom.INT, np.full(25, -(2**31), dtype=np.int32))
+        assert tile_aggregate(low, (5, 5), spec, "sum").get(12) == -9 * 2**31
+        assert tile_aggregate(low, (5, 5), spec, "avg").get(12) == -float(2**31)
 
     def test_prod_above_2_to_53(self):
         # (2^27 + 1)^2 is not representable in float64
@@ -257,21 +290,19 @@ class TestKernelDispatch:
         # step-2 dimensions still produce contiguous rank offsets
         assert TileSpec.from_ranges([(0, 6)], steps=[2]).dense_ranges() == [(0, 2)]
 
-    def test_scan_engine_matches_dense_engine(self):
+    def test_sparse_scan_matches_oracle(self):
         rng = np.random.default_rng(5)
         items = [
             None if rng.random() < 0.3 else int(rng.integers(-50, 50))
             for _ in range(6 * 5)
         ]
         values = Column.from_pylist(Atom.INT, items)
-        for aggregate in ("sum", "avg", "min", "max", "count", "count_star"):
-            fast = tile_aggregate(
-                values, (6, 5), TileSpec.from_ranges([(-2, 3), (0, 4)]), aggregate
-            )
-            scan = shifted_scan_tile_aggregate(
-                values, (6, 5), TileSpec.from_ranges([(-2, 3), (0, 4)]), aggregate
-            )
-            assert fast.to_pylist() == pytest.approx(scan.to_pylist())
+        sparse = TileSpec(((-2, 0, 2), (0, 1, 3)))  # gaps: the shifted scan
+        assert sparse.dense_ranges() is None
+        for aggregate in ("sum", "avg", "min", "max", "count", "count_star", "prod"):
+            scan = tile_aggregate(values, (6, 5), sparse, aggregate)
+            oracle = brute_force_tile_aggregate(values, (6, 5), sparse, aggregate)
+            assert scan.to_pylist() == pytest.approx(oracle)
 
     def test_window_larger_than_array(self):
         values = Column.from_pylist(Atom.INT, [1, 2, 3])
@@ -304,6 +335,28 @@ class TestKernelDispatch:
         spec = TileSpec.from_ranges([(0, 2)])
         with pytest.raises(GDKError):
             tile_aggregate(values, (2,), spec, "min")
+
+
+class TestAllocation:
+    """A call allocates its result plus at most one more accumulator."""
+
+    @pytest.mark.parametrize("width", [3, 17])
+    @pytest.mark.parametrize("aggregate", ["sum", "min", "avg"])
+    def test_peak_is_bounded_by_the_result(self, aggregate, width):
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        values = Column(Atom.INT, rng.integers(0, 256, 256 * 256).astype(np.int32))
+        lo = -(width // 2)
+        spec = TileSpec.from_ranges([(lo, lo + width)] * 2)
+        tile_aggregate(values, (256, 256), spec, aggregate)  # warm caches
+        tracemalloc.start()
+        try:
+            out = tile_aggregate(values, (256, 256), spec, aggregate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * out.values.nbytes, (peak, out.values.nbytes)
 
 
 class TestHaloFragments:

@@ -382,3 +382,24 @@ class TestDataflowScheduler:
         # unfragmented plan: the dataflow gate keeps it on the fast path
         assert conn.execute("SELECT k FROM t").rows() == [(1,), (2,)]
         conn.close()
+
+    @pytest.mark.parametrize("side, pooled", [(256, False), (512, True)])
+    def test_small_fragments_stay_on_the_scheduler_thread(self, side, pooled):
+        # Auto mode on two threads halves both boards.  The Life-sized
+        # one (two fragments of 32 768 cells, kernels of 0.1-0.3 ms)
+        # must not pay a pool hand-off per instruction; the image-sized
+        # one (131 072 cells each) reaches the pool.  Same answer
+        # either way.
+        sql = "SELECT [x], [y], SUM(v) FROM g GROUP BY g[x-1:x+2][y-1:y+2]"
+        board = np.arange(side * side, dtype=np.int32).reshape(side, side) % 7
+        grids = []
+        for threads in (2, 1):
+            conn = repro.connect(nr_threads=threads, fragment_rows="auto")
+            conn.register_array("g", board)
+            if threads == 2:
+                assert conn.explain(sql).count("array.tilepart") == 2
+            grids.append(conn.execute(sql, collect_stats=True).grid())
+            if threads == 2:
+                assert (conn.last_stats.parallel_batches > 0) == pooled
+            conn.close()
+        assert grids[0].tobytes() == grids[1].tobytes()

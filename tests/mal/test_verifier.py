@@ -96,7 +96,7 @@ def join_plan():
 def tilepart_plan():
     p = MALProgram()
     src = source(p)
-    meta = json.dumps({"shape": [2, 2], "offsets": [0, 0]})
+    meta = json.dumps({"shape": [2, 2], "offsets": [[-1], [0]]})  # a one-cell tile
     slab = p.emit1(
         "array", "tilepart", [src, "sum", meta, 0, 2], bat_type(Atom.INT)
     )
@@ -384,6 +384,24 @@ class TestMutations:
 
         error = mutate(tilepart_plan, "evil_tiling", corrupt)
         assert "JSON" in str(error)
+
+    @pytest.mark.parametrize(
+        "offsets, message",
+        [
+            ([[], [0]], "non-empty offset list"),
+            ([[0]], "non-empty offset list"),
+            ([[-3], [0]], "halo of 3 rows exceeds"),
+            ([[1, 2, 3], [0]], "halo of 3 rows exceeds"),
+        ],
+    )
+    def test_tilepart_offsets_must_fit_the_array(self, offsets, message):
+        def widen(program):
+            meta = json.dumps({"shape": [2, 2], "offsets": offsets})
+            find(program, "array", "tilepart").args[2] = Constant(meta)
+            return program
+
+        error = mutate(tilepart_plan, "evil_tiling", widen)
+        assert message in str(error)
 
     def test_packgroups_arity(self):
         def build():
