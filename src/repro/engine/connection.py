@@ -316,7 +316,7 @@ class Connection(Session):
     # ------------------------------------------------------------------
     @property
     def nr_threads(self) -> int:
-        """Dataflow worker threads (1 = the sequential interpreter)."""
+        """Dataflow worker threads (1 = all on the caller's thread)."""
         return self._nr_threads
 
     @nr_threads.setter

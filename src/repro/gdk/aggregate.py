@@ -104,28 +104,102 @@ def _sums_stay_below(values: np.ndarray, limit: int) -> bool:
     return rows * max(-int(values.min()), int(values.max())) < limit
 
 
+class ExactSums(Column):
+    """An ``lng`` SUM column some of whose totals do not fit ``lng``.
+
+    Readers see those totals as NULL — the element-wise overflow rule —
+    while ``exact`` keeps every total as a Python integer (``None`` for
+    a group without input).  Per-fragment partial sums travel this way
+    through ``mat.pack`` so that the merge adds the true totals and
+    applies the rule once, to the merged one.
+    """
+
+    __slots__ = ("exact",)
+
+    def __init__(self, values: np.ndarray, mask: np.ndarray, exact: np.ndarray):
+        super().__init__(Atom.LNG, values, mask)
+        self.exact = exact
+
+    @classmethod
+    def pack(cls, parts: list[Column]) -> "ExactSums":
+        """Concatenate partial-sum columns, keeping every exact total."""
+        exact = [
+            part.exact if isinstance(part, ExactSums)
+            else np.where(part.effective_mask(), None, part.values.astype(object))
+            for part in parts
+        ]
+        return cls(
+            np.concatenate([part.values for part in parts]),
+            np.concatenate([part.effective_mask() for part in parts]),
+            np.concatenate(exact),
+        )
+
+
+def _exact_totals(
+    column: Column, grouping: Grouping, partials: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-group totals of an integer column, and which groups had
+    no input.  Totals accumulate in int64 while that provably cannot
+    wrap and in Python integers past it.  Only over packed fragment
+    *partials* do the exact totals an :class:`ExactSums` carries count
+    instead of its NULL mask; anywhere else (a derived table's SUM
+    column, say) an overflowed total is the NULL SQL reports."""
+    exact = column.exact if partials and isinstance(column, ExactSums) else None
+    if exact is None:
+        positions, ids, ngroups = _prepare(column, grouping)
+        values = column.values[positions]
+    else:
+        if len(exact) != len(grouping.groups):
+            raise GDKError("aggregate input not aligned with grouping")
+        ids = grouping.groups.values
+        present = np.fromiter((total is not None for total in exact), np.bool_, len(exact))
+        positions = np.flatnonzero((ids >= 0) & present)
+        ids, ngroups, values = ids[positions], grouping.ngroups, exact[positions]
+    exact_int64 = values.dtype != object and _sums_stay_below(values, 2**63)
+    totals = np.zeros(ngroups, dtype=np.int64 if exact_int64 else object)
+    np.add.at(totals, ids, values.astype(totals.dtype, copy=False))
+    return totals, np.bincount(ids, minlength=ngroups) == 0
+
+
 def grouped_sum(column: Column, grouping: Grouping) -> Column:
     """Per-group sum; empty groups yield NULL.
 
-    Integer sums are exact: they accumulate in int64 while that provably
-    cannot wrap and in Python integers past it, and a total that does
-    not fit ``lng`` is NULL — the element-wise overflow rule."""
+    Integer sums are exact (:func:`_exact_totals`), and a total that
+    does not fit ``lng`` is NULL — the element-wise overflow rule — in
+    an :class:`ExactSums` that remembers it for a partial merge."""
     if not is_numeric(column.atom):
         raise GDKError(f"sum over non-numeric column {column.atom}")
-    positions, ids, ngroups = _prepare(column, grouping)
-    values = column.values[positions]
-    null = np.bincount(ids, minlength=ngroups) == 0
     if column.atom is Atom.DBL:
-        return Column(Atom.DBL, np.bincount(ids, weights=values, minlength=ngroups), mask=null)
-    sums = np.zeros(ngroups, dtype=np.int64 if _sums_stay_below(values, 2**63) else object)
-    np.add.at(sums, ids, values.astype(sums.dtype, copy=False))
-    if sums.dtype == object:
-        overflow = np.asarray((sums < _LNG_MIN) | (sums > _LNG_MAX), dtype=np.bool_)
-        sums[overflow] = 0
-        null |= overflow
-    return Column(
-        aggregate_atom("sum", column.atom), sums.astype(np.int64, copy=False), mask=null
+        positions, ids, ngroups = _prepare(column, grouping)
+        sums = np.bincount(ids, weights=column.values[positions], minlength=ngroups)
+        return Column(Atom.DBL, sums, mask=np.bincount(ids, minlength=ngroups) == 0)
+    return _lng_sums(*_exact_totals(column, grouping))
+
+
+def _lng_sums(totals: np.ndarray, empty: np.ndarray) -> Column:
+    """Exact per-group totals as an ``lng`` column, NULL past ``lng``."""
+    if totals.dtype != object:
+        return Column(Atom.LNG, totals, mask=empty)
+    overflow = np.asarray((totals < _LNG_MIN) | (totals > _LNG_MAX), dtype=np.bool_)
+    if not overflow.any():
+        return Column(Atom.LNG, totals.astype(np.int64), mask=empty)
+    exact = np.where(empty, None, totals)
+    return ExactSums(np.where(overflow, 0, totals).astype(np.int64), empty | overflow, exact)
+
+
+def _means(totals: np.ndarray, counts: np.ndarray) -> Column:
+    """Per-group ``total / count`` of exact integer totals, correctly
+    rounded whatever the totals' width; NULL where the count is 0."""
+    empty = counts == 0
+    divisors = np.where(empty, 1, counts)
+    exact_in_double = totals.dtype != object and (
+        not len(totals) or -(2**53) < totals.min() and totals.max() < 2**53
     )
+    if exact_in_double:  # exact operands: the division rounds correctly
+        means = totals.astype(np.float64) / divisors
+    else:
+        means = np.array([int(t) / int(d) for t, d in zip(totals, divisors)], dtype=np.float64)
+    return Column(Atom.DBL, np.where(empty, 0.0, means), mask=empty)
 
 
 def grouped_prod(column: Column, grouping: Grouping) -> Column:
@@ -143,12 +217,19 @@ def grouped_prod(column: Column, grouping: Grouping) -> Column:
 
 
 def grouped_avg(column: Column, grouping: Grouping) -> Column:
-    """Per-group arithmetic mean as double; empty groups yield NULL."""
+    """Per-group arithmetic mean as double; empty groups yield NULL.
+
+    Over integers it is the exact total over the count, correctly
+    rounded (:func:`_means`) — what merging fragment partials gives."""
     if not is_numeric(column.atom):
         raise GDKError(f"avg over non-numeric column {column.atom}")
     positions, ids, ngroups = _prepare(column, grouping)
-    values = column.values[positions].astype(np.float64)
-    sums = np.bincount(ids, weights=values, minlength=ngroups)
+    values = column.values[positions]
+    if column.atom is not Atom.DBL and not _sums_stay_below(values, 2**53):
+        totals, _ = _exact_totals(column, grouping)
+        return _means(totals, np.bincount(ids, minlength=ngroups))
+    # Doubles, and integers whose every partial sum a double holds exactly.
+    sums = np.bincount(ids, weights=values.astype(np.float64), minlength=ngroups)
     counts = np.bincount(ids, minlength=ngroups)
     with np.errstate(invalid="ignore", divide="ignore"):
         means = sums / counts
@@ -390,6 +471,9 @@ def merge_partials(name: str, partials: Column, grouping: Grouping) -> Column:
         raise GDKError(f"aggregate {name!r} has no partial merge")
     if name == "count":
         return grouped_sum(partials, grouping)
+    if name == "sum" and isinstance(partials, ExactSums):
+        # Partials past lng: add their exact totals, the NULL rule once.
+        return _lng_sums(*_exact_totals(partials, grouping, partials=True))
     return GROUPED_DISPATCH[name](partials, grouping)
 
 
@@ -400,19 +484,14 @@ def merge_avg(sums: Column, counts: Column, grouping: Grouping) -> Column:
     weights fragments equally), so mitosis emits per-fragment sum and
     count partials and this kernel recombines them: global mean =
     Σ partial sums / Σ partial counts, NULL where the count is zero.
+    The sums are exact integers (partials past ``lng`` included), so the
+    mean is the one :func:`grouped_avg` computes over the rows.
     """
     if len(sums) != len(counts) or len(sums) != len(grouping.groups):
         raise GDKError("merge_avg: misaligned partial columns")
-    merged_sums = grouped_sum(sums, grouping)
-    merged_counts = grouped_sum(counts, grouping)
-    totals = merged_sums.values.astype(np.float64)
-    divisors = merged_counts.values.astype(np.float64)
-    empty = divisors <= 0
-    if merged_counts.mask is not None:
-        empty |= merged_counts.mask
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = totals / np.where(empty, 1.0, divisors)
-    return Column(Atom.DBL, np.where(empty, 0.0, means), mask=empty)
+    totals, _ = _exact_totals(sums, grouping, partials=True)
+    count_totals, _ = _exact_totals(counts, grouping)
+    return _means(totals, count_totals)
 
 
 def first_occurrence(groups: Column, ngroups: int) -> np.ndarray:

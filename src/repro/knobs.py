@@ -45,8 +45,8 @@ KNOBS: tuple[Knob, ...] = (
     Knob(
         "REPRO_NR_THREADS",
         "auto (min(cpus, 8))",
-        "Dataflow scheduler worker count; 1 keeps the sequential "
-        "interpreter loop.",
+        "Dataflow scheduler worker count; 1 runs every instruction on "
+        "the calling thread, in program order.",
         "execution",
     ),
     Knob(

@@ -3,8 +3,8 @@
 Every statement a :class:`~repro.engine.connection.Connection` executes
 carries a :class:`QueryContext` — one query id, one cancellation token,
 an optional deadline and an optional memory budget.  The MAL
-interpreter consults the context at every instruction dispatch (the
-sequential loop, the dataflow scheduler *and* each pool worker), so a
+interpreter consults the context before each instruction, on the
+thread that runs it (the scheduler *or* one of the pool's workers), so a
 runaway query is stopped cooperatively within one instruction boundary
 rather than holding a worker thread and its intermediates forever.
 

@@ -1,28 +1,35 @@
-"""The MAL interpreter: sequential reference and dataflow scheduler.
+"""The MAL interpreter: linked plans and one ready-queue loop.
 
-The sequential path executes a :class:`~repro.mal.program.MALProgram`
-instruction by instruction against the module registry, exactly like
-MonetDB's MAL interpreter walks the compiled plan (paper, Figure 2).
+MonetDB resolves a MAL plan once and then walks it (paper, Figure 2).
+:func:`link` turns a :class:`~repro.mal.program.MALProgram`, on its
+first run, into a :class:`LinkedPlan` kept in ``program.linked``: a
+:class:`Step` per instruction holding the registry implementation (an
+undefined operation fails here), an argument template with constants in
+place, the slots and parameter keys that fill the rest, the slots it
+writes and frees, and whether its signature returns a BAT (only those
+outputs are charged to the memory budget).  ``language.free`` becomes
+the ``frees`` of the step before it or, in a plan with ``mat`` ops, a
+step without implementation that waits for its variables' readers.
 
-With ``nr_threads > 1`` the interpreter instead runs MonetDB's
-*dataflow* discipline: instructions whose inputs are all resolved
-dispatch to a thread pool, so the independent fragments produced by the
-mitosis/mergetable optimizer passes execute concurrently (the NumPy
-kernels release the GIL, so fragment-parallel select/calc/aggregate
-work scales on real cores).  Side-effecting instructions act as
-barriers, which preserves program order for catalog mutation and result
-delivery; ``nr_threads=1`` keeps the exact sequential behaviour.
-
-One interpreter (and its worker pool) is shared by every session of a
-:class:`~repro.engine.database.Database`: each :meth:`Interpreter.run`
-resolves catalog binds through the *catalog snapshot passed for that
-execution* — the session's transaction fork or the committed head —
-never through shared mutable state, so concurrent sessions schedule
-onto one pool without observing each other's uncommitted writes.
+:meth:`Interpreter.run` executes every plan in one loop over a ready
+queue, with values in a list indexed by slot; an unwritten or freed slot
+holds a sentinel, so a use after free is a :class:`MALError`.  With one
+thread or no ``mat`` op the queue is the program order, run on the
+calling thread.  Otherwise it holds the steps whose dependencies have
+completed — MonetDB's *dataflow* discipline — and fragments run on a
+worker pool (the NumPy kernels release the GIL) unless a hand-off costs
+more than it buys: ``INLINE_OPS``, no BAT operand, operands under
+``PARALLEL_MIN_ROWS`` rows, nothing to overlap with, or a backlog of
+twice the workers.  Side-effecting steps are barriers.  Every step polls
+the statement's :class:`~repro.lifecycle.QueryContext` on the thread
+that runs it, right before its kernel, so a cancelled statement stops
+within one step per thread.  One interpreter and pool serve every
+session: each run binds against the catalog snapshot passed for it.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -47,35 +54,178 @@ from repro.mal.program import Constant, Instruction, MALProgram, Param, Var
 #: time on the scheduler thread and 1.6–2.7 ms with 0.6 ms of it on
 #: two workers (2 vCPUs, PR 19), and its throughput swung between runs.
 #: Fragments of 500 000 rows (``scan_agg``) do pay: 13 ms against 20.
+#: Read at run time, not link time: cached plans outlive appends.
 PARALLEL_MIN_ROWS = 131072
 
 #: operations that are (near) zero-cost regardless of input size —
 #: never worth a pool round-trip.  ``mat.partition`` returns a view.
 INLINE_OPS = {("mat", "partition"), ("bat", "getcount"), ("bat", "mirror")}
 
-
-def _bat_bytes(bat: BAT) -> int:
-    """Approximate heap bytes of one BAT tail (values + null mask)."""
-    tail = bat.tail
-    nbytes = tail.values.nbytes
-    if tail.mask is not None:
-        nbytes += tail.mask.nbytes
-    return nbytes
+#: what a slot holds before its producer ran and after it was freed.
+_UNBOUND = object()
 
 
 def _output_cost(output: Any) -> tuple[int, int]:
-    """(bytes, rows) one instruction materialised, for budget accounting."""
-    if isinstance(output, BAT):
-        return _bat_bytes(output), len(output)
-    if isinstance(output, tuple):
-        nbytes = 0
-        rows = 0
-        for item in output:
-            if isinstance(item, BAT):
-                nbytes += _bat_bytes(item)
-                rows += len(item)
-        return nbytes, rows
-    return 0, 0
+    """(bytes, rows) one instruction materialised, for budget accounting:
+    the tail values and null masks of the BATs it returned."""
+    nbytes = rows = 0
+    for bat in output if isinstance(output, tuple) else (output,):
+        if isinstance(bat, BAT):
+            tail = bat.tail
+            nbytes += tail.values.nbytes + (0 if tail.mask is None else tail.mask.nbytes)
+            rows += len(bat)
+    return nbytes, rows
+
+
+@functools.lru_cache(maxsize=1)
+def _scalar_ops() -> frozenset:
+    """Ops whose signature returns scalars or nothing: never charged."""
+    from repro.mal.analysis.signatures import signature_table
+
+    table = signature_table()
+    return frozenset(
+        op for op, sig in table.items() if all(r.kind == "scalar" for r in sig.results)
+    )
+
+
+@dataclass(slots=True, eq=False)
+class Step:
+    """One linked instruction.  ``args`` is its argument template: the
+    constants, a slot at each position in ``reads``, a parameter key at
+    each position in ``params``.  ``fn`` is ``None`` for a fragmented
+    plan's ``language.free``; ``dependents`` are plan positions."""
+
+    index: int
+    instruction: Instruction
+    fn: Optional[Callable[..., Any]]
+    args: Any = ()
+    reads: Any = ()
+    params: tuple = ()
+    outs: Any = ()
+    charged: bool = False
+    inline: bool = False
+    frees: tuple = ()
+    dependents: Any = ()
+
+
+class LinkedPlan:
+    """A MAL program resolved once for execution (see :func:`link`).
+    ``pooled`` plans — those with ``mat`` ops — carry the dependency
+    graph: ``counts[i]`` steps complete before step *i* is ready, and
+    ``roots`` are ready at the start."""
+
+    __slots__ = ("steps", "slots", "pooled", "counts", "roots")
+
+    def __init__(self, program: MALProgram):
+        instructions = program.instructions
+        self.pooled = pooled = "mat" in [i.module for i in instructions]
+        scalar_ops = _scalar_ops()
+        slot_of: dict[str, int] = {}
+        steps: list[Step] = []
+        for index, instruction in enumerate(instructions):
+            if instruction.function == "free" and instruction.module == "language":
+                if pooled:  # a graph node: waits for producer and readers
+                    steps.append(Step(index, instruction, None))
+                if steps:  # else: program order, released after the step before
+                    for arg in instruction.args:
+                        if type(arg) is Constant and arg.value in slot_of:
+                            steps[-1].frees += (slot_of[arg.value],)
+                continue
+            key = (instruction.module, instruction.function)
+            if (fn := REGISTRY.get(key)) is None:
+                raise MALError(f"undefined MAL operation {key[0]}.{key[1]}")
+            args, reads, params = [], [], ()
+            for position, arg in enumerate(instruction.args):
+                kind = type(arg)
+                if kind is Var:
+                    if (slot := slot_of.get(arg.name)) is None:
+                        slot = slot_of[arg.name] = len(slot_of)
+                    reads.append(position)
+                    args.append(slot)
+                elif kind is Param:
+                    params += (position,)
+                    args.append(arg.key)
+                else:
+                    args.append(arg.value)
+            outs = []
+            for name in instruction.results:
+                if (slot := slot_of.get(name)) is None:
+                    slot = slot_of[name] = len(slot_of)
+                outs.append(slot)
+            steps.append(Step(
+                index, instruction, fn, args, reads, params, outs,
+                key not in scalar_ops, key in INLINE_OPS,
+            ))
+        self.steps = tuple(steps)
+        self.slots = len(slot_of)
+        self.counts = self.roots = ()
+        if pooled:  # steps and instructions correspond one to one here
+            deps = program.dependencies()
+            for step in steps:
+                step.dependents = []
+            for index, edges in enumerate(deps):
+                for producer in edges:
+                    steps[producer].dependents.append(index)
+            self.counts = tuple(map(len, deps))
+            self.roots = tuple(s for s, n in zip(steps, self.counts) if not n)
+
+
+def link(program: MALProgram) -> LinkedPlan:
+    """*program*'s :class:`LinkedPlan`: resolved on first use and kept
+    in ``program.linked``, which :meth:`MALProgram.emit` drops."""
+    if program.linked is None:
+        program.linked = LinkedPlan(program)
+    return program.linked
+
+
+def _bat_rows(step: Step, values: list) -> list[int]:
+    """Row counts of the step's BAT operands."""
+    return [len(v) for p in step.reads if isinstance(v := values[step.args[p]], BAT)]
+
+
+def _execute(step: Step, values: list, context: ExecutionContext) -> None:
+    """One step's work, on whichever thread runs it: the governance
+    poll, the arguments, the kernel, the budget charge, the results
+    (workers write distinct slots).  Governance errors are raised
+    outside the kernel's try-block so they keep their PEP 249 type
+    instead of being wrapped as :class:`MALError`."""
+    query, op = context.query, step.instruction
+    if query is not None:
+        query.check()
+    args = list(step.args)
+    for position in step.reads:
+        if (value := values[args[position]]) is _UNBOUND:
+            raise MALError(f"variable {op.args[position].name!r} not bound at runtime")
+        args[position] = value
+    for position in step.params:
+        if (key := args[position]) not in context.params:
+            raise MALError(f"unbound statement parameter {op.args[position]}")
+        args[position] = context.params[key]
+    try:
+        output = step.fn(context, *args)
+    except MALError:
+        raise
+    except Exception as exc:  # surface kernel errors with MAL context
+        raise MALError(f"{op.module}.{op.function} failed: {exc}") from exc
+    if query is not None and step.charged:
+        nbytes, rows = _output_cost(output)
+        if nbytes or rows:
+            query.note_materialised(nbytes, rows)
+    outs = step.outs
+    if len(outs) == 1:
+        values[outs[0]] = output
+    elif outs:
+        if not isinstance(output, tuple) or len(output) != len(outs):
+            raise MALError(f"{op.module}.{op.function}: arity mismatch")
+        for slot, value in zip(outs, output):
+            values[slot] = value
+
+
+def _timed(step: Step, values: list, context: ExecutionContext) -> float:
+    """:func:`_execute`, returning its wall-clock seconds."""
+    started = time.perf_counter()
+    _execute(step, values, context)
+    return time.perf_counter() - started
 
 
 @dataclass
@@ -228,302 +378,77 @@ class Interpreter:
         if catalog is None:
             catalog = self._default_catalog()
         threads = self.nr_threads if nr_threads is None else max(1, int(nr_threads))
+        plan = link(program)
         context = ExecutionContext(catalog, params=params or {}, query=query)
         stats = ExecutionStats()
         pruned_before, faulted_before = gdk_storage.counters()
-        if threads > 1 and self._wants_dataflow(program):
-            self._run_dataflow(program, context, stats, collect_stats, threads)
-        else:
-            self._run_sequential(program, context, stats, collect_stats)
+        self._loop(plan, context, stats, collect_stats, threads if plan.pooled else 1)
         pruned_after, faulted_after = gdk_storage.counters()
         stats.fragments_pruned = pruned_after - pruned_before
         stats.bytes_faulted = faulted_after - faulted_before
         return context, stats
 
-    @staticmethod
-    def _wants_dataflow(program: MALProgram) -> bool:
-        """Dataflow pays off on fragmented plans; plain plans stay serial.
-
-        Unfragmented plans are chains with almost no instruction-level
-        parallelism, so the scheduler would only add dispatch latency to
-        point queries (the prepared-statement fast path in particular).
-        """
-        flag = getattr(program, "_dataflow_worthwhile", None)
-        if flag is None:
-            flag = any(
-                instruction.module == "mat" for instruction in program.instructions
-            )
-            program._dataflow_worthwhile = flag
-        return flag
-
-    # ------------------------------------------------------------------
-    # sequential reference loop
-    # ------------------------------------------------------------------
-    def _run_sequential(
-        self,
-        program: MALProgram,
-        context: ExecutionContext,
-        stats: ExecutionStats,
-        collect_stats: bool,
-    ) -> None:
-        env: dict[str, Any] = {}
-        for index, instruction in enumerate(program.instructions):
-            if instruction.module == "language" and instruction.function == "free":
-                # Garbage-collection pseudo-op inserted by the optimizer.
-                for arg in instruction.args:
-                    if isinstance(arg, Constant):
-                        env.pop(arg.value, None)
-                continue
-            if collect_stats:
-                started = time.perf_counter()
-                rows = self._execute(instruction, env, context, True)
-                stats.record(
-                    index, instruction, rows, time.perf_counter() - started
-                )
-            else:
-                self._execute(instruction, env, context, False)
-
-    # ------------------------------------------------------------------
-    # dataflow scheduler
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _dependency_state(program: MALProgram) -> list[set[int]]:
-        deps = getattr(program, "_dataflow_deps", None)
-        if deps is None:
-            deps = program.dependencies()
-            program._dataflow_deps = deps
-        return deps
-
-    def _run_dataflow(
-        self,
-        program: MALProgram,
-        context: ExecutionContext,
-        stats: ExecutionStats,
-        collect_stats: bool,
-        nr_threads: Optional[int] = None,
-    ) -> None:
-        if nr_threads is None:
-            nr_threads = self.nr_threads
-        instructions = program.instructions
-        deps = self._dependency_state(program)
-        remaining = [set(edges) for edges in deps]
-        dependents: list[list[int]] = [[] for _ in instructions]
-        for index, edges in enumerate(deps):
-            for producer in edges:
-                dependents[producer].append(index)
-        env: dict[str, Any] = {}
-        ready: deque[int] = deque(
-            index for index, edges in enumerate(remaining) if not edges
-        )
-        in_flight: dict[Any, int] = {}
-        pool = self._pool()
+    def _loop(self, plan, context, stats, collect_stats, threads) -> None:
+        """The one interpreter loop (see the module docstring)."""
+        steps, values = plan.steps, [_UNBOUND] * plan.slots
+        pool = self._pool() if threads > 1 else None
+        pending = None if pool is None else list(plan.counts)
+        ready = deque(steps if pool is None else plan.roots)  # program order is topological
+        in_flight: dict[Any, tuple[Step, int]] = {}  # future -> (step, rows)
         failure: Optional[BaseException] = None
 
-        def complete(index: int) -> None:
-            for dependent in dependents[index]:
-                pending = remaining[dependent]
-                pending.discard(index)
-                if not pending:
-                    ready.append(dependent)
+        def finish(step: Step) -> None:
+            for slot in step.frees:
+                values[slot] = _UNBOUND
+            if pending is not None:
+                for position in step.dependents:
+                    pending[position] -= 1
+                    if not pending[position]:
+                        ready.append(steps[position])
 
-        query = context.query
         while (ready or in_flight) and failure is None:
-            if query is not None:
-                # Scheduler-side poll: a cancelled/expired query stops
-                # dispatching new waves even while workers are busy;
-                # the failure path below cancels the pending futures.
-                try:
-                    query.check()
-                except Exception as exc:
-                    failure = exc
-                    break
             submitted = 0
             while ready:
-                index = ready.popleft()
-                instruction = instructions[index]
-                if (
-                    instruction.module == "language"
-                    and instruction.function == "free"
-                ):
-                    for arg in instruction.args:
-                        if isinstance(arg, Constant):
-                            env.pop(arg.value, None)
-                    complete(index)
-                    continue
-                # Inline when there is nothing to overlap with (a lone
-                # ready instruction and an idle pool), when the pool's
-                # backlog is already deep enough to keep every worker
-                # busy (the scheduler thread then shares the work
-                # instead of queueing), or when the inputs are too
-                # small to amortise pool dispatch.
-                if (
-                    (not ready and not in_flight)
-                    or len(in_flight) >= 2 * nr_threads
-                    or self._run_inline(instruction, env)
-                ):
-                    try:
+                step = ready.popleft()
+                try:
+                    if step.fn is not None:
+                        rows = sum(_bat_rows(step, values)) if collect_stats else 0
+                        if (
+                            pool is not None
+                            and not step.inline
+                            and (ready or in_flight)  # something to overlap with
+                            and len(in_flight) < 2 * threads  # no deep backlog
+                            # no BAT operand: inline even at PARALLEL_MIN_ROWS = 0
+                            and max(_bat_rows(step, values), default=-1) >= PARALLEL_MIN_ROWS
+                        ):
+                            in_flight[pool.submit(_timed, step, values, context)] = (step, rows)
+                            submitted += 1
+                            continue
                         if collect_stats:
-                            started = time.perf_counter()
-                            rows = self._execute(instruction, env, context, True)
-                            stats.record(
-                                index,
-                                instruction,
-                                rows,
-                                time.perf_counter() - started,
-                            )
+                            seconds = _timed(step, values, context)
+                            stats.record(step.index, step.instruction, rows, seconds)
                         else:
-                            self._execute(instruction, env, context, False)
-                    except BaseException as exc:  # noqa: BLE001 - cleanup path
-                        failure = exc
-                        break
-                    complete(index)
-                    continue
-                future = pool.submit(
-                    self._worker, index, instruction, env, context, collect_stats
-                )
-                in_flight[future] = index
-                submitted += 1
-            if submitted > 1 or (submitted and in_flight and len(in_flight) > 1):
+                            _execute(step, values, context)
+                except BaseException as exc:  # noqa: BLE001 - cleanup path
+                    failure = exc
+                    break
+                finish(step)
+            if submitted > 1 or (submitted and len(in_flight) > 1):
                 stats.parallel_batches += 1
             if failure is not None or not in_flight:
                 continue
-            finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            for future in finished:
-                index = in_flight.pop(future)
+            for future in wait(in_flight, return_when=FIRST_COMPLETED)[0]:
+                step, rows = in_flight.pop(future)
                 try:
-                    rows, seconds, output = future.result()
+                    seconds = future.result()
                 except BaseException as exc:  # noqa: BLE001 - cleanup path
                     failure = exc
                     continue
-                self._store(instructions[index], output, env)
                 if collect_stats:
-                    stats.record(index, instructions[index], rows, seconds)
-                complete(index)
+                    stats.record(step.index, step.instruction, rows, seconds)
+                finish(step)
         if failure is not None:
             for future in in_flight:
                 future.cancel()
-            if in_flight:
-                wait(list(in_flight))
+            wait(list(in_flight))
             raise failure
-
-    @staticmethod
-    def _run_inline(instruction: Instruction, env: dict[str, Any]) -> bool:
-        """Small inputs run on the scheduler thread — dispatch costs more."""
-        if (instruction.module, instruction.function) in INLINE_OPS:
-            return True
-        largest = 0
-        for arg in instruction.args:
-            if isinstance(arg, Var):
-                value = env.get(arg.name)
-                if isinstance(value, BAT):
-                    length = len(value)
-                    if length > largest:
-                        largest = length
-        return largest < PARALLEL_MIN_ROWS
-
-    def _worker(
-        self,
-        index: int,
-        instruction: Instruction,
-        env: dict[str, Any],
-        context: ExecutionContext,
-        count_rows: bool,
-    ) -> tuple[int, float, Any]:
-        """Execute one instruction off-thread; results are stored by the
-        scheduler thread, so workers never mutate the environment."""
-        started = time.perf_counter()
-        args, rows = self._resolve_args(instruction, env, context, count_rows)
-        output = self._apply(instruction, args, context)
-        return rows, time.perf_counter() - started, output
-
-    # ------------------------------------------------------------------
-    # shared execution machinery
-    # ------------------------------------------------------------------
-    def _resolve_args(
-        self,
-        instruction: Instruction,
-        env: dict[str, Any],
-        context: ExecutionContext,
-        count_rows: bool,
-    ) -> tuple[list[Any], int]:
-        args: list[Any] = []
-        rows = 0
-        for arg in instruction.args:
-            if isinstance(arg, Var):
-                if arg.name not in env:
-                    raise MALError(f"variable {arg.name!r} not bound at runtime")
-                value = env[arg.name]
-                if count_rows and isinstance(value, BAT):
-                    rows += len(value)
-                args.append(value)
-            elif isinstance(arg, Param):
-                try:
-                    args.append(context.params[arg.key])
-                except KeyError:
-                    raise MALError(f"unbound statement parameter {arg}") from None
-            else:
-                args.append(arg.value)
-        return args, rows
-
-    @staticmethod
-    def _apply(
-        instruction: Instruction, args: list[Any], context: ExecutionContext
-    ) -> Any:
-        implementation = REGISTRY.get((instruction.module, instruction.function))
-        if implementation is None:
-            raise MALError(
-                f"undefined MAL operation {instruction.module}.{instruction.function}"
-            )
-        # Governance boundary: the cancellation token / deadline is
-        # polled before every instruction (sequential loop, inlined
-        # dataflow instructions and pool workers all funnel through
-        # here), and the instruction's output bytes are charged against
-        # the memory budget afterwards.  Both raise outside the kernel
-        # try-block so governance errors keep their PEP 249 type
-        # instead of being wrapped as MALError.
-        query = context.query
-        if query is not None:
-            query.check()
-        try:
-            output = implementation(context, *args)
-        except MALError:
-            raise
-        except Exception as exc:  # surface kernel errors with MAL context
-            raise MALError(
-                f"{instruction.module}.{instruction.function} failed: {exc}"
-            ) from exc
-        if query is not None:
-            nbytes, rows = _output_cost(output)
-            if nbytes or rows:
-                query.note_materialised(nbytes, rows)
-        return output
-
-    @staticmethod
-    def _store(instruction: Instruction, output: Any, env: dict[str, Any]) -> None:
-        if not instruction.results:
-            return
-        if len(instruction.results) == 1:
-            env[instruction.results[0]] = output
-            return
-        if not isinstance(output, tuple) or len(output) != len(instruction.results):
-            raise MALError(
-                f"{instruction.module}.{instruction.function}: arity mismatch"
-            )
-        for name, value in zip(instruction.results, output):
-            env[name] = value
-
-    def _execute(
-        self,
-        instruction: Instruction,
-        env: dict[str, Any],
-        context: ExecutionContext,
-        count_rows: bool = False,
-    ) -> int:
-        """Execute one instruction; returns the BAT rows it consumed.
-
-        Row accounting only runs under *count_rows* so the non-profiled
-        dispatch loop stays untouched.
-        """
-        args, rows = self._resolve_args(instruction, env, context, count_rows)
-        self._store(instruction, self._apply(instruction, args, context), env)
-        return rows

@@ -16,6 +16,7 @@ rejoin.  The same three primitives back our reproduction:
 from __future__ import annotations
 
 from repro.errors import MALError
+from repro.gdk.aggregate import ExactSums
 from repro.gdk.bat import BAT, pack_bats, partition
 from repro.mal.modules import mal_op
 
@@ -31,6 +32,9 @@ def _partition(ctx, b: BAT, index, pieces):
 def _pack(ctx, *parts: BAT):
     if not parts or not all(isinstance(p, BAT) for p in parts):
         raise MALError("mat.pack expects BAT fragments")
+    if len(parts) > 1 and any(isinstance(p.tail, ExactSums) for p in parts):
+        # Partial sums past lng: the merge re-adds their exact totals.
+        return BAT(ExactSums.pack([p.tail for p in parts]), parts[0].hseqbase)
     return pack_bats(parts)
 
 

@@ -184,6 +184,9 @@ class MALProgram:
         #: bind-parameter keys of the source statement in occurrence
         #: order (set by the connection; drives arity checking).
         self.param_keys: tuple = ()
+        #: the executable form (``repro.mal.interpreter.LinkedPlan``),
+        #: resolved on the first run; :meth:`emit` drops it.
+        self.linked: Any = None
 
     # ------------------------------------------------------------------
     # construction
@@ -217,6 +220,7 @@ class MALProgram:
                 wrapped.append(Constant(arg))
         results = [self.fresh(t, prefix) for t in result_types]
         self.instructions.append(Instruction(module, function, results, wrapped, comment))
+        self.linked = None
         return results
 
     def emit1(
@@ -335,24 +339,6 @@ class MALProgram:
             for result in instruction.results:
                 producer[result] = index
         return deps
-
-    def topological_levels(self) -> list[list[int]]:
-        """Instruction indexes grouped into dataflow levels.
-
-        Level *k* holds every instruction whose longest dependency chain
-        has length *k*; instructions within one level are mutually
-        independent and may execute concurrently.
-        """
-        deps = self.dependencies()
-        level_of: list[int] = []
-        levels: list[list[int]] = []
-        for index, edges in enumerate(deps):
-            level = 1 + max((level_of[d] for d in edges), default=-1)
-            level_of.append(level)
-            while len(levels) <= level:
-                levels.append([])
-            levels[level].append(index)
-        return levels
 
     def validate(self) -> None:
         """Check single-assignment and def-before-use properties."""

@@ -26,6 +26,9 @@ from repro.errors import (
     QueryTimeoutError,
     ResourceError,
 )
+from repro.lifecycle import QueryContext
+from repro.mal import interpreter
+from repro.mal.modules import REGISTRY, load_all
 
 #: a 2-way cross join over this many rows runs long enough (hundreds
 #: of ms) to be killed mid-flight while crossing many instruction
@@ -120,6 +123,88 @@ class TestMemoryBudget:
             conn.execute(SLOW_SQL)
         conn.mem_budget_bytes = None
         assert conn.execute("SELECT COUNT(*) FROM t").rows() == [(2000,)]
+
+
+class _CancelAtPoll(QueryContext):
+    """Governance whose *k*-th poll, and every later one, cancels."""
+
+    def __init__(self, k: int):
+        super().__init__(qid=0)
+        self.k = k
+        self.polls = 0
+        self.lock = threading.Lock()
+
+    def check(self) -> None:
+        with self.lock:
+            self.polls += 1
+            if self.polls >= self.k:
+                self.cancel(f"poll {self.k}")
+        super().check()
+
+
+class TestPerStepPolls:
+    """Cancellation latency, pinned without a clock: every step polls
+    once, on the thread that runs it, before its kernel — so when the
+    k-th poll cancels, exactly the steps behind the k-1 polls before it
+    ran, on the scheduler thread and on pool workers alike."""
+
+    #: Connection._governed polls once before the interpreter runs.
+    ENTRY_POLLS = 1
+    SQL = "INSERT INTO t SELECT k + 100, v * 2 FROM t WHERE v > 3"
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
+    def test_kth_poll_stops_after_k_minus_1_polls(self, monkeypatch, pooled):
+        if pooled:
+            monkeypatch.setattr(interpreter, "PARALLEL_MIN_ROWS", 0)
+        lock = threading.Lock()
+        ran = [0]
+
+        def counted(kernel):
+            def run(ctx, *args):
+                with lock:
+                    ran[0] += 1
+                return kernel(ctx, *args)
+
+            return run
+
+        load_all()
+        for op, kernel in list(REGISTRY.items()):
+            monkeypatch.setitem(REGISTRY, op, counted(kernel))
+        conn = repro.connect(nr_threads=4 if pooled else 1, fragment_rows=7)
+        conn.execute("CREATE TABLE t (k INT, v INT)")
+        conn.executemany("INSERT INTO t VALUES (?, ?)", [(i % 5, i) for i in range(40)])
+        conn.execute("BEGIN")
+        conn.execute(self.SQL)  # compiles and links the plan
+        conn.execute("ROLLBACK")
+        ran[0] = 0
+        conn.execute("BEGIN")
+        conn.execute(self.SQL, collect_stats=True)
+        steps = ran[0]
+        assert steps == conn.last_stats.instructions_executed
+        assert (conn.last_stats.parallel_batches > 0) == pooled
+        conn.execute("ROLLBACK")
+
+        database = conn.database
+        register = database.register_query
+        for k in range(self.ENTRY_POLLS + 1, self.ENTRY_POLLS + steps + 1):
+            query = _CancelAtPoll(k)
+            monkeypatch.setattr(
+                database,
+                "register_query",
+                lambda sql, *rest, query=query: (
+                    query if sql == self.SQL else register(sql, *rest)
+                ),
+            )
+            conn.execute("BEGIN")
+            conn.execute("INSERT INTO t VALUES (-1, -1)")
+            ran[0] = 0
+            with pytest.raises(QueryCancelledError):
+                conn.execute(self.SQL)
+            assert ran[0] == k - 1 - self.ENTRY_POLLS, (k, steps)
+            # The transaction rolled back; the session takes the next statement.
+            assert not conn.in_transaction
+            assert conn.execute("SELECT COUNT(*) FROM t").rows() == [(40,)]
+        conn.close()
 
 
 class TestKillQuery:

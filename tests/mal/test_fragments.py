@@ -20,7 +20,7 @@ from repro.gdk import aggregate as aggregate_kernel
 from repro.gdk.column import Column
 from repro.gdk.group import explicit_grouping
 from repro.catalog import Catalog
-from repro.mal.interpreter import Interpreter
+from repro.mal.interpreter import Interpreter, link
 from repro.mal.optimizer.mitosis import fragment_count
 from repro.mal.program import Constant, Instruction, MALProgram, Var, bat_type
 
@@ -39,10 +39,15 @@ class TestDependencyGraph:
         assert deps[0] == set() and deps[1] == set()
         assert deps[2] == {0, 1}
 
-    def test_levels_are_parallel(self):
-        program, _ = self.build()
-        levels = program.topological_levels()
-        assert levels == [[0, 1], [2]]
+    def test_linked_roots_are_parallel(self):
+        program, (_, _, c) = self.build()
+        assert not link(program).pooled  # no mat op: program order, no graph
+        program.emit("mat", "pack", [Var(c)], [bat_type(Atom.LNG)])
+        plan = link(program)  # emit dropped the old link
+        assert plan.pooled
+        assert [step.index for step in plan.roots] == [0, 1]
+        assert plan.counts == (0, 0, 2, 1)
+        assert [list(step.dependents) for step in plan.steps] == [[2], [2], [3], []]
 
     def test_side_effects_are_barriers(self):
         program = MALProgram()

@@ -10,6 +10,8 @@ cell is compared row-for-row against it.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from hypothesis import strategies as st
 
 import repro
 from repro.apps.life import numpy_life_step
+from repro.errors import MALError
+from repro.mal import interpreter
+from repro.mal.modules import REGISTRY, load_all
 
 #: the knob matrix of the acceptance criterion.
 KNOBS = [
@@ -282,6 +287,134 @@ class TestFragmentedPlanInvariants:
         assert stats.instruction_timings
         profile = conn.last_profile()
         assert profile and profile[0]["seconds"] >= 0
+        conn.close()
+
+
+GROUPED_SUM_AVG = "SELECT k, SUM(v), AVG(v) FROM t GROUP BY k ORDER BY k"
+
+#: integer SUMs whose per-fragment partials leave ``lng``: a group whose
+#: first two rows alone overflow though its total is 1, groups whose
+#: total itself does not fit (NULL) however the rows are fragmented, and
+#: an outer SUM/AVG over such a NULL total, which it skips.
+EXACT_PARTIALS = {
+    "a partial overflows, the total fits": (
+        [(0, 2**62), (0, 2**62), (0, -(2**62)), (0, -(2**62) + 1)],
+        GROUPED_SUM_AVG,
+        [(0, 1, 0.25)],
+    ),
+    "the total overflows": (
+        [(0, 2**62), (0, 2**62), (0, 2**62), (1, 5), (1, 2**62), (1, -(2**62))],
+        GROUPED_SUM_AVG,
+        [(0, None, float(2**62)), (1, 5, 5 / 3)],
+    ),
+    "a derived table's overflowed total is NULL": (
+        [(0, 2**62), (0, 2**62), (1, -(2**62)), (1, -(2**62))],
+        "SELECT g, SUM(s), AVG(s) FROM"
+        " (SELECT k, k * 0 AS g, SUM(v) AS s FROM t GROUP BY k) q GROUP BY g",
+        [(0, -(2**63), float(-(2**63)))],
+    ),
+}
+
+
+class TestExactPartials:
+    """Partials carry exact totals; the ``lng`` NULL rule applies once,
+    to the merged total, so fragmented equals unfragmented."""
+
+    @pytest.mark.parametrize("case", EXACT_PARTIALS)
+    @pytest.mark.parametrize("nr_threads, fragment_rows", KNOBS + [(1, 2), (4, 2)])
+    def test_sum_and_avg_over_overflowing_partials(self, case, nr_threads, fragment_rows):
+        rows, sql, expected = EXACT_PARTIALS[case]
+        conn = _make_connection(nr_threads, fragment_rows)
+        conn.execute("CREATE TABLE t (k INT, v BIGINT)")
+        conn.executemany("INSERT INTO t VALUES (?, ?)", rows)
+        if fragment_rows == 2:
+            assert "aggr.mergesum" in conn.explain(sql)
+        assert conn.execute(sql).rows() == expected
+        conn.close()
+
+
+def _digest(result):
+    """Every column's dtype and bytes (object columns: their values)."""
+    return [
+        (name, array.dtype.str, array.tolist() if array.dtype == object else array.tobytes())
+        for name, array in result.to_numpy().items()
+    ]
+
+
+class TestPooledSteps:
+    """Tier-1 data is too small to reach the worker pool: with
+    ``PARALLEL_MIN_ROWS = 0`` every step with a BAT operand and
+    something to overlap with goes there."""
+
+    @staticmethod
+    def load(conn):
+        rng = np.random.default_rng(3)
+        t_rows = [
+            (
+                int(rng.integers(0, 7)),
+                int(rng.integers(0, 3)),
+                None if i % 9 == 4 else int(rng.integers(-30, 30)),
+                None if i % 7 == 1 else float(rng.integers(-300, 300)) / 4,
+            )
+            for i in range(50)
+        ]
+        u_rows = [(int(rng.integers(0, 7)), int(rng.integers(-5, 5))) for _ in range(20)]
+        _load_tables(conn, t_rows, u_rows)
+        _load_array(conn, [None if i % 5 == 2 else i * 3 - 40 for i in range(30)])
+        _load_grid(conn, 9, [None if i % 11 == 3 else i % 19 - 9 for i in range(81)])
+
+    def run_corpora(self, nr_threads):
+        conn = _make_connection(nr_threads, 7)
+        self.load(conn)
+        digests, batches = [], 0
+        for sql in TABLE_QUERIES + ARRAY_QUERIES + TILING_QUERIES:
+            digests.append(_digest(conn.execute(sql, collect_stats=True)))
+            batches += conn.last_stats.parallel_batches
+        conn.close()
+        return digests, batches
+
+    def test_pooled_corpora_are_byte_identical_to_one_thread(self, monkeypatch):
+        monkeypatch.setattr(interpreter, "PARALLEL_MIN_ROWS", 0)
+        # Workers write their results into the run's shared slot list:
+        # more workers than cores and a short switch interval give a
+        # lost or misplaced write every chance to show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled, batches = self.run_corpora(4)
+        finally:
+            sys.setswitchinterval(interval)
+        sequential, sequential_batches = self.run_corpora(1)
+        assert batches > 0 and sequential_batches == 0
+        assert pooled == sequential
+
+    def test_kernel_error_in_a_pooled_step(self, monkeypatch):
+        monkeypatch.setattr(interpreter, "PARALLEL_MIN_ROWS", 0)
+        load_all()
+        select = REGISTRY["algebra", "thetaselect"]
+        lock = threading.Lock()
+        counts = {"running": 0, "failed": 0}
+
+        def fails_on_workers(ctx, *args):
+            with lock:
+                counts["running"] += 1
+            try:
+                if threading.current_thread().name.startswith("mal-dataflow"):
+                    counts["failed"] += 1
+                    raise RuntimeError("injected kernel failure")
+                return select(ctx, *args)
+            finally:
+                with lock:
+                    counts["running"] -= 1
+
+        monkeypatch.setitem(REGISTRY, ("algebra", "thetaselect"), fails_on_workers)
+        conn = _make_connection(4, 7)
+        self.load(conn)
+        with pytest.raises(MALError, match="injected kernel failure"):
+            conn.execute("SELECT k, v FROM t WHERE v > 10")
+        # It failed on a worker, and no step was left running behind it.
+        assert counts["failed"] > 0 and counts["running"] == 0
+        assert conn.execute("SELECT COUNT(*), SUM(k) FROM t").rows()[0][0] == 50
         conn.close()
 
 

@@ -159,6 +159,28 @@ class TestRules:
             "d = {'name': 1, 'default': 2}\nx = c.has_default\ny = d['n']\n",
         ) == []
 
+    def test_program_memos_have_one_home(self, tmp_path):
+        memos = (
+            "flag = getattr(program, '_dataflow_worthwhile', None)\n"
+            "program._dataflow_deps = deps\n"
+            "setattr(entry.program, '_plan', plan)\n"
+            "if hasattr(optimized_program, '_seen'):\n"
+            "    del compiled.program._seen\n"
+        )
+        assert rules_in(tmp_path, memos) == ["program-memo"] * 5
+        # ... the declared attribute, other objects and plain reads are fine
+        assert rules_in(
+            tmp_path,
+            "plan = program.linked\nprogram.linked = None\n"
+            "x = getattr(node, '_cache', None)\nself._program = p\n"
+            "clone._counter = program._counter\n",
+        ) == []
+        # ... and MALProgram's own module declares what it keeps
+        path = tmp_path / "repro" / "mal" / "program.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(memos, encoding="utf-8")
+        assert lint.lint_paths([path]) == []
+
     def test_syntax_errors_are_reported_not_raised(self, tmp_path):
         assert rules_in(tmp_path, "def broken(:\n") == ["syntax"]
 

@@ -28,6 +28,12 @@ AST-based checks over ``src/repro`` (and this ``tools`` directory):
   blob-spec keys ``vlen`` / ``mlen``, or a ``struct.Struct("<II")``
   record prelude, is a second hand-written copy of that format — call
   ``to_json``/``from_json``/``object_from_schema`` or ``gdk.codec``;
+* ``program-memo``  — outside ``mal/program.py`` nothing stores an
+  underscore attribute on a MAL program (``program._x = ...``) or
+  reaches one through ``getattr`` / ``setattr`` / ``hasattr`` /
+  ``delattr``: what is memoised per program (its linked plan) has one
+  declared home, ``MALProgram.linked``.  A program is any expression
+  whose last name contains ``program``;
 * ``orphan-op``     — every registered MAL op is emitted by the MAL
   generator, an optimizer pass or the engine: its ``"module",
   "function"`` pair appears literally in a call or tuple under
@@ -76,6 +82,10 @@ SERIAL_OWNERS = {
 #: the digest oracle spells the schema out on purpose: it must not
 #: share code with what it checks.
 SERIAL_ALLOWED = ("repro/testing/verify.py",)
+
+#: the one module that may give a MAL program private attributes.
+PROGRAM_MODULE = "repro/mal/program.py"
+REFLECTION = ("getattr", "setattr", "hasattr", "delattr")
 
 _BINARY = (  # the values of repro.semantic.binder.OP_NAMES
     "add", "sub", "mul", "div", "mod", "eq", "ne", "lt", "le", "gt", "ge",
@@ -370,6 +380,34 @@ def _check_serial_form(tree: ast.AST, path: Path, findings: list[Finding]) -> No
     visit(tree, "", set())
 
 
+def _names_program(node: ast.AST) -> bool:
+    """Whether *node* reads as a MAL program (``program``,
+    ``entry.program``, ``optimized_program``)."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return "program" in name.lower()
+
+
+def _check_program_memos(tree: ast.AST, path: Path, findings: list[Finding]) -> None:
+    if path.as_posix().endswith(PROGRAM_MODULE):
+        return
+    for node in ast.walk(tree):
+        target, attr = None, None
+        if isinstance(node, ast.Call) and _call_name(node) in REFLECTION and len(node.args) >= 2:
+            target, name = node.args[:2]
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                attr = name.value
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target, attr = node.value, node.attr
+        if attr and attr.startswith("_") and _names_program(target):
+            findings.append(
+                Finding(
+                    path, node.lineno, "program-memo",
+                    f"private attribute {attr!r} set or reflected on a MAL program "
+                    f"outside {PROGRAM_MODULE} — declare it on MALProgram",
+                )
+            )
+
+
 def _check_signatures(findings: list[Finding]) -> None:
     sys.path.insert(0, str(SRC))
     try:
@@ -461,6 +499,7 @@ def lint_paths(paths: list[Path]) -> list[Finding]:
         _check_fsync_rename(tree, path, lines, findings)
         _check_expression_walkers(tree, path, classes, findings)
         _check_serial_form(tree, path, findings)
+        _check_program_memos(tree, path, findings)
     return findings
 
 
