@@ -12,8 +12,10 @@ in-process engine:
 * ``E20-server-scan``      — streamed 2M-row scan throughput via the
   remote ``fetchnumpy`` against the in-process ``to_numpy`` baseline
   on the same Database (the quotient is pure wire+codec cost);
-* ``E20-server-clients-N`` — aggregate point-select throughput with
-  N ∈ {1, 4, 16} concurrent client threads on one shared server.
+* ``E20-server-clients-N`` — aggregate prepared point-select
+  throughput with N ∈ {1, 4, 16} concurrent client threads on one
+  shared server (the server runs these on its event loop, so the
+  clients contend for it).
 
 Every leg asserts its answers, so a wire-protocol regression cannot
 hide behind a fast wrong result.
@@ -161,21 +163,24 @@ def test_scan_2m_streamed_remote(benchmark):
 # concurrent clients
 # ----------------------------------------------------------------------
 def _hammer(clients: int, benchmark) -> None:
+    # Prepared point selects: the statements the server runs on its
+    # event loop, so N clients contend for the loop, not the pool.
     db = make_database()
     with ServerThread(db) as server:
         connections = [repro.connect(server.url) for _ in range(clients)]
-        for conn in connections:
-            assert conn.execute(POINT_SQL, (0, 0)).scalar() == 0
+        statements = [conn.prepare(POINT_SQL) for conn in connections]
+        for statement in statements:
+            assert statement.execute((0, 0)).scalar() == 0
         per_client = max(1, READS_PER_ROUND // clients)
 
         def round_trip():
-            def work(conn, base):
+            def work(statement, base):
                 for i in range(per_client):
-                    conn.execute(POINT_SQL, ((base + i) % SIZE, 9))
+                    assert statement.execute(((base + i) % SIZE, 9)).scalar() == (base + i) % SIZE * 100 + 9
 
             threads = [
-                threading.Thread(target=work, args=(conn, index * per_client))
-                for index, conn in enumerate(connections)
+                threading.Thread(target=work, args=(statement, index * per_client))
+                for index, statement in enumerate(statements)
             ]
             for thread in threads:
                 thread.start()

@@ -119,31 +119,6 @@ class Result:
                 out[name] = _column_to_numpy(column)
         return out
 
-    def iter_batches(self, batch_rows: int) -> Iterator[list[Column]]:
-        """Column slices of at most *batch_rows* rows, in row order.
-
-        The network server streams result sets through this: each
-        yielded batch is an independent list of column copies bounded
-        by the batch size, so the peak per-client transfer buffer is
-        O(batch), never O(result).  An empty result with columns
-        yields exactly one zero-row batch, so consumers always learn
-        the column types.  Results without columns (DDL/DML) yield
-        nothing.
-        """
-        if batch_rows <= 0:
-            raise SciQLError(f"batch_rows must be positive, got {batch_rows}")
-        if not self.columns:
-            return
-        total = self.row_count
-        if total == 0:
-            yield [column.slice(0, 0) for column in self.columns]
-            return
-        for start in range(0, total, batch_rows):
-            yield [
-                column.slice(start, start + batch_rows)
-                for column in self.columns
-            ]
-
     # ------------------------------------------------------------------
     # array-shaped access
     # ------------------------------------------------------------------

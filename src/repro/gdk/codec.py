@@ -43,11 +43,28 @@ Error = Callable[[str], Exception]
 # ----------------------------------------------------------------------
 # records
 # ----------------------------------------------------------------------
+def record_chunks(header: dict, chunks: Iterable = (), tag: bytes = b"") -> list:
+    """One record as buffers: ``[prelude, tag + JSON header, *chunks]``.
+
+    The blob chunks stay the caller's own memory, as byte views (an
+    ndarray is made contiguous first, which copies only a strided one);
+    the CRC runs over them one at a time, so writing the list back to
+    back puts exactly :func:`pack_record`'s bytes on the wire.
+    """
+    header_bytes = json.dumps(header).encode("ascii")
+    head = b"".join((tag, _U32.pack(len(header_bytes)), header_bytes))
+    views = [memoryview(np.ascontiguousarray(c) if isinstance(c, np.ndarray) else c).cast("B")
+             for c in chunks]
+    crc, length = zlib.crc32(head), len(head)
+    for view in views:
+        crc = zlib.crc32(view, crc)
+        length += len(view)
+    return [PRELUDE.pack(length, crc), head, *views]
+
+
 def pack_record(header: dict, chunks: Iterable = (), tag: bytes = b"") -> bytes:
     """One complete record: prelude + tag + JSON header + blob chunks."""
-    header_bytes = json.dumps(header).encode("ascii")
-    payload = b"".join([tag, _U32.pack(len(header_bytes)), header_bytes, *chunks])
-    return PRELUDE.pack(len(payload), zlib.crc32(payload)) + payload
+    return b"".join(record_chunks(header, chunks, tag))
 
 
 def unpack_prelude(data: bytes, offset: int, error: Error, max_bytes=None) -> tuple[int, int]:
@@ -61,7 +78,8 @@ def unpack_prelude(data: bytes, offset: int, error: Error, max_bytes=None) -> tu
 
 
 def verified(length: int, crc: int, payload: bytes, error: Error) -> bytes:
-    """*payload*, once it matches the prelude that announced it."""
+    """*payload* (bytes or a byte view), once it matches the prelude that
+    announced it."""
     if len(payload) != length:
         raise error(f"record truncated: announced {length} bytes, got {len(payload)}")
     if zlib.crc32(payload) != crc:
@@ -77,7 +95,8 @@ def unpack_record(data: bytes, offset: int, error: Error, max_bytes=None) -> tup
 
 
 def split_payload(payload: bytes, error: Error, tag_size: int = 0) -> tuple[bytes, dict, bytes]:
-    """A verified payload as ``(tag, header, blob section)``."""
+    """A verified payload as ``(tag, header, blob section)``; slices of a
+    byte view stay views."""
     body = tag_size + _U32.size
     if len(payload) < body:
         raise error(f"record payload truncated ({len(payload)} bytes)")
@@ -85,7 +104,7 @@ def split_payload(payload: bytes, error: Error, tag_size: int = 0) -> tuple[byte
     if body + header_length > len(payload):
         raise error("record header exceeds payload")
     try:
-        header = json.loads(payload[body : body + header_length].decode("utf-8"))
+        header = json.loads(str(payload[body : body + header_length], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error(f"malformed record header: {exc}") from None
     if not isinstance(header, dict):
@@ -100,8 +119,8 @@ def encode_blobs(values: Iterable[Column | np.ndarray]) -> tuple[list[dict], lis
     """Specs + blob-section chunks of columns and ndarrays, in order.
 
     Numeric chunks are the kernel's own (contiguous) buffers, not
-    copies: the caller joins them into a record before anything can
-    rebind them.
+    copies; a column's payload is never written in place, so a record
+    may hold them until it is written.
     """
     specs: list[dict] = []
     chunks: list = []
@@ -131,7 +150,7 @@ def _encode_blob(value: Column | np.ndarray) -> tuple[dict, list]:
 
 def _string_values(data: bytes, count: int, error: Error) -> np.ndarray:
     try:
-        items = json.loads(data.decode("utf-8"))
+        items = json.loads(str(data, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error(f"malformed string column: {exc}") from None
     if not isinstance(items, list) or len(items) != count:

@@ -41,7 +41,8 @@ import queue as queue_mod
 import socket
 import threading
 import time
-from typing import Any, Iterable, Optional
+from contextlib import contextmanager
+from typing import Any, Iterable, Iterator, Optional
 from urllib.parse import parse_qsl, urlsplit
 
 from repro import errors, knobs
@@ -167,6 +168,7 @@ class RemoteConnection(Session):
             raise NetworkError(
                 f"cannot connect to repro://{self.host}:{self.port}: {exc}"
             ) from None
+        self._reader = protocol.FrameReader(self._recv_into)
         try:
             self._send(Msg.HELLO, self._hello)
             _, header, _ = self._expect(Msg.WELCOME)
@@ -209,25 +211,19 @@ class RemoteConnection(Session):
                     time.sleep(delay)
                 delay = min(delay * 2.0, _BACKOFF_CAP_S)
 
-    def _read_exactly(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            try:
-                chunk = self._sock.recv(min(remaining, 1 << 20))
-            except socket.timeout:
-                raise NetworkError(
-                    f"timed out reading from repro://{self.host}:{self.port}"
-                ) from None
-            except OSError as exc:
-                raise NetworkError(f"connection lost: {exc}") from None
-            if not chunk:
-                raise NetworkError(
-                    "connection closed by the server mid-frame"
-                )
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+    def _recv_into(self, view: memoryview) -> int:
+        """The frame reader's transport: one ``recv_into``, errors typed."""
+        try:
+            got = self._sock.recv_into(view)
+        except socket.timeout:
+            raise NetworkError(
+                f"timed out reading from repro://{self.host}:{self.port}"
+            ) from None
+        except OSError as exc:
+            raise NetworkError(f"connection lost: {exc}") from None
+        if not got:
+            raise NetworkError("connection closed by the server mid-frame")
+        return got
 
     def _send(self, msg: Msg, header: dict, blobs=()) -> None:
         frame = protocol.encode_frame(msg, header, blobs)
@@ -238,8 +234,9 @@ class RemoteConnection(Session):
                 raise NetworkError(f"connection lost: {exc}") from None
 
     def _expect(self, *expected: Msg) -> tuple[Msg, dict, bytes]:
-        """Read one frame; raise mapped errors, enforce the expected type."""
-        msg, header, blob = protocol.read_frame(self._read_exactly)
+        """Read one frame; raise mapped errors, enforce the expected type.
+        The blob is a view of the receive buffer, valid until the next read."""
+        msg, header, blob = self._reader.read()
         if msg is Msg.ERROR:
             protocol.raise_remote_error(header)
         if expected and msg not in expected:
@@ -659,20 +656,14 @@ class ConnectionPool:
             self._idle.put(entry)
         return reaped
 
-    class _Lease:
-        def __init__(self, pool: "ConnectionPool", conn: RemoteConnection):
-            self._pool = pool
-            self.connection = conn
-
-        def __enter__(self) -> RemoteConnection:
-            return self.connection
-
-        def __exit__(self, *exc_info) -> None:
-            self._pool._checkin(self.connection)
-
-    def acquire(self, timeout: Optional[float] = 30.0) -> "_Lease":
+    @contextmanager
+    def acquire(self, timeout: Optional[float] = 30.0) -> Iterator[RemoteConnection]:
         """A context manager leasing one connection from the pool."""
-        return self._Lease(self, self._checkout(timeout))
+        conn = self._checkout(timeout)
+        try:
+            yield conn
+        finally:
+            self._checkin(conn)
 
     def close(self) -> None:
         """Close every idle connection; leased ones close on check-in."""

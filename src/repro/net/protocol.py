@@ -77,6 +77,11 @@ class Msg(enum.IntEnum):
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
+def frame_chunks(msg: Msg, header: dict, blobs: Sequence = ()) -> list:
+    """One frame as buffers to write back to back (blobs not copied)."""
+    return codec.record_chunks(header, blobs, bytes([int(msg)]))
+
+
 def encode_frame(msg: Msg, header: dict, blobs: Sequence[bytes] = ()) -> bytes:
     """One complete frame: prelude + typed payload + blob section."""
     return codec.pack_record(header, blobs, bytes([int(msg)]))
@@ -97,11 +102,54 @@ def decode_frame(data: bytes) -> tuple[Msg, dict, bytes, int]:
     return (*decode_payload(payload), end)
 
 
-def read_frame(read_exactly: Callable[[int], bytes]) -> tuple[Msg, dict, bytes]:
-    """Read one frame through a blocking ``read_exactly(n)`` callable."""
-    prelude = read_exactly(FRAME_PRELUDE.size)
-    length, crc = codec.unpack_prelude(prelude, 0, ProtocolError, MAX_FRAME_BYTES)
-    return decode_payload(codec.verified(length, crc, read_exactly(length), ProtocolError))
+class FrameReader:
+    """Frames parsed out of one receive buffer the reader owns.
+
+    ``recv_into(view) -> int`` fills the front of a writable byte view
+    from the transport (0 means the stream ended).  A read asks for the
+    rest of the frame at hand plus up to ``READ_AHEAD`` bytes, so the
+    frames of a small reply arrive in one call.  Each payload is
+    checked against its CRC where it lies and returned as a view of the
+    buffer: its blob section is valid until the next :meth:`read`.
+    """
+
+    READ_AHEAD = 1 << 16
+
+    def __init__(self, recv_into: Callable[[memoryview], int]):
+        self._recv_into = recv_into
+        self._buffer = bytearray(self.READ_AHEAD)
+        self._start = self._end = 0  # the unparsed bytes
+
+    def _fill(self, n: int) -> None:
+        """Hold at least *n* unparsed bytes, contiguous from ``_start``."""
+        if self._start + n > len(self._buffer):
+            # Only read-ahead (at most READ_AHEAD bytes) moves to the front.
+            pending = self._buffer[self._start : self._end]
+            if n > len(self._buffer):
+                self._buffer = bytearray(max(n, 2 * len(self._buffer)))
+            self._buffer[: len(pending)] = pending
+            self._start, self._end = 0, len(pending)
+        view = memoryview(self._buffer)
+        while self._end - self._start < n:
+            stop = min(len(view), max(self._start + n, self._end + self.READ_AHEAD))
+            got = self._recv_into(view[self._end : stop])
+            if not got:
+                raise ProtocolError("stream ended mid-frame")
+            self._end += got
+
+    def read(self) -> tuple[Msg, dict, memoryview]:
+        """The next frame's ``(message type, header, blob section)``."""
+        if self._start == self._end:
+            self._start = self._end = 0
+        self._fill(FRAME_PRELUDE.size)
+        length, crc = codec.unpack_prelude(
+            self._buffer, self._start, ProtocolError, MAX_FRAME_BYTES
+        )
+        self._fill(FRAME_PRELUDE.size + length)
+        start = self._start + FRAME_PRELUDE.size
+        self._start = start + length
+        payload = memoryview(self._buffer)[start : self._start]
+        return decode_payload(codec.verified(length, crc, payload, ProtocolError))
 
 
 # ----------------------------------------------------------------------
@@ -120,10 +168,15 @@ def decode_columns(specs: list[dict], blob: bytes) -> list[Column]:
     return columns
 
 
+def batch_chunks(columns: Sequence[Column]) -> list:
+    """One RESULT_BATCH frame as buffers, the columns' bytes by reference."""
+    specs, chunks = encode_columns(columns)
+    return frame_chunks(Msg.RESULT_BATCH, {"columns": specs}, chunks)
+
+
 def encode_batch(columns: Sequence[Column]) -> bytes:
     """One RESULT_BATCH frame carrying a slice of every result column."""
-    specs, chunks = encode_columns(columns)
-    return encode_frame(Msg.RESULT_BATCH, {"columns": specs}, chunks)
+    return b"".join(batch_chunks(columns))
 
 
 def decode_batch(header: dict, blob: bytes) -> list[Column]:

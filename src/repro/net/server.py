@@ -8,12 +8,20 @@ event loop responsive under heavy traffic:
 
 * **Never block the loop on a query.**  Statements run on a thread
   pool via ``run_in_executor``; inside, the engine schedules dataflow
-  onto its own shared worker pool as usual.
+  onto its own shared worker pool as usual.  The one exception is an
+  ``EXECUTE_PREPARED`` whose statement writes nothing, whose linked
+  plan is not ``pooled``, which has no join, and every BAT of which
+  binds fewer than ``interpreter.PARALLEL_MIN_ROWS`` rows in the
+  session's current snapshot: it runs on the loop, because below that
+  size a thread hand-off costs more than the work (the interpreter's
+  own per-step rule).  ``ServerStats.inline_statements`` counts them.
 * **Stream, don't materialise.**  Query results leave as columnar
-  ``RESULT_BATCH`` frames of at most ``batch_rows`` rows (raw dtype
-  bytes + NULL masks via :meth:`Result.iter_batches`), and every
-  frame waits for ``writer.drain()`` — a stalled reader suspends its
-  own stream at O(batch) buffered bytes instead of pinning the whole
+  ``RESULT_BATCH`` frames of at most ``batch_rows`` rows, written from
+  zero-copy column views (raw dtype bytes + NULL masks); a result of
+  one batch leaves in one write with its header and done frames.
+  A write waits for ``writer.drain()`` only while the transport holds
+  more than its high-water mark — a stalled reader suspends its own
+  stream at O(batch) buffered bytes instead of pinning the whole
   result set (``drain_timeout`` eventually disconnects it).
 * **Bound admission.**  At most ``max_sessions`` concurrent clients
   (excess connects are refused with an ``OperationalError`` frame),
@@ -53,6 +61,7 @@ from repro.errors import (
     SciQLError,
 )
 from repro.gdk import codec
+from repro.mal import interpreter
 from repro.net import protocol
 from repro.net.protocol import Msg
 from repro.testing.faultpoints import crash_point
@@ -70,6 +79,11 @@ HANDSHAKE_TIMEOUT = 10.0
 DEFAULT_DRAIN_TIMEOUT = 300.0
 #: seconds teardown waits for a transport/handler before forcing it.
 CLOSE_GRACE = 5.0
+#: frame buffers shorter than this are joined into one write: copying
+#: them costs less than another ``send()``.
+_JOIN_BELOW = 1 << 14
+#: MAL operations that make a prepared read a join (never run inline).
+_JOIN_OPS = {("algebra", "join"), ("algebra", "leftjoin"), ("algebra", "crossproduct")}
 
 
 class ServerStats:
@@ -81,6 +95,7 @@ class ServerStats:
         "connections_active",
         "disconnects",
         "statements",
+        "inline_statements",
         "batches_streamed",
         "bytes_streamed",
         "peak_batch_bytes",
@@ -246,13 +261,34 @@ class ReproServer:
     # ------------------------------------------------------------------
     # per-connection protocol
     # ------------------------------------------------------------------
-    async def _send(self, state_or_writer, frame: bytes) -> None:
+    async def _send(self, state_or_writer, chunks: list) -> None:
+        """Write the buffers of one or more frames, back to back.
+
+        Short buffers are joined into one write, long ones (column
+        bytes) are written by reference.  Only a transport above its
+        high-water mark is drained.
+        """
         writer = (
             state_or_writer.writer
             if isinstance(state_or_writer, _ClientState)
             else state_or_writer
         )
-        writer.write(frame)
+        transport = writer.transport
+        if transport.is_closing():
+            raise ConnectionResetError("connection lost")
+        short: list = []
+        for chunk in chunks:
+            if len(chunk) < _JOIN_BELOW:
+                short.append(chunk)
+                continue
+            if short:
+                writer.write(b"".join(short))
+                short = []
+            writer.write(chunk)
+        if short:
+            writer.write(b"".join(short))
+        if transport.get_write_buffer_size() <= transport.get_write_buffer_limits()[1]:
+            return
         if self.drain_timeout is None:
             await writer.drain()
             return
@@ -264,12 +300,12 @@ class ReproServer:
                 f"client stalled for {self.drain_timeout}s; disconnecting"
             ) from None
 
-    async def _send_error(self, state_or_writer, exc: BaseException) -> None:
+    def _error_chunks(self, exc: BaseException) -> list:
         self.stats.errors += 1
-        await self._send(
-            state_or_writer,
-            protocol.encode_frame(Msg.ERROR, protocol.error_header(exc)),
-        )
+        return protocol.frame_chunks(Msg.ERROR, protocol.error_header(exc))
+
+    async def _send_error(self, state_or_writer, exc: BaseException) -> None:
+        await self._send(state_or_writer, self._error_chunks(exc))
 
     async def _handle_client(self, reader, writer) -> None:
         task = asyncio.current_task()
@@ -341,7 +377,7 @@ class ReproServer:
             writer.close()
 
     async def _read_frame(self, reader) -> tuple[Msg, dict, bytes]:
-        # protocol.read_frame with awaits: the same two codec calls.
+        # protocol.FrameReader.read over asyncio's own stream buffer.
         prelude = await reader.readexactly(codec.PRELUDE.size)
         length, crc = codec.unpack_prelude(prelude, 0, ProtocolError, protocol.MAX_FRAME_BYTES)
         payload = codec.verified(length, crc, await reader.readexactly(length), ProtocolError)
@@ -386,7 +422,7 @@ class ReproServer:
 
         await self._send(
             state,
-            protocol.encode_frame(
+            protocol.frame_chunks(
                 Msg.WELCOME,
                 {
                     "server_version": repro.__version__,
@@ -499,7 +535,7 @@ class ReproServer:
         state.statements[statement_id] = statement
         await self._send(
             state,
-            protocol.encode_frame(
+            protocol.frame_chunks(
                 Msg.PREPARED,
                 {
                     "statement_id": statement_id,
@@ -522,7 +558,11 @@ class ReproServer:
         statement = self._statement(state, header)
         params = protocol.decoded_params(header.get("params"))
         self.stats.statements += 1
-        result = await self._call(statement.execute, params)
+        if _runs_inline(state.session, statement):
+            self.stats.inline_statements += 1
+            result = statement.execute(params)
+        else:
+            result = await self._call(statement.execute, params)
         await self._send_result(state, result)
 
     async def _on_executemany(self, state: _ClientState, header: dict) -> None:
@@ -562,14 +602,14 @@ class ReproServer:
     async def _on_ping(self, state: _ClientState, header: dict) -> None:
         # In-band on purpose: the reply must never interleave with a
         # result stream, so PING rides the ordered request queue.
-        await self._send(state, protocol.encode_frame(Msg.PONG, {}))
+        await self._send(state, protocol.frame_chunks(Msg.PONG, {}))
 
     async def _on_stats(self, state: _ClientState, header: dict) -> None:
         stats = dict(self.database.stats())
         stats.update(self.stats.snapshot())
         stats["batch_rows"] = self.batch_rows
         stats["max_sessions"] = self.max_sessions
-        await self._send(state, protocol.encode_frame(Msg.STATS_DATA, stats))
+        await self._send(state, protocol.frame_chunks(Msg.STATS_DATA, stats))
 
     _HANDLERS = {
         Msg.EXECUTE: _on_execute,
@@ -590,7 +630,7 @@ class ReproServer:
     async def _send_ok(self, state: _ClientState, affected: int = 0) -> None:
         await self._send(
             state,
-            protocol.encode_frame(
+            protocol.frame_chunks(
                 Msg.OK,
                 {
                     "affected": affected,
@@ -602,50 +642,83 @@ class ReproServer:
     async def _send_result(self, state: _ClientState, result: Result) -> None:
         """Stream one result: header, bounded columnar batches, done.
 
-        The per-connection transfer buffer never exceeds one encoded
-        batch — each frame is encoded from O(batch_rows) column
-        slices and fully drained (backpressure) before the next one
-        is built.  Cancellation is honoured between batches.
+        Each batch frame holds zero-copy views of O(batch_rows) rows of
+        every column and is written before the next one is built, so
+        the per-connection transfer buffer holds at most one batch
+        beyond the high-water mark.  Frames queue into one write up to
+        a batch boundary: a one-batch result leaves in one write.
+        Cancellation is honoured between batches.
         """
         if not result.is_query:
             await self._send_ok(state, result.affected)
             return
-        await self._send(
-            state,
-            protocol.encode_frame(
-                Msg.RESULT_HEADER,
-                {
-                    "kind": result.kind,
-                    "names": result.names,
-                    "meta": result.meta,
-                    "row_count": result.row_count,
-                    "affected": result.affected,
-                    "batch_rows": state.batch_rows,
-                },
-            ),
+        chunks = protocol.frame_chunks(
+            Msg.RESULT_HEADER,
+            {
+                "kind": result.kind,
+                "names": result.names,
+                "meta": result.meta,
+                "row_count": result.row_count,
+                "affected": result.affected,
+                "batch_rows": state.batch_rows,
+            },
         )
+        columns, step = result.columns, state.batch_rows
+        # An empty result still sends one zero-row batch, so the client
+        # learns the column types; a result without columns sends none.
+        starts = range(0, max(result.row_count, 1), step) if columns else ()
         batches = 0
-        for columns in result.iter_batches(state.batch_rows):
+        for start in starts:
+            if batches:
+                await self._send(state, chunks)
+                chunks = []
+                await asyncio.sleep(0)  # let CANCEL and other clients in
             if state.cancel_event.is_set():
                 state.cancel_event.clear()
                 self.stats.cancelled += 1
-                await self._send_error(
-                    state,
-                    OperationalError(
-                        "statement cancelled by the client mid-stream"
-                    ),
+                chunks += self._error_chunks(
+                    OperationalError("statement cancelled by the client mid-stream")
                 )
+                await self._send(state, chunks)
                 return
-            frame = protocol.encode_batch(columns)
+            frame = protocol.batch_chunks(
+                [column.view_slice(start, start + step) for column in columns]
+            )
+            size = sum(map(len, frame))
             batches += 1
             self.stats.batches_streamed += 1
-            self.stats.bytes_streamed += len(frame)
-            if len(frame) > self.stats.peak_batch_bytes:
-                self.stats.peak_batch_bytes = len(frame)
-            await self._send(state, frame)
-        await self._send(
-            state, protocol.encode_frame(Msg.RESULT_DONE, {"batches": batches})
-        )
+            self.stats.bytes_streamed += size
+            self.stats.peak_batch_bytes = max(self.stats.peak_batch_bytes, size)
+            chunks += frame
+        chunks += protocol.frame_chunks(Msg.RESULT_DONE, {"batches": batches})
+        await self._send(state, chunks)
+
+
+def _runs_inline(session, statement) -> bool:
+    """Whether a prepared statement may run on the event loop (rule 1 of
+    the module docstring): a read with an unpooled, join-free plan whose
+    every ``sql.bind`` has fewer than ``PARALLEL_MIN_ROWS`` rows in the
+    session's current snapshot, compiled against that snapshot's schema."""
+    entry = statement._compiled
+    if entry.is_write or entry.is_ddl or entry.schema_token != session._schema_token():
+        return False
+    plan = interpreter.link(entry.program)
+    if plan.pooled:
+        return False
+    catalog = session.catalog
+    for step in plan.steps:
+        op = step.instruction
+        if (op.module, op.function) in _JOIN_OPS:
+            return False
+        if (op.module, op.function) == ("sql", "bind"):
+            name, column = (arg.value for arg in op.args)
+            try:
+                rows = len(catalog.get(name).bind(column))
+            except SciQLError:
+                return False
+            if rows >= interpreter.PARALLEL_MIN_ROWS:
+                return False
+    return True
 
 
 # ----------------------------------------------------------------------

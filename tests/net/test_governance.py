@@ -2,7 +2,8 @@
 
 The network half of the lifecycle layer: a remote ``CANCEL`` must
 interrupt a statement *mid-execution* (not merely between result
-batches), ``statement_timeout_ms`` travels in the session handshake,
+batches) — a prepared one too, which only small reads may run on the
+server's event loop — ``statement_timeout_ms`` travels in the session handshake,
 ``ServerThread.stop(drain_timeout=...)`` drains in-flight statements
 before disconnecting, and the client retries idempotent conversations
 with exponential backoff.  Engine-level governance is covered by
@@ -25,6 +26,7 @@ from repro.errors import (
     QueryCancelledError,
     QueryTimeoutError,
 )
+from repro.mal.interpreter import PARALLEL_MIN_ROWS
 from repro.net.client import ConnectionPool
 from repro.net.server import ServerThread
 
@@ -93,6 +95,85 @@ class TestRemoteCancelMidExecution:
         assert remote.ping()
         assert remote.execute("SELECT 2 + 2").scalar() == 4
         remote.close()
+
+
+class TestPreparedStatementsOffTheLoop:
+    """Only small prepared reads run on the event loop.
+
+    A server that ran *every* prepared read on the loop would answer
+    nobody while a join of thousands of rows ran, and would read the
+    CANCEL frame only after the statement completed.  The inline rule
+    (``repro.net.server`` docstring, rule 1) keeps joins and large
+    binds on the executor.
+    """
+
+    def test_cancel_kills_prepared_statement_mid_execution(self, db, server):
+        _seed_slow_table(db)
+        remote = repro.connect(server.url)
+        other = repro.connect(server.url)
+        statement = remote.prepare(SLOW_SQL.replace("> 10", "> ?"))
+        caught: list = []
+
+        def run():
+            try:
+                statement.execute((10,))
+            except QueryCancelledError as exc:
+                caught.append(exc)
+            except Exception as exc:  # pragma: no cover - diagnostic
+                caught.append(AssertionError(f"wrong error: {exc!r}"))
+            else:  # pragma: no cover - diagnostic
+                caught.append(AssertionError("statement completed"))
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        _wait_until(db.list_queries)
+        # Another client is still served while the statement runs.
+        started = time.perf_counter()
+        assert other.ping()
+        assert time.perf_counter() - started < 0.05
+        assert db.list_queries(), "the statement finished before the ping"
+        remote.cancel()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert caught and isinstance(caught[0], QueryCancelledError), caught
+        assert server.server.stats.cancelled == 1
+        assert server.server.stats.inline_statements == 0
+        assert remote.execute("SELECT 2 + 2").scalar() == 4
+        remote.close()
+        other.close()
+
+    def test_only_small_prepared_reads_run_inline(self):
+        # Unfragmented plans: the row count alone must keep the large
+        # read off the loop, not a pooled plan.
+        db = repro.Database(fragment_rows=float("inf"))
+        session = db.connect()
+        session.execute(
+            "CREATE ARRAY m (x INT DIMENSION[0:1:64], y INT DIMENSION[0:1:64], v INT DEFAULT 0)"
+        )
+        for name, rows in (("small", PARALLEL_MIN_ROWS - 1), ("big", PARALLEL_MIN_ROWS)):
+            session.execute(f"CREATE TABLE {name} (v INT)")
+            session.executemany(
+                f"INSERT INTO {name} VALUES (?)", [(i,) for i in range(rows)]
+            )
+        session.close()
+        with ServerThread(db) as thread:
+            remote = repro.connect(thread.url)
+            stats = thread.server.stats
+            point = remote.prepare("SELECT v FROM m WHERE x = ? AND y = ?")
+            assert point.execute((3, 4)).scalar() == 0
+            assert stats.inline_statements == 1
+            assert remote.stats()["inline_statements"] == 1
+            for name, rows, inline in (("small", PARALLEL_MIN_ROWS - 1, 2), ("big", PARALLEL_MIN_ROWS, 2)):
+                count = remote.prepare(f"SELECT COUNT(*) FROM {name} WHERE v >= ?")
+                assert count.execute((0,)).scalar() == rows
+                assert stats.inline_statements == inline
+            write = remote.prepare("UPDATE m SET v = ? WHERE x = 3 AND y = 4")
+            assert write.execute((7,)).affected == 1
+            assert stats.inline_statements == 2
+            assert point.execute((3, 4)).scalar() == 7
+            assert stats.inline_statements == 3
+            remote.close()
+        db.close()
 
 
 class TestRemoteStatementTimeout:

@@ -10,6 +10,8 @@ mid-statement disconnect reclaim, cancellation, auth, stats.
 
 from __future__ import annotations
 
+import hashlib
+import socket
 import threading
 import time
 
@@ -22,7 +24,9 @@ from repro.errors import (
     OperationalError,
     ProgrammingError,
 )
+from repro.net import protocol
 from repro.net.client import ConnectionPool, RemoteConnection, parse_url
+from repro.net.protocol import Msg
 from repro.net.server import DEFAULT_PORT, ServerThread
 
 
@@ -168,6 +172,88 @@ class TestByteIdentity:
         for name in local_arrays:
             assert remote_arrays[name].dtype == local_arrays[name].dtype
             assert len(remote_arrays[name]) == 0
+
+
+class TestWireBytes:
+    """The bytes on the socket, pinned for one fixed conversation.
+
+    The server writes each frame as a list of buffers (column bytes by
+    reference); what arrives must be exactly the concatenation of the
+    ``protocol.encode_frame`` frames the conversation consists of —
+    which a byte-joining server sent — and match a digest taken from it.
+    """
+
+    BATCH_ROWS = 2
+    POINT = "SELECT v FROM m WHERE x = ? AND y = ?"
+    SCAN = "SELECT a, b, d FROM t ORDER BY a"  # 5 rows: 3 batches
+    EMPTY = "SELECT a, b FROM t WHERE a < 0"
+    BAD = "SELECT zzz FROM t"
+    #: sha256 of the 1782 bytes the byte-joining server sent.
+    DIGEST = "65e92c10bef056cedfc2e23e02aee7619ff9ee27d930d69322c289eefc367417"
+
+    def _conversation(self, url: str) -> bytes:
+        host, port, _ = parse_url(url)
+        requests = [
+            (Msg.HELLO, {
+                "magic": protocol.CLIENT_MAGIC, "protocol": protocol.PROTOCOL_VERSION,
+                "user": None, "password": None, "batch_rows": self.BATCH_ROWS,
+                "statement_timeout_ms": None,
+            }),
+            (Msg.PREPARE, {"sql": self.POINT}),
+            (Msg.EXECUTE_PREPARED, {"statement_id": 1, "params": [3, 4]}),
+            (Msg.EXECUTE, {"sql": self.SCAN, "params": None}),
+            (Msg.EXECUTE, {"sql": self.EMPTY, "params": None}),
+            (Msg.EXECUTE, {"sql": self.BAD, "params": None}),
+            (Msg.GOODBYE, {}),
+        ]
+        received = bytearray()
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(b"".join(protocol.encode_frame(*request) for request in requests))
+            while chunk := sock.recv(1 << 16):
+                received += chunk
+        return bytes(received)
+
+    def _result_frames(self, result) -> list[bytes]:
+        frames = [protocol.encode_frame(Msg.RESULT_HEADER, {
+            "kind": result.kind, "names": result.names, "meta": result.meta,
+            "row_count": result.row_count, "affected": result.affected,
+            "batch_rows": self.BATCH_ROWS,
+        })]
+        for start in range(0, max(result.row_count, 1), self.BATCH_ROWS):
+            frames.append(protocol.encode_batch(
+                [column.slice(start, start + self.BATCH_ROWS) for column in result.columns]
+            ))
+        frames.append(protocol.encode_frame(Msg.RESULT_DONE, {"batches": len(frames) - 1}))
+        return frames
+
+    def test_socket_bytes_are_the_encoded_frames(self, db, server):
+        session = db.connect()
+        for sql in POPULATE:
+            session.execute(sql)
+        session.execute("INSERT INTO t VALUES (5, 'v', 7.5)")
+        session.execute(
+            "CREATE ARRAY m (x INT DIMENSION[0:1:8], y INT DIMENSION[0:1:8], v INT DEFAULT 0)"
+        )
+        session.execute("UPDATE m SET v = x * 100 + y")
+        expected = [
+            protocol.encode_frame(Msg.WELCOME, {
+                "server_version": repro.__version__,
+                "protocol": protocol.PROTOCOL_VERSION,
+                "batch_rows": self.BATCH_ROWS,
+            }),
+            protocol.encode_frame(Msg.PREPARED, {"statement_id": 1, "parameters": [0, 1]}),
+            *self._result_frames(session.execute(self.POINT, (3, 4))),
+            *self._result_frames(session.execute(self.SCAN)),
+            *self._result_frames(session.execute(self.EMPTY)),
+        ]
+        with pytest.raises(repro.Error) as caught:
+            session.execute(self.BAD)
+        expected.append(protocol.encode_frame(Msg.ERROR, protocol.error_header(caught.value)))
+        session.close()
+
+        received = self._conversation(server.url)
+        assert received == b"".join(expected)
+        assert hashlib.sha256(received).hexdigest() == self.DIGEST
 
 
 class TestTransactions:
@@ -430,6 +516,29 @@ class TestStreamingBounds:
         # far below the full result (which is ~16 MB of int64 alone).
         assert stats["peak_batch_bytes"] <= self.BATCH * 8 * 2
         assert stats["peak_batch_bytes"] * 4 < stats["bytes_streamed"]
+
+    def test_stalled_reader_is_disconnected(self, db):
+        """A client that stops reading stalls its stream within the
+        socket buffers plus one batch, then ``drain_timeout`` drops it."""
+        session = db.connect()
+        session.register_array("big2m", np.arange(self.ROWS, dtype=np.int64))
+        session.close()
+        with ServerThread(db, batch_rows=self.BATCH, drain_timeout=0.5) as thread:
+            stats = thread.server.stats
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect(thread.address)
+            hello = {"magic": protocol.CLIENT_MAGIC, "protocol": protocol.PROTOCOL_VERSION}
+            sock.sendall(
+                protocol.encode_frame(Msg.HELLO, hello)
+                + protocol.encode_frame(Msg.EXECUTE, {"sql": "SELECT v FROM big2m"})
+            )
+            try:
+                assert _wait_until(lambda: stats.stalled_disconnects == 1, timeout=30)
+                assert _wait_until(lambda: stats.connections_active == 0)
+            finally:
+                sock.close()
+        assert 0 < stats.batches_streamed < -(-self.ROWS // self.BATCH) // 2
 
     def test_fetchnumpy_identity_on_large_scan(self, db):
         session = db.connect()

@@ -10,10 +10,12 @@ manifest, a WAL snapshot or the JSON constants of a DDL plan.
 from __future__ import annotations
 
 import json
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.catalog import Catalog, ColumnDef, DimensionDef
@@ -129,6 +131,35 @@ class TestOneDecoder:
         specs, chunks = codec.encode_blobs([np.arange(2)])
         with pytest.raises(ProtocolError, match="columns only"):
             protocol.decode_columns(specs, b"".join(chunks))
+
+    @given(
+        header=st.dictionaries(st.text(max_size=6), st.integers(), max_size=3),
+        arrays=st.lists(
+            st.tuples(
+                st.sampled_from(["int32", "int64", "float64", "bool"]),
+                st.integers(0, 24),  # zero-length included
+                st.integers(1, 3),  # a step > 1 makes the array non-contiguous
+            ),
+            max_size=4,
+        ),
+        raw=st.lists(st.binary(max_size=16), max_size=2),
+        tag=st.sampled_from([b"", b"\x84"]),
+    )
+    @settings(deadline=None)
+    def test_record_chunks_join_to_the_packed_record(self, header, arrays, raw, tag):
+        chunks = [
+            np.arange(n * step, dtype=np.int64).astype(dtype)[::step]
+            for dtype, n, step in arrays
+        ] + raw
+        joined = b"".join(codec.record_chunks(header, chunks, tag))
+        assert joined == codec.pack_record(header, chunks, tag)
+        # The reference layout, built by copying every chunk's bytes.
+        header_bytes = json.dumps(header).encode("ascii")
+        payload = b"".join(
+            [tag, len(header_bytes).to_bytes(4, "little"), header_bytes]
+            + [np.ascontiguousarray(c).tobytes() if isinstance(c, np.ndarray) else c for c in chunks]
+        )
+        assert joined == codec.PRELUDE.pack(len(payload), zlib.crc32(payload)) + payload
 
     def test_record_framing_is_shared(self):
         frame = protocol.encode_frame(protocol.Msg.OK, {"k": "é"}, [b"xy"])

@@ -143,22 +143,47 @@ class TestFrameRoundTrip:
         assert got_blob == blob
         assert consumed == len(frame)
 
-    @given(msg=st.sampled_from(list(Msg)), header=_HEADERS)
-    @settings(deadline=None)
-    def test_read_frame_matches_decode_frame(self, msg, header):
-        frame = protocol.encode_frame(msg, header)
-        view = memoryview(frame)
+    @given(
+        frames=st.lists(
+            st.tuples(
+                st.sampled_from(list(Msg)),
+                _HEADERS,
+                st.lists(st.binary(max_size=64), max_size=3),
+                # sometimes larger than the reader's buffer, so it grows
+                st.integers(0, 3 * protocol.FrameReader.READ_AHEAD),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        data=st.data(),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_frame_reader_matches_decode_frame(self, frames, data):
+        """However the transport splits a stream of frames, the reader
+        hands out what :func:`decode_frame` finds, frame by frame."""
+        stream = b"".join(
+            protocol.encode_frame(msg, header, [*blobs, bytes(pad)])
+            for msg, header, blobs, pad in frames
+        )
         offset = 0
 
-        def read_exactly(n: int) -> bytes:
+        def recv_into(view: memoryview) -> int:
             nonlocal offset
-            chunk = bytes(view[offset : offset + n])
-            offset += n
-            return chunk
+            size = min(len(view), data.draw(st.integers(1, 1 << 17)), len(stream) - offset)
+            view[:size] = stream[offset : offset + size]
+            offset += size
+            return size
 
-        assert protocol.read_frame(read_exactly) == protocol.decode_frame(
-            frame
-        )[:3]
+        reader = protocol.FrameReader(recv_into)
+        expected_at = 0
+        for _ in frames:
+            msg, header, blob, consumed = protocol.decode_frame(stream[expected_at:])
+            expected_at += consumed
+            got = reader.read()
+            assert got[:2] == (msg, header)
+            assert bytes(got[2]) == blob
+        with pytest.raises(ProtocolError, match="ended mid-frame"):
+            reader.read()
 
 
 class TestRejection:
