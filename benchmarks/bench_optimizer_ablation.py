@@ -5,6 +5,8 @@ off; results must be identical either way, and the optimizer must
 reduce the interpreted instruction count on CSE-heavy plans.
 """
 
+import math
+
 import pytest
 
 import repro
@@ -16,20 +18,8 @@ CSE_QUERY = (
     "WHERE day * 2 > 1 + 1 AND day * 2 < 10 + 10 GROUP BY station"
 )
 
-#: fragment size used by the mitosis/mergetable ablation legs.
+#: fragment size of the fragmentation-on legs.
 ABLATION_FRAGMENT_ROWS = 250
-
-
-def mitosis_only_pipeline(conn):
-    """The default pipeline + mitosis but *no* mergetable: every pack
-    re-merges immediately, isolating the pure fragmentation overhead."""
-    return (
-        optimizer_pipeline.CONSTANT_FOLD,
-        optimizer_pipeline.COMMON_TERMS,
-        optimizer_pipeline.mitosis_pass(conn.catalog, ABLATION_FRAGMENT_ROWS, 1),
-        optimizer_pipeline.DEAD_CODE,
-        optimizer_pipeline.GARBAGE_COLLECT,
-    )
 
 
 def build_obs(conn, rows=2000):
@@ -75,18 +65,17 @@ def test_optimizer_equivalence_and_instruction_reduction():
 
 
 @pytest.mark.benchmark(group="E12-optimizer")
-def test_with_mitosis_only(benchmark):
-    """Fragmentation without propagation: packs re-merge immediately."""
-    conn = repro.connect(optimize=True, nr_threads=1)
+def test_fragmentation_off(benchmark):
+    """The default pipeline: every column scanned whole."""
+    conn = repro.connect(optimize=True, nr_threads=1, fragment_rows=math.inf)
     build_obs(conn)
-    conn.pipeline = mitosis_only_pipeline(conn)
     result = benchmark(conn.execute, CSE_QUERY)
     assert len(result.rows()) == 7
 
 
 @pytest.mark.benchmark(group="E12-optimizer")
-def test_with_mitosis_mergetable(benchmark):
-    """The full fragmented pipeline (per-fragment select/group/partials)."""
+def test_fragmentation_on(benchmark):
+    """The fragmented pipeline (per-fragment select/group/partials)."""
     conn = repro.connect(
         optimize=True, nr_threads=1, fragment_rows=ABLATION_FRAGMENT_ROWS
     )
@@ -95,28 +84,21 @@ def test_with_mitosis_mergetable(benchmark):
     assert len(result.rows()) == 7
 
 
-def test_mitosis_mergetable_equivalence():
-    """The fragmentation passes never change results — only plan shape."""
-    reference = repro.connect(optimize=True, nr_threads=1)
-    mitosis_only = repro.connect(optimize=True, nr_threads=1)
-    full = repro.connect(
+def test_fragmentation_equivalence():
+    """Fragmentation never changes results — only plan shape."""
+    off = repro.connect(optimize=True, nr_threads=1, fragment_rows=math.inf)
+    on = repro.connect(
         optimize=True, nr_threads=1, fragment_rows=ABLATION_FRAGMENT_ROWS
     )
-    for connection in (reference, mitosis_only, full):
+    for connection in (off, on):
         build_obs(connection, rows=1000)
-    mitosis_only.pipeline = mitosis_only_pipeline(mitosis_only)
-    expected = reference.execute(CSE_QUERY).rows()
-    assert mitosis_only.execute(CSE_QUERY).rows() == expected
-    assert full.execute(CSE_QUERY).rows() == expected
-    # mitosis alone leaves the packs in place; mergetable consumes them.
-    assert "mat.pack" in mitosis_only.explain(CSE_QUERY)
+    assert on.execute(CSE_QUERY).rows() == off.execute(CSE_QUERY).rows()
     # temp is DOUBLE, so AVG takes the byte-identical row-level merge
     # (float partials would re-associate the accumulation).
-    full_plan = full.explain(CSE_QUERY)
-    assert "mat.partition" in full_plan
-    assert "mat.packgroups" in full_plan
-    # Sequential knobs keep the unfragmented plan byte-for-byte.
-    assert "mat.partition" not in reference.explain(CSE_QUERY)
+    on_plan = on.explain(CSE_QUERY)
+    assert "mat.partition" in on_plan
+    assert "mat.packgroups" in on_plan
+    assert "mat.partition" not in off.explain(CSE_QUERY)
 
 
 @pytest.mark.benchmark(group="E12-compile-only")
@@ -128,7 +110,7 @@ def test_compilation_cost(benchmark):
 
 @pytest.mark.benchmark(group="E12-compile-only")
 def test_compilation_cost_fragmented(benchmark):
-    """Optimize-time cost of the mitosis/mergetable passes themselves."""
+    """Optimize-time cost of the fragmented pipeline."""
     conn = repro.connect(nr_threads=1, fragment_rows=ABLATION_FRAGMENT_ROWS)
     build_obs(conn, rows=2000)
     benchmark(conn.compile, CSE_QUERY)
@@ -184,7 +166,7 @@ def test_dead_code_equivalence_and_sweep():
             without.execute(sql).rows()
         ), sql
     # In the fragmented pipeline the sweep has real prey: mergetable
-    # leaves the packs it propagated through unreferenced.
+    # leaves fragment groups that no consumer reads unreferenced.
     swept_conn = repro.connect(nr_threads=1, fragment_rows=ABLATION_FRAGMENT_ROWS)
     unswept_conn = repro.connect(nr_threads=1, fragment_rows=ABLATION_FRAGMENT_ROWS)
     for connection in (swept_conn, unswept_conn):

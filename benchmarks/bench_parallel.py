@@ -1,4 +1,4 @@
-"""E17: fragment-parallel execution (mitosis/mergetable + dataflow).
+"""E17: fragment-parallel execution (mergetable + dataflow).
 
 Measures the E1–E5-style workloads that fragmentation targets — bulk
 selection with projection and grouped aggregation — at 1/2/4 worker

@@ -30,8 +30,10 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: suites that define the tracked GDK perf trajectory.  The tiling
 #: suite carries E11 (tile/array-size scaling) and E19 (prefix-sum /
 #: sliding-window kernels vs the shifted-scan baseline); the scenario
-#: suites track the Game of Life and grey-scale pipelines end to end.
+#: suites track the Game of Life and grey-scale pipelines end to end;
+#: E12 ablates the optimizer passes and fragmentation.
 DEFAULT_SUITES = [
+    "benchmarks/bench_optimizer_ablation.py",
     "benchmarks/bench_gdk_kernels.py",
     "benchmarks/bench_fig1_array_ops.py",
     "benchmarks/bench_tiling_scaling.py",

@@ -194,8 +194,8 @@ def _keeps_cell_order(plan: nodes.InsertSelectPlan, array: Array, catalog: Catal
 
 
 def _tile_meta(array: Array, offsets) -> str:
-    """The one canonical metadata constant of a tiling op: the optimizer
-    passes (mitosis/mergetable) parse it to size halo fragments."""
+    """The one canonical metadata constant of a tiling op: the
+    ``mergetable`` pass parses it to size halo fragments."""
     return json.dumps(
         {"shape": list(array.shape()), "offsets": [list(o) for o in offsets]}
     )

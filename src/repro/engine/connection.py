@@ -235,7 +235,7 @@ class Connection(Session):
             self._owns_database = False
         self._database = database
         #: execution knobs: worker threads for the dataflow scheduler and
-        #: the mitosis fragment size.  ``nr_threads=1, fragment_rows=inf``
+        #: the scan fragment size.  ``nr_threads=1, fragment_rows=inf``
         #: reproduces the sequential engine exactly (plans included).
         self._nr_threads = (
             database._nr_threads
@@ -337,7 +337,7 @@ class Connection(Session):
 
     @property
     def fragment_rows(self):
-        """Mitosis fragment size: int, ``None`` (auto) or ``inf`` (off)."""
+        """Scan fragment size: int, ``None`` (auto) or ``inf`` (off)."""
         return self._fragment_rows
 
     @fragment_rows.setter
@@ -972,7 +972,7 @@ class Connection(Session):
         """The optimized MAL program of a statement as MAL surface text.
 
         The listing is prefixed with a stable content digest and one
-        line per mitosis fragment group, so plan-shape regressions
+        line per fragment group, so plan-shape regressions
         diff cleanly in golden tests.
         """
         return annotate_program(self.compile(sql))
@@ -1129,7 +1129,7 @@ def connect(
 
     ``nr_threads`` sizes the dataflow scheduler's worker pool (default:
     auto from ``os.cpu_count()``, capped at 8; 1 keeps the sequential
-    interpreter).  ``fragment_rows`` sizes the mitosis scan fragments
+    interpreter).  ``fragment_rows`` sizes the scan fragments
     (default: auto — roughly one fragment per worker for large scans;
     ``float('inf')`` disables fragmentation).  Both accept
     ``REPRO_NR_THREADS`` / ``REPRO_FRAGMENT_ROWS`` environment

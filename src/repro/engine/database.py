@@ -240,8 +240,8 @@ class _HeadCatalogView:
     """A live ``.get()`` view of the committed head, for the optimizer.
 
     Interned fragmented pipelines outlive any single catalog version;
-    mitosis only needs current row-count estimates, so it resolves
-    through this proxy instead of pinning one snapshot.
+    ``mergetable`` only needs current row-count estimates, so it
+    resolves through this proxy instead of pinning one snapshot.
     """
 
     __slots__ = ("_database",)

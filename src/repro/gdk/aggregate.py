@@ -444,7 +444,7 @@ def grouped_median(column: Column, grouping: Grouping) -> Column:
 
 
 # ----------------------------------------------------------------------
-# partial-aggregate merging (mitosis/mergetable fragment rejoin)
+# partial-aggregate merging (mergetable fragment rejoin)
 # ----------------------------------------------------------------------
 #: aggregates whose per-fragment partials can be merged into the exact
 #: global result.  ``avg`` decomposes into (sum, count) partials and is
@@ -481,7 +481,7 @@ def merge_avg(sums: Column, counts: Column, grouping: Grouping) -> Column:
     """Merge (sum, count) partials into the global per-group mean.
 
     AVG is not directly mergeable (an average of fragment averages
-    weights fragments equally), so mitosis emits per-fragment sum and
+    weights fragments equally), so mergetable emits per-fragment sum and
     count partials and this kernel recombines them: global mean =
     Σ partial sums / Σ partial counts, NULL where the count is zero.
     The sums are exact integers (partials past ``lng`` included), so the

@@ -52,7 +52,7 @@ KNOBS: tuple[Knob, ...] = (
     Knob(
         "REPRO_FRAGMENT_ROWS",
         "auto (≥32768 rows split per worker)",
-        "Rows per mitosis fragment; `inf`/`off`/`none` disables "
+        "Rows per scan fragment; `inf`/`off`/`none` disables "
         "fragmentation, `auto` sizes from the scan.",
         "execution",
     ),

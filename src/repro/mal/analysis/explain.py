@@ -4,7 +4,7 @@
 prefixed with comment lines that make plan-shape regressions diff
 cleanly in tests: a short content digest (any rewrite changes it, so a
 golden test needs to record one line, not the whole plan) and one line
-per mitosis fragment group.
+per ``mat.partition`` fragment group.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ def plan_digest(program: MALProgram) -> str:
 
 
 def fragment_groups(program: MALProgram) -> list[tuple[str, int]]:
-    """``(source, pieces)`` per mitosis fragment group, in plan order."""
+    """``(source, pieces)`` per fragment group, in plan order."""
     seen: dict[str, int] = {}
     for instruction in program.instructions:
         if (instruction.module, instruction.function) != ("mat", "partition"):

@@ -1,7 +1,7 @@
 """Structural invariants for fragment-parallel plans.
 
-The checks here encode what ``mitosis`` and ``mergetable`` promise each
-other and what the kernels silently assume:
+The checks here encode what the ``mergetable`` pass promises and what
+the kernels silently assume:
 
 * every ``mat.partition`` fragment group covers its source disjointly
   (indexes exactly ``0..pieces-1``, each exactly once per group);

@@ -8,7 +8,8 @@ One linear scan over the program checks, per instruction:
   types to its declared result atom, and an ``aggr`` aggregate's result
   is declared the atom the aggregate typing table gives its input;
 * single assignment and def-before-use, with every result variable
-  carrying a declared type whose kind agrees with the signature;
+  carrying a declared type whose kind agrees with the signature, and
+  every result column and pinned variable defined by an instruction;
 * no use after ``language.free`` (the static mirror of the
   interpreter's free-after-last-reader discipline), no double free, no
   free of a pinned variable;
@@ -384,6 +385,13 @@ class _Checker:
         self.index = len(self.program.instructions)
         self.instruction = None
         self.fragments.finish()
+        for role, names in (
+            ("result column", [var for _, var in self.program.result_columns]),
+            ("pinned variable", sorted(self.program.pinned)),
+        ):
+            for name in names:
+                if name not in self.defined:
+                    self.fail(f"{role} {name!r} is defined by no instruction")
         return VerificationReport(
             phase=self.phase,
             instructions=len(self.program.instructions),

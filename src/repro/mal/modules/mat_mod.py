@@ -1,9 +1,9 @@
-"""MAL module ``mat`` — horizontal fragmentation (mitosis/mergetable).
+"""MAL module ``mat`` — horizontal fragmentation.
 
-MonetDB's mitosis optimizer splits large scans into horizontal
-fragments and the mergetable optimizer propagates the fragment groups
-through the plan, re-merging them with ``mat.pack`` where fragments
-rejoin.  The same three primitives back our reproduction:
+The ``mergetable`` optimizer pass splits large scans into horizontal
+fragments, propagates the fragment groups through the plan, and
+re-merges them with ``mat.pack`` where fragments rejoin.  Three
+primitives back it:
 
 * ``mat.partition(b, i, n)`` — fragment *i* of *n* equal slices of a
   BAT, bounds computed from the *runtime* row count (cached plans stay

@@ -2,10 +2,8 @@
 
 from repro.mal.optimizer.pipeline import (
     DEFAULT_PIPELINE,
-    MERGETABLE,
     OptimizerPass,
     build_pipeline,
-    mitosis_pass,
     optimize,
 )
 
@@ -13,7 +11,5 @@ __all__ = [
     "optimize",
     "OptimizerPass",
     "DEFAULT_PIPELINE",
-    "MERGETABLE",
     "build_pipeline",
-    "mitosis_pass",
 ]

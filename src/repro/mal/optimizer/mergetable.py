@@ -1,9 +1,22 @@
-"""The ``mergetable`` optimizer pass: propagate fragment groups.
+"""The ``mergetable`` optimizer pass: fragment-parallel plans.
 
-Mitosis leaves every fragmented source as ``partitions + mat.pack``;
-this pass pushes the packs outward so the plan *between* source and
-result runs per fragment.  Propagation rules mirror MonetDB's
-mergetable optimizer:
+MonetDB splits this work between two passes — ``mitosis`` cuts large
+scans into horizontal fragments, ``mergetable`` propagates them.  Here
+one pass does both.  When it reaches a ``sql.bind`` of a large column
+``X`` it sizes the source (:func:`fragment_count`, capped by the halo
+rule of :func:`halo_caps`), emits the fragment group::
+
+    X#0 := mat.partition(X, 0, N);
+    ...
+    X#N-1 := mat.partition(X, N-1, N);
+
+and registers the fragments as the row space of ``X``.  Binds of one
+object into the same number of pieces share that space, so expressions
+over several of its columns stay per fragment.  Partition *bounds* are
+computed at run time from the actual row count, so cached plans survive
+appends; the fragment *count* is fixed at optimize time from the knobs.
+Every later consumer is then rewritten per fragment by rules that
+mirror MonetDB's mergetable optimizer:
 
 * element-wise ``batcalc.expr`` expressions stay fragment-parallel
   (fragments keep their global head ranges, so ``algebra.select`` over
@@ -46,9 +59,12 @@ fragmented plan returns *byte-identical* results to the sequential one.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
+from repro.errors import CatalogError
 from repro.gdk.atoms import Atom
 from repro.mal.program import (
     Constant,
@@ -58,8 +74,18 @@ from repro.mal.program import (
     bat_type,
     scalar_type,
 )
-from repro.mal.optimizer.mitosis import tile_extent
 from repro.mal.optimizer.passes import _clone_program
+
+#: never split a source into more fragments than this.
+MAX_FRAGMENTS = 64
+
+#: in auto mode (``fragment_rows=None``) only sources at least this
+#: large are fragmented, so small/interactive plans keep their shape.
+AUTO_MIN_ROWS = 32768
+
+#: a halo-fragmented tiling source keeps at least this many dim-0 rows
+#: per fragment *per halo row*, bounding the duplicated slab work.
+HALO_ROWS_FACTOR = 2
 
 #: the element-wise operation: one copy of the expression per fragment
 #: is sound whenever every BAT leaf is fragmented over one row space.
@@ -88,6 +114,64 @@ TILE_EXACT = {"count", "count_star", "min", "max"}
 #: (integer sums are exact or NULL, products wrap mod 2^64, identically
 #: for slab and whole).
 TILE_INT_ATOMS = {Atom.INT, Atom.LNG, Atom.OID, Atom.BIT}
+
+
+def fragment_count(
+    rows: int, fragment_rows: Optional[int], nr_threads: int
+) -> int:
+    """How many fragments a source of *rows* rows should split into.
+
+    An explicit ``fragment_rows`` knob gives ``ceil(rows /
+    fragment_rows)``; auto mode targets one fragment per worker thread
+    for sources past :data:`AUTO_MIN_ROWS`.  Either way the count is
+    capped at :data:`MAX_FRAGMENTS` and floors at 1 (no fragmentation).
+    """
+    if rows <= 1:
+        return 1
+    if fragment_rows is None:
+        if nr_threads <= 1 or rows < AUTO_MIN_ROWS:
+            return 1
+        pieces = nr_threads
+    elif not math.isfinite(fragment_rows) or fragment_rows <= 0:
+        return 1
+    else:
+        pieces = -(-rows // int(fragment_rows))
+    return max(1, min(int(pieces), MAX_FRAGMENTS, rows))
+
+
+def halo_caps(program: MALProgram) -> dict[int, int]:
+    """The halo rule: fragment caps per cell count, from the tiling ops.
+
+    An ``array.tileagg`` runs as halo fragments (``array.tilepart``),
+    each reading its own dim-0 rows plus the tile's dim-0 offset extent
+    (the anchor's own row included, so the one-cell tile ``[[-1], [0]]``
+    widens its slab by one row).  To keep that duplicated halo from
+    dominating a slab, a source of ``rows0`` dim-0 rows splits at most
+    ``max(1, rows0 // (HALO_ROWS_FACTOR * (halo + 1)))`` ways.  Caps are
+    keyed by the tiled array's cell count, which is the row count of
+    every bind of that array, so exactly the cell-aligned sources are
+    capped and every other scan keeps full fragmentation.
+    """
+    caps: dict[int, int] = {}
+    for instruction in program.instructions:
+        if (instruction.module, instruction.function) != ("array", "tileagg"):
+            continue
+        meta = instruction.args[2] if len(instruction.args) > 2 else None
+        if not isinstance(meta, Constant) or not isinstance(meta.value, str):
+            continue
+        try:
+            spec = json.loads(meta.value)
+            shape = [int(s) for s in spec["shape"]]
+            offsets0 = [int(o) for o in spec["offsets"][0]]
+            halo = max(max(offsets0), 0) - min(min(offsets0), 0)
+            rows0 = shape[0]
+        except (ValueError, KeyError, IndexError, TypeError):
+            continue
+        cells = math.prod(shape)
+        if cells > 0:
+            cap = max(1, rows0 // (HALO_ROWS_FACTOR * (halo + 1)))
+            caps[cells] = min(caps.get(cells, cap), cap)
+    return caps
 
 
 class Space:
@@ -134,13 +218,15 @@ class Entry:
 
 
 class _Mergetable:
-    def __init__(self, program: MALProgram):
+    def __init__(self, program: MALProgram, catalog, fragment_rows, nr_threads):
         self.program = program
+        self.catalog = catalog
+        self.fragment_rows = fragment_rows
+        self.nr_threads = nr_threads
+        self.halo_caps = halo_caps(program)
         self.out: list[Instruction] = []
         self.entries: dict[str, Entry] = {}
-        self.partitions: dict[str, tuple[str, int, int]] = {}  # part -> (src, i, n)
-        self.spaces: dict[Any, Space] = {}
-        self.source_of: dict[str, Instruction] = {}
+        self.spaces: dict[Any, Space] = {}  # (object, pieces) -> row space
 
     # ------------------------------------------------------------------
     # emission helpers
@@ -286,23 +372,9 @@ class _Mergetable:
     def handle(self, instruction: Instruction) -> None:
         module, function = instruction.module, instruction.function
         key = (module, function)
-
-        # mitosis artefacts -------------------------------------------------
-        if key == ("mat", "partition"):
-            source = instruction.args[0]
-            if (
-                isinstance(source, Var)
-                and isinstance(instruction.args[1], Constant)
-                and isinstance(instruction.args[2], Constant)
-            ):
-                self.partitions[instruction.results[0]] = (
-                    source.name,
-                    instruction.args[1].value,
-                    instruction.args[2].value,
-                )
+        if key == ("sql", "bind"):
             self.out.append(instruction)
-            return
-        if key == ("mat", "pack") and self._adopt_mitosis_pack(instruction):
+            self._partition(instruction)
             return
 
         fragmented = [self.frag_of(arg) for arg in instruction.args]
@@ -338,38 +410,34 @@ class _Mergetable:
                 return
         self.fallback(instruction)
 
-    def _adopt_mitosis_pack(self, instruction: Instruction) -> bool:
-        """Recognise ``X := mat.pack(partitions...)`` and swallow it."""
-        parts: list[str] = []
-        source = None
-        for index, arg in enumerate(instruction.args):
-            if not isinstance(arg, Var):
-                return False
-            meta = self.partitions.get(arg.name)
-            if meta is None or meta[1] != index or meta[2] != len(instruction.args):
-                return False
-            if source is None:
-                source = meta[0]
-            elif source != meta[0]:
-                return False
-            parts.append(arg.name)
-        if source is None:
-            return False
-        origin = self.source_of.get(source)
+    def _partition(self, bind: Instruction) -> None:
+        """Split a large ``sql.bind`` into its fragment group."""
+        name, source = bind.args[0], bind.results[0]
         if (
-            origin is not None
-            and origin.module == "sql"
-            and origin.function == "bind"
-            and isinstance(origin.args[0], Constant)
+            len(bind.results) != 1
+            or not isinstance(name, Constant)
+            or source in self.program.pinned
         ):
-            space_key = ("bind", origin.args[0].value, len(parts))
-        else:
-            space_key = ("source", source)
-        space = self.spaces.setdefault(space_key, Space(aligned=True))
-        self.entries[instruction.results[0]] = Entry(
-            "val", parts=parts, space=space, whole=source
-        )
-        return True
+            return
+        try:
+            rows = self.catalog.get(name.value).count
+        except CatalogError:
+            return
+        pieces = fragment_count(rows, self.fragment_rows, self.nr_threads)
+        pieces = min(pieces, self.halo_caps.get(rows, pieces))
+        if pieces < 2:
+            return
+        mal_type = self.type_of(source)
+        parts = []
+        for index in range(pieces):
+            part = self.fresh(mal_type, prefix="F")
+            self.emit(
+                "mat", "partition", [part],
+                [Var(source), Constant(index), Constant(pieces)],
+            )
+            parts.append(part)
+        space = self.spaces.setdefault((name.value, pieces), Space(aligned=True))
+        self.entries[source] = Entry("val", parts=parts, space=space, whole=source)
 
     def _shared_space(self, fragmented: list[Optional[Entry]]) -> Optional[Space]:
         """The single row space of the fragmented val operands, if any."""
@@ -551,11 +619,12 @@ class _Mergetable:
         """Split a tile aggregate into halo fragments (``array.tilepart``).
 
         Every fragment consumes the *whole* value BAT (usually free —
-        the merged source var for mitosis packs) and computes only its
-        ``mat.partition`` anchor range over a halo-widened slab.  The
-        result fragments stay in the value's row space, so downstream
-        element-wise consumers (e.g. Life's ``SUM(v) - v``) keep
-        running per fragment.
+        the bound column itself) and computes only its
+        ``mat.partition`` anchor range over a halo-widened slab; the
+        bind was already split no finer than :func:`halo_caps` allows.
+        The result fragments stay in the value's row space, so
+        downstream element-wise consumers (e.g. Life's ``SUM(v) - v``)
+        keep running per fragment.
         """
         entry = fragmented[0]
         if (
@@ -571,9 +640,6 @@ class _Mergetable:
         agg_arg, meta_arg = instruction.args[1], instruction.args[2]
         if not isinstance(agg_arg, Constant) or not isinstance(agg_arg.value, str):
             return False
-        extent = tile_extent(meta_arg)
-        if extent is None:
-            return False
         aggregate = agg_arg.value.lower()
         if aggregate not in TILE_EXACT:
             # Re-associating aggregate: fragment only integer cells,
@@ -581,10 +647,7 @@ class _Mergetable:
             value_atom = self.type_of(instruction.args[0].name).atom
             if value_atom not in TILE_INT_ATOMS:
                 return False
-        _, rows0, halo = extent
         pieces = len(entry.parts)
-        if pieces < 2 or rows0 < pieces * (halo + 1):
-            return False  # halo would dominate the per-fragment slab
         whole = self.resolve(instruction.args[0].name)
         result = instruction.results[0]
         mal_type = self.type_of(result)
@@ -789,12 +852,9 @@ class _Mergetable:
     # driver
     # ------------------------------------------------------------------
     def run(self) -> MALProgram:
-        for index, instruction in enumerate(self.program.instructions):
-            for result in instruction.results:
-                self.source_of[result] = instruction
-            if self._extents_projection(instruction):
-                continue
-            self.handle(instruction)
+        for instruction in self.program.instructions:
+            if not self._extents_projection(instruction):
+                self.handle(instruction)
         # Anything pinned must stay addressable by name.
         for name in self.program.pinned | {
             var for _, var in self.program.result_columns
@@ -802,10 +862,14 @@ class _Mergetable:
             entry = self.entries.get(name)
             if entry is not None and entry.whole is None:
                 self.resolve(name)
-        clone = _clone_program(self.program, self.out)
-        return clone
+        return _clone_program(self.program, self.out)
 
 
-def mergetable(program: MALProgram) -> MALProgram:
-    """Push mitosis packs outward, turning the plan fragment-parallel."""
-    return _Mergetable(program).run()
+def mergetable(
+    catalog, fragment_rows: Optional[int], nr_threads: int
+) -> Callable[[MALProgram], MALProgram]:
+    """The pass bound to *catalog* (for row counts) and the fragmentation
+    knobs: split large scans, then run the plan per fragment."""
+    return lambda program: _Mergetable(
+        program, catalog, fragment_rows, nr_threads
+    ).run()

@@ -9,8 +9,7 @@ operations flow through it).  The default pipeline here is:
 
 and, when a connection's knobs ask for fragment-parallel execution:
 
-    constant_fold → common_terms → mitosis → mergetable → dead_code →
-    garbage_collect
+    constant_fold → common_terms → mergetable → dead_code → garbage_collect
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.mal.optimizer import passes
-from repro.mal.optimizer.mergetable import mergetable as _mergetable
-from repro.mal.optimizer.mitosis import make_mitosis
+from repro.mal.optimizer.mergetable import mergetable
 from repro.mal.program import MALProgram
 
 
@@ -36,7 +34,6 @@ CONSTANT_FOLD = OptimizerPass("constant_fold", passes.constant_fold)
 COMMON_TERMS = OptimizerPass("common_terms", passes.common_terms)
 DEAD_CODE = OptimizerPass("dead_code", passes.dead_code)
 GARBAGE_COLLECT = OptimizerPass("garbage_collect", passes.garbage_collect)
-MERGETABLE = OptimizerPass("mergetable", _mergetable)
 
 DEFAULT_PIPELINE: tuple[OptimizerPass, ...] = (
     CONSTANT_FOLD,
@@ -44,13 +41,6 @@ DEFAULT_PIPELINE: tuple[OptimizerPass, ...] = (
     DEAD_CODE,
     GARBAGE_COLLECT,
 )
-
-
-def mitosis_pass(
-    catalog, fragment_rows: Optional[int], nr_threads: int
-) -> OptimizerPass:
-    """A mitosis pass bound to a catalog and the fragmentation knobs."""
-    return OptimizerPass("mitosis", make_mitosis(catalog, fragment_rows, nr_threads))
 
 
 def build_pipeline(
@@ -63,18 +53,17 @@ def build_pipeline(
 
     Without fragmentation this is exactly :data:`DEFAULT_PIPELINE`, so
     ``nr_threads=1, fragment_rows=inf`` keeps today's plan shapes.  With
-    fragmentation enabled, mitosis/mergetable slot in after
-    ``common_terms`` (CSE first means fewer distinct sources to
-    fragment) and before ``dead_code`` (which then sweeps unused
-    fragments and packs).
+    fragmentation enabled, ``mergetable`` — bound to *catalog* for row
+    counts — slots in after ``common_terms`` (CSE first means fewer
+    distinct sources to fragment) and before ``dead_code`` (which then
+    sweeps the packs and fragments nothing reads).
     """
     if not fragmented or catalog is None:
         return DEFAULT_PIPELINE
     return (
         CONSTANT_FOLD,
-            COMMON_TERMS,
-        mitosis_pass(catalog, fragment_rows, nr_threads),
-        MERGETABLE,
+        COMMON_TERMS,
+        OptimizerPass("mergetable", mergetable(catalog, fragment_rows, nr_threads)),
         DEAD_CODE,
         GARBAGE_COLLECT,
     )

@@ -2,7 +2,7 @@
 
 ``A[x-1][y]`` over an unrestricted scan of ``A`` itself is a constant
 shift of the attribute BAT: malgen lowers it to ``array.tileagg(attr,
-"min", <one offset per dimension>)``, which mitosis/mergetable split
+"min", <one offset per dimension>)``, which mergetable splits
 into halo ``array.tilepart`` fragments in the scan's aligned row space,
 so the expression around it runs per fragment — no ``array.cellindex``,
 no ``algebra.projectionsafe`` gather, no ``mat.pack`` in front of it.

@@ -1,5 +1,5 @@
 """Units for the fragmentation stack: dependency graph, mat/merge
-kernels, the mitosis/mergetable passes, and the dataflow scheduler."""
+kernels, the mergetable pass, and the dataflow scheduler."""
 
 import math
 
@@ -21,7 +21,7 @@ from repro.gdk.column import Column
 from repro.gdk.group import explicit_grouping
 from repro.catalog import Catalog
 from repro.mal.interpreter import Interpreter, link
-from repro.mal.optimizer.mitosis import fragment_count
+from repro.mal.optimizer.mergetable import fragment_count
 from repro.mal.program import Constant, Instruction, MALProgram, Var, bat_type
 
 
@@ -264,7 +264,7 @@ class TestFragmentedPlans:
 
 
 class TestHaloTiling:
-    """Structural grouping through mitosis/mergetable: halo fragments."""
+    """Structural grouping through mergetable: halo fragments."""
 
     SMOOTH = "SELECT [x], [y], SUM(v) FROM g GROUP BY g[x-1:x+2][y-1:y+2]"
 

@@ -8,7 +8,8 @@ Three layers:
   the pipeline and the resulting ``PlanVerificationError`` must blame
   that pass by name — one mutant per invariant class (dropped pack,
   duplicated partition, swapped operands, use-after-free, double free,
-  join-result-as-candidate, unregistered op, barrier violations, ...);
+  join-result-as-candidate, unregistered op, barrier violations,
+  undefined result columns, ...);
 * the EXPLAIN surface: plan digest, fragment-group annotations,
   ``EXPLAIN VERIFY`` summary line, ``Connection.verify_plan``.
 """
@@ -183,10 +184,20 @@ class TestWellFormedPlans:
             + ", ".join(f"({i}, {i * 2})" for i in range(32))
         )
         report = conn.verify_plan("SELECT SUM(b) FROM t WHERE a > 3")
-        assert report.fragment_groups  # mitosis actually split the scan
+        assert report.fragment_groups  # mergetable actually split the scan
         assert conn.execute("SELECT SUM(b) FROM t WHERE a > 3").scalar() == sum(
             i * 2 for i in range(32) if i > 3
         )
+
+    def test_fragmented_result_column_is_the_delivered_variable(self):
+        conn = repro.connect(nr_threads=2, fragment_rows=7)
+        conn.execute("CREATE TABLE t (v INT)")
+        conn.executemany("INSERT INTO t VALUES (?)", [(i,) for i in range(32)])
+        program = conn.compile("SELECT v FROM t")
+        [(name, var)] = program.result_columns
+        delivered = find(program, "sql", "resultSet").args[3:]
+        assert name == "v" and delivered == [Var(var)]
+        verify_program(program)
 
 
 # ----------------------------------------------------------------------
@@ -295,6 +306,22 @@ class TestMutations:
 
         error = mutate(free_plan, "evil_gc", pin_then_free)
         assert "pinned" in str(error)
+
+    def test_result_column_must_be_defined(self):
+        def rename(program):
+            program.result_columns = [("v", "F_16")]
+            return program
+
+        error = mutate(fragment_plan, "evil_rename", rename)
+        assert "result column 'F_16' is defined by no instruction" in str(error)
+
+    def test_pinned_variable_must_be_defined(self):
+        def pin_ghost(program):
+            program.pin("ghost")
+            return program
+
+        error = mutate(free_plan, "evil_pin", pin_ghost)
+        assert "pinned variable 'ghost' is defined by no instruction" in str(error)
 
     def test_join_result_is_not_a_candidate(self):
         def as_candidate(program):

@@ -17,9 +17,10 @@ parameters.  Every tree is rendered to SQL and run
   NULL.  Wherever nothing overflows — every generated tree — the fold
   over bare Python values must give the same rows,
 
-under ``nr_threads`` in {1, 2} x ``fragment_rows`` in {inf, 7}, and with
-``constant_fold`` and ``common_terms`` each removed from the sequential
-and the fragmented pipeline.  (``strength_reduction`` is no pass any
+under ``nr_threads`` in {1, 2} x ``fragment_rows`` in {inf, 7}, with
+each pass removed alone from the sequential and from the fragmented
+pipeline (dropping ``mergetable`` leaves the plan unfragmented), and
+with no optimizer pass at all.  (``strength_reduction`` is no pass any
 more: ``MALGenerator._binary`` applies the neutral-operand rules when it
 builds a node, so the corpus pins ``a + 0``, ``1 * d``, ``.. AND TRUE``
 against sqlite instead of ablating them.)
@@ -347,9 +348,6 @@ def _aggregated():
 # ----------------------------------------------------------------------
 # engines and oracles
 # ----------------------------------------------------------------------
-ABLATED = ("constant_fold", "common_terms")
-
-
 def _load(conn):
     conn.execute("CREATE TABLE t (k INT, a INT, b INT, c BIGINT, d DOUBLE, e INT)")
     conn.executemany("INSERT INTO t VALUES (?, ?, ?, ?, ?, ?)", DATA)
@@ -364,14 +362,14 @@ def engines():
             _load(conn)
             connections[f"threads{nr_threads}-rows{fragment_rows}"] = conn
     for base in ("threads1-rowsinf", "threads2-rows7"):
-        for name in ABLATED:
+        for ablated in connections[base].pipeline:
             conn = connections[base].database.connect()
             # A session of the same engine, under the base's pipeline less one pass.
-            conn.pipeline = tuple(
-                p for p in connections[base].pipeline if p.name != name
-            )
-            assert len(conn.pipeline) == len(connections[base].pipeline) - 1
-            connections[f"{base}-no-{name}"] = conn
+            conn.pipeline = tuple(p for p in connections[base].pipeline if p is not ablated)
+            connections[f"{base}-no-{ablated.name}"] = conn
+    conn = connections["threads2-rows7"].database.connect()
+    conn.pipeline = ()  # the plan exactly as malgen emits it
+    connections["threads2-rows7-unoptimized"] = conn
     yield connections
     for conn in connections.values():
         conn.close()
@@ -421,12 +419,17 @@ def _check(engines, tree, oracle=None):
 class TestExpressionOracle:
     def test_the_ablated_sessions_run_other_pipelines(self, engines):
         fragmented = [p.name for p in engines["threads2-rows7"].pipeline]
-        assert "mergetable" in fragmented
-        assert "common_terms" not in [
-            p.name for p in engines["threads2-rows7-no-common_terms"].pipeline
+        assert fragmented == [
+            "constant_fold", "common_terms", "mergetable", "dead_code", "garbage_collect"
         ]
-        plan = engines["threads2-rows7"].explain("SELECT k, a + b * 2 AS e FROM t")
+        for name in fragmented:
+            ablated = [p.name for p in engines[f"threads2-rows7-no-{name}"].pipeline]
+            assert ablated == [p for p in fragmented if p != name]
+        assert engines["threads2-rows7-unoptimized"].pipeline == ()
+        sql = "SELECT k, a + b * 2 AS e FROM t"
+        plan = engines["threads2-rows7"].explain(sql)
         assert plan.count("batcalc.expr(") > 1  # one copy per fragment
+        assert "mat.partition" not in engines["threads2-rows7-no-mergetable"].explain(sql)
 
     @pytest.mark.parametrize("tree", CORPUS, ids=lambda t: render(t, []))
     def test_corpus(self, engines, oracle, tree):

@@ -1,6 +1,6 @@
 """Fragmented vs. unfragmented execution equivalence.
 
-The mitosis/mergetable optimizer passes plus the dataflow scheduler
+The mergetable optimizer pass plus the dataflow scheduler
 must be observationally invisible: for randomized tables and arrays
 (including NULLs), every query in a representative suite returns
 *identical* rows under every combination of
@@ -9,6 +9,7 @@ The ``(1, ∞)`` cell is the sequential engine itself, so each other
 cell is compared row-for-row against it.
 """
 
+import json
 import math
 import sys
 import threading
@@ -22,7 +23,9 @@ import repro
 from repro.apps.life import numpy_life_step
 from repro.errors import MALError
 from repro.mal import interpreter
+from repro.mal.analysis.explain import fragment_groups
 from repro.mal.modules import REGISTRY, load_all
+from repro.mal.optimizer.mergetable import HALO_ROWS_FACTOR, fragment_count
 
 #: the knob matrix of the acceptance criterion.
 KNOBS = [
@@ -288,6 +291,57 @@ class TestFragmentedPlanInvariants:
         profile = conn.last_profile()
         assert profile and profile[0]["seconds"] >= 0
         conn.close()
+
+
+class TestFragmentSizing:
+    """One sizing rule, applied where each object is bound: a bind of
+    ``rows`` rows splits into ``fragment_count(rows, fragment_rows,
+    nr_threads)`` pieces, capped when a tiling op of the plan reads an
+    array of as many cells so that each slab holds at least
+    ``HALO_ROWS_FACTOR * (halo + 1)`` dim-0 rows."""
+
+    @staticmethod
+    def halo_caps(program):
+        caps = {}
+        for instruction in program.instructions:
+            if instruction.module == "array" and instruction.function in ("tileagg", "tilepart"):
+                meta = json.loads(instruction.args[2].value)
+                offsets0 = meta["offsets"][0]
+                halo = max(max(offsets0), 0) - min(min(offsets0), 0)
+                cap = max(1, meta["shape"][0] // (HALO_ROWS_FACTOR * (halo + 1)))
+                cells = math.prod(meta["shape"])
+                caps[cells] = min(caps.get(cells, cap), cap)
+        return caps
+
+    @pytest.mark.parametrize("fragment_rows", [7, 64, None])
+    @pytest.mark.parametrize("nr_threads", [1, 2])
+    def test_every_group_is_sized_by_the_rule(self, nr_threads, fragment_rows):
+        small = _make_connection(nr_threads, fragment_rows or "auto")
+        TestPooledSteps.load(small)
+        # 65 536 cells: past AUTO_MIN_ROWS, so auto mode splits it too.
+        big = _make_connection(nr_threads, fragment_rows or "auto")
+        big.register_array("g", (np.arange(256 * 256, dtype=np.int32) % 19 - 9).reshape(256, 256))
+        groups = 0
+        for conn, corpus in (
+            (small, TABLE_QUERIES + ARRAY_QUERIES + TILING_QUERIES),
+            (big, TILING_QUERIES),
+        ):
+            for sql in corpus:
+                program = conn.compile(sql)
+                binds = {
+                    i.results[0]: i.args[0].value
+                    for i in program.instructions
+                    if (i.module, i.function) == ("sql", "bind")
+                }
+                caps = self.halo_caps(program)
+                for source, pieces in fragment_groups(program):
+                    rows = conn.catalog.get(binds[source]).count
+                    expected = fragment_count(rows, fragment_rows, nr_threads)
+                    assert pieces == min(expected, caps.get(rows, expected)), (sql, source)
+                    groups += 1
+            conn.close()
+        # Auto mode on one thread is the unfragmented pipeline.
+        assert (groups == 0) == (nr_threads == 1 and fragment_rows is None)
 
 
 GROUPED_SUM_AVG = "SELECT k, SUM(v), AVG(v) FROM t GROUP BY k ORDER BY k"

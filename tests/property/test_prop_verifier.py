@@ -33,7 +33,7 @@ CORPUS = [
 ]
 
 #: (nr_threads, fragment_rows) — sequential reference first, then the
-#: E17-style fragment grid (tiny fragments force deep mitosis plans).
+#: E17-style fragment grid (tiny fragments force deep fragment plans).
 MODES = [(2, 7), (4, 3), (1, 13)]
 
 
@@ -83,7 +83,7 @@ def test_fragmented_corpus_actually_fragments(reference):
     grouped = [
         sql for sql in CORPUS if conn.verify_plan(sql).fragment_groups
     ]
-    assert grouped  # mitosis split at least the table scans
+    assert grouped  # mergetable split at least the table scans
 
 
 def test_dml_round_trip_verifies(reference):
