@@ -12,7 +12,9 @@ linear MAL program.  Conventions:
   ``rangeselect`` / ``inselect`` / ``isnilselect``, conjunctions chain
   them, and only what has no value form goes through a ``bit`` BAT and
   ``algebra.select`` — then ``algebra.projection`` of every referenced
-  column, MonetDB's classic select/project dance;
+  column, MonetDB's classic select/project dance.  Equalities pinning
+  every dimension of a scanned array become one ``array.cellindex``
+  over the pinned scalars: the one cell, found by arithmetic;
 * one expression walker (:meth:`MALGenerator._eval`) serves every
   context; the row, scalar-aggregate, grouped and tiled contexts only
   say how their leaves (columns, grouping keys, aggregate calls)
@@ -296,6 +298,12 @@ _NEGATE = {"==": "!=", "!=": "==", ">": "<=", ">=": "<", "<": ">=", "<=": ">"}
 #: bound operators → whether the bound is inclusive.
 _LOWER = {">": False, ">=": True}
 _UPPER = {"<": False, "<=": True}
+
+
+def _is_pin(entry: tuple[str, str, list], dimensions: dict[str, int]) -> bool:
+    """Is the value select *entry* ``dimension == scalar`` on one of *dimensions*?"""
+    _, function, args = entry
+    return function == "thetaselect" and args[2] == "==" and args[0].name in dimensions
 
 
 class MALGenerator:
@@ -749,11 +757,65 @@ class MALGenerator:
         BAT.  The value selects run first, each feeding its candidates
         to the next, so the bit columns are only read where rows
         survive.  Value selects skip NULL rows, which is exactly the
-        rows SQL's three-valued logic makes non-TRUE.
+        rows SQL's three-valued logic makes non-TRUE.  When the value
+        selects pin every dimension of an array scan, the pinned cell
+        (:meth:`_pinned_cell`) replaces them and the rest of the
+        predicate is lowered again over that cell alone.
         """
         chain: list[tuple[str, str, list]] = []
         bits: list[str] = []
         self._conjunct(predicate, False, ctx, chain, bits)
+        cell = self._pinned_cell(chain, ctx)
+        if cell is None:
+            return self._emit_chain(chain, bits)
+        oids, pinned = cell
+        if len(chain) == pinned and not bits:
+            return oids
+        # What the first lowering built over every cell for the other
+        # conjuncts is dead code now.
+        restricted = ctx.restrict(self, oids)
+        chain, bits = [], []
+        self._conjunct(predicate, False, restricted, chain, bits)
+        pins = self._dimension_vars(restricted, ctx.cells_of)
+        rest = self._emit_chain([e for e in chain if not _is_pin(e, pins)], bits)
+        return self.program.emit1(
+            "algebra", "projection", [Var(rest), Var(oids)], bat_type(Atom.OID)
+        )
+
+    def _pinned_cell(self, chain: list, ctx) -> Optional[tuple[str, int]]:
+        """``array.cellindex`` of the one cell *chain* pins, and how many
+        entries pin it (one per dimension), or ``None``.
+
+        That is a scan still covering every cell of one array whose value
+        selects hold exactly one ``thetaselect(<dimension>, <scalar>,
+        "==")`` per dimension: cells are stored in row-major order, so
+        the scalars name the cell's oid by arithmetic — no dimension is
+        scanned, or bound at all unless something else reads it.
+        """
+        if not isinstance(ctx, Binding) or ctx.cells_of is None:
+            return None
+        dimensions = self._dimension_vars(ctx, ctx.cells_of)
+        pins: dict[int, Any] = {}
+        for entry in chain:
+            if _is_pin(entry, dimensions):
+                operand, value, _ = entry[2]
+                if dimensions[operand.name] in pins:
+                    return None  # x = 1 AND x = 2: the selects decide
+                pins[dimensions[operand.name]] = value
+        if len(pins) != len(dimensions):
+            return None
+        array = self.catalog.get_array(ctx.cells_of[1])
+        return self._cellindex(array, [pins[i] for i in range(len(pins))]), len(pins)
+
+    def _dimension_vars(self, binding: Binding, cells_of: tuple[int, str]) -> dict[str, int]:
+        """The variable of each dimension column of *binding* → its index
+        among the dimensions of the array *cells_of* names."""
+        source, name = cells_of
+        dimensions = self.catalog.get_array(name).dimensions
+        return {binding.vars[(source, d.name)]: i for i, d in enumerate(dimensions)}
+
+    def _emit_chain(self, chain: list, bits: list[str]) -> str:
+        """Emit value selects then bit selects, each narrowing the last."""
         candidates = None
         for module, function, args in chain:
             if candidates is not None:
@@ -1077,7 +1139,7 @@ class MALGenerator:
         oids = self._cellindex(
             array,
             [
-                self._force_bat(self._eval(index, binding), binding, Atom.LNG)
+                Var(self._force_bat(self._eval(index, binding), binding, Atom.LNG))
                 for index in expression.indexes
             ],
         )
@@ -1131,18 +1193,19 @@ class MALGenerator:
             )
             for column in plan.columns
         }
-        oids = self._cellindex(array, [column_vars[d.name] for d in array.dimensions])
+        oids = self._cellindex(array, [Var(column_vars[d.name]) for d in array.dimensions])
         self._update_cells(plan.target, array, oids, column_vars)
 
-    def _cellindex(self, array: Array, coordinates: list[str]) -> str:
-        """Cell oids of per-row coordinates, one BAT per dimension."""
+    def _cellindex(self, array: Array, coordinates: list) -> str:
+        """Cell oids of coordinates, one argument per dimension: BATs of
+        per-row values, or scalars naming one cell."""
         return self.program.emit1(
             "array", "cellindex",
             [
                 json.dumps(list(array.shape())),
                 json.dumps([[d.start, d.step, d.stop] for d in array.dimensions]),
             ]
-            + [Var(v) for v in coordinates],
+            + coordinates,
             bat_type(Atom.OID),
         )
 
@@ -1203,7 +1266,7 @@ class MALGenerator:
                 "bat", "mirror", [Var(values)], bat_type(Atom.OID)
             )
         else:
-            oids = self._cellindex(array, [column_vars[d.name] for d in array.dimensions])
+            oids = self._cellindex(array, [Var(column_vars[d.name]) for d in array.dimensions])
         self._update_cells(plan.target, array, oids, column_vars)
 
     def _target_binding(self, plan) -> Binding:
@@ -1219,18 +1282,28 @@ class MALGenerator:
         return self._select(where, binding)
 
     def _emit_update(self, plan: nodes.UpdatePlan) -> None:
+        """New values are computed only for the rows written: over the
+        binding restricted to the WHERE's rows, match-sized as they come.
+        Every SET expression reads the values before the statement, since
+        the target's BATs are bound once and updates replace them."""
         obj = self.catalog.get(plan.target)
         binding = self._target_binding(plan)
         candidates = self._candidates(plan.where, binding)
+        rows = binding if plan.where is None else binding.restrict(self, candidates)
         affected = None
         for column, expression in plan.assignments:
             atom = obj.column_def(column).atom
-            cast = self._force_bat(
-                self._cast(self._eval(expression, binding), atom), binding, atom
+            selected = self._force_bat(
+                self._cast(self._eval(expression, rows), atom), rows, atom
             )
-            selected = self.program.emit1(
-                "algebra", "projection", [Var(candidates), Var(cast)], bat_type(atom)
-            )
+            if plan.where is None:
+                # Every row, in order: the values already align with the
+                # mirror, and the projection gives the target a column of
+                # its own (a full-range replace adopts its replacement).
+                selected = self.program.emit1(
+                    "algebra", "projection", [Var(candidates), Var(selected)],
+                    bat_type(atom),
+                )
             affected = self.program.emit1(
                 "sql", "update",
                 [plan.target, column, Var(candidates), Var(selected)],

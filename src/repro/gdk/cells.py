@@ -1,9 +1,11 @@
 """Cell addressing: dimension coordinates → linear cell positions.
 
 The one kernel behind table→array coercion (``Result.grid()``),
-``array.cellindex`` and ``Array.cell_oids``.  An *axis* is a dimension
-range as ``(start, step, size)``; cells are row-major, first axis
-slowest — the layout ``array.series`` writes (paper Section 3).
+``array.cellindex`` and ``Array.cell_oids``; :func:`cell_position` is
+its one-cell form, the arithmetic behind a predicate that pins every
+dimension.  An *axis* is a dimension range as ``(start, step, size)``;
+cells are row-major, first axis slowest — the layout ``array.series``
+writes (paper Section 3).
 
 Rows that came out of the dimension BATs untouched (or shifted by a
 constant, or cut into whole-row fragments) still spell that series, and
@@ -170,6 +172,23 @@ def address_cells(
         positions += rank
     positions[invalid] = -1
     return axes, positions
+
+
+def cell_position(coordinates: Sequence[object], axes: Sequence[Axis]) -> Optional[int]:
+    """Linear position of the one cell *coordinates* name, or None.
+
+    A coordinate that is not an integer (NULL, a non-integral number),
+    off its axis's step or outside its range names no cell.
+    """
+    position = 0
+    for value, (start, step, size), stride in zip(coordinates, axes, _strides(axes)):
+        if not isinstance(value, int):
+            return None
+        rank, remainder = divmod(value - start, step)
+        if remainder or not 0 <= rank < size:
+            return None
+        position += rank * stride
+    return position
 
 
 def cell_positions(

@@ -291,11 +291,13 @@ class Column:
             return replacement
         if count and (positions.min() < 0 or positions.max() >= len(self)):
             raise GDKError("replace: position out of range")
-        values = self.values.copy()
+        values = self.values.copy()  # copy-on-write: snapshots keep the old one
         values[positions] = replacement.values
+        if self.mask is None and replacement.mask is None:
+            return Column(self.atom, values)  # no NULL on either side
         mask = self.effective_mask().copy()
         mask[positions] = replacement.effective_mask()
-        return Column(self.atom, values, mask if mask.any() else None)
+        return Column(self.atom, values, mask)
 
     def append(self, other: "Column") -> "Column":
         """Alias of :meth:`concat` (MonetDB's BATappend)."""

@@ -31,6 +31,14 @@ offsets zero is the attribute BAT itself, and no op at all).  Being a
 row space like any other tile; every other shape of cell reference
 (computed offsets, another array, non-numeric attributes, restricted
 scans) takes ``array.cellindex`` plus the gather.
+
+``array.cellindex`` also takes one *scalar* per dimension: that is how
+a predicate pinning every dimension of a scanned array (``WHERE x = ?
+AND y = ?``) lowers, and it answers the zero or one oid of the cell
+those values name by arithmetic, with no scan.  Each scalar is coerced
+as ``algebra.thetaselect`` coerces its value against the dimension BAT
+(the same ``select._comparand``), so both forms select the same cell;
+a NULL, non-integral, off-step or out-of-range value names none.
 """
 
 from __future__ import annotations
@@ -43,8 +51,9 @@ import numpy as np
 from repro.errors import GDKError, MALError
 from repro.gdk.atoms import Atom, atom_for_python, coerce_scalar
 from repro.gdk.bat import BAT, partition_bounds
-from repro.gdk.cells import cell_positions
+from repro.gdk.cells import cell_position, cell_positions
 from repro.gdk.column import Column
+from repro.gdk.select import _comparand
 from repro.core.tiling import TileSpec, tile_aggregate, tile_aggregate_fragment
 from repro.mal.modules import cached_loads, mal_op
 
@@ -127,16 +136,26 @@ def _tilepart(ctx, values: BAT, aggregate: str, meta_json: str, index, pieces):
     return BAT(fragment, hseqbase=values.hseqbase + start)
 
 
-@mal_op("array", "cellindex", sig="json, json, bat+ -> oids")
-def _cellindex(ctx, shape_json: str, dims_json: str, *coordinate_bats: BAT):
-    """Linear cell oids for coordinate columns; -1 for out-of-domain.
+@mal_op("array", "cellindex", sig="json, json, val+ -> oids")
+def _cellindex(ctx, shape_json: str, dims_json: str, *coordinates):
+    """Linear cell oids of per-dimension coordinates.
 
     ``dims_json`` holds ``[start, step, stop]`` per dimension so ranks
-    can be derived from raw dimension values.
+    can be derived from raw dimension values.  Coordinate BATs give one
+    oid per row, -1 where the row names no cell; scalar coordinates give
+    the one oid of the cell they name, or none.
     """
     shape = tuple(cached_loads(shape_json))
     dims = cached_loads(dims_json)
-    if len(coordinate_bats) != len(shape):
+    if len(coordinates) != len(shape):
         raise MALError("array.cellindex: coordinate arity mismatch")
     axes = [(start, step, size) for (start, step, _), size in zip(dims, shape)]
-    return BAT.from_oids(cell_positions([b.tail for b in coordinate_bats], axes))
+    bats = sum(isinstance(c, BAT) for c in coordinates)
+    if bats == len(coordinates):
+        return BAT.from_oids(cell_positions([b.tail for b in coordinates], axes))
+    if bats:
+        raise MALError("array.cellindex: coordinates must be all BATs or all scalars")
+    # Every integral atom coerces alike; INT names the usual dimension
+    # type in the error a non-numeric value raises.
+    position = cell_position([_comparand(c, Atom.INT) for c in coordinates], axes)
+    return BAT.from_oids(np.array([] if position is None else [position], dtype=np.int64))

@@ -1,5 +1,7 @@
 """Compiler and MAL-generator unit tests (plan shapes and lowering)."""
 
+import math
+
 import pytest
 
 import repro
@@ -227,3 +229,98 @@ class TestMalLowering:
             "DELETE FROM m WHERE x = 1",
         ):
             conn.compile(sql).validate()
+
+
+class TestCellPins:
+    """A WHERE pinning every dimension of a scanned array addresses its
+    one cell by ``array.cellindex`` over the pinned scalars."""
+
+    PIPELINES = {
+        "unfragmented": {"nr_threads": 1, "fragment_rows": math.inf},
+        "fragmented": {"nr_threads": 2, "fragment_rows": 7},
+    }
+
+    @pytest.fixture(params=sorted(PIPELINES))
+    def pipeline(self, request):
+        return request.param
+
+    @pytest.fixture
+    def conn(self, pipeline):
+        connection = repro.connect(**self.PIPELINES[pipeline])
+        connection.execute("CREATE TABLE t (k INT, a INT)")
+        connection.executemany("INSERT INTO t VALUES (?, ?)", [(k, k % 5) for k in range(30)])
+        connection.execute(
+            "CREATE ARRAY m (x INT DIMENSION[0:1:8], y INT DIMENSION[0:1:8], "
+            "v INT DEFAULT 0, w INT DEFAULT 1)"
+        )
+        return connection
+
+    @staticmethod
+    def steps(program):
+        return [i for i in program.instructions if i.module != "language"]
+
+    @staticmethod
+    def ops(program):
+        return [f"{i.module}.{i.function}" for i in TestCellPins.steps(program)]
+
+    @staticmethod
+    def bound(program):
+        return [i.args[1].value for i in program.instructions if i.function == "bind"]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT v FROM m WHERE x = ? AND y = ?",
+            "SELECT v, w FROM m WHERE 3 = y AND x = 5",
+            "SELECT v FROM m WHERE y = ? AND x = ? AND v > w",
+            "UPDATE m SET v = ? WHERE x = ? AND y = ?",
+            "UPDATE m SET v = v + w WHERE x = 1 AND y = 2 AND v IS NOT NULL",
+            "DELETE FROM m WHERE x = ? AND y = ?",
+            "DELETE FROM m WHERE NOT (x <> 2) AND y = 7 AND w < 3",
+        ],
+    )
+    def test_no_dimension_is_bound_or_scanned(self, conn, sql):
+        """Residual conjuncts select among the one fetched cell."""
+        program = conn.compile(sql)
+        ops = self.ops(program)
+        assert "array.cellindex" in ops
+        assert not {"x", "y"} & set(self.bound(program))
+        assert not {"mat.partition", "mat.pack", "bat.mergecand"} & set(ops)
+
+    def test_prepared_point_select_is_four_instructions(self, conn):
+        program = conn.prepare("SELECT v FROM m WHERE x = ? AND y = ?").program
+        assert self.ops(program) == [
+            "sql.bind", "array.cellindex", "algebra.projection", "sql.resultSet",
+        ]
+
+    def test_a_partial_pin_keeps_the_value_selects(self, conn, pipeline):
+        program = conn.compile("SELECT v FROM m WHERE x = 3")
+        assert "array.cellindex" not in self.ops(program)
+        assert self.bound(program) == ["x", "v"]
+        if pipeline == "unfragmented":
+            assert self.ops(program) == [
+                "sql.bind", "sql.bind", "algebra.thetaselect", "algebra.projection",
+                "sql.resultSet",
+            ]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "UPDATE t SET a = a + 1 WHERE k = 5",
+            "UPDATE t SET a = 7, k = k * 2 WHERE a > 3",
+            "UPDATE m SET v = ?, w = v WHERE x > 3",
+            "UPDATE m SET v = v * 2 WHERE x = 1 AND y = 1",
+        ],
+    )
+    def test_update_computes_values_for_written_rows_only(self, conn, sql):
+        """No SET expression reads a full-length bind (or a fragment of
+        one): each runs over the fetched rows of the WHERE's candidates."""
+        program = conn.compile(sql)
+        binds = {
+            i.results[0] for i in program.instructions
+            if i.function in ("bind", "partition")
+        }
+        for step in self.steps(program):
+            if step.function in ("expr", "project_const"):
+                read = {arg.name for arg in step.args if hasattr(arg, "name")}
+                assert not read & binds, str(step)

@@ -142,6 +142,44 @@ class TestUpdate:
         conn.execute("UPDATE t SET a = b, b = a")
         assert conn.execute("SELECT a, b FROM t").rows() == [(2, 1)]
 
+    @pytest.mark.parametrize("where", ["x = 1", "x >= 1 AND x < 2"])
+    def test_array_swap_reads_values_before_the_statement(self, conn, where):
+        """A pinned cell and a range of cells swap alike."""
+        conn.execute(
+            "CREATE ARRAY g (x INT DIMENSION[0:1:3], a INT DEFAULT 0, b INT DEFAULT 0)"
+        )
+        conn.execute("UPDATE g SET a = x, b = 10 * x")
+        assert conn.execute(f"UPDATE g SET a = b, b = a WHERE {where}").affected == 1
+        assert conn.execute("SELECT a, b FROM g").rows() == [(0, 0), (10, 1), (2, 20)]
+
+    def test_table_swap_with_where(self, conn):
+        conn.execute("CREATE TABLE t (k INT, a INT, b INT)")
+        conn.execute("INSERT INTO t VALUES (0, 1, 2), (1, 3, 4)")
+        conn.execute("UPDATE t SET a = b, b = a WHERE k = 1")
+        assert conn.execute("SELECT a, b FROM t").rows() == [(1, 2), (4, 3)]
+
+    def test_failing_set_values_leave_unmatched_rows_alone(self, conn):
+        """Overflow and division by zero are NULL where written, and the
+        rows the WHERE does not select keep their values."""
+        conn.execute("CREATE TABLE t (k INT, a INT, b INT)")
+        conn.execute("INSERT INTO t VALUES (0, 1, 0), (1, 2, 5), (2, 2000000000, 0)")
+        conn.execute("UPDATE t SET a = a * 2000000000 WHERE k = 1")
+        conn.execute("UPDATE t SET a = 10 / b WHERE k = 0")
+        assert conn.execute("SELECT a FROM t").rows() == [(None,), (None,), (2000000000,)]
+        conn.execute("UPDATE t SET a = 10 / b WHERE b <> 0")
+        assert conn.execute("SELECT a FROM t").rows() == [(None,), (2,), (2000000000,)]
+        conn.execute(
+            "CREATE ARRAY g (x INT DIMENSION[0:1:3], a INT DEFAULT 7, b INT DEFAULT 0)"
+        )
+        conn.execute("UPDATE g SET a = 2000000000 WHERE x = 1")
+        conn.execute("UPDATE g SET b = 4 WHERE x = 2")
+        conn.execute("UPDATE g SET a = 100 / b WHERE x = 2")
+        conn.execute("UPDATE g SET b = a * 3 WHERE x = 0")
+        conn.execute("UPDATE g SET b = 1 / b WHERE x = 1")
+        assert conn.execute("SELECT a, b FROM g").rows() == [
+            (7, 21), (2000000000, None), (25, 4),
+        ]
+
     def test_update_null(self, conn):
         conn.execute("CREATE TABLE t (a INT)")
         conn.execute("INSERT INTO t VALUES (1)")

@@ -53,6 +53,21 @@ class TestPreparedStatements:
         aconn.execute("CREATE TABLE t (a INT)")
         assert statement.execute().scalar() == 0  # re-prepared, fresh plan
 
+    def test_point_update_follows_a_new_dimension_range(self, aconn):
+        """The pinned plan bakes the array's shape into ``array.cellindex``;
+        a schema change re-prepares it for the new shape."""
+        statement = aconn.prepare("UPDATE m SET v = ? WHERE x = ? AND y = ?")
+        assert '"[4, 4]"' in statement.explain()
+        assert statement.execute((-7, 1, 2)).affected == 1
+        aconn.execute("ALTER ARRAY m ALTER DIMENSION x SET RANGE [-2:1:4]")
+        assert statement.execute((99, 1, 2)).affected == 1
+        assert '"[6, 4]"' in statement.explain()
+        assert statement.execute((55, -2, 0)).affected == 1
+        assert statement.execute((0, 4, 0)).affected == 0
+        changed = aconn.execute("SELECT x, y, v FROM m WHERE v > 50 OR v < 0").rows()
+        assert changed == [(-2, 0, 55), (1, 2, 99)]
+        assert aconn.execute("SELECT v FROM m WHERE x = 3 AND y = 3").scalar() == 33
+
     def test_prepare_explain_statement(self, aconn):
         statement = aconn.prepare("EXPLAIN SELECT v FROM m")
         lines = statement.execute().column("mal")
