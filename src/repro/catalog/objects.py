@@ -238,10 +238,9 @@ class Table(_DeltaJournal):
                 incoming = columns[cdef.name]
                 if incoming.atom is not cdef.atom:
                     incoming = incoming.cast(cdef.atom)
-            elif cdef.has_default and cdef.default is not None:
-                incoming = Column.constant(cdef.atom, cdef.default, n)
             else:
-                incoming = Column.nulls(cdef.atom, n)
+                default = cdef.default if cdef.has_default else None
+                incoming = Column.constant(cdef.atom, default, n)
             appended = self.bats[cdef.name].append(BAT(incoming))
             # Re-evaluate dictionary encoding on the grown column before
             # the journal snapshots it, so WAL replay converges to the

@@ -108,10 +108,7 @@ def table_to_array_columns(
     dense: list[Column] = []
     for index, value_column in enumerate(values):
         default = defaults[index] if defaults else None
-        if default is None:
-            base = Column.nulls(value_column.atom, cell_count)
-        else:
-            base = Column.constant(value_column.atom, default, cell_count)
+        base = Column.constant(value_column.atom, default, cell_count)
         dense.append(base.replace(targets, value_column.take(source_rows)))
     return dimensions, dense
 

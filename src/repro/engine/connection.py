@@ -54,7 +54,7 @@ from repro.lifecycle import QueryContext
 from repro.catalog import Catalog
 from repro.catalog.objects import Array, ColumnDef, DimensionDef
 from repro.gdk import storage as gdk_storage
-from repro.gdk.atoms import Atom
+from repro.gdk.atoms import NUMPY_DTYPE, Atom, atom_for_dtype, coerce_array
 from repro.gdk.bat import BAT
 from repro.gdk.column import Column
 from repro.algebra import nodes
@@ -134,7 +134,8 @@ def bind_parameters(param_keys: tuple, params: Params) -> dict:
     Returns the ``key -> value`` bindings the interpreter resolves
     :class:`~repro.mal.program.Param` operands from.  Raises
     :class:`ProgrammingError` on arity or style mismatches and on
-    values :func:`~repro.engine.cursor.scalar_parameter` rejects.
+    values :func:`~repro.engine.cursor.scalar_parameter` rejects
+    (:class:`~repro.errors.DataError` for an int outside ``lng``).
     """
     if not param_keys:
         if params:
@@ -171,34 +172,15 @@ def bind_parameters(param_keys: tuple, params: Params) -> dict:
     return {index: scalar_parameter(value) for index, value in enumerate(params)}
 
 
-def _atom_for_dtype(dtype: np.dtype) -> Atom:
-    """The narrowest atom able to store an ndarray of *dtype*."""
-    if dtype.kind == "b":
-        return Atom.BIT
-    if dtype.kind in "iu":
-        return Atom.INT if dtype.itemsize <= 4 and dtype.kind == "i" else Atom.LNG
-    if dtype.kind == "f":
-        return Atom.DBL
-    if dtype.kind in "OUS":
-        return Atom.STR
-    raise ProgrammingError(f"cannot store ndarrays of dtype {dtype} as an array")
-
-
 def _ingest_column(array_values: np.ndarray, atom: Atom) -> Column:
     """Flatten one attribute ndarray into a Column (NaN/None -> NULL)."""
     flat = np.ascontiguousarray(array_values).reshape(-1)
     if atom is Atom.DBL:
-        mask = np.isnan(flat.astype(np.float64))
-        return Column(atom, flat, mask if mask.any() else None)
-    if atom is Atom.STR:
-        out = flat.astype(object)
-        mask = np.array([v is None for v in out], dtype=np.bool_)
-        if mask.any():
-            out = out.copy()
-            out[mask] = ""
-            return Column(atom, out, mask)
-        return Column(atom, out)
-    return Column(atom, flat)
+        return Column(atom, flat, np.isnan(flat.astype(np.float64)))
+    if atom is not Atom.STR and flat.dtype == NUMPY_DTYPE[atom]:
+        return Column(atom, flat)  # the carrier already: shared, not copied
+    # By the rule ``Column.cast`` applies: a uint64 past lng is NULL.
+    return Column(atom, *coerce_array(flat, None, atom, atom))
 
 
 _DEFAULT_DIMENSION_NAMES = ("x", "y", "z", "w")
@@ -1048,7 +1030,7 @@ class Connection(Session):
             for dim_name, size in zip(dims, shape)
         ]
         atoms = {
-            attr: _atom_for_dtype(array.dtype) for attr, array in arrays.items()
+            attr: atom_for_dtype(array.dtype) for attr, array in arrays.items()
         }
         attributes = [ColumnDef(attr, atoms[attr]) for attr in arrays]
         with self._lock, self._autocommit() as txn:

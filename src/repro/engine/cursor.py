@@ -28,13 +28,15 @@ from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro import errors
-from repro.errors import InterfaceError, ProgrammingError
+from repro.errors import DataError, InterfaceError, ProgrammingError
 from repro.engine.result import Result
+from repro.gdk.atoms import INTEGER_RANGE, Atom
 from repro.gdk.column import Column
 
 Params = Union[Sequence[Any], Mapping[str, Any], None]
 
 _SCALARS = frozenset((type(None), bool, int, float, str))
+_LNG_LOWEST, _LNG_HIGHEST = INTEGER_RANGE[Atom.LNG]
 
 
 def scalar_parameter(value: Any) -> Any:
@@ -43,17 +45,20 @@ def scalar_parameter(value: Any) -> Any:
     ``None``, ``bool``, ``int``, ``float`` and ``str`` pass through,
     NumPy scalars unwrap to their Python value; anything else is a
     :class:`ProgrammingError` — in process and over ``repro://`` alike.
+    An int outside ``lng`` is a :class:`DataError`: no integer atom
+    holds it, and the double a literal of it types as is not the value.
     """
-    if type(value) in _SCALARS:
-        return value
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, (bool, int, float, str)):
-        return value
-    raise ProgrammingError(
-        f"cannot bind a parameter of type {type(value).__name__!r} "
-        "(int, float, str, bool or None)"
-    )
+    if type(value) not in _SCALARS:
+        if isinstance(value, np.generic):
+            value = value.item()
+        if not isinstance(value, (bool, int, float, str)):
+            raise ProgrammingError(
+                f"cannot bind a parameter of type {type(value).__name__!r} "
+                "(int, float, str, bool or None)"
+            )
+    if isinstance(value, int) and not _LNG_LOWEST <= value <= _LNG_HIGHEST:
+        raise DataError(f"cannot bind {value}: outside the range of lng")
+    return value
 
 
 def _concat_columns(batches: list[list[Column]]) -> list[Column]:

@@ -38,12 +38,13 @@ import numpy as np
 from repro.errors import GDKError, TypeError_
 from repro.gdk import strings
 from repro.gdk.atoms import (
+    INTEGER_RANGE,
     NUMERIC_ATOMS,
     NUMPY_DTYPE,
     Atom,
     atom_for_python,
-    coerce_scalar,
     common_numeric,
+    comparand,
     widest,
 )
 from repro.gdk.column import Column
@@ -54,7 +55,6 @@ COMPARE_OPS = ("==", "!=", "<", "<=", ">", ">=")
 _ARITH = dict(zip(ARITH_OPS, (np.add, np.subtract, np.multiply, np.true_divide, np.fmod)))
 #: the same on Python integers, which never wrap: the overflow oracle.
 _EXACT = dict(zip(ARITH_OPS, (operator.add, operator.sub, operator.mul)))
-_RANGE = {atom: (-(2**bits), 2**bits - 1) for atom, bits in ((Atom.INT, 31), (Atom.LNG, 63))}
 _COMPARE = dict(
     zip(COMPARE_OPS, (np.equal, np.not_equal, np.less, np.less_equal, np.greater, np.greater_equal))
 )
@@ -76,14 +76,6 @@ def _operand_length(*operands: Any) -> int:
     return length
 
 
-def scalar_atom(value: Any) -> Atom:
-    """Atom of a non-NULL scalar: a Python value types by magnitude, a
-    NumPy scalar (what :func:`scalar` returns for a small ``lng``) by width."""
-    if isinstance(value, np.int64):
-        return Atom.LNG
-    return atom_for_python(value)
-
-
 def _split(operand: Any) -> tuple[Any, Atom, Any]:
     """``(values, atom, NULL mask)`` of a column or a scalar.
 
@@ -94,7 +86,7 @@ def _split(operand: Any) -> tuple[Any, Atom, Any]:
         return operand.values, operand.atom, operand.mask
     if operand is None:
         return 0, Atom.INT, True
-    atom = scalar_atom(operand)
+    atom = atom_for_python(operand)
     return (operand.item() if isinstance(operand, np.generic) else operand), atom, None
 
 
@@ -157,7 +149,7 @@ def _int_arith(op: str, lvals: Any, rvals: Any, atom: Atom) -> tuple[np.ndarray,
     a corner leaves the atom's range are the rows recomputed with
     Python integers, which never wrap, to find the ones that do not fit.
     """
-    ufunc, dtype, (lowest, highest) = _ARITH[op], NUMPY_DTYPE[atom], _RANGE[atom]
+    ufunc, dtype, (lowest, highest) = _ARITH[op], NUMPY_DTYPE[atom], INTEGER_RANGE[atom]
     corners = [
         _EXACT[op](left, right) for left in _span(lvals) for right in _span(rvals)
     ]
@@ -229,7 +221,7 @@ def _int_divmod(
     quotient += adjust
     minus_one = divisor == -1
     if np.any(minus_one):
-        bad = _either(bad, minus_one & (lvals == _RANGE[atom][0]))
+        bad = _either(bad, minus_one & (lvals == INTEGER_RANGE[atom][0]))
     return quotient, bad
 
 
@@ -266,6 +258,8 @@ def apply_unary_math(operand: Column, name: str) -> Column:
         fn = MATH[name.lower()]
     except KeyError:
         raise GDKError(f"unknown math function {name!r}") from None
+    if name.lower() in _ROUNDING and operand.atom in (Atom.INT, Atom.LNG):
+        return operand  # already integral: exact, however wide
     with np.errstate(invalid="ignore", divide="ignore"):
         result = fn(operand.values.astype(np.float64))
     bad = ~np.isfinite(result)
@@ -273,8 +267,6 @@ def apply_unary_math(operand: Column, name: str) -> Column:
     if bad.any():
         mask = _either(mask, bad)
         result = np.where(bad, 0.0, result)
-    if name.lower() in _ROUNDING and operand.atom in (Atom.INT, Atom.LNG):
-        return Column(operand.atom, result.astype(NUMPY_DTYPE[operand.atom]), mask)
     return Column(Atom.DBL, result, mask)
 
 
@@ -287,26 +279,14 @@ def cast(operand: Column, atom_name: str) -> Column:
 # ----------------------------------------------------------------------
 # comparison and three-valued logic
 # ----------------------------------------------------------------------
-def _comparand(operand: Any, other: Any, as_text: bool) -> tuple[Any, Any]:
-    """``(values, NULL mask)`` of one comparison side, typed by *other*."""
+def _side(operand: Any, other: Any, as_text: bool) -> tuple[Any, Any]:
+    """``(values, NULL mask)`` of one comparison side, a scalar typed by ``atoms.comparand``."""
     if isinstance(operand, Column):
         values = operand.values
         return (np.asarray(values, dtype=object) if as_text else values), operand.mask
     if operand is None:
         return 0, True
-    if isinstance(operand, np.generic):
-        operand = operand.item()
-    if (
-        not as_text
-        and other.atom in (Atom.INT, Atom.LNG, Atom.DBL, Atom.OID)
-        and isinstance(operand, (int, float))
-        and not isinstance(operand, bool)
-    ):
-        # Numeric vs numeric: let numpy widen instead of truncating the
-        # scalar to the column atom (1.5 must stay 1.5 against an INT
-        # column, so v < 1.5 keeps v = 1).
-        return operand, None
-    return coerce_scalar(operand, other.atom), None
+    return comparand(operand, other.atom), None
 
 
 def compare(op: str, left: Any, right: Any) -> Column:
@@ -318,8 +298,8 @@ def compare(op: str, left: Any, right: Any) -> Column:
         isinstance(operand, Column) and operand.atom is Atom.STR
         for operand in (left, right)
     )
-    lvals, lnull = _comparand(left, right, as_text)
-    rvals, rnull = _comparand(right, left, as_text)
+    lvals, lnull = _side(left, right, as_text)
+    rvals, rnull = _side(right, left, as_text)
     mask = _either(lnull, rnull)
     if mask is True:
         return Column.nulls(Atom.BIT, length)
@@ -381,9 +361,9 @@ def _select(fire: Any, then_values: Any, values: Any, atom: Atom) -> np.ndarray:
     """``np.where(fire, then, else)``.  Two integer scalars are selected by
     arithmetic, ``else + fire * (then - else)``: NumPy's ``where`` branches
     per row and is several times slower on an unpredictable condition."""
-    if atom in _RANGE and np.ndim(fire) and not np.ndim(then_values) and not np.ndim(values):
+    if atom in INTEGER_RANGE and np.ndim(fire) and not np.ndim(then_values) and not np.ndim(values):
         step = int(then_values) - int(values)
-        if _RANGE[atom][0] <= step <= _RANGE[atom][1]:
+        if INTEGER_RANGE[atom][0] <= step <= INTEGER_RANGE[atom][1]:
             out = fire.astype(NUMPY_DTYPE[atom])
             out *= step
             out += values
@@ -402,7 +382,7 @@ def case(*operands: Any) -> Column:
         raise GDKError("case needs (condition, value) pairs and an otherwise")
     length = _operand_length(*operands)
     atom = widest(
-        branch.atom if isinstance(branch, Column) else scalar_atom(branch)
+        branch.atom if isinstance(branch, Column) else atom_for_python(branch)
         for branch in operands[1::2] + operands[-1:]
         if branch is not None
     ) or Atom.INT
@@ -412,9 +392,8 @@ def case(*operands: Any) -> Column:
         if isinstance(branch, Column):
             column = branch if branch.atom is atom else branch.cast(atom)
             return column.values, column.mask
-        if branch is None:
-            return np.zeros((), dtype=dtype) if atom is not Atom.STR else "", np.True_
-        return np.asarray(coerce_scalar(branch, atom), dtype=dtype), None
+        column = Column.constant(atom, branch, 1)  # None is NULL
+        return column.values.reshape(()), None if column.mask is None else np.True_
 
     values, nulls = payload(operands[-1])
     for condition, branch in zip(operands[-3::-2], operands[-2::-2]):
@@ -629,26 +608,31 @@ def scalar(name: str, *operands: Any) -> Any:
     """``calc.<name>`` over Python scalars: the kernel on one-row columns.
 
     One semantics at two granularities, but a BAT has a declared atom
-    and a scalar only what its value says: a ``numpy.int64`` is a
-    declared ``lng`` (a small ``lng`` result comes back as one), a plain
-    Python int — a literal, a bound parameter — types by magnitude, so
-    an ``int`` result that does not fit is recomputed in ``lng``.
+    and a scalar the one :func:`~repro.gdk.atoms.atom_for_python` gives
+    its value: a plain Python int — a literal, a bound parameter — types
+    by magnitude, so an ``int`` result that does not fit is recomputed
+    in ``lng``; a small ``lng`` result comes back as a ``numpy.int64``,
+    which keeps its width.  A CAST converts by the one rule of
+    :mod:`repro.gdk.atoms`, as ``Column.cast`` does.
     """
     kernel, columns = KERNELS[name][:2]
     first = next((i for i, v in enumerate(operands[:columns]) if v is not None), None)
     if first is None:
         return True if name == "isnil" else None
-    if name == "cast" and scalar_atom(operands[0]).value == operands[1]:
-        return operands[0]  # already of the target atom, like a column: passes through
+    if name == "cast" and atom_for_python(operands[0]).value == operands[1]:
+        # Already of the target atom, like a column: passes through (an
+        # int past lng types as a dbl but is one only once converted).
+        if type(operands[0]) is not int or operands[1] != "dbl":
+            return operands[0]
     promoted = list(operands)
-    promoted[first] = Column.constant(scalar_atom(operands[first]), operands[first], 1)
+    promoted[first] = Column.constant(atom_for_python(operands[first]), operands[first], 1)
     result = kernel(*promoted)
     value = result.get(0)
     if value is None:
         if result.atom is Atom.INT and name in _WIDENS and None not in operands:
             wide = (np.int64(v) if isinstance(v, (int, np.integer)) else v for v in operands)
             return scalar(name, *wide)
-    elif result.atom is Atom.LNG and -(2**31) <= value < 2**31:
+    elif result.atom is Atom.LNG and atom_for_python(value) is Atom.INT:
         return np.int64(value)  # keeps its width: a Python int types by magnitude
     return value
 
@@ -670,7 +654,7 @@ def result_atom(text: str, atoms: list) -> Optional[Atom]:
     def atom_of(ref: tuple) -> Optional[Atom]:
         kind, value = ref
         if kind == _CONST:
-            return None if value is None else scalar_atom(value)
+            return None if value is None else atom_for_python(value)
         return done[value] if kind == _STEP else atoms[value]
 
     for name, refs in steps:

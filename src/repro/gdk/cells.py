@@ -22,6 +22,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro.gdk.atoms import Atom, coerce_array
 from repro.gdk.column import Column
 
 Axis = tuple[int, int, int]
@@ -37,8 +38,9 @@ def _payload(coordinate: Coordinate) -> tuple[np.ndarray, Optional[np.ndarray]]:
         values, mask = coordinate.values, coordinate.mask
     else:
         values, mask = np.asarray(coordinate), None
-    if values.dtype.kind != "i":
-        values = values.astype(np.int64)
+    if values.dtype.kind != "i":  # a double truncates, NULL where not finite
+        source = Atom.DBL if values.dtype.kind == "f" else Atom.LNG
+        values, mask = coerce_array(values, mask, source, Atom.LNG)
     return values, mask
 
 

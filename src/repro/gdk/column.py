@@ -17,7 +17,7 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import GDKError
-from repro.gdk.atoms import NUMPY_DTYPE, Atom, coerce_scalar
+from repro.gdk.atoms import NUMPY_DTYPE, Atom, coerce_array, coerce_items, coerce_scalar
 
 
 class Column:
@@ -47,25 +47,9 @@ class Column:
     # ------------------------------------------------------------------
     @classmethod
     def from_pylist(cls, atom: Atom, items: Sequence[Any]) -> "Column":
-        """Build a column from Python scalars; ``None`` entries become NULL."""
-        n = len(items)
-        mask = np.zeros(n, dtype=np.bool_)
-        if atom is Atom.STR:
-            values = np.empty(n, dtype=object)
-            for i, item in enumerate(items):
-                if item is None:
-                    mask[i] = True
-                    values[i] = ""
-                else:
-                    values[i] = coerce_scalar(item, atom)
-        else:
-            values = np.zeros(n, dtype=NUMPY_DTYPE[atom])
-            for i, item in enumerate(items):
-                if item is None:
-                    mask[i] = True
-                else:
-                    values[i] = coerce_scalar(item, atom)
-        return cls(atom, values, mask if mask.any() else None)
+        """Build a column from Python scalars converted by the one rule
+        (:func:`~repro.gdk.atoms.coerce_scalar`); ``None`` is NULL."""
+        return cls(atom, *coerce_items(atom, items))
 
     @classmethod
     def empty(cls, atom: Atom) -> "Column":
@@ -77,11 +61,10 @@ class Column:
         """A column of *count* copies of one scalar (or NULL)."""
         if count < 0:
             raise GDKError("negative column length")
-        if value is None:
-            return cls.nulls(atom, count)
         coerced = coerce_scalar(value, atom)
-        values = np.full(count, coerced, dtype=NUMPY_DTYPE[atom])
-        return cls(atom, values)
+        if coerced is None:  # a number *atom* cannot hold
+            return cls.nulls(atom, count)
+        return cls(atom, np.full(count, coerced, dtype=NUMPY_DTYPE[atom]))
 
     @classmethod
     def nulls(cls, atom: Atom, count: int) -> "Column":
@@ -153,24 +136,11 @@ class Column:
         if self.mask is not None and self.mask[index]:
             return None
         value = self.values[index]
-        if self.atom is Atom.STR:
-            return str(value)
-        if self.atom is Atom.BIT:
-            return bool(value)
-        if self.atom is Atom.DBL:
-            return float(value)
-        return int(value)
+        return value.item() if isinstance(value, np.generic) else value
 
     def to_pylist(self) -> list[Any]:
         """Whole column as a list of Python scalars (``None`` for NULL)."""
-        if self.atom is Atom.STR:
-            out: list[Any] = [str(v) for v in self.values]
-        elif self.atom is Atom.BIT:
-            out = [bool(v) for v in self.values]
-        elif self.atom is Atom.DBL:
-            out = [float(v) for v in self.values]
-        else:
-            out = [int(v) for v in self.values]
+        out = self.values.tolist()
         if self.mask is not None:
             for i in np.flatnonzero(self.mask):
                 out[i] = None
@@ -307,32 +277,11 @@ class Column:
     # casting
     # ------------------------------------------------------------------
     def cast(self, atom: Atom) -> "Column":
-        """Convert the column to another atom type (NULLs preserved)."""
+        """The column converted to another atom by the one rule
+        (:func:`~repro.gdk.atoms.coerce_array`); NULLs stay NULL."""
         if atom is self.atom:
             return self.copy()
-        mask = None if self.mask is None else self.mask.copy()
-        if atom is Atom.STR:
-            items = [None if v is None else str(v) for v in self.to_pylist()]
-            return Column.from_pylist(Atom.STR, items)
-        if self.atom is Atom.STR:
-            return Column.from_pylist(
-                atom, [None if v is None else coerce_scalar(v, atom) for v in self.to_pylist()]
-            )
-        if atom in (Atom.INT, Atom.LNG, Atom.OID):
-            if self.atom is Atom.DBL:
-                safe = np.where(np.isfinite(self.values), self.values, 0.0)
-                values = np.trunc(safe).astype(NUMPY_DTYPE[atom])
-                bad = ~np.isfinite(self.values)
-                if bad.any():
-                    mask = (mask | bad) if mask is not None else bad
-            else:
-                values = self.values.astype(NUMPY_DTYPE[atom])
-            return Column(atom, values, mask)
-        if atom is Atom.DBL:
-            return Column(atom, self.values.astype(np.float64), mask)
-        if atom is Atom.BIT:
-            return Column(atom, self.values.astype(np.bool_), mask)
-        raise GDKError(f"unsupported cast {self.atom} -> {atom}")
+        return Column(atom, *coerce_array(self.values, self.mask, self.atom, atom))
 
 
 def columns_aligned(columns: Iterable[Column]) -> int:

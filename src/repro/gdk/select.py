@@ -39,30 +39,13 @@ import numpy as np
 
 from repro.errors import GDKError
 from repro.gdk import storage, zonemap
-from repro.gdk.atoms import Atom, coerce_scalar
+from repro.gdk.atoms import Atom, comparand
 from repro.gdk.bat import BAT
 from repro.gdk.column import Column
 from repro.gdk.dictenc import DictColumn
 
 #: comparison operators accepted by :func:`thetaselect`.
 THETA_OPS = ("==", "!=", "<", "<=", ">", ">=")
-
-
-def _comparand(value: Any, atom: Atom) -> Any:
-    """*value* in the type its comparison with an *atom* column runs in.
-
-    That is the column's atom, except that a non-integral number against
-    an integer column stays a double: the binder widened that comparison
-    and truncating the constant here would undo it (``v < 1.5`` is not
-    ``v < 1``).  NumPy and the zone-map verdicts then compare in double.
-    """
-    if (
-        atom in (Atom.INT, Atom.LNG, Atom.OID)
-        and isinstance(value, (float, np.floating))
-        and not float(value).is_integer()
-    ):
-        return float(value)
-    return coerce_scalar(value, atom)
 
 
 def _candidate_positions(b: BAT, candidates: BAT | None) -> tuple[np.ndarray, bool]:
@@ -221,7 +204,7 @@ def thetaselect(
         raise GDKError(f"unknown theta operator {op!r}")
     if value is None:
         return BAT.empty(Atom.OID)
-    coerced = _comparand(value, b.atom)
+    coerced = comparand(value, b.atom)
     tail = b.tail
     if isinstance(tail, DictColumn):
         predicate = _theta_code_predicate(tail.dictionary, coerced, op)
@@ -286,8 +269,8 @@ def rangeselect(
             return thetaselect(b, high, ">" if high_inclusive else ">=", candidates)
         return thetaselect(b, low, "<" if low_inclusive else "<=", candidates)
     tail = b.tail
-    lo = _comparand(low, b.atom)
-    hi = _comparand(high, b.atom)
+    lo = comparand(low, b.atom)
+    hi = comparand(high, b.atom)
     if isinstance(tail, DictColumn):
         # Half-open window [lo, hi) in code space.
         dictionary = tail.dictionary
@@ -333,7 +316,7 @@ def in_select(
     candidates: BAT | None = None,
 ) -> BAT:
     """Oids whose tail equals any of *values* (NULL members ignored)."""
-    concrete = [_comparand(v, b.atom) for v in values if v is not None]
+    concrete = [comparand(v, b.atom) for v in values if v is not None]
     if not concrete:
         return BAT.empty(Atom.OID)
     tail = b.tail

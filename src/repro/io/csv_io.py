@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any
 
-from repro.errors import SciQLError
+from repro.errors import DataError, SciQLError
 from repro.gdk.atoms import Atom
+from repro.gdk.column import Column
 from repro.engine import Connection
-from repro.engine.result import Result
 
 
 def _format_value(value: Any) -> str:
@@ -63,39 +63,26 @@ def export_csv(
     return result.row_count
 
 
-def _parse_typed(text: str, atom: Atom) -> Any:
-    if text == "":
-        return None
-    if atom in (Atom.INT, Atom.LNG):
-        return int(text)
-    if atom is Atom.DBL:
-        return float(text)
-    if atom is Atom.BIT:
-        return text.strip().lower() in ("true", "t", "1")
-    return text
+def _typed(atom: Atom, fields: list[str]) -> Column:
+    """One CSV column as *atom*: an empty field is NULL, every other
+    converts by the engine's one rule (text that does not parse raises
+    :class:`~repro.errors.DataError`)."""
+    return Column.from_pylist(atom, [field or None for field in fields])
+
+
+_INFERRED = ((Atom.INT, "INT"), (Atom.LNG, "BIGINT"), (Atom.DBL, "DOUBLE"), (Atom.BIT, "BOOLEAN"))
 
 
 def _infer_column_type(samples: list[str]) -> str:
-    """The narrowest SQL type accepting every non-empty sample."""
+    """The first of INT, BIGINT, DOUBLE and BOOLEAN that holds every
+    non-empty sample by the one rule, else VARCHAR(255)."""
     non_empty = [s for s in samples if s != ""]
-    if not non_empty:
-        return "VARCHAR(255)"
-
-    def all_parse(parser) -> bool:
-        for sample in non_empty:
-            try:
-                parser(sample)
-            except ValueError:
-                return False
-        return True
-
-    if all(s.strip().lower() in ("true", "false", "t", "f") for s in non_empty):
-        return "BOOLEAN"
-    if all_parse(int):
-        magnitude = max(abs(int(s)) for s in non_empty)
-        return "BIGINT" if magnitude >= 2**31 else "INT"
-    if all_parse(float):
-        return "DOUBLE"
+    for atom, name in _INFERRED if non_empty else ():
+        try:
+            if Column.from_pylist(atom, non_empty).mask is None:  # none is NULL
+                return name
+        except DataError:
+            pass
     return "VARCHAR(255)"
 
 
@@ -137,8 +124,6 @@ def import_csv(
             specs.append(f"{name} {_infer_column_type(samples)}")
         connection.execute(f"CREATE TABLE {table} ({', '.join(specs)})")
 
-    from repro.gdk.column import Column
-
     # Stage the whole load as one transaction: concurrent readers see
     # either no rows or all of them, never a half-loaded table.
     loaded = 0
@@ -150,11 +135,8 @@ def import_csv(
             batch = data[start : start + batch_rows]
             columns: dict[str, Column] = {}
             for index, (name, atom) in enumerate(zip(names, atoms)):
-                items = [
-                    _parse_typed(row[index] if index < len(row) else "", atom)
-                    for row in batch
-                ]
-                columns[name] = Column.from_pylist(atom, items)
+                items = [row[index] if index < len(row) else "" for row in batch]
+                columns[name] = _typed(atom, items)
             loaded += target.append_rows(columns)
     return loaded
 
@@ -173,10 +155,6 @@ def import_array_csv(
     semantics); all other cells are untouched.  Returns the number of
     cells written.
     """
-    import numpy as np
-
-    from repro.gdk.column import Column
-
     target = connection.catalog.get_array(array)
     path = Path(path)
     with path.open(newline="") as handle:
@@ -193,10 +171,7 @@ def import_array_csv(
             f"array CSV needs {expected} columns "
             f"({ndims} coordinates + {len(target.attributes)} attributes)"
         )
-    coordinates = [
-        np.array([int(row[i]) for row in rows], dtype=np.int64)
-        for i in range(ndims)
-    ]
+    coordinates = [_typed(Atom.LNG, [row[i] for row in rows]) for i in range(ndims)]
     with connection.staging() as txn:
         # Resolve the target and its cell oids inside the staged fork:
         # oids depend on the array shape, and a concurrent ALTER
@@ -208,14 +183,6 @@ def import_array_csv(
         valid = oids >= 0
         written = int(valid.sum())
         for offset, attribute in enumerate(target.attributes):
-            items = [
-                _parse_typed(row[ndims + offset], attribute.atom)
-                for row, ok in zip(rows, valid.tolist())
-                if ok
-            ]
-            target.replace_values(
-                attribute.name,
-                oids[valid],
-                Column.from_pylist(attribute.atom, items),
-            )
+            items = [row[ndims + offset] for row, ok in zip(rows, valid.tolist()) if ok]
+            target.replace_values(attribute.name, oids[valid], _typed(attribute.atom, items))
     return written

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import DatabaseError, PlanVerificationError
 from repro.gdk.aggregate import AGGREGATES, aggregate_atom
-from repro.gdk.atoms import Atom
-from repro.gdk.calc import result_atom, scalar_atom
+from repro.gdk.atoms import Atom, atom_for_python
+from repro.gdk.calc import result_atom
 from repro.mal.analysis.invariants import FragmentState
 from repro.mal.analysis.signatures import Operand, OpSignature, signature_table
 from repro.mal.program import Constant, Instruction, MALProgram, Param, Var
@@ -285,7 +285,7 @@ class _Checker:
                     atoms.append(mtype.atom if mtype else None)
                     bats += mtype is not None and mtype.kind == "bat"
                 elif isinstance(leaf, Constant) and leaf.value is not None:
-                    atoms.append(scalar_atom(leaf.value))
+                    atoms.append(atom_for_python(leaf.value))
                 else:
                     atoms.append(leaf.atom)
             inferred = result_atom(text.value, atoms)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from threading import Lock
 from typing import Any, Callable, Optional, Union
 
-from repro.errors import MALError
+from repro.errors import DataError, MALError
 from repro.catalog import Catalog
 from repro.gdk import storage as gdk_storage
 from repro.gdk.bat import BAT
@@ -188,7 +188,8 @@ def _execute(step: Step, values: list, context: ExecutionContext) -> None:
     poll, the arguments, the kernel, the budget charge, the results
     (workers write distinct slots).  Governance errors are raised
     outside the kernel's try-block so they keep their PEP 249 type
-    instead of being wrapped as :class:`MALError`."""
+    instead of being wrapped as :class:`MALError`, and so does a
+    kernel's :class:`DataError` (a value that does not convert)."""
     query, op = context.query, step.instruction
     if query is not None:
         query.check()
@@ -203,7 +204,7 @@ def _execute(step: Step, values: list, context: ExecutionContext) -> None:
         args[position] = context.params[key]
     try:
         output = step.fn(context, *args)
-    except MALError:
+    except (MALError, DataError):
         raise
     except Exception as exc:  # surface kernel errors with MAL context
         raise MALError(f"{op.module}.{op.function} failed: {exc}") from exc

@@ -35,9 +35,9 @@ scans) takes ``array.cellindex`` plus the gather.
 ``array.cellindex`` also takes one *scalar* per dimension: that is how
 a predicate pinning every dimension of a scanned array (``WHERE x = ?
 AND y = ?``) lowers, and it answers the zero or one oid of the cell
-those values name by arithmetic, with no scan.  Each scalar is coerced
-as ``algebra.thetaselect`` coerces its value against the dimension BAT
-(the same ``select._comparand``), so both forms select the same cell;
+those values name by arithmetic, with no scan.  Each scalar is typed
+as ``algebra.thetaselect`` types its value against the dimension BAT
+(the same ``atoms.comparand``), so both forms select the same cell;
 a NULL, non-integral, off-step or out-of-range value names none.
 """
 
@@ -49,11 +49,10 @@ from typing import Any
 import numpy as np
 
 from repro.errors import GDKError, MALError
-from repro.gdk.atoms import Atom, atom_for_python, coerce_scalar
+from repro.gdk.atoms import Atom, atom_for_python, comparand
 from repro.gdk.bat import BAT, partition_bounds
 from repro.gdk.cells import cell_position, cell_positions
 from repro.gdk.column import Column
-from repro.gdk.select import _comparand
 from repro.core.tiling import TileSpec, tile_aggregate, tile_aggregate_fragment
 from repro.mal.modules import cached_loads, mal_op
 
@@ -84,8 +83,7 @@ def filler_column(count: int, value: Any, atom: Atom | None = None) -> Column:
         raise GDKError("array.filler needs a non-negative count")
     if value is None:
         return Column.nulls(atom or Atom.INT, count)
-    resolved = atom or atom_for_python(value)
-    return Column.constant(resolved, coerce_scalar(value, resolved), count)
+    return Column.constant(atom or atom_for_python(value), value, count)
 
 
 @mal_op("array", "series", sig="scalar, scalar, scalar, int, int -> bat")
@@ -155,7 +153,7 @@ def _cellindex(ctx, shape_json: str, dims_json: str, *coordinates):
         return BAT.from_oids(cell_positions([b.tail for b in coordinates], axes))
     if bats:
         raise MALError("array.cellindex: coordinates must be all BATs or all scalars")
-    # Every integral atom coerces alike; INT names the usual dimension
-    # type in the error a non-numeric value raises.
-    position = cell_position([_comparand(c, Atom.INT) for c in coordinates], axes)
+    # Every integral atom types a comparand alike; INT names the usual
+    # dimension type in the error a non-numeric value raises.
+    position = cell_position([comparand(c, Atom.INT) for c in coordinates], axes)
     return BAT.from_oids(np.array([] if position is None else [position], dtype=np.int64))

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MALError
-from repro.gdk.atoms import Atom, common_numeric, is_numeric
+from repro.gdk.atoms import Atom, atom_for_python, is_numeric, widest
 from repro.gdk.bat import BAT
-from repro.gdk.calc import scalar_atom
 from repro.gdk.column import Column
 from repro.mal.modules import mal_op
 
@@ -32,12 +31,17 @@ def _pack(ctx, *values):
     """Materialise scalars into a single-column BAT (VALUES rows)."""
     if not values:
         raise MALError("bat.pack needs at least one value")
-    sample = next((v for v in values if v is not None), None)
-    if sample is None:
-        return BAT(Column.nulls(Atom.INT, len(values)))
-    # A declared lng (COUNT, SUM, a BIGINT column's MIN) arrives as a
-    # ``numpy.int64`` and keeps its width; a Python int types by magnitude.
-    return BAT(Column.from_pylist(scalar_atom(sample), list(values)))
+    atoms = [atom_for_python(v) for v in values if v is not None]
+    return BAT(Column.from_pylist(_common_atom(atoms), list(values)))
+
+
+def _common_atom(atoms: list) -> Atom:
+    """Numbers widen, so each keeps its value (``VALUES (1), (2**33)``
+    is lng, ``0 + ?`` bound to ``2.5`` dbl); any other mix takes the
+    first atom, which converts the rest; no atom at all is int."""
+    if all(map(is_numeric, atoms)):
+        return widest(atoms) or Atom.INT
+    return atoms[0]
 
 
 @mal_op("bat", "getcount", sig="bat -> scalar")
@@ -51,19 +55,16 @@ def _project_const(ctx, b: BAT, value, atom_name: str | None = None):
 
     The result keeps *b*'s head, so a fragment's constant column lines
     up with the fragment's candidate lists.  *atom_name* is the static
-    atom; the value decides where there is none (an untyped bind
-    parameter) and where it is wider (``0 + ?`` bound to ``2.5`` is a
-    double, as it would be inside an expression).
+    atom; the value's own atom (:func:`~repro.gdk.atoms.atom_for_python`)
+    decides where there is none (an untyped bind parameter) and where it
+    is wider (``0 + ?`` bound to ``2.5`` is a double, as it would be
+    inside an expression).  ``Column.constant`` converts the value by
+    the one rule, so one that the atom cannot hold is NULL.
     """
-    if value is None:
-        atom = Atom(atom_name) if atom_name else Atom.INT
-        return BAT(Column.nulls(atom, len(b)), b.hseqbase)
-    atom = scalar_atom(value)
-    if atom_name and is_numeric(atom) and is_numeric(Atom(atom_name)):
-        atom = common_numeric(atom, Atom(atom_name))
-    elif atom_name:
-        atom = Atom(atom_name)
-    return BAT(Column.constant(atom, value, len(b)), b.hseqbase)
+    atoms = [Atom(atom_name)] if atom_name else []
+    if value is not None:
+        atoms.append(atom_for_python(value))
+    return BAT(Column.constant(_common_atom(atoms), value, len(b)), b.hseqbase)
 
 
 @mal_op("bat", "mergecand", sig="cand+ -> cand")

@@ -70,11 +70,47 @@ class TestCsvImport:
             ("alice",)
         ]
 
+    def test_boolean_fields_parse_like_cast(self, conn, tmp_path):
+        conn.execute("CREATE TABLE f (k INT, flag BOOLEAN)")
+        path = tmp_path / "flags.csv"
+        path.write_text("k,flag\n1,T\n2, false \n3,1\n4,\n")
+        assert import_csv(conn, "f", path) == 4
+        assert conn.execute("SELECT flag FROM f ORDER BY k").column("flag") == [
+            True, False, True, None,
+        ]
+        path.write_text("k,flag\n5,yes\n")
+        with pytest.raises(repro.DataError, match="'yes' to bit"):
+            import_csv(conn, "f", path)
+        assert conn.execute("SELECT COUNT(*) FROM f").scalar() == 4
+
+    def test_numbers_follow_the_one_rule(self, conn, tmp_path):
+        conn.execute("CREATE TABLE g (i INT)")
+        path = tmp_path / "ints.csv"
+        path.write_text("i\n7\n8589934592\n")
+        assert import_csv(conn, "g", path) == 2
+        assert conn.execute("SELECT i FROM g").column("i") == [7, None]
+        path.write_text("i\nseven\n")
+        with pytest.raises(repro.DataError):
+            import_csv(conn, "g", path)
+
     def test_import_bigint_inference(self, conn, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text(f"v\n{2**40}\n")
         import_csv(conn, "big", path, create=True)
         assert conn.execute("SELECT v FROM big").scalar() == 2**40
+
+    def test_inference_types_by_the_one_rule(self, conn, tmp_path):
+        """Each column gets the first of INT, BIGINT, DOUBLE, BOOLEAN
+        that holds every field: ``-2**31`` fits INT, an int past BIGINT
+        loads as the DOUBLE it rounds to instead of NULL."""
+        path = tmp_path / "kinds.csv"
+        path.write_text(f"i,b,d,t\n{-(2**31)},{2**31},{2**64},1\n0,0,1,t\n")
+        import_csv(conn, "kinds", path, create=True)
+        atoms = [c.atom.value for c in conn.catalog.get_table("kinds").columns]
+        assert atoms == ["int", "lng", "dbl", "bit"]
+        assert conn.execute("SELECT i, b, d, t FROM kinds").rows()[0] == (
+            -(2**31), 2**31, 2.0**64, True,
+        )
 
     def test_roundtrip(self, obs_conn, tmp_path):
         path = tmp_path / "rt.csv"

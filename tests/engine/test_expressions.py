@@ -8,7 +8,7 @@ import pytest
 
 import repro
 from repro import ResourceError
-from repro.errors import SemanticError
+from repro.errors import DataError, SemanticError
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -82,6 +82,53 @@ class TestIntegerArithmetic:
         assert self.column(numbers, "i / -1") == [-5, -INT_MAX, None, None, 7]
         # A BIGINT operand widens the result instead.
         assert self.column(numbers, "i + CAST(1 AS BIGINT)")[1] == INT_MAX + 1
+        # A value that changes atom follows the same rule: NULL where
+        # it does not fit, in a CAST and in a write alike.
+        assert numbers.execute("SELECT CAST(8589934592 AS INT)").scalar() is None
+        assert self.column(numbers, "CAST(b AS INT)") == [None] * 5
+        assert self.column(numbers, "CAST(b / 4294967296 AS INT)") == [
+            2**21, 2**28, -INT_MAX - 1, INT_MAX, None,
+        ]
+        numbers.execute("CREATE TABLE dn (k INT, d DOUBLE)")
+        numbers.executemany(
+            "INSERT INTO dn VALUES (?, ?)",
+            [(0, 1e12), (1, -2.7), (2, math.inf), (3, math.nan), (4, -(2.0**31))],
+        )
+        doubles = "SELECT CAST(d AS INT) AS c FROM dn ORDER BY k"
+        assert numbers.execute(doubles).column("c") == [None, -2, None, None, -INT_MAX - 1]
+        numbers.execute("INSERT INTO n (k, i) SELECT k + 10, b FROM n")
+        copied = "SELECT i FROM n WHERE k >= 10 ORDER BY k"
+        assert numbers.execute(copied).column("i") == [None] * 5
+        assert numbers.execute("UPDATE n SET i = b WHERE k < 10").affected == 5
+        assert self.column(numbers, "i")[:5] == [None] * 5
+        # A bound value is written alike, one row at a time or in bulk.
+        numbers.execute("CREATE TABLE f (i INT, t BOOLEAN)")
+        numbers.execute("INSERT INTO f VALUES (?, ?)", (2**33, True))
+        numbers.executemany("INSERT INTO f VALUES (?, ?)", [(2**33, True)])
+        assert numbers.execute("SELECT i, t FROM f").rows() == [(None, True)] * 2
+        # VALUES rows pack in their widest atom: no row is first
+        # narrowed to the atom of the one before it.
+        numbers.execute("CREATE TABLE w (b BIGINT)")
+        numbers.execute("INSERT INTO w VALUES (1), (8589934592)")
+        numbers.execute("INSERT INTO w VALUES (?), (?)", (1, 2**33))
+        numbers.execute("INSERT INTO w VALUES (?), (?)", (1, 2.5))
+        assert numbers.execute("SELECT b FROM w").column("b") == [1, 2**33, 1, 2**33, 1, 2]
+        # An int literal past lng is a double; a bound one is no value.
+        assert numbers.execute("SELECT CAST(18446744073709551616 AS DOUBLE)").scalar() == 2.0**64
+        assert numbers.execute("SELECT CAST(18446744073709551616 AS BIGINT)").scalar() is None
+        with pytest.raises(DataError):
+            numbers.execute("INSERT INTO w VALUES (?)", (2**64,))
+        with pytest.raises(DataError):
+            numbers.executemany("INSERT INTO w VALUES (?)", [(2**64,)])
+
+    @pytest.mark.parametrize("function", ["FLOOR", "CEIL", "CEILING", "ROUND"])
+    def test_integer_rounding_is_the_operand(self, numbers, function):
+        """Rounding an integer is exact however wide: no trip through
+        float64 (which makes ``FLOOR(2**60 + 1)`` ``2**60``)."""
+        for column in ("i", "b"):
+            assert self.column(numbers, f"{function}({column})") == self.column(numbers, column)
+        scalar = numbers.execute(f"SELECT {function}(CAST(1152921504606846977 AS BIGINT))")
+        assert scalar.scalar() == 2**60 + 1
 
     @pytest.mark.parametrize(
         "sql, params, expected",

@@ -336,6 +336,13 @@ class TestRegisterArray:
         assert get("longs").attribute_def("v").atom.value == "lng"
         assert get("bools").attribute_def("v").atom.value == "bit"
 
+    def test_unsigned_past_bigint_is_null_not_wrapped(self, aconn):
+        values = np.array([7, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        aconn.register_array("big", values, dims=("t",))
+        assert aconn.catalog.get_array("big").attribute_def("v").atom.value == "lng"
+        stored = aconn.execute("SELECT v FROM big ORDER BY t").column("v")
+        assert stored == [7, 2**63 - 1, None, None]
+
     def test_multiple_attributes(self, aconn):
         aconn.register_array(
             "rgb",

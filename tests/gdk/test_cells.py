@@ -135,3 +135,11 @@ class TestCellPositions:
     def test_double_coordinates_truncate(self):
         positions = cells.cell_positions([np.array([0.0, 1.9, 7.0])], [(0, 1, 6)])
         assert positions.tolist() == [0, 1, -1]
+
+    def test_non_finite_and_huge_double_coordinates_name_no_cell(self):
+        # The conversion rule: NULL, not a value wrapped through int64.
+        with np.errstate(all="raise"):
+            positions = cells.cell_positions(
+                [np.array([np.nan, np.inf, -np.inf, 1e30, 2.5])], [(0, 1, 6)]
+            )
+        assert positions.tolist() == [-1, -1, -1, -1, 2]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.errors import Error, InterfaceError, ProgrammingError
+from repro.errors import DataError, Error, InterfaceError, ProgrammingError
 
 PEOPLE = [(1, "ada", 9.5), (2, "grace", 8.0), (3, "edsger", None)]
 
@@ -335,6 +335,27 @@ class TestConformance:
                 statement.execute((value,))
         # A rejected binding leaves the session usable.
         assert session.execute("SELECT COUNT(*) FROM t").scalar() == 4
+
+    @pytest.mark.parametrize(
+        "sql, params, many",
+        [
+            ("SELECT a FROM t WHERE a = ?", ("x",), False),
+            ("SELECT CAST('yes' AS BOOLEAN)", (), False),
+            ("INSERT INTO t VALUES (?, ?, ?)", [("x", "z", 0.0)], True),
+            ("INSERT INTO t VALUES (?, ?, ?)", [(9, 2**64, 0.0)], True),
+        ],
+    )
+    def test_a_value_that_does_not_convert_is_a_data_error(self, session, sql, params, many):
+        with pytest.raises(DataError):
+            if many:
+                session.executemany(sql, params)
+            else:
+                session.execute(sql, params)
+        with pytest.raises(DataError):
+            session.cursor().execute(sql, params[0] if many else params)
+        # ... and leaves the session usable, the table unchanged.
+        assert session.execute("SELECT COUNT(*) FROM t").scalar() == 4
+        assert session.execute("SELECT a FROM t WHERE a = ?", ("2",)).scalar() == 2
 
     # -- prepared statements -------------------------------------------
     def test_prepare_execute(self, session):

@@ -181,6 +181,19 @@ class TestRules:
         path.write_text(memos, encoding="utf-8")
         assert lint.lint_paths([path]) == []
 
+    def test_coerce_scalar_is_imported_by_its_owners_only(self, tmp_path):
+        imports = (
+            "from repro.gdk.atoms import Atom, coerce_scalar\n"
+            "from .atoms import coerce_scalar as convert\n"
+            "from repro.gdk.atoms import comparand, coerce_items\n"
+        )
+        assert rules_in(tmp_path, imports) == ["one-coercion"] * 2
+        for owner in ("atoms.py", "column.py"):
+            path = tmp_path / "repro" / "gdk" / owner
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(imports, encoding="utf-8")
+            assert lint.lint_paths([path]) == []
+
     def test_syntax_errors_are_reported_not_raised(self, tmp_path):
         assert rules_in(tmp_path, "def broken(:\n") == ["syntax"]
 

@@ -34,6 +34,10 @@ AST-based checks over ``src/repro`` (and this ``tools`` directory):
   ``delattr``: what is memoised per program (its linked plan) has one
   declared home, ``MALProgram.linked``.  A program is any expression
   whose last name contains ``program``;
+* ``one-coercion`` — only ``gdk/atoms.py`` and ``gdk/column.py``
+  import ``coerce_scalar``: a value changes atom by the one rule, which
+  everything else reaches through ``Column`` (``from_pylist``,
+  ``constant``, ``cast``) or ``atoms.comparand``;
 * ``orphan-op``     — every registered MAL op is emitted by the MAL
   generator, an optimizer pass or the engine: its ``"module",
   "function"`` pair appears literally in a call or tuple under
@@ -82,6 +86,9 @@ SERIAL_OWNERS = {
 #: the digest oracle spells the schema out on purpose: it must not
 #: share code with what it checks.
 SERIAL_ALLOWED = ("repro/testing/verify.py",)
+
+#: the modules that may import the scalar conversion rule.
+COERCION_MODULES = ("repro/gdk/atoms.py", "repro/gdk/column.py")
 
 #: the one module that may give a MAL program private attributes.
 PROGRAM_MODULE = "repro/mal/program.py"
@@ -232,6 +239,22 @@ def _check_imports(tree: ast.AST, path: Path, findings: list[Finding]) -> None:
                         f"import of {root} — serialize explicitly instead",
                     )
                 )
+
+
+def _check_coercion_imports(tree: ast.AST, path: Path, findings: list[Finding]) -> None:
+    if path.as_posix().endswith(COERCION_MODULES):
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(
+            alias.name == "coerce_scalar" for alias in node.names
+        ):
+            findings.append(
+                Finding(
+                    path, node.lineno, "one-coercion",
+                    "import of coerce_scalar outside gdk/atoms.py and gdk/column.py "
+                    "— convert through Column or atoms.comparand",
+                )
+            )
 
 
 def _check_bare_except(tree: ast.AST, path: Path, findings: list[Finding]) -> None:
@@ -495,6 +518,7 @@ def lint_paths(paths: list[Path]) -> list[Finding]:
         _check_env(tree, path, findings)
         _check_crash_points(tree, path, registered, findings)
         _check_imports(tree, path, findings)
+        _check_coercion_imports(tree, path, findings)
         _check_bare_except(tree, path, findings)
         _check_fsync_rename(tree, path, lines, findings)
         _check_expression_walkers(tree, path, classes, findings)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The README "Typing rules" table, generated from the engine's typing tables.
+"""The README "Typing rules" tables, generated from the engine's own rules.
 
 Rows come from what the binder itself reads: the SQL-operator and
 scalar-function maps of ``repro.semantic.binder``, the typing column of
@@ -9,9 +9,14 @@ each row lists the result atom for a fixed set of operand atoms
 (``NULL`` is an untyped NULL or ``?``), so the table cannot say anything
 the table in ``src/`` does not.
 
-``python tools/typing_rules.py`` prints the table, ``--write`` syncs it
-between the README's ``<!-- typing-table -->`` markers and ``--check``
-(CI's lint leg, ``tests/tools``) fails when it is stale.
+A second table shows the one conversion rule of ``repro.gdk.atoms`` the
+same way: each cell is what ``Column.cast`` makes of a probe value of
+one atom (``DataError`` where the text does not parse).
+
+``python tools/typing_rules.py`` prints the tables, ``--write`` syncs
+them between the README's ``<!-- typing-table -->`` and
+``<!-- conversion-table -->`` markers and ``--check`` (CI's lint leg,
+``tests/tools``) fails when one is stale.
 """
 
 from __future__ import annotations
@@ -22,20 +27,33 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.errors import TypeError_  # noqa: E402
+from repro.errors import DataError, TypeError_  # noqa: E402
 from repro.gdk import calc  # noqa: E402
 from repro.gdk.aggregate import AGGREGATES, aggregate_atom  # noqa: E402
 from repro.gdk.atoms import Atom  # noqa: E402
+from repro.gdk.column import Column  # noqa: E402
 from repro.semantic.binder import OP_NAMES, SCALAR_FUNCTIONS  # noqa: E402
 
 TABLE_BEGIN = "<!-- typing-table:begin -->"
 TABLE_END = "<!-- typing-table:end -->"
+CONVERSION_BEGIN = "<!-- conversion-table:begin -->"
+CONVERSION_END = "<!-- conversion-table:end -->"
 
 I, L, D, S, B, N = Atom.INT, Atom.LNG, Atom.DBL, Atom.STR, Atom.BIT, None
 BINARY_PROBES = [(I, I), (I, L), (L, D), (I, N), (N, N), (S, S), (S, I)]
 UNARY_PROBES = [(I,), (L,), (D,), (N,), (S,)]
 #: CASE WHEN c THEN x ELSE y END: operands (c, x, y).
 CASE_PROBES = [(B, I, I), (B, I, L), (B, I, D), (B, I, N), (B, N, N), (B, S, S), (B, S, I)]
+
+
+#: (value, its atom): fits everywhere, out of range, an int past lng
+#: (a dbl), fractional, non-finite, text that parses as one atom only,
+#: text that parses as none, NULL.
+CONVERSION_PROBES = [
+    (2147483647, I), (8589934592, L), (2**64, D), (-2.7, D), (1e12, D), (float("inf"), D),
+    (float("nan"), D), (True, B), ("42", S), ("t", S), ("yes", S), (None, I),
+]
+CONVERSION_TARGETS = (I, L, D, B, S)
 
 
 def _name(atom) -> str:
@@ -108,6 +126,32 @@ def rows() -> list[tuple[str, str, str]]:
     return out
 
 
+def _shown(value) -> str:
+    if value is None:
+        return "NULL"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value)
+
+
+def conversion_table() -> str:
+    """What the one conversion rule makes of each probe, per target atom."""
+    lines = [
+        "| value (atom) | " + " | ".join(f"→ {atom.value}" for atom in CONVERSION_TARGETS) + " |",
+        "| --- " * (len(CONVERSION_TARGETS) + 1) + "|",
+    ]
+    for value, source in CONVERSION_PROBES:
+        column = Column.from_pylist(source, [value])
+        cells = []
+        for target in CONVERSION_TARGETS:
+            try:
+                cells.append(_shown(column.cast(target).get(0)))
+            except DataError:
+                cells.append("DataError")
+        lines.append(f"| `{_shown(value)}` ({source.value}) | " + " | ".join(cells) + " |")
+    return "\n".join(lines)
+
+
 def markdown_table() -> str:
     lines = ["| SQL | kernel | result atom (operand atoms → result) |", "| --- | --- | --- |"]
     lines += [
@@ -118,16 +162,18 @@ def markdown_table() -> str:
 
 
 def sync_readme(path: Path, write: bool = False) -> bool:
-    """Whether the README table matches the typing tables; *write* syncs it."""
-    text = path.read_text(encoding="utf-8")
-    begin = text.index(TABLE_BEGIN) + len(TABLE_BEGIN)
-    end = text.index(TABLE_END)
-    wanted = markdown_table()
-    if text[begin:end].strip() == wanted:
-        return True
-    if write:
-        path.write_text(text[:begin] + "\n" + wanted + "\n" + text[end:], encoding="utf-8")
-    return False
+    """Whether the README tables match the engine's rules; *write* syncs them."""
+    text = original = path.read_text(encoding="utf-8")
+    for begin_marker, end_marker, table in (
+        (TABLE_BEGIN, TABLE_END, markdown_table),
+        (CONVERSION_BEGIN, CONVERSION_END, conversion_table),
+    ):
+        begin = text.index(begin_marker) + len(begin_marker)
+        end = text.index(end_marker)
+        text = text[:begin] + "\n" + table() + "\n" + text[end:]
+    if write and text != original:
+        path.write_text(text, encoding="utf-8")
+    return text == original
 
 
 def main(argv: list[str]) -> int:
@@ -138,9 +184,9 @@ def main(argv: list[str]) -> int:
     if "--check" in argv:
         if sync_readme(readme):
             return 0
-        print("README typing table is stale; run: python tools/typing_rules.py --write")
+        print("README typing tables are stale; run: python tools/typing_rules.py --write")
         return 1
-    print(markdown_table())
+    print(markdown_table() + "\n\n" + conversion_table())
     return 0
 
 
