@@ -45,8 +45,10 @@ narrowest of int32 / int64 that ``cells_per_tile · max|v|`` (two
 reductions over the cells) proves cannot wrap — int32 only for cells
 no wider than that — and are widened once at the end; past int64 the
 same kernels run on Python integers and a sum that does not fit
-``lng`` is NULL, the engine's element-wise overflow rule.  ``prod``
-has no such proof: integer products wrap in int64.  Without NULL
+``lng`` is NULL, the engine's element-wise overflow rule.  Integer
+``prod`` follows the same rule: int64 when ``max|v| ** cells_per_tile``
+fits ``lng``, Python integers otherwise, and a product past ``lng`` is
+NULL, as grouped and scalar ``PROD`` are.  Without NULL
 cells the counts stay per-axis vectors: they multiply straight into
 the ``avg`` result's buffer as its divisor, and no per-anchor
 validity grid is built unless an anchor's tile lies wholly outside.
@@ -482,13 +484,22 @@ def _sum_dtype(cells: np.ndarray, terms: int) -> np.dtype:
     return np.dtype(object)
 
 
+def _prod_dtype(cells: np.ndarray, terms: int) -> np.dtype:
+    """Accumulator of a product of *terms* cells: the cells' own float
+    dtype, int64 where ``max|v| ** terms`` fits ``lng`` (so no partial
+    product can wrap), Python integers otherwise."""
+    if cells.dtype.kind == "f":
+        return cells.dtype
+    peak = max(-int(cells.min()), int(cells.max())) if cells.size else 0
+    return np.dtype(np.int64) if peak <= 1 or peak**terms <= _LNG_MAX else np.dtype(object)
+
+
 def _fold_plan(cells: np.ndarray, aggregate: str, terms: int):
     """(ufunc, identity, accumulator dtype) of one aggregate."""
     if aggregate in ("sum", "avg"):
         return np.add, 0, _sum_dtype(cells, terms)
     if aggregate == "prod":
-        wide = cells.dtype if cells.dtype.kind == "f" else np.dtype(np.int64)
-        return np.multiply, 1, wide
+        return np.multiply, 1, _prod_dtype(cells, terms)
     maximum = aggregate == "max"
     return (
         np.maximum if maximum else np.minimum,
@@ -522,7 +533,7 @@ def _finalize(
         out_atom = Atom.DBL
     else:
         result = acc
-        if acc.dtype == object:  # exact sums: one that leaves lng is NULL
+        if acc.dtype == object:  # exact totals: one that leaves lng is NULL
             overflow = np.asarray((acc < _LNG_MIN) | (acc > _LNG_MAX), dtype=np.bool_)
             result = np.where(overflow, 0, acc).astype(np.int64)
         out_atom = aggregate_atom(aggregate, input_atom)
@@ -731,9 +742,8 @@ def brute_force_tile_aggregate(
 ) -> list:
     """O(anchors × tile) reference implementation for property tests.
 
-    It pins the kernels' integer rule: a ``sum`` that does not fit
-    ``lng`` is NULL; ``prod`` wraps into int64 (two's complement) like
-    the vectorized kernels' accumulators do.
+    It pins the kernels' integer rule: a ``sum`` or ``prod`` that does
+    not fit ``lng`` is NULL.
     """
     data = values.to_pylist()
     integral = values.atom is not Atom.DBL
@@ -761,7 +771,8 @@ def brute_force_tile_aggregate(
             product = 1
             for value in cell_values:
                 product *= value
-            out.append((product + 2**63) % 2**64 - 2**63 if integral else product)
+            fits = not integral or _LNG_MIN <= product <= _LNG_MAX
+            out.append(product if fits else None)
         else:
             raise GDKError(f"unsupported aggregate {aggregate!r}")
     return out

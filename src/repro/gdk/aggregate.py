@@ -104,14 +104,16 @@ def _sums_stay_below(values: np.ndarray, limit: int) -> bool:
     return rows * max(-int(values.min()), int(values.max())) < limit
 
 
-class ExactSums(Column):
-    """An ``lng`` SUM column some of whose totals do not fit ``lng``.
+class ExactTotals(Column):
+    """An ``lng`` SUM or PROD column some of whose totals do not fit ``lng``.
 
     Readers see those totals as NULL — the element-wise overflow rule —
     while ``exact`` keeps every total as a Python integer (``None`` for
-    a group without input).  Per-fragment partial sums travel this way
-    through ``mat.pack`` so that the merge adds the true totals and
-    applies the rule once, to the merged one.
+    a group without input).  Per-fragment partials travel this way
+    through ``mat.pack`` so that the merge combines the true totals and
+    applies the rule once, to the merged one.  (A product past ``lng``
+    is kept as any value past ``lng`` of its sign: multiplied by another
+    partial it stays past, unless that partial is 0.)
     """
 
     __slots__ = ("exact",)
@@ -121,10 +123,10 @@ class ExactSums(Column):
         self.exact = exact
 
     @classmethod
-    def pack(cls, parts: list[Column]) -> "ExactSums":
-        """Concatenate partial-sum columns, keeping every exact total."""
+    def pack(cls, parts: list[Column]) -> "ExactTotals":
+        """Concatenate partial columns, keeping every exact total."""
         exact = [
-            part.exact if isinstance(part, ExactSums)
+            part.exact if isinstance(part, ExactTotals)
             else np.where(part.effective_mask(), None, part.values.astype(object))
             for part in parts
         ]
@@ -135,30 +137,85 @@ class ExactSums(Column):
         )
 
 
+def _exact_inputs(
+    column: Column, grouping: Grouping, partials: bool
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """``(group ids, ngroups, values)`` of the non-NULL grouped rows of
+    an integer column.  Only over packed fragment *partials* do the
+    exact totals an :class:`ExactTotals` carries count instead of its
+    NULL mask; anywhere else (a derived table's SUM column, say) an
+    overflowed total is the NULL SQL reports."""
+    exact = column.exact if partials and isinstance(column, ExactTotals) else None
+    if exact is None:
+        positions, ids, ngroups = _prepare(column, grouping)
+        return ids, ngroups, column.values[positions]
+    if len(exact) != len(grouping.groups):
+        raise GDKError("aggregate input not aligned with grouping")
+    ids = grouping.groups.values
+    present = np.fromiter((total is not None for total in exact), np.bool_, len(exact))
+    positions = np.flatnonzero((ids >= 0) & present)
+    return ids[positions], grouping.ngroups, exact[positions]
+
+
 def _exact_totals(
     column: Column, grouping: Grouping, partials: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-group totals of an integer column, and which groups had
     no input.  Totals accumulate in int64 while that provably cannot
-    wrap and in Python integers past it.  Only over packed fragment
-    *partials* do the exact totals an :class:`ExactSums` carries count
-    instead of its NULL mask; anywhere else (a derived table's SUM
-    column, say) an overflowed total is the NULL SQL reports."""
-    exact = column.exact if partials and isinstance(column, ExactSums) else None
-    if exact is None:
-        positions, ids, ngroups = _prepare(column, grouping)
-        values = column.values[positions]
-    else:
-        if len(exact) != len(grouping.groups):
-            raise GDKError("aggregate input not aligned with grouping")
-        ids = grouping.groups.values
-        present = np.fromiter((total is not None for total in exact), np.bool_, len(exact))
-        positions = np.flatnonzero((ids >= 0) & present)
-        ids, ngroups, values = ids[positions], grouping.ngroups, exact[positions]
+    wrap and in Python integers past it."""
+    ids, ngroups, values = _exact_inputs(column, grouping, partials)
     exact_int64 = values.dtype != object and _sums_stay_below(values, 2**63)
     totals = np.zeros(ngroups, dtype=np.int64 if exact_int64 else object)
     np.add.at(totals, ids, values.astype(totals.dtype, copy=False))
     return totals, np.bincount(ids, minlength=ngroups) == 0
+
+
+def _exact_products(
+    column: Column, grouping: Grouping, partials: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group products of an integer column, exact wherever they fit
+    ``lng``, and which groups had no input (see :func:`_products`)."""
+    ids, ngroups, values = _exact_inputs(column, grouping, partials)
+    return _products(values, ids, ngroups), np.bincount(ids, minlength=ngroups) == 0
+
+
+def _products(values: np.ndarray, ids: np.ndarray, ngroups: int) -> np.ndarray:
+    """Per-group integer products: int64 when each provably fits, else
+    an object array of Python integers exact wherever they fit ``lng``.
+
+    A group whose factors' ``ceil(log2 |v|)`` sum to at most 62 cannot
+    wrap at any step (no factor of an integer product shrinks it), so
+    it multiplies in int64.  Any other group is 0 with a zero factor;
+    otherwise ±1 factors only flip its sign and 64 or more factors of
+    magnitude ≥ 2 put it past ``lng`` (≥ 2**64, kept as ±2**64), so at
+    most 63 factors per group multiply as Python integers.
+    """
+    fits = np.zeros(ngroups, dtype=np.bool_)
+    out = np.ones(ngroups, dtype=object)
+    if values.dtype != object:
+        magnitude = np.abs(values.astype(np.float64))
+        mantissa, exponent = np.frexp(magnitude)
+        # 2**k has exponent k+1; above 2**53 the double may have rounded.
+        bits = exponent - ((mantissa == 0.5) & (magnitude < 2.0**53))
+        fits = np.bincount(ids, weights=bits, minlength=ngroups) <= 62
+        fast = fits[ids]
+        prods = np.ones(ngroups, dtype=np.int64)
+        np.multiply.at(prods, ids[fast], values[fast].astype(np.int64))
+        if fits.all():
+            return prods
+        out[fits] = prods[fits].tolist()
+        ids, values = ids[~fast], values[~fast].astype(object)
+    has_zero = np.bincount(ids, weights=values == 0, minlength=ngroups) > 0
+    negative = np.bincount(ids, weights=values < 0, minlength=ngroups) % 2 == 1
+    big = np.abs(values) >= 2
+    past = np.bincount(ids[big], minlength=ngroups) >= 64
+    rest = big & ~(has_zero | past)[ids]
+    for group_id, value in zip(ids[rest].tolist(), values[rest].tolist()):
+        out[group_id] *= abs(value)
+    out[past] = 2**64
+    out[negative & ~fits] *= -1
+    out[has_zero] = 0
+    return out
 
 
 def grouped_sum(column: Column, grouping: Grouping) -> Column:
@@ -166,17 +223,17 @@ def grouped_sum(column: Column, grouping: Grouping) -> Column:
 
     Integer sums are exact (:func:`_exact_totals`), and a total that
     does not fit ``lng`` is NULL — the element-wise overflow rule — in
-    an :class:`ExactSums` that remembers it for a partial merge."""
+    an :class:`ExactTotals` that remembers it for a partial merge."""
     if not is_numeric(column.atom):
         raise GDKError(f"sum over non-numeric column {column.atom}")
     if column.atom is Atom.DBL:
         positions, ids, ngroups = _prepare(column, grouping)
         sums = np.bincount(ids, weights=column.values[positions], minlength=ngroups)
         return Column(Atom.DBL, sums, mask=np.bincount(ids, minlength=ngroups) == 0)
-    return _lng_sums(*_exact_totals(column, grouping))
+    return _lng_totals(*_exact_totals(column, grouping))
 
 
-def _lng_sums(totals: np.ndarray, empty: np.ndarray) -> Column:
+def _lng_totals(totals: np.ndarray, empty: np.ndarray) -> Column:
     """Exact per-group totals as an ``lng`` column, NULL past ``lng``."""
     if totals.dtype != object:
         return Column(Atom.LNG, totals, mask=empty)
@@ -184,7 +241,7 @@ def _lng_sums(totals: np.ndarray, empty: np.ndarray) -> Column:
     if not overflow.any():
         return Column(Atom.LNG, totals.astype(np.int64), mask=empty)
     exact = np.where(empty, None, totals)
-    return ExactSums(np.where(overflow, 0, totals).astype(np.int64), empty | overflow, exact)
+    return ExactTotals(np.where(overflow, 0, totals).astype(np.int64), empty | overflow, exact)
 
 
 def _means(totals: np.ndarray, counts: np.ndarray) -> Column:
@@ -203,17 +260,19 @@ def _means(totals: np.ndarray, counts: np.ndarray) -> Column:
 
 
 def grouped_prod(column: Column, grouping: Grouping) -> Column:
-    """Per-group product; empty groups yield NULL."""
+    """Per-group product; empty groups yield NULL.
+
+    Integer products are exact (:func:`_products`), and one that does
+    not fit ``lng`` is NULL, kept for a partial merge as
+    :func:`grouped_sum` keeps its totals."""
     if not is_numeric(column.atom):
         raise GDKError(f"prod over non-numeric column {column.atom}")
-    positions, ids, ngroups = _prepare(column, grouping)
-    values = column.values[positions].astype(np.float64)
-    prods = np.ones(ngroups, dtype=np.float64)
-    np.multiply.at(prods, ids, values)
-    counts = np.bincount(ids, minlength=ngroups)
-    out_atom = aggregate_atom("prod", column.atom)
-    data = prods if out_atom is Atom.DBL else np.round(prods).astype(np.int64)
-    return Column(out_atom, data, mask=(counts == 0))
+    if column.atom is Atom.DBL:
+        positions, ids, ngroups = _prepare(column, grouping)
+        prods = np.ones(ngroups, dtype=np.float64)
+        np.multiply.at(prods, ids, column.values[positions])
+        return Column(Atom.DBL, prods, mask=np.bincount(ids, minlength=ngroups) == 0)
+    return _lng_totals(*_exact_products(column, grouping))
 
 
 def grouped_avg(column: Column, grouping: Grouping) -> Column:
@@ -319,6 +378,19 @@ def scalar_sum(column: Column) -> Any:
     return total if _LNG_MIN <= total <= _LNG_MAX else None
 
 
+def scalar_prod(column: Column) -> Any:
+    """PROD over the column, exact for integers; NULL when no non-NULL
+    entry exists or the product does not fit ``lng``."""
+    valid = column.validity()
+    if not valid.any():
+        return None
+    values = column.values[valid]
+    if column.atom is Atom.DBL:
+        return float(np.multiply.reduce(values))
+    product = _products(values, np.zeros(len(values), dtype=np.intp), 1)[0]
+    return int(product) if _LNG_MIN <= product <= _LNG_MAX else None
+
+
 def scalar_avg(column: Column) -> Any:
     """AVG over the column; NULL when no non-NULL entry exists."""
     valid = column.validity()
@@ -354,6 +426,7 @@ def scalar_max(column: Column) -> Any:
 SCALAR_DISPATCH = {
     "count": scalar_count,
     "sum": scalar_sum,
+    "prod": scalar_prod,
     "avg": scalar_avg,
     "min": scalar_min,
     "max": scalar_max,
@@ -471,9 +544,10 @@ def merge_partials(name: str, partials: Column, grouping: Grouping) -> Column:
         raise GDKError(f"aggregate {name!r} has no partial merge")
     if name == "count":
         return grouped_sum(partials, grouping)
-    if name == "sum" and isinstance(partials, ExactSums):
-        # Partials past lng: add their exact totals, the NULL rule once.
-        return _lng_sums(*_exact_totals(partials, grouping, partials=True))
+    if isinstance(partials, ExactTotals):
+        # Partials past lng: combine their exact totals, the NULL rule once.
+        combine = _exact_totals if name == "sum" else _exact_products
+        return _lng_totals(*combine(partials, grouping, partials=True))
     return GROUPED_DISPATCH[name](partials, grouping)
 
 

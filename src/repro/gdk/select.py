@@ -7,32 +7,41 @@ operators without copying payloads.
 
 There is one select family — :func:`select_true` over a bit column and
 the value selects :func:`thetaselect`, :func:`rangeselect`,
-:func:`isnull_select`, :func:`in_select` — and two storage-engine
-integrations live in it:
+:func:`isnull_select`, :func:`in_select` — and they share one walker,
+:func:`_select`, with two storage-engine integrations:
 
-* **Zone-map pruning** — pruning is a property of the data, not of the
-  operator: every value select first asks the zone statistics its
-  input has (:func:`_zone_window`: the zone map a farm column was
-  loaded with, or its source's when the BAT is a ``mat.partition``
-  fragment) for a whole-input verdict; a BAT with neither is scanned.  Provably-empty inputs return the empty candidate list and
-  provably-full ones the complete (candidate-restricted) oid range, in
-  both cases without touching the payload.  Pruned inputs are counted
-  in :func:`repro.gdk.storage.note_pruned`; ``REPRO_ZONEMAPS=0``
-  switches the short-circuit off (results are identical either way).
+* **Zone-granular scans** — pruning is a property of the data, not of
+  the operator: a value select asks the zone statistics its input has
+  (:func:`_zone_window`: the zone map a farm column was loaded with,
+  or its source's when the BAT is a ``mat.partition`` fragment) for
+  one class per zone, merged into runs of one class
+  (:meth:`repro.gdk.zonemap.ZoneMap.runs`).  A *miss* run is skipped,
+  an *all* run is emitted as a dense oid range, and a *scan* run
+  compares its payload slice in place and keeps
+  ``np.flatnonzero(keep) + start``.  An input without statistics — a
+  computed temporary, an unfragmented in-memory column, any input
+  under ``REPRO_ZONEMAPS=0`` — is one scan run; it too skips the
+  ``arange`` of its positions and the gather through them.  Results
+  are byte-identical either way.  An input answered without reading
+  any payload is counted by :func:`repro.gdk.storage.note_pruned`.
   :func:`select_true` never asks: its bit column was computed for this
-  one query, so statistics over it could not be reused.
+  one query, so statistics over it could not be reused.  A select with
+  a candidate list gathers the candidates' values and tests those; its
+  zones answer only when every one of them agrees.
 * **Dictionary codes** — selections over a
   :class:`~repro.gdk.dictenc.DictColumn` translate the predicate into
   code space (the dictionary is sorted, so one ``searchsorted`` per
   bound) and compare the int32 codes; the string payload is never
   decoded.
 
-Scans over memory-mapped payloads report the bytes they page in via
-:func:`repro.gdk.storage.note_scan`.
+Scans over memory-mapped payloads report the bytes of each scanned run
+via :func:`repro.gdk.storage.note_scan`, so ``bytes_faulted`` follows a
+clustered predicate's selectivity.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Any
 
 import numpy as np
@@ -45,7 +54,14 @@ from repro.gdk.column import Column
 from repro.gdk.dictenc import DictColumn
 
 #: comparison operators accepted by :func:`thetaselect`.
-THETA_OPS = ("==", "!=", "<", "<=", ">", ">=")
+THETA_OPS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 def _candidate_positions(b: BAT, candidates: BAT | None) -> tuple[np.ndarray, bool]:
@@ -66,7 +82,7 @@ def _candidate_positions(b: BAT, candidates: BAT | None) -> tuple[np.ndarray, bo
     return positions, is_sorted
 
 
-def _result(b: BAT, positions: np.ndarray, keep: np.ndarray, is_sorted: bool = False) -> BAT:
+def _result(b: BAT, positions: np.ndarray, keep: np.ndarray, is_sorted: bool) -> BAT:
     oids = positions[keep] + b.hseqbase
     if not is_sorted:
         oids = np.sort(oids)
@@ -74,7 +90,7 @@ def _result(b: BAT, positions: np.ndarray, keep: np.ndarray, is_sorted: bool = F
 
 
 # ----------------------------------------------------------------------
-# zone-map plumbing
+# zone-granular walking
 # ----------------------------------------------------------------------
 def _zone_window(b: BAT) -> tuple:
     """(zone map, start-row offset) serving *b*, or ``(None, 0)``.
@@ -93,49 +109,99 @@ def _zone_window(b: BAT) -> tuple:
     return b._zones or None, 0
 
 
-def _verdict(b: BAT, kind: str, *args):
-    """Whole-input zone verdict, or ``None`` when a scan is needed."""
-    if not storage.zonemaps_enabled():
+def _runs(b: BAT, kind: str | None, *args) -> tuple | None:
+    """Class runs ``(firsts, ends, kinds)`` of a predicate over *b*.
+
+    ``None`` when *b* has no zone statistics, *kind* is ``None`` (the
+    input was computed for this query) or ``REPRO_ZONEMAPS=0``: the
+    whole input is then one scan run.
+    """
+    if kind is None or not storage.zonemaps_enabled():
         return None
     zm, base = _zone_window(b)
     if zm is None:
         return None
-    method = getattr(zm, f"verdict_{kind}")
-    return method(base, base + len(b), *args)
+    classes = getattr(zm, f"verdict_{kind}")(base, base + len(b), *args)
+    return zm.runs(base, base + len(b), classes)
 
 
-def _verdict_result(
-    b: BAT, candidates: BAT | None, verdict: str | None
-) -> BAT | None:
-    """Materialise a ``"none"``/``"all"`` verdict without a payload scan.
-
-    Runs *before* candidate positions are materialised: a pruned
-    fragment must not pay even the ``arange`` of its own oid range.
-    """
-    if verdict == "none":
-        storage.note_pruned()
-        return BAT.empty(Atom.OID)
-    if verdict == "all":
-        storage.note_pruned()
-        if candidates is None:
-            oids = np.arange(
-                b.hseqbase, b.hseqbase + len(b), dtype=np.int64
-            )
-            return BAT.from_oids(oids)
-        positions, presorted = _candidate_positions(b, candidates)
-        keep = np.ones(len(positions), dtype=np.bool_)
-        return _result(b, positions, keep, presorted)
-    return None
-
-
-def _finish(
+def _select(
     b: BAT,
-    positions: np.ndarray,
-    presorted: bool,
-    keep: np.ndarray,
+    payload: np.ndarray,
+    test,
+    candidates: BAT | None,
+    zones: tuple,
+    masked: bool = True,
 ) -> BAT:
-    keep = np.asarray(keep, dtype=np.bool_)
-    if b.tail.mask is not None:
+    """Oids of *b* whose *payload* row satisfies ``test(values) -> keep``.
+
+    *zones* is ``(kind, *args)`` of the ``verdict_*`` that classifies
+    the predicate (``(None,)`` for none).  *masked* drops NULL rows
+    from the scanned runs; ``isnull_select`` tests the mask itself.
+
+    Without a candidate list the select walks the class runs: a miss
+    run is skipped, an all run is a dense oid range, and a scan run
+    tests its payload slice in place — no ``arange`` of the input and
+    no gather.  Each scanned run is charged to
+    :func:`~repro.gdk.storage.note_scan`; an input answered by its zone
+    statistics alone counts as pruned.  A candidate list keeps the
+    gather, pruned only when every zone agrees.
+    """
+    runs = _runs(b, *zones)
+    if candidates is not None:
+        return _select_candidates(b, payload, test, candidates, runs, masked)
+    if runs is None:
+        firsts, ends, kinds = (0,), (len(b),), (zonemap.SCAN,)
+    else:
+        firsts, ends, kinds = (part.tolist() for part in runs)
+    mask = b.tail.mask if masked else None
+    base = b.hseqbase
+    pieces = []
+    scanned = False
+    for first, end, kind in zip(firsts, ends, kinds):
+        if kind == zonemap.ALL:
+            pieces.append(np.arange(base + first, base + end, dtype=np.int64))
+        elif kind == zonemap.SCAN:
+            window = payload[first:end]
+            storage.note_scan(window)
+            keep = test(window)
+            if mask is not None:
+                keep &= ~mask[first:end]
+            hits = keep.nonzero()[0]
+            hits += base + first
+            pieces.append(hits)
+            scanned = True
+    if runs is not None and not scanned:
+        storage.note_pruned()
+    if len(pieces) == 1:
+        return BAT.from_oids(pieces[0])
+    if not pieces:
+        return BAT.empty(Atom.OID)
+    return BAT.from_oids(np.concatenate(pieces))
+
+
+def _select_candidates(
+    b: BAT,
+    payload: np.ndarray,
+    test,
+    candidates: BAT,
+    runs: tuple | None,
+    masked: bool,
+) -> BAT:
+    """:func:`_select` restricted by a candidate list (gather, then test)."""
+    if runs is not None:
+        kinds = runs[2]
+        if not kinds.any():  # every zone a miss
+            storage.note_pruned()
+            return BAT.empty(Atom.OID)
+        if bool((kinds == zonemap.ALL).all()):
+            storage.note_pruned()
+            positions, presorted = _candidate_positions(b, candidates)
+            return _result(b, positions, np.ones(len(positions), dtype=np.bool_), presorted)
+    positions, presorted = _candidate_positions(b, candidates)
+    storage.note_scan(payload)
+    keep = np.asarray(test(payload[positions]), dtype=np.bool_)
+    if masked and b.tail.mask is not None:
         keep &= ~b.tail.mask[positions]
     return _result(b, positions, keep, presorted)
 
@@ -144,13 +210,18 @@ def _finish(
 # selection kernels
 # ----------------------------------------------------------------------
 def select_true(b: BAT, candidates: BAT | None = None) -> BAT:
-    """Oids where a bit column is TRUE (NULL counts as not-true)."""
+    """Oids where a bit column is TRUE (NULL counts as not-true).
+
+    Its bit column was computed for this one query, so it has no zone
+    statistics to consult.
+    """
     if b.atom is not Atom.BIT:
         raise GDKError("select_true needs a bit BAT")
-    positions, presorted = _candidate_positions(b, candidates)
-    storage.note_scan(b.tail.values)
-    values = b.tail.values[positions]
-    return _finish(b, positions, presorted, values.astype(np.bool_))
+    return _select(b, b.tail.values, _is_true, candidates, (None,))
+
+
+def _is_true(values: np.ndarray) -> np.ndarray:
+    return values.astype(np.bool_)
 
 
 def _theta_code_predicate(
@@ -179,16 +250,6 @@ def _theta_code_predicate(
     return (">=", left)  # ">="
 
 
-def _apply_code_predicate(codes: np.ndarray, code_op: str, code: int) -> np.ndarray:
-    if code_op == "==":
-        return codes == code
-    if code_op == "!=":
-        return codes != code
-    if code_op == "<":
-        return codes < code
-    return codes >= code
-
-
 def thetaselect(
     b: BAT,
     value: Any,
@@ -211,38 +272,21 @@ def thetaselect(
         if predicate is False:
             return BAT.empty(Atom.OID)
         if predicate is True:
-            positions, presorted = _candidate_positions(b, candidates)
-            keep = np.ones(len(positions), dtype=np.bool_)
-            return _finish(b, positions, presorted, keep)
-        code_op, code = predicate
-        verdict = _verdict(b, "theta", code, code_op)
-        short = _verdict_result(b, candidates, verdict)
-        if short is not None:
-            return short
-        positions, presorted = _candidate_positions(b, candidates)
-        storage.note_scan(tail.codes)
-        keep = _apply_code_predicate(tail.codes[positions], code_op, code)
-        return _finish(b, positions, presorted, keep)
-    verdict = _verdict(b, "theta", coerced, op)
-    short = _verdict_result(b, candidates, verdict)
-    if short is not None:
-        return short
-    positions, presorted = _candidate_positions(b, candidates)
-    storage.note_scan(tail.values)
-    values = tail.values[positions]
-    if op == "==":
-        keep = values == coerced
-    elif op == "!=":
-        keep = values != coerced
-    elif op == "<":
-        keep = values < coerced
-    elif op == "<=":
-        keep = values <= coerced
-    elif op == ">":
-        keep = values > coerced
+            # Every non-NULL row: the IS NOT NULL classes answer it.
+            return _select(b, tail.codes, _every, candidates, ("null", False))
+        op, coerced = predicate
+        payload = tail.codes
     else:
-        keep = values >= coerced
-    return _finish(b, positions, presorted, keep)
+        payload = tail.values
+    compare = THETA_OPS[op]
+    return _select(
+        b, payload, lambda values: compare(values, coerced), candidates,
+        ("theta", coerced, op),
+    )
+
+
+def _every(values: np.ndarray) -> np.ndarray:
+    return np.ones(len(values), dtype=np.bool_)
 
 
 def rangeselect(
@@ -280,18 +324,18 @@ def rangeselect(
         payload = tail.codes
     else:
         payload = tail.values
-    verdict = _verdict(b, "interval", lo, hi, low_inclusive, high_inclusive, anti)
-    short = _verdict_result(b, candidates, verdict)
-    if short is not None:
-        return short
-    positions, presorted = _candidate_positions(b, candidates)
-    storage.note_scan(payload)
-    values = payload[positions]
-    keep = (values >= lo) if low_inclusive else (values > lo)
-    keep &= (values <= hi) if high_inclusive else (values < hi)
-    if anti:
-        keep = ~keep
-    return _finish(b, positions, presorted, keep)
+    above = operator.ge if low_inclusive else operator.gt
+    below = operator.le if high_inclusive else operator.lt
+
+    def test(values):
+        keep = above(values, lo)
+        keep &= below(values, hi)
+        return ~keep if anti else keep
+
+    return _select(
+        b, payload, test, candidates,
+        ("interval", lo, hi, low_inclusive, high_inclusive, anti),
+    )
 
 
 def isnull_select(
@@ -300,14 +344,14 @@ def isnull_select(
     candidates: BAT | None = None,
 ) -> BAT:
     """Oids whose tail is NULL (or NOT NULL with ``want_null=False``)."""
-    verdict = _verdict(b, "null", want_null)
-    short = _verdict_result(b, candidates, verdict)
-    if short is not None:
-        return short
-    positions, presorted = _candidate_positions(b, candidates)
-    mask = b.tail.effective_mask()[positions]
-    keep = mask if want_null else ~mask
-    return _result(b, positions, keep, presorted)
+    test = _identity if want_null else np.logical_not
+    return _select(
+        b, b.tail.effective_mask(), test, candidates, ("null", want_null), masked=False
+    )
+
+
+def _identity(values: np.ndarray) -> np.ndarray:
+    return values
 
 
 def in_select(
@@ -323,33 +367,25 @@ def in_select(
     if isinstance(tail, DictColumn):
         dictionary = tail.dictionary
         lefts = np.searchsorted(dictionary, np.array(concrete, dtype=object), side="left")
-        present = [
+        concrete = [
             int(code)
             for code, value in zip(lefts, concrete)
             if code < len(dictionary) and dictionary[code] == value
         ]
-        if not present:
-            return BAT.from_oids(np.empty(0, dtype=np.int64))
-        verdict = _verdict(b, "in", present)
-        short = _verdict_result(b, candidates, verdict)
-        if short is not None:
-            return short
-        positions, presorted = _candidate_positions(b, candidates)
-        storage.note_scan(tail.codes)
-        keep = np.isin(tail.codes[positions], np.array(present, dtype=np.int32))
-        return _finish(b, positions, presorted, keep)
-    verdict = _verdict(b, "in", concrete)
-    short = _verdict_result(b, candidates, verdict)
-    if short is not None:
-        return short
-    positions, presorted = _candidate_positions(b, candidates)
-    storage.note_scan(tail.values)
-    gathered = tail.values[positions]
-    if b.atom is Atom.STR:
-        keep = np.isin(gathered.astype(object), np.array(concrete, dtype=object))
+        if not concrete:
+            return BAT.empty(Atom.OID)
+        payload = tail.codes
+        wanted = np.array(concrete, dtype=np.int32)
+    elif b.atom is Atom.STR:
+        payload = tail.values
+        wanted = np.array(concrete, dtype=object)
     else:
-        keep = np.isin(gathered, np.array(concrete))
-    return _finish(b, positions, presorted, keep)
+        payload = tail.values
+        wanted = np.array(concrete)
+    return _select(
+        b, payload, lambda window: np.isin(window, wanted), candidates,
+        ("in", concrete),
+    )
 
 
 def boolean_column_from_candidates(length: int, hseqbase: int, candidates: BAT) -> Column:

@@ -76,9 +76,9 @@ def zonemaps_enabled() -> bool:
     """``REPRO_ZONEMAPS`` (default on) — runtime zone-pruning ablation.
 
     Plans never depend on it: the select kernels read it on every call
-    and merely skip their zone-statistics short-circuit when it is off,
-    so toggling it never invalidates a cached plan (results are
-    byte-identical either way).
+    and, when it is off, walk each input as one scan run instead of
+    asking its zone statistics, so toggling it never invalidates a
+    cached plan (results are byte-identical either way).
     """
     raw = (knobs.raw("REPRO_ZONEMAPS") or "1").strip().lower()
     return raw not in ("0", "off", "false", "no")
@@ -104,7 +104,8 @@ def zone_rows() -> int:
 # fault / prune accounting
 # ----------------------------------------------------------------------
 def note_pruned(count: int = 1) -> None:
-    """Record *count* fragments answered from zone maps without a scan."""
+    """Record *count* select inputs answered from zone maps alone,
+    without reading any payload."""
     global _fragments_pruned
     with _lock:
         _fragments_pruned += count
@@ -118,13 +119,13 @@ def note_faulted(nbytes: int) -> None:
 
 
 def note_scan(array) -> None:
-    """Account a full scan of *array* if it is a memmap view.
+    """Account a scan of *array* if it is a memmap view.
 
-    Fragments of an mmap-backed column are basic slices and therefore
-    still :class:`numpy.memmap` instances, so per-fragment scans charge
-    only the window they page in — eager (in-core) arrays charge
-    nothing, which is what makes ``bytes_faulted`` a measure of I/O,
-    not of work.
+    Fragments of an mmap-backed column, and the scan runs a select cuts
+    from them, are basic slices and therefore still
+    :class:`numpy.memmap` instances, so a scan charges only the window
+    it pages in — eager (in-core) arrays charge nothing, which is what
+    makes ``bytes_faulted`` a measure of I/O, not of work.
     """
     if isinstance(array, np.memmap):
         note_faulted(int(array.nbytes))

@@ -1,34 +1,39 @@
-"""Zone maps: per-zone min/max/null statistics for fragment pruning.
+"""Zone maps: per-zone min/max/null statistics for zone-granular scans.
 
 A :class:`ZoneMap` summarises a column in fixed-size *zones* of
 ``REPRO_ZONE_ROWS`` rows (default 4096): per zone the minimum and
 maximum over the usable (non-NULL, non-NaN) values, the NULL count and
 the NaN count.  Pruning is a property of the data: whichever value
 select of :mod:`repro.gdk.select` reads a BAT that has zone statistics
-— its own, or through its partition origin its source's — consults the
-zones overlapping the BAT's row window and can often answer for the
-whole input without touching the payload:
+— its own, or through its partition origin its source's — asks a
+``verdict_*`` method for one class per zone overlapping the BAT's row
+window:
 
-* ``"none"`` — no row of the fragment can satisfy the predicate; the
-  selection returns the empty candidate list;
-* ``"all"`` — every row satisfies it; the selection returns the full
-  (candidate-restricted) oid range;
-* ``None`` — the zones are inconclusive; scan normally.
+* ``MISS`` — no row of the zone can satisfy the predicate; the select
+  skips it without reading its payload;
+* ``ALL`` — every row satisfies it; the select emits the zone's rows as
+  a dense oid range, again without reading the payload;
+* ``SCAN`` — the statistics are inconclusive; the select compares the
+  zone's values.
+
+:meth:`ZoneMap.runs` merges adjacent zones of one class into row runs
+of the window, so the select visits a handful of runs, not every zone.
+A whole-input answer — every zone a miss, or every zone all-matching —
+is the degenerate case of one run.
 
 Zones of a *fragment* come from its source BAT: ``mat.partition``
 records ``(source, start)`` on the fragment (see
 :func:`repro.gdk.bat.partition`), so one zone map built — or loaded
 from the farm descriptor — on the source serves every fragment and
-every fragment count.  Verdicts over a window are conservative: a zone
-partially overlapping the window contributes rows outside it, which
-can only weaken a verdict into ``None``, never flip one.
+every fragment count.  A zone only partly inside a window keeps its
+class: what holds for every row of a zone holds for any subset of them.
 
-The verdict logic mirrors the exact NULL/NaN semantics of
+The classes mirror the exact NULL/NaN semantics of
 :mod:`repro.gdk.select`: NULL rows never match any predicate (the mask
 is applied last), NaN never satisfies a comparison, and therefore NaN
 rows *do* match an ``anti`` range (and ``!=``) whenever at least one
 bound is present — the per-zone NaN counters exist precisely so the
-anti verdicts stay byte-identical to a real scan.
+anti classes stay byte-identical to a real scan.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.gdk import storage
+
+#: zone classes of a predicate: no row can match, some may, every row does.
+MISS, SCAN, ALL = 0, 1, 2
 
 
 def _sentinels(dtype: np.dtype) -> tuple[Any, Any]:
@@ -128,26 +136,22 @@ class ZoneMap:
         )
 
     # ------------------------------------------------------------------
-    # verdicts
+    # per-zone classes
     # ------------------------------------------------------------------
     def _span(self, start: int, stop: int):
-        """Per-zone stat slices + row counts for the window [start, stop)."""
+        """Per-zone stats of the zones overlapping ``[start, stop)``:
+        min, max, NULL count, NaN count and usable (non-NULL, non-NaN)
+        row count."""
         zr = self.zone_rows
         nzones = len(self.mins)
-        zlo = max(0, start) // zr
-        zhi = min(nzones, (stop + zr - 1) // zr)
-        if zhi <= zlo:
-            return None
+        zlo = start // zr
+        zhi = max(zlo, min(nzones, (stop + zr - 1) // zr)) if stop > start else zlo
         rows = np.full(zhi - zlo, zr, dtype=np.int64)
-        if zhi == nzones:
+        if zhi == nzones and zhi > zlo:
             rows[-1] = self.count - (nzones - 1) * zr
-        return (
-            self.mins[zlo:zhi],
-            self.maxs[zlo:zhi],
-            self.nulls[zlo:zhi],
-            self.nnan[zlo:zhi],
-            rows,
-        )
+        nulls = self.nulls[zlo:zhi]
+        nnan = self.nnan[zlo:zhi]
+        return self.mins[zlo:zhi], self.maxs[zlo:zhi], nulls, nnan, rows - nulls - nnan
 
     def verdict_interval(
         self,
@@ -158,25 +162,18 @@ class ZoneMap:
         lo_inclusive: bool,
         hi_inclusive: bool,
         anti: bool,
-    ) -> Optional[str]:
-        """``"none"`` / ``"all"`` / ``None`` for an interval predicate.
+    ) -> np.ndarray:
+        """Per-zone classes of an interval predicate over [start, stop).
 
         Matches :func:`repro.gdk.select.rangeselect` (and through the
-        ``[v, v]`` / one-sided mappings, :func:`thetaselect` and
-        :func:`select_true`) exactly, including the NaN-matches-anti
-        rule.
+        ``[v, v]`` / one-sided mappings, :func:`thetaselect`) exactly,
+        including the NaN-matches-anti rule.
         """
-        if stop <= start:
-            return "none"
-        span = self._span(start, stop)
-        if span is None:
-            return "none"
-        mins, maxs, nulls, nnan, rows = span
-        usable = rows - nulls - nnan
+        mins, maxs, nulls, nnan, usable = self._span(start, stop)
         if anti and lo is None and hi is None:
             # keep starts all-ones and is inverted wholesale: nothing
             # (not even NaN) survives an unbounded anti range.
-            return "none"
+            return np.full(len(usable), MISS, dtype=np.int8)
         # hits: the zone's [min, max] overlaps the interval (so a match
         # is possible); contained: [min, max] lies fully inside it.
         hits = usable > 0
@@ -189,21 +186,17 @@ class ZoneMap:
             contained &= (maxs <= hi) if hi_inclusive else (maxs < hi)
         if not anti:
             # NULL and NaN rows never match a normal range, so only the
-            # usable-value overlap matters for the empty verdict.
-            if not hits.any():
-                return "none"
-            if not nulls.sum() and not nnan.sum() and bool(contained.all()):
-                return "all"
-            return None
-        # anti: usable rows match when outside the interval; NaN rows
-        # always match (their comparisons are False before inversion).
-        if not nnan.sum() and bool(np.all((usable == 0) | contained)):
-            return "none"
-        if not nulls.sum() and bool(np.all((usable == 0) | ~hits)):
-            return "all"
-        return None
+            # usable-value overlap decides a miss.
+            miss = ~hits
+            full = contained & (nulls == 0) & (nnan == 0)
+        else:
+            # anti: usable rows match when outside the interval; NaN rows
+            # always match (their comparisons are False before inversion).
+            miss = (nnan == 0) & ((usable == 0) | contained)
+            full = (nulls == 0) & ~hits
+        return _classes(miss, full)
 
-    def verdict_theta(self, start: int, stop: int, value: Any, op: str) -> Optional[str]:
+    def verdict_theta(self, start: int, stop: int, value: Any, op: str) -> np.ndarray:
         """Interval mapping of one theta comparison."""
         if op == "==":
             return self.verdict_interval(start, stop, value, value, True, True, False)
@@ -215,49 +208,72 @@ class ZoneMap:
             return self.verdict_interval(start, stop, None, value, True, True, False)
         if op == ">":
             return self.verdict_interval(start, stop, value, None, False, True, False)
-        if op == ">=":
-            return self.verdict_interval(start, stop, value, None, True, True, False)
-        return None
+        return self.verdict_interval(start, stop, value, None, True, True, False)
 
-    def verdict_null(self, start: int, stop: int, want_null: bool) -> Optional[str]:
-        """Verdict for ``isnilselect`` from the per-zone NULL counters."""
-        if stop <= start:
-            return "none"
-        span = self._span(start, stop)
-        if span is None:
-            return "none"
-        _, _, nulls, _, rows = span
-        total = int(nulls.sum())
+    def verdict_null(self, start: int, stop: int, want_null: bool) -> np.ndarray:
+        """Per-zone classes of ``IS [NOT] NULL`` from the NULL counters."""
+        _, _, nulls, nnan, usable = self._span(start, stop)
+        none_null = nulls == 0
+        all_null = (usable == 0) & (nnan == 0)
         if want_null:
-            if total == 0:
-                return "none"
-            if bool(np.all(nulls == rows)):
-                return "all"
-        else:
-            if bool(np.all(nulls == rows)):
-                return "none"
-            if total == 0:
-                return "all"
-        return None
+            return _classes(none_null, all_null)
+        return _classes(all_null, none_null)
 
-    def verdict_in(self, start: int, stop: int, values: list) -> Optional[str]:
-        """``"none"`` when no candidate value can occur in the window."""
-        if stop <= start:
-            return "none"
-        span = self._span(start, stop)
-        if span is None:
-            return "none"
-        mins, maxs, nulls, nnan, rows = span
-        usable = rows - nulls - nnan
-        live = usable > 0
-        if not live.any():
-            return "none"
-        lo_live = mins[live]
-        hi_live = maxs[live]
-        for value in values:
-            if bool(np.any((lo_live <= value) & (value <= hi_live))):
-                return None
-        return "none"
+    def verdict_in(self, start: int, stop: int, values: list) -> np.ndarray:
+        """Per-zone classes of membership in *values*.
+
+        A zone misses when no candidate lies in its ``[min, max]`` and
+        is all-matching when it holds one value, a candidate of its own
+        kind, and no NULL or NaN.
+        """
+        mins, maxs, nulls, nnan, usable = self._span(start, stop)
+        wanted = np.sort(np.asarray(values))
+        if wanted.dtype == object:  # unorderable mix: every live zone scans
+            return _classes(usable == 0, np.zeros(len(usable), dtype=np.bool_))
+        # The smallest candidate >= each zone's min; a hit when it is
+        # <= the zone's max (NaN candidates sort last and never hit).
+        first = np.minimum(np.searchsorted(wanted, mins, side="left"), len(wanted) - 1)
+        nearest = wanted[first]
+        hits = (usable > 0) & (nearest >= mins) & (nearest <= maxs)
+        full = hits & (mins == maxs) & (nulls == 0) & (nnan == 0)
+        if wanted.dtype.kind != mins.dtype.kind:
+            full[:] = False  # a cross-kind equality is left to the scan
+        return _classes(~hits, full)
+
+    def runs(self, start: int, stop: int, classes: np.ndarray):
+        """Maximal runs of one class over the window ``[start, stop)``.
+
+        *classes* is a ``verdict_*`` answer for the same window.
+        Returns ``(firsts, ends, kinds)``: row bounds relative to
+        *start* and the class of each run.  Adjacent zones of one class
+        merge (one vector comparison, not a step per zone), so a uniform
+        column is a single scan run however many zones it spans.  Rows
+        of the window past the last zone are a scan run.
+        """
+        zr = self.zone_rows
+        width = stop - start
+        if len(classes):
+            heads = np.flatnonzero(classes[1:] != classes[:-1])
+            heads = np.concatenate(([-1], heads)) + 1
+            firsts = np.maximum((start // zr + heads) * zr - start, 0)
+            covered = min((start // zr + len(classes)) * zr - start, width)
+            ends = np.append(firsts[1:], covered)
+            kinds = classes[heads]
+        else:
+            firsts = ends = np.zeros(0, dtype=np.int64)
+            kinds, covered = classes, 0
+        if covered < width:
+            firsts = np.append(firsts, covered)
+            ends = np.append(ends, width)
+            kinds = np.append(kinds, np.int8(SCAN))
+        return firsts, ends, kinds
+
+
+def _classes(miss: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Class per zone: *miss* wins over *full*, neither is a scan."""
+    classes = full.astype(np.int8) + np.int8(SCAN)  # ALL == SCAN + 1
+    classes[miss] = MISS
+    return classes
 
 
 def ensure(b) -> Optional[ZoneMap]:

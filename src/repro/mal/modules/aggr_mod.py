@@ -29,7 +29,7 @@ def _register_scalar(name: str) -> None:
         return np.int64(value) if lng and type(value) is int else value
 
 
-for _name in ("sum", "avg", "min", "max", "count", "stddev", "median"):
+for _name in ("sum", "prod", "avg", "min", "max", "count", "stddev", "median"):
     _register_scalar(_name)
 
 

@@ -270,6 +270,16 @@ class TestIntegerExactness:
         assert out.get(0) == factor * factor
         assert float(factor) * float(factor) != factor * factor
 
+    def test_prod_past_lng_is_null(self):
+        # 2**32 squared wraps to 0 in int64; the engine's rule is NULL.
+        values = Column.from_pylist(Atom.LNG, [2**32, 2**32, 3, None, -(2**31)])
+        spec = TileSpec.from_ranges([(0, 2)])
+        out = tile_aggregate(values, (5,), spec, "prod")
+        assert out.to_pylist() == [None, 3 * 2**32, 3, -(2**31), -(2**31)]
+        assert out.to_pylist() == brute_force_tile_aggregate(values, (5,), spec, "prod")
+        sparse = TileSpec(((0, 1),))
+        assert tile_aggregate(values, (5,), sparse, "prod").to_pylist() == out.to_pylist()
+
     def test_min_max_preserve_integer_values(self):
         base = 2**60
         values = Column.from_pylist(Atom.LNG, [base + 1, base + 2, base + 3, None])

@@ -109,6 +109,20 @@ class TestGroupedAggregates:
         grouping = group.group(keys)
         assert aggregate.grouped_prod(values, grouping).to_pylist() == [12, 5]
 
+    def test_prod_is_exact_within_lng_and_null_past_it(self):
+        keys = Column.from_pylist(Atom.INT, [1, 1, 2, 2, 3, 3, 3])
+        factor = 94906267  # factor**2 is not a double
+        values = Column.from_pylist(
+            Atom.LNG, [factor, factor, 2**32, 2**32, 2**40, 0, 2**40]
+        )
+        grouping = group.group(keys)
+        out = aggregate.grouped_prod(values, grouping)
+        assert out.to_pylist() == [factor * factor, None, 0]
+        assert aggregate.scalar_prod(values) == 0
+        assert aggregate.scalar_prod(Column.from_pylist(Atom.LNG, [factor, factor])) == factor**2
+        assert aggregate.scalar_prod(Column.from_pylist(Atom.LNG, [2**32, -(2**32)])) is None
+        assert aggregate.scalar_prod(Column.from_pylist(Atom.LNG, [None])) is None
+
     def test_string_min_max(self):
         keys = Column.from_pylist(Atom.INT, [1, 1, 1])
         values = Column.from_pylist(Atom.STR, ["pear", "apple", "fig"])

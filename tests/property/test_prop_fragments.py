@@ -387,6 +387,62 @@ class TestExactPartials:
         conn.close()
 
 
+class TestExactProducts:
+    """``PROD`` is one rule in its three forms — scalar, grouped and
+    tiled: exact within ``lng``, NULL past it — and fragment partials
+    merge to the unfragmented answer."""
+
+    EXACT = 94906267  # its square needs 54 bits: a double rounds it
+    WIDE = 2**32  # its square leaves lng; int64 wraps it to 0
+
+    def connection(self, fragment_rows=math.inf):
+        conn = _make_connection(1, fragment_rows)
+        conn.execute("CREATE TABLE t (k INT, v BIGINT)")
+        conn.executemany(
+            "INSERT INTO t VALUES (?, ?)",
+            [(0, self.EXACT), (0, self.EXACT), (1, self.WIDE), (1, self.WIDE),
+             (2, 3), (2, -5), (2, None), (3, None)],
+        )
+        return conn
+
+    def test_scalar_prod(self):
+        conn = self.connection()
+        assert conn.execute("SELECT PROD(v) FROM t WHERE k = 0").rows() == [(self.EXACT**2,)]
+        assert conn.execute("SELECT PROD(v) FROM t WHERE k = 1").rows() == [(None,)]
+        assert conn.execute("SELECT PROD(v) FROM t WHERE k >= 2").rows() == [(-15,)]
+        assert conn.execute("SELECT PROD(v) FROM t WHERE k = 3").rows() == [(None,)]
+
+    def test_grouped_prod(self):
+        conn = self.connection()
+        rows = conn.execute("SELECT k, PROD(v) FROM t GROUP BY k ORDER BY k").rows()
+        assert rows == [(0, self.EXACT**2), (1, None), (2, -15), (3, None)]
+
+    def test_tiled_prod(self):
+        conn = self.connection()
+        conn.execute(f"CREATE ARRAY a (x INT DIMENSION[0:1:3], v BIGINT DEFAULT {self.WIDE})")
+        conn.execute(f"UPDATE a SET v = {self.EXACT} WHERE x = 2")
+        rows = conn.execute("SELECT [x], PROD(v) FROM a GROUP BY a[x:x+2]").rows()
+        assert rows == [(0, None), (1, self.WIDE * self.EXACT), (2, self.EXACT)]
+
+    @pytest.mark.parametrize("nr_threads", [1, 4])
+    def test_fragment_partials_merge_exactly(self, nr_threads):
+        # Group 0: the first fragment's 7 factors of 2**32 leave lng, and
+        # a 0 in the next fragment makes the product 0.  Group 1: 2**62
+        # times -2 is -2**63, which fits.
+        rows = [(0, self.WIDE)] * 7 + [(0, 0)] + [(1, 2)] * 62 + [(1, -2)]
+        sql = "SELECT k, PROD(v) FROM t GROUP BY k ORDER BY k"
+        expected = [(0, 0), (1, -(2**63))]
+        for fragment_rows in (7, math.inf):
+            conn = _make_connection(nr_threads, fragment_rows)
+            conn.execute("CREATE TABLE t (k INT, v BIGINT)")
+            conn.executemany("INSERT INTO t VALUES (?, ?)", rows)
+            if fragment_rows == 7:
+                assert "aggr.mergeprod" in conn.explain(sql)
+            assert conn.execute(sql).rows() == expected
+            assert conn.execute("SELECT PROD(v) FROM t WHERE k = 1").rows() == [(-(2**63),)]
+            conn.close()
+
+
 def _digest(result):
     """Every column's dtype and bytes (object columns: their values)."""
     return [

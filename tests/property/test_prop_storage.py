@@ -223,6 +223,39 @@ class TestMmapEqualsEager:
         assert profile["storage.bytes_faulted"]["rows"] == stats.bytes_faulted
         conn.close()
 
+    def test_scan_faults_follow_selectivity_within_one_fragment(
+        self, tmp_path, monkeypatch
+    ):
+        """One fragment covers the whole lazy column, so only zones can
+        spare bytes: a clustered range of any width faults at most its
+        two boundary zones, and a uniform predicate the whole column."""
+        zone_rows, rows = 256, 80 * 256  # every zone holds a u < 10
+        monkeypatch.setenv("REPRO_ZONE_ROWS", str(zone_rows))
+        seed = repro.connect()
+        seed.execute("CREATE TABLE big (v INT, u INT)")
+        seed.executemany(
+            "INSERT INTO big VALUES (?, ?)",
+            [(i, (i * 7919) % 1000) for i in range(rows)],
+        )
+        seed.save(tmp_path / "db")
+        seed.close()
+
+        monkeypatch.setenv("REPRO_STORAGE_MMAP", "1")
+        monkeypatch.setenv("REPRO_MMAP_THRESHOLD_BYTES", "0")
+        conn = repro.connect(tmp_path / "db", nr_threads=1, fragment_rows=math.inf)
+        boundary_bytes = 2 * zone_rows * 4  # two int32 zones
+        for low, high in [(1000, 1100), (1000, 9000), (300, 19_700)]:
+            result = conn.execute(
+                f"SELECT v FROM big WHERE v BETWEEN {low} AND {high}",
+                collect_stats=True,
+            )
+            assert [row[0] for row in result.rows()] == list(range(low, high + 1))
+            assert 0 < conn.last_stats.bytes_faulted <= boundary_bytes, (low, high)
+        result = conn.execute("SELECT v FROM big WHERE u < 10", collect_stats=True)
+        assert len(result.rows()) == sum((i * 7919) % 1000 < 10 for i in range(rows))
+        assert conn.last_stats.bytes_faulted == rows * 4
+        conn.close()
+
 
 class TestFaultPointCoverage:
     def test_new_publish_steps_are_registered(self):

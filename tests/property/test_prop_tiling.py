@@ -50,9 +50,13 @@ def shifted_scan_tile_aggregate(
 ) -> Column:
     """The seed algorithm, O(|tile| · |array|): shift the whole array
     once per tile cell and fold the layers.  Integer cells accumulate
-    in (wrapping) int64, which no case drawn here overflows in a sum."""
+    in (wrapping) int64, which no case drawn here overflows in a sum;
+    integer products accumulate in Python integers, and one past
+    ``lng`` is NULL."""
     integral = values.atom is not Atom.DBL
-    cells = values.values.astype(np.int64 if integral else np.float64).reshape(shape)
+    exact = integral and aggregate == "prod"
+    dtype = object if exact else np.int64 if integral else np.float64
+    cells = values.values.astype(dtype).reshape(shape)
     valid = values.validity().reshape(shape)
     top = np.iinfo(np.int64).max if integral else np.inf
     fold, ident = {
@@ -76,7 +80,11 @@ def shifted_scan_tile_aggregate(
     empty = counts == 0
     if aggregate == "avg":
         acc = acc / np.maximum(counts, 1)
+    if exact:
+        empty |= np.asarray((acc < -(2**63)) | (acc >= 2**63), dtype=np.bool_)
     acc[empty] = 0
+    if exact:
+        acc = acc.astype(np.int64)
     return Column(
         aggregate_atom(aggregate, values.atom), acc.reshape(-1), empty.reshape(-1)
     )
