@@ -5,7 +5,7 @@ selection with projection and grouped aggregation — at 1/2/4 worker
 threads against the sequential unfragmented baseline, plus a
 large-scale grouped-aggregate suite where per-fragment grouping with
 partial-aggregate merging beats one whole-column grouping even on a
-single core (the per-fragment ``np.unique`` sorts stay cache-resident).
+single core (each fragment's grouping and scatters stay cache-resident).
 
 Every benchmark asserts its result against the sequential engine, so a
 regression can never hide behind a fast wrong answer.
@@ -81,7 +81,7 @@ def test_grouped_aggregates(benchmark, corpus, label):
 @pytest.mark.benchmark(group="E17-parallel-multikey", min_rounds=12)
 @pytest.mark.parametrize("label", [leg[0] for leg in LEGS])
 def test_multikey_grouping(benchmark, corpus, label):
-    """Two grouping passes dominate: fragmented sorts stay cache-resident."""
+    """Two grouping passes dominate: per-fragment groupings stay cache-resident."""
     legs, expected = corpus
     conn = legs[label]
     result = benchmark(conn.execute, MULTIKEY_SQL)

@@ -8,9 +8,11 @@ aggregates to NULL (COUNT is the exception and yields 0).
 Rows whose group id is negative belong to no group (tiling uses this
 for cells outside every tile) and are skipped entirely.
 
-All grouped kernels are NumPy-vectorized segmented reductions: rows are
-sorted by (group id, value) once and per-group results read off the
-segment boundaries — no per-row Python loop.  The original loop
+All grouped kernels are NumPy-vectorized, with no per-row Python loop.
+The numeric ones scatter straight into per-group accumulators
+(``np.bincount`` and ``ufunc.at``) without sorting; only string MIN/MAX,
+COUNT(DISTINCT) and MEDIAN sort rows, by (group id, value).  A NULL-free
+input grouped by non-negative ids is read in place.  The original loop
 implementations survive with a ``_reference`` suffix as property-test
 oracles and benchmark baselines.
 """
@@ -24,7 +26,7 @@ import numpy as np
 from repro.errors import GDKError
 from repro.gdk.atoms import Atom, canon_key, is_numeric
 from repro.gdk.column import Column
-from repro.gdk.group import Grouping
+from repro.gdk.group import GroupIds, Grouping
 
 #: aggregate name -> result atom policy: the aggregate typing table,
 #: read through :func:`aggregate_atom` by the binder, these kernels, the
@@ -52,11 +54,24 @@ def aggregate_atom(name: str, atom: Optional[Atom]) -> Optional[Atom]:
     return Atom.LNG
 
 
-def _prepare(column: Column, grouping: Grouping) -> tuple[np.ndarray, np.ndarray, int]:
-    """Valid (non-null, grouped) positions, their group ids, ngroups."""
+def _prepare(
+    column: Column, grouping: Grouping
+) -> tuple[np.ndarray | slice, np.ndarray, int]:
+    """Valid (non-null, grouped) positions, their group ids, ngroups.
+
+    When every row is valid — no NULL, and no negative id (a
+    :class:`GroupIds` proves that without a pass) — the positions are
+    the whole-column slice and the ids are returned as they are, so
+    ``column.values[positions]`` is a view, not a gather.
+    """
     if len(column) != len(grouping.groups):
         raise GDKError("aggregate input not aligned with grouping")
-    ids = grouping.groups.values
+    groups = grouping.groups
+    ids = groups.values
+    if column.mask is None and (
+        isinstance(groups, GroupIds) or not len(ids) or ids.min() >= 0
+    ):
+        return slice(None), ids, grouping.ngroups
     valid = ids >= 0
     valid &= column.validity()
     positions = np.flatnonzero(valid)
@@ -358,6 +373,11 @@ def grouped(name: str, column: Column, grouping: Grouping) -> Column:
 # ----------------------------------------------------------------------
 # scalar (whole-column) aggregates
 # ----------------------------------------------------------------------
+def _valid_values(column: Column) -> np.ndarray:
+    """The non-NULL values: the payload itself when nothing is NULL."""
+    return column.values if column.mask is None else column.values[~column.mask]
+
+
 def scalar_count(column: Column) -> int:
     """COUNT of non-NULL entries."""
     return len(column) - column.null_count()
@@ -366,10 +386,9 @@ def scalar_count(column: Column) -> int:
 def scalar_sum(column: Column) -> Any:
     """SUM over the column, exact for integers; NULL when no non-NULL
     entry exists or the total does not fit ``lng``."""
-    valid = column.validity()
-    if not valid.any():
+    values = _valid_values(column)
+    if not len(values):
         return None
-    values = column.values[valid]
     if column.atom is Atom.DBL:
         return float(values.sum())
     if _sums_stay_below(values, 2**63):
@@ -381,10 +400,9 @@ def scalar_sum(column: Column) -> Any:
 def scalar_prod(column: Column) -> Any:
     """PROD over the column, exact for integers; NULL when no non-NULL
     entry exists or the product does not fit ``lng``."""
-    valid = column.validity()
-    if not valid.any():
+    values = _valid_values(column)
+    if not len(values):
         return None
-    values = column.values[valid]
     if column.atom is Atom.DBL:
         return float(np.multiply.reduce(values))
     product = _products(values, np.zeros(len(values), dtype=np.intp), 1)[0]
@@ -393,18 +411,17 @@ def scalar_prod(column: Column) -> Any:
 
 def scalar_avg(column: Column) -> Any:
     """AVG over the column; NULL when no non-NULL entry exists."""
-    valid = column.validity()
-    if not valid.any():
+    values = _valid_values(column)
+    if not len(values):
         return None
-    return float(column.values[valid].astype(np.float64).mean())
+    return float(values.astype(np.float64, copy=False).mean())
 
 
 def scalar_min(column: Column) -> Any:
     """MIN over the column; NULL when no non-NULL entry exists."""
-    valid = column.validity()
-    if not valid.any():
+    values = _valid_values(column)
+    if not len(values):
         return None
-    values = column.values[valid]
     if column.atom is Atom.STR:
         return str(values.astype(object).min())
     out = values.min()
@@ -413,10 +430,9 @@ def scalar_min(column: Column) -> Any:
 
 def scalar_max(column: Column) -> Any:
     """MAX over the column; NULL when no non-NULL entry exists."""
-    valid = column.validity()
-    if not valid.any():
+    values = _valid_values(column)
+    if not len(values):
         return None
-    values = column.values[valid]
     if column.atom is Atom.STR:
         return str(values.astype(object).max())
     out = values.max()
@@ -462,8 +478,7 @@ def grouped_count_distinct(column: Column, grouping: Grouping) -> Column:
 
 def scalar_count_distinct(column: Column) -> int:
     """COUNT(DISTINCT x) over a whole column."""
-    valid = column.validity()
-    values = column.values[valid]
+    values = _valid_values(column)
     if column.atom is Atom.STR:
         values = values.astype(object)
     return len(np.unique(values))
@@ -587,8 +602,7 @@ def first_occurrence(groups: Column, ngroups: int) -> np.ndarray:
 
 def scalar_stddev(column: Column) -> Any:
     """Sample standard deviation; NULL with fewer than two values."""
-    valid = column.validity()
-    values = column.values[valid].astype(np.float64)
+    values = _valid_values(column).astype(np.float64, copy=False)
     if len(values) < 2:
         return None
     return float(np.std(values, ddof=1))
@@ -596,8 +610,7 @@ def scalar_stddev(column: Column) -> Any:
 
 def scalar_median(column: Column) -> Any:
     """Median of non-NULL values; NULL when none exist."""
-    valid = column.validity()
-    values = column.values[valid].astype(np.float64)
+    values = _valid_values(column).astype(np.float64, copy=False)
     if not len(values):
         return None
     return float(np.median(values))

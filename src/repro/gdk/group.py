@@ -5,9 +5,15 @@ column(s), a dense *group-id* column plus the group *extents* (one
 representative oid per group) — the kernel building blocks of SQL's
 GROUP BY.  NULL is a group of its own, as in SQL grouping semantics.
 
-The production kernels are NumPy-vectorized: values are coded through
-``np.unique`` and the codes densified to first-appearance order with a
-stable sort — no per-row Python loop.  The original tuple-at-a-time
+The production kernels are NumPy-vectorized and make no per-row Python
+step.  Values are first coded to small integers: an integer key whose
+span ``max - min`` is below its row count (dictionary codes included)
+is coded by its offset ``value - min`` in linear time; any other key
+(doubles, plain strings, wide integer spans) is coded through
+``np.unique``.  The codes are then renumbered to group ids in order of
+first appearance; only the per-*code* table is sorted, never the rows.
+Group ids leave as :class:`GroupIds`, which carry their bound so the
+aggregates need not re-read it.  The original tuple-at-a-time
 implementations survive as ``group_reference`` / ``subgroup_reference``
 for the property-test suite.
 """
@@ -46,13 +52,30 @@ class Grouping:
         return len(self.extents)
 
 
-def _value_codes(column: Column) -> np.ndarray:
-    """Integer codes: equal (non-NULL) values share a code; NULL is its own.
+class GroupIds(Column):
+    """Group ids that carry their bound: every id lies in ``[0, bound)``.
 
-    Deliberately avoids ``np.unique(return_index=True)``: asking for
-    first-occurrence indexes forces a *stable* sort, which measures ~2x
-    slower than the default introsort plus a ``np.minimum.at`` pass in
-    :func:`_densify_first_appearance`.
+    :func:`group` and :func:`subgroup` emit them with ``bound`` equal to
+    the group count, so a consumer handed the same count may trust it
+    instead of re-reading ``max()``.  Ids without that proof — packed,
+    projected or computed elsewhere — are plain :class:`Column` objects.
+    """
+
+    __slots__ = ("bound",)
+
+    def __init__(self, values: np.ndarray, bound: int):
+        super().__init__(Atom.OID, values)
+        self.bound = bound
+
+
+def _value_codes(column: Column) -> tuple[np.ndarray, int]:
+    """``(codes, bound)``: equal non-NULL values share a code, NULL has
+    its own, and every code lies in ``[0, bound)``.
+
+    An integer key whose non-NULL span ``max - min`` is below the row
+    count is coded by offset, ``value - min``, so its counting table is
+    never larger than the input; such codes need not be dense.  Any
+    other key is coded densely through ``np.unique``.
     """
     if isinstance(column, DictColumn):
         # The sorted dictionary makes code order value order, so coding
@@ -64,68 +87,81 @@ def _value_codes(column: Column) -> np.ndarray:
         if column.atom is Atom.STR:
             values = values.astype(object)
     mask = column.mask
+    rows = len(values)
+    valid = None if mask is None else ~mask
+    if values.dtype.kind == "i" and rows and (valid is None or valid.any()):
+        if valid is None:
+            low, high = int(values.min()), int(values.max())
+        else:
+            info = np.iinfo(values.dtype)
+            low = int(values.min(where=valid, initial=info.max))
+            high = int(values.max(where=valid, initial=info.min))
+        if high - low < rows:
+            # The true offsets fit int64; offsets of masked rows may wrap
+            # and are overwritten by the NULL code below.
+            codes = np.subtract(values, low, dtype=np.int64)
+            if mask is None:
+                return codes, high - low + 1
+            codes[mask] = high - low + 1
+            return codes, high - low + 2
     if mask is None:
-        _, codes = np.unique(values, return_inverse=True)
-        return codes.astype(np.int64)
-    codes = np.empty(len(column), dtype=np.int64)
-    valid = ~mask
+        uniques, codes = np.unique(values, return_inverse=True)
+        return codes.astype(np.int64, copy=False), len(uniques)
+    codes = np.empty(rows, dtype=np.int64)
     ncodes = 0
     if valid.any():
         uniques, inverse = np.unique(values[valid], return_inverse=True)
         codes[valid] = inverse
         ncodes = len(uniques)
     codes[mask] = ncodes
-    return codes
+    return codes, ncodes + 1
 
 
-def _densify_first_appearance(
-    codes: np.ndarray, dense: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Remap codes to dense group ids in first-appearance order.
+def _densify_first_appearance(codes: np.ndarray, bound: int) -> Grouping:
+    """Renumber codes in ``[0, bound)`` to dense group ids in order of
+    first appearance, as a :class:`Grouping`.
 
-    Returns ``(ids, extents, histogram)`` with the same contract as
-    :class:`Grouping`.  With *dense* the caller guarantees codes already
-    cover ``0 .. max`` (as :func:`_value_codes` emits), skipping one
-    re-coding pass; without it, codes may be arbitrary non-negative
-    int64 (the mixed-radix keys of :func:`subgroup`).
+    Codes absent from the input sort last by their first position (the
+    row count), so they drop off the end and need no re-coding pass.
     """
     n = len(codes)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    if not dense:
-        _, codes = np.unique(codes, return_inverse=True)
-        codes = codes.astype(np.int64)
-    ncodes = int(codes.max()) + 1
-    firsts = np.full(ncodes, n, dtype=np.int64)
+        return Grouping(GroupIds(empty, 0), empty.copy(), empty.copy())
+    firsts = np.full(bound, n, dtype=np.int64)
     np.minimum.at(firsts, codes, np.arange(n, dtype=np.int64))
-    appearance = np.argsort(firsts, kind="stable")  # over groups, not rows
-    rank = np.empty(ncodes, dtype=np.int64)
-    rank[appearance] = np.arange(ncodes, dtype=np.int64)
+    appearance = np.argsort(firsts, kind="stable")  # over codes, not rows
+    ngroups = int(np.count_nonzero(firsts < n))
+    rank = np.empty(bound, dtype=np.int64)
+    rank[appearance] = np.arange(bound, dtype=np.int64)
     ids = rank[codes]
-    extents = firsts[appearance]
-    histogram = np.bincount(ids, minlength=ncodes)
-    return ids, extents, histogram.astype(np.int64)
+    extents = firsts[appearance[:ngroups]]
+    histogram = np.bincount(ids, minlength=ngroups).astype(np.int64, copy=False)
+    return Grouping(GroupIds(ids, ngroups), extents, histogram)
 
 
 def group(column: Column) -> Grouping:
     """Group rows by one column's values (NULLs form their own group)."""
-    ids, extents, histogram = _densify_first_appearance(
-        _value_codes(column), dense=True
-    )
-    return Grouping(Column(Atom.OID, ids), extents, histogram)
+    return _densify_first_appearance(*_value_codes(column))
 
 
 def subgroup(column: Column, previous: Grouping) -> Grouping:
-    """Refine an existing grouping by an extra column (group.subgroup)."""
+    """Refine an existing grouping by an extra column (group.subgroup).
+
+    The combined key ``previous id · width + code`` is renumbered
+    directly when the previous ids are :class:`GroupIds` and the bound
+    ``ngroups · width`` stays within the row count; otherwise it is
+    coded through ``np.unique`` first.
+    """
     if len(column) != len(previous.groups):
         raise GDKError("subgroup: column not aligned with previous grouping")
-    sub_codes = _value_codes(column)
-    prev_ids = previous.groups.values
-    width = int(sub_codes.max()) + 1 if len(sub_codes) else 1
-    combined = prev_ids * width + sub_codes
-    ids, extents, histogram = _densify_first_appearance(combined)
-    return Grouping(Column(Atom.OID, ids), extents, histogram)
+    sub_codes, width = _value_codes(column)
+    combined = previous.groups.values * width + sub_codes
+    bound = previous.ngroups * width
+    if bound > len(combined) or not isinstance(previous.groups, GroupIds):
+        uniques, combined = np.unique(combined, return_inverse=True)
+        bound = len(uniques)
+    return _densify_first_appearance(combined.astype(np.int64, copy=False), bound)
 
 
 def group_by_columns(columns: list[Column]) -> Grouping:
@@ -178,12 +214,25 @@ class GroupView:
     ngroups: int
 
 
-def grouping_view(group_ids: np.ndarray, ngroups: int) -> GroupView:
-    """Cheap :class:`GroupView` over externally computed group ids."""
-    group_ids = np.asarray(group_ids, dtype=np.int64)
-    if len(group_ids) and ngroups >= 0 and group_ids.max() >= ngroups:
-        raise GDKError("group id out of range")
-    return GroupView(Column(Atom.OID, group_ids), int(ngroups))
+def id_bound(group_ids: Column) -> int:
+    """One past the largest id: a :class:`GroupIds` bound, else read."""
+    if isinstance(group_ids, GroupIds):
+        return group_ids.bound
+    return int(group_ids.values.max()) + 1 if len(group_ids) else 0
+
+
+def grouping_view(group_ids: Column, ngroups: int) -> GroupView:
+    """Cheap :class:`GroupView` over group ids for *ngroups* groups.
+
+    :class:`GroupIds` within *ngroups* are trusted as they are; any
+    other ids are range-checked.
+    """
+    ngroups = int(ngroups)
+    proven = isinstance(group_ids, GroupIds) and group_ids.bound <= ngroups
+    if not proven and len(group_ids) and ngroups >= 0:
+        if group_ids.values.max() >= ngroups:
+            raise GDKError("group id out of range")
+    return GroupView(group_ids, ngroups)
 
 
 def groups_bat(grouping: Grouping, hseqbase: int = 0) -> BAT:

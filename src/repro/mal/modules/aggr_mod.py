@@ -14,8 +14,9 @@ from repro.mal.modules import mal_op
 
 def _grouping(groups: BAT, ngroups) -> group_kernel.GroupView:
     # The aggregation kernels only read (ids, ngroups); the cheap view
-    # skips the per-call extents sort of ``explicit_grouping``.
-    return group_kernel.grouping_view(groups.tail.values, int(ngroups))
+    # skips the per-call extents sort of ``explicit_grouping``, and ids
+    # from group.group/subgroup skip the range check too.
+    return group_kernel.grouping_view(groups.tail, ngroups)
 
 
 def _register_scalar(name: str) -> None:

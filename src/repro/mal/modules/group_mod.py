@@ -28,7 +28,7 @@ def _subgroup(ctx, b: BAT, groups: BAT):
     if len(b) != len(groups):
         raise MALError("group.subgroup: misaligned inputs")
     previous = group_kernel.grouping_view(
-        groups.tail.values, int(groups.tail.values.max()) + 1 if len(groups) else 0
+        groups.tail, group_kernel.id_bound(groups.tail)
     )
     grouping = group_kernel.subgroup(b.tail, previous)
     return (

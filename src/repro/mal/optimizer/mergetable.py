@@ -227,6 +227,7 @@ class _Mergetable:
         self.out: list[Instruction] = []
         self.entries: dict[str, Entry] = {}
         self.spaces: dict[Any, Space] = {}  # (object, pieces) -> row space
+        self.shared: dict[tuple, str] = {}  # (module, function, args) -> result
 
     # ------------------------------------------------------------------
     # emission helpers
@@ -236,6 +237,20 @@ class _Mergetable:
 
     def fresh(self, mal_type, prefix="M") -> str:
         return self.program.fresh(mal_type, prefix)
+
+    def emit_once(self, module, function, mal_type, args) -> str:
+        """Result of a pure one-result instruction, emitted on first use.
+
+        An AVG's per-fragment sum and count partials, and their packs,
+        are those of a SUM or COUNT over the same input, and
+        ``common_terms`` ran before these instructions existed.
+        """
+        key = (module, function, tuple(args))
+        result = self.shared.get(key)
+        if result is None:
+            result = self.shared[key] = self.fresh(mal_type)
+            self.emit(module, function, [result], args)
+        return result
 
     def type_of(self, var: str):
         return self.program.types.get(var, bat_type(None))
@@ -276,12 +291,13 @@ class _Mergetable:
 
     def _merge_partial(self, var: str, entry: Entry) -> None:
         kx, g2, e2, n2 = self.ensure_merged(entry.info)
-        mal_type = self.type_of(var)
-        packed = self.fresh(mal_type)
-        self.emit("mat", "pack", [packed], [Var(p) for p in entry.parts])
+        packed = self.emit_once(
+            "mat", "pack", self.type_of(var), [Var(p) for p in entry.parts]
+        )
         if entry.agg == "avg":
-            counts = self.fresh(bat_type(Atom.LNG))
-            self.emit("mat", "pack", [counts], [Var(p) for p in entry.parts2])
+            counts = self.emit_once(
+                "mat", "pack", bat_type(Atom.LNG), [Var(p) for p in entry.parts2]
+            )
             self.emit(
                 "aggr", "mergeavg", [var],
                 [Var(packed), Var(counts), Var(g2), Var(n2)],
@@ -758,40 +774,27 @@ class _Mergetable:
             if name == "avg":
                 sums, counts = [], []
                 for index in range(len(info.g_parts)):
-                    s = self.fresh(bat_type(None))
-                    self.emit(
-                        "aggr", "subsum", [s],
-                        [
-                            Var(value_entry.parts[index]),
-                            Var(info.g_parts[index]),
-                            Var(info.n_parts[index]),
-                        ],
+                    args = [
+                        Var(value_entry.parts[index]),
+                        Var(info.g_parts[index]),
+                        Var(info.n_parts[index]),
+                    ]
+                    sums.append(self.emit_once("aggr", "subsum", bat_type(None), args))
+                    counts.append(
+                        self.emit_once("aggr", "subcount", bat_type(Atom.LNG), args)
                     )
-                    c = self.fresh(bat_type(Atom.LNG))
-                    self.emit(
-                        "aggr", "subcount", [c],
-                        [
-                            Var(value_entry.parts[index]),
-                            Var(info.g_parts[index]),
-                            Var(info.n_parts[index]),
-                        ],
-                    )
-                    sums.append(s)
-                    counts.append(c)
                 self.entries[result] = Entry(
                     "partial", parts=sums, parts2=counts, info=info, agg="avg"
                 )
                 return True
             parts = []
             for index in range(len(info.g_parts)):
-                part = self.fresh(mal_type)
                 args = []
                 if not star:
                     args.append(Var(value_entry.parts[index]))
                 args.append(Var(info.g_parts[index]))
                 args.append(Var(info.n_parts[index]))
-                self.emit("aggr", function, [part], args)
-                parts.append(part)
+                parts.append(self.emit_once("aggr", function, mal_type, args))
             self.entries[result] = Entry(
                 "partial",
                 parts=parts,

@@ -59,6 +59,33 @@ class TestGroup:
         grouping = group.explicit_grouping(np.array([0, -1, 1, 0]), 2)
         assert grouping.histogram.tolist() == [2, 1]
 
+    def test_small_span_int_key_is_coded_without_np_unique(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        keys = rng.integers(-500, 500, 1_000_000).astype(np.int32)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique called on a small-span key")
+
+        monkeypatch.setattr(group.np, "unique", no_sort)
+        grouping = group.group(Column(Atom.INT, keys))
+        ids = grouping.groups.values
+        assert grouping.ngroups == len(set(keys.tolist()))
+        assert grouping.groups.bound == grouping.ngroups
+        # Extents in first-appearance order, each the first row of its key.
+        assert (np.diff(grouping.extents) > 0).all()
+        assert (keys[grouping.extents][ids] == keys).all()
+        assert (ids[grouping.extents] == np.arange(grouping.ngroups)).all()
+        assert grouping.histogram.tolist() == np.bincount(ids).tolist()
+
+    def test_out_of_range_plain_group_id_raises(self):
+        ids = Column(Atom.OID, np.array([0, 3, 1], dtype=np.int64))
+        with pytest.raises(GDKError, match="group id out of range"):
+            group.grouping_view(ids, 3)
+        # Group ids whose bound exceeds the count get the same check.
+        proven = group.GroupIds(np.array([0, 3, 1], dtype=np.int64), 4)
+        with pytest.raises(GDKError, match="group id out of range"):
+            group.grouping_view(proven, 3)
+
 
 class TestGroupedAggregates:
     def test_sum(self, cities, temps):

@@ -201,6 +201,26 @@ class TestFragmentedPlans:
         assert "aggr.mergeavg" in plan
         assert "aggr.mergecount" in plan
 
+    def test_avg_shares_the_sum_and_count_partials(self):
+        # AVG expands into per-fragment sum and count partials; a SUM and
+        # a COUNT of the same input already emit those, once each.
+        sql = "SELECT k, SUM(v), COUNT(v), AVG(v), MIN(v), MAX(v) FROM t GROUP BY k"
+        rows = [(i % 3, None if i % 5 == 0 else i * 7) for i in range(64)]
+        results = {}
+        for fragment_rows in (32, math.inf):
+            conn = repro.connect(nr_threads=1, fragment_rows=fragment_rows)
+            conn.execute("CREATE TABLE t (k INT, v BIGINT)")
+            conn.executemany("INSERT INTO t VALUES (?, ?)", rows)
+            results[fragment_rows] = conn.execute(sql).rows()
+            if fragment_rows == 32:
+                plan = conn.explain(sql)
+                assert plan.count("aggr.subsum(") == 2
+                assert plan.count("aggr.subcount(") == 2
+                # Keys, SUM, COUNT, MIN, MAX: AVG reads the SUM and COUNT packs.
+                assert plan.count("mat.pack(") == 5
+                assert "aggr.mergeavg(" in plan
+        assert results[32] == results[math.inf]
+
     def test_join_outputs_rejoin_by_concatenation(self):
         # A two-column equi join: the second key runs as a residual
         # select over the joined rows, which makes mergetable re-merge

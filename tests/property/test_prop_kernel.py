@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gdk import aggregate, calc, group, join, select, sort
+from repro.gdk import aggregate, calc, dictenc, group, join, select, sort
 from repro.gdk.atoms import Atom
 from repro.gdk.bat import BAT
 from repro.gdk.column import Column
@@ -300,6 +300,113 @@ class TestVectorizedVsReference:
                 assert got is None
             else:
                 assert got == pytest.approx(expected, abs=1e-9)
+
+
+
+# Integer keys on both sides of the offset-coding cut: a window of
+# ``span + 1`` values from a base that may be negative or hug either end
+# of ``lng``, against a row count that may be larger or smaller.
+_LNG_EDGE = 2**63 - 1
+
+
+@st.composite
+def _windowed_keys(draw, atom):
+    limit = 2**31 - 1 if atom is Atom.INT else _LNG_EDGE
+    span = draw(st.integers(0, 80))
+    base = draw(
+        st.sampled_from([-limit, -50, 0, 7, limit - span])
+        | st.integers(-limit, limit - span)
+    )
+    value = st.integers(base, base + span)
+    nulls = draw(st.booleans())
+    return draw(st.lists(value | st.none() if nulls else value, max_size=60))
+
+
+def _key_column(data, kind):
+    """A grouping key column of one *kind*: INT/LNG windows or text."""
+    if kind == "text":
+        words = st.sampled_from(["a", "bb", "c", "dd", "e"]) | st.none()
+        items = data.draw(st.lists(words, max_size=60))
+        plain = Column.from_pylist(Atom.STR, items)
+        if not items:
+            return plain
+        dictionary, codes = dictenc.encode_values(plain.values)
+        return dictenc.DictColumn(Atom.STR, codes, dictionary, plain.mask)
+    atom = Atom.INT if kind == "int" else Atom.LNG
+    return Column.from_pylist(atom, data.draw(_windowed_keys(atom)))
+
+
+def _assert_same_grouping(vec, ref):
+    assert isinstance(vec.groups, group.GroupIds)
+    assert vec.groups.bound == vec.ngroups
+    assert vec.groups.to_pylist() == ref.groups.to_pylist()
+    assert vec.extents.tolist() == ref.extents.tolist()
+    assert vec.histogram.tolist() == ref.histogram.tolist()
+
+
+NUMERIC_ONLY = {
+    "grouped_sum", "grouped_prod", "grouped_avg", "grouped_stddev", "grouped_median"
+}
+
+
+class TestGroupCodingPaths:
+    """Offset-coded and ``np.unique``-coded keys group alike: the same
+    ids, extents and histograms as the loop oracle, whichever side of
+    the ``max - min < rows`` cut a key falls."""
+
+    @pytest.mark.parametrize("kind", ["int", "lng", "text"])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_group_matches_reference(self, kind, data):
+        column = _key_column(data, kind)
+        _assert_same_grouping(group.group(column), group.group_reference(column))
+
+    @pytest.mark.parametrize("kind", ["int", "lng", "text"])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_subgroup_matches_reference(self, kind, data):
+        column = _key_column(data, kind)
+        # 1 to 12 previous groups: ``ngroups · width`` lands on both
+        # sides of the row count.
+        width = data.draw(st.integers(0, 11))
+        keys = data.draw(
+            st.lists(
+                st.integers(0, width) | st.none(),
+                min_size=len(column),
+                max_size=len(column),
+            )
+        )
+        previous = group.group(Column.from_pylist(Atom.INT, keys))
+        _assert_same_grouping(
+            group.subgroup(column, previous),
+            group.subgroup_reference(column, previous),
+        )
+
+    @pytest.mark.parametrize(
+        "run",
+        list(aggregate.GROUPED_DISPATCH.values()) + [aggregate.grouped_count_distinct],
+        ids=lambda run: run.__name__,
+    )
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_aggregates_over_group_ids_match_plain_ids(self, run, data):
+        keys = _key_column(data, data.draw(st.sampled_from(["int", "lng", "text"])))
+        grouping = group.group(keys)
+        plain = group.grouping_view(
+            Column(Atom.OID, grouping.groups.values.copy()), grouping.ngroups
+        )
+        assert not isinstance(plain.groups, group.GroupIds)
+        numeric = run.__name__ in NUMERIC_ONLY
+        atoms = [Atom.INT, Atom.LNG, Atom.DBL] + ([] if numeric else [Atom.STR])
+        atom = data.draw(st.sampled_from(atoms))
+        strategy = dict(VALUE_STRATEGIES)[atom]
+        if data.draw(st.booleans()):  # NULL-free: the in-place read
+            strategy = strategy.filter(lambda value: value is not None)
+        items = data.draw(st.lists(strategy, min_size=len(keys), max_size=len(keys)))
+        column = Column.from_pylist(atom, items)
+        _column_equal(run(column, grouping), run(column, plain))
+        counts = aggregate.grouped_count_star
+        _column_equal(counts(grouping), counts(plain))
 
 
 class TestSortProperties:
