@@ -32,7 +32,7 @@ def build_obs(conn, rows=2000):
 
 @pytest.mark.benchmark(group="E12-optimizer")
 def test_with_optimizer(benchmark):
-    conn = repro.connect(optimize=True)
+    conn = repro.connect()
     build_obs(conn)
     result = benchmark(conn.execute, CSE_QUERY)
     assert len(result.rows()) == 7
@@ -40,7 +40,8 @@ def test_with_optimizer(benchmark):
 
 @pytest.mark.benchmark(group="E12-optimizer")
 def test_without_optimizer(benchmark):
-    conn = repro.connect(optimize=False)
+    conn = repro.connect()
+    conn.pipeline = ()
     build_obs(conn)
     result = benchmark(conn.execute, CSE_QUERY)
     assert len(result.rows()) == 7
@@ -48,8 +49,9 @@ def test_without_optimizer(benchmark):
 
 def test_optimizer_equivalence_and_instruction_reduction():
     """Not a timing benchmark: the invariant behind E12."""
-    optimized = repro.connect(optimize=True)
-    raw = repro.connect(optimize=False)
+    optimized = repro.connect()
+    raw = repro.connect()
+    raw.pipeline = ()
     for connection in (optimized, raw):
         build_obs(connection, rows=500)
     fast = optimized.execute(CSE_QUERY, collect_stats=True)
@@ -67,7 +69,7 @@ def test_optimizer_equivalence_and_instruction_reduction():
 @pytest.mark.benchmark(group="E12-optimizer")
 def test_fragmentation_off(benchmark):
     """The default pipeline: every column scanned whole."""
-    conn = repro.connect(optimize=True, nr_threads=1, fragment_rows=math.inf)
+    conn = repro.connect(nr_threads=1, fragment_rows=math.inf)
     build_obs(conn)
     result = benchmark(conn.execute, CSE_QUERY)
     assert len(result.rows()) == 7
@@ -77,7 +79,7 @@ def test_fragmentation_off(benchmark):
 def test_fragmentation_on(benchmark):
     """The fragmented pipeline (per-fragment select/group/partials)."""
     conn = repro.connect(
-        optimize=True, nr_threads=1, fragment_rows=ABLATION_FRAGMENT_ROWS
+        nr_threads=1, fragment_rows=ABLATION_FRAGMENT_ROWS
     )
     build_obs(conn)
     result = benchmark(conn.execute, CSE_QUERY)
@@ -86,9 +88,9 @@ def test_fragmentation_on(benchmark):
 
 def test_fragmentation_equivalence():
     """Fragmentation never changes results — only plan shape."""
-    off = repro.connect(optimize=True, nr_threads=1, fragment_rows=math.inf)
+    off = repro.connect(nr_threads=1, fragment_rows=math.inf)
     on = repro.connect(
-        optimize=True, nr_threads=1, fragment_rows=ABLATION_FRAGMENT_ROWS
+        nr_threads=1, fragment_rows=ABLATION_FRAGMENT_ROWS
     )
     for connection in (off, on):
         build_obs(connection, rows=1000)
@@ -132,7 +134,7 @@ def no_dead_code_pipeline():
 
 @pytest.mark.benchmark(group="E12-deadcode")
 def test_with_dead_code(benchmark):
-    conn = repro.connect(optimize=True, nr_threads=1)
+    conn = repro.connect(nr_threads=1)
     build_obs(conn)
     result = benchmark(conn.execute, CSE_QUERY)
     assert len(result.rows()) == 7
@@ -140,7 +142,7 @@ def test_with_dead_code(benchmark):
 
 @pytest.mark.benchmark(group="E12-deadcode")
 def test_without_dead_code(benchmark):
-    conn = repro.connect(optimize=True, nr_threads=1)
+    conn = repro.connect(nr_threads=1)
     build_obs(conn)
     conn.pipeline = no_dead_code_pipeline()
     result = benchmark(conn.execute, CSE_QUERY)
@@ -151,8 +153,8 @@ def test_dead_code_equivalence_and_sweep():
     """The ablation's invariant: dead-code elimination (driven by the
     same def/use analysis as the plan verifier) never changes results,
     and it does sweep the duplicates common_terms leaves behind."""
-    with_pass = repro.connect(optimize=True, nr_threads=1)
-    without = repro.connect(optimize=True, nr_threads=1)
+    with_pass = repro.connect(nr_threads=1)
+    without = repro.connect(nr_threads=1)
     for connection in (with_pass, without):
         build_obs(connection, rows=500)
     without.pipeline = no_dead_code_pipeline()

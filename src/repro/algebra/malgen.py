@@ -1156,27 +1156,49 @@ class MALGenerator:
     # ------------------------------------------------------------------
     # DML
     # ------------------------------------------------------------------
-    def _pack_column(self, values: list[Any], atom: Atom) -> str:
-        packed = self.program.emit1(
-            "bat", "pack",
-            [
-                Param(v.key) if isinstance(v, Parameter) else Constant(v)
-                for v in values
-            ],
-            bat_type(None),
+    def _values_columns(self, plan: nodes.InsertValuesPlan, atoms: list[Atom]) -> list[str]:
+        """One BAT per VALUES column, packed straight into its atom.
+
+        In a one-row template with a ``?`` each parameter may be bound
+        to a whole column (``executemany``), so each constant slot,
+        packed into its atom like any other, repeats its one row for
+        every row of the first parameter slot's column.
+        """
+        slots = list(zip(*plan.rows))  # each column's values, row by row
+        columns = [
+            self.program.emit1(
+                "bat", "pack",
+                [Constant(atom)]
+                + [Param(v.key) if isinstance(v, Parameter) else Constant(v) for v in slot],
+                bat_type(atom),
+            )
+            for atom, slot in zip(atoms, slots)
+        ]
+        bound = [isinstance(slot[0], Parameter) for slot in slots]
+        if len(plan.rows) > 1 or all(bound) or not any(bound):
+            return columns
+        first = columns[bound.index(True)]
+        zeros = self.program.emit1(
+            "bat", "project_const", [Var(first), Constant(0), Atom.OID.value],
+            bat_type(Atom.OID),
         )
-        return self._cast_var(packed, atom)
+        return [
+            column
+            if is_bound
+            else self.program.emit1(
+                "algebra", "projection", [Var(zeros), Var(column)], bat_type(atom)
+            )
+            for column, atom, is_bound in zip(columns, atoms, bound)
+        ]
 
     def _emit_insert_values(self, plan: nodes.InsertValuesPlan) -> None:
         obj = self.catalog.get(plan.target)
-        per_column: dict[str, list[Any]] = {c: [] for c in plan.columns}
-        for row in plan.rows:
-            for column, value in zip(plan.columns, row):
-                per_column[column].append(value)
         if plan.target_kind == "table":
             bats = [
-                Var(self._pack_column(per_column[c], obj.column_def(c).atom))
-                for c in plan.columns
+                Var(var)
+                for var in self._values_columns(
+                    plan, [obj.column_def(c).atom for c in plan.columns]
+                )
             ]
             count = self.program.emit1(
                 "sql", "append",
@@ -1186,13 +1208,11 @@ class MALGenerator:
             self.program.emit("sql", "affected", [Var(count)], [scalar_type(Atom.INT)])
             return
         array = self.catalog.get_array(plan.target)
-        column_vars = {
-            column: self._pack_column(
-                per_column[column],
-                Atom.LNG if array.is_dimension(column) else array.attribute_def(column).atom,
-            )
-            for column in plan.columns
-        }
+        atoms = [
+            Atom.LNG if array.is_dimension(c) else array.attribute_def(c).atom
+            for c in plan.columns
+        ]
+        column_vars = dict(zip(plan.columns, self._values_columns(plan, atoms)))
         oids = self._cellindex(array, [Var(column_vars[d.name]) for d in array.dimensions])
         self._update_cells(plan.target, array, oids, column_vars)
 

@@ -15,8 +15,9 @@ zooming in, brightening, areas-of-interest by mask array or by
 bounding-box table (the table ⋈ array join the paper highlights).
 
 Loading goes through :func:`load_image`, the stand-in for the GeoTIFF
-Data Vault [Ivanova et al., SSDBM 2012]: a bulk path that materialises
-the image into the array's attribute BAT without tuple-at-a-time SQL.
+Data Vault [Ivanova et al., SSDBM 2012]: the image enters as one
+ndarray through ``Connection.register_array``, without tuple-at-a-time
+SQL.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import SciQLError
-from repro.gdk.atoms import Atom
-from repro.gdk.column import Column
 from repro.engine import Connection
 from repro.engine.result import Result
 
@@ -39,23 +38,14 @@ def load_image(connection: Connection, name: str, image: np.ndarray) -> None:
 
     "Each image is stored as a 2D array with x,y dimensions denoting
     the pixel positions in the image, and an integer column v denoting
-    the grey-scale intensities of the pixels."  The bulk load bypasses
-    SQL INSERT statements, exactly like the GeoTIFF Data Vault feeds
-    MonetDB.
+    the grey-scale intensities of the pixels."  The image enters whole
+    through ``register_array``, as the GeoTIFF Data Vault feeds MonetDB
+    without INSERT statements: ``v`` takes the atom of the image's
+    dtype, and a NaN pixel is NULL.
     """
     if image.ndim != 2:
         raise SciQLError("images must be 2-D (width, height)")
-    width, height = image.shape
-    connection.execute(
-        f"CREATE ARRAY {name} (x INT DIMENSION[0:1:{width}], "
-        f"y INT DIMENSION[0:1:{height}], v INT DEFAULT 0)"
-    )
-    flat = np.ascontiguousarray(image, dtype=np.int64).reshape(-1)
-    oids = np.arange(flat.size, dtype=np.int64)
-    with connection.staging() as txn:
-        array = connection.catalog.get_array(name)
-        array.replace_values("v", oids, Column(Atom.INT, flat))
-        txn.note_write(name)
+    connection.register_array(name, np.array(image), dims=("x", "y"))
 
 
 def fetch_image(connection: Connection, name: str) -> np.ndarray:

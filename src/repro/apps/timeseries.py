@@ -35,14 +35,22 @@ class SensorLog:
         name: str,
         length: int,
         value_type: str = "DOUBLE",
+        *,
+        samples: Optional[np.ndarray] = None,
     ):
+        """An empty signal of *length* samples of *value_type*, or, with
+        *samples* (what :meth:`from_numpy` passes), the array registered
+        from them in one commit."""
         self.connection = connection
         self.name = name
         self.length = length
-        connection.execute(
-            f"CREATE ARRAY {name} (t INT DIMENSION[0:1:{length}], "
-            f"v {value_type})"
-        )
+        if samples is not None:
+            connection.register_array(name, samples, dims=("t",))
+        else:
+            connection.execute(
+                f"CREATE ARRAY {name} (t INT DIMENSION[0:1:{length}], "
+                f"v {value_type})"
+            )
 
     # ------------------------------------------------------------------
     # loading
@@ -51,23 +59,13 @@ class SensorLog:
     def from_numpy(
         cls, connection: Connection, name: str, samples: np.ndarray
     ) -> "SensorLog":
-        """Bulk-load a 1-D signal (NaN entries become holes)."""
-        from repro.gdk.atoms import Atom
-        from repro.gdk.column import Column
-
+        """Store a float64 copy of a 1-D signal through
+        ``register_array`` (NaN entries become holes)."""
         if samples.ndim != 1:
             raise SciQLError("SensorLog needs a 1-D signal")
-        log = cls(connection, name, len(samples))
-        values = samples.astype(np.float64)
-        mask = np.isnan(values)
-        column = Column(Atom.DBL, np.where(mask, 0.0, values), mask)
-        with connection.staging() as txn:
-            array = connection.catalog.get_array(name)
-            array.replace_values(
-                "v", np.arange(len(samples), dtype=np.int64), column
-            )
-            txn.note_write(name)
-        return log
+        return cls(
+            connection, name, len(samples), samples=np.array(samples, dtype=np.float64)
+        )
 
     def record(self, t: int, value: float) -> None:
         """Store one sample (INSERT overwrites the cell)."""

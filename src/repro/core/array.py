@@ -79,33 +79,14 @@ class ArrayHandle:
         dimension_names: Optional[Sequence[str]] = None,
         attribute: str = "v",
     ) -> "ArrayHandle":
-        """Materialise a numpy array as a stored SciQL array (bulk path)."""
-        from repro.gdk.atoms import Atom
-        from repro.gdk.column import Column
-
+        """Store a copy of a numpy array as a SciQL array
+        (``register_array``: the dtype picks the atom, NaN is NULL)."""
+        data = np.array(data)
         names = list(dimension_names or ("x", "y", "z", "w")[: data.ndim])
         if len(names) != data.ndim:
             raise DimensionError("dimension name count differs from data rank")
-        dims_sql = ", ".join(
-            f"{dim} INT DIMENSION[0:1:{size}]"
-            for dim, size in zip(names, data.shape)
-        )
-        if np.issubdtype(data.dtype, np.floating):
-            type_name, atom = "DOUBLE", Atom.DBL
-        else:
-            type_name, atom = "INT", Atom.INT
-        connection.execute(
-            f"CREATE ARRAY {name} ({dims_sql}, {attribute} {type_name})"
-        )
-        handle = cls(connection, name)
-        flat = np.ascontiguousarray(data).reshape(-1)
-        oids = np.arange(flat.size, dtype=np.int64)
-        # Stage the bulk load transactionally: the direct storage write
-        # lands in the transaction fork and publishes atomically.
-        with connection.staging() as txn:
-            handle._array.replace_values(attribute, oids, Column(atom, flat))
-            txn.note_write(handle.name)
-        return handle
+        connection.register_array(name, data, dims=names, attribute=attribute)
+        return cls(connection, name)
 
     # ------------------------------------------------------------------
     # inspection

@@ -64,10 +64,9 @@ from repro.mal.interpreter import ExecutionStats
 from repro.mal.analysis import annotate_program, verify_program
 from repro.mal.optimizer import optimize as optimize_program
 from repro.mal.program import MALProgram
-from repro.semantic.binder import Parameter
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import Parser, parse
-from repro.engine.cursor import Params, Session, Statement, scalar_parameter
+from repro.engine.cursor import Params, Session, Statement, scalar_column, scalar_parameter
 from repro.engine.database import (
     DEFAULT_STATEMENT_CACHE_SIZE,
     Database,
@@ -110,9 +109,9 @@ class CompiledStatement:
     #: plan-validity token of the snapshot this was compiled against:
     #: the committed schema version (int) or a transaction-private tuple.
     schema_token: Any
-    #: InsertValuesPlan for the executemany bulk-ingestion fast path
-    #: (single parameterized VALUES row), else None.
-    bulk_insert: Optional[nodes.InsertValuesPlan] = None
+    #: a one-row parameterised INSERT ... VALUES: ``executemany`` runs
+    #: the plan once with each ``?`` bound to the column of its values.
+    binds_columns: bool = False
     #: lowercased catalog objects the program mutates (empty = read-only).
     write_targets: frozenset = frozenset()
     #: the parsed AST when the entry came from a script (no SQL text).
@@ -155,7 +154,7 @@ def bind_parameters(param_keys: tuple, params: Params) -> dict:
             bindings[key] = scalar_parameter(params[key])
         return bindings
     expected = max(param_keys) + 1  # positional style (?)
-    if (
+    if type(params) not in (tuple, list) and (  # skip the ABC walk for rows
         params is None
         or isinstance(params, (str, bytes, Mapping))
         or not isinstance(params, Sequence)
@@ -170,6 +169,24 @@ def bind_parameters(param_keys: tuple, params: Params) -> dict:
             f"{len(params)} given"
         )
     return {index: scalar_parameter(value) for index, value in enumerate(params)}
+
+
+def bind_columns(param_keys: tuple, seq: list) -> dict:
+    """:func:`bind_parameters` of every row of a batch, as ``key ->
+    [values]``.
+
+    Positional rows that are all tuples or lists of the right width
+    are checked a column at a time; any other batch binds row by row,
+    so a bad row raises what it raises alone.
+    """
+    if (
+        isinstance(param_keys[0], int)
+        and set(map(type, seq)) <= {tuple, list}
+        and set(map(len, seq)) == {len(param_keys)}
+    ):
+        return {key: scalar_column([row[key] for row in seq]) for key in param_keys}
+    rows = [bind_parameters(param_keys, params) for params in seq]
+    return {key: [row[key] for row in rows] for key in param_keys}
 
 
 def _ingest_column(array_values: np.ndarray, atom: Atom) -> Column:
@@ -192,7 +209,6 @@ class Connection(Session):
     def __init__(
         self,
         catalog: Optional[Catalog] = None,
-        optimize: bool = True,
         statement_cache_size: int = DEFAULT_STATEMENT_CACHE_SIZE,
         nr_threads: Optional[int] = None,
         fragment_rows: Optional[float] = None,
@@ -203,7 +219,6 @@ class Connection(Session):
             # owns (closing the session closes the engine).
             database = Database(
                 catalog=catalog,
-                optimize=optimize,
                 statement_cache_size=statement_cache_size,
                 nr_threads=nr_threads,
                 fragment_rows=fragment_rows,
@@ -229,7 +244,6 @@ class Connection(Session):
             if fragment_rows is None
             else resolve_fragment_rows(fragment_rows)
         )
-        self.optimize_programs = optimize
         self.pipeline = database.pipeline_for(
             self._nr_threads, self._fragment_rows
         )
@@ -270,9 +284,8 @@ class Connection(Session):
 
         Inside a transaction: the transaction's private fork (staged
         writes included).  Otherwise: the committed head snapshot.
-        Direct mutation through this property bypasses write tracking —
-        inside a transaction, pair it with
-        :meth:`Transaction.note_write` (see :meth:`transaction`).
+        It is for reading: data enters through SQL or
+        :meth:`register_array`, never by mutating these objects.
         """
         txn = self._txn
         if txn is not None:
@@ -443,11 +456,7 @@ class Connection(Session):
     def transaction(self):
         """``with conn.transaction() as txn:`` — begin/commit/rollback.
 
-        Commits on clean exit, rolls back when the block raises.  The
-        yielded :class:`Transaction` exposes
-        :meth:`~Transaction.note_write` for code that stages changes by
-        mutating ``conn.catalog`` objects directly instead of executing
-        SQL (the bulk-ingestion helpers do this).
+        Commits on clean exit, rolls back when the block raises.
         """
         # Hold the session lock for the whole span so the begin → body
         # → commit sequence is atomic with respect to other threads
@@ -463,28 +472,6 @@ class Connection(Session):
             else:
                 self.commit()
 
-    @contextmanager
-    def staging(self):
-        """A transaction to stage direct catalog writes into.
-
-        Yields the session's open transaction when one is active (and
-        leaves it open), otherwise wraps the block in a private
-        transaction that commits on exit.  The bulk-ingestion helpers
-        (CSV import, ``ArrayHandle.from_numpy``, the demo apps) use
-        this so their direct storage writes publish atomically and are
-        tracked for conflict detection via
-        :meth:`Transaction.note_write`.  The session lock is held for
-        the whole block, so concurrent threads sharing the session can
-        neither interleave statements nor roll the transaction back
-        underneath the staged writes.
-        """
-        with self._lock:
-            if self._txn is not None:
-                yield self._txn
-            else:
-                with self.transaction() as txn:
-                    yield txn
-
     # ------------------------------------------------------------------
     # compilation + the shared statement cache
     # ------------------------------------------------------------------
@@ -495,47 +482,42 @@ class Connection(Session):
             return txn.schema_token
         return self._database.head().schema_version
 
-    def _compile(
-        self,
-        statement,
-        catalog: Catalog,
-        optimize: bool = True,
-        verify: Optional[bool] = None,
-    ):
+    @staticmethod
+    def _generate(statement, catalog: Catalog):
+        """statement → (plan, the MAL program before any optimizer pass)."""
+        if isinstance(statement, ast.Explain):
+            statement = statement.statement
+        plan = plan_statement(statement, catalog)
+        return plan, MALGenerator(catalog).generate(plan)
+
+    def _compile(self, statement, catalog: Catalog, verify: Optional[bool] = None):
         """The one compile entry: statement → (plan, program, report).
 
-        plan → MAL generation → the session's optimizer pipeline.
-        ``optimize=False`` stops at the generated program and does not
-        count as a compile (the ``explain_unoptimized`` listing);
+        plan → MAL generation → the session's optimizer pipeline
+        (``pipeline = ()`` runs the generated program unchanged).
         ``verify=True`` forces per-pass verification on and returns the
         final :class:`~repro.mal.analysis.VerificationReport` (``None``
         defers to ``REPRO_VERIFY_PLANS`` and yields no report).
         """
-        if isinstance(statement, ast.Explain):
-            statement = statement.statement
-        plan = plan_statement(statement, catalog)
-        program = MALGenerator(catalog).generate(plan)
-        if optimize:
-            self._database.note_compile(self)
-            if self.optimize_programs:
-                program = optimize_program(program, self.pipeline, verify=verify)
+        plan, program = self._generate(statement, catalog)
+        self._database.note_compile(self)
+        program = optimize_program(program, self.pipeline, verify=verify)
         # The pipeline already re-checked after every pass; one final
         # run produces the report EXPLAIN VERIFY / verify_plan display.
         report = verify_program(program, phase="final") if verify else None
         return plan, program, report
 
     def _cache_key(self, sql: str) -> tuple:
-        # The optimizer settings are part of the identity: benchmarks
-        # flip them per-session, ablation runs swap pipelines, and the
-        # fragmentation knobs change the compiled plan shape.  The
-        # schema token makes entries snapshot-valid: committed DDL
-        # mints keys no stale entry can match.
+        # The optimizer pipeline is part of the identity: ablation runs
+        # swap pipelines per session, and the fragmentation knobs
+        # change the compiled plan shape.  The schema token makes
+        # entries snapshot-valid: committed DDL mints keys no stale
+        # entry can match.
         # storage_token folds in the mmap knobs: flipping
         # REPRO_STORAGE_MMAP mid-process must not replay plans whose
         # cost assumptions (lazy vs eager heaps) no longer hold.
         return (
             sql,
-            self.optimize_programs,
             self.pipeline,
             self._nr_threads,
             self._fragment_rows,
@@ -577,8 +559,11 @@ class Connection(Session):
             inner, self.catalog, verify=True if wants_verify else None
         )
         entry.program.param_keys = param_keys
-        if isinstance(plan, nodes.InsertValuesPlan) and len(plan.rows) == 1:
-            entry.bulk_insert = plan
+        entry.binds_columns = bool(
+            param_keys
+            and isinstance(plan, nodes.InsertValuesPlan)
+            and len(plan.rows) == 1
+        )
         if not is_explain:
             entry.write_targets = entry.program.write_targets()
         return entry
@@ -652,10 +637,10 @@ class Connection(Session):
         """Register one top-level statement with the query registry.
 
         Reentrant: nested execution (``executemany`` driving
-        ``_run_compiled`` per row, the bulk-insert path) rides on the
-        already-active context so the whole batch is one qid, one
-        deadline and one budget.  Callers hold the session lock, so the
-        reuse check cannot race another statement of this session.
+        ``_run_compiled`` per row) rides on the already-active context
+        so the whole batch is one qid, one deadline and one budget.
+        Callers hold the session lock, so the reuse check cannot race
+        another statement of this session.
 
         A governance abort (cancel / deadline / budget) rolls any open
         transaction back before the error surfaces: the statement may
@@ -679,7 +664,7 @@ class Connection(Session):
         try:
             # One upfront poll so an already-expired deadline (or a
             # pre-armed cancel) aborts even statements that never enter
-            # the interpreter (bulk ingestion, empty programs).
+            # the interpreter (empty programs, an empty executemany).
             query.check()
             yield query
         except QueryGovernanceError:
@@ -846,10 +831,10 @@ class Connection(Session):
     ) -> Result:
         """Execute the statement once per parameter set.
 
-        Single-row parameterized ``INSERT ... VALUES`` statements take
-        a bulk path: the parameter sets are transposed into columns and
-        appended (tables) or scattered into cells (arrays) in one go.
-        The returned Result totals the affected rows.
+        A one-row parameterised ``INSERT ... VALUES`` runs its plan once,
+        with each ``?`` bound to the column of its values.  The batch is
+        one governed statement in one transaction; the returned Result
+        totals the affected rows.
         """
         return self._executemany_compiled(self._compiled(sql), seq_of_params)
 
@@ -877,56 +862,14 @@ class Connection(Session):
             # becomes atomic (all rows or none).
             with self._autocommit() as txn:
                 entry = self._refresh(entry)
-                if entry.bulk_insert is not None and entry.param_keys and seq:
-                    txn.writes.update(entry.write_targets)
-                    return Result(
-                        affected=self._bulk_insert(txn.catalog, entry, seq)
-                    )
+                if entry.binds_columns and seq:
+                    columns = bind_columns(entry.param_keys, seq)
+                    return self._execute_entry(entry, columns, False, txn)
+                rows = [bind_parameters(entry.param_keys, params) for params in seq]
                 total = 0
-                for params in seq:
-                    bindings = bind_parameters(entry.param_keys, params)
+                for bindings in rows:
                     total += self._execute_entry(entry, bindings, False, txn).affected
                 return Result(affected=total)
-
-    def _bulk_insert(
-        self, catalog: Catalog, entry: CompiledStatement, seq: list
-    ) -> int:
-        """Columnar ingestion of many parameter sets for one VALUES row."""
-        plan = entry.bulk_insert
-        bound = [bind_parameters(entry.param_keys, params) for params in seq]
-        per_column: dict[str, list] = {}
-        for column, template in zip(plan.columns, plan.rows[0]):
-            if isinstance(template, Parameter):
-                per_column[column] = [row[template.key] for row in bound]
-            else:
-                per_column[column] = [template] * len(seq)
-        if plan.target_kind == "table":
-            table = catalog.get_table(plan.target)
-            return table.append_rows(
-                {
-                    name: Column.from_pylist(table.column_def(name).atom, values)
-                    for name, values in per_column.items()
-                }
-            )
-        array = catalog.get_array(plan.target)
-        # NULL coordinates never address a cell (oid -1) — those rows are
-        # dropped, exactly like the per-row execute path does.
-        oids = array.cell_oids(
-            [
-                Column.from_pylist(Atom.LNG, per_column[dimension.name])
-                for dimension in array.dimensions
-            ]
-        )
-        keep = oids >= 0
-        positions = np.flatnonzero(keep)
-        for column in plan.columns:
-            if array.is_dimension(column):
-                continue
-            values = Column.from_pylist(
-                array.attribute_def(column).atom, per_column[column]
-            )
-            array.replace_values(column, oids[keep], values.take(positions))
-        return int(keep.sum())
 
     def execute_script(self, sql: str) -> list[Result]:
         """Execute a ``;``-separated script; returns one result each.
@@ -975,8 +918,7 @@ class Connection(Session):
     def explain_unoptimized(self, sql: str) -> str:
         """The MAL program before the optimizer pipeline runs."""
         self._check_open()
-        _, program, _ = self._compile(parse(sql), self.catalog, optimize=False)
-        return program.to_text()
+        return self._generate(parse(sql), self.catalog)[1].to_text()
 
     # ------------------------------------------------------------------
     # NumPy array ingestion
@@ -988,14 +930,16 @@ class Connection(Session):
         dims: Optional[Sequence[str]] = None,
         attribute: str = "v",
     ) -> Array:
-        """Install an ndarray as a SciQL array, bypassing SQL literals.
+        """Install an ndarray as a SciQL array: the one door for NumPy data.
 
         ``values`` is one ndarray (stored under *attribute*) or a
         mapping of attribute name to ndarray (all of one shape).  Each
         axis becomes an INT dimension ``[0:1:size]`` named after
         ``dims`` (default ``x``, ``y``, ``z``, ``w``, then ``d4``...).
         Float NaNs and object-array ``None`` entries become NULL cells,
-        so round-tripping through ``Result.grid()`` is exact.  The
+        so round-tripping through ``Result.grid()`` is exact.  An
+        ndarray already in its atom's carrier dtype is shared, not
+        copied: pass a copy if you will write to it later.  The
         installation is transactional DDL: it stages into an open
         transaction, or publishes immediately under autocommit.
         """
@@ -1081,8 +1025,8 @@ class PreparedStatement(Statement):
     def executemany(self, seq_of_params: Iterable[Params]) -> Result:
         """Run once per parameter set; the Result totals affected rows.
 
-        Single-row parameterized INSERTs take the same bulk columnar
-        path as :meth:`Connection.executemany`.
+        A one-row parameterised INSERT runs its plan once, as in
+        :meth:`Connection.executemany`.
         """
         self._check_open()
         self._compiled = self.connection._refresh(self._compiled)
@@ -1095,7 +1039,6 @@ class PreparedStatement(Statement):
 
 def connect(
     path: Optional[str | Path] = None,
-    optimize: bool = True,
     statement_cache_size: int = DEFAULT_STATEMENT_CACHE_SIZE,
     nr_threads: Optional[int] = None,
     fragment_rows: Optional[float] = None,
@@ -1149,7 +1092,6 @@ def connect(
     if path is None:
         resolve_durable(durable, None)
         return Connection(
-            optimize=optimize,
             statement_cache_size=statement_cache_size,
             nr_threads=nr_threads,
             fragment_rows=fragment_rows,
@@ -1158,7 +1100,6 @@ def connect(
     # see Database.open); the session owns the freshly loaded engine.
     session = Database.open(
         Path(path),
-        optimize=optimize,
         statement_cache_size=statement_cache_size,
         nr_threads=nr_threads,
         fragment_rows=fragment_rows,

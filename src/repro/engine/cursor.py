@@ -61,6 +61,22 @@ def scalar_parameter(value: Any) -> Any:
     return value
 
 
+def scalar_column(values: list) -> list:
+    """:func:`scalar_parameter` of every value in *values*.
+
+    A column of plain scalars, its ints inside ``lng``, is returned as
+    it is: the check runs in C loops instead of a call per value.
+    """
+    kinds = set(map(type, values))
+    if kinds <= _SCALARS:
+        if int not in kinds:
+            return values
+        ints = values if kinds == {int} else [v for v in values if type(v) is int]
+        if _LNG_LOWEST <= min(ints) and max(ints) <= _LNG_HIGHEST:
+            return values
+    return [scalar_parameter(value) for value in values]
+
+
 def _concat_columns(batches: list[list[Column]]) -> list[Column]:
     """Concatenate per-batch column slices into whole result columns."""
     if len(batches) <= 1:
@@ -164,9 +180,9 @@ class Cursor(_Closable):
     def executemany(self, sql: str, seq_of_params: Iterable[Params]):
         """Execute the statement once per parameter set.
 
-        A single-row parameterized ``INSERT ... VALUES`` takes the bulk
-        ingestion fast path: one columnar append instead of one plan
-        execution per row.  ``rowcount`` totals the affected rows.
+        A one-row parameterised ``INSERT ... VALUES`` runs its plan once,
+        with each ``?`` bound to the column of its values, instead of
+        once per row.  ``rowcount`` totals the affected rows.
         """
         self._check_open()
         return self._install(self.connection.executemany(sql, seq_of_params))

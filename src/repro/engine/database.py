@@ -200,10 +200,8 @@ class Transaction:
     commit uses it for first-committer-wins conflict detection and for
     merging onto a head that advanced underneath the transaction.
 
-    Direct catalog manipulation (the ``connection.catalog`` escape
-    hatch) is staged too when a transaction is active, but the engine
-    cannot observe it — call :meth:`note_write` so commit knows about
-    those objects.
+    ``Connection.register_array`` installs its object in the fork
+    directly and records it with :meth:`note_write`.
     """
 
     __slots__ = ("base", "catalog", "writes", "schema_changes", "serial")
@@ -265,7 +263,6 @@ class Database:
     def __init__(
         self,
         catalog: Optional[Catalog] = None,
-        optimize: bool = True,
         statement_cache_size: int = DEFAULT_STATEMENT_CACHE_SIZE,
         nr_threads: Optional[int] = None,
         fragment_rows: Optional[float] = None,
@@ -279,7 +276,6 @@ class Database:
         self._writer_lock = threading.RLock()
         #: guards the shared plan cache and the observability counters.
         self._cache_lock = threading.RLock()
-        self.default_optimize = optimize
         self._nr_threads = resolve_nr_threads(nr_threads)
         self._fragment_rows = resolve_fragment_rows(fragment_rows)
         #: shared LRU capacity of the compiled-plan cache (0 disables).
@@ -345,7 +341,6 @@ class Database:
     # ------------------------------------------------------------------
     def connect(
         self,
-        optimize: Optional[bool] = None,
         nr_threads: Optional[int] = None,
         fragment_rows: Optional[float] = None,
     ):
@@ -358,7 +353,6 @@ class Database:
 
         self._check_open()
         return Connection(
-            optimize=self.default_optimize if optimize is None else optimize,
             nr_threads=self._nr_threads if nr_threads is None else nr_threads,
             fragment_rows=(
                 self._fragment_rows if fragment_rows is None else fragment_rows
@@ -657,7 +651,6 @@ class Database:
     def open(
         cls,
         directory: str | Path,
-        optimize: bool = True,
         statement_cache_size: int = DEFAULT_STATEMENT_CACHE_SIZE,
         nr_threads: Optional[int] = None,
         fragment_rows: Optional[float] = None,
@@ -696,7 +689,6 @@ class Database:
                 schema_version = record["schema_version"]
         database = cls(
             catalog,
-            optimize=optimize,
             statement_cache_size=statement_cache_size,
             nr_threads=nr_threads,
             fragment_rows=fragment_rows,

@@ -6,13 +6,16 @@ module provides that facility so external tools (R, spreadsheets,
 LINPACK-style pipelines) can exchange data with the engine:
 
 * :func:`export_csv` — any query result (or whole table/array) to CSV;
-* :func:`import_csv` — bulk-load a CSV into an existing table, or
-  create the table first with inferred column types;
+* :func:`import_csv` — load a CSV into an existing table, or create
+  the table first with inferred column types;
 * :func:`import_array_csv` — load ``(coordinates..., values...)`` rows
-  into an existing array through the coercion path (cells listed in
-  the file are overwritten; others keep their current value).
+  into an existing array (cells listed in the file are overwritten;
+  others keep their current value).
 
-NULLs are represented by empty fields; quoting follows RFC 4180 via the
+Both loaders are one ``executemany`` of a parameterised INSERT, so a
+load is one plan run in one transaction.  NULLs are represented by
+empty fields; a record whose field count differs from the header's is
+a :class:`~repro.errors.DataError`; quoting follows RFC 4180 via the
 standard library's csv module.
 """
 
@@ -63,20 +66,13 @@ def export_csv(
     return result.row_count
 
 
-def _typed(atom: Atom, fields: list[str]) -> Column:
-    """One CSV column as *atom*: an empty field is NULL, every other
-    converts by the engine's one rule (text that does not parse raises
-    :class:`~repro.errors.DataError`)."""
-    return Column.from_pylist(atom, [field or None for field in fields])
-
-
 _INFERRED = ((Atom.INT, "INT"), (Atom.LNG, "BIGINT"), (Atom.DBL, "DOUBLE"), (Atom.BIT, "BOOLEAN"))
 
 
-def _infer_column_type(samples: list[str]) -> str:
+def _infer_column_type(samples: list) -> str:
     """The first of INT, BIGINT, DOUBLE and BOOLEAN that holds every
     non-empty sample by the one rule, else VARCHAR(255)."""
-    non_empty = [s for s in samples if s != ""]
+    non_empty = [s for s in samples if s]
     for atom, name in _INFERRED if non_empty else ():
         try:
             if Column.from_pylist(atom, non_empty).mask is None:  # none is NULL
@@ -86,6 +82,25 @@ def _infer_column_type(samples: list[str]) -> str:
     return "VARCHAR(255)"
 
 
+def _records(path: str | Path, delimiter: str, width: int | None = None) -> list[list]:
+    """Every CSV record as a parameter row, an empty field as NULL.
+
+    A record whose field count is not *width* (by default the first
+    record's) is a :class:`DataError` naming its 1-based line.
+    """
+    records = []
+    with Path(path).open(newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        for fields in reader:
+            width = len(fields) if width is None else width
+            if len(fields) != width:
+                raise DataError(
+                    f"CSV line {reader.line_num} has {len(fields)} fields, expected {width}"
+                )
+            records.append([field or None for field in fields])
+    return records
+
+
 def import_csv(
     connection: Connection,
     table: str,
@@ -93,52 +108,38 @@ def import_csv(
     header: bool = True,
     delimiter: str = ",",
     create: bool = False,
-    batch_rows: int = 10_000,
 ) -> int:
-    """Bulk-load a CSV file into a table.
+    """Load a CSV file into a table.
 
     With ``create=True`` the table is created first: column names come
     from the header (or ``col_0..``), types are inferred from the data.
-    Loading bypasses per-row SQL statements: rows are appended through
-    the bulk path in batches.  Returns the number of rows loaded.
+    The rows load through one ``executemany`` of ``INSERT INTO table
+    (<header columns>) VALUES (?, ...)``: one transaction, governed
+    like any statement.  Returns the number of rows loaded.
     """
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        rows = list(reader)
-    if not rows:
+    data = _records(path, delimiter)
+    if not data:
         return 0
     if header:
-        names = [n.strip().lower() for n in rows[0]]
-        data = rows[1:]
+        names = [(name or "").strip().lower() for name in data.pop(0)]
     else:
-        names = [f"col_{i}" for i in range(len(rows[0]))]
-        data = rows
+        names = [f"col_{i}" for i in range(len(data[0]))]
 
     if create:
         if table.lower() in connection.catalog:
             raise SciQLError(f"table {table!r} already exists")
         specs = []
         for index, name in enumerate(names):
-            samples = [row[index] for row in data[:200] if index < len(row)]
+            samples = [row[index] for row in data[:200]]
             specs.append(f"{name} {_infer_column_type(samples)}")
         connection.execute(f"CREATE TABLE {table} ({', '.join(specs)})")
-
-    # Stage the whole load as one transaction: concurrent readers see
-    # either no rows or all of them, never a half-loaded table.
-    loaded = 0
-    with connection.staging() as txn:
-        target = connection.catalog.get_table(table)
-        txn.note_write(table)
-        atoms = [target.column_def(name).atom for name in names]
-        for start in range(0, len(data), batch_rows):
-            batch = data[start : start + batch_rows]
-            columns: dict[str, Column] = {}
-            for index, (name, atom) in enumerate(zip(names, atoms)):
-                items = [row[index] if index < len(row) else "" for row in batch]
-                columns[name] = _typed(atom, items)
-            loaded += target.append_rows(columns)
-    return loaded
+    target = connection.catalog.get_table(table)
+    for name in names:  # the header names columns, so it may become SQL
+        target.column_def(name)
+    return connection.executemany(
+        f"INSERT INTO {table} ({', '.join(names)}) VALUES ({', '.join('?' * len(names))})",
+        data,
+    ).affected
 
 
 def import_array_csv(
@@ -152,37 +153,15 @@ def import_array_csv(
 
     Columns must follow the array's declaration order (dimensions
     first).  Cells named in the file are overwritten (SciQL INSERT
-    semantics); all other cells are untouched.  Returns the number of
-    cells written.
+    semantics); all other cells are untouched.  The rows load through
+    one ``executemany`` of ``INSERT INTO array VALUES (?, ...)``.
+    Returns the number of cells written.
     """
     target = connection.catalog.get_array(array)
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        rows = list(reader)
-    if header:
-        rows = rows[1:]
-    if not rows:
-        return 0
-    ndims = len(target.dimensions)
-    expected = ndims + len(target.attributes)
-    if any(len(row) != expected for row in rows):
-        raise SciQLError(
-            f"array CSV needs {expected} columns "
-            f"({ndims} coordinates + {len(target.attributes)} attributes)"
-        )
-    coordinates = [_typed(Atom.LNG, [row[i] for row in rows]) for i in range(ndims)]
-    with connection.staging() as txn:
-        # Resolve the target and its cell oids inside the staged fork:
-        # oids depend on the array shape, and a concurrent ALTER
-        # committed between lookup and write would silently scatter
-        # values into the wrong cells otherwise.
-        target = connection.catalog.get_array(array)
-        txn.note_write(array)
-        oids = target.cell_oids(coordinates)
-        valid = oids >= 0
-        written = int(valid.sum())
-        for offset, attribute in enumerate(target.attributes):
-            items = [row[ndims + offset] for row, ok in zip(rows, valid.tolist()) if ok]
-            target.replace_values(attribute.name, oids[valid], _typed(attribute.atom, items))
-    return written
+    expected = len(target.dimensions) + len(target.attributes)
+    data = _records(path, delimiter, expected)
+    if header and data:
+        data.pop(0)
+    return connection.executemany(
+        f"INSERT INTO {array} VALUES ({', '.join('?' * expected)})", data
+    ).affected

@@ -28,11 +28,24 @@ def _slice(ctx, b: BAT, start, stop):
 
 @mal_op("bat", "pack", sig="scalar* -> bat")
 def _pack(ctx, *values):
-    """Materialise scalars into a single-column BAT (VALUES rows)."""
+    """Materialise scalars into a single-column BAT (VALUES rows).
+
+    A leading atom (``bat.pack(:dbl, 1, "2.5")``, how a VALUES column
+    names its target's type) converts every value into it by the one
+    rule; without one the values type themselves.  A lone parameter
+    bound to a list — ``executemany`` binds each ``?`` of a one-row
+    VALUES to the column of its values — packs that list.
+    """
+    atom = None
+    if values and isinstance(values[0], Atom):
+        atom, values = values[0], values[1:]
+    if len(values) == 1 and isinstance(values[0], list):
+        values = values[0]
     if not values:
         raise MALError("bat.pack needs at least one value")
-    atoms = [atom_for_python(v) for v in values if v is not None]
-    return BAT(Column.from_pylist(_common_atom(atoms), list(values)))
+    if atom is None:
+        atom = _common_atom([atom_for_python(v) for v in values if v is not None])
+    return BAT(Column.from_pylist(atom, values))
 
 
 def _common_atom(atoms: list) -> Atom:

@@ -68,6 +68,8 @@ class Constant:
             return f'"{escaped}"'
         if isinstance(self.value, bool):
             return "true" if self.value else "false"
+        if isinstance(self.value, Atom):  # a type operand: ``:dbl``
+            return f":{self.value.value}"
         return str(self.value)  # also how a NumPy scalar (a folded lng) reads
 
 

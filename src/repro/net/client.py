@@ -330,8 +330,9 @@ class RemoteConnection(Session):
         return self.cursor().execute(sql, params).result
 
     def executemany(self, sql: str, seq_of_params: Iterable[Any]) -> Result:
-        """Bulk execution; single-row INSERTs take the server's
-        columnar ingest path, the Result totals affected rows."""
+        """Bulk execution; a one-row parameterised INSERT runs its plan
+        once server-side, each ``?`` bound to a column of values.  The
+        Result totals affected rows."""
         return self.cursor().executemany(sql, seq_of_params).result
 
     def prepare(self, sql: str) -> "RemotePreparedStatement":

@@ -133,7 +133,8 @@ class TestPlanShapes:
 class TestMalLowering:
     @pytest.fixture
     def conn(self):
-        connection = repro.connect(optimize=False)
+        connection = repro.connect()
+        connection.pipeline = ()
         connection.execute("CREATE TABLE t (a INT, b INT)")
         connection.execute(
             "CREATE ARRAY m (x INT DIMENSION[0:1:4], v INT DEFAULT 0)"

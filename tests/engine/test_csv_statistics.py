@@ -132,6 +132,18 @@ class TestCsvImport:
         path.write_text("")
         assert import_csv(conn, "t", path) == 0
 
+    @pytest.mark.parametrize("bad", ["2", "2,y,extra"], ids=["short", "long"])
+    def test_row_width_must_match_the_header(self, conn, tmp_path, bad):
+        conn.execute("CREATE TABLE t (a INT, b VARCHAR(10))")
+        path = tmp_path / "in.csv"
+        path.write_text(f"a,b\n1,x\n{bad}\n")
+        with pytest.raises(repro.DataError, match="line 3"):
+            import_csv(conn, "t", path)
+        assert conn.execute("SELECT COUNT(*) FROM t").scalar() == 0
+        with pytest.raises(repro.DataError, match="line 3"):
+            import_csv(conn, "fresh", path, create=True)
+        assert "fresh" not in conn.catalog
+
 
 class TestArrayCsv:
     def test_import_cells(self, conn, tmp_path):
@@ -153,6 +165,15 @@ class TestArrayCsv:
         path.write_text("x\n0\n")
         with pytest.raises(SciQLError):
             import_array_csv(conn, "m", path)
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_row_width_must_match(self, conn, tmp_path, header):
+        conn.execute("CREATE ARRAY m (x INT DIMENSION[0:1:3], v INT DEFAULT 0)")
+        path = tmp_path / "cells.csv"
+        path.write_text(("x,v\n" if header else "") + "0,10\n1\n")
+        with pytest.raises(repro.DataError, match=f"line {3 if header else 2}"):
+            import_array_csv(conn, "m", path, header=header)
+        assert conn.execute("SELECT v FROM m").column("v") == [0, 0, 0]
 
     def test_array_roundtrip_via_table_view(self, conn, tmp_path):
         conn.execute("CREATE ARRAY m (x INT DIMENSION[0:1:4], v INT DEFAULT 0)")

@@ -26,6 +26,7 @@ from repro.errors import (
     QueryTimeoutError,
     ResourceError,
 )
+from repro.io import import_array_csv, import_csv
 from repro.lifecycle import QueryContext
 from repro.mal import interpreter
 from repro.mal.modules import REGISTRY, load_all
@@ -334,6 +335,110 @@ class TestSqlAdminSurface:
             conn.execute("EXPLAIN SHOW QUERIES")
         with pytest.raises(ProgrammingError, match="administrative"):
             conn.execute("EXPLAIN KILL 1")
+
+
+def _csv_table(conn, tmp):
+    (tmp / "t.csv").write_text("k,v\n" + "".join(f"{i},{i}\n" for i in range(100)))
+    import_csv(conn, "t", tmp / "t.csv")
+
+
+def _csv_array(conn, tmp):
+    (tmp / "a.csv").write_text("x,v\n" + "".join(f"{i},1\n" for i in range(100)))
+    import_array_csv(conn, "a", tmp / "a.csv")
+
+
+#: every way rows are loaded, each a governed statement: executemany
+#: into a table and into an array, and the two CSV loaders.
+LOADS = {
+    "executemany-table": lambda conn, tmp: conn.executemany(
+        "INSERT INTO t VALUES (?, ?)", [(i, i) for i in range(100)]
+    ),
+    "executemany-array": lambda conn, tmp: conn.executemany(
+        "INSERT INTO a VALUES (?, 1)", [(i,) for i in range(100)]
+    ),
+    "import_csv": _csv_table,
+    "import_array_csv": _csv_array,
+}
+
+
+def _load_targets(conn) -> None:
+    conn.execute("CREATE TABLE t (k INT, v INT)")
+    conn.execute("CREATE ARRAY a (x INT DIMENSION[0:1:100], v INT DEFAULT 0)")
+
+
+def _contents(conn) -> tuple:
+    return (
+        conn.execute("SELECT COUNT(*) FROM t").scalar(),
+        conn.execute("SELECT SUM(v) FROM a").scalar(),
+    )
+
+
+class TestGovernedLoads:
+    """A load is one governed statement in one transaction: the budget,
+    the deadline and a KILL abort it, and the target is unchanged."""
+
+    @pytest.mark.parametrize("load", LOADS)
+    def test_memory_budget_covers_every_load(self, conn, tmp_path, load):
+        _load_targets(conn)
+        empty = _contents(conn)
+        conn.mem_budget_bytes = 100
+        with pytest.raises(ResourceError):
+            LOADS[load](conn, tmp_path)
+        conn.mem_budget_bytes = None
+        assert _contents(conn) == empty
+        LOADS[load](conn, tmp_path)  # the session takes the load again
+        assert _contents(conn) != empty
+
+    def test_deadline_covers_executemany(self, conn):
+        conn.execute("CREATE TABLE t (k INT, v INT, w INT)")
+        conn.statement_timeout = 0.05
+        with pytest.raises(QueryTimeoutError):
+            conn.executemany(
+                "INSERT INTO t VALUES (?, ?, ?)", [(i, i, i) for i in range(200_000)]
+            )
+        conn.statement_timeout = None
+        assert conn.execute("SELECT COUNT(*) FROM t").scalar() == 0
+
+    @pytest.mark.parametrize("load", ["executemany-table", "executemany-array"])
+    def test_kill_aborts_executemany_before_it_writes(self, monkeypatch, tmp_path, load):
+        # The first pack of the batch holds until KILL has landed; the
+        # next step's poll then aborts the batch ahead of its write.
+        db = repro.Database()
+        conn, admin = db.connect(), db.connect()
+        _load_targets(conn)
+        empty = _contents(conn)
+        entered, release = threading.Event(), threading.Event()
+        load_all()
+        pack = REGISTRY[("bat", "pack")]
+
+        def held(ctx, *values):
+            entered.set()
+            release.wait(10)
+            return pack(ctx, *values)
+
+        monkeypatch.setitem(REGISTRY, ("bat", "pack"), held)
+        caught: list = []
+
+        def run():
+            try:
+                LOADS[load](conn, tmp_path)
+            except QueryCancelledError as exc:
+                caught.append(exc)
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        assert entered.wait(10)
+        qid = db.list_queries()[0]["qid"]
+        assert admin.execute(f"KILL {qid}").affected == 1
+        release.set()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert caught and "killed by KILL" in str(caught[0])
+        monkeypatch.setitem(REGISTRY, ("bat", "pack"), pack)
+        assert _contents(conn) == empty
+        LOADS[load](conn, tmp_path)
+        assert _contents(conn) != empty
+        db.close()
 
 
 class TestSessionHygiene:

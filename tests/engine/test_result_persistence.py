@@ -115,7 +115,8 @@ class TestExplain:
         assert "calc.add" not in optimized  # constant folded
 
     def test_optimizer_can_be_disabled(self):
-        conn = repro.connect(optimize=False)
+        conn = repro.connect()
+        conn.pipeline = ()
         conn.execute("CREATE TABLE t (a INT)")
         text = conn.explain("SELECT a FROM t WHERE a = 1 + 1")
         assert "calc.add" in text

@@ -300,6 +300,9 @@ def test_every_conversion_door_gives_the_rules_answer(tables, case, source, valu
     # atom, so the value is not first converted to the anchor's.
     anchor = 1 if value is not None and is_numeric(source) else None
     two = (f"INSERT INTO {table} VALUES (?), (?)", (anchor, value))
+    # A first row of another kind (text before a number, a number before
+    # text): each VALUES column converts once, into the target's atom.
+    mixed = (two[0], (1 if isinstance(value, str) else "1", value))
     answers = {
         "calc.scalar": outcome(lambda: calc.scalar("cast", value, target.value)),
         "Column.cast": outcome(
@@ -310,6 +313,8 @@ def test_every_conversion_door_gives_the_rules_answer(tables, case, source, valu
         "executemany": _stored(tables, table, *one, many=True),
         "execute two rows": _stored(tables, table, *two, many=False),
         "executemany two rows": _stored(tables, table, *two, many=True),
+        "execute two mixed rows": _stored(tables, table, *mixed, many=False),
+        "executemany two mixed rows": _stored(tables, table, *mixed, many=True),
     }
     expected = dict.fromkeys(answers, want)
     if case == "past lng":

@@ -25,8 +25,10 @@ from repro.errors import (
     ProgrammingError,
     QueryCancelledError,
     QueryTimeoutError,
+    ResourceError,
 )
 from repro.mal.interpreter import PARALLEL_MIN_ROWS
+from repro.mal.modules import REGISTRY, load_all
 from repro.net.client import ConnectionPool
 from repro.net.server import ServerThread
 
@@ -200,6 +202,88 @@ class TestRemoteStatementTimeout:
         with pytest.raises(QueryTimeoutError) as excinfo:
             remote.execute(SLOW_SQL)
         assert "statement timeout" in str(excinfo.value)
+        remote.close()
+
+
+class TestRemoteGovernedLoads:
+    """An ``executemany`` over the wire is one governed statement in
+    one transaction: the budget, the deadline and a CANCEL abort it,
+    the target is unchanged, and the session takes the next statement."""
+
+    ROWS = [(i, i) for i in range(100)]
+
+    @pytest.fixture
+    def local(self, db):
+        session = db.connect()
+        session.execute("CREATE TABLE t (k INT, v INT)")
+        session.execute("CREATE ARRAY a (x INT DIMENSION[0:1:100], v INT DEFAULT 0)")
+        yield session
+        session.close()
+
+    @staticmethod
+    def contents(session) -> tuple:
+        return (
+            session.execute("SELECT COUNT(*) FROM t").scalar(),
+            session.execute("SELECT SUM(v) FROM a").scalar(),
+        )
+
+    @pytest.mark.parametrize(
+        "sql", ["INSERT INTO t VALUES (?, ?)", "INSERT INTO a VALUES (?, ?)"]
+    )
+    def test_memory_budget_covers_executemany(self, server, local, monkeypatch, sql):
+        monkeypatch.setenv("REPRO_MEM_BUDGET_BYTES", "100")
+        remote = repro.connect(server.url)  # its session takes the budget
+        monkeypatch.delenv("REPRO_MEM_BUDGET_BYTES")
+        with pytest.raises(ResourceError):
+            remote.executemany(sql, self.ROWS)
+        assert self.contents(local) == (0, 0)
+        assert remote.execute("SELECT 2 + 2").scalar() == 4
+        remote.close()
+
+    def test_deadline_covers_executemany(self, server, local):
+        remote = repro.connect(server.url, statement_timeout_ms=50)
+        with pytest.raises(QueryTimeoutError):
+            remote.executemany(
+                "INSERT INTO t VALUES (?, ?)", [(i, i) for i in range(200_000)]
+            )
+        assert self.contents(local) == (0, 0)
+        assert remote.execute("SELECT 2 + 2").scalar() == 4
+        remote.close()
+
+    def test_cancel_aborts_executemany_before_it_writes(self, server, local, monkeypatch):
+        # The batch's first pack holds until the CANCEL has landed; the
+        # next step's poll then aborts it ahead of its write.
+        entered, release = threading.Event(), threading.Event()
+        load_all()
+        pack = REGISTRY[("bat", "pack")]
+
+        def held(ctx, *values):
+            entered.set()
+            release.wait(10)
+            return pack(ctx, *values)
+
+        remote = repro.connect(server.url)
+        monkeypatch.setitem(REGISTRY, ("bat", "pack"), held)
+        caught: list = []
+
+        def run():
+            try:
+                remote.executemany("INSERT INTO t VALUES (?, ?)", self.ROWS)
+            except QueryCancelledError as exc:
+                caught.append(exc)
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        assert entered.wait(10)
+        remote.cancel()
+        _wait_until(lambda: server.server.stats.cancelled == 1)
+        release.set()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert caught, "the batch was not cancelled"
+        monkeypatch.setitem(REGISTRY, ("bat", "pack"), pack)
+        assert self.contents(local) == (0, 0)
+        assert remote.executemany("INSERT INTO t VALUES (?, ?)", self.ROWS).affected == 100
         remote.close()
 
 

@@ -321,13 +321,14 @@ def check_cells(conn, model: Model, outcome=_outcome) -> None:
 PIPELINES = {
     "default": {},
     "fragmented": {"nr_threads": 2, "fragment_rows": 7},
-    "unoptimised": {"optimize": False},
+    "unoptimised": {},  # its pipeline is emptied below
 }
 
 
 @pytest.fixture(scope="module")
 def engines():
     connections = {name: repro.connect(**knobs) for name, knobs in PIPELINES.items()}
+    connections["unoptimised"].pipeline = ()
     yield connections
     for conn in connections.values():
         conn.close()

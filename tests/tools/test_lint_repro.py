@@ -194,6 +194,21 @@ class TestRules:
             path.write_text(imports, encoding="utf-8")
             assert lint.lint_paths([path]) == []
 
+    def test_rows_are_written_through_the_sql_ops_only(self, tmp_path):
+        writes = (
+            "table.append_rows(columns)\n"
+            "array.replace_values('v', oids, values)\n"
+            "obj.delete_rows(oids)\nobj.delete_cells(oids)\n"
+            "getattr(obj, record['op'])(**record['args'])\n"  # WAL replay
+            "conn.executemany(sql, rows)\n"
+        )
+        assert rules_in(tmp_path, writes) == ["one-write-path"] * 4
+        for owner in ("mal/modules/sql_mod.py", "catalog/objects.py"):
+            path = tmp_path / "repro" / owner
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(writes, encoding="utf-8")
+            assert lint.lint_paths([path]) == []
+
     def test_syntax_errors_are_reported_not_raised(self, tmp_path):
         assert rules_in(tmp_path, "def broken(:\n") == ["syntax"]
 

@@ -38,6 +38,12 @@ AST-based checks over ``src/repro`` (and this ``tools`` directory):
   import ``coerce_scalar``: a value changes atom by the one rule, which
   everything else reaches through ``Column`` (``from_pylist``,
   ``constant``, ``cast``) or ``atoms.comparand``;
+* ``one-write-path`` — rows reach a catalog object only through the
+  MAL ``sql.*`` write ops: ``append_rows``, ``replace_values``,
+  ``delete_rows`` and ``delete_cells`` are called only from
+  ``mal/modules/sql_mod.py`` and ``catalog/`` (WAL replay dispatches by
+  name through ``getattr``), so governance, plan verification, the WAL
+  and the atom rule cover every load;
 * ``orphan-op``     — every registered MAL op is emitted by the MAL
   generator, an optimizer pass or the engine: its ``"module",
   "function"`` pair appears literally in a call or tuple under
@@ -89,6 +95,10 @@ SERIAL_ALLOWED = ("repro/testing/verify.py",)
 
 #: the modules that may import the scalar conversion rule.
 COERCION_MODULES = ("repro/gdk/atoms.py", "repro/gdk/column.py")
+
+#: the catalog methods that write rows, and where they may be called.
+WRITE_METHODS = frozenset({"append_rows", "replace_values", "delete_rows", "delete_cells"})
+WRITE_PATH_MODULES = ("repro/mal/modules/sql_mod.py", "repro/catalog/")
 
 #: the one module that may give a MAL program private attributes.
 PROGRAM_MODULE = "repro/mal/program.py"
@@ -253,6 +263,26 @@ def _check_coercion_imports(tree: ast.AST, path: Path, findings: list[Finding]) 
                     path, node.lineno, "one-coercion",
                     "import of coerce_scalar outside gdk/atoms.py and gdk/column.py "
                     "— convert through Column or atoms.comparand",
+                )
+            )
+
+
+def _check_write_path(tree: ast.AST, path: Path, findings: list[Finding]) -> None:
+    posix = path.as_posix()
+    if posix.endswith(WRITE_PATH_MODULES[0]) or f"/{WRITE_PATH_MODULES[1]}" in posix:
+        return
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in WRITE_METHODS
+        ):
+            findings.append(
+                Finding(
+                    path, node.lineno, "one-write-path",
+                    f"call of {node.func.attr} outside mal/modules/sql_mod.py and "
+                    "catalog/ — load rows through INSERT (executemany) or "
+                    "register_array",
                 )
             )
 
@@ -519,6 +549,7 @@ def lint_paths(paths: list[Path]) -> list[Finding]:
         _check_crash_points(tree, path, registered, findings)
         _check_imports(tree, path, findings)
         _check_coercion_imports(tree, path, findings)
+        _check_write_path(tree, path, findings)
         _check_bare_except(tree, path, findings)
         _check_fsync_rename(tree, path, lines, findings)
         _check_expression_walkers(tree, path, classes, findings)
