@@ -3,18 +3,19 @@
 Four measurement families, each asserting correctness before timing
 counts:
 
-* ``E22-scan-*`` — a selective range scan over a 2M-row column at 1%,
-  10% and 90% selectivity, with zone-map pruning armed vs disabled
-  (``REPRO_ZONEMAPS``).  The plan (one ``algebra.rangeselect`` per
-  fragment) is identical either way — the knob only stops the kernel
-  consulting zone statistics — so the gap is pure fragment pruning.
+* ``E22-scan-*`` — a selective range scan over an 8M-row column at 1%,
+  10% and 90% selectivity, pruned vs unpruned.  The pruned session
+  fragments the column, and each fragment consults its source's zone
+  map; the unpruned one reads the same rows unfragmented, an input
+  without statistics, as one scan run.  Both run on one thread.
 * ``E22-dict-*`` — equality select, LIKE, and grouping over a 512k-row
   low-cardinality string column, dictionary-encoded (int32 codes) vs
   the plain object payload.  The encoded kernels run per *distinct*
   value; the plain ones per row.
 * ``E22-cold-open`` — ``repro.connect`` on a saved 8M-cell farm plus
-  one selective query, with mmap-backed lazy heaps vs the eager
-  CRC-checked load (``REPRO_STORAGE_MMAP``).
+  one selective query, with mmap-backed lazy heaps
+  (``REPRO_MMAP_THRESHOLD_BYTES=0``) vs the eager CRC-checked load (a
+  threshold above the heap file).
 * the peak-RSS probe — a subprocess per storage mode runs the same
   cold-open query and reports ``ru_maxrss``; the mmap run must stay
   well under the eager one because pruning leaves most of the heap
@@ -23,6 +24,7 @@ counts:
 
 from __future__ import annotations
 
+import math
 import os
 import pathlib
 import subprocess
@@ -47,43 +49,57 @@ FRAGMENT_ROWS = 65_536
 
 
 # ----------------------------------------------------------------------
-# E22-scan: selective scans, zone maps on vs off
+# E22-scan: selective scans, zone maps consulted vs absent
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def scan_conn():
-    conn = repro.connect(nr_threads=1, fragment_rows=SCAN_FRAGMENT_ROWS)
+def _scan_session(fragment_rows):
+    conn = repro.connect(nr_threads=1, fragment_rows=fragment_rows)
     conn.register_array("big", np.arange(SCAN_ROWS, dtype=np.int32))
-    yield conn
-    conn.close()
+    return conn
 
 
-def _scan(conn, hi):
-    return conn.execute(f"SELECT v FROM big WHERE v BETWEEN 0 AND {hi}")
+@pytest.fixture(scope="module")
+def scan_conns():
+    conns = {
+        "pruned": _scan_session(SCAN_FRAGMENT_ROWS),
+        "unpruned": _scan_session(math.inf),
+    }
+    yield conns
+    for conn in conns.values():
+        conn.close()
 
 
-def _bench_scan(benchmark, conn, monkeypatch, pct, zonemaps):
-    monkeypatch.setenv("REPRO_ZONEMAPS", zonemaps)
+def _scan(conn, hi, collect_stats=False):
+    return conn.execute(
+        f"SELECT v FROM big WHERE v BETWEEN 0 AND {hi}", collect_stats=collect_stats
+    )
+
+
+def _bench_scan(benchmark, conns, pct, leg):
+    conn = conns[leg]
     expected = SCAN_ROWS * pct // 100
     result = benchmark(_scan, conn, expected - 1)
     assert len(result.rows()) == expected
+    _scan(conn, expected - 1, collect_stats=True)
+    pruned = conn.last_stats.fragments_pruned
+    assert pruned > 0 if leg == "pruned" else pruned == 0
 
 
 @pytest.mark.benchmark(group="E22-scan-1pct")
-@pytest.mark.parametrize("zonemaps", ["1", "0"], ids=["pruned", "unpruned"])
-def test_selective_scan_1pct(benchmark, scan_conn, monkeypatch, zonemaps):
-    _bench_scan(benchmark, scan_conn, monkeypatch, 1, zonemaps)
+@pytest.mark.parametrize("leg", ["pruned", "unpruned"])
+def test_selective_scan_1pct(benchmark, scan_conns, leg):
+    _bench_scan(benchmark, scan_conns, 1, leg)
 
 
 @pytest.mark.benchmark(group="E22-scan-10pct")
-@pytest.mark.parametrize("zonemaps", ["1", "0"], ids=["pruned", "unpruned"])
-def test_selective_scan_10pct(benchmark, scan_conn, monkeypatch, zonemaps):
-    _bench_scan(benchmark, scan_conn, monkeypatch, 10, zonemaps)
+@pytest.mark.parametrize("leg", ["pruned", "unpruned"])
+def test_selective_scan_10pct(benchmark, scan_conns, leg):
+    _bench_scan(benchmark, scan_conns, 10, leg)
 
 
 @pytest.mark.benchmark(group="E22-scan-90pct")
-@pytest.mark.parametrize("zonemaps", ["1", "0"], ids=["pruned", "unpruned"])
-def test_selective_scan_90pct(benchmark, scan_conn, monkeypatch, zonemaps):
-    _bench_scan(benchmark, scan_conn, monkeypatch, 90, zonemaps)
+@pytest.mark.parametrize("leg", ["pruned", "unpruned"])
+def test_selective_scan_90pct(benchmark, scan_conns, leg):
+    _bench_scan(benchmark, scan_conns, 90, leg)
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +162,14 @@ def saved_farm(tmp_path_factory):
     return farm
 
 
+def _mmap_threshold(farm, mode):
+    """``REPRO_MMAP_THRESHOLD_BYTES`` for *mode*: ``0`` maps every
+    payload, one byte past the largest payload file maps none."""
+    if mode == "mmap":
+        return "0"
+    return str(max(p.stat().st_size for p in farm.rglob("*.npy")) + 1)
+
+
 def _cold_open_query(farm):
     conn = repro.connect(farm, nr_threads=1, fragment_rows=FRAGMENT_ROWS)
     try:
@@ -156,25 +180,31 @@ def _cold_open_query(farm):
         conn.close()
 
 
-def _storage_env(mode, extra=None):
+def _heap_is_mapped(farm) -> bool:
+    conn = repro.connect(farm, nr_threads=1)
+    try:
+        return isinstance(conn.database.catalog.get("big").bind("v").tail.values, np.memmap)
+    finally:
+        conn.close()
+
+
+def _storage_env(threshold):
     env = dict(os.environ)
     src = str(pathlib.Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = (
         src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     )
-    env["REPRO_STORAGE_MMAP"] = mode
-    env["REPRO_MMAP_THRESHOLD_BYTES"] = "0"
-    env.update(extra or {})
+    env["REPRO_MMAP_THRESHOLD_BYTES"] = threshold
     return env
 
 
 @pytest.mark.benchmark(group="E22-cold-open")
-@pytest.mark.parametrize("mode", ["1", "0"], ids=["mmap", "eager"])
+@pytest.mark.parametrize("mode", ["mmap", "eager"])
 def test_cold_open(benchmark, saved_farm, monkeypatch, mode):
-    monkeypatch.setenv("REPRO_STORAGE_MMAP", mode)
-    monkeypatch.setenv("REPRO_MMAP_THRESHOLD_BYTES", "0")
+    monkeypatch.setenv("REPRO_MMAP_THRESHOLD_BYTES", _mmap_threshold(saved_farm, mode))
     rows = benchmark(_cold_open_query, saved_farm)
     assert len(rows) == 51
+    assert _heap_is_mapped(saved_farm) == (mode == "mmap")
 
 
 # Peak RSS via /proc/self/status VmHWM: unlike ``ru_maxrss``, the
@@ -182,9 +212,13 @@ def test_cold_open(benchmark, saved_farm, monkeypatch, mode):
 # parent test process's footprint.
 _RSS_PROBE = """\
 import sys
+
+import numpy as np
 import repro
 
 conn = repro.connect(sys.argv[1], nr_threads=1, fragment_rows={fragment_rows})
+heap = conn.database.catalog.get("big").bind("v").tail.values
+assert isinstance(heap, np.memmap) == (sys.argv[2] == "mmap"), type(heap)
 rows = conn.execute("SELECT v FROM big WHERE v BETWEEN 1000 AND 1050").rows()
 assert len(rows) == 51, len(rows)
 conn.close()
@@ -197,8 +231,8 @@ with open("/proc/self/status") as handle:
 
 def _probe_rss(farm, mode):
     proc = subprocess.run(
-        [sys.executable, "-c", _RSS_PROBE, str(farm)],
-        env=_storage_env(mode),
+        [sys.executable, "-c", _RSS_PROBE, str(farm), mode],
+        env=_storage_env(_mmap_threshold(farm, mode)),
         capture_output=True,
         text=True,
         check=True,
@@ -208,8 +242,8 @@ def _probe_rss(farm, mode):
 
 def test_peak_rss_probe(saved_farm):
     """A pruned mmap scan must keep most of the 64 MB heap off-RSS."""
-    eager_kib = _probe_rss(saved_farm, "0")
-    mmap_kib = _probe_rss(saved_farm, "1")
+    eager_kib = _probe_rss(saved_farm, "eager")
+    mmap_kib = _probe_rss(saved_farm, "mmap")
     heap_kib = FARM_CELLS * 8 // 1024
     print(f"\npeak RSS: eager={eager_kib} KiB mmap={mmap_kib} KiB "
           f"(heap {heap_kib} KiB)")

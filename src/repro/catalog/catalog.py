@@ -141,13 +141,6 @@ class Catalog:
             raise CatalogError(f"no such table or array: {name!r}")
         del self._objects[key]
 
-    def register(self, obj: SchemaObject) -> None:
-        """Install an externally built object (used by coercions)."""
-        key = obj.name.lower()
-        if key in self._objects:
-            raise CatalogError(f"name already in use: {obj.name!r}")
-        self._objects[key] = obj
-
     # ------------------------------------------------------------------
     # versioning (copy-on-write snapshots)
     # ------------------------------------------------------------------

@@ -53,7 +53,6 @@ from repro.errors import ProgrammingError, QueryGovernanceError
 from repro.lifecycle import QueryContext
 from repro.catalog import Catalog
 from repro.catalog.objects import Array, ColumnDef, DimensionDef
-from repro.gdk import storage as gdk_storage
 from repro.gdk.atoms import NUMPY_DTYPE, Atom, atom_for_dtype, coerce_array
 from repro.gdk.bat import BAT
 from repro.gdk.column import Column
@@ -297,15 +296,6 @@ class Connection(Session):
         """The shared dataflow scheduler (binds against the live head)."""
         return self._database.interpreter
 
-    @property
-    def statement_cache_size(self) -> int:
-        """Capacity of the engine-wide plan cache (0 disables caching)."""
-        return self._database.statement_cache_size
-
-    @statement_cache_size.setter
-    def statement_cache_size(self, value: int) -> None:
-        self._database.statement_cache_size = value
-
     # ------------------------------------------------------------------
     # execution knobs (parallel fragmented execution)
     # ------------------------------------------------------------------
@@ -313,22 +303,6 @@ class Connection(Session):
     def nr_threads(self) -> int:
         """Dataflow worker threads (1 = all on the caller's thread)."""
         return self._nr_threads
-
-    @nr_threads.setter
-    def nr_threads(self, value: Optional[int]) -> None:
-        self._nr_threads = resolve_nr_threads(value)
-        database = self._database
-        if self._nr_threads > database.interpreter.nr_threads:
-            # Growing the pool tears the executor down, which is only
-            # safe while no other session can be mid-execution on it.
-            # With co-resident sessions the pool keeps its size: this
-            # session still schedules dataflow, just on fewer workers.
-            with database._writer_lock:
-                if len(database._sessions) <= 1:
-                    database.interpreter.set_threads(self._nr_threads)
-        self.pipeline = database.pipeline_for(
-            self._nr_threads, self._fragment_rows
-        )
 
     @property
     def fragment_rows(self):
@@ -509,21 +483,12 @@ class Connection(Session):
 
     def _cache_key(self, sql: str) -> tuple:
         # The optimizer pipeline is part of the identity: ablation runs
-        # swap pipelines per session, and the fragmentation knobs
-        # change the compiled plan shape.  The schema token makes
+        # swap pipelines per session, and a fragmenting pipeline is
+        # interned per (nr_threads, fragment_rows) pair, so it carries
+        # the plan shape those knobs decide.  The schema token makes
         # entries snapshot-valid: committed DDL mints keys no stale
         # entry can match.
-        # storage_token folds in the mmap knobs: flipping
-        # REPRO_STORAGE_MMAP mid-process must not replay plans whose
-        # cost assumptions (lazy vs eager heaps) no longer hold.
-        return (
-            sql,
-            self.pipeline,
-            self._nr_threads,
-            self._fragment_rows,
-            self._schema_token(),
-            gdk_storage.storage_token(),
-        )
+        return (sql, self.pipeline, self._schema_token())
 
     def _build_entry(
         self, statement, param_keys: tuple, sql: str = ""

@@ -269,10 +269,6 @@ class Column:
         mask[positions] = replacement.effective_mask()
         return Column(self.atom, values, mask)
 
-    def append(self, other: "Column") -> "Column":
-        """Alias of :meth:`concat` (MonetDB's BATappend)."""
-        return self.concat(other)
-
     # ------------------------------------------------------------------
     # casting
     # ------------------------------------------------------------------

@@ -168,11 +168,7 @@ def encode_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def maybe_encode(column: Column) -> Column:
     """Encode a qualifying plain string column; otherwise pass through."""
-    if (
-        not storage.dict_enabled()
-        or column.atom is not Atom.STR
-        or isinstance(column, DictColumn)
-    ):
+    if column.atom is not Atom.STR or isinstance(column, DictColumn):
         return column
     n = len(column)
     if n < storage.dict_min_rows():

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.errors import GDKError
 from repro.gdk.atoms import Atom, canon_key as _canon_key
-from repro.gdk.bat import BAT
 from repro.gdk.column import Column
 from repro.gdk.dictenc import DictColumn
 
@@ -233,11 +232,6 @@ def grouping_view(group_ids: Column, ngroups: int) -> GroupView:
         if group_ids.values.max() >= ngroups:
             raise GDKError("group id out of range")
     return GroupView(group_ids, ngroups)
-
-
-def groups_bat(grouping: Grouping, hseqbase: int = 0) -> BAT:
-    """The group-id column as a BAT aligned with the grouped input."""
-    return BAT(grouping.groups, hseqbase)
 
 
 # ----------------------------------------------------------------------

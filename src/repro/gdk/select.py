@@ -19,11 +19,11 @@ the value selects :func:`thetaselect`, :func:`rangeselect`,
   an *all* run is emitted as a dense oid range, and a *scan* run
   compares its payload slice in place and keeps
   ``np.flatnonzero(keep) + start``.  An input without statistics — a
-  computed temporary, an unfragmented in-memory column, any input
-  under ``REPRO_ZONEMAPS=0`` — is one scan run; it too skips the
-  ``arange`` of its positions and the gather through them.  Results
-  are byte-identical either way.  An input answered without reading
-  any payload is counted by :func:`repro.gdk.storage.note_pruned`.
+  computed temporary or an unfragmented in-memory column — is one scan
+  run; it too skips the ``arange`` of its positions and the gather
+  through them.  Results are byte-identical either way.  An input
+  answered without reading any payload is counted by
+  :func:`repro.gdk.storage.note_pruned`.
   :func:`select_true` never asks: its bit column was computed for this
   one query, so statistics over it could not be reused.  A select with
   a candidate list gathers the candidates' values and tests those; its
@@ -112,11 +112,11 @@ def _zone_window(b: BAT) -> tuple:
 def _runs(b: BAT, kind: str | None, *args) -> tuple | None:
     """Class runs ``(firsts, ends, kinds)`` of a predicate over *b*.
 
-    ``None`` when *b* has no zone statistics, *kind* is ``None`` (the
-    input was computed for this query) or ``REPRO_ZONEMAPS=0``: the
-    whole input is then one scan run.
+    ``None`` — the whole input is one scan run — when *b* has no zone
+    statistics or *kind* is ``None`` (the input was computed for this
+    query).
     """
-    if kind is None or not storage.zonemaps_enabled():
+    if kind is None:
         return None
     zm, base = _zone_window(b)
     if zm is None:

@@ -1,24 +1,19 @@
-"""Out-of-core storage accounting and knobs.
+"""Storage thresholds and the out-of-core counters.
 
-Central switchboard of the storage engine introduced with the
-mmap/zone-map/dictionary work:
+Every storage strategy is decided by a threshold or by the input, never
+by a switch: a payload file at or above ``REPRO_MMAP_THRESHOLD_BYTES``
+loads as a lazy :class:`numpy.memmap` view, a string column of at least
+``REPRO_DICT_MIN_ROWS`` rows is considered for dictionary encoding
+(:mod:`repro.gdk.dictenc`), and an input with zone statistics
+(``REPRO_ZONE_ROWS`` rows per zone, :mod:`repro.gdk.zonemap`) is
+always consulted by the value selects.
 
-* the ``REPRO_STORAGE_MMAP`` knob — ``"1"`` forces lazy
-  :class:`numpy.memmap` payload loading, ``"0"`` forces eager reads,
-  and the default ``"auto"`` memory-maps any payload file at or above
-  ``REPRO_MMAP_THRESHOLD_BYTES`` (default 1 MiB);
-* the global *fault* / *prune* counters behind the
-  ``fragments_pruned`` / ``bytes_faulted`` fields of
-  :class:`~repro.mal.interpreter.ExecutionStats` — kernels report
-  here, the interpreter snapshots deltas around each program run;
-* the cardinality/row thresholds of the dictionary encoder
-  (:mod:`repro.gdk.dictenc`) and the zone-map granularity
-  (:mod:`repro.gdk.zonemap`).
-
-Counters are process-global and lock-protected: concurrent sessions
-both add to them, so a single run's delta is exact only when one
-program executes at a time (true for every in-suite assertion; the
-profile stays a useful aggregate under concurrency).
+The process-global *prune* / *fault* counters behind the
+``fragments_pruned`` / ``bytes_faulted`` fields of
+:class:`~repro.mal.interpreter.ExecutionStats` live here too: kernels
+report, the interpreter snapshots deltas around each program run.  A
+single run's delta is exact only when one program executes at a time
+(true for every in-suite assertion).
 """
 
 from __future__ import annotations
@@ -37,62 +32,19 @@ _bytes_faulted = 0
 # ----------------------------------------------------------------------
 # knob resolution
 # ----------------------------------------------------------------------
-def storage_mmap_mode() -> str:
-    """The ``REPRO_STORAGE_MMAP`` knob: ``"on"``, ``"off"`` or ``"auto"``."""
-    raw = (knobs.raw("REPRO_STORAGE_MMAP") or "auto").strip().lower()
-    if raw in ("1", "on", "true", "yes"):
-        return "on"
-    if raw in ("0", "off", "false", "no"):
-        return "off"
-    return "auto"
-
-
 def mmap_threshold_bytes() -> int:
-    """Payload size at which ``auto`` mode switches to memory-mapping."""
+    """Payload size at which a load memory-maps instead of reading."""
     return knobs.integer("REPRO_MMAP_THRESHOLD_BYTES", knobs.MMAP_THRESHOLD_BYTES, 0)
 
 
 def should_mmap(nbytes: int) -> bool:
     """Whether a payload file of *nbytes* should load as a memmap view."""
-    mode = storage_mmap_mode()
-    if mode == "on":
-        return True
-    if mode == "off":
-        return False
     return nbytes >= mmap_threshold_bytes()
-
-
-def storage_token() -> tuple:
-    """Plan-cache key component for the storage knobs.
-
-    Included in :meth:`Connection._cache_key` so flipping the mmap knob
-    (or its threshold) between sessions of one database never reuses a
-    plan profiled/validated under the other storage mode.
-    """
-    return (storage_mmap_mode(), mmap_threshold_bytes())
-
-
-def zonemaps_enabled() -> bool:
-    """``REPRO_ZONEMAPS`` (default on) — runtime zone-pruning ablation.
-
-    Plans never depend on it: the select kernels read it on every call
-    and, when it is off, walk each input as one scan run instead of
-    asking its zone statistics, so toggling it never invalidates a
-    cached plan (results are byte-identical either way).
-    """
-    raw = (knobs.raw("REPRO_ZONEMAPS") or "1").strip().lower()
-    return raw not in ("0", "off", "false", "no")
 
 
 def dict_min_rows() -> int:
     """Minimum column length before in-memory dictionary encoding."""
     return knobs.integer("REPRO_DICT_MIN_ROWS", knobs.DICT_MIN_ROWS, 1)
-
-
-def dict_enabled() -> bool:
-    """``REPRO_DICT`` (default on) — dictionary-encoding ablation."""
-    raw = (knobs.raw("REPRO_DICT") or "1").strip().lower()
-    return raw not in ("0", "off", "false", "no")
 
 
 def zone_rows() -> int:
@@ -136,10 +88,3 @@ def counters() -> tuple[int, int]:
     with _lock:
         return _fragments_pruned, _bytes_faulted
 
-
-def reset_counters() -> None:
-    """Zero both counters (test isolation)."""
-    global _fragments_pruned, _bytes_faulted
-    with _lock:
-        _fragments_pruned = 0
-        _bytes_faulted = 0

@@ -64,36 +64,16 @@ KNOBS: tuple[Knob, ...] = (
         "execution",
     ),
     Knob(
-        "REPRO_STORAGE_MMAP",
-        "auto",
-        "mmap-backed BAT heaps: `1` forces, `0` disables, `auto` maps "
-        "payloads above the size threshold.",
-        "storage",
-    ),
-    Knob(
         "REPRO_MMAP_THRESHOLD_BYTES",
         str(MMAP_THRESHOLD_BYTES),
-        "Payload size above which `auto` mmap mode maps instead of "
-        "loading eagerly.",
-        "storage",
-    ),
-    Knob(
-        "REPRO_ZONEMAPS",
-        "1",
-        "Zone-map pruning in the value-select kernels: `0` makes every "
-        "select scan its input (results are identical either way).",
+        "Payload size at or above which a farm load memory-maps the "
+        "file instead of reading it eagerly.",
         "storage",
     ),
     Knob(
         "REPRO_ZONE_ROWS",
         str(ZONE_ROWS),
         "Rows per zone for persisted min/max/null statistics.",
-        "storage",
-    ),
-    Knob(
-        "REPRO_DICT",
-        "1",
-        "Dictionary-encode qualifying string columns on append.",
         "storage",
     ),
     Knob(

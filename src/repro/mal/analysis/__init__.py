@@ -2,7 +2,7 @@
 
 The package provides the plan verifier wired into the optimizer
 pipeline (``REPRO_VERIFY_PLANS=1``), the op-signature registry it
-checks against, the shared def/use analysis the ``dead_code`` pass is
+checks against, the shared liveness analysis the ``dead_code`` pass is
 built on, and the EXPLAIN annotation helpers (stable plan digest +
 fragment-group summary).
 
@@ -14,7 +14,7 @@ See :mod:`repro.mal.analysis.signatures` for the grammar and
 :mod:`repro.mal.analysis.verifier` for the checks performed.
 """
 
-from repro.mal.analysis.defuse import def_use, live_instructions
+from repro.mal.analysis.defuse import live_instructions
 from repro.mal.analysis.explain import annotate_program, fragment_groups, plan_digest
 from repro.mal.analysis.signatures import (
     OpSignature,
@@ -28,7 +28,6 @@ __all__ = [
     "VerificationReport",
     "annotate_program",
     "check_completeness",
-    "def_use",
     "fragment_groups",
     "live_instructions",
     "plan_digest",

@@ -1,27 +1,8 @@
-"""Def/use analysis shared by the verifier and the ``dead_code`` pass."""
+"""Liveness analysis shared by the verifier and the ``dead_code`` pass."""
 
 from __future__ import annotations
 
 from repro.mal.program import MALProgram
-
-
-def def_use(
-    program: MALProgram,
-) -> tuple[dict[str, int], dict[str, list[int]]]:
-    """``(producers, uses)``: defining index and use indexes per variable.
-
-    ``language.free`` arguments are *not* uses — they name variables by
-    constant string and mark release, which the verifier tracks
-    separately.
-    """
-    producers: dict[str, int] = {}
-    uses: dict[str, list[int]] = {}
-    for index, instruction in enumerate(program.instructions):
-        for used in instruction.used_vars():
-            uses.setdefault(used, []).append(index)
-        for result in instruction.results:
-            producers.setdefault(result, index)
-    return producers, uses
 
 
 def live_instructions(program: MALProgram) -> list[bool]:

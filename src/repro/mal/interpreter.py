@@ -324,17 +324,6 @@ class Interpreter:
         if executor is not None:
             executor.shutdown(wait=True)
 
-    def set_threads(self, nr_threads: int) -> None:
-        """Change the worker count; tears down any existing pool.
-
-        Not safe while other sessions are mid-execution on the shared
-        pool — resize at session-setup time.
-        """
-        nr_threads = max(1, int(nr_threads))
-        if nr_threads != self.nr_threads:
-            self.close()
-            self.nr_threads = nr_threads
-
     def _pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
             if self._executor is None:

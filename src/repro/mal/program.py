@@ -265,13 +265,6 @@ class MALProgram:
         lines.append(f"end {self.name};")
         return "\n".join(lines)
 
-    def defined_vars(self) -> set[str]:
-        """All variables assigned anywhere in the program."""
-        out: set[str] = set()
-        for instruction in self.instructions:
-            out.update(instruction.results)
-        return out
-
     def write_targets(self) -> frozenset[str]:
         """Lowercased names of the catalog objects this program mutates.
 

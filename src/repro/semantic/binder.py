@@ -174,12 +174,6 @@ class Scope:
             raise SemanticError(f"ambiguous column reference {name!r}")
         return matches[0]
 
-    def source_by_alias(self, alias: str) -> tuple[int, SourceInfo]:
-        for index, source in enumerate(self.sources):
-            if source.alias == alias:
-                return index, source
-        raise SemanticError(f"unknown source {alias!r}")
-
     def all_columns(self, qualifier: str | None = None) -> list[BoundColumn]:
         """Expansion of ``*`` / ``qualifier.*`` in declaration order."""
         out: list[BoundColumn] = []

@@ -45,12 +45,12 @@ class TestRegistry:
         ],
     )
     def test_flag_parsing(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_ZONEMAPS", value)
+        monkeypatch.setenv("REPRO_VERIFY_PLANS", value)
         if expected is None:  # blank falls back to the default
-            assert knobs.flag("REPRO_ZONEMAPS", True) is True
-            assert knobs.flag("REPRO_ZONEMAPS", False) is False
+            assert knobs.flag("REPRO_VERIFY_PLANS", True) is True
+            assert knobs.flag("REPRO_VERIFY_PLANS", False) is False
         else:
-            assert knobs.flag("REPRO_ZONEMAPS", not expected) is expected
+            assert knobs.flag("REPRO_VERIFY_PLANS", not expected) is expected
 
 
 #: every numeric knob: (reader, value when unset, a value below the
@@ -71,10 +71,7 @@ NUMERIC_KNOBS = {
 
 class TestNumericKnobs:
     def test_the_table_covers_every_numeric_knob(self):
-        flags_and_names = {
-            "REPRO_VERIFY_PLANS", "REPRO_STORAGE_MMAP", "REPRO_ZONEMAPS",
-            "REPRO_DICT", "REPRO_FAULTPOINT",
-        }
+        flags_and_names = {"REPRO_VERIFY_PLANS", "REPRO_FAULTPOINT"}
         assert set(NUMERIC_KNOBS) == {k.name for k in knobs.KNOBS} - flags_and_names
 
     @pytest.mark.parametrize("name", sorted(NUMERIC_KNOBS))

@@ -171,10 +171,12 @@ class TestPersistenceErrorPaths:
         from repro.errors import CorruptionError
 
         # CRC verification is deferred for mmap-backed payloads by
-        # design; pin the eager path so the mismatch is seen at load.
-        monkeypatch.setenv("REPRO_STORAGE_MMAP", "0")
+        # design; a threshold above the payload pins the eager path so
+        # the mismatch is seen at load.
         self._save(tmp_path)
         values = tmp_path / "b.values.npy"
+        monkeypatch.setenv("REPRO_MMAP_THRESHOLD_BYTES", str(values.stat().st_size + 1))
+        assert not isinstance(persist.load_bat(tmp_path, "b").tail.values, np.memmap)
         data = bytearray(values.read_bytes())
         data[-1] ^= 0xFF
         values.write_bytes(bytes(data))

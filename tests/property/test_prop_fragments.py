@@ -37,6 +37,11 @@ KNOBS = [
     (4, math.inf),
 ]
 
+#: a constant broadcast over a fragmented grouping: ``bat.project_const``
+#: reads the extents whole, so mergetable rebuilds them from the global
+#: group ids (``aggr.firstocc``).
+FIRSTOCC_QUERY = "SELECT k, 5 FROM t GROUP BY k"
+
 #: a representative query suite: selection, projection expressions,
 #: grouped aggregates (decomposable and not), multi-key grouping,
 #: HAVING, DISTINCT, ORDER BY/LIMIT, joins, set ops, scalar aggregates.
@@ -51,6 +56,7 @@ TABLE_QUERIES = [
     "SELECT k, STDDEV(v), MEDIAN(v) FROM t GROUP BY k",
     "SELECT k, COUNT(DISTINCT v) FROM t GROUP BY k",
     "SELECT k, g, SUM(v) FROM t GROUP BY k, g",
+    FIRSTOCC_QUERY,
     "SELECT k, AVG(v) FROM t WHERE v > 2 GROUP BY k HAVING AVG(v) > 5",
     "SELECT DISTINCT k FROM t",
     "SELECT k, v FROM t ORDER BY v, k LIMIT 5",
@@ -248,6 +254,18 @@ class TestFragmentedPlanInvariants:
         assert "mat.partition" in plan
         assert "bat.mergecand" in plan or "mat.pack" in plan
         assert "aggr.mergesum" in plan
+
+    def test_merged_extents_are_byte_identical(self):
+        rows = [(i % 5, i % 3, i, i / 4) for i in range(40)]
+        digests = []
+        for fragment_rows in (math.inf, 7):
+            conn = _make_connection(1, fragment_rows)
+            _load_tables(conn, rows, [])
+            plan = conn.explain(FIRSTOCC_QUERY)
+            assert ("aggr.firstocc" in plan) == (fragment_rows == 7)
+            digests.append(_digest(conn.execute(FIRSTOCC_QUERY)))
+            conn.close()
+        assert digests[0] == digests[1]
 
     def test_cached_fragmented_plan_survives_growth(self):
         """Partition bounds come from runtime counts: cached plans stay

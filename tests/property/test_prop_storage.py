@@ -3,14 +3,18 @@
 The storage engine's three mechanisms — zone-map fragment pruning,
 dictionary/RLE encoding, and mmap-backed lazy heaps — are all pure
 *representation* changes: every query must return byte-identical
-results with each mechanism on or off, across fragment sizes, and for
-every predicate polarity (all fragments pruned, none pruned, partial),
+results whichever representation the input and the thresholds pick
+(zone statistics or none, a column below or above
+``REPRO_DICT_MIN_ROWS``, a payload below or above
+``REPRO_MMAP_THRESHOLD_BYTES``), across fragment sizes, and for every
+predicate polarity (all fragments pruned, none pruned, partial),
 NULL-heavy columns included.  ``repr`` comparison keeps the check
 honest for floats (``-0.0`` vs ``0.0`` would slip through ``==``).
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,21 +69,52 @@ def _load(conn, n=300):
     )
 
 
+def _payloads(conn):
+    """The stored payload array of every column of ``t`` and ``u``."""
+    from repro.gdk.dictenc import DictColumn
+
+    out = []
+    for name, columns in (("t", ("k", "v", "s")), ("u", ("s",))):
+        table = conn.database.catalog.get(name)
+        for column in columns:
+            tail = table.bind(column).tail
+            out.append(tail.codes if isinstance(tail, DictColumn) else tail.values)
+    return out
+
+
 class TestPrunedEqualsUnpruned:
     """Zone-map short-circuits change nothing but the work done."""
 
     @pytest.mark.parametrize("fragment_rows", FRAGMENT_ROWS)
-    def test_polarity_suite(self, fragment_rows, monkeypatch):
+    def test_polarity_suite(self, fragment_rows, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_ZONE_ROWS", "16")
-        conn = repro.connect(nr_threads=1, fragment_rows=fragment_rows)
-        _load(conn)
+        seed = repro.connect()
+        _load(seed)
+        seed.save(tmp_path / "db")
+        seed.close()
+        # The reference reads the same rows through inputs without
+        # statistics: an unfragmented in-memory session of its own
+        # database (a fragmenting session would cache zone maps on the
+        # shared BATs).  The pruned legs read zone maps built for
+        # in-memory fragments and a reopened farm's saved ones.
+        unpruned = repro.connect(nr_threads=1, fragment_rows=math.inf)
+        _load(unpruned)
+        in_memory = repro.connect(nr_threads=1, fragment_rows=fragment_rows)
+        _load(in_memory)
+        farm = repro.connect(
+            tmp_path / "db", nr_threads=1, fragment_rows=fragment_rows
+        )
+        fired = 0
         for sql in QUERIES:
-            monkeypatch.setenv("REPRO_ZONEMAPS", "0")
-            unpruned = conn.execute(sql).rows()
-            monkeypatch.setenv("REPRO_ZONEMAPS", "1")
-            pruned = conn.execute(sql).rows()
-            assert repr(pruned) == repr(unpruned), (sql, fragment_rows)
-        conn.close()
+            expected = repr(unpruned.execute(sql, collect_stats=True).rows())
+            assert unpruned.last_stats.fragments_pruned == 0, sql
+            for pruned in (in_memory, farm):
+                got = pruned.execute(sql, collect_stats=True).rows()
+                assert repr(got) == expected, (sql, fragment_rows)
+                fired += pruned.last_stats.fragments_pruned
+        assert fired > 0
+        for conn in (unpruned, in_memory, farm):
+            conn.close()
 
     def test_pruning_fires_and_is_profiled(self, monkeypatch):
         monkeypatch.setenv("REPRO_ZONE_ROWS", "16")
@@ -137,12 +172,13 @@ class TestEncodedEqualsPlain:
     def test_dict_crosses_threshold_mid_append(self, fragment_rows, monkeypatch):
         from repro.gdk.dictenc import DictColumn
 
-        monkeypatch.setenv("REPRO_DICT_MIN_ROWS", "64")
         plain = repro.connect(nr_threads=1, fragment_rows=fragment_rows)
         encoded = repro.connect(nr_threads=1, fragment_rows=fragment_rows)
         rows = _rows(200)
-        for conn, dict_knob in ((plain, "0"), (encoded, "1")):
-            monkeypatch.setenv("REPRO_DICT", dict_knob)
+        # The plain reference is a session whose threshold exceeds the
+        # column, so its strings are never considered for encoding.
+        for conn, min_rows in ((plain, "1000"), (encoded, "64")):
+            monkeypatch.setenv("REPRO_DICT_MIN_ROWS", min_rows)
             conn.execute("CREATE TABLE t (k INT, v INT, s VARCHAR(10))")
             conn.execute("CREATE TABLE u (s VARCHAR(10))")
             # First batch sits below REPRO_DICT_MIN_ROWS (stays plain),
@@ -152,7 +188,6 @@ class TestEncodedEqualsPlain:
             conn.executemany(
                 "INSERT INTO u VALUES (?)", [(f"tag-{i}",) for i in range(4)]
             )
-        monkeypatch.setenv("REPRO_DICT", "1")
         tail = encoded.database.catalog.get("t").bind("s").tail
         assert isinstance(tail, DictColumn)
         plain_tail = plain.database.catalog.get("t").bind("s").tail
@@ -180,18 +215,21 @@ class TestMmapEqualsEager:
         seed.save(tmp_path / "db")
         seed.close()
 
-        monkeypatch.setenv("REPRO_STORAGE_MMAP", "0")
+        # Eager is a threshold above every payload file, lazy is 0.
+        payload_bytes = max(p.stat().st_size for p in (tmp_path / "db").rglob("*.npy"))
+        monkeypatch.setenv("REPRO_MMAP_THRESHOLD_BYTES", str(payload_bytes + 1))
         eager = repro.connect(
             tmp_path / "db", nr_threads=1, fragment_rows=fragment_rows
         )
+        assert not any(isinstance(p, np.memmap) for p in _payloads(eager))
         expected = {sql: repr(eager.execute(sql).rows()) for sql in QUERIES}
         eager.close()
 
-        monkeypatch.setenv("REPRO_STORAGE_MMAP", "1")
         monkeypatch.setenv("REPRO_MMAP_THRESHOLD_BYTES", "0")
         lazy = repro.connect(
             tmp_path / "db", nr_threads=1, fragment_rows=fragment_rows
         )
+        assert all(isinstance(p, np.memmap) for p in _payloads(lazy))
         for sql in QUERIES:
             assert repr(lazy.execute(sql).rows()) == expected[sql], sql
         lazy.close()
@@ -207,7 +245,6 @@ class TestMmapEqualsEager:
         seed.save(tmp_path / "db")
         seed.close()
 
-        monkeypatch.setenv("REPRO_STORAGE_MMAP", "1")
         monkeypatch.setenv("REPRO_MMAP_THRESHOLD_BYTES", "0")
         conn = repro.connect(tmp_path / "db", nr_threads=1, fragment_rows=512)
         total_bytes = 20_000 * 4  # int32 heap
@@ -240,7 +277,6 @@ class TestMmapEqualsEager:
         seed.save(tmp_path / "db")
         seed.close()
 
-        monkeypatch.setenv("REPRO_STORAGE_MMAP", "1")
         monkeypatch.setenv("REPRO_MMAP_THRESHOLD_BYTES", "0")
         conn = repro.connect(tmp_path / "db", nr_threads=1, fragment_rows=math.inf)
         boundary_bytes = 2 * zone_rows * 4  # two int32 zones

@@ -11,10 +11,15 @@ The grid covers clustered and uniform columns (INT, BIGINT, DOUBLE with
 NaN and ``±inf``, dictionary-coded text), ``REPRO_ZONE_ROWS`` from one
 row to more than the column, fragment windows that start and end
 mid-zone (``mat.partition`` of 1–5 pieces), a whole column with and
-without statistics, an optional candidate list, and ``REPRO_ZONEMAPS``
-off and on; SQL selects run in process and over ``repro://``.
+without statistics, and an optional candidate list.  The ``zonemaps``
+parameter picks the inputs: with statistics (``1``) or the same windows
+as plain BATs without any (``0``, the one-scan-run reference, which
+must never count a pruned input).  SQL selects run in process and over
+``repro://``, against a reopened farm's saved zone maps or an
+unfragmented in-memory table without statistics.
 """
 
+import math
 import operator
 
 import numpy as np
@@ -23,7 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.gdk import select, zonemap
+from repro.gdk import select, storage, zonemap
 from repro.gdk.atoms import Atom
 from repro.gdk.bat import BAT, partition
 from repro.gdk.column import Column
@@ -56,10 +61,14 @@ def zone_rows(request, monkeypatch):
     return request.param
 
 
-@pytest.fixture(params=["0", "1"], ids=lambda flag: f"zonemaps{flag}")
-def zonemaps(request, monkeypatch):
-    monkeypatch.setenv("REPRO_ZONEMAPS", request.param)
+@pytest.fixture(params=[False, True], ids=["zonemaps0", "zonemaps1"])
+def zonemaps(request):
+    """Whether the select inputs carry zone statistics."""
     return request.param
+
+
+def _pruned() -> int:
+    return storage.counters()[0]
 
 
 # ----------------------------------------------------------------------
@@ -108,14 +117,18 @@ def _column(atom, values, mask):
     return Column(atom, values, mask)
 
 
-def _inputs(atom, values, mask, pieces):
+def _inputs(atom, values, mask, pieces, zoned):
     """Every BAT shape a select meets: the whole column without and
-    with statistics, and mid-zone fragments of one source."""
+    with statistics, and mid-zone fragments of one source.  Unless
+    *zoned*, the fragments and the source are plain BATs over the same
+    windows, without statistics."""
     yield BAT(_column(atom, values, mask))
     source = BAT(_column(atom, values, mask))
     for index in range(pieces):
-        yield partition(source, index, pieces)
-    zonemap.ensure(source)  # a farm column: statistics on the whole BAT
+        fragment = partition(source, index, pieces)
+        yield fragment if zoned else BAT(fragment.tail, fragment.hseqbase)
+    if zoned:
+        zonemap.ensure(source)  # a farm column: statistics on the whole BAT
     yield source
 
 
@@ -140,7 +153,7 @@ def _candidates(gen, fragment, use):
     return BAT.from_oids(np.flatnonzero(keep) + fragment.hseqbase)
 
 
-def _run_all(atom, data, pieces, seed, use_candidates):
+def _run_all(atom, data, pieces, seed, use_candidates, zoned):
     """Run every kernel over every input shape against the oracle."""
     values, mask, constants = data
     valid = ~mask
@@ -172,7 +185,10 @@ def _run_all(atom, data, pieces, seed, use_candidates):
             cases.append((("in", wanted), hit & valid))
         cases.append((("isnull", True), mask.copy()))
         cases.append((("isnull", False), valid.copy()))
-    for fragment in _inputs(atom, values, mask, pieces):
+    before = _pruned()
+    for fragment in _inputs(atom, values, mask, pieces, zoned):
+        if not zoned:  # the reference: one scan run, never a zone
+            assert select._zone_window(fragment)[0] is None
         for case, expected in cases:
             candidates = _candidates(gen, fragment, use_candidates)
             kind, *args = case
@@ -185,6 +201,9 @@ def _run_all(atom, data, pieces, seed, use_candidates):
             else:
                 out = select.isnull_select(fragment, args[0], candidates)
             _check(out, fragment, expected, candidates)
+    # With statistics some input is answered from its zones alone (an
+    # absent constant misses every zone); without, none ever is.
+    assert (_pruned() > before) == zoned
 
 
 @pytest.mark.parametrize("atom", [Atom.INT, Atom.LNG, Atom.DBL, Atom.STR])
@@ -193,7 +212,7 @@ class TestZoneScanOracle:
     @given(data=st.data(), pieces=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
     def test_selects_equal_the_mask(self, atom, zone_rows, zonemaps, data, pieces, seed):
         values = data.draw(columns(atom))
-        _run_all(atom, values, pieces, seed, use_candidates=False)
+        _run_all(atom, values, pieces, seed, use_candidates=False, zoned=zonemaps)
 
     @SETTINGS
     @given(data=st.data(), pieces=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
@@ -201,7 +220,7 @@ class TestZoneScanOracle:
         self, atom, zone_rows, zonemaps, data, pieces, seed
     ):
         values = data.draw(columns(atom))
-        _run_all(atom, values, pieces, seed, use_candidates=True)
+        _run_all(atom, values, pieces, seed, use_candidates=True, zoned=zonemaps)
 
 
 class TestSelectTrue:
@@ -211,16 +230,22 @@ class TestSelectTrue:
         gen = np.random.default_rng(seed)
         bits = gen.random(n) < 0.5
         mask = gen.random(n) < 0.2
-        out = select.select_true(BAT(Column(Atom.BIT, bits, mask), 5))
+        b = BAT(Column(Atom.BIT, bits, mask), 5)
+        if zonemaps:
+            zonemap.ensure(b)
+        before = _pruned()
+        out = select.select_true(b)
+        assert _pruned() == before  # its bit column's statistics are never asked
         expected = np.flatnonzero(bits & ~mask).astype(np.int64) + 5
         assert out.tail.values.tobytes() == expected.tobytes()
 
 
 class TestThroughTheEngine:
-    """The same oracle over SQL, in process and over ``repro://``:
-    fragment edges follow the connection's own fragmentation
-    (``REPRO_FRAGMENT_ROWS`` in the fragmented CI leg), so they fall
-    mid-zone there."""
+    """The same oracle over SQL, in process and over ``repro://``.
+    With statistics the table is a reopened farm whose fragment edges
+    follow the connection's own fragmentation (``REPRO_FRAGMENT_ROWS``
+    in the fragmented CI leg), so they fall mid-zone there; without,
+    it is an unfragmented in-memory table."""
 
     PREDICATES = {
         "c >= 30 AND c < 90": lambda c, u, d: (c >= 30) & (c < 90),
@@ -236,7 +261,7 @@ class TestThroughTheEngine:
         "d NOT BETWEEN -1 AND 1": lambda c, u, d: ~((d >= -1) & (d <= 1)),
     }
 
-    def test_sql_selects_equal_the_mask(self, zone_rows, zonemaps):
+    def test_sql_selects_equal_the_mask(self, zone_rows, zonemaps, tmp_path):
         n = 400
         gen = np.random.default_rng(11)
         c = np.arange(n, dtype=np.int64) // 2  # clustered
@@ -248,7 +273,7 @@ class TestThroughTheEngine:
         null = np.zeros(n, dtype=np.bool_)
         null[100:140] = True  # a NULL block across zone edges
         null[gen.random(n) < 0.05] = True
-        db = repro.Database()
+        db = repro.Database(fragment_rows=None if zonemaps else math.inf)
         local = db.connect()
         local.execute("CREATE TABLE t (k INT, c BIGINT, u INT, d DOUBLE)")
         local.executemany(
@@ -258,6 +283,11 @@ class TestThroughTheEngine:
                 for i in range(n)
             ],
         )
+        if zonemaps:  # a farm column is loaded with its zone maps
+            db.save(tmp_path / "farm")
+            db.close()
+            db = repro.Database.open(tmp_path / "farm")
+            local = db.connect()
         with np.errstate(invalid="ignore"):
             cases = {
                 f"SELECT k FROM t WHERE {predicate}": oracle(c, u, d) & ~null
@@ -267,12 +297,18 @@ class TestThroughTheEngine:
         with ServerThread(db) as server:
             remote = repro.connect(server.url)
             cursor = remote.cursor()
+            pruned = 0
             for sql, mask in cases.items():
-                got = local.execute(sql).to_numpy()["k"]
+                got = local.execute(sql, collect_stats=True).to_numpy()["k"]
+                pruned += local.last_stats.fragments_pruned
                 expected = np.flatnonzero(mask).astype(got.dtype)
                 assert got.tobytes() == expected.tobytes(), sql
                 cursor.execute(sql)
                 assert cursor.fetchnumpy()["k"].tobytes() == got.tobytes(), sql
             remote.close()
+        if not zonemaps:
+            assert pruned == 0  # the reference took the one-scan-run path
+        elif zone_rows == 1:
+            assert pruned > 0  # one-row zones answer ``c = 77`` alone
         local.close()
         db.close()

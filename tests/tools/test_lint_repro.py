@@ -31,10 +31,46 @@ class TestRules:
             "import os\n"
             "a = os.environ.get('REPRO_NR_THREADS')\n"
             "b = os.getenv('REPRO_ZONE_ROWS', '1')\n"
-            "c = os.environ['REPRO_DICT']\n"
+            "c = os.environ['REPRO_DICT_MIN_ROWS']\n"
             "ok = os.environ.get('HOME')\n",
         )
         assert rules == ["env-knob"] * 3
+
+    def test_set_knobs_must_be_registered(self, tmp_path):
+        path = tmp_path / "test_sample.py"
+        path.write_text(
+            "import os\n"
+            "def test_sample(monkeypatch, env):\n"
+            "    monkeypatch.setenv('REPRO_GONE', '1')\n"
+            "    monkeypatch.setenv('REPRO_ZONE_ROWS', '16')\n"
+            "    os.environ['REPRO_GONE_TOO'] = '0'\n"
+            "    env['REPRO_ALSO_GONE'] = '0'\n"
+            "    os.environ.setdefault('REPRO_STILL_GONE', '1')\n"
+            "    read = os.environ.get('REPRO_NOT_A_KNOB')\n",
+            encoding="utf-8",
+        )
+        findings = lint.lint_knob_sets([path])
+        assert [(f.line, f.rule) for f in findings] == [
+            (3, "registered-knob"), (5, "registered-knob"),
+            (6, "registered-knob"), (7, "registered-knob"),
+        ]
+        assert "REPRO_GONE is set but not registered" in findings[0].message
+
+    def test_exported_and_workflow_knobs_must_be_registered(self, tmp_path):
+        path = tmp_path / "ci.yml"
+        path.write_text(
+            "env:\n"
+            "  REPRO_GONE: 1\n"
+            "  REPRO_NR_THREADS: 4\n"
+            "run: |\n"
+            "  export REPRO_ZONE_ROWS=16 REPRO_OLD=1\n"
+            "  echo REPRO_NOT_SET=1\n",
+            encoding="utf-8",
+        )
+        findings = lint.lint_knob_sets([path])
+        assert [(f.line, f.message.split()[0]) for f in findings] == [
+            (2, "REPRO_GONE"), (5, "REPRO_OLD"),
+        ]
 
     def test_unregistered_crash_point(self, tmp_path):
         rules = rules_in(
@@ -244,6 +280,12 @@ class TestRealTree:
         roots = [REPO / "src" / "repro", REPO / "tools"]
         paths = sorted(p for root in roots for p in root.rglob("*.py"))
         findings = lint.lint_paths(paths)
+        assert findings == [], "\n".join(str(f) for f in findings)
+
+    def test_tests_benchmarks_examples_and_ci_set_only_registered_knobs(self):
+        paths = lint.knob_setter_paths()
+        assert REPO / ".github" / "workflows" / "ci.yml" in paths
+        findings = lint.lint_knob_sets(paths)
         assert findings == [], "\n".join(str(f) for f in findings)
 
     def test_readme_typing_table_is_generated_from_the_typing_tables(self):

@@ -44,6 +44,12 @@ AST-based checks over ``src/repro`` (and this ``tools`` directory):
   ``mal/modules/sql_mod.py`` and ``catalog/`` (WAL replay dispatches by
   name through ``getattr``), so governance, plan verification, the WAL
   and the atom rule cover every load;
+* ``registered-knob`` — under ``tests/``, ``benchmarks/``, ``examples/``
+  and ``.github/`` every ``REPRO_*`` name that is *set*
+  (``monkeypatch.setenv``, ``os.environ[...] =``, ``env[...] =``,
+  ``setdefault``/``putenv``, a shell ``export`` or a workflow ``env:``
+  entry) is registered in ``repro.knobs``: a deleted knob cannot linger
+  in a test, benchmark leg or CI job that no longer exercises anything;
 * ``orphan-op``     — every registered MAL op is emitted by the MAL
   generator, an optimizer pass or the engine: its ``"module",
   "function"`` pair appears literally in a call or tuple under
@@ -57,6 +63,7 @@ Exit status 0 when clean; 1 with ``file:line: [rule] message`` findings.
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -68,6 +75,15 @@ FSYNC_FILES = {
     SRC / "repro" / "engine" / "wal.py",
 }
 ALLOW_RENAME = "# lint: allow-rename"
+
+#: where knobs are set for a run rather than read (``registered-knob``).
+KNOB_SETTER_ROOTS = (
+    REPO / "tests", REPO / "benchmarks", REPO / "examples", REPO / ".github",
+)
+#: a shell ``export A=1 B=2`` line, and a workflow ``env:`` entry.
+_SHELL_EXPORT = re.compile(r"^\s*export\s")
+_SHELL_ASSIGN = re.compile(r"\b(REPRO_\w+)=")
+_YAML_ENV = re.compile(r"^\s*(REPRO_\w+)\s*:")
 
 #: where MAL instructions are emitted from.
 EMITTER_DIRS = (
@@ -203,6 +219,57 @@ def _check_env(tree: ast.AST, path: Path, findings: list[Finding]) -> None:
                     "repro.knobs.raw()",
                 )
             )
+
+
+def _set_knob_names(path: Path, source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of every ``REPRO_*`` name *source* sets."""
+    if path.suffix != ".py":
+        found = []
+        for lineno, line in enumerate(source.splitlines(), 1):
+            names = _SHELL_ASSIGN.findall(line) if _SHELL_EXPORT.match(line) else []
+            found += [(lineno, name) for name in names + _YAML_ENV.findall(line)]
+        return found
+    found = []
+    for node in ast.walk(ast.parse(source, filename=str(path))):
+        name = None
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("setenv", "setdefault", "putenv")
+            and node.args
+        ):
+            name = _repro_env_name(node.args[0])
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            name = _repro_env_name(node.slice)
+        if name is not None:
+            found.append((node.lineno, name))
+    return found
+
+
+def knob_setter_paths() -> list[Path]:
+    """The Python and workflow files under :data:`KNOB_SETTER_ROOTS`."""
+    return sorted(
+        p for root in KNOB_SETTER_ROOTS for p in root.rglob("*")
+        if p.is_file() and p.suffix in (".py", ".yml")
+    )
+
+
+def lint_knob_sets(paths: list[Path]) -> list[Finding]:
+    """``registered-knob`` findings over *paths* (Python or workflow YAML)."""
+    from repro import knobs
+
+    findings = []
+    for path in paths:
+        for lineno, name in _set_knob_names(path, path.read_text(encoding="utf-8")):
+            if not knobs.registered(name):
+                findings.append(
+                    Finding(
+                        path, lineno, "registered-knob",
+                        f"{name} is set but not registered in repro.knobs — "
+                        "nothing reads it; set a registered knob or drop the line",
+                    )
+                )
+    return findings
 
 
 def _check_crash_points(
@@ -563,6 +630,7 @@ def main(argv: list[str]) -> int:
     roots = [SRC / "repro", REPO / "tools"]
     paths = sorted(p for root in roots for p in root.rglob("*.py"))
     findings = lint_paths(paths)
+    findings += lint_knob_sets(knob_setter_paths())
     if "--no-signatures" not in argv:
         _check_signatures(findings)
     ops = _check_orphan_ops(findings)
