@@ -19,7 +19,7 @@ from repro.errors import CatalogError, DimensionError, PersistenceError
 from repro.gdk import dictenc
 from repro.gdk.atoms import Atom
 from repro.gdk.bat import BAT
-from repro.gdk.cells import Coordinate, cell_positions
+from repro.gdk.cells import Coordinate, cell_positions, series_column, stamp_series
 from repro.gdk.column import Column
 
 
@@ -338,15 +338,15 @@ class Array(_DeltaJournal):
 
     def materialise(self) -> None:
         """(Re)create all BATs: series per dimension, filler per attribute."""
-        from repro.mal.modules.array_mod import filler_column, series_column
+        from repro.mal.modules.array_mod import filler_column
 
         count = self.cell_count
         for index, dimension in enumerate(self.dimensions):
-            inner, outer = self.series_parameters(index)
             column = series_column(
-                dimension.start, dimension.step, dimension.stop, inner, outer
+                dimension.start, dimension.step, dimension.stop,
+                *self.series_parameters(index), dimension.atom,
             )
-            self.bats[dimension.name] = BAT(column.cast(dimension.atom))
+            self.bats[dimension.name] = BAT(column)
         for attribute in self.attributes:
             default = attribute.default if attribute.has_default else None
             self.bats[attribute.name] = BAT(
@@ -511,6 +511,13 @@ def object_from_schema(entry: dict, bat_for) -> Table | Array:
         else:
             raise ValueError(f"unknown object kind {kind!r}")
         obj.bats = {column: bat_for(column) for column in obj.column_names()}
+        if kind == "array":
+            # A stored dimension that still spells its series regains the
+            # witness a freshly materialised one has.
+            for index, dimension in enumerate(obj.dimensions):
+                inner, outer = obj.series_parameters(index)
+                witness = (dimension.start, dimension.step, dimension.size, inner, outer)
+                stamp_series(obj.bats[dimension.name].tail, witness)
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(f"malformed schema entry for object {name!r}: {exc!r}") from None
     return obj

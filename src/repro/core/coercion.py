@@ -25,7 +25,15 @@ import numpy as np
 
 from repro.errors import CoercionError
 from repro.gdk.atoms import Atom
-from repro.gdk.cells import Axis, address_cells, cell_positions, infer_axis
+from repro.gdk.cells import (
+    Axis,
+    cell_positions,
+    infer_axes,
+    infer_axis,
+    locate_rows,
+    row_major_axes,
+    series_column,
+)
 from repro.gdk.column import Column
 from repro.catalog.objects import DimensionDef
 
@@ -57,6 +65,16 @@ def rows_to_cells(
     return cell_positions(coordinates, [d.axis for d in dimensions])
 
 
+def _valued_rows(values: list[Column]) -> Optional[np.ndarray]:
+    """Rows with at least one non-NULL value, or None when that is every row."""
+    if not values or any(column.mask is None for column in values):
+        return None
+    all_null = values[0].mask.copy()
+    for column in values[1:]:
+        all_null &= column.mask
+    return np.flatnonzero(~all_null) if all_null.any() else None
+
+
 def table_to_array_columns(
     coordinates: list[Column],
     values: list[Column],
@@ -75,34 +93,38 @@ def table_to_array_columns(
     is NULL do not participate in the scatter — a cell they alone cover
     stays a hole either way, but they can no longer clobber a real
     value that shares the cell (e.g. HAVING-masked anchors after a
-    dimension-scaling projection like ``[x/2]``).
+    dimension-scaling projection like ``[x/2]``).  They still count
+    when the dimensions are inferred.
 
     The cost is O(rows) with no sort; rows that already are the cells
-    in row-major order come back as they are, without a scatter.
+    in row-major order come back as they are, without a scatter, and
+    so do the remaining rows once the all-NULL ones are dropped.
     """
     if dimensions is None:
         names = dimension_names or [f"dim_{i}" for i in range(len(coordinates))]
         if coordinates and len(coordinates[0]) == 0:
             raise CoercionError(f"cannot infer dimension {names[0]!r} from no values")
-        axes, positions = address_cells(coordinates)
+    series = row_major_axes(coordinates)
+    if dimensions is None:
+        axes = series or infer_axes(coordinates)
         dimensions = [_dimension(name, axis) for name, axis in zip(names, axes)]
     else:
-        _, positions = address_cells(coordinates, [d.axis for d in dimensions])
+        axes = [d.axis for d in dimensions]
+    rows = None
+    if skip_all_null_rows and (series != axes or defaults):
+        rows = _valued_rows(values)
+    if rows is not None:
+        # All-NULL rows take no part: rank and scatter only the rest.
+        coordinates = [column.take(rows) for column in coordinates]
+        values = [column.take(rows) for column in values]
+        series = row_major_axes(coordinates)
+    positions = locate_rows(coordinates, axes, series)
     if positions is None:
-        # Row r is cell r.  Only a default that all-NULL rows must not
-        # overwrite still needs the scatter below.
-        if not (skip_all_null_rows and defaults):
-            return dimensions, list(values)
-        positions = np.arange(len(coordinates[0]), dtype=np.int64)
+        return dimensions, list(values)  # row r is cell r
     cell_count = 1
     for dimension in dimensions:
         cell_count *= dimension.size
     keep = positions >= 0
-    if skip_all_null_rows and values:
-        all_null = values[0].effective_mask().copy()
-        for value_column in values[1:]:
-            all_null &= value_column.effective_mask()
-        keep &= ~all_null
     targets = positions[keep]
     source_rows = np.flatnonzero(keep)
     dense: list[Column] = []
@@ -134,8 +156,9 @@ def cells_to_rows(
     outer = 1
     for dimension in dimensions:
         inner //= dimension.size
-        values = np.tile(np.repeat(dimension.values(), inner), outer)
-        coordinate_columns.append(Column(Atom.LNG, values))
+        coordinate_columns.append(
+            series_column(dimension.start, dimension.step, dimension.stop, inner, outer)
+        )
         outer *= dimension.size
     if not drop_holes:
         return coordinate_columns, [a.copy() for a in attributes]

@@ -136,9 +136,10 @@ class Result:
     ) -> tuple[list[DimensionDef], dict[str, np.ndarray]]:
         """Coerce an array-shaped result to (dimensions, name → grid).
 
-        Grids are float64 with NaN holes (the usual numeric view); the
-        dimension ranges are inferred per Section 2 when the query came
-        from a coerced table, or coincide with the source array ranges.
+        A grid keeps its column's dtype; a numeric column with NULLs
+        widens to float64 with NaN holes.  The dimension ranges are
+        inferred per Section 2 (Section 3's ``array.series`` parameters
+        when the dimensions came from the source array untouched).
         """
         if self.kind != "array":
             raise CoercionError("result is not array-shaped; use rows()")

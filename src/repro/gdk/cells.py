@@ -7,12 +7,21 @@ dimension.  An *axis* is a dimension range as ``(start, step, size)``;
 cells are row-major, first axis slowest — the layout ``array.series``
 writes (paper Section 3).
 
-Rows that came out of the dimension BATs untouched (or shifted by a
-constant, or cut into whole-row fragments) still spell that series, and
-then nothing per-row has to be computed: :func:`series_axes` recognises
-the pattern in a few O(n) passes without sorting, and positions follow
-from one rank vector of length ``size`` per axis.  Anything else takes
+Rows that spell that series need no per-row work: row *r* is cell *r*.
+Two things say so.  A column built by :func:`series_column` carries a
+*witness*, ``Column.series = (start, step, size, N, M)``, the five
+numbers it was built from, and :func:`row_major_axes` composes the
+witnesses of all coordinates in O(#dims).  Anything else (a shifted
+dimension, whole-row fragments) is checked by :func:`series_axes` in a
+few O(n) passes without sorting.  Anything that is not a series takes
 the general path — one ``divmod`` per axis, validity folded in once.
+
+The witness rule: only :func:`series_column` sets a witness, and
+:func:`stamp_series` after checking every value (a farm loader's
+dimension).  Every other column — a take, slice, partition, pack,
+cast or replace of a witnessed one included — starts without one, and
+no kernel writes a column's ``values`` in place, so a witness stays
+true for the column's life.
 """
 
 from __future__ import annotations
@@ -22,10 +31,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro.errors import GDKError
 from repro.gdk.atoms import Atom, coerce_array
 from repro.gdk.column import Column
 
 Axis = tuple[int, int, int]
+#: ``array.series`` parameters ``(start, step, size, N, M)``: *size*
+#: values ``start + step * k``, each repeated N times, the run tiled M times.
+Series = tuple[int, int, int, int, int]
 Coordinate = Union[Column, np.ndarray]
 
 # Rows infer_axis probes for a unit step before a gcd pass over all rows.
@@ -44,6 +57,56 @@ def _payload(coordinate: Coordinate) -> tuple[np.ndarray, Optional[np.ndarray]]:
     return values, mask
 
 
+def series_column(
+    start: int, step: int, stop: int, inner: int, outer: int, atom: Atom = Atom.LNG
+) -> Column:
+    """The ``array.series`` value pattern as a column of *atom*, witnessed.
+
+    Generates the dimension values ``start, start+step, ... < stop``,
+    repeating each value ``inner`` (N) times consecutively, and the
+    whole sequence ``outer`` (M) times (paper, Section 3).  A value
+    *atom* cannot hold is NULL, and a column with NULLs has no witness.
+    """
+    if step <= 0:
+        raise GDKError("array.series needs a positive step")
+    if inner <= 0 or outer <= 0:
+        raise GDKError("array.series repetition factors must be positive")
+    run = np.arange(start, stop, step, dtype=np.int64)
+    run, mask = coerce_array(run, None, Atom.LNG, atom)
+    size = len(run)
+
+    def spread(per_value: np.ndarray) -> np.ndarray:
+        out = np.empty((outer, size, inner), dtype=per_value.dtype)
+        out[...] = per_value[None, :, None]
+        return out.reshape(-1)
+
+    if mask is not None:
+        return Column(atom, spread(run), spread(mask))
+    column = Column(atom, spread(run))
+    column.series = (start, step, size, inner, outer)
+    return column
+
+
+def stamp_series(column: Column, witness: Series) -> None:
+    """Give *column* the *witness* if every value matches that series.
+
+    A memory-mapped payload is left without one: checking it would
+    fault the whole file in, which a lazy open exists to avoid.
+    """
+    start, step, size, inner, outer = witness
+    values = column.values
+    if (
+        column.mask is not None
+        or values.dtype.kind != "i"
+        or isinstance(values, np.memmap)
+        or len(values) != size * inner * outer
+    ):
+        return
+    run = np.arange(size, dtype=np.int64) * step + start
+    if (values.reshape(outer, size, inner) == run[None, :, None]).all():
+        column.series = witness
+
+
 def infer_axis(values: np.ndarray) -> Axis:
     """Tightest axis covering *values*: step is the gcd of their gaps."""
     low, high = int(values.min()), int(values.max())
@@ -60,6 +123,31 @@ def infer_axis(values: np.ndarray) -> Axis:
     return low, step, (high - low) // step + 1
 
 
+def _first_change(column: np.ndarray, block: int) -> int:
+    """First row of ``column[:block]`` whose value differs from row 0.
+
+    Probes rows 1, 2, 4, … and bisects between the last equal probe and
+    the first unequal one, so it is exact whenever rows up to twice the
+    answer spell two runs — as in every series; on other input it may
+    be any row, which the caller's full check then rejects.
+    """
+    first = column[0]
+    low, high = 0, 1
+    while high < block and column[high] == first:
+        low, high = high, 2 * high
+    if high >= block:
+        if column[block - 1] == first:
+            return block
+        high = block - 1
+    while high - low > 1:
+        middle = (low + high) // 2
+        if column[middle] == first:
+            low = middle
+        else:
+            high = middle
+    return high
+
+
 def series_axes(columns: Sequence[np.ndarray]) -> Optional[list[Axis]]:
     """Axes of the row-major series *columns* spell, or None.
 
@@ -67,32 +155,35 @@ def series_axes(columns: Sequence[np.ndarray]) -> Optional[list[Axis]]:
     ``range(size)``, each value repeated ``∏ sizes[i+1:]`` times and
     the whole sequence tiled ``∏ sizes[:i]`` times, so row *r* is cell
     *r* of an array with those axes.  A single row has no order to
-    recognise (and is cheaper to address directly): None.
+    recognise (and is cheaper to address directly): None.  Each
+    column's layout is read from a few rows first, so most non-series
+    input is rejected before any full pass.
     """
     n = len(columns[0]) if columns else 0
     if n < 2:
         return None
-    axes: list[Axis] = []
+    layouts = []
     outer, block = 1, n  # block = rows per tile of the enclosing axes
     for column in columns:
-        first = int(column[0])
-        changed = column[:block] != first
-        repeat = int(changed.argmax())
-        if not changed[repeat]:
-            repeat = block
+        repeat = _first_change(column, block)
         if block % repeat:
             return None
         size = block // repeat
+        first = int(column[0])
         step = int(column[repeat]) - first if size > 1 else 1
-        if step <= 0 or first + step * (size - 1) > np.iinfo(column.dtype).max:
+        last = first + step * (size - 1)
+        if step <= 0 or last > np.iinfo(column.dtype).max or int(column[-1]) != last:
             return None
+        layouts.append((first, step, size, repeat, outer))
+        outer, block = outer * size, repeat
+    if block != 1:
+        return None
+    for column, (first, step, size, repeat, outer) in zip(columns, layouts):
         expected = np.arange(size, dtype=column.dtype) * step + first
         tiles = column.reshape(outer, size, repeat)
         if not (tiles == expected[None, :, None]).all():
             return None
-        axes.append((first, step, size))
-        outer, block = outer * size, repeat
-    return axes if block == 1 else None
+    return [(first, step, size) for first, step, size, _, _ in layouts]
 
 
 def _axis_ranks(values: np.ndarray, axis: Axis) -> tuple[np.ndarray, np.ndarray]:
@@ -141,39 +232,82 @@ def _series_positions(series: list[Axis], axes: Sequence[Axis]) -> Optional[np.n
     return positions
 
 
-def address_cells(
-    coordinates: Sequence[Coordinate], axes: Optional[Sequence[Axis]] = None
-) -> tuple[list[Axis], Optional[np.ndarray]]:
-    """Axes and linear cell position of every row.
+def _witnessed_axes(coordinates: Sequence[Coordinate]) -> Optional[list[Axis]]:
+    """Axes the coordinates' witnesses compose to, when they tile the
+    row-major shape: dimension *i* repeats each value ``∏ sizes[i+1:]``
+    times and its run ``∏ sizes[:i]`` times."""
+    witnesses = [c.series if isinstance(c, Column) else None for c in coordinates]
+    if not witnesses or None in witnesses:
+        return None
+    sizes = [size for _, _, size, _, _ in witnesses]
+    for index, (_, _, _, inner, outer) in enumerate(witnesses):
+        if inner != math.prod(sizes[index + 1:]) or outer != math.prod(sizes[:index]):
+            return None
+    # A one-value axis carries no step: it reads as 1, as series_axes says.
+    return [(start, step if size > 1 else 1, size) for start, step, size, _, _ in witnesses]
 
-    *axes* default to the tightest ones covering the coordinate values
-    (NULL coordinates contribute their payload, as they always have).
+
+def row_major_axes(coordinates: Sequence[Coordinate]) -> Optional[list[Axis]]:
+    """Axes under which row *r* is cell *r*, or None.
+
+    The witnesses answer in O(#dims); without them NULL-free integer
+    payloads are checked by :func:`series_axes`.
+    """
+    axes = _witnessed_axes(coordinates)
+    if axes is not None:
+        return axes
+    payloads = [_payload(c) for c in coordinates]
+    if any(mask is not None for _, mask in payloads):
+        return None
+    return series_axes([values for values, _ in payloads])
+
+
+def infer_axes(coordinates: Sequence[Coordinate]) -> list[Axis]:
+    """Tightest axes covering every row (NULL coordinates contribute
+    their payload, as they always have)."""
+    return [infer_axis(_payload(c)[0]) for c in coordinates]
+
+
+def locate_rows(
+    coordinates: Sequence[Coordinate],
+    axes: Sequence[Axis],
+    series: Optional[list[Axis]],
+) -> Optional[np.ndarray]:
+    """Linear cell position of every row under *axes*.
+
+    *series* is what :func:`row_major_axes` said of these rows.
     Positions are ``-1`` for rows with a NULL or out-of-domain
     coordinate, and ``None`` when row *r* is exactly cell *r* of all
     ``∏ sizes`` cells, so callers can reshape instead of scatter.
     """
-    payloads = [_payload(c) for c in coordinates]
-    arrays = [values for values, _ in payloads]
-    masks = [mask for _, mask in payloads if mask is not None]
-    series = None if masks else series_axes(arrays)
-    if axes is None:
-        axes = series or [infer_axis(values) for values in arrays]
-    axes = list(axes)
     if series is not None:
-        return axes, _series_positions(series, axes)
-    n = len(arrays[0]) if arrays else 0
+        return _series_positions(series, axes)
+    payloads = [_payload(c) for c in coordinates]
+    n = len(payloads[0][0]) if payloads else 0
     positions = np.zeros(n, dtype=np.int64)
     invalid = np.zeros(n, dtype=np.bool_)
-    for mask in masks:
-        invalid |= mask
-    for values, axis, stride in zip(arrays, axes, _strides(axes)):
+    for (values, mask), axis, stride in zip(payloads, axes, _strides(axes)):
+        if mask is not None:
+            invalid |= mask
         rank, bad = _axis_ranks(values, axis)
         invalid |= bad
         if stride != 1:
             rank *= stride
         positions += rank
     positions[invalid] = -1
-    return axes, positions
+    return positions
+
+
+def address_cells(
+    coordinates: Sequence[Coordinate], axes: Optional[Sequence[Axis]] = None
+) -> tuple[list[Axis], Optional[np.ndarray]]:
+    """Axes and linear cell position of every row (see :func:`locate_rows`).
+
+    *axes* default to the tightest ones covering the coordinate values.
+    """
+    series = row_major_axes(coordinates)
+    axes = list(axes) if axes is not None else series or infer_axes(coordinates)
+    return axes, locate_rows(coordinates, axes, series)
 
 
 def cell_position(coordinates: Sequence[object], axes: Sequence[Axis]) -> Optional[int]:

@@ -5,9 +5,11 @@ numpy array plus an optional boolean mask marking NULL positions
 (``True`` means NULL).  Columns are the unit all kernel operators work
 on; BATs merely pair a column with a void head (see :mod:`repro.gdk.bat`).
 
-Columns are *immutable by convention*: kernel operators return fresh
-columns; in-place mutation is confined to :meth:`Column.replace` and
-:meth:`Column.append`, which the update machinery uses deliberately.
+Columns are *immutable*: kernel operators return fresh columns
+(:meth:`Column.replace` included) and never write ``values`` in place.
+That is what lets a dimension column carry ``series``, the witness that
+it spells ``array.series`` (see :mod:`repro.gdk.cells`); a fresh column
+starts with ``series = None``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.gdk.atoms import NUMPY_DTYPE, Atom, coerce_array, coerce_items, coerc
 class Column:
     """A homogeneous vector of one atom type with optional NULLs."""
 
-    __slots__ = ("atom", "values", "mask")
+    __slots__ = ("atom", "values", "mask", "series")
 
     def __init__(self, atom: Atom, values: np.ndarray, mask: np.ndarray | None = None):
         expected = NUMPY_DTYPE[atom]
@@ -41,6 +43,7 @@ class Column:
         self.atom = atom
         self.values = values
         self.mask = mask
+        self.series = None
 
     # ------------------------------------------------------------------
     # constructors

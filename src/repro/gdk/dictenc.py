@@ -75,6 +75,7 @@ class DictColumn(Column):
         self.dictionary = dictionary
         self._decoded = None
         self.mask = mask
+        self.series = None
 
     # ``values`` overrides the base class slot with a lazy decode; the
     # result is cached so repeated fallback paths pay the gather once.

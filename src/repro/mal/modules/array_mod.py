@@ -7,9 +7,10 @@ materialisation, reproduced here with their signatures:
         :bat[:oid,:int]
     pattern array.filler(cnt:lng, v:any_1) :bat[:oid,:any_1]
 
-(the catalog materialises a new array through :func:`series_column` and
-:func:`filler_column` directly; no plan emits ``array.filler``, so only
-``array.series`` is registered as an op), plus the tiling kernels the
+(the catalog materialises a new array through
+:func:`~repro.gdk.cells.series_column` and :func:`filler_column`
+directly; no plan emits ``array.filler``, so only ``array.series`` is
+registered as an op), plus the tiling kernels the
 structural GROUP BY compiles into (``array.tileagg`` and its
 halo-fragment sibling ``array.tilepart``) and the coordinate → cell oid
 mapping behind relative cell access such as ``A[x-1][y]``
@@ -51,26 +52,10 @@ import numpy as np
 from repro.errors import GDKError, MALError
 from repro.gdk.atoms import Atom, atom_for_python, comparand
 from repro.gdk.bat import BAT, partition_bounds
-from repro.gdk.cells import cell_position, cell_positions
+from repro.gdk.cells import cell_position, cell_positions, series_column
 from repro.gdk.column import Column
 from repro.core.tiling import TileSpec, tile_aggregate, tile_aggregate_fragment
 from repro.mal.modules import cached_loads, mal_op
-
-
-def series_column(start: int, step: int, stop: int, inner: int, outer: int) -> Column:
-    """The ``array.series`` value pattern as a column.
-
-    Generates the dimension values ``start, start+step, ... < stop``,
-    repeating each value ``inner`` (N) times consecutively, and the
-    whole sequence ``outer`` (M) times (paper, Section 3).
-    """
-    if step <= 0:
-        raise GDKError("array.series needs a positive step")
-    if inner <= 0 or outer <= 0:
-        raise GDKError("array.series repetition factors must be positive")
-    base = np.arange(start, stop, step, dtype=np.int64)
-    values = np.tile(np.repeat(base, inner), outer)
-    return Column(Atom.LNG, values)
 
 
 def filler_column(count: int, value: Any, atom: Atom | None = None) -> Column:

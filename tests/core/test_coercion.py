@@ -140,6 +140,69 @@ class TestTableToArray:
         assert dims[0].name == "x"
 
 
+class TestAllNullRowsCompact:
+    """``skip_all_null_rows`` drops all-NULL rows before ranking the rest."""
+
+    def test_border_rows_still_widen_the_dimensions(self):
+        # x = 3 and x = -2 exist only in all-NULL rows: still in range.
+        coords = [Column.from_pylist(Atom.INT, [-2, 0, 1, 3])]
+        values = [
+            Column.from_pylist(Atom.INT, [None, 5, 6, None]),
+            Column.from_pylist(Atom.DBL, [None, None, 0.5, None]),
+        ]
+        dims, dense = table_to_array_columns(coords, values, skip_all_null_rows=True)
+        assert (dims[0].start, dims[0].step, dims[0].stop) == (-2, 1, 4)
+        assert dense[0].to_pylist() == [None, None, 5, 6, None, None]
+        assert dense[1].to_pylist() == [None, None, None, 0.5, None, None]
+
+    def test_last_valued_row_wins_a_duplicate_cell(self):
+        # [x/2]: rows 0-3 share cells pairwise; the all-NULL row 3 comes
+        # last on cell 1 but does not clobber row 2.
+        coords = [Column.from_pylist(Atom.INT, [0, 0, 1, 1, 1])]
+        values = [Column.from_pylist(Atom.INT, [1, 2, 3, None, 4])]
+        _, dense = table_to_array_columns(coords, values, skip_all_null_rows=True)
+        assert dense[0].to_pylist() == [2, 4]
+        values = [Column.from_pylist(Atom.INT, [1, 2, 3, 4, None])]
+        _, dense = table_to_array_columns(coords, values, skip_all_null_rows=True)
+        assert dense[0].to_pylist() == [2, 4]
+
+    def test_remaining_rows_that_are_the_cells_need_no_scatter(self, monkeypatch):
+        def scatter(*_):
+            raise AssertionError("the remaining rows are the cells: no scatter")
+
+        monkeypatch.setattr(Column, "replace", scatter)
+        x = np.repeat(np.arange(4, dtype=np.int32), 4) // 2
+        y = np.tile(np.arange(4, dtype=np.int32), 4) // 2
+        kept = (np.repeat(np.arange(4), 4) % 2 == 0) & (np.tile(np.arange(4), 4) % 2 == 0)
+        value = Column(Atom.INT, np.arange(16, dtype=np.int32), ~kept)
+        dims, dense = table_to_array_columns(
+            [Column(Atom.INT, x), Column(Atom.INT, y)], [value], skip_all_null_rows=True
+        )
+        assert [d.axis for d in dims] == [(0, 1, 2), (0, 1, 2)]
+        assert dense[0].to_pylist() == [0, 2, 8, 10]
+
+    def test_all_rows_null_give_an_all_hole_grid(self):
+        coords = [
+            Column.from_pylist(Atom.INT, [0, 4, 2]),
+            Column.from_pylist(Atom.INT, [-1, 1, 1]),
+        ]
+        values = [Column.from_pylist(Atom.DBL, [None, None, None])]
+        dims, dense = table_to_array_columns(coords, values, skip_all_null_rows=True)
+        assert [d.axis for d in dims] == [(0, 2, 3), (-1, 2, 2)]
+        assert dense[0].atom is Atom.DBL
+        assert dense[0].to_pylist() == [None] * 6
+        _, dense = table_to_array_columns(
+            coords, values, defaults=[1.5], skip_all_null_rows=True
+        )
+        assert dense[0].to_pylist() == [1.5] * 6
+
+    def test_an_empty_result_still_raises(self):
+        coords = [Column.from_pylist(Atom.INT, [])]
+        values = [Column.from_pylist(Atom.INT, [])]
+        with pytest.raises(CoercionError):
+            table_to_array_columns(coords, values, skip_all_null_rows=True)
+
+
 class TestCellsToRows:
     def test_roundtrip(self):
         dims = [
