@@ -19,6 +19,7 @@ kernel in :mod:`repro.gdk.cells`, which ``array.cellindex`` and
 
 from __future__ import annotations
 
+import math
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -100,12 +101,11 @@ def table_to_array_columns(
     in row-major order come back as they are, without a scatter, and
     so do the remaining rows once the all-NULL ones are dropped.
     """
-    if dimensions is None:
-        names = dimension_names or [f"dim_{i}" for i in range(len(coordinates))]
-        if coordinates and len(coordinates[0]) == 0:
-            raise CoercionError(f"cannot infer dimension {names[0]!r} from no values")
     series = row_major_axes(coordinates)
     if dimensions is None:
+        names = dimension_names or [f"dim_{i}" for i in range(len(coordinates))]
+        if series is None and coordinates and len(coordinates[0]) == 0:
+            raise CoercionError(f"cannot infer dimension {names[0]!r} from no values")
         axes = series or infer_axes(coordinates)
         dimensions = [_dimension(name, axis) for name, axis in zip(names, axes)]
     else:
@@ -151,15 +151,13 @@ def cells_to_rows(
     for attribute in attributes:
         if len(attribute) != cell_count:
             raise CoercionError("attribute column not cell-aligned")
-    coordinate_columns: list[Column] = []
-    inner = cell_count
-    outer = 1
-    for dimension in dimensions:
-        inner //= dimension.size
-        coordinate_columns.append(
-            series_column(dimension.start, dimension.step, dimension.stop, inner, outer)
+    coordinate_columns = [
+        series_column(
+            dimension.start, dimension.step, dimension.stop,
+            math.prod(shape[index + 1:]), math.prod(shape[:index]),
         )
-        outer *= dimension.size
+        for index, dimension in enumerate(dimensions)
+    ]
     if not drop_holes:
         return coordinate_columns, [a.copy() for a in attributes]
     hole = np.ones(cell_count, dtype=np.bool_)

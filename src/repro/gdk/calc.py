@@ -20,6 +20,14 @@ for the demo queries:
   CASE, so entries that a guard excludes must not abort the query);
 * integer division truncates toward zero (C semantics), and ``MOD``
   takes the sign of the dividend;
+* integer kernels decide from *spans*, never per row.  A span bounds an
+  operand's payloads, NULL rows included; :func:`_span` reduces a leaf
+  at most once per :func:`evaluate` call, and each step carries the span
+  its kernel proved.  ``+ - *`` skip the exact overflow check when the
+  corners of the operands' spans fit the atom (the corners are the new
+  span), ``ABS`` the scan for ``MIN`` over a span above it, ``/`` and
+  ``%`` by a positive constant over a span ``>= 0`` the sign fix-ups
+  (floor and truncation agree: one ``//``, or ``&`` by a power of two);
 * comparisons yield ``bit`` with NULL when either side is NULL;
 * AND/OR use SQL three-valued logic; CASE takes the first branch whose
   condition is TRUE (an unknown condition does not fire).
@@ -114,7 +122,7 @@ def _masked(atom: Atom, values: np.ndarray, mask: Any, bad: Any, length: int) ->
 # ----------------------------------------------------------------------
 # arithmetic
 # ----------------------------------------------------------------------
-def arithmetic(op: str, left: Any, right: Any) -> Column:
+def arithmetic(op: str, left: Any, right: Any, known: Optional[dict] = None) -> Column:
     """Binary arithmetic with numeric widening and NULL propagation."""
     if op not in ARITH_OPS:
         raise GDKError(f"unknown arithmetic operator {op!r}")
@@ -128,38 +136,51 @@ def arithmetic(op: str, left: Any, right: Any) -> Column:
     if atom is Atom.DBL:
         values, bad = _dbl_arith(op, lvals, rvals)
     elif op in ("/", "%"):
-        values, bad = _int_divmod(op, lvals, rvals, atom)
+        values, bad = _int_divmod(op, lvals, rvals, atom, known)
     else:
-        values, bad = _int_arith(op, lvals, rvals, atom)
+        values, bad = _int_arith(op, lvals, rvals, atom, known)
     return _masked(atom, values, mask, bad, length)
 
 
-def _span(values: Any) -> tuple[int, int]:
-    """Exact (min, max) of an integer operand; a scalar is its own span."""
-    if isinstance(values, np.ndarray):
-        return (int(values.min()), int(values.max())) if len(values) else (0, 0)
-    return values, values
+def _span(values: Any, known: Optional[dict] = None) -> tuple[int, int]:
+    """``(lo, hi)`` bounding an integer operand (a scalar: itself), *known*'s if it holds one."""
+    if not isinstance(values, np.ndarray):
+        return values, values
+    held = None if known is None else known.get(id(values))
+    if held is not None and held[0] is values:
+        return held[1]
+    span = (int(values.min()), int(values.max())) if len(values) else (0, 0)
+    _proven(known, values, span)
+    return span
 
 
-def _int_arith(op: str, lvals: Any, rvals: Any, atom: Atom) -> tuple[np.ndarray, Any]:
+def _proven(known: Optional[dict], values: np.ndarray, span: tuple) -> np.ndarray:
+    """*values*; *known*, :func:`evaluate`'s ``{id(array): (array, span)}``, holds its span."""
+    if known is not None:
+        known[id(values)] = values, span
+    return values
+
+
+def _int_arith(
+    op: str, lvals: Any, rvals: Any, atom: Atom, known: Optional[dict] = None
+) -> tuple[np.ndarray, Any]:
     """Integer ``+ - *`` in the result atom's own width; overflow is NULL.
 
-    Interval arithmetic over the operands' (min, max) proves the common
-    case overflow-free, which then is one native NumPy pass.  Only when
-    a corner leaves the atom's range are the rows recomputed with
-    Python integers, which never wrap, to find the ones that do not fit.
+    Interval arithmetic over the operands' spans proves the common case
+    overflow-free, which then is one native NumPy pass.  Only when a
+    corner leaves the atom's range are the rows recomputed with Python
+    integers, which never wrap, to find the ones that do not fit.
     """
     ufunc, dtype, (lowest, highest) = _ARITH[op], NUMPY_DTYPE[atom], INTEGER_RANGE[atom]
-    corners = [
-        _EXACT[op](left, right) for left in _span(lvals) for right in _span(rvals)
-    ]
+    lspan, rspan = _span(lvals, known), _span(rvals, known)
+    corners = [_EXACT[op](left, right) for left in lspan for right in rspan]
     if lowest <= min(corners) and max(corners) <= highest:
         # Widen first: a mixed-width ufunc call is several times slower.
         lvals, rvals = (
             v.astype(dtype, copy=False) if isinstance(v, np.ndarray) else v
             for v in (lvals, rvals)
         )
-        return ufunc(lvals, rvals, dtype=dtype), None
+        return _proven(known, ufunc(lvals, rvals, dtype=dtype), (min(corners), max(corners))), None
     exact = ufunc(
         *(v.astype(object) if isinstance(v, np.ndarray) else v for v in (lvals, rvals))
     )
@@ -186,17 +207,29 @@ def _dbl_arith(op: str, lvals: Any, rvals: Any) -> tuple[np.ndarray, Any]:
 
 
 def _int_divmod(
-    op: str, lvals: Any, divisor: Any, atom: Atom
+    op: str, lvals: Any, divisor: Any, atom: Atom, known: Optional[dict] = None
 ) -> tuple[np.ndarray, Any]:
     """Integer ``/`` and ``%`` with C semantics, in the result's own width.
 
     The quotient truncates toward zero and the remainder takes the
     dividend's sign; a zero divisor yields NULL, and so does the one
-    quotient that does not fit, ``MIN / -1``.  A constant divisor (a
-    Python int) needs no per-row zero handling and divides by
-    multiplication inside NumPy.
+    quotient that does not fit, ``MIN / -1``.  A positive constant
+    divisor over a span ``>= 0`` needs none of that (module docstring).
     """
     dtype = NUMPY_DTYPE[atom]
+    if not isinstance(divisor, np.ndarray) and divisor > 0 and np.ndim(lvals):
+        lo, hi = _span(lvals, known)
+        if lo >= 0:
+            lvals = lvals.astype(dtype, copy=False)
+            if op == "/":
+                return _proven(known, lvals // divisor, (lo // divisor, hi // divisor)), None
+            if divisor & (divisor - 1) == 0:
+                remainder = lvals & (divisor - 1)
+            else:
+                remainder = lvals // divisor
+                remainder *= divisor
+                np.subtract(lvals, remainder, out=remainder)
+            return _proven(known, remainder, (0, min(hi, divisor - 1))), None
     lvals = np.asarray(lvals, dtype=dtype)
     bad = None
     if isinstance(divisor, np.ndarray):
@@ -225,22 +258,26 @@ def _int_divmod(
     return quotient, bad
 
 
-def negate(operand: Column) -> Column:
+def negate(operand: Column, known: Optional[dict] = None) -> Column:
     """Unary minus (``-MIN`` does not fit and is NULL)."""
     if operand.atom is Atom.DBL:
         return Column(Atom.DBL, -operand.values, operand.mask)
     if operand.atom not in NUMERIC_ATOMS:
         raise GDKError(f"cannot negate {operand.atom}")
-    return arithmetic("-", 0, operand)
+    return arithmetic("-", 0, operand, known)
 
 
-def absolute(operand: Column) -> Column:
+def absolute(operand: Column, known: Optional[dict] = None) -> Column:
     """ABS() (``|MIN|`` does not fit and is NULL)."""
     if operand.atom not in NUMERIC_ATOMS:
         raise GDKError(f"no abs for {operand.atom}")
     values = np.abs(operand.values)
     if operand.atom is Atom.DBL:
         return Column(Atom.DBL, values, operand.mask)
+    lo, hi = _span(operand.values, known)
+    if lo > INTEGER_RANGE[operand.atom][0]:
+        _proven(known, values, (max(lo, -hi, 0), max(hi, -lo)))
+        return Column(operand.atom, values, operand.mask)
     return Column(operand.atom, values, _either(operand.mask, values < 0))
 
 
@@ -393,7 +430,7 @@ def case(*operands: Any) -> Column:
             column = branch if branch.atom is atom else branch.cast(atom)
             return column.values, column.mask
         column = Column.constant(atom, branch, 1)  # None is NULL
-        return column.values.reshape(()), None if column.mask is None else np.True_
+        return column.values.reshape(()), None if column.mask is None else True
 
     values, nulls = payload(operands[-1])
     for condition, branch in zip(operands[-3::-2], operands[-2::-2]):
@@ -401,12 +438,10 @@ def case(*operands: Any) -> Column:
         fire = truth if unknown is None else truth & ~unknown
         then_values, then_nulls = payload(branch)
         values = _select(fire, then_values, values, atom)
-        if then_nulls is not None or nulls is not None:
-            nulls = np.where(
-                fire,
-                np.False_ if then_nulls is None else then_nulls,
-                np.False_ if nulls is None else nulls,
-            )
+        nulls = _either(  # (fire & then) | (~fire & else), a NULL-free side folded
+            None if then_nulls is None else fire & then_nulls,  # fresh, never fire's own array
+            None if nulls is None else ~fire if nulls is True else ~fire & nulls,
+        )
     nulls = None if nulls is None else np.broadcast_to(nulls, (length,))
     return Column(atom, np.asarray(np.broadcast_to(values, (length,)), dtype=dtype), nulls)
 
@@ -592,14 +627,18 @@ def evaluate(text: str, leaves: list) -> Column:
     if count != len(leaves):
         raise GDKError(f"expression {text!r} takes {count} leaves, got {len(leaves)}")
     done: list[Column] = []
+    known: dict = {}  # spans of the leaves and steps so far: see _span
     for name, refs in steps:
         operands = [
             done[v] if kind == _STEP else leaves[v] if kind == _LEAF else v for kind, v in refs
         ]
-        done.append(KERNELS[name][0](*operands))
+        kernel = KERNELS[name][0]
+        done.append(kernel(*operands, known=known) if name in _SPANNED else kernel(*operands))
     return done[-1]
 
 
+#: kernels that take :func:`evaluate`'s span store.
+_SPANNED = ("add", "sub", "mul", "div", "mod", "negate", "abs")
 #: integer results that may not fit ``int`` although their operands do.
 _WIDENS = ("add", "sub", "mul", "div", "negate", "abs")
 

@@ -69,8 +69,8 @@ def series_column(
     """
     if step <= 0:
         raise GDKError("array.series needs a positive step")
-    if inner <= 0 or outer <= 0:
-        raise GDKError("array.series repetition factors must be positive")
+    if inner < 0 or outer < 0:
+        raise GDKError("array.series repetition factors must be non-negative")
     run = np.arange(start, stop, step, dtype=np.int64)
     run, mask = coerce_array(run, None, Atom.LNG, atom)
     size = len(run)
@@ -90,15 +90,15 @@ def series_column(
 def stamp_series(column: Column, witness: Series) -> None:
     """Give *column* the *witness* if every value matches that series.
 
-    A memory-mapped payload is left without one: checking it would
-    fault the whole file in, which a lazy open exists to avoid.
+    A memory-mapped payload with rows is left without one: checking it
+    would fault the whole file in, which a lazy open exists to avoid.
     """
     start, step, size, inner, outer = witness
     values = column.values
     if (
         column.mask is not None
         or values.dtype.kind != "i"
-        or isinstance(values, np.memmap)
+        or (isinstance(values, np.memmap) and len(values))
         or len(values) != size * inner * outer
     ):
         return

@@ -406,3 +406,207 @@ class TestExpressions:
         assert calc.scalar("cast", 1.9, "int") == 1
         assert calc.scalar("like", "cat", "c%") is True
         assert calc.scalar("concat", "a", None) is None
+
+
+# ----------------------------------------------------------------------
+# span edges: what a kernel may skip, and only on proof
+# ----------------------------------------------------------------------
+INT_MIN, INT_MAX = -(2**31), 2**31 - 1
+LNG_MIN, LNG_MAX = -(2**63), 2**63 - 1
+DIVISORS = [1, 2, 3, 4, 8, 1024, 2**30, INT_MAX, LNG_MAX, -1, -2, 0]
+
+
+def _c_divmod(op, left, right, lowest, highest):
+    """``/`` and ``%`` with C semantics on Python ints; None where NULL."""
+    if left is None or right == 0:
+        return None
+    quotient = abs(left) // abs(right) * (1 if (left < 0) == (right < 0) else -1)
+    if op == "%":
+        return left - right * quotient
+    return quotient if lowest <= quotient <= highest else None
+
+
+def _dividends(atom):
+    """Columns whose span is >= 0, < 0 or across zero, with NULL rows
+    whose payload is zero (and one whose payload is not)."""
+    lowest, highest = (INT_MIN, INT_MAX) if atom is Atom.INT else (LNG_MIN, LNG_MAX)
+    nonnegative = [0, 1, 2, 3, 7, 8, 9, 1023, 1024, highest - 1, highest]
+    negative = [-1, -2, -3, -8, -9, -1024, lowest + 1, lowest]
+    dtype = np.int32 if atom is Atom.INT else np.int64
+    columns = {
+        "nonnegative": Column.from_pylist(atom, nonnegative),
+        "negative": Column.from_pylist(atom, negative),
+        "straddling": Column.from_pylist(atom, nonnegative + negative),
+        "nulls-zero-payload": Column.from_pylist(atom, [5, None, 0, None, highest]),
+        "nulls-negative-payload": Column(
+            atom, np.array([5, -7, lowest, 3], dtype=dtype), np.array([False, True, True, False])
+        ),
+    }
+    assert columns["nulls-zero-payload"].values.tolist() == [5, 0, 0, 0, highest]
+    return columns
+
+
+def _bytes(column):
+    mask = None if column.mask is None else np.asarray(column.mask).tobytes()
+    return column.atom, column.values.dtype, column.values.tobytes(), mask
+
+
+def _stepwise(text, leaves):
+    """The kernels one by one, each deciding from its own operands."""
+    steps, _ = calc.compile_expr(text)
+    done = []
+    for name, refs in steps:
+        operands = [
+            done[v] if kind == 0 else leaves[v] if kind == 1 else v for kind, v in refs
+        ]
+        done.append(calc.KERNELS[name][0](*operands))
+    return done[-1]
+
+
+class _Counted(np.ndarray):
+    """An integer payload that counts its min/max reductions and ``<`` scans."""
+
+    calls = {"min": 0, "max": 0, "lt": 0}
+
+    def min(self, *args, **kwargs):
+        _Counted.calls["min"] += 1
+        return np.asarray(self).min(*args, **kwargs)
+
+    def max(self, *args, **kwargs):
+        _Counted.calls["max"] += 1
+        return np.asarray(self).max(*args, **kwargs)
+
+    def __lt__(self, other):
+        _Counted.calls["lt"] += 1
+        return np.asarray(self) < other
+
+
+class TestSpans:
+    @pytest.mark.parametrize("atom", [Atom.INT, Atom.LNG])
+    @pytest.mark.parametrize("op", ["/", "%"])
+    @pytest.mark.parametrize("divisor", DIVISORS)
+    def test_divmod_by_a_constant_follows_c(self, atom, op, divisor):
+        for name, column in _dividends(atom).items():
+            out = calc.arithmetic(op, column, divisor)
+            lowest, highest = calc.INTEGER_RANGE[out.atom]
+            want = [_c_divmod(op, v, divisor, lowest, highest) for v in column.to_pylist()]
+            assert out.to_pylist() == want, (name, op, divisor)
+            if out.mask is not None:  # a NULL row keeps the values' width
+                assert out.values.dtype == calc.NUMPY_DTYPE[out.atom]
+
+    @pytest.mark.parametrize("atom", [Atom.INT, Atom.LNG])
+    def test_divmod_by_a_column_of_edge_divisors(self, atom):
+        dividends = _dividends(atom)["straddling"].to_pylist()
+        divisors = [d for d in DIVISORS if atom is Atom.LNG or abs(d) <= INT_MAX]
+        pairs = [(a, d) for a in dividends for d in divisors]
+        left = Column.from_pylist(atom, [a for a, _ in pairs])
+        right = Column.from_pylist(atom, [d for _, d in pairs])
+        lowest, highest = calc.INTEGER_RANGE[atom]
+        for op in ("/", "%"):
+            want = [_c_divmod(op, a, d, lowest, highest) for a, d in pairs]
+            assert calc.arithmetic(op, left, right).to_pylist() == want, op
+
+    def test_min_dividend_by_minus_one_is_null_only_there(self):
+        column = Column.from_pylist(Atom.INT, [INT_MIN, INT_MIN + 1, 6])
+        assert calc.arithmetic("/", column, -1).to_pylist() == [None, INT_MAX, -6]
+        assert calc.arithmetic("%", column, -1).to_pylist() == [0, 0, 0]
+        assert calc.arithmetic("/", column, -2).to_pylist() == [2**30, 2**30 - 1, -3]
+        assert calc.arithmetic("%", column, 2).to_pylist() == [0, -1, 0]
+
+    EXPRESSIONS = [
+        "add(abs(sub($0,$1)),abs(sub($0,$2)))",
+        "and(eq(mod($0,2),0),eq(mod($1,2),0))",
+        "div($0,2)",
+        "mod(abs($0),3)",
+        "div(abs($0),8)",
+        "mod(sub($0,$1),4)",
+        "div(sub($0,$1),3)",
+        "mod(mul($0,2),1024)",
+        "abs(negate($0))",
+        "abs(abs($0))",
+        "add(mul($0,$0),1)",
+        "sub(div($0,2),mod($0,2))",
+        "add(abs($0),2147483647)",
+        "mul(sub($0,$0),65536)",
+        "case(eq(mod($0,2),0),div($0,2),nil)",
+        "case(gt($0,0),nil,mod($1,4))",
+        "case(gt($0,$1),$2,nil)",
+        "case(lt($0,0),negate($1),case(gt($0,0),$2,nil))",
+    ]
+
+    @pytest.mark.parametrize("atom", [Atom.INT, Atom.LNG])
+    @pytest.mark.parametrize("text", EXPRESSIONS)
+    def test_carried_spans_give_the_stepwise_bytes(self, atom, text):
+        columns = list(_dividends(atom).values())
+        small = Column.from_pylist(atom, [3, -4, None, 0, 255, -255, 9])
+        shifted = Column.from_pylist(atom, [None, 3, -4, 255, 0, 9, -255])
+        cases = [(column, column, column) for column in columns]
+        reversed_ = Column.from_pylist(atom, columns[0].to_pylist()[::-1])
+        cases += [(small, shifted, small), (columns[0], reversed_, columns[0])]
+        for leaves in cases:
+            if len({len(leaf) for leaf in leaves}) > 1:
+                continue
+            count = calc.compile_expr(text)[1]
+            with np.errstate(over="ignore"):
+                want = _bytes(_stepwise(text, list(leaves[:count])))
+            assert _bytes(calc.evaluate(text, list(leaves[:count]))) == want, (text, leaves)
+
+    def test_edge_reduces_each_leaf_once_and_never_scans_for_min(self):
+        rng = np.random.default_rng(5)
+        image = rng.integers(0, 256, 4096).astype(np.int32)
+        leaves = [
+            Column(Atom.INT, np.roll(image, shift).view(_Counted)) for shift in (0, 1, 64)
+        ]
+        _Counted.calls.update(min=0, max=0, lt=0)
+        out = calc.evaluate("add(abs(sub($0,$1)),abs(sub($0,$2)))", leaves)
+        assert _Counted.calls == {"min": 3, "max": 3, "lt": 0}
+        want = np.abs(image - np.roll(image, 1)) + np.abs(image - np.roll(image, 64))
+        assert np.asarray(out.values).tolist() == want.tolist()
+        # Kernel by kernel, each step reduces its own operands.
+        _Counted.calls.update(min=0, max=0, lt=0)
+        _stepwise("add(abs(sub($0,$1)),abs(sub($0,$2)))", leaves)
+        assert _Counted.calls == {"min": 8, "max": 8, "lt": 0}
+
+    def test_a_leaf_is_reduced_once_per_call(self):
+        leaf = Column(Atom.INT, np.arange(100, dtype=np.int32).view(_Counted))
+        _Counted.calls.update(min=0, max=0, lt=0)
+        out = calc.evaluate("and(eq(mod($0,2),0),eq(div($0,2),mod($0,3)))", [leaf])
+        assert (_Counted.calls["min"], _Counted.calls["max"]) == (1, 1)
+        assert out.to_pylist() == [v % 2 == 0 and v // 2 == v % 3 for v in range(100)]
+
+    def test_abs_of_a_span_that_holds_min_still_scans(self):
+        column = Column.from_pylist(Atom.INT, [INT_MIN, -3, 4])
+        assert calc.evaluate("abs(sub($0,0))", [column]).to_pylist() == [None, 3, 4]
+        assert calc.evaluate("abs($0)", [column]).to_pylist() == [None, 3, 4]
+
+
+class TestCaseMasks:
+    def test_a_null_otherwise_is_the_negated_condition(self):
+        fire = np.array([True, False, True, False])
+        cond = Column(Atom.BIT, fire)
+        out = calc.case(cond, Column(Atom.DBL, np.arange(4.0)), None)
+        assert out.to_pylist() == [0.0, None, 2.0, None]
+        assert np.asarray(out.mask).tolist() == (~fire).tolist()
+
+    def test_null_free_branches_give_no_mask(self):
+        cond = col(Atom.BIT, [True, False])
+        assert calc.case(cond, col(Atom.INT, [1, 2]), 3).mask is None
+
+    def test_a_null_then_branch_never_aliases_the_condition(self):
+        fire = np.array([True, False, True])
+        cond = Column(Atom.BIT, fire)
+        out = calc.case(cond, None, col(Atom.INT, [1, 2, 3]))
+        assert out.to_pylist() == [None, 2, None]
+        assert not np.shares_memory(out.mask, fire)
+        fire[:] = False  # a later write to the condition moves nothing
+        assert out.to_pylist() == [None, 2, None]
+
+    def test_masks_mix_per_row(self):
+        cond = col(Atom.BIT, [True, True, False, False, None])
+        then = col(Atom.INT, [None, 1, None, 1, None])
+        otherwise = col(Atom.INT, [5, None, 5, None, None])
+        assert calc.case(cond, then, otherwise).to_pylist() == [None, 1, 5, None, None]
+        assert calc.case(cond, then, 7).to_pylist() == [None, 1, 7, 7, 7]
+        assert calc.case(cond, 7, otherwise).to_pylist() == [7, 7, 5, None, None]
+        assert calc.case(True, None, otherwise).to_pylist() == [None] * 5
+        assert calc.case(False, None, otherwise).to_pylist() == [5, None, 5, None, None]

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import MALError
+from repro.errors import GDKError, MALError
 from repro.catalog import Catalog
 from repro.gdk.atoms import Atom
 from repro.gdk.bat import BAT
@@ -45,6 +45,13 @@ class TestSeriesFiller:
     def test_series_invalid_step(self):
         with pytest.raises(Exception):
             series_column(0, 0, 4, 1, 1)
+
+    def test_series_next_to_an_empty_dimension_is_empty(self):
+        # x of x[0:1:4] y[0:1:0]: each value repeated |y| = 0 times.
+        column = series_column(0, 1, 4, 0, 1)
+        assert (column.to_pylist(), column.series) == ([], (0, 1, 4, 0, 1))
+        with pytest.raises(GDKError):
+            series_column(0, 1, 4, -1, 1)
 
     def test_filler_value(self):
         # v: array.filler(16,0) — Figure 3 right column.

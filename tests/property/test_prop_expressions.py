@@ -1,10 +1,11 @@
 """Differential oracle for value expressions (``MALGenerator._eval``).
 
 Hypothesis generates SELECT-list expression *trees* over an INT / BIGINT
-/ DOUBLE table with NULLs: ``+ - * / %``, unary minus, ABS, CAST, the
-six comparisons, AND / OR / NOT, CASE with and without ELSE, [NOT]
-BETWEEN, [NOT] IN, IS [NOT] NULL, over columns, literals and ``?``
-parameters.  Every tree is rendered to SQL and run
+/ DOUBLE table with NULLs: ``+ - * / %`` (``/`` and ``%`` also by
+constants, over dividends whose span is >= 0, < 0 or across zero),
+unary minus, ABS, CAST, the six comparisons, AND / OR / NOT, CASE with
+and without ELSE (and with a NULL branch), [NOT] BETWEEN, [NOT] IN,
+IS [NOT] NULL, over columns, literals and ``?`` parameters.  Every tree is rendered to SQL and run
 
 * against stdlib ``sqlite3`` on the same rows (the cross-engine oracle
   for arithmetic, NULL propagation and three-valued logic), and
@@ -181,14 +182,32 @@ int_leaves = _leaf(["a", "b"], INT_CONSTANTS)
 dbl_leaves = _leaf(["d"], DBL_CONSTANTS)
 
 
+#: constant divisors: powers of two and not, negative, zero (NULL).
+DIVISORS = st.tuples(
+    st.sampled_from(["lit", "param"]), st.sampled_from([1, 2, 3, 4, 7, 8, 64, -1, -2, -3, 0])
+)
+
+
+def _signed(children):
+    """Dividends whose span is >= 0 (k, ABS), < 0 (-1 - ABS) or either."""
+    magnitude = st.tuples(st.just("abs"), children)
+    return st.one_of(
+        children,
+        st.just(("col", "k")),
+        magnitude,
+        st.tuples(st.just("sub"), st.just(("lit", -1)), magnitude),
+    )
+
+
 def _grow_ints(children):
     return st.one_of(
         _binary(["add", "sub", "mul", "div", "mod"], children, children),
+        _binary(["div", "mod"], _signed(children), DIVISORS),
         st.tuples(st.sampled_from(["negate", "abs"]), children),
     )
 
 
-#: INT-typed trees; magnitudes stay far from 2^31 (|leaf| <= 12, <= 5 leaves).
+#: INT-typed trees; magnitudes stay far from 2^31 (|leaf| <= 59, <= 5 leaves).
 ints = st.recursive(int_leaves, _grow_ints, max_leaves=5)
 #: DOUBLE-typed trees: at least one operand of every node is a double.
 dbls = st.recursive(
@@ -246,7 +265,17 @@ def cases(draw):
     return ("case", tuple(whens), draw(st.one_of(st.none(), branch)))
 
 
-expressions = st.one_of(numbers, predicates, cases(), cases().map(lambda c: ("abs", c)))
+@st.composite
+def null_sided_cases(draw):
+    """``case(p, col, NULL)`` and ``case(p, NULL, col)``: one mask a constant."""
+    column = ("col", draw(st.sampled_from(["a", "b", "c", "d", "k"])))
+    then, otherwise = (column, ("lit", None))[:: draw(st.sampled_from([1, -1]))]
+    return ("case", ((draw(predicates), then),), otherwise)
+
+
+expressions = st.one_of(
+    numbers, predicates, cases(), cases().map(lambda c: ("abs", c)), null_sided_cases()
+)
 
 #: one statement per lowering rule (and each neutral operand), pinned.
 CORPUS = [
@@ -277,6 +306,21 @@ CORPUS = [
     ),
     ("case", ((("isnull", ("col", "d"), False), ("lit", None)),), ("col", "d")),
     ("case", ((("eq", ("param", 1), ("lit", 1)), ("col", "c")),), ("lit", 0)),
+    # constant divisors over dividends whose span is >= 0, < 0 or across zero
+    ("div", ("col", "k"), ("lit", 2)),
+    ("mod", ("col", "k"), ("lit", 8)),
+    ("mod", ("col", "k"), ("lit", 7)),
+    ("div", ("sub", ("col", "k"), ("lit", 60)), ("lit", 4)),
+    ("mod", ("sub", ("col", "k"), ("lit", 60)), ("lit", 3)),
+    ("mod", ("col", "a"), ("lit", 2)),
+    ("div", ("col", "a"), ("lit", -2)),
+    ("mod", ("abs", ("col", "b")), ("param", 0)),
+    (
+        "case",
+        ((("eq", ("mod", ("col", "k"), ("lit", 2)), ("lit", 0)), ("col", "d")),),
+        ("lit", None),
+    ),
+    ("case", ((("gt", ("col", "a"), ("lit", 0)), ("lit", None)),), ("col", "b")),
 ]
 
 #: integer width and overflow: where sqlite diverges (module docstring).

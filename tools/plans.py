@@ -17,14 +17,20 @@ on the host: ``default`` (one thread, no fragments) and ``frag64``
 workload, pipeline, plan digest, instruction count, fragment count
 (pieces summed over fragment groups), op histogram and the SQL.
 
-    python tools/plans.py            # rewrite PLANS.txt
-    python tools/plans.py --check    # exit 1 if PLANS.txt is stale
+    python tools/plans.py              # rewrite PLANS.txt
+    python tools/plans.py --check      # exit 1 if PLANS.txt is stale
+    python tools/plans.py --diff TREE  # EXPLAIN diff of every plan TREE compiles otherwise
+
+``--diff`` compiles the corpus in a child process per tree (each with its
+own ``src/``, workloads and corpus); no output and exit 0: no plan differs.
 """
 
 from __future__ import annotations
 
 import difflib
+import json
 import math
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -39,28 +45,25 @@ HEADER = (
     "# workload\tpipeline\tdigest\tinstructions\tfragments\tops\tsql\n"
 )
 
-for path in (REPO / "src", REPO / "benchmarks" / "e2e", REPO):
-    if str(path) not in sys.path:
-        sys.path.insert(0, str(path))
+
+def _use_tree(root: Path) -> None:
+    """Import ``repro``, the workloads and the corpus from *root*."""
+    for path in (root / "src", root / "benchmarks" / "e2e", root):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
 
 
-class _Recorder:
+class _Recorder(list):
     """An executor stand-in whose ``prepare`` records the statement."""
 
     layered = True
-
-    def __init__(self):
-        self.statements: list[str] = []
-
-    def prepare(self, sql: str) -> str:
-        self.statements.append(sql)
-        return sql
+    prepare = list.append
 
 
 def _attached(workload) -> list[str]:
     recorder = _Recorder()
     workload.attach(recorder)
-    return recorder.statements
+    return recorder
 
 
 def _adhoc_statements(workload) -> list[str]:
@@ -118,11 +121,8 @@ def corpora(workdir: str):
             workload = cls(SEED, workdir)
             workload.setup()
             conn = workload.conn
-            statements = (
-                _adhoc_statements(workload)
-                if name == "adhoc_compile"
-                else _attached(workload)
-            )
+            pick = _adhoc_statements if name == "adhoc_compile" else _attached
+            statements = pick(workload)
         yield name, conn, statements
         conn.close()
     conn, statements = _fragments_corpus()
@@ -142,33 +142,58 @@ def plan_line(label: str, pipeline: str, program, sql: str) -> str:
     )
 
 
-def render() -> str:
-    lines = []
+def compiled(root: Path = REPO):
+    """``(label, pipeline, program, sql)`` of every plan, by *root*'s engine."""
+    _use_tree(root)
     with tempfile.TemporaryDirectory() as workdir:
         for label, conn, statements in corpora(workdir):
             database = conn.database
             for pipeline, nr_threads, fragment_rows in PIPELINES:
                 session = database.connect(nr_threads=nr_threads, fragment_rows=fragment_rows)
                 for sql in statements:
-                    lines.append(plan_line(label, pipeline, session.compile(sql), sql))
+                    yield label, pipeline, session.compile(sql), sql
                 session.close()
-    return HEADER + "\n".join(lines) + "\n"
+
+
+def render() -> str:
+    return HEADER + "\n".join(plan_line(*plan) for plan in compiled()) + "\n"
+
+
+def _unified(old: str, new: str, old_name: str, new_name: str) -> bool:
+    """Print the unified diff of two texts; True when they differ."""
+    sys.stdout.writelines(
+        difflib.unified_diff(old.splitlines(True), new.splitlines(True), old_name, new_name)
+    )
+    return old != new
+
+
+def _explained(root: Path) -> dict:
+    """``{"label pipeline sql": EXPLAIN text}`` of *root*'s plans, from a child process."""
+    command = [sys.executable, __file__, "--explain", str(root)]
+    child = subprocess.run(command, stdout=subprocess.PIPE, text=True, check=True)
+    return dict(json.loads(line) for line in child.stdout.splitlines())
 
 
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--explain"]:
+        _use_tree(Path(argv[1]))
+        from repro.mal.analysis.explain import annotate_program
+
+        for label, pipeline, program, sql in compiled(Path(argv[1])):
+            key = " ".join((label, pipeline, *sql.split()))
+            print(json.dumps([key, annotate_program(program)]))
+        return 0
+    if argv[:1] == ["--diff"]:
+        theirs, ours = _explained(Path(argv[1]).resolve()), _explained(REPO)
+        keys = {**theirs, **ours}
+        differ = [_unified(theirs.get(k, ""), ours.get(k, ""), f"{argv[1]}: {k}", k) for k in keys]
+        return int(any(differ))
     text = render()
     if "--check" not in argv:
         OUTPUT.write_text(text, encoding="utf-8")
         return 0
     recorded = OUTPUT.read_text(encoding="utf-8") if OUTPUT.exists() else ""
-    if recorded == text:
-        return 0
-    sys.stdout.writelines(
-        difflib.unified_diff(
-            recorded.splitlines(True), text.splitlines(True), "PLANS.txt", "generated"
-        )
-    )
-    return 1
+    return int(_unified(recorded, text, "PLANS.txt", "generated"))
 
 
 if __name__ == "__main__":
