@@ -1,7 +1,8 @@
 """E15: GDK bulk-kernel microbenchmarks — vectorized vs reference loops.
 
-Each group pairs a vectorized production kernel with the retained
-``_reference`` loop implementation (the seed behaviour) on identical
+Each group pairs a vectorized production kernel with its
+``_reference`` loop implementation (the seed behaviour; the grouping
+and aggregate ones live in ``tests/oracles/kernels.py``) on identical
 inputs at the paper's 128x128 scale, so the ``run_benchmarks.py`` report
 (``.benchmarks/BENCH_gdk.json``, not tracked) records the speedup of
 the NumPy hot path directly.  Every benchmark asserts the two
@@ -15,6 +16,7 @@ from repro.gdk import aggregate, group, join
 from repro.gdk.atoms import Atom
 from repro.gdk.bat import BAT
 from repro.gdk.column import Column
+from tests.oracles import kernels as oracles
 
 SIZE = 128 * 128
 KEYSPACE = 512
@@ -75,7 +77,7 @@ def test_leftjoin_reference(benchmark, join_inputs):
 def test_group_vectorized(benchmark, grouped_inputs):
     keys, _, _ = grouped_inputs
     grouping = benchmark(group.group, keys)
-    reference = group.group_reference(keys)
+    reference = oracles.group_reference(keys)
     assert np.array_equal(grouping.groups.values, reference.groups.values)
     assert np.array_equal(grouping.extents, reference.extents)
 
@@ -83,14 +85,14 @@ def test_group_vectorized(benchmark, grouped_inputs):
 @pytest.mark.benchmark(group="E15-group")
 def test_group_reference(benchmark, grouped_inputs):
     keys, _, _ = grouped_inputs
-    benchmark(group.group_reference, keys)
+    benchmark(oracles.group_reference, keys)
 
 
 @pytest.mark.benchmark(group="E15-aggr-min")
 def test_grouped_min_vectorized(benchmark, grouped_inputs):
     _, values, grouping = grouped_inputs
     out = benchmark(aggregate.grouped_min, values, grouping)
-    assert out.to_pylist() == aggregate.grouped_min_reference(
+    assert out.to_pylist() == oracles.grouped_min_reference(
         values, grouping
     ).to_pylist()
 
@@ -98,46 +100,46 @@ def test_grouped_min_vectorized(benchmark, grouped_inputs):
 @pytest.mark.benchmark(group="E15-aggr-min")
 def test_grouped_min_reference(benchmark, grouped_inputs):
     _, values, grouping = grouped_inputs
-    benchmark(aggregate.grouped_min_reference, values, grouping)
+    benchmark(oracles.grouped_min_reference, values, grouping)
 
 
 @pytest.mark.benchmark(group="E15-aggr-median")
 def test_grouped_median_vectorized(benchmark, grouped_inputs):
     _, values, grouping = grouped_inputs
     out = benchmark(aggregate.grouped_median, values, grouping)
-    reference = aggregate.grouped_median_reference(values, grouping)
+    reference = oracles.grouped_median_reference(values, grouping)
     assert out.to_pylist() == pytest.approx(reference.to_pylist())
 
 
 @pytest.mark.benchmark(group="E15-aggr-median")
 def test_grouped_median_reference(benchmark, grouped_inputs):
     _, values, grouping = grouped_inputs
-    benchmark(aggregate.grouped_median_reference, values, grouping)
+    benchmark(oracles.grouped_median_reference, values, grouping)
 
 
 @pytest.mark.benchmark(group="E15-aggr-stddev")
 def test_grouped_stddev_vectorized(benchmark, grouped_inputs):
     _, values, grouping = grouped_inputs
     out = benchmark(aggregate.grouped_stddev, values, grouping)
-    reference = aggregate.grouped_stddev_reference(values, grouping)
+    reference = oracles.grouped_stddev_reference(values, grouping)
     assert out.to_pylist() == pytest.approx(reference.to_pylist())
 
 
 @pytest.mark.benchmark(group="E15-aggr-stddev")
 def test_grouped_stddev_reference(benchmark, grouped_inputs):
     _, values, grouping = grouped_inputs
-    benchmark(aggregate.grouped_stddev_reference, values, grouping)
+    benchmark(oracles.grouped_stddev_reference, values, grouping)
 
 
 @pytest.mark.benchmark(group="E15-aggr-countdistinct")
 def test_grouped_count_distinct_vectorized(benchmark, grouped_inputs):
     _, values, grouping = grouped_inputs
     out = benchmark(aggregate.grouped_count_distinct, values, grouping)
-    reference = aggregate.grouped_count_distinct_reference(values, grouping)
+    reference = oracles.grouped_count_distinct_reference(values, grouping)
     assert out.to_pylist() == reference.to_pylist()
 
 
 @pytest.mark.benchmark(group="E15-aggr-countdistinct")
 def test_grouped_count_distinct_reference(benchmark, grouped_inputs):
     _, values, grouping = grouped_inputs
-    benchmark(aggregate.grouped_count_distinct_reference, values, grouping)
+    benchmark(oracles.grouped_count_distinct_reference, values, grouping)

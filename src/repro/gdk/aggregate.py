@@ -12,9 +12,10 @@ All grouped kernels are NumPy-vectorized, with no per-row Python loop.
 The numeric ones scatter straight into per-group accumulators
 (``np.bincount`` and ``ufunc.at``) without sorting; only string MIN/MAX,
 COUNT(DISTINCT) and MEDIAN sort rows, by (group id, value).  A NULL-free
-input grouped by non-negative ids is read in place.  The original loop
-implementations survive with a ``_reference`` suffix as property-test
-oracles and benchmark baselines.
+input grouped by non-negative ids is read in place, and one grouped by
+:class:`~repro.gdk.group.GroupIds` takes its per-group row counts from
+the ids (:func:`_row_counts`) instead of counting them again.  The
+tuple-at-a-time oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.errors import GDKError
-from repro.gdk.atoms import Atom, canon_key, is_numeric
+from repro.gdk.atoms import Atom, is_numeric
 from repro.gdk.column import Column
 from repro.gdk.group import GroupIds, Grouping
 
@@ -78,6 +79,18 @@ def _prepare(
     return positions, ids[positions], grouping.ngroups
 
 
+def _row_counts(column: Optional[Column], grouping: Grouping, ids: np.ndarray) -> np.ndarray:
+    """Per-group counts of *ids*, the grouped rows of *column* (``None``:
+    every row, as for ``COUNT(*)``).  Over a NULL-free input they are
+    the counts its :class:`GroupIds` carry, read and never written;
+    anything else (an :class:`ExactTotals` is never NULL-free) counts."""
+    groups, ngroups = grouping.groups, grouping.ngroups
+    null_free = column is None or column.mask is None
+    if null_free and isinstance(groups, GroupIds) and len(groups.counts) == ngroups:
+        return groups.counts
+    return np.bincount(ids, minlength=ngroups)
+
+
 def _group_value_sort(
     ids: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -94,16 +107,16 @@ def _segment_starts(sorted_ids: np.ndarray) -> np.ndarray:
 
 def grouped_count(column: Column, grouping: Grouping) -> Column:
     """Per-group count of non-NULL entries."""
-    positions, ids, ngroups = _prepare(column, grouping)
-    counts = np.bincount(ids, minlength=ngroups).astype(np.int64)
-    return Column(Atom.LNG, counts)
+    _, ids, _ = _prepare(column, grouping)
+    return Column(Atom.LNG, _row_counts(column, grouping, ids).astype(np.int64))
 
 
 def grouped_count_star(grouping: Grouping) -> Column:
     """Per-group row count (COUNT(*)): NULLs included."""
     ids = grouping.groups.values
-    counts = np.bincount(ids[ids >= 0], minlength=grouping.ngroups).astype(np.int64)
-    return Column(Atom.LNG, counts)
+    if not isinstance(grouping.groups, GroupIds):
+        ids = ids[ids >= 0]
+    return Column(Atom.LNG, _row_counts(None, grouping, ids).astype(np.int64))
 
 
 _LNG_MIN, _LNG_MAX = -(2**63), 2**63 - 1
@@ -182,7 +195,7 @@ def _exact_totals(
     exact_int64 = values.dtype != object and _sums_stay_below(values, 2**63)
     totals = np.zeros(ngroups, dtype=np.int64 if exact_int64 else object)
     np.add.at(totals, ids, values.astype(totals.dtype, copy=False))
-    return totals, np.bincount(ids, minlength=ngroups) == 0
+    return totals, _row_counts(column, grouping, ids) == 0
 
 
 def _exact_products(
@@ -191,7 +204,7 @@ def _exact_products(
     """Per-group products of an integer column, exact wherever they fit
     ``lng``, and which groups had no input (see :func:`_products`)."""
     ids, ngroups, values = _exact_inputs(column, grouping, partials)
-    return _products(values, ids, ngroups), np.bincount(ids, minlength=ngroups) == 0
+    return _products(values, ids, ngroups), _row_counts(column, grouping, ids) == 0
 
 
 def _products(values: np.ndarray, ids: np.ndarray, ngroups: int) -> np.ndarray:
@@ -244,7 +257,7 @@ def grouped_sum(column: Column, grouping: Grouping) -> Column:
     if column.atom is Atom.DBL:
         positions, ids, ngroups = _prepare(column, grouping)
         sums = np.bincount(ids, weights=column.values[positions], minlength=ngroups)
-        return Column(Atom.DBL, sums, mask=np.bincount(ids, minlength=ngroups) == 0)
+        return Column(Atom.DBL, sums, mask=_row_counts(column, grouping, ids) == 0)
     return _lng_totals(*_exact_totals(column, grouping))
 
 
@@ -286,7 +299,7 @@ def grouped_prod(column: Column, grouping: Grouping) -> Column:
         positions, ids, ngroups = _prepare(column, grouping)
         prods = np.ones(ngroups, dtype=np.float64)
         np.multiply.at(prods, ids, column.values[positions])
-        return Column(Atom.DBL, prods, mask=np.bincount(ids, minlength=ngroups) == 0)
+        return Column(Atom.DBL, prods, mask=_row_counts(column, grouping, ids) == 0)
     return _lng_totals(*_exact_products(column, grouping))
 
 
@@ -299,12 +312,12 @@ def grouped_avg(column: Column, grouping: Grouping) -> Column:
         raise GDKError(f"avg over non-numeric column {column.atom}")
     positions, ids, ngroups = _prepare(column, grouping)
     values = column.values[positions]
+    counts = _row_counts(column, grouping, ids)
     if column.atom is not Atom.DBL and not _sums_stay_below(values, 2**53):
         totals, _ = _exact_totals(column, grouping)
-        return _means(totals, np.bincount(ids, minlength=ngroups))
+        return _means(totals, counts)
     # Doubles, and integers whose every partial sum a double holds exactly.
     sums = np.bincount(ids, weights=values.astype(np.float64), minlength=ngroups)
-    counts = np.bincount(ids, minlength=ngroups)
     with np.errstate(invalid="ignore", divide="ignore"):
         means = sums / counts
     return Column(Atom.DBL, np.where(counts > 0, means, 0.0), mask=(counts == 0))
@@ -313,7 +326,7 @@ def grouped_avg(column: Column, grouping: Grouping) -> Column:
 def _grouped_extremum(column: Column, grouping: Grouping, largest: bool) -> Column:
     """Per-group min/max as a segmented reduction (no per-row loop)."""
     positions, ids, ngroups = _prepare(column, grouping)
-    counts = np.bincount(ids, minlength=ngroups)
+    counts = _row_counts(column, grouping, ids)
     values = column.values[positions]
     if column.atom is Atom.STR:
         # Strings: sort by (group, value) and read the segment edges.
@@ -495,7 +508,7 @@ def grouped_stddev(column: Column, grouping: Grouping) -> Column:
         raise GDKError(f"stddev over non-numeric column {column.atom}")
     positions, ids, ngroups = _prepare(column, grouping)
     values = column.values[positions].astype(np.float64)
-    counts = np.bincount(ids, minlength=ngroups)
+    counts = _row_counts(column, grouping, ids)
     sums = np.bincount(ids, weights=values, minlength=ngroups)
     safe_counts = np.where(counts > 0, counts, 1)
     means = sums / safe_counts
@@ -512,7 +525,7 @@ def grouped_median(column: Column, grouping: Grouping) -> Column:
         raise GDKError(f"median over non-numeric column {column.atom}")
     positions, ids, ngroups = _prepare(column, grouping)
     values = column.values[positions].astype(np.float64)
-    counts = np.bincount(ids, minlength=ngroups)
+    counts = _row_counts(column, grouping, ids)
     mask = counts == 0
     out = np.zeros(ngroups, dtype=np.float64)
     if len(values):
@@ -620,85 +633,3 @@ GROUPED_DISPATCH["stddev"] = grouped_stddev
 GROUPED_DISPATCH["median"] = grouped_median
 SCALAR_DISPATCH["stddev"] = scalar_stddev
 SCALAR_DISPATCH["median"] = scalar_median
-
-
-# ----------------------------------------------------------------------
-# reference (loop) implementations — property-test oracles only
-# ----------------------------------------------------------------------
-def _grouped_extremum_reference(
-    column: Column, grouping: Grouping, largest: bool
-) -> Column:
-    """Tuple-at-a-time min/max (the seed implementation)."""
-    positions, ids, ngroups = _prepare(column, grouping)
-    counts = np.bincount(ids, minlength=ngroups)
-    values = column.values[positions]
-    best: list[Any] = [None] * ngroups
-    for gid, value in zip(ids.tolist(), values.tolist()):
-        if best[gid] is None or ((value > best[gid]) == largest and value != best[gid]):
-            best[gid] = value
-    if column.atom is Atom.STR:
-        out: np.ndarray = np.array(
-            ["" if b is None else b for b in best], dtype=object
-        )
-    else:
-        out = np.array(
-            [0 if b is None else b for b in best], dtype=column.values.dtype
-        )
-    return Column(column.atom, out, mask=(counts == 0))
-
-
-def grouped_min_reference(column: Column, grouping: Grouping) -> Column:
-    return _grouped_extremum_reference(column, grouping, largest=False)
-
-
-def grouped_max_reference(column: Column, grouping: Grouping) -> Column:
-    return _grouped_extremum_reference(column, grouping, largest=True)
-
-
-def grouped_count_distinct_reference(column: Column, grouping: Grouping) -> Column:
-    """Tuple-at-a-time COUNT(DISTINCT x) (the seed implementation)."""
-    positions, ids, ngroups = _prepare(column, grouping)
-    seen: list[set] = [set() for _ in range(ngroups)]
-    values = column.values[positions]
-    for gid, value in zip(ids.tolist(), values.tolist()):
-        seen[gid].add(canon_key(value))
-    counts = np.array([len(s) for s in seen], dtype=np.int64)
-    return Column(Atom.LNG, counts)
-
-
-def grouped_median_reference(column: Column, grouping: Grouping) -> Column:
-    """Tuple-at-a-time median (the seed implementation)."""
-    if not is_numeric(column.atom):
-        raise GDKError(f"median over non-numeric column {column.atom}")
-    positions, ids, ngroups = _prepare(column, grouping)
-    values = column.values[positions].astype(np.float64)
-    buckets: list[list[float]] = [[] for _ in range(ngroups)]
-    for gid, value in zip(ids.tolist(), values.tolist()):
-        buckets[gid].append(value)
-    out = np.zeros(ngroups, dtype=np.float64)
-    mask = np.zeros(ngroups, dtype=np.bool_)
-    for gid, bucket in enumerate(buckets):
-        if bucket:
-            out[gid] = float(np.median(bucket))
-        else:
-            mask[gid] = True
-    return Column(Atom.DBL, out, mask)
-
-
-def grouped_stddev_reference(column: Column, grouping: Grouping) -> Column:
-    """Tuple-at-a-time sample stddev (the seed implementation)."""
-    if not is_numeric(column.atom):
-        raise GDKError(f"stddev over non-numeric column {column.atom}")
-    positions, ids, ngroups = _prepare(column, grouping)
-    values = column.values[positions].astype(np.float64)
-    buckets: list[list[float]] = [[] for _ in range(ngroups)]
-    for gid, value in zip(ids.tolist(), values.tolist()):
-        buckets[gid].append(value)
-    out = np.zeros(ngroups, dtype=np.float64)
-    mask = np.zeros(ngroups, dtype=np.bool_)
-    for gid, bucket in enumerate(buckets):
-        if len(bucket) < 2:
-            mask[gid] = True
-        else:
-            out[gid] = float(np.std(np.asarray(bucket), ddof=1))
-    return Column(Atom.DBL, out, mask)

@@ -2,20 +2,23 @@
 
 ``group.group`` / ``group.subgroup`` derive, for a (sequence of)
 column(s), a dense *group-id* column plus the group *extents* (one
-representative oid per group) — the kernel building blocks of SQL's
-GROUP BY.  NULL is a group of its own, as in SQL grouping semantics.
+representative oid per group) and *histogram* (rows per group) — the
+kernel building blocks of SQL's GROUP BY.  NULL is a group of its own,
+as in SQL grouping semantics.
 
-The production kernels are NumPy-vectorized and make no per-row Python
-step.  Values are first coded to small integers: an integer key whose
-span ``max - min`` is below its row count (dictionary codes included)
-is coded by its offset ``value - min`` in linear time; any other key
+The kernels are NumPy-vectorized and make no per-row Python step.
+Values are first coded to small integers: an integer key whose span
+``max - min`` is below its row count (dictionary codes included) is
+coded by its offset ``value - min`` in linear time; any other key
 (doubles, plain strings, wide integer spans) is coded through
 ``np.unique``.  The codes are then renumbered to group ids in order of
 first appearance; only the per-*code* table is sorted, never the rows.
-Group ids leave as :class:`GroupIds`, which carry their bound so the
-aggregates need not re-read it.  The original tuple-at-a-time
-implementations survive as ``group_reference`` / ``subgroup_reference``
-for the property-test suite.
+One ``bincount`` over the codes counts every group.  First appearances
+are read from a prefix of ``16 · bound`` rows, which holds every code
+of a well-mixed key; only codes the prefix misses are looked for in the
+rest.  Group ids leave as :class:`GroupIds`, which carry their bound
+and their counts, so the aggregates need neither re-read nor recount
+them.  The tuple-at-a-time oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GDKError
-from repro.gdk.atoms import Atom, canon_key as _canon_key
+from repro.gdk.atoms import Atom
 from repro.gdk.column import Column
 from repro.gdk.dictenc import DictColumn
 
@@ -52,19 +55,23 @@ class Grouping:
 
 
 class GroupIds(Column):
-    """Group ids that carry their bound: every id lies in ``[0, bound)``.
+    """Group ids that carry their bound and counts: every id lies in
+    ``[0, bound)``, and ``counts[g]`` rows hold id ``g``.
 
     :func:`group` and :func:`subgroup` emit them with ``bound`` equal to
-    the group count, so a consumer handed the same count may trust it
-    instead of re-reading ``max()``.  Ids without that proof — packed,
-    projected or computed elsewhere — are plain :class:`Column` objects.
+    the group count and ``counts`` the grouping's histogram (the same
+    array: read it, never write it), so a consumer handed the same count
+    may trust both instead of re-reading ``max()`` or recounting.  Ids
+    without that proof — packed, projected or computed elsewhere — are
+    plain :class:`Column` objects.
     """
 
-    __slots__ = ("bound",)
+    __slots__ = ("bound", "counts")
 
-    def __init__(self, values: np.ndarray, bound: int):
+    def __init__(self, values: np.ndarray, bound: int, counts: np.ndarray):
         super().__init__(Atom.OID, values)
         self.bound = bound
+        self.counts = counts
 
 
 def _value_codes(column: Column) -> tuple[np.ndarray, int]:
@@ -122,21 +129,27 @@ def _densify_first_appearance(codes: np.ndarray, bound: int) -> Grouping:
 
     Codes absent from the input sort last by their first position (the
     row count), so they drop off the end and need no re-coding pass.
+    First positions are read from the first ``16 · bound`` rows; only a
+    code present but missing there sends the rest of the rows, at the
+    starts of its runs, through the same minimum.
     """
     n = len(codes)
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return Grouping(GroupIds(empty, 0), empty.copy(), empty.copy())
+    counts = np.bincount(codes, minlength=bound)
     firsts = np.full(bound, n, dtype=np.int64)
-    np.minimum.at(firsts, codes, np.arange(n, dtype=np.int64))
+    head = min(n, 16 * bound)
+    np.minimum.at(firsts, codes[:head], np.arange(head, dtype=np.int64))
+    late = (firsts == n) & (counts > 0)
+    if late.any():  # a first row is where a run of its code starts
+        rest = codes[head:]
+        rows = head + np.flatnonzero(late[rest] & (rest != codes[head - 1 : -1]))
+        np.minimum.at(firsts, codes[rows], rows)
     appearance = np.argsort(firsts, kind="stable")  # over codes, not rows
-    ngroups = int(np.count_nonzero(firsts < n))
+    ngroups = int(np.count_nonzero(counts))
     rank = np.empty(bound, dtype=np.int64)
     rank[appearance] = np.arange(bound, dtype=np.int64)
-    ids = rank[codes]
-    extents = firsts[appearance[:ngroups]]
-    histogram = np.bincount(ids, minlength=ngroups).astype(np.int64, copy=False)
-    return Grouping(GroupIds(ids, ngroups), extents, histogram)
+    order = appearance[:ngroups]
+    histogram = counts[order]
+    return Grouping(GroupIds(rank[codes], ngroups, histogram), firsts[order], histogram)
 
 
 def group(column: Column) -> Grouping:
@@ -163,48 +176,14 @@ def subgroup(column: Column, previous: Grouping) -> Grouping:
     return _densify_first_appearance(combined.astype(np.int64, copy=False), bound)
 
 
-def group_by_columns(columns: list[Column]) -> Grouping:
-    """Group by a compound key (chained group/subgroup, as MAL emits)."""
-    if not columns:
-        raise GDKError("group_by_columns needs at least one column")
-    result = group(columns[0])
-    for column in columns[1:]:
-        result = subgroup(column, result)
-    return result
-
-
-def explicit_grouping(group_ids: np.ndarray, ngroups: int) -> Grouping:
-    """Wrap externally computed group ids (used by array tiling).
-
-    Group ids must lie in ``[0, ngroups)``; rows with id ``-1`` belong to
-    no group and are dropped from the histogram (their id is remapped to
-    an unused trailing group so aggregate kernels can ignore them).
-    """
-    group_ids = np.asarray(group_ids, dtype=np.int64)
-    if len(group_ids) and group_ids.max() >= ngroups:
-        raise GDKError("group id out of range")
-    histogram = np.bincount(group_ids[group_ids >= 0], minlength=ngroups)
-    extents = np.full(ngroups, -1, dtype=np.int64)
-    positions = np.flatnonzero(group_ids >= 0)
-    if len(positions):
-        grouped = group_ids[positions]
-        order = np.argsort(grouped, kind="stable")
-        sorted_ids = grouped[order]
-        seg_starts = np.flatnonzero(
-            np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]
-        )
-        extents[sorted_ids[seg_starts]] = positions[order[seg_starts]]
-    return Grouping(Column(Atom.OID, group_ids), extents, histogram)
-
-
 @dataclass(frozen=True)
 class GroupView:
     """A grouping seen only through (row ids, group count).
 
     The aggregation kernels never touch extents or histograms, so the
     ``aggr.sub*`` operators wrap their explicit group-id inputs in this
-    view instead of :func:`explicit_grouping` — skipping a full stable
-    sort per aggregate call.  Structurally compatible with
+    view instead of building a :class:`Grouping` — skipping a full
+    stable sort per aggregate call.  Structurally compatible with
     :class:`Grouping` everywhere only ``groups``/``ngroups`` are read
     (:func:`subgroup` included).
     """
@@ -232,62 +211,3 @@ def grouping_view(group_ids: Column, ngroups: int) -> GroupView:
         if group_ids.values.max() >= ngroups:
             raise GDKError("group id out of range")
     return GroupView(group_ids, ngroups)
-
-
-# ----------------------------------------------------------------------
-# reference (loop) implementations — property-test oracles only
-# ----------------------------------------------------------------------
-def group_reference(column: Column) -> Grouping:
-    """Tuple-at-a-time grouping (the seed implementation)."""
-    ids = np.empty(len(column), dtype=np.int64)
-    extents: list[int] = []
-    counts: list[int] = []
-    seen: dict = {}
-    mask = column.mask
-    values = column.values
-    null_key = object()
-    for pos in range(len(column)):
-        key = null_key if (mask is not None and mask[pos]) else _canon_key(values[pos])
-        gid = seen.get(key)
-        if gid is None:
-            gid = len(extents)
-            seen[key] = gid
-            extents.append(pos)
-            counts.append(0)
-        ids[pos] = gid
-        counts[gid] += 1
-    return Grouping(
-        Column(Atom.OID, ids),
-        np.asarray(extents, dtype=np.int64),
-        np.asarray(counts, dtype=np.int64),
-    )
-
-
-def subgroup_reference(column: Column, previous: Grouping) -> Grouping:
-    """Tuple-at-a-time grouping refinement (the seed implementation)."""
-    if len(column) != len(previous.groups):
-        raise GDKError("subgroup: column not aligned with previous grouping")
-    ids = np.empty(len(column), dtype=np.int64)
-    extents: list[int] = []
-    counts: list[int] = []
-    seen: dict = {}
-    mask = column.mask
-    values = column.values
-    prev_ids = previous.groups.values
-    null_key = object()
-    for pos in range(len(column)):
-        sub = null_key if (mask is not None and mask[pos]) else _canon_key(values[pos])
-        key = (int(prev_ids[pos]), sub)
-        gid = seen.get(key)
-        if gid is None:
-            gid = len(extents)
-            seen[key] = gid
-            extents.append(pos)
-            counts.append(0)
-        ids[pos] = gid
-        counts[gid] += 1
-    return Grouping(
-        Column(Atom.OID, ids),
-        np.asarray(extents, dtype=np.int64),
-        np.asarray(counts, dtype=np.int64),
-    )

@@ -13,9 +13,9 @@ from repro.mal.modules import mal_op
 
 
 def _grouping(groups: BAT, ngroups) -> group_kernel.GroupView:
-    # The aggregation kernels only read (ids, ngroups); the cheap view
-    # skips the per-call extents sort of ``explicit_grouping``, and ids
-    # from group.group/subgroup skip the range check too.
+    # The aggregation kernels only read (ids, ngroups), so no extents
+    # are built here; ids from group.group/subgroup skip the range
+    # check, and their carried counts spare the kernels a recount.
     return group_kernel.grouping_view(groups.tail, ngroups)
 
 

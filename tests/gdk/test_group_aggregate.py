@@ -7,6 +7,7 @@ from repro.errors import GDKError
 from repro.gdk import aggregate, group
 from repro.gdk.atoms import Atom
 from repro.gdk.column import Column
+from tests.oracles import kernels as oracles
 
 
 @pytest.fixture
@@ -52,11 +53,11 @@ class TestGroup:
 
     def test_group_by_columns_compound(self, cities):
         day = Column.from_pylist(Atom.INT, [1, 1, 2, 1, 2, 1])
-        grouping = group.group_by_columns([cities, day])
+        grouping = oracles.group_by_columns([cities, day])
         assert grouping.ngroups == 5
 
     def test_explicit_grouping_negative_excluded(self):
-        grouping = group.explicit_grouping(np.array([0, -1, 1, 0]), 2)
+        grouping = oracles.explicit_grouping(np.array([0, -1, 1, 0]), 2)
         assert grouping.histogram.tolist() == [2, 1]
 
     def test_small_span_int_key_is_coded_without_np_unique(self, monkeypatch):
@@ -82,9 +83,150 @@ class TestGroup:
         with pytest.raises(GDKError, match="group id out of range"):
             group.grouping_view(ids, 3)
         # Group ids whose bound exceeds the count get the same check.
-        proven = group.GroupIds(np.array([0, 3, 1], dtype=np.int64), 4)
+        proven = group.GroupIds(np.array([0, 3, 1], dtype=np.int64), 4, np.array([1, 1, 0, 1]))
         with pytest.raises(GDKError, match="group id out of range"):
             group.grouping_view(proven, 3)
+
+
+def _edge_keys() -> dict:
+    """Keys whose first appearances fall on each side of the prefix scan
+    (``16 · bound`` rows), in key order, out of it and clustered."""
+    rng = np.random.default_rng(11)
+    mixed = rng.integers(0, 3, 5_000).tolist()
+    clustered = np.repeat(rng.permutation(40), 150).tolist()
+    return {
+        "first row is the last row": Column.from_pylist(Atom.INT, mixed + [3]),
+        "NULL key first on the last row": Column.from_pylist(Atom.INT, mixed + [None]),
+        "string key first on the last row": Column.from_pylist(
+            Atom.STR, [str(k) for k in mixed] + ["late"]
+        ),
+        "sorted": Column.from_pylist(Atom.INT, np.repeat(np.arange(40), 150).tolist()),
+        "sorted with gaps": Column.from_pylist(
+            Atom.INT, np.repeat(np.arange(0, 80, 2), 150).tolist()
+        ),
+        "sorted descending": Column.from_pylist(
+            Atom.INT, np.repeat(np.arange(40)[::-1], 150).tolist()
+        ),
+        "clustered": Column.from_pylist(Atom.INT, clustered),
+        "clustered doubles": Column.from_pylist(Atom.DBL, [k / 4 for k in clustered]),
+        "one group": Column.from_pylist(Atom.LNG, [2**40] * 1_000),
+        "span of rows - 1": Column.from_pylist(
+            Atom.INT, (rng.permutation(3_000) - 1_500).tolist()
+        ),
+        "all NULL": Column.from_pylist(Atom.INT, [None] * 100),
+        "empty": Column.empty(Atom.INT),
+        "fewer rows than the prefix": Column.from_pylist(Atom.INT, [5, None, 3, 5]),
+    }
+
+
+EDGE_KEYS = _edge_keys()
+
+
+class TestFirstAppearance:
+    @pytest.mark.parametrize("name", list(EDGE_KEYS))
+    def test_group_matches_reference(self, name):
+        column = EDGE_KEYS[name]
+        grouping, want = group.group(column), oracles.group_reference(column)
+        assert grouping.groups.to_pylist() == want.groups.to_pylist()
+        assert grouping.extents.tolist() == want.extents.tolist()
+        assert grouping.histogram.tolist() == want.histogram.tolist()
+        assert grouping.groups.counts is grouping.histogram
+        assert grouping.groups.bound == grouping.ngroups
+
+    @pytest.mark.parametrize("name", list(EDGE_KEYS))
+    def test_subgroup_matches_reference(self, name):
+        column = EDGE_KEYS[name]
+        halves = Column.from_pylist(Atom.INT, [row % 2 for row in range(len(column))])
+        previous = group.group(halves)
+        grouping = group.subgroup(column, previous)
+        want = oracles.subgroup_reference(column, previous)
+        assert grouping.groups.to_pylist() == want.groups.to_pylist()
+        assert grouping.extents.tolist() == want.extents.tolist()
+        assert grouping.histogram.tolist() == want.histogram.tolist()
+
+
+class _LoggedUfunc:
+    """A ufunc whose ``at`` logs how many indices it was given."""
+
+    def __init__(self, ufunc: np.ufunc, calls: list):
+        self._ufunc, self._calls = ufunc, calls
+
+    def __getattr__(self, name):
+        return getattr(self._ufunc, name)
+
+    def __call__(self, *args, **kwargs):
+        return self._ufunc(*args, **kwargs)
+
+    def at(self, target, indices, *rest):
+        self._calls.append((f"{self._ufunc.__name__}.at", len(indices)))
+        return self._ufunc.at(target, indices, *rest)
+
+
+class _CountingNumpy:
+    """NumPy as a kernel module sees it, logging the index length of
+    every ``bincount`` (``"count"`` without weights, ``"weigh"`` with)
+    and every ``ufunc.at``."""
+
+    def __init__(self):
+        self.calls: list = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name == "bincount":
+            def bincount(x, weights=None, minlength=0):
+                kind = "count" if weights is None else "weigh"
+                self.calls.append((f"bincount.{kind}", len(x)))
+                return np.bincount(x, weights, minlength)
+            return bincount
+        return _LoggedUfunc(attr, self.calls) if isinstance(attr, np.ufunc) else attr
+
+    def row_length(self, rows: int) -> list:
+        return [name for name, length in self.calls if length == rows]
+
+
+class TestCountsOnce:
+    """``group.group`` counts its rows once, and the ``aggr.sub*``
+    kernels over its ids read those counts instead of counting again."""
+
+    ROWS = 500_000
+
+    @pytest.fixture
+    def numpy(self, monkeypatch):
+        counting = _CountingNumpy()
+        monkeypatch.setattr(group, "np", counting)
+        monkeypatch.setattr(aggregate, "np", counting)
+        return counting
+
+    @pytest.fixture(scope="class")
+    def columns(self):
+        rng = np.random.default_rng(3)
+        keys = Column(Atom.INT, rng.integers(0, 100, self.ROWS).astype(np.int32))
+        values = Column(Atom.LNG, rng.integers(0, 10**7, self.ROWS))
+        return keys, values
+
+    def test_group_counts_once_and_scans_a_prefix(self, numpy, columns):
+        keys, _ = columns
+        grouping = group.group(keys)
+        assert grouping.ngroups == 100
+        assert numpy.row_length(self.ROWS) == ["bincount.count"]
+        assert all(length <= 16 * 100 for name, length in numpy.calls if name.endswith(".at"))
+
+    @pytest.mark.parametrize("name", ["count", "sum", "avg", "min", "max"])
+    def test_aggregates_over_group_ids_do_not_recount(self, numpy, columns, name):
+        keys, values = columns
+        grouping = group.group(keys)
+        carried = group.grouping_view(grouping.groups, grouping.ngroups)
+        numpy.calls.clear()
+        out = aggregate.grouped(name, values, carried)
+        assert "bincount.count" not in numpy.row_length(self.ROWS)
+        # The same ids without their counts are counted, once.
+        plain = group.grouping_view(
+            Column(Atom.OID, grouping.groups.values), grouping.ngroups
+        )
+        numpy.calls.clear()
+        again = aggregate.grouped(name, values, plain)
+        assert numpy.row_length(self.ROWS).count("bincount.count") == 1
+        assert again.values.tobytes() == out.values.tobytes()
 
 
 class TestGroupedAggregates:
@@ -169,7 +311,7 @@ class TestGroupedAggregates:
 
     def test_negative_group_rows_skipped(self):
         values = Column.from_pylist(Atom.INT, [1, 100, 2])
-        grouping = group.explicit_grouping(np.array([0, -1, 0]), 1)
+        grouping = oracles.explicit_grouping(np.array([0, -1, 0]), 1)
         assert aggregate.grouped_sum(values, grouping).to_pylist() == [3]
 
 

@@ -18,11 +18,11 @@ from repro.gdk.bat import (
 )
 from repro.gdk import aggregate as aggregate_kernel
 from repro.gdk.column import Column
-from repro.gdk.group import explicit_grouping
 from repro.catalog import Catalog
 from repro.mal.interpreter import Interpreter, link
 from repro.mal.optimizer.mergetable import fragment_count
 from repro.mal.program import Constant, Instruction, MALProgram, Var, bat_type
+from tests.oracles.kernels import explicit_grouping
 
 
 class TestDependencyGraph:

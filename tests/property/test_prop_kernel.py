@@ -9,6 +9,7 @@ from repro.gdk import aggregate, calc, dictenc, group, join, select, sort
 from repro.gdk.atoms import Atom
 from repro.gdk.bat import BAT
 from repro.gdk.column import Column
+from tests.oracles import kernels as oracles
 
 ints_or_none = st.lists(
     st.one_of(st.integers(-100, 100), st.none()), min_size=0, max_size=40
@@ -221,7 +222,7 @@ class TestVectorizedVsReference:
     def test_group_matches_reference(self, atom, values, data):
         column = Column.from_pylist(atom, data.draw(_lists_of(values)))
         vec = group.group(column)
-        ref = group.group_reference(column)
+        ref = oracles.group_reference(column)
         assert vec.groups.to_pylist() == ref.groups.to_pylist()
         assert vec.extents.tolist() == ref.extents.tolist()
         assert vec.histogram.tolist() == ref.histogram.tolist()
@@ -241,7 +242,7 @@ class TestVectorizedVsReference:
         previous = group.group(Column.from_pylist(Atom.INT, keys))
         column = Column.from_pylist(atom, items)
         vec = group.subgroup(column, previous)
-        ref = group.subgroup_reference(column, previous)
+        ref = oracles.subgroup_reference(column, previous)
         assert vec.groups.to_pylist() == ref.groups.to_pylist()
         assert vec.extents.tolist() == ref.extents.tolist()
         assert vec.histogram.tolist() == ref.histogram.tolist()
@@ -249,14 +250,14 @@ class TestVectorizedVsReference:
     @pytest.mark.parametrize(
         "vec_fn,ref_fn,atoms",
         [
-            (aggregate.grouped_min, aggregate.grouped_min_reference,
+            (aggregate.grouped_min, oracles.grouped_min_reference,
              (Atom.INT, Atom.DBL, Atom.STR)),
-            (aggregate.grouped_max, aggregate.grouped_max_reference,
+            (aggregate.grouped_max, oracles.grouped_max_reference,
              (Atom.INT, Atom.DBL, Atom.STR)),
             (aggregate.grouped_count_distinct,
-             aggregate.grouped_count_distinct_reference,
+             oracles.grouped_count_distinct_reference,
              (Atom.INT, Atom.DBL, Atom.STR)),
-            (aggregate.grouped_median, aggregate.grouped_median_reference,
+            (aggregate.grouped_median, oracles.grouped_median_reference,
              (Atom.INT, Atom.DBL)),
         ],
     )
@@ -293,7 +294,7 @@ class TestVectorizedVsReference:
         grouping = group.group(Column.from_pylist(Atom.INT, keys))
         column = Column.from_pylist(Atom.DBL, items)
         vec = aggregate.grouped_stddev(column, grouping)
-        ref = aggregate.grouped_stddev_reference(column, grouping)
+        ref = oracles.grouped_stddev_reference(column, grouping)
         assert vec.atom is ref.atom
         for got, expected in zip(vec.to_pylist(), ref.to_pylist()):
             if expected is None:
@@ -359,7 +360,7 @@ class TestGroupCodingPaths:
     @settings(max_examples=60)
     def test_group_matches_reference(self, kind, data):
         column = _key_column(data, kind)
-        _assert_same_grouping(group.group(column), group.group_reference(column))
+        _assert_same_grouping(group.group(column), oracles.group_reference(column))
 
     @pytest.mark.parametrize("kind", ["int", "lng", "text"])
     @given(data=st.data())
@@ -379,7 +380,7 @@ class TestGroupCodingPaths:
         previous = group.group(Column.from_pylist(Atom.INT, keys))
         _assert_same_grouping(
             group.subgroup(column, previous),
-            group.subgroup_reference(column, previous),
+            oracles.subgroup_reference(column, previous),
         )
 
     @pytest.mark.parametrize(
