@@ -15,10 +15,12 @@ coded by its offset ``value - min`` in linear time; any other key
 first appearance; only the per-*code* table is sorted, never the rows.
 One ``bincount`` over the codes counts every group.  First appearances
 are read from a prefix of ``16 · bound`` rows, which holds every code
-of a well-mixed key; only codes the prefix misses are looked for in the
-rest.  Group ids leave as :class:`GroupIds`, which carry their bound
-and their counts, so the aggregates need neither re-read nor recount
-them.  The tuple-at-a-time oracles live with the tests.
+of a well-mixed key; a key the prefix does not cover (sorted or
+clustered, as an array's leading dimension is) is looked for in the
+rest.  When every code is present and appears in code order, the codes
+are already the group ids.  Group ids leave as :class:`GroupIds`, which
+carry their counts, so the aggregates need neither re-read their bound
+nor recount them.  The tuple-at-a-time oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -55,22 +57,21 @@ class Grouping:
 
 
 class GroupIds(Column):
-    """Group ids that carry their bound and counts: every id lies in
-    ``[0, bound)``, and ``counts[g]`` rows hold id ``g``.
+    """Group ids that carry their counts: ``counts[g]`` rows hold id
+    ``g``, so every id lies in ``[0, len(counts))``.
 
-    :func:`group` and :func:`subgroup` emit them with ``bound`` equal to
-    the group count and ``counts`` the grouping's histogram (the same
-    array: read it, never write it), so a consumer handed the same count
-    may trust both instead of re-reading ``max()`` or recounting.  Ids
-    without that proof — packed, projected or computed elsewhere — are
-    plain :class:`Column` objects.
+    :func:`group` and :func:`subgroup` emit them with ``counts`` the
+    grouping's histogram (the same array: read it, never write it), so a
+    consumer handed the same group count may trust it instead of
+    re-reading ``max()`` or recounting.  Ids without that proof —
+    packed, projected or computed elsewhere — are plain :class:`Column`
+    objects.
     """
 
-    __slots__ = ("bound", "counts")
+    __slots__ = ("counts",)
 
-    def __init__(self, values: np.ndarray, bound: int, counts: np.ndarray):
+    def __init__(self, values: np.ndarray, counts: np.ndarray):
         super().__init__(Atom.OID, values)
-        self.bound = bound
         self.counts = counts
 
 
@@ -130,26 +131,25 @@ def _densify_first_appearance(codes: np.ndarray, bound: int) -> Grouping:
     Codes absent from the input sort last by their first position (the
     row count), so they drop off the end and need no re-coding pass.
     First positions are read from the first ``16 · bound`` rows; only a
-    code present but missing there sends the rest of the rows, at the
-    starts of its runs, through the same minimum.
+    code present but missing there sends the rest through the same
+    minimum.
     """
     n = len(codes)
     counts = np.bincount(codes, minlength=bound)
     firsts = np.full(bound, n, dtype=np.int64)
     head = min(n, 16 * bound)
     np.minimum.at(firsts, codes[:head], np.arange(head, dtype=np.int64))
-    late = (firsts == n) & (counts > 0)
-    if late.any():  # a first row is where a run of its code starts
-        rest = codes[head:]
-        rows = head + np.flatnonzero(late[rest] & (rest != codes[head - 1 : -1]))
-        np.minimum.at(firsts, codes[rows], rows)
-    appearance = np.argsort(firsts, kind="stable")  # over codes, not rows
+    if ((firsts == n) & (counts > 0)).any():
+        np.minimum.at(firsts, codes[head:], np.arange(head, n, dtype=np.int64))
     ngroups = int(np.count_nonzero(counts))
+    if ngroups == bound and (firsts[1:] > firsts[:-1]).all():  # codes are the ids
+        return Grouping(GroupIds(codes, counts), firsts, counts)
+    appearance = np.argsort(firsts, kind="stable")  # over codes, not rows
     rank = np.empty(bound, dtype=np.int64)
     rank[appearance] = np.arange(bound, dtype=np.int64)
     order = appearance[:ngroups]
     histogram = counts[order]
-    return Grouping(GroupIds(rank[codes], ngroups, histogram), firsts[order], histogram)
+    return Grouping(GroupIds(rank[codes], histogram), firsts[order], histogram)
 
 
 def group(column: Column) -> Grouping:
@@ -193,9 +193,9 @@ class GroupView:
 
 
 def id_bound(group_ids: Column) -> int:
-    """One past the largest id: a :class:`GroupIds` bound, else read."""
+    """One past the largest id: a :class:`GroupIds` group count, else read."""
     if isinstance(group_ids, GroupIds):
-        return group_ids.bound
+        return len(group_ids.counts)
     return int(group_ids.values.max()) + 1 if len(group_ids) else 0
 
 
@@ -206,7 +206,7 @@ def grouping_view(group_ids: Column, ngroups: int) -> GroupView:
     other ids are range-checked.
     """
     ngroups = int(ngroups)
-    proven = isinstance(group_ids, GroupIds) and group_ids.bound <= ngroups
+    proven = isinstance(group_ids, GroupIds) and len(group_ids.counts) <= ngroups
     if not proven and len(group_ids) and ngroups >= 0:
         if group_ids.values.max() >= ngroups:
             raise GDKError("group id out of range")

@@ -71,7 +71,7 @@ class TestGroup:
         grouping = group.group(Column(Atom.INT, keys))
         ids = grouping.groups.values
         assert grouping.ngroups == len(set(keys.tolist()))
-        assert grouping.groups.bound == grouping.ngroups
+        assert len(grouping.groups.counts) == grouping.ngroups
         # Extents in first-appearance order, each the first row of its key.
         assert (np.diff(grouping.extents) > 0).all()
         assert (keys[grouping.extents][ids] == keys).all()
@@ -82,8 +82,8 @@ class TestGroup:
         ids = Column(Atom.OID, np.array([0, 3, 1], dtype=np.int64))
         with pytest.raises(GDKError, match="group id out of range"):
             group.grouping_view(ids, 3)
-        # Group ids whose bound exceeds the count get the same check.
-        proven = group.GroupIds(np.array([0, 3, 1], dtype=np.int64), 4, np.array([1, 1, 0, 1]))
+        # Group ids that carry more counts than groups get the same check.
+        proven = group.GroupIds(np.array([0, 3, 1], dtype=np.int64), np.array([1, 1, 0, 1]))
         with pytest.raises(GDKError, match="group id out of range"):
             group.grouping_view(proven, 3)
 
@@ -131,7 +131,7 @@ class TestFirstAppearance:
         assert grouping.extents.tolist() == want.extents.tolist()
         assert grouping.histogram.tolist() == want.histogram.tolist()
         assert grouping.groups.counts is grouping.histogram
-        assert grouping.groups.bound == grouping.ngroups
+        assert len(grouping.groups.counts) == grouping.ngroups
 
     @pytest.mark.parametrize("name", list(EDGE_KEYS))
     def test_subgroup_matches_reference(self, name):
@@ -143,6 +143,18 @@ class TestFirstAppearance:
         assert grouping.groups.to_pylist() == want.groups.to_pylist()
         assert grouping.extents.tolist() == want.extents.tolist()
         assert grouping.histogram.tolist() == want.histogram.tolist()
+
+    def test_codes_in_order_with_the_last_one_absent(self):
+        # Combined codes 0, 1, 2 appear in code order; code 3 (group 1,
+        # value 1) never does, so the codes are not yet the group ids.
+        previous = group.group(Column.from_pylist(Atom.INT, [0, 0, 1, 1]))
+        column = Column.from_pylist(Atom.INT, [0, 1, 0, 0])
+        grouping = group.subgroup(column, previous)
+        want = oracles.subgroup_reference(column, previous)
+        assert grouping.groups.to_pylist() == want.groups.to_pylist() == [0, 1, 2, 2]
+        assert grouping.extents.tolist() == want.extents.tolist()
+        assert grouping.histogram.tolist() == want.histogram.tolist() == [1, 1, 2]
+        assert grouping.groups.counts.tolist() == [1, 1, 2]
 
 
 class _LoggedUfunc:

@@ -339,7 +339,7 @@ def _key_column(data, kind):
 
 def _assert_same_grouping(vec, ref):
     assert isinstance(vec.groups, group.GroupIds)
-    assert vec.groups.bound == vec.ngroups
+    assert len(vec.groups.counts) == vec.ngroups
     assert vec.groups.to_pylist() == ref.groups.to_pylist()
     assert vec.extents.tolist() == ref.extents.tolist()
     assert vec.histogram.tolist() == ref.histogram.tolist()
