@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import SemanticError
+from repro.gdk.aggregate import aggregate_atom
 from repro.gdk.atoms import NUMERIC_ATOMS, Atom
 from repro.gdk.calc import NEUTRAL
 from repro.catalog import Array, Catalog
@@ -1437,8 +1438,18 @@ class _GroupedContext:
                 bat_type(Atom.LNG),
             )
             return EvalResult(_BAT, Var(var), Atom.LNG)
+        args = [Var(value)] + grouping
+        if expression.name == "avg":
+            # SUM and COUNT plus the finisher: common_terms shares them
+            # with a SUM or COUNT of the same input, and mergetable
+            # merges their fragment partials as it does those.
+            sum_atom = aggregate_atom("sum", expression.args[0].atom)
+            sums = program.emit1("aggr", "subsum", args, bat_type(sum_atom))
+            counts = program.emit1("aggr", "subcount", args, bat_type(Atom.LNG))
+            var = program.emit1("aggr", "mean", [Var(sums), Var(counts)], bat_type(Atom.DBL))
+            return EvalResult(_BAT, Var(var), Atom.DBL)
         var = program.emit1(
-            "aggr", f"sub{expression.name}", [Var(value)] + grouping,
+            "aggr", f"sub{expression.name}", args,
             bat_type(expression.atom or Atom.DBL),
         )
         return EvalResult(_BAT, Var(var), expression.atom)

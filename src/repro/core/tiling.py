@@ -45,7 +45,9 @@ narrowest of int32 / int64 that ``cells_per_tile · max|v|`` (two
 reductions over the cells) proves cannot wrap — int32 only for cells
 no wider than that — and are widened once at the end; past int64 the
 same kernels run on Python integers and a sum that does not fit
-``lng`` is NULL, the engine's element-wise overflow rule.  Integer
+``lng`` is NULL, the engine's element-wise overflow rule; an ``avg``
+of int64 or Python-integer totals divides by the grouped AVG's mean
+rule, correctly rounded at any width.  Integer
 ``prod`` follows the same rule: int64 when ``max|v| ** cells_per_tile``
 fits ``lng``, Python integers otherwise, and a product past ``lng`` is
 NULL, as grouped and scalar ``PROD`` are.  Without NULL
@@ -87,7 +89,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.errors import DimensionError, GDKError
-from repro.gdk.aggregate import _LNG_MAX, _LNG_MIN, aggregate_atom
+from repro.gdk.aggregate import _LNG_MAX, _LNG_MIN, _means, aggregate_atom
 from repro.gdk.atoms import Atom
 from repro.gdk.column import Column
 
@@ -521,15 +523,16 @@ def _finalize(
     cell is NULL, as the per-axis vectors whose product they are."""
     overflow = None
     if aggregate == "avg":
-        if acc.dtype == object:
-            acc = acc.astype(np.float64)
-        result = (
-            _outer(axis_counts, np.float64)
-            if counts is None
-            else counts.astype(np.float64)
-        )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            np.true_divide(acc, result, out=result)
+        if acc.dtype.kind == "f" or acc.dtype == np.int32:  # exact in a double
+            result = (
+                _outer(axis_counts, np.float64)
+                if counts is None
+                else counts.astype(np.float64)
+            )
+            with np.errstate(invalid="ignore", divide="ignore"):
+                np.true_divide(acc, result, out=result)
+        else:  # int64 or Python-integer totals: the one mean rule
+            result = _means(acc, _outer(axis_counts, np.int64) if counts is None else counts)
         out_atom = Atom.DBL
     else:
         result = acc

@@ -14,8 +14,17 @@ The numeric ones scatter straight into per-group accumulators
 COUNT(DISTINCT) and MEDIAN sort rows, by (group id, value).  A NULL-free
 input grouped by non-negative ids is read in place, and one grouped by
 :class:`~repro.gdk.group.GroupIds` takes its per-group row counts from
-the ids (:func:`_row_counts`) instead of counting them again.  The
-tuple-at-a-time oracles live with the tests.
+the ids (:func:`_row_counts`) instead of counting them again.
+
+Integer SUM and PROD are exact; a total past ``lng`` is NULL, kept in
+an :class:`ExactTotals` for the two readers that need the true value.
+There is one mean rule, :func:`_means` — the exact total over the
+count, correctly rounded: a grouped AVG is SUM and COUNT plus the
+:func:`means` finisher, and the integer scalar and tile AVGs divide
+through it too.  Fragment partials of MIN, MAX and COUNT merge through
+the row kernels (MIN of MINs, SUM of COUNTs); only SUM and PROD
+partials have a merge, :func:`merge_partials`, which reads the exact
+totals.  The tuple-at-a-time oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -272,19 +281,41 @@ def _lng_totals(totals: np.ndarray, empty: np.ndarray) -> Column:
     return ExactTotals(np.where(overflow, 0, totals).astype(np.int64), empty | overflow, exact)
 
 
-def _means(totals: np.ndarray, counts: np.ndarray) -> Column:
-    """Per-group ``total / count`` of exact integer totals, correctly
-    rounded whatever the totals' width; NULL where the count is 0."""
+def _means(totals: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Element-wise ``total / count`` of exact integer *totals* (int64 or
+    Python integers, any shape), correctly rounded whatever their width;
+    0.0 where the count is 0.  The one mean rule: grouped AVG
+    (:func:`means`), integer scalar AVG and tile AVG all divide here."""
     empty = counts == 0
     divisors = np.where(empty, 1, counts)
-    exact_in_double = totals.dtype != object and (
-        not len(totals) or -(2**53) < totals.min() and totals.max() < 2**53
-    )
-    if exact_in_double:  # exact operands: the division rounds correctly
-        means = totals.astype(np.float64) / divisors
-    else:
-        means = np.array([int(t) / int(d) for t, d in zip(totals, divisors)], dtype=np.float64)
-    return Column(Atom.DBL, np.where(empty, 0.0, means), mask=empty)
+    if totals.dtype != object and (
+        not totals.size or -(2**53) < totals.min() and totals.max() < 2**53
+    ):  # exact operands: the division rounds correctly
+        quotients = totals.astype(np.float64) / divisors
+    else:  # Python's int / int is correctly rounded
+        pairs = zip(totals.ravel().tolist(), divisors.ravel().tolist())
+        quotients = np.array([int(t) / d for t, d in pairs], dtype=np.float64)
+    return np.where(empty, 0.0, quotients.reshape(totals.shape))
+
+
+def means(sums: Column, counts: Column) -> Column:
+    """Per-group AVG from the group's SUM and COUNT (``aggr.mean``):
+    NULL where the count is 0.
+
+    A DBL sum divides as it is.  An integer sum is exact — an
+    :class:`ExactTotals` keeps the totals past ``lng`` it reports as
+    NULL — so the mean is the exact total over the count (:func:`_means`).
+    """
+    if len(sums) != len(counts):
+        raise GDKError("mean: sums and counts not aligned")
+    counts = counts.values
+    empty = counts == 0
+    if sums.atom is Atom.DBL:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            quotients = sums.values / counts
+        return Column(Atom.DBL, np.where(empty, 0.0, quotients), mask=empty)
+    totals = np.where(empty, 0, sums.exact) if isinstance(sums, ExactTotals) else sums.values
+    return Column(Atom.DBL, _means(totals, counts), mask=empty)
 
 
 def grouped_prod(column: Column, grouping: Grouping) -> Column:
@@ -301,26 +332,6 @@ def grouped_prod(column: Column, grouping: Grouping) -> Column:
         np.multiply.at(prods, ids, column.values[positions])
         return Column(Atom.DBL, prods, mask=_row_counts(column, grouping, ids) == 0)
     return _lng_totals(*_exact_products(column, grouping))
-
-
-def grouped_avg(column: Column, grouping: Grouping) -> Column:
-    """Per-group arithmetic mean as double; empty groups yield NULL.
-
-    Over integers it is the exact total over the count, correctly
-    rounded (:func:`_means`) — what merging fragment partials gives."""
-    if not is_numeric(column.atom):
-        raise GDKError(f"avg over non-numeric column {column.atom}")
-    positions, ids, ngroups = _prepare(column, grouping)
-    values = column.values[positions]
-    counts = _row_counts(column, grouping, ids)
-    if column.atom is not Atom.DBL and not _sums_stay_below(values, 2**53):
-        totals, _ = _exact_totals(column, grouping)
-        return _means(totals, counts)
-    # Doubles, and integers whose every partial sum a double holds exactly.
-    sums = np.bincount(ids, weights=values.astype(np.float64), minlength=ngroups)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = sums / counts
-    return Column(Atom.DBL, np.where(counts > 0, means, 0.0), mask=(counts == 0))
 
 
 def _grouped_extremum(column: Column, grouping: Grouping, largest: bool) -> Column:
@@ -367,7 +378,6 @@ def grouped_max(column: Column, grouping: Grouping) -> Column:
 GROUPED_DISPATCH = {
     "sum": grouped_sum,
     "prod": grouped_prod,
-    "avg": grouped_avg,
     "min": grouped_min,
     "max": grouped_max,
     "count": grouped_count,
@@ -404,10 +414,16 @@ def scalar_sum(column: Column) -> Any:
         return None
     if column.atom is Atom.DBL:
         return float(values.sum())
+    total = _exact_sum(values)
+    return total if _LNG_MIN <= total <= _LNG_MAX else None
+
+
+def _exact_sum(values: np.ndarray) -> int:
+    """Total of integer *values*: int64 while that cannot wrap, Python
+    integers (exact at any size) past it."""
     if _sums_stay_below(values, 2**63):
         return int(values.sum(dtype=np.int64))
-    total = sum(values.tolist())  # Python integers: exact at any size
-    return total if _LNG_MIN <= total <= _LNG_MAX else None
+    return sum(values.tolist())
 
 
 def scalar_prod(column: Column) -> Any:
@@ -423,11 +439,15 @@ def scalar_prod(column: Column) -> Any:
 
 
 def scalar_avg(column: Column) -> Any:
-    """AVG over the column; NULL when no non-NULL entry exists."""
+    """AVG over the column; NULL when no non-NULL entry exists.  An
+    integer column's exact total divides by the one mean rule."""
     values = _valid_values(column)
     if not len(values):
         return None
-    return float(values.astype(np.float64, copy=False).mean())
+    if column.atom not in (Atom.INT, Atom.LNG):
+        return float(values.astype(np.float64, copy=False).mean())
+    totals = np.array([_exact_sum(values)], dtype=object)
+    return float(_means(totals, np.array([len(values)]))[0])
 
 
 def scalar_min(column: Column) -> Any:
@@ -547,53 +567,22 @@ def grouped_median(column: Column, grouping: Grouping) -> Column:
 # ----------------------------------------------------------------------
 # partial-aggregate merging (mergetable fragment rejoin)
 # ----------------------------------------------------------------------
-#: aggregates whose per-fragment partials can be merged into the exact
-#: global result.  ``avg`` decomposes into (sum, count) partials and is
-#: handled by :func:`merge_avg`; stddev/median/count-distinct are not
-#: decomposable and force the optimizer to fall back to row-level
-#: grouping.
-MERGEABLE = {"sum", "prod", "min", "max", "count"}
-
-
 def merge_partials(name: str, partials: Column, grouping: Grouping) -> Column:
-    """Fold per-fragment partial aggregates into the global per-group result.
+    """Fold per-fragment SUM or PROD partials into the global per-group
+    result (``aggr.mergesum`` / ``aggr.mergeprod``).
 
     ``partials`` holds one value per (fragment, local group); *grouping*
-    maps each of those rows to its global group.  A NULL partial means
-    the fragment saw only NULL inputs for that group and contributes
-    nothing; a global group whose partials are all NULL aggregates to
-    NULL — exactly the semantics of the row-level kernels, so merging
-    reduces to running the matching grouped kernel over the partials:
-    sum of sums, min of mins, max of maxes, and (for COUNT) sum of
-    counts.
+    maps each of those rows to its global group.  Partials past ``lng``
+    (an :class:`ExactTotals`) combine their exact totals and apply the
+    NULL rule once, to the merged total; any others merge by the row
+    kernel, as MIN, MAX and COUNT partials always do.
     """
-    name = name.lower()
-    if name not in MERGEABLE:
+    if name not in ("sum", "prod"):
         raise GDKError(f"aggregate {name!r} has no partial merge")
-    if name == "count":
-        return grouped_sum(partials, grouping)
     if isinstance(partials, ExactTotals):
-        # Partials past lng: combine their exact totals, the NULL rule once.
         combine = _exact_totals if name == "sum" else _exact_products
         return _lng_totals(*combine(partials, grouping, partials=True))
     return GROUPED_DISPATCH[name](partials, grouping)
-
-
-def merge_avg(sums: Column, counts: Column, grouping: Grouping) -> Column:
-    """Merge (sum, count) partials into the global per-group mean.
-
-    AVG is not directly mergeable (an average of fragment averages
-    weights fragments equally), so mergetable emits per-fragment sum and
-    count partials and this kernel recombines them: global mean =
-    Σ partial sums / Σ partial counts, NULL where the count is zero.
-    The sums are exact integers (partials past ``lng`` included), so the
-    mean is the one :func:`grouped_avg` computes over the rows.
-    """
-    if len(sums) != len(counts) or len(sums) != len(grouping.groups):
-        raise GDKError("merge_avg: misaligned partial columns")
-    totals, _ = _exact_totals(sums, grouping, partials=True)
-    count_totals, _ = _exact_totals(counts, grouping)
-    return _means(totals, count_totals)
 
 
 def first_occurrence(groups: Column, ngroups: int) -> np.ndarray:

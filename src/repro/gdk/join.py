@@ -10,10 +10,7 @@ for sorted BATs), so no per-row Python loop survives on the hot path.
 Every kernel accepts optional *candidate lists* (oid BATs, as produced
 by :mod:`repro.gdk.select`) restricting which BUNs participate —
 returned oids are always absolute head oids of the original BATs.
-
-The original tuple-at-a-time implementations are retained with a
-``_reference`` suffix; they are the oracles of the property-test suite
-and the baseline of the kernel benchmarks, never called by the engine.
+The tuple-at-a-time oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GDKError
-from repro.gdk.atoms import Atom, canon_key as _canon_key
+from repro.gdk.atoms import Atom
 from repro.gdk.bat import BAT
 from repro.gdk.column import Column
 from repro.gdk.dictenc import DictColumn
@@ -332,133 +329,3 @@ def rows_membership(
         raise GDKError("rows_membership needs matching non-empty column lists")
     lkeys, rkeys = _joint_codes(left_cols, right_cols, nulls_equal=True)
     return np.isin(lkeys, rkeys)
-
-
-# ----------------------------------------------------------------------
-# reference (loop) implementations — property-test oracles only
-# ----------------------------------------------------------------------
-def _hash_index_reference(values: np.ndarray, mask: np.ndarray | None) -> dict:
-    """value -> list of positions, skipping NULLs."""
-    index: dict = {}
-    if mask is None:
-        for pos, value in enumerate(values.tolist()):
-            index.setdefault(_canon_key(value), []).append(pos)
-    else:
-        for pos, (value, is_null) in enumerate(zip(values.tolist(), mask.tolist())):
-            if not is_null:
-                index.setdefault(_canon_key(value), []).append(pos)
-    return index
-
-
-def join_reference(left: BAT, right: BAT, nil_matches: bool = False) -> tuple[BAT, BAT]:
-    """Tuple-at-a-time hash join (the seed implementation)."""
-    _check_join_types(left, right)
-    lmask = left.tail.mask
-    rmask = right.tail.mask
-    if nil_matches:
-        index: dict = {}
-        for pos, value in enumerate(left.tail.to_pylist()):
-            index.setdefault(_canon_key(value), []).append(pos)
-        louts: list[int] = []
-        routs: list[int] = []
-        for rpos, value in enumerate(right.tail.to_pylist()):
-            for lpos in index.get(_canon_key(value), ()):
-                louts.append(lpos)
-                routs.append(rpos)
-    else:
-        index = _hash_index_reference(left.tail.values, lmask)
-        louts = []
-        routs = []
-        rvalues = right.tail.values.tolist()
-        rnull = rmask.tolist() if rmask is not None else None
-        for rpos, value in enumerate(rvalues):
-            if rnull is not None and rnull[rpos]:
-                continue
-            for lpos in index.get(_canon_key(value), ()):
-                louts.append(lpos)
-                routs.append(rpos)
-    loids = np.asarray(louts, dtype=np.int64) + left.hseqbase
-    roids = np.asarray(routs, dtype=np.int64) + right.hseqbase
-    order = np.lexsort((roids, loids))
-    return BAT.from_oids(loids[order]), BAT.from_oids(roids[order])
-
-
-def leftjoin_reference(left: BAT, right: BAT) -> tuple[BAT, BAT]:
-    """Tuple-at-a-time left outer join (the seed implementation)."""
-    index = _hash_index_reference(right.tail.values, right.tail.mask)
-    louts: list[int] = []
-    routs: list[int] = []
-    lmask = left.tail.mask
-    for lpos, value in enumerate(left.tail.values.tolist()):
-        if lmask is not None and lmask[lpos]:
-            louts.append(lpos)
-            routs.append(-1)
-            continue
-        matches = index.get(_canon_key(value))
-        if matches:
-            for rpos in matches:
-                louts.append(lpos)
-                routs.append(rpos)
-        else:
-            louts.append(lpos)
-            routs.append(-1)
-    loids = np.asarray(louts, dtype=np.int64) + left.hseqbase
-    roids = np.asarray(routs, dtype=np.int64)
-    roids = np.where(roids >= 0, roids + right.hseqbase, -1)
-    return BAT.from_oids(loids), BAT.from_oids(roids)
-
-
-def multi_column_join_reference(
-    left_cols: list[Column], right_cols: list[Column]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tuple-at-a-time compound-key join (the seed implementation)."""
-    if len(left_cols) != len(right_cols) or not left_cols:
-        raise GDKError("multi_column_join needs matching non-empty key lists")
-    lvalid = np.ones(len(left_cols[0]), dtype=np.bool_)
-    for col in left_cols:
-        lvalid &= col.validity()
-    rvalid = np.ones(len(right_cols[0]), dtype=np.bool_)
-    for col in right_cols:
-        rvalid &= col.validity()
-    index: dict = {}
-    for pos in np.flatnonzero(lvalid):
-        key = tuple(_canon_key(col.values[pos]) for col in left_cols)
-        index.setdefault(key, []).append(int(pos))
-    lpos_out: list[int] = []
-    rpos_out: list[int] = []
-    for pos in np.flatnonzero(rvalid):
-        key = tuple(_canon_key(col.values[pos]) for col in right_cols)
-        for lpos in index.get(key, ()):
-            lpos_out.append(lpos)
-            rpos_out.append(int(pos))
-    return np.asarray(lpos_out, dtype=np.int64), np.asarray(rpos_out, dtype=np.int64)
-
-
-def rows_membership_reference(
-    left_cols: list[Column], right_cols: list[Column]
-) -> np.ndarray:
-    """Tuple-at-a-time membership test (the seed implementation)."""
-    if len(left_cols) != len(right_cols) or not left_cols:
-        raise GDKError("rows_membership needs matching non-empty column lists")
-    nright = len(right_cols[0]) if right_cols else 0
-    right_keys = set()
-    for pos in range(nright):
-        right_keys.add(
-            tuple(
-                None
-                if col.mask is not None and col.mask[pos]
-                else _canon_key(col.values[pos])
-                for col in right_cols
-            )
-        )
-    nleft = len(left_cols[0])
-    out = np.zeros(nleft, dtype=np.bool_)
-    for pos in range(nleft):
-        key = tuple(
-            None
-            if col.mask is not None and col.mask[pos]
-            else _canon_key(col.values[pos])
-            for col in left_cols
-        )
-        out[pos] = key in right_keys
-    return out

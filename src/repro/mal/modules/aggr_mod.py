@@ -43,8 +43,16 @@ def _register_grouped(name: str) -> None:
         return BAT(aggregate_kernel.grouped(_name, b.tail, grouping))
 
 
-for _name in ("sum", "prod", "avg", "min", "max", "count", "stddev", "median"):
+for _name in ("sum", "prod", "min", "max", "count", "stddev", "median"):
     _register_grouped(_name)
+
+
+@mal_op("aggr", "mean", sig="bat, bat -> bat")
+def _mean(ctx, sums: BAT, counts: BAT):
+    """A grouped AVG's finisher: per-group SUM over COUNT."""
+    if not isinstance(sums, BAT) or not isinstance(counts, BAT):
+        raise MALError("aggr.mean expects BATs")
+    return BAT(aggregate_kernel.means(sums.tail, counts.tail))
 
 
 @mal_op("aggr", "subcountstar", sig="oids, scalar -> bat")
@@ -74,17 +82,8 @@ def _register_merge(name: str) -> None:
         return BAT(aggregate_kernel.merge_partials(_name, partials.tail, grouping))
 
 
-for _name in sorted(aggregate_kernel.MERGEABLE):
+for _name in ("sum", "prod"):
     _register_merge(_name)
-
-
-@mal_op("aggr", "mergeavg", sig="bat, bat, oids, scalar -> bat")
-def _mergeavg(ctx, sums: BAT, counts: BAT, groups: BAT, ngroups):
-    """Merge (sum, count) partials into the global per-group mean."""
-    if not all(isinstance(b, BAT) for b in (sums, counts, groups)):
-        raise MALError("aggr.mergeavg expects BATs")
-    grouping = _grouping(groups, ngroups)
-    return BAT(aggregate_kernel.merge_avg(sums.tail, counts.tail, grouping))
 
 
 @mal_op("aggr", "firstocc", sig="oids, scalar -> cand")

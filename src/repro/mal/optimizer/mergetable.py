@@ -32,8 +32,12 @@ mirror MonetDB's mergetable optimizer:
   with ``mat.pack``, never as candidate lists);
 * ``group.group``/``subgroup`` + ``aggr.sub*`` become per-fragment
   groupings with partial aggregates, rejoined by regrouping the
-  per-fragment distinct keys and merging partials
-  (``aggr.mergesum``/…/``mergeavg``) — global group ids come out in
+  per-fragment distinct keys and merging the packed partials by the
+  one table :data:`MERGES` — ``aggr.submin``/``submax`` of MINs and
+  MAXes, ``aggr.subsum`` of COUNTs, and ``aggr.mergesum``/``mergeprod``
+  for SUM and PROD, whose partials past ``lng`` must be read exactly.
+  AVG needs no rule: malgen lowers it to SUM and COUNT plus the
+  element-wise ``aggr.mean``.  Global group ids come out in
   first-appearance order, so results are byte-identical to the
   sequential plan;
 * ``array.tileagg`` over a fragmented cell source becomes one
@@ -98,13 +102,19 @@ SELECTS = {
     for name in ("select", "thetaselect", "rangeselect", "isnilselect", "inselect")
 }
 
-#: grouped aggregates whose per-fragment partials merge exactly.
-DECOMPOSABLE = {"sum", "prod", "min", "max", "count"}
+#: grouped aggregates whose per-fragment partials merge exactly, and
+#: the op that merges them: MIN, MAX and COUNT partials go through the
+#: row kernels (MIN of MINs, SUM of COUNTs); SUM and PROD partials past
+#: ``lng`` must be read exactly.
+MERGES = {
+    "sum": "mergesum", "prod": "mergeprod",
+    "min": "submin", "max": "submax", "count": "subsum",
+}
 
 #: of those, the ones that re-associate +/* — exact for integer atoms
 #: (partials are exact integers) but a ulp off for floats, so floating
 #: point inputs take the row-level path to stay byte-identical.
-REASSOCIATING = {"sum", "prod", "avg"}
+REASSOCIATING = {"sum", "prod"}
 
 #: tiling aggregates whose halo-fragment evaluation is bit-exact for
 #: every cell atom (selection/counting — no re-associated float math).
@@ -214,7 +224,6 @@ class Entry:
     result_space: Optional[Space] = None  # row space of projections through this var
     info: Optional[GroupInfo] = None
     agg: Optional[str] = None      # partial: aggregate name
-    parts2: list[str] = field(default_factory=list)  # partial avg: count partials
 
 
 class _Mergetable:
@@ -227,7 +236,6 @@ class _Mergetable:
         self.out: list[Instruction] = []
         self.entries: dict[str, Entry] = {}
         self.spaces: dict[Any, Space] = {}  # (object, pieces) -> row space
-        self.shared: dict[tuple, str] = {}  # (module, function, args) -> result
 
     # ------------------------------------------------------------------
     # emission helpers
@@ -237,20 +245,6 @@ class _Mergetable:
 
     def fresh(self, mal_type, prefix="M") -> str:
         return self.program.fresh(mal_type, prefix)
-
-    def emit_once(self, module, function, mal_type, args) -> str:
-        """Result of a pure one-result instruction, emitted on first use.
-
-        An AVG's per-fragment sum and count partials, and their packs,
-        are those of a SUM or COUNT over the same input, and
-        ``common_terms`` ran before these instructions existed.
-        """
-        key = (module, function, tuple(args))
-        result = self.shared.get(key)
-        if result is None:
-            result = self.shared[key] = self.fresh(mal_type)
-            self.emit(module, function, [result], args)
-        return result
 
     def type_of(self, var: str):
         return self.program.types.get(var, bat_type(None))
@@ -290,23 +284,10 @@ class _Mergetable:
         return var
 
     def _merge_partial(self, var: str, entry: Entry) -> None:
-        kx, g2, e2, n2 = self.ensure_merged(entry.info)
-        packed = self.emit_once(
-            "mat", "pack", self.type_of(var), [Var(p) for p in entry.parts]
-        )
-        if entry.agg == "avg":
-            counts = self.emit_once(
-                "mat", "pack", bat_type(Atom.LNG), [Var(p) for p in entry.parts2]
-            )
-            self.emit(
-                "aggr", "mergeavg", [var],
-                [Var(packed), Var(counts), Var(g2), Var(n2)],
-            )
-        else:
-            self.emit(
-                "aggr", f"merge{entry.agg}", [var],
-                [Var(packed), Var(g2), Var(n2)],
-            )
+        _, g2, _, n2 = self.ensure_merged(entry.info)
+        packed = self.fresh(self.type_of(var))
+        self.emit("mat", "pack", [packed], [Var(p) for p in entry.parts])
+        self.emit("aggr", MERGES[entry.agg], [var], [Var(packed), Var(g2), Var(n2)])
 
     def ensure_merged(self, info: GroupInfo) -> tuple:
         """Regroup the per-fragment distinct keys into the global grouping."""
@@ -753,7 +734,7 @@ class _Mergetable:
         result = instruction.results[0]
         name = function[3:]  # strip "sub"
         value_entry = None if star else fragmented[0]
-        decomposable = star or name in DECOMPOSABLE or name == "avg"
+        decomposable = star or name in MERGES
         if decomposable and not star and name in REASSOCIATING:
             # Float partials re-associate the accumulation and drift a
             # ulp from the sequential result; integer partials are exact.
@@ -771,22 +752,6 @@ class _Mergetable:
         )
         if decomposable and value_ok:
             mal_type = self.type_of(result)
-            if name == "avg":
-                sums, counts = [], []
-                for index in range(len(info.g_parts)):
-                    args = [
-                        Var(value_entry.parts[index]),
-                        Var(info.g_parts[index]),
-                        Var(info.n_parts[index]),
-                    ]
-                    sums.append(self.emit_once("aggr", "subsum", bat_type(None), args))
-                    counts.append(
-                        self.emit_once("aggr", "subcount", bat_type(Atom.LNG), args)
-                    )
-                self.entries[result] = Entry(
-                    "partial", parts=sums, parts2=counts, info=info, agg="avg"
-                )
-                return True
             parts = []
             for index in range(len(info.g_parts)):
                 args = []
@@ -794,7 +759,9 @@ class _Mergetable:
                     args.append(Var(value_entry.parts[index]))
                 args.append(Var(info.g_parts[index]))
                 args.append(Var(info.n_parts[index]))
-                parts.append(self.emit_once("aggr", function, mal_type, args))
+                part = self.fresh(mal_type)
+                self.emit("aggr", function, [part], args)
+                parts.append(part)
             self.entries[result] = Entry(
                 "partial",
                 parts=parts,

@@ -174,7 +174,7 @@ class TestNaNKeySemantics:
         left = BAT(Column(Atom.DBL, np.array([1.0, np.nan, 2.0])))
         right = BAT(Column(Atom.DBL, np.array([np.nan, 2.0])))
         l_vec, r_vec = join.join(left, right)
-        l_ref, r_ref = join.join_reference(left, right)
+        l_ref, r_ref = oracles.join_reference(left, right)
         pairs = list(zip(l_vec.tail_pylist(), r_vec.tail_pylist()))
         assert pairs == [(1, 0), (2, 1)]
         assert pairs == list(zip(l_ref.tail_pylist(), r_ref.tail_pylist()))

@@ -108,16 +108,22 @@ class TestMergeKernels:
         assert merged.to_pylist() == [3, 4]
 
     def test_merge_all_null_partials_is_null(self):
+        # MIN partials merge through the row kernel: MIN of MINs.
         partials = Column.from_pylist(Atom.LNG, [None, None])
         grouping = self.grouping([0, 0], 1)
-        merged = aggregate_kernel.merge_partials("min", partials, grouping)
+        merged = aggregate_kernel.grouped_min(partials, grouping)
         assert merged.to_pylist() == [None]
 
     def test_merge_avg_weights_by_count(self):
+        # AVG's partials are its SUM's and COUNT's: merged, they feed
+        # the one finisher.
         sums = Column.from_pylist(Atom.LNG, [10, 2, None])
         counts = Column.from_pylist(Atom.LNG, [4, 1, 0])
         grouping = self.grouping([0, 0, 1], 2)
-        merged = aggregate_kernel.merge_avg(sums, counts, grouping)
+        merged = aggregate_kernel.means(
+            aggregate_kernel.merge_partials("sum", sums, grouping),
+            aggregate_kernel.grouped_sum(counts, grouping),
+        )
         assert merged.to_pylist() == [12 / 5, None]
 
     def test_merge_rejects_nondecomposable(self):
@@ -198,12 +204,16 @@ class TestFragmentedPlans:
         conn = self.fragmented_connection()
         plan = conn.explain("SELECT k, AVG(v), COUNT(*) FROM t GROUP BY k")
         assert plan.count("group.group") == 9  # 8 fragments + distinct-key merge
-        assert "aggr.mergeavg" in plan
-        assert "aggr.mergecount" in plan
+        # AVG's SUM and COUNT partials merge as those aggregates' do
+        # (COUNTs by a sum); the finisher runs once, over the merged pair.
+        assert plan.count("aggr.subcount(") == 8
+        assert plan.count("aggr.mergesum(") == 1
+        assert plan.count("aggr.subsum(") == 8 + 2
+        assert plan.count("aggr.mean(") == 1
 
     def test_avg_shares_the_sum_and_count_partials(self):
-        # AVG expands into per-fragment sum and count partials; a SUM and
-        # a COUNT of the same input already emit those, once each.
+        # AVG lowers to SUM and COUNT plus aggr.mean; a SUM and a COUNT
+        # of the same input are the same terms, once each.
         sql = "SELECT k, SUM(v), COUNT(v), AVG(v), MIN(v), MAX(v) FROM t GROUP BY k"
         rows = [(i % 3, None if i % 5 == 0 else i * 7) for i in range(64)]
         results = {}
@@ -214,11 +224,12 @@ class TestFragmentedPlans:
             results[fragment_rows] = conn.execute(sql).rows()
             if fragment_rows == 32:
                 plan = conn.explain(sql)
-                assert plan.count("aggr.subsum(") == 2
+                # Two SUM partials, and the sum that merges the COUNT's.
+                assert plan.count("aggr.subsum(") == 3
                 assert plan.count("aggr.subcount(") == 2
-                # Keys, SUM, COUNT, MIN, MAX: AVG reads the SUM and COUNT packs.
+                # Keys, SUM, COUNT, MIN, MAX: AVG reads the merged SUM and COUNT.
                 assert plan.count("mat.pack(") == 5
-                assert "aggr.mergeavg(" in plan
+                assert plan.count("aggr.mean(") == 1
         assert results[32] == results[math.inf]
 
     def test_join_outputs_rejoin_by_concatenation(self):

@@ -22,7 +22,9 @@ from repro.gdk.column import Column
 AGGREGATES = {
     "sum": aggregate.grouped_sum,
     "prod": aggregate.grouped_prod,
-    "avg": aggregate.grouped_avg,
+    "avg": lambda column, grouping: aggregate.means(
+        aggregate.grouped_sum(column, grouping), aggregate.grouped_count(column, grouping)
+    ),
     "min": aggregate.grouped_min,
     "max": aggregate.grouped_max,
     "count": aggregate.grouped_count,

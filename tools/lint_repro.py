@@ -140,13 +140,14 @@ EMITTED_FAMILIES = {
     "malgen._calc: calc.<name> over scalars": {
         ("calc", name) for name in _BINARY + _UNARY
     },
-    # _ScalarContext emits aggr.<name>, _GroupedContext aggr.sub<name>.
+    # _ScalarContext emits aggr.<name>, _GroupedContext aggr.sub<name>
+    # (a grouped AVG is aggr.subsum, aggr.subcount and aggr.mean).
     "malgen aggregate contexts: aggr.<name>, aggr.sub<name>": {
         ("aggr", prefix + name) for prefix in ("", "sub") for name in _AGGREGATES
-    },
-    # _Mergetable._merge_partial over mergetable.DECOMPOSABLE.
+    } - {("aggr", "subavg")},
+    # _Mergetable._merge_partial over the merge ops of mergetable.MERGES.
     "mergetable._merge_partial: aggr.merge<agg>": {
-        ("aggr", "merge" + name) for name in ("sum", "prod", "min", "max", "count")
+        ("aggr", "mergesum"), ("aggr", "mergeprod"),
     },
     # No plan contains these two; hand-written MAL programs (the mal/
     # test suites, ad-hoc tooling) have no other constant-argument BAT

@@ -122,7 +122,9 @@ def rows() -> list[tuple[str, str, str]]:
         sqls = " ".join(f"`{name.upper()}(x)`" for name in names).replace(
             "`COUNT(x)`", "`COUNT(x)` `COUNT(*)`"
         )
-        out.append((sqls, " ".join(f"aggr.[sub]{name}" for name in names), outcome))
+        # A grouped AVG is aggr.subsum and aggr.subcount plus aggr.mean.
+        ops = (f"aggr.{name} aggr.mean" if name == "avg" else f"aggr.[sub]{name}" for name in names)
+        out.append((sqls, " ".join(ops), outcome))
     return out
 
 
