@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.apps import imaging
+from tests.oracles import imaging as image_oracles
 
 
 @pytest.fixture
@@ -55,7 +56,7 @@ def test_erode(benchmark, processor):
     proc, image = processor
     result = benchmark(proc.erode, 2)
     assert np.array_equal(
-        imaging.result_to_image(result), imaging.reference_erode(image, 2)
+        imaging.result_to_image(result), image_oracles.reference_erode(image, 2)
     )
 
 
@@ -64,7 +65,7 @@ def test_dilate(benchmark, processor):
     proc, image = processor
     result = benchmark(proc.dilate, 2)
     assert np.array_equal(
-        imaging.result_to_image(result), imaging.reference_dilate(image, 2)
+        imaging.result_to_image(result), image_oracles.reference_dilate(image, 2)
     )
 
 
@@ -72,7 +73,7 @@ def test_dilate(benchmark, processor):
 def test_reduce_resolution(benchmark, processor):
     proc, image = processor
     result = benchmark(proc.reduce_resolution, 2)
-    assert np.allclose(result.grid(), imaging.reference_reduce(image, 2))
+    assert np.allclose(result.grid(), image_oracles.reference_reduce(image, 2))
 
 
 @pytest.mark.benchmark(group="E8-grayscale")

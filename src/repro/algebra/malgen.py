@@ -40,9 +40,11 @@ linear MAL program.  Conventions:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.core.tiling import lattice_shape
 from repro.errors import SemanticError
 from repro.gdk.aggregate import aggregate_atom
 from repro.gdk.atoms import NUMERIC_ATOMS, Atom
@@ -187,8 +189,8 @@ def _keeps_cell_order(plan: nodes.InsertSelectPlan, array: Array, catalog: Catal
     ):
         return False
     if isinstance(root, nodes.TileProject) and root.having is not None:
-        if not any(item.is_dimension for item in root.items):
-            return False  # table-shaped: HAVING drops rows
+        if not _keeps_own_dimensions(root):
+            return False  # HAVING drops rows
     expressions = dict(zip(plan.columns, (item.expression for item in root.items)))
     return all(
         expressions[d.name] == BoundColumn(scan.source_index, d.name, d.atom, True)
@@ -196,12 +198,135 @@ def _keeps_cell_order(plan: nodes.InsertSelectPlan, array: Array, catalog: Catal
     )
 
 
-def _tile_meta(array: Array, offsets) -> str:
+def _tile_meta(array: Array, offsets, **lattice: Any) -> str:
     """The one canonical metadata constant of a tiling op: the
     ``mergetable`` pass parses it to size halo fragments."""
     return json.dumps(
-        {"shape": list(array.shape()), "offsets": [list(o) for o in offsets]}
+        {"shape": list(array.shape()), "offsets": [list(o) for o in offsets], **lattice}
     )
+
+
+def _conjuncts(expression: Any) -> list[Any]:
+    """The operands of a chain of ANDs, left to right."""
+    if isinstance(expression, ast.BinaryOp) and expression.op == "AND":
+        return _conjuncts(expression.left) + _conjuncts(expression.right)
+    return [expression]
+
+
+def _int_literal(expression: Any) -> Optional[int]:
+    if isinstance(expression, ast.Literal) and type(expression.value) is int:
+        return expression.value
+    return None
+
+
+def _own_dimension(expression: Any, node: nodes.TileProject) -> bool:
+    """Is *expression* a bare dimension of the tiled array itself?"""
+    return (
+        isinstance(expression, BoundColumn)
+        and expression.is_dimension
+        and expression.source == node.child.source_index
+    )
+
+
+def _keeps_own_dimensions(node: nodes.TileProject) -> bool:
+    """An array-shaped tiling whose dimension items are all the tiled
+    array's own bare dimensions (``[x], [y]``): its result is the array
+    itself, one row per cell, so a HAVING masks values instead of
+    dropping anchors."""
+    dimensions = [item.expression for item in node.items if item.is_dimension]
+    return bool(dimensions) and all(_own_dimension(d, node) for d in dimensions)
+
+
+def _dimension_lattice(
+    dimension: Any, modulus: int, residue: int
+) -> Optional[tuple[int, int]]:
+    """``(m, r)``: the ranks ``r + k·m`` of the values of *dimension* for
+    which ``value MOD modulus = residue``, or ``None`` when no rank does
+    or the ranks form no lattice.
+
+    ``MOD`` takes the dividend's sign, so a non-zero residue is only
+    read off a dimension whose values are all non-negative."""
+    start, step = dimension.start, dimension.step
+    if modulus < 1 or not 0 <= residue < modulus or (residue and start < 0):
+        return None
+    # start + step·k ≡ residue (mod modulus)
+    common = math.gcd(step, modulus)
+    if (residue - start) % common:
+        return None
+    lattice_step = modulus // common
+    first = (residue - start) // common * pow(step // common, -1, lattice_step) % lattice_step
+    return (lattice_step, first) if first < dimension.size else None
+
+
+def _anchor_lattice(node: nodes.TileProject, array: Array) -> Optional[list[list[int]]]:
+    """Per dimension ``[m, r]`` when *node*'s HAVING keeps exactly the
+    anchors of a lattice: every conjunct is ``d MOD m = r`` over a
+    dimension ``d`` of the tiled array with integer literals, at most
+    one per dimension.  ``None`` keeps the plan that evaluates HAVING."""
+    dimensions = {d.name: d for d in array.dimensions}
+    lattice: dict[str, tuple[int, int]] = {}
+    for conjunct in _conjuncts(node.having):
+        if not isinstance(conjunct, ast.BinaryOp) or conjunct.op != "=":
+            return None
+        term, residue = conjunct.left, _int_literal(conjunct.right)
+        if residue is None:
+            term, residue = conjunct.right, _int_literal(conjunct.left)
+        if (
+            residue is None
+            or not isinstance(term, ast.BinaryOp)
+            or term.op != "%"
+            or not _own_dimension(term.left, node)
+            or term.left.column in lattice
+            or _int_literal(term.right) is None
+        ):
+            return None
+        found = _dimension_lattice(dimensions[term.left.column], term.right.value, residue)
+        if found is None:
+            return None
+        lattice[term.left.column] = found
+    return [list(lattice.get(d.name, (1, 0))) for d in array.dimensions]
+
+
+def _tile_lattice(
+    node: nodes.TileProject, array: Array, own: bool
+) -> Optional[list[list[int]]]:
+    """The anchor lattice *node*'s HAVING keeps, when the items can be
+    computed from the lattice anchors alone: they read no column but
+    dimensions outside their aggregates, and over the array's own cells
+    (*own*) every value item is NULL off the lattice."""
+    if node.having is None or not all(
+        _reads_dimensions_only(item.expression, node)
+        and (not own or item.is_dimension or _null_with_aggregates(item.expression))
+        for item in node.items
+    ):
+        return None
+    return _anchor_lattice(node, array)
+
+
+def _reads_dimensions_only(expression: Any, node: nodes.TileProject) -> bool:
+    """Outside its aggregate calls, does *expression* read no column but
+    the tiled array's dimensions?"""
+    if is_aggregate_call(expression):
+        return True
+    if isinstance(expression, BoundColumn):
+        return _own_dimension(expression, node)
+    if isinstance(expression, BoundCellRef):
+        return False
+    return all(_reads_dimensions_only(child, node) for child in ast.children(expression))
+
+
+def _null_with_aggregates(expression: Any) -> bool:
+    """Is *expression* NULL whenever its aggregates are?  An aggregate,
+    or arithmetic, a sign or a cast over one."""
+    if is_aggregate_call(expression):
+        return True
+    if isinstance(expression, ast.BinaryOp) and expression.op in ("+", "-", "*", "/", "%"):
+        return _null_with_aggregates(expression.left) or _null_with_aggregates(
+            expression.right
+        )
+    if isinstance(expression, (ast.UnaryOp, ast.CastExpression)):
+        return _null_with_aggregates(expression.operand)
+    return False
 
 
 def _own_cell_offsets(
@@ -261,19 +386,9 @@ def _split_equi_conjuncts(
     condition: Any, left_sources: set[int], right_sources: set[int]
 ) -> tuple[list[tuple[Any, Any]], list[Any]]:
     """Partition an ON condition into equi pairs (left, right) + residual."""
-    conjuncts: list[Any] = []
-
-    def flatten(expr: Any) -> None:
-        if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-            flatten(expr.left)
-            flatten(expr.right)
-        else:
-            conjuncts.append(expr)
-
-    flatten(condition)
     equi: list[tuple[Any, Any]] = []
     residual: list[Any] = []
-    for conjunct in conjuncts:
+    for conjunct in _conjuncts(condition):
         if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
             ls = _expression_sources(conjunct.left)
             rs = _expression_sources(conjunct.right)
@@ -733,12 +848,26 @@ class MALGenerator:
     def _emit_tile(self, node: nodes.TileProject, casts=None) -> list[str]:
         binding = self._emit_relational(node.child)
         array = self.catalog.get_array(node.array_name)
+        own = _keeps_own_dimensions(node)
+        lattice = _tile_lattice(node, array, own)
+        if lattice is not None:
+            # HAVING keeps a lattice of anchors: only those are tiled.
+            # The array's own cells keep their shape, NULL off the
+            # lattice; any other result is the lattice anchors' rows.
+            if own:
+                meta = _tile_meta(array, node.spec.offsets, lattice=lattice)
+                return self._items(node.items, _TileContext(binding, meta), casts)
+            meta = _tile_meta(array, node.spec.offsets, lattice=lattice, compact=True)
+            anchors = _LatticeContext(self, binding, meta, array, lattice)
+            return self._items(node.items, anchors, casts)
         tile = _TileContext(binding, _tile_meta(array, node.spec.offsets))
         guard = None
-        if node.having is not None and any(item.is_dimension for item in node.items):
-            # Array-shaped result: non-qualifying anchors stay in the
+        if node.having is not None and own:
+            # The array itself: non-qualifying anchors stay in the
             # array but their aggregate values become NULL (Fig 1(e)) —
             # the predicate joins each value's expression as a CASE.
+            # Any other result (computed dimensions, or a table) drops
+            # them instead.
             guard = Var(self._force_bat(self._eval(node.having, tile), tile, Atom.BIT))
         output = self._items(node.items, tile, casts, guard)
         if node.having is None or guard is not None:
@@ -1464,11 +1593,14 @@ class _TileContext:
 
     def __init__(self, binding: Binding, meta_json: str):
         self.binding = binding
-        self.ref = binding.ref
         self.meta_json = meta_json
         #: aggregate call -> its result: ``SUM(v)`` written twice is one
         #: leaf, so the expressions around it are one node too.
         self.folded: dict[Any, EvalResult] = {}
+
+    @property
+    def ref(self) -> str:
+        return self.binding.ref
 
     def leaf(self, generator: MALGenerator, expression: Any) -> Optional[EvalResult]:
         if not is_aggregate_call(expression):
@@ -1479,7 +1611,7 @@ class _TileContext:
 
     def _fold(self, generator: MALGenerator, expression: Any) -> EvalResult:
         if expression.star:
-            value, name, atom = self.ref, "count_star", Atom.LNG
+            value, name, atom = self.binding.ref, "count_star", Atom.LNG
         else:
             value = _aggregate_argument(generator, expression, self.binding)
             name, atom = expression.name, expression.atom
@@ -1488,3 +1620,81 @@ class _TileContext:
             bat_type(atom or Atom.DBL),
         )
         return EvalResult(_BAT, Var(var), atom)
+
+
+class _LatticeContext(_TileContext):
+    """Tiling over the anchors of a lattice alone: one row per lattice
+    anchor, in cell order.
+
+    A dimension is the ``array.series`` of its lattice values, and so is
+    ``d / c``, ``d * c`` or ``d ± c`` with an integer literal ``c`` where
+    every value is exact — ``[x / 2]`` over the anchors ``x MOD 2 = 0`` is
+    the series ``0, 1, 2, ..`` and no ``div`` runs.
+    """
+
+    def __init__(
+        self,
+        generator: MALGenerator,
+        binding: Binding,
+        meta_json: str,
+        array: Array,
+        lattice: list[list[int]],
+    ):
+        super().__init__(binding, meta_json)
+        self.generator = generator
+        kept = lattice_shape(array.shape(), lattice)
+        #: dimension name -> (first value, value step, anchors, N, M)
+        self.axes = {
+            d.name: (
+                d.start + d.step * r, d.step * m, kept[axis],
+                math.prod(kept[axis + 1:]), math.prod(kept[:axis]),
+            )
+            for axis, (d, (m, r)) in enumerate(zip(array.dimensions, lattice))
+        }
+        self.first = array.dimensions[0]
+        #: (dimension, first, step, atom) -> its series, emitted once
+        self.series: dict[tuple, EvalResult] = {}
+
+    @property
+    def ref(self) -> str:
+        """The first dimension's series: what a scalar broadcasts against."""
+        first, step = self.axes[self.first.name][:2]
+        return self._series(self.first.name, first, step, self.first.atom).value.name
+
+    def leaf(self, generator: MALGenerator, expression: Any) -> Optional[EvalResult]:
+        if is_aggregate_call(expression):
+            return super().leaf(generator, expression)
+        if isinstance(expression, BoundColumn):
+            first, step = self.axes[expression.column][:2]
+            return self._series(expression.column, first, step, expression.atom)
+        if (
+            not isinstance(expression, ast.BinaryOp)
+            or expression.atom not in (Atom.INT, Atom.LNG)
+            or not isinstance(expression.left, BoundColumn)
+            or _int_literal(expression.right) is None
+        ):
+            return None
+        name, c = expression.left.column, expression.right.value
+        first, step = self.axes[name][:2]
+        if expression.op in ("+", "-"):
+            shift = c if expression.op == "+" else -c
+            return self._series(name, first + shift, step, expression.atom)
+        if expression.op == "*" and c > 0:
+            return self._series(name, first * c, step * c, expression.atom)
+        if expression.op == "/" and c > 0 and first % c == 0 and step % c == 0:
+            return self._series(name, first // c, step // c, expression.atom)
+        return None
+
+    def _series(self, name: str, first: int, step: int, atom: Atom) -> EvalResult:
+        """``first, first + step, ..`` over the lattice anchors of the
+        dimension *name*, laid out as that dimension is."""
+        count, inner, outer = self.axes[name][2:]
+        key = (name, first, step, atom)
+        if key not in self.series:
+            var = self.generator.program.emit1(
+                "array", "series",
+                [first, step, first + step * count, inner, outer, atom.value],
+                bat_type(atom),
+            )
+            self.series[key] = EvalResult(_BAT, Var(var), atom)
+        return self.series[key]

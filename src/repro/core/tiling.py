@@ -36,6 +36,11 @@ axis width   aggregate            kernel, passes over the array       allocates
                                   (interior + two clipped borders)
 ``w > 6``    min/max              van Herk–Gil-Werman block extrema   one padded
                                   (two running extrema and a merge)   copy
+lattice      any                  the kernel above, evaluated only    output
+``(m, r)``                        at the anchors ``r, r+m, ..``:      shrinks to
+                                  stride-``m`` slices, prefix sums    ``1/m``
+                                  differenced at stride ``m``, every
+                                  ``m``-th block extremum
 ===========  ===================  ==================================  ===========
 
 A call allocates its result plus at most one more accumulator (plus
@@ -64,6 +69,14 @@ first row of the slab it is given, so a DBL sum whose *first* axis is
 wide may differ by an ulp between the two (which is why the optimizer
 fragments ``sum``/``avg`` for integer cells only).
 
+A *lattice* (``HAVING x MOD 2 = 0`` on a dimension; see
+:mod:`repro.algebra.malgen`) keeps, per axis, the anchors of rank
+``r + k·m`` only.  Each axis pass writes only those anchors — an axis
+pass reads the previous pass' output, so the later axes already run over
+the kept rows alone — and every kept anchor is computed by the same
+operations in the same order as in the whole-array run, so the lattice
+result is byte-equal to the whole result read at the lattice anchors.
+
 *Sparse* specs (hand-built offset lists with gaps or repeats) keep the
 columnar equivalent of MonetDB's implementation: one shifted
 full-array pass per tile cell, ``O(|tile| · |array|)``.
@@ -83,6 +96,7 @@ the fragments reproduces the sequential result byte for byte.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -95,6 +109,10 @@ from repro.gdk.column import Column
 
 #: aggregates the tiling engine supports.
 TILE_AGGREGATES = ("sum", "avg", "min", "max", "count", "prod", "count_star")
+
+#: per axis ``(m, r)``: the anchors of rank ``r + k·m``, ``k = 0, 1, ..``
+#: (``(1, 0)`` keeps every anchor of the axis).
+Lattice = tuple[tuple[int, int], ...]
 
 #: per axis, windows of at most this many cells run one shifted-slice
 #: pass per offset; wider ones amortise a prefix sum or van Herk–
@@ -186,9 +204,34 @@ class TileSpec:
         return cls(tuple(per_dim))
 
 
-def _axis_slice(axis: int, start: int, stop: int) -> tuple:
-    """Index selecting ``[start, stop)`` along *axis*, everything else whole."""
-    return (slice(None),) * axis + (slice(start, stop),)
+def _axis_slice(axis: int, start: int, stop: Optional[int], step: int = 1) -> tuple:
+    """Index selecting ``[start, stop)`` along *axis* (every *step*-th
+    entry), everything else whole."""
+    return (slice(None),) * axis + (slice(start, stop, step),)
+
+
+def lattice_shape(shape: tuple[int, ...], lattice: Lattice) -> tuple[int, ...]:
+    """Per axis, how many anchors of *lattice* the array has."""
+    return tuple(len(range(r, size, m)) for size, (m, r) in zip(shape, lattice))
+
+
+def _lattice_index(lattice: Lattice) -> tuple:
+    """Index selecting the lattice anchors of a grid."""
+    return tuple(slice(r, None, m) for m, r in lattice)
+
+
+def _lattice_ranks(first: int, stop: int, step: int, residue: int, count: int):
+    """The ranks ``[a, b)`` among ``count`` lattice anchors ``residue +
+    k·step`` whose position lies in ``[first, stop)``."""
+    a = min(count, max(0, -((residue - first) // step)))
+    b = min(count, max(a, -((residue - stop) // step)))
+    return a, b
+
+
+def _strided(axis: int, a: int, b: int, step: int, offset: int) -> tuple:
+    """Index of the positions ``offset + k·step`` for ranks ``[a, b)``
+    (``a < b``) along *axis*."""
+    return _axis_slice(axis, offset + a * step, offset + (b - 1) * step + 1, step)
 
 
 def _shift_slices(shape, deltas):
@@ -226,14 +269,17 @@ def _shift_masked(
     return out, ok
 
 
-def _axis_counts(shape: tuple[int, ...], spec: TileSpec) -> list[np.ndarray]:
+def _axis_counts(
+    shape: tuple[int, ...], spec: TileSpec, lattice: Optional[Lattice] = None
+) -> list[np.ndarray]:
     """Per axis, how many of that axis' offsets land inside the array for
     each anchor rank (closed form for contiguous offset ranges, one pass
-    per offset otherwise).  The tile is a cross product of per-dimension
-    offset lists, so an anchor's in-bounds cell count is the product of
-    its per-axis entries."""
+    per offset otherwise), at the *lattice* anchors only when given.
+    The tile is a cross product of per-dimension offset lists, so an
+    anchor's in-bounds cell count is the product of its per-axis
+    entries."""
     counts: list[np.ndarray] = []
-    for size, per_dim in zip(shape, spec.offsets):
+    for axis, (size, per_dim) in enumerate(zip(shape, spec.offsets)):
         positions = np.arange(size, dtype=np.int64)
         lo, hi = min(per_dim), max(per_dim)
         if hi - lo + 1 == len(set(per_dim)) == len(per_dim):
@@ -244,6 +290,9 @@ def _axis_counts(shape: tuple[int, ...], spec: TileSpec) -> list[np.ndarray]:
             axis_count = np.zeros(size, dtype=np.int64)
             for delta in per_dim:
                 axis_count += (positions + delta >= 0) & (positions + delta < size)
+        if lattice is not None:
+            step, residue = lattice[axis]
+            axis_count = axis_count[residue::step]
         counts.append(axis_count)
     return counts
 
@@ -259,36 +308,47 @@ def _outer(vectors: list[np.ndarray], dtype) -> np.ndarray:
     return grid
 
 
-def in_bounds_count(shape: tuple[int, ...], spec: TileSpec) -> np.ndarray:
+def in_bounds_count(
+    shape: tuple[int, ...], spec: TileSpec, lattice: Optional[Lattice] = None
+) -> np.ndarray:
     """Per-anchor number of tile cells inside the array bounds —
     ``O(Σ n_i)`` work plus one product, no pass per tile cell."""
-    return _outer(_axis_counts(shape, spec), np.int64)
+    return _outer(_axis_counts(shape, spec, lattice), np.int64)
 
 
 # ----------------------------------------------------------------------
 # separable per-axis kernels (dense rectangular specs)
 # ----------------------------------------------------------------------
 def _shifted_axis(
-    src: np.ndarray, lo: int, hi: int, axis: int, op: np.ufunc, ident, out: np.ndarray
+    src: np.ndarray,
+    lo: int,
+    hi: int,
+    axis: int,
+    op: np.ufunc,
+    ident,
+    out: np.ndarray,
+    step: int = 1,
+    residue: int = 0,
 ) -> None:
-    """``out[i] = op(src[i+lo], .., src[i+hi])`` clipped to the array:
-    one shifted-slice copy, then one in-place *op* pass per further
-    offset, in ascending offset order.  *ident* fills the anchors the
-    first in-range offset does not reach."""
-    n = src.shape[axis]
+    """``out[k] = op(src[i+lo], .., src[i+hi])`` for the anchors ``i =
+    residue + k·step``, clipped to the array: one shifted-slice copy,
+    then one in-place *op* pass per further offset, in ascending offset
+    order.  *ident* fills the anchors the first in-range offset does not
+    reach."""
+    n, count = src.shape[axis], out.shape[axis]
     started = False
     for delta in range(lo, hi + 1):
-        a, b = max(0, -delta), min(n, n - delta)
+        a, b = _lattice_ranks(-delta, n - delta, step, residue, count)
         if a >= b:
             continue  # this offset never lands inside the array
         dst = _axis_slice(axis, a, b)
-        shifted = src[_axis_slice(axis, a + delta, b + delta)]
+        shifted = src[_strided(axis, a, b, step, residue + delta)]
         if started:
             op(out[dst], shifted, out=out[dst])
             continue
         out[dst] = shifted
         out[_axis_slice(axis, 0, a)] = ident
-        out[_axis_slice(axis, b, n)] = ident
+        out[_axis_slice(axis, b, count)] = ident
         started = True
     if not started:
         out[...] = ident
@@ -312,22 +372,33 @@ def _cumsum_axis(src: np.ndarray, axis: int, out: np.ndarray) -> None:
 
 
 def _window_difference(
-    prefix: np.ndarray, lo: int, hi: int, axis: int, out: np.ndarray
+    prefix: np.ndarray,
+    lo: int,
+    hi: int,
+    axis: int,
+    out: np.ndarray,
+    step: int = 1,
+    residue: int = 0,
 ) -> None:
-    """``out[i] = S[min(i+hi, n-1)] - S[i+lo-1]`` along *axis*, with
-    ``S[-1] = 0``, for the inclusive running sum ``S`` = *prefix*: the
-    clipped window sum, by slices — an interior run that reads shifted
-    slices of ``S`` and the clipped borders either side (all-zero where
-    the window lies before the array, the grand total past its end)."""
-    n = prefix.shape[axis]
+    """``out[k] = S[min(i+hi, n-1)] - S[i+lo-1]`` along *axis* for the
+    anchors ``i = residue + k·step``, with ``S[-1] = 0``, for the
+    inclusive running sum ``S`` = *prefix*: the clipped window sum, by
+    slices — an interior run that reads shifted slices of ``S`` and the
+    clipped borders either side (all-zero where the window lies before
+    the array, the grand total past its end)."""
+    n, count = prefix.shape[axis], out.shape[axis]
     total = prefix[_axis_slice(axis, n - 1, n)]
-    a, b = min(n, max(0, -hi)), min(n, max(0, n - hi))
+    a, b = _lattice_ranks(-hi, n - hi, step, residue, count)
     out[_axis_slice(axis, 0, a)] = 0
-    out[_axis_slice(axis, a, b)] = prefix[_axis_slice(axis, a + hi, b + hi)]
-    out[_axis_slice(axis, b, n)] = total
-    c, d = min(n, max(0, 1 - lo)), min(n, max(0, n - lo + 1))
-    inner, past = _axis_slice(axis, c, d), _axis_slice(axis, d, n)
-    np.subtract(out[inner], prefix[_axis_slice(axis, c + lo - 1, d + lo - 1)], out=out[inner])
+    if a < b:
+        out[_axis_slice(axis, a, b)] = prefix[_strided(axis, a, b, step, residue + hi)]
+    out[_axis_slice(axis, b, count)] = total
+    c, d = _lattice_ranks(1 - lo, n + 1 - lo, step, residue, count)
+    inner, past = _axis_slice(axis, c, d), _axis_slice(axis, d, count)
+    if c < d:
+        np.subtract(
+            out[inner], prefix[_strided(axis, c, d, step, residue + lo - 1)], out=out[inner]
+        )
     np.subtract(out[past], total, out=out[past])
 
 
@@ -401,38 +472,51 @@ def _separable(
     op: np.ufunc,
     ident,
     dtype: np.dtype,
+    lattice: Optional[Lattice] = None,
 ) -> np.ndarray:
-    """Fold the window ``ranges[axis]`` with *op* along each axis in turn.
+    """Fold the window ``ranges[axis]`` with *op* along each axis in turn,
+    at the *lattice* anchors only when given.
 
     *src* is read-only unless *owned* (a private buffer of *dtype*).
     Every pass writes a buffer of *dtype* and then owns it; the buffer
-    it read becomes the next pass' output, so the call allocates two
-    at most.  Returns a fresh array, never *src* itself unless owned."""
+    it read becomes the next pass' output (a lattice pass' output is
+    smaller and takes the front of it), so the call allocates two at
+    most.  Returns a fresh array, never *src* itself unless owned."""
     spare: Optional[np.ndarray] = None
 
-    def take() -> np.ndarray:
+    def take(shape: tuple[int, ...]) -> np.ndarray:
         nonlocal spare
         buffer, spare = spare, None
-        return np.empty(src.shape, dtype=dtype) if buffer is None else buffer
+        if buffer is None:
+            return np.empty(shape, dtype=dtype)
+        return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
 
     for axis, (lo, hi) in enumerate(ranges):
-        if lo == hi == 0:
+        step, residue = lattice[axis] if lattice is not None else (1, 0)
+        if lo == hi == 0 and step == 1:
             continue
+        shape = list(src.shape)
+        shape[axis] = len(range(residue, shape[axis], step))
+        shape = tuple(shape)
         width = hi - lo + 1
         if width <= NARROW_WIDTH or op is np.multiply:
-            out = take()
-            _shifted_axis(src, lo, hi, axis, op, ident, out)
+            out = take(shape)
+            _shifted_axis(src, lo, hi, axis, op, ident, out, step, residue)
             if owned:
                 spare = src
         elif op is np.add:
-            prefix = src if owned else take()
+            prefix = src if owned else take(src.shape)
             _cumsum_axis(src, axis, prefix)
-            out = take()
-            _window_difference(prefix, lo, hi, axis, out)
+            out = take(shape)
+            _window_difference(prefix, lo, hi, axis, out, step, residue)
             spare = prefix
         else:
-            out = src if owned else take()
+            out = src if owned else take(src.shape)
             _block_extrema(src, lo, hi, axis, op, ident, out)
+            if step > 1:  # every step-th window extremum
+                full, out = out, take(shape)
+                out[...] = full[_axis_slice(axis, residue, None, step)]
+                spare = full
         src, owned = out, True
     return src if owned else src.astype(dtype)
 
@@ -566,14 +650,17 @@ def _dense_tile_aggregate(
     spec: TileSpec,
     aggregate: str,
     input_atom: Atom,
+    lattice: Optional[Lattice],
 ) -> Column:
     """Separable per-axis passes: O(|array| · ndim) for any tile size."""
     terms = spec.cells_per_tile
     if valid is None:
-        counts, axis_counts = None, _axis_counts(cells.shape, spec)
+        counts, axis_counts = None, _axis_counts(cells.shape, spec, lattice)
     else:
         axis_counts = None
-        counts = _separable(valid, False, ranges, np.add, 0, _sum_dtype(valid, terms))
+        counts = _separable(
+            valid, False, ranges, np.add, 0, _sum_dtype(valid, terms), lattice
+        )
     if aggregate == "count":
         if counts is None:
             counts = _outer(axis_counts, np.int64)
@@ -583,7 +670,7 @@ def _dense_tile_aggregate(
     if valid is not None:
         src, owned = np.full(cells.shape, ident, dtype=dtype), True
         np.copyto(src, cells, where=valid)
-    acc = _separable(src, owned, ranges, op, ident, dtype)
+    acc = _separable(src, owned, ranges, op, ident, dtype, lattice)
     return _finalize(acc, aggregate, input_atom, counts, axis_counts)
 
 
@@ -616,14 +703,20 @@ def _scan_tile_aggregate(
 
 
 def tile_aggregate(
-    values: Column, shape: tuple[int, ...], spec: TileSpec, aggregate: str
+    values: Column,
+    shape: tuple[int, ...],
+    spec: TileSpec,
+    aggregate: str,
+    lattice: Optional[Lattice] = None,
 ) -> Column:
     """Aggregate every anchor's tile; result is cell-aligned with the array.
 
     The returned column has one entry per cell (anchor); anchors whose
     tile contains no aggregatable cell are NULL.  ``count``/``count_star``
     return 0 instead of NULL for such anchors (anchors are always
-    valid, so counts never go NULL).
+    valid, so counts never go NULL).  With a *lattice* it has one entry
+    per lattice anchor, in cell order: the whole result read at those
+    anchors, byte for byte.
 
     ``count_star`` is computed analytically from the shape alone; dense
     rectangular specs run the separable per-axis kernels of the module
@@ -632,15 +725,33 @@ def tile_aggregate(
     """
     aggregate = aggregate.lower()
     _validate(values, shape, spec, aggregate)
-    if not len(values):
+    if not len(values) or lattice is not None and not all(lattice_shape(shape, lattice)):
         return _no_anchors(aggregate, values.atom)
     if aggregate == "count_star":
-        return Column(Atom.LNG, in_bounds_count(shape, spec).reshape(-1))
+        return Column(Atom.LNG, in_bounds_count(shape, spec, lattice).reshape(-1))
     cells, valid = _numeric_grid(values, shape)
     ranges = spec.dense_ranges()
-    if ranges is None:
-        return _scan_tile_aggregate(cells, valid, spec, aggregate, values.atom)
-    return _dense_tile_aggregate(cells, valid, ranges, spec, aggregate, values.atom)
+    if ranges is not None:
+        return _dense_tile_aggregate(
+            cells, valid, ranges, spec, aggregate, values.atom, lattice
+        )
+    whole = _scan_tile_aggregate(cells, valid, spec, aggregate, values.atom)
+    if lattice is None:
+        return whole
+    anchors = np.arange(len(values)).reshape(shape)
+    return whole.take(anchors[_lattice_index(lattice)].reshape(-1))
+
+
+def lattice_cells(compact: Column, shape: tuple[int, ...], lattice: Lattice) -> Column:
+    """A lattice result spread over the whole array: each lattice anchor
+    at its own cell, NULL (zero payload) everywhere else."""
+    window = _lattice_index(lattice)
+    kept = lattice_shape(shape, lattice)
+    values = np.zeros(shape, dtype=compact.values.dtype)
+    values[window] = compact.values.reshape(kept)
+    mask = np.ones(shape, dtype=np.bool_)
+    mask[window] = False if compact.mask is None else compact.mask.reshape(kept)
+    return Column(compact.atom, values.reshape(-1), mask.reshape(-1))
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.errors import GDKError
+from repro.errors import GDKError, TypeError_
 from repro.gdk.atoms import Atom, is_numeric
 from repro.gdk.column import Column
 from repro.gdk.group import GroupIds, Grouping
@@ -55,8 +55,11 @@ AGGREGATES = {
 
 def aggregate_atom(name: str, atom: Optional[Atom]) -> Optional[Atom]:
     """Result atom of aggregate *name* over an input of *atom* (``None``:
-    ``COUNT(*)``, or an input only typed at run time)."""
+    ``COUNT(*)``, or an input only typed at run time).  An aggregate
+    that does arithmetic takes no strings."""
     policy = AGGREGATES[name]
+    if atom is Atom.STR and policy in ("widen", "dbl"):
+        raise TypeError_(f"{name.upper()} needs a numeric argument, not str")
     if policy == "same":
         return atom
     if policy == "dbl" or (policy == "widen" and atom is Atom.DBL):

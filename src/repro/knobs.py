@@ -9,7 +9,13 @@ The lint rule in ``tools/lint_repro.py`` enforces that no
 module outside this one touches ``os.environ`` with a ``REPRO_*`` name,
 and the README knob table is generated from this registry
 (``python -m repro.knobs`` prints it; ``python -m repro.knobs --write``
-syncs it between the ``<!-- knob-table:begin -->`` markers).
+syncs it between the ``<!-- knob-table:begin -->`` markers).  Importing
+``repro`` imports this module, so ``-m`` runs a second copy of it and
+hands over to :func:`main` of the imported one; a warning-free check
+calls that directly (CI's lint leg)::
+
+    python -W error::RuntimeWarning -c \
+        "import sys, repro.knobs as k; sys.exit(k.main(['--check']))"
 """
 
 from __future__ import annotations
@@ -214,7 +220,9 @@ def sync_readme(path: str, write: bool = False) -> bool:
     return False
 
 
-def _main(argv: list[str]) -> int:
+def main(argv: list[str]) -> int:
+    """The CLI: print the knob table, ``--write`` it into the README, or
+    ``--check`` that the README's copy is current (exit status 1 if not)."""
     readme = os.path.join(os.path.dirname(__file__), "..", "..", "README.md")
     readme = os.path.abspath(readme)
     if "--write" in argv:
@@ -232,4 +240,6 @@ def _main(argv: list[str]) -> int:
 if __name__ == "__main__":  # pragma: no cover - thin CLI
     import sys
 
-    raise SystemExit(_main(sys.argv[1:]))
+    from repro import knobs  # the registry the engine reads, not this copy
+
+    raise SystemExit(knobs.main(sys.argv[1:]))

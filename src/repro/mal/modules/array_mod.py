@@ -18,7 +18,12 @@ mapping behind relative cell access such as ``A[x-1][y]``
 
 Tiling ops carry one JSON metadata constant ``{"shape": [...],
 "offsets": [[...], ...]}`` — the tile spec the optimizer passes read to
-compute halo extents and fragment viability.
+compute halo extents and fragment viability.  A ``tileagg`` whose HAVING
+keeps an anchor lattice (``x MOD 2 = 0``) also carries ``"lattice":
+[[m, r], ...]``, per dimension the anchors of rank ``r + k·m``, and
+``"compact": true`` when its rows are those anchors alone (the result's
+dimensions are then ``array.series`` of the lattice values, with the
+series' atom as a sixth argument).
 
 A tile with ONE offset per dimension is a constant shift of the value
 BAT, and that is how malgen lowers a cell reference to the scanned
@@ -54,7 +59,12 @@ from repro.gdk.atoms import Atom, atom_for_python, comparand
 from repro.gdk.bat import BAT, partition_bounds
 from repro.gdk.cells import cell_position, cell_positions, series_column
 from repro.gdk.column import Column
-from repro.core.tiling import TileSpec, tile_aggregate, tile_aggregate_fragment
+from repro.core.tiling import (
+    TileSpec,
+    lattice_cells,
+    tile_aggregate,
+    tile_aggregate_fragment,
+)
 from repro.mal.modules import cached_loads, mal_op
 
 
@@ -71,9 +81,14 @@ def filler_column(count: int, value: Any, atom: Atom | None = None) -> Column:
     return Column.constant(atom or atom_for_python(value), value, count)
 
 
-@mal_op("array", "series", sig="scalar, scalar, scalar, int, int -> bat")
-def _series(ctx, start, step, stop, inner, outer):
-    return BAT(series_column(int(start), int(step), int(stop), int(inner), int(outer)))
+@mal_op("array", "series", sig="scalar, scalar, scalar, int, int, str? -> bat")
+def _series(ctx, start, step, stop, inner, outer, atom=None):
+    return BAT(
+        series_column(
+            int(start), int(step), int(stop), int(inner), int(outer),
+            Atom(atom) if atom else Atom.LNG,
+        )
+    )
 
 
 def _tile_meta(meta_json: str) -> tuple[tuple[int, ...], TileSpec]:
@@ -89,12 +104,19 @@ def _tileagg(ctx, values: BAT, aggregate: str, meta_json: str):
     """Aggregate every anchor's tile over a cell-aligned value BAT.
 
     ``meta_json`` holds the dimension sizes (``shape``) and the tile
-    pattern's per-dimension rank offsets (``offsets``).
+    pattern's per-dimension rank offsets (``offsets``); a ``lattice``
+    keeps only the anchors it names, one row each (``compact``) or at
+    their own cells with NULL everywhere else.
     """
     if not isinstance(values, BAT):
         raise MALError("array.tileagg expects a BAT of cell values")
     shape, spec = _tile_meta(meta_json)
-    return BAT(tile_aggregate(values.tail, shape, spec, aggregate))
+    meta = cached_loads(meta_json)
+    if "lattice" not in meta:
+        return BAT(tile_aggregate(values.tail, shape, spec, aggregate))
+    lattice = tuple(map(tuple, meta["lattice"]))
+    result = tile_aggregate(values.tail, shape, spec, aggregate, lattice)
+    return BAT(result if meta.get("compact") else lattice_cells(result, shape, lattice))
 
 
 @mal_op("array", "tilepart", sig="bat, str, json, int, int -> bat")

@@ -51,7 +51,8 @@ mirror MonetDB's mergetable optimizer:
   cell reference ``A[x-1][y]`` lowers to; ``sum``/``prod``/``avg`` for
   integer cells, whose sums are exact or NULL by the same rule in slab
   and whole and whose products wrap alike) — float prefix sums would
-  drift a ulp between slab and whole-array evaluation;
+  drift a ulp between slab and whole-array evaluation.  A tile over an
+  anchor lattice (HAVING ``x MOD 2 = 0``) runs whole;
 * every other consumer forces materialisation: fragments re-merge
   (``mat.pack`` / ``bat.mergecand`` / partial merges) right before the
   unsupported instruction, which keeps the pass semantics-preserving
@@ -171,6 +172,8 @@ def halo_caps(program: MALProgram) -> dict[int, int]:
             continue
         try:
             spec = json.loads(meta.value)
+            if "lattice" in spec:
+                continue  # runs whole: see _tileagg
             shape = [int(s) for s in spec["shape"]]
             offsets0 = [int(o) for o in spec["offsets"][0]]
             halo = max(max(offsets0), 0) - min(min(offsets0), 0)
@@ -621,7 +624,9 @@ class _Mergetable:
         bind was already split no finer than :func:`halo_caps` allows.
         The result fragments stay in the value's row space, so
         downstream element-wise consumers (e.g. Life's ``SUM(v) - v``)
-        keep running per fragment.
+        keep running per fragment.  A tile over an anchor lattice runs
+        whole: its compact rows are not the source's row space, and its
+        work is already ``1/∏m`` of the array's.
         """
         entry = fragmented[0]
         if (
@@ -636,6 +641,9 @@ class _Mergetable:
             return False
         agg_arg, meta_arg = instruction.args[1], instruction.args[2]
         if not isinstance(agg_arg, Constant) or not isinstance(agg_arg.value, str):
+            return False
+        meta = meta_arg.value if isinstance(meta_arg, Constant) else None
+        if not isinstance(meta, str) or "lattice" in json.loads(meta):
             return False
         aggregate = agg_arg.value.lower()
         if aggregate not in TILE_EXACT:

@@ -276,7 +276,8 @@ class Binder:
         if not args and not call.star:
             raise SemanticError(f"function {call.name!r} needs arguments")
         if call.name in AGGREGATES:
-            atom, aggregate = aggregate_atom(call.name, args[0].atom if args else None), True
+            atom = typed(aggregate_atom, call.name, args[0].atom if args else None)
+            aggregate = True
         elif call.name in SCALAR_FUNCTIONS:
             kernel, literal = SCALAR_FUNCTIONS[call.name]
             atom = typed(calc.node_atom, kernel, [args[0].atom], literal)

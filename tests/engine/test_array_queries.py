@@ -47,6 +47,35 @@ class TestStructuralGrouping:
         )
         assert result.rows() == [(0, 2), (2, 2)]
 
+    def test_having_filters_computed_dimensions(self, conn):
+        """An array result whose dimension items are computed is not the
+        source array: HAVING drops anchors there, as for a table, so no
+        NULL row of a dropped anchor shares a cell with a kept one."""
+        conn.execute("CREATE ARRAY a (x INT DIMENSION[0:1:4], v INT DEFAULT 1)")
+        tile = "FROM a GROUP BY a[x:x+2] HAVING x MOD 2 = 0"
+        assert conn.execute(f"SELECT [x / 2], SUM(v) {tile}").rows() == [(0, 2), (1, 2)]
+        assert conn.execute(f"SELECT [x / 2], SUM(v) {tile} AND SUM(v) > 0").rows() == [
+            (0, 2), (1, 2)
+        ]
+
+    def test_insert_of_computed_dimensions_writes_kept_anchors(self, conn):
+        conn.execute("CREATE ARRAY a (x INT DIMENSION[0:1:4], v INT DEFAULT 1)")
+        conn.execute("CREATE ARRAY b (x INT DIMENSION[0:1:2], v INT)")
+        conn.execute(
+            "INSERT INTO b SELECT [x / 2], SUM(v) FROM a GROUP BY a[x:x+2] HAVING x MOD 2 = 0"
+        )
+        assert conn.execute("SELECT x, v FROM b").rows() == [(0, 2), (1, 2)]
+
+    def test_grid_of_computed_dimensions_has_kept_cells_only(self, conn):
+        """``[x / 2]`` over 1..4 keeps x = 2, 4: cells 1 and 2, no cell 0."""
+        conn.execute("CREATE ARRAY a (x INT DIMENSION[1:1:5], v INT DEFAULT 1)")
+        result = conn.execute(
+            "SELECT [x / 2], SUM(v) FROM a GROUP BY a[x:x+2] HAVING x MOD 2 = 0"
+        )
+        assert result.grid().tolist() == [2.0, 1.0]
+        (dimension,), _ = result.to_array()
+        assert (dimension.start, dimension.step, dimension.stop) == (1, 1, 3)
+
     def test_aggregate_over_expression(self, conn):
         conn.execute("CREATE ARRAY a (x INT DIMENSION[0:1:3], v INT DEFAULT 2)")
         result = conn.execute(

@@ -12,6 +12,7 @@ from repro.apps.life import (
     numpy_life_step,
     place_pattern,
 )
+from tests.oracles import imaging as image_oracles
 
 
 class TestGameOfLifeSciQL:
@@ -149,11 +150,11 @@ class TestImagingScenario:
         processor = imaging.ImageProcessor(conn, "building")
         assert np.array_equal(
             imaging.result_to_image(processor.erode(2)),
-            imaging.reference_erode(image, 2),
+            image_oracles.reference_erode(image, 2),
         )
         assert np.array_equal(
             imaging.result_to_image(processor.dilate(3)),
-            imaging.reference_dilate(image, 3),
+            image_oracles.reference_dilate(image, 3),
         )
 
     def test_dilate_of_erode_is_opening(self, building):
@@ -166,21 +167,21 @@ class TestImagingScenario:
             imaging.ImageProcessor(conn, "opened").dilate(1)
         )
         # morphological opening never brightens a pixel
-        assert (opened <= imaging.reference_dilate(eroded, 1)).all()
+        assert (opened <= image_oracles.reference_dilate(eroded, 1)).all()
         assert (eroded <= image).all()
 
     def test_reduce_resolution(self, building):
         conn, image = building
         processor = imaging.ImageProcessor(conn, "building")
         assert np.allclose(
-            processor.reduce_resolution(2).grid(), imaging.reference_reduce(image, 2)
+            processor.reduce_resolution(2).grid(), image_oracles.reference_reduce(image, 2)
         )
 
     def test_reduce_resolution_factor_3(self, building):
         conn, image = building
         processor = imaging.ImageProcessor(conn, "building")
         assert np.allclose(
-            processor.reduce_resolution(3).grid(), imaging.reference_reduce(image, 3)
+            processor.reduce_resolution(3).grid(), image_oracles.reference_reduce(image, 3)
         )
 
     def test_rotate(self, building):

@@ -143,3 +143,28 @@ class TestRunTimeTyping:
         plan = plan_statement(Parser("SELECT NULL, k FROM t").parse_statement(), conn.catalog)
         assert [item.atom for item in plan.items] == [None, Atom.INT]
         assert conn.execute("SELECT NULL, k FROM t").columns[0].atom is Atom.INT
+
+
+class TestArithmeticAggregatesTakeNoStrings:
+    """SUM, AVG and PROD over VARCHAR: one binder rule, in every context."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT SUM(s) FROM t",
+            "SELECT AVG(s) FROM t",
+            "SELECT PROD(s) FROM t",
+            "SELECT k, AVG(s) FROM t GROUP BY k",
+            "SELECT k, SUM(s) FROM t GROUP BY k",
+            "SELECT [x], SUM(w) FROM a GROUP BY a[x:x+2]",
+        ],
+    )
+    def test_rejected_when_bound(self, sql):
+        connection = repro.connect()
+        connection.execute("CREATE TABLE t (k INT, s VARCHAR(8))")
+        connection.execute("INSERT INTO t VALUES (1, '1'), (1, '2')")
+        connection.execute("CREATE ARRAY a (x INT DIMENSION[0:1:2], w VARCHAR(8))")
+        with pytest.raises(repro.ProgrammingError, match="needs a numeric argument"):
+            connection.execute(sql)
+        rows = connection.execute("SELECT MIN(s), MAX(s), COUNT(s) FROM t").rows()
+        assert rows == [("1", "2", 2)]
