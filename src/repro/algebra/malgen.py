@@ -26,9 +26,10 @@ linear MAL program.  Conventions:
 * structural grouping lowers to ``array.tileagg`` per aggregate — a
   tile-size-independent separable kernel; no join is
   ever built (the whole point of the paper's Scenario I comparison).
-  Each tiling op carries a JSON tile-spec metadata constant so the
-  optimizer passes can compute halo extents and split the op into
-  fragment-parallel ``array.tilepart`` calls.  A cell reference
+  Each tiling op carries a :class:`~repro.core.tiling.Tile` as its
+  JSON metadata constant so the optimizer passes can compute halo
+  extents and split the op into fragment-parallel ``array.tilepart``
+  calls.  A cell reference
   ``A[x-1][y]`` to the scanned array's own cells at constant offsets
   is the one-cell tile (:meth:`MALGenerator._eval_cell_ref`); any
   other reference gathers through ``array.cellindex``;
@@ -44,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.core.tiling import lattice_shape
+from repro.core.tiling import Lattice, Tile, TileSpec, lattice_shape
 from repro.errors import SemanticError
 from repro.gdk.aggregate import aggregate_atom
 from repro.gdk.atoms import NUMERIC_ATOMS, Atom
@@ -198,14 +199,6 @@ def _keeps_cell_order(plan: nodes.InsertSelectPlan, array: Array, catalog: Catal
     )
 
 
-def _tile_meta(array: Array, offsets, **lattice: Any) -> str:
-    """The one canonical metadata constant of a tiling op: the
-    ``mergetable`` pass parses it to size halo fragments."""
-    return json.dumps(
-        {"shape": list(array.shape()), "offsets": [list(o) for o in offsets], **lattice}
-    )
-
-
 def _conjuncts(expression: Any) -> list[Any]:
     """The operands of a chain of ANDs, left to right."""
     if isinstance(expression, ast.BinaryOp) and expression.op == "AND":
@@ -258,7 +251,7 @@ def _dimension_lattice(
     return (lattice_step, first) if first < dimension.size else None
 
 
-def _anchor_lattice(node: nodes.TileProject, array: Array) -> Optional[list[list[int]]]:
+def _anchor_lattice(node: nodes.TileProject, array: Array) -> Optional[Lattice]:
     """Per dimension ``[m, r]`` when *node*'s HAVING keeps exactly the
     anchors of a lattice: every conjunct is ``d MOD m = r`` over a
     dimension ``d`` of the tiled array with integer literals, at most
@@ -284,12 +277,12 @@ def _anchor_lattice(node: nodes.TileProject, array: Array) -> Optional[list[list
         if found is None:
             return None
         lattice[term.left.column] = found
-    return [list(lattice.get(d.name, (1, 0))) for d in array.dimensions]
+    return tuple(lattice.get(d.name, (1, 0)) for d in array.dimensions)
 
 
 def _tile_lattice(
     node: nodes.TileProject, array: Array, own: bool
-) -> Optional[list[list[int]]]:
+) -> Optional[Lattice]:
     """The anchor lattice *node*'s HAVING keeps, when the items can be
     computed from the lattice anchors alone: they read no column but
     dimensions outside their aggregates, and over the array's own cells
@@ -850,17 +843,15 @@ class MALGenerator:
         array = self.catalog.get_array(node.array_name)
         own = _keeps_own_dimensions(node)
         lattice = _tile_lattice(node, array, own)
+        meta = Tile(array.shape(), node.spec, lattice, compact=lattice is not None and not own)
         if lattice is not None:
             # HAVING keeps a lattice of anchors: only those are tiled.
             # The array's own cells keep their shape, NULL off the
             # lattice; any other result is the lattice anchors' rows.
             if own:
-                meta = _tile_meta(array, node.spec.offsets, lattice=lattice)
                 return self._items(node.items, _TileContext(binding, meta), casts)
-            meta = _tile_meta(array, node.spec.offsets, lattice=lattice, compact=True)
-            anchors = _LatticeContext(self, binding, meta, array, lattice)
-            return self._items(node.items, anchors, casts)
-        tile = _TileContext(binding, _tile_meta(array, node.spec.offsets))
+            return self._items(node.items, _LatticeContext(self, binding, meta, array), casts)
+        tile = _TileContext(binding, meta)
         guard = None
         if node.having is not None and own:
             # The array itself: non-qualifying anchors stay in the
@@ -1260,9 +1251,10 @@ class MALGenerator:
                 self, (binding.cells_of[0], expression.attribute)
             )
             if any(offsets):
+                one_cell = TileSpec(tuple((o, o) for o in offsets))
                 attribute = self.program.emit1(
                     "array", "tileagg",
-                    [Var(attribute), "min", _tile_meta(array, [(o,) for o in offsets])],
+                    [Var(attribute), "min", Tile(array.shape(), one_cell).to_json()],
                     bat_type(expression.atom),
                 )
             return EvalResult(_BAT, Var(attribute), expression.atom)
@@ -1591,9 +1583,9 @@ class _TileContext:
     aggregates fold the anchor's tile via ``array.tileagg``.
     """
 
-    def __init__(self, binding: Binding, meta_json: str):
+    def __init__(self, binding: Binding, tile: Tile):
         self.binding = binding
-        self.meta_json = meta_json
+        self.meta_json = tile.to_json()
         #: aggregate call -> its result: ``SUM(v)`` written twice is one
         #: leaf, so the expressions around it are one node too.
         self.folded: dict[Any, EvalResult] = {}
@@ -1632,24 +1624,17 @@ class _LatticeContext(_TileContext):
     the series ``0, 1, 2, ..`` and no ``div`` runs.
     """
 
-    def __init__(
-        self,
-        generator: MALGenerator,
-        binding: Binding,
-        meta_json: str,
-        array: Array,
-        lattice: list[list[int]],
-    ):
-        super().__init__(binding, meta_json)
+    def __init__(self, generator: MALGenerator, binding: Binding, tile: Tile, array: Array):
+        super().__init__(binding, tile)
         self.generator = generator
-        kept = lattice_shape(array.shape(), lattice)
+        kept = lattice_shape(tile.shape, tile.lattice)
         #: dimension name -> (first value, value step, anchors, N, M)
         self.axes = {
             d.name: (
                 d.start + d.step * r, d.step * m, kept[axis],
                 math.prod(kept[axis + 1:]), math.prod(kept[:axis]),
             )
-            for axis, (d, (m, r)) in enumerate(zip(array.dimensions, lattice))
+            for axis, (d, (m, r)) in enumerate(zip(array.dimensions, tile.lattice))
         }
         self.first = array.dimensions[0]
         #: (dimension, first, step, atom) -> its series, emitted once

@@ -12,12 +12,11 @@ from repro.core.coercion import (
     infer_dimension_range,
     table_to_array_columns,
 )
-from repro.core.tiling import TileSpec, brute_force_tile_aggregate, tile_aggregate
+from repro.core.tiling import TileSpec, tile_aggregate
 
 __all__ = [
     "ArrayHandle",
     "TileSpec",
-    "brute_force_tile_aggregate",
     "cells_to_rows",
     "infer_dimension_range",
     "table_to_array_columns",

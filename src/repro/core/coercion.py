@@ -95,7 +95,8 @@ def table_to_array_columns(
     stays a hole either way, but they can no longer clobber a real
     value that shares the cell (e.g. HAVING-masked anchors after a
     dimension-scaling projection like ``[x/2]``).  They still count
-    when the dimensions are inferred.
+    when the dimensions are inferred.  Inferred from no row (and no
+    witnessed shape), every dimension is empty.
 
     The cost is O(rows) with no sort; rows that already are the cells
     in row-major order come back as they are, without a scatter, and
@@ -105,7 +106,11 @@ def table_to_array_columns(
     if dimensions is None:
         names = dimension_names or [f"dim_{i}" for i in range(len(coordinates))]
         if series is None and coordinates and len(coordinates[0]) == 0:
-            raise CoercionError(f"cannot infer dimension {names[0]!r} from no values")
+            # No row, and no witnesses that compose to a shape: every
+            # dimension is empty, at the start and step a witness stamps.
+            starts = [c.series or (0, 1) for c in coordinates]
+            dimensions = [_dimension(n, (w[0], w[1], 0)) for n, w in zip(names, starts)]
+            return dimensions, list(values)
         axes = series or infer_axes(coordinates)
         dimensions = [_dimension(name, axis) for name, axis in zip(names, axes)]
     else:

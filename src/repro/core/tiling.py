@@ -16,13 +16,15 @@ Two semantics from the paper drive this module:
   entirely of holes/out-of-range cells aggregates to NULL.
 
 The engine works on the dense cell order used for array storage
-(first-declared dimension varies slowest).  A *dense* spec (per
-dimension, a contiguous offset range) is separable: the window runs
-along one axis at a time, each pass reading the previous pass' buffer
-and accumulating in place (``ufunc(..., out=)``) into the other of two
-buffers.  The kernel of an axis depends on that axis' window width
-alone (``w`` cells, :data:`NARROW_WIDTH` = 6), never on the data, so
-halo fragments and whole-array runs always pick the same one:
+(first-declared dimension varies slowest).  A tile is a *box*: per
+dimension, an inclusive range ``(lo, hi)`` of rank offsets (Figure
+1(d,e) gives one contiguous range per dimension).  A box is separable:
+the window runs along one axis at a time, each pass reading the
+previous pass' buffer and accumulating in place (``ufunc(..., out=)``)
+into the other of two buffers.  The kernel of an axis depends on that
+axis' window width alone (``w = hi - lo + 1`` cells, :data:`NARROW_WIDTH`
+= 6), never on the data, so halo fragments and whole-array runs always
+pick the same one:
 
 ===========  ===================  ==================================  ===========
 axis width   aggregate            kernel, passes over the array       allocates
@@ -77,32 +79,34 @@ the kept rows alone — and every kept anchor is computed by the same
 operations in the same order as in the whole-array run, so the lattice
 result is byte-equal to the whole result read at the lattice anchors.
 
-*Sparse* specs (hand-built offset lists with gaps or repeats) keep the
-columnar equivalent of MonetDB's implementation: one shifted
-full-array pass per tile cell, ``O(|tile| · |array|)``.
-
 NULLs travel as explicit boolean masks end to end; no kernel widens
 integer payloads through NaN-tagged float64.
 
 :func:`tile_aggregate_fragment` computes one *halo fragment* of the
 result: anchors ``[start, stop)`` of the linear cell order (the same
 bounds ``mat.partition`` uses), evaluated over an input slab widened by
-the tile's dim-0 offset extent.  Because every in-bounds tile cell of
-the fragment's anchors lies inside the slab — and slab-edge clipping
-coincides with array-edge clipping for exactly those anchors — packing
-the fragments reproduces the sequential result byte for byte.
+the box's dim-0 range (:attr:`TileSpec.reach`).  Because every in-bounds
+tile cell of the fragment's anchors lies inside the slab — and slab-edge
+clipping coincides with array-edge clipping for exactly those anchors —
+packing the fragments reproduces the sequential result byte for byte.
+
+:class:`Tile` is what a tiling op computes — the array's shape, the
+box, and the anchor lattice it keeps — and the only encoder and decoder
+of the ops' JSON metadata constant ``{"shape": [...], "box": [[lo, hi],
+...]}`` (plus ``"lattice": [[m, r], ...]`` and ``"compact": true``).
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Any, Optional
 
 import numpy as np
 
-from repro.errors import DimensionError, GDKError
+from repro.errors import DimensionError, GDKError, MALError
 from repro.gdk.aggregate import _LNG_MAX, _LNG_MIN, _means, aggregate_atom
 from repro.gdk.atoms import Atom
 from repro.gdk.column import Column
@@ -124,57 +128,39 @@ NARROW_WIDTH = 6
 
 @dataclass(frozen=True)
 class TileSpec:
-    """A tile pattern: per dimension, the relative *rank* offsets.
+    """A tile pattern: a box, per dimension the inclusive range ``(lo,
+    hi)`` of relative *rank* offsets.
 
-    A range ``[x-1 : x+2]`` over a step-1 dimension becomes offsets
-    ``[-1, 0, 1]``.  For step-``s`` dimensions only multiples of ``s``
-    remain (other offsets can never hit a valid dimension value), and
-    offsets are expressed in ranks (dimension units divided by step).
+    A range ``[x-1 : x+2]`` over a step-1 dimension becomes ``(-1, 1)``.
+    For step-``s`` dimensions only multiples of ``s`` remain (other
+    offsets can never hit a valid dimension value), and offsets are
+    expressed in ranks (dimension units divided by step).
     """
 
-    offsets: tuple[tuple[int, ...], ...]
+    box: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.offsets:
+        if not self.box:
             raise DimensionError("tile needs at least one dimension")
-        for per_dim in self.offsets:
-            if not per_dim:
-                raise DimensionError("tile has an empty offset list")
-
-    @property
-    def ndim(self) -> int:
-        return len(self.offsets)
+        if any(lo > hi for lo, hi in self.box):
+            raise DimensionError(f"tile box {self.box} has an empty range")
 
     @property
     def cells_per_tile(self) -> int:
-        n = 1
-        for per_dim in self.offsets:
-            n *= len(per_dim)
-        return n
+        return math.prod(hi - lo + 1 for lo, hi in self.box)
 
-    def deltas(self) -> Iterator[tuple[int, ...]]:
-        """All relative cell positions (cross product of offsets)."""
-        return itertools.product(*self.offsets)
+    @property
+    def reach(self) -> tuple[int, int]:
+        """The dim-0 rows a fragment's slab adds before and after its
+        anchors' own rows: ``(-min(lo, 0), max(hi, 0))``."""
+        lo, hi = self.box[0]
+        return -min(lo, 0), max(hi, 0)
 
-    def dense_ranges(self) -> Optional[list[tuple[int, int]]]:
-        """Per-dimension ``(lo, hi)`` when every dimension's offsets form
-        a contiguous integer range — the precondition of the separable
-        prefix-sum / sliding-extrema kernels.  ``None`` for sparse specs
-        (hand-built offset lists with gaps), which keep the shifted-scan
-        path."""
-        out: list[tuple[int, int]] = []
-        for per_dim in self.offsets:
-            lo, hi = min(per_dim), max(per_dim)
-            if hi - lo + 1 != len(set(per_dim)) or len(set(per_dim)) != len(per_dim):
-                return None
-            out.append((lo, hi))
-        return out
-
-    def halo(self, dim: int = 0) -> tuple[int, int]:
-        """Offset extent ``(lo, hi)`` of one dimension — the halo a
-        fragment must widen its slab by along that axis."""
-        per_dim = self.offsets[dim]
-        return min(per_dim), max(per_dim)
+    @property
+    def halo(self) -> int:
+        """The dim-0 halo, ``max(hi, 0) - min(lo, 0)`` rows: a one-cell
+        tile off the anchor's row still widens its slab by one."""
+        return sum(self.reach)
 
     @classmethod
     def from_ranges(
@@ -184,24 +170,23 @@ class TileSpec:
 
         ``ranges[i] = (lo, hi)`` covers dimension-unit offsets
         ``lo .. hi-1`` relative to the anchor, mirroring the surface
-        syntax ``A[x+lo : x+hi]``.
+        syntax ``A[x+lo : x+hi]``; its box keeps the ranks of the
+        multiples of the dimension's step among them.
         """
         steps = steps or [1] * len(ranges)
         if len(steps) != len(ranges):
             raise DimensionError("ranges/steps length mismatch")
-        per_dim: list[tuple[int, ...]] = []
+        box: list[tuple[int, int]] = []
         for (lo, hi), step in zip(ranges, steps):
             if hi <= lo:
                 raise DimensionError(f"empty tile range [{lo}, {hi})")
-            ranks = tuple(
-                delta // step for delta in range(lo, hi) if delta % step == 0
-            )
-            if not ranks:
+            first, last = -(-lo // step), (hi - 1) // step
+            if first > last:
                 raise DimensionError(
                     f"tile range [{lo}, {hi}) hits no valid value of a step-{step} dimension"
                 )
-            per_dim.append(ranks)
-        return cls(tuple(per_dim))
+            box.append((first, last))
+        return cls(tuple(box))
 
 
 def _axis_slice(axis: int, start: int, stop: Optional[int], step: int = 1) -> tuple:
@@ -213,11 +198,6 @@ def _axis_slice(axis: int, start: int, stop: Optional[int], step: int = 1) -> tu
 def lattice_shape(shape: tuple[int, ...], lattice: Lattice) -> tuple[int, ...]:
     """Per axis, how many anchors of *lattice* the array has."""
     return tuple(len(range(r, size, m)) for size, (m, r) in zip(shape, lattice))
-
-
-def _lattice_index(lattice: Lattice) -> tuple:
-    """Index selecting the lattice anchors of a grid."""
-    return tuple(slice(r, None, m) for m, r in lattice)
 
 
 def _lattice_ranks(first: int, stop: int, step: int, residue: int, count: int):
@@ -234,66 +214,22 @@ def _strided(axis: int, a: int, b: int, step: int, offset: int) -> tuple:
     return _axis_slice(axis, offset + a * step, offset + (b - 1) * step + 1, step)
 
 
-def _shift_slices(shape, deltas):
-    """(src, dst) slice tuples realising a clipped shift; None if empty."""
-    src: list[slice] = []
-    dst: list[slice] = []
-    for size, delta in zip(shape, deltas):
-        if delta >= 0:
-            if delta >= size:
-                return None
-            src.append(slice(delta, size))
-            dst.append(slice(0, size - delta))
-        else:
-            if -delta >= size:
-                return None
-            src.append(slice(0, size + delta))
-            dst.append(slice(-delta, size))
-    return tuple(src), tuple(dst)
-
-
-def _shift_masked(
-    grid: np.ndarray, valid: np.ndarray, deltas: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dtype-preserving shift: (shifted values, shifted validity).
-
-    Cells whose source falls outside the array come back invalid; the
-    payload dtype is never widened."""
-    out = np.zeros_like(grid)
-    ok = np.zeros(grid.shape, dtype=np.bool_)
-    window = _shift_slices(grid.shape, deltas)
-    if window is not None:
-        src, dst = window
-        out[dst] = grid[src]
-        ok[dst] = valid[src]
-    return out, ok
-
-
 def _axis_counts(
     shape: tuple[int, ...], spec: TileSpec, lattice: Optional[Lattice] = None
 ) -> list[np.ndarray]:
     """Per axis, how many of that axis' offsets land inside the array for
-    each anchor rank (closed form for contiguous offset ranges, one pass
-    per offset otherwise), at the *lattice* anchors only when given.
-    The tile is a cross product of per-dimension offset lists, so an
-    anchor's in-bounds cell count is the product of its per-axis
-    entries."""
+    each anchor rank, at the *lattice* anchors only when given.  The
+    tile is a box, so an anchor's in-bounds cell count is the product of
+    its per-axis entries."""
     counts: list[np.ndarray] = []
-    for axis, (size, per_dim) in enumerate(zip(shape, spec.offsets)):
+    for axis, (size, (lo, hi)) in enumerate(zip(shape, spec.box)):
         positions = np.arange(size, dtype=np.int64)
-        lo, hi = min(per_dim), max(per_dim)
-        if hi - lo + 1 == len(set(per_dim)) == len(per_dim):
-            clipped_hi = np.minimum(positions + hi, size - 1)
-            clipped_lo = np.maximum(positions + lo, 0)
-            axis_count = np.maximum(clipped_hi - clipped_lo + 1, 0)
-        else:
-            axis_count = np.zeros(size, dtype=np.int64)
-            for delta in per_dim:
-                axis_count += (positions + delta >= 0) & (positions + delta < size)
         if lattice is not None:
             step, residue = lattice[axis]
-            axis_count = axis_count[residue::step]
-        counts.append(axis_count)
+            positions = positions[residue::step]
+        clipped_hi = np.minimum(positions + hi, size - 1)
+        clipped_lo = np.maximum(positions + lo, 0)
+        counts.append(np.maximum(clipped_hi - clipped_lo + 1, 0))
     return counts
 
 
@@ -317,7 +253,7 @@ def in_bounds_count(
 
 
 # ----------------------------------------------------------------------
-# separable per-axis kernels (dense rectangular specs)
+# separable per-axis kernels
 # ----------------------------------------------------------------------
 def _shifted_axis(
     src: np.ndarray,
@@ -547,7 +483,7 @@ def _validate(values: Column, shape: tuple[int, ...], spec: TileSpec, aggregate:
         raise DimensionError(
             f"values length {len(values)} != cell count {cell_count}"
         )
-    if spec.ndim != len(shape):
+    if len(spec.box) != len(shape):
         raise DimensionError("tile dimensionality differs from array")
 
 
@@ -601,7 +537,7 @@ def _finalize(
     counts: Optional[np.ndarray],
     axis_counts: Optional[list[np.ndarray]] = None,
 ) -> Column:
-    """Shared epilogue: NULL anchors (no contributing cell), atom choice.
+    """The epilogue: NULL anchors (no contributing cell), atom choice.
 
     The per-anchor cell counts come as a grid (*counts*) or, when no
     cell is NULL, as the per-axis vectors whose product they are."""
@@ -643,65 +579,6 @@ def _finalize(
     return Column(out_atom, result.reshape(-1), mask)
 
 
-def _dense_tile_aggregate(
-    cells: np.ndarray,
-    valid: Optional[np.ndarray],
-    ranges: list[tuple[int, int]],
-    spec: TileSpec,
-    aggregate: str,
-    input_atom: Atom,
-    lattice: Optional[Lattice],
-) -> Column:
-    """Separable per-axis passes: O(|array| · ndim) for any tile size."""
-    terms = spec.cells_per_tile
-    if valid is None:
-        counts, axis_counts = None, _axis_counts(cells.shape, spec, lattice)
-    else:
-        axis_counts = None
-        counts = _separable(
-            valid, False, ranges, np.add, 0, _sum_dtype(valid, terms), lattice
-        )
-    if aggregate == "count":
-        if counts is None:
-            counts = _outer(axis_counts, np.int64)
-        return Column(Atom.LNG, counts.reshape(-1))
-    op, ident, dtype = _fold_plan(cells, aggregate, terms)
-    src, owned = cells, False
-    if valid is not None:
-        src, owned = np.full(cells.shape, ident, dtype=dtype), True
-        np.copyto(src, cells, where=valid)
-    acc = _separable(src, owned, ranges, op, ident, dtype, lattice)
-    return _finalize(acc, aggregate, input_atom, counts, axis_counts)
-
-
-def _scan_tile_aggregate(
-    cells: np.ndarray,
-    valid: Optional[np.ndarray],
-    spec: TileSpec,
-    aggregate: str,
-    input_atom: Atom,
-) -> Column:
-    """One shifted pass per tile cell — O(|tile| · |array|), for sparse
-    specs.  The vectorized sibling of :func:`brute_force_tile_aggregate`,
-    with the dense kernels' accumulator rule."""
-    if valid is None:
-        valid = np.ones(cells.shape, dtype=np.bool_)
-    counts = np.zeros(cells.shape, dtype=np.int64)
-    if aggregate == "count":
-        for deltas in spec.deltas():
-            counts += _shift_masked(valid, valid, deltas)[1]
-        return Column(Atom.LNG, counts.reshape(-1))
-    op, ident, dtype = _fold_plan(cells, aggregate, spec.cells_per_tile)
-    cells = cells.astype(dtype, copy=False)
-    acc = np.full(cells.shape, ident, dtype=dtype)
-    for deltas in spec.deltas():
-        layer, ok = _shift_masked(cells, valid, deltas)
-        counts += ok
-        layer[~ok] = ident
-        op(acc, layer, out=acc)
-    return _finalize(acc, aggregate, input_atom, counts)
-
-
 def tile_aggregate(
     values: Column,
     shape: tuple[int, ...],
@@ -718,10 +595,9 @@ def tile_aggregate(
     per lattice anchor, in cell order: the whole result read at those
     anchors, byte for byte.
 
-    ``count_star`` is computed analytically from the shape alone; dense
-    rectangular specs run the separable per-axis kernels of the module
-    docstring, O(|array|) for any tile size; sparse specs fall back to
-    one shifted pass per tile cell.
+    ``count_star`` is computed analytically from the shape alone; every
+    other aggregate runs the separable per-axis kernels of the module
+    docstring, O(|array| · ndim) for any tile size.
     """
     aggregate = aggregate.lower()
     _validate(values, shape, spec, aggregate)
@@ -730,22 +606,31 @@ def tile_aggregate(
     if aggregate == "count_star":
         return Column(Atom.LNG, in_bounds_count(shape, spec, lattice).reshape(-1))
     cells, valid = _numeric_grid(values, shape)
-    ranges = spec.dense_ranges()
-    if ranges is not None:
-        return _dense_tile_aggregate(
-            cells, valid, ranges, spec, aggregate, values.atom, lattice
+    terms = spec.cells_per_tile
+    if valid is None:
+        counts, axis_counts = None, _axis_counts(cells.shape, spec, lattice)
+    else:
+        axis_counts = None
+        counts = _separable(
+            valid, False, spec.box, np.add, 0, _sum_dtype(valid, terms), lattice
         )
-    whole = _scan_tile_aggregate(cells, valid, spec, aggregate, values.atom)
-    if lattice is None:
-        return whole
-    anchors = np.arange(len(values)).reshape(shape)
-    return whole.take(anchors[_lattice_index(lattice)].reshape(-1))
+    if aggregate == "count":
+        if counts is None:
+            counts = _outer(axis_counts, np.int64)
+        return Column(Atom.LNG, counts.reshape(-1))
+    op, ident, dtype = _fold_plan(cells, aggregate, terms)
+    src, owned = cells, False
+    if valid is not None:
+        src, owned = np.full(cells.shape, ident, dtype=dtype), True
+        np.copyto(src, cells, where=valid)
+    acc = _separable(src, owned, spec.box, op, ident, dtype, lattice)
+    return _finalize(acc, aggregate, values.atom, counts, axis_counts)
 
 
 def lattice_cells(compact: Column, shape: tuple[int, ...], lattice: Lattice) -> Column:
     """A lattice result spread over the whole array: each lattice anchor
     at its own cell, NULL (zero payload) everywhere else."""
-    window = _lattice_index(lattice)
+    window = tuple(slice(r, None, m) for m, r in lattice)
     kept = lattice_shape(shape, lattice)
     values = np.zeros(shape, dtype=compact.values.dtype)
     values[window] = compact.values.reshape(kept)
@@ -773,8 +658,8 @@ def tile_fragment_bounds(
     """Dim-0 slab ``[slab_lo, slab_hi)`` covering anchors ``[start, stop)``
     plus their halo.
 
-    The slab holds whole dim-0 rows, widened by the tile's dim-0 offset
-    extent and clipped to the array.  Every in-bounds tile cell of the
+    The slab holds whole dim-0 rows, widened by the box's dim-0
+    :attr:`~TileSpec.reach` and clipped to the array.  Every in-bounds tile cell of the
     fragment's anchors lies inside the slab, and slab-edge clipping
     coincides with array-edge clipping for those anchors — so the
     fragment result equals the matching slice of the whole-array result
@@ -783,10 +668,8 @@ def tile_fragment_bounds(
     stride0 = cells // shape[0]
     row_lo = start // stride0
     row_hi = (stop - 1) // stride0
-    lo0, hi0 = spec.halo(0)
-    slab_lo = max(0, row_lo + min(lo0, 0))
-    slab_hi = min(shape[0], row_hi + max(hi0, 0) + 1)
-    return slab_lo, slab_hi
+    before, after = spec.reach
+    return max(0, row_lo - before), min(shape[0], row_hi + after + 1)
 
 
 def tile_aggregate_fragment(
@@ -820,73 +703,78 @@ def tile_aggregate_fragment(
     return whole.slice(offset, offset + (stop - start))
 
 
-def tile_members(
-    shape: tuple[int, ...], spec: TileSpec, anchor_rank: tuple[int, ...]
-) -> list[int]:
-    """Linear cell positions of one anchor's tile (reference/brute force).
+# ----------------------------------------------------------------------
+# the tiling ops' metadata
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Tile:
+    """What one ``array.tileagg``/``array.tilepart`` computes: the
+    anchors of an array of *shape* fold the box *spec*; a *lattice*
+    keeps only its anchors, one row each when *compact*, otherwise at
+    their own cells with NULL everywhere else.
 
-    Used by tests and by EXPLAIN-style introspection; the production
-    path never materialises groups.
+    :meth:`to_json` and :meth:`from_json` are the metadata constant's
+    one encoder and one decoder.
     """
-    if len(anchor_rank) != len(shape):
-        raise DimensionError("anchor dimensionality differs from array")
-    strides: list[int] = []
-    acc = 1
-    for size in reversed(shape):
-        strides.append(acc)
-        acc *= size
-    strides.reverse()
-    members: list[int] = []
-    for deltas in spec.deltas():
-        position = 0
-        valid = True
-        for rank, delta, size, stride in zip(anchor_rank, deltas, shape, strides):
-            target = rank + delta
-            if target < 0 or target >= size:
-                valid = False
-                break
-            position += target * stride
-        if valid:
-            members.append(position)
-    return members
+
+    shape: tuple[int, ...]
+    spec: TileSpec
+    lattice: Optional[Lattice] = None
+    compact: bool = False
+
+    def to_json(self) -> str:
+        meta: dict[str, Any] = {"shape": list(self.shape), "box": [list(b) for b in self.spec.box]}
+        if self.lattice is not None:
+            meta["lattice"] = [list(p) for p in self.lattice]
+        if self.compact:
+            meta["compact"] = True
+        return json.dumps(meta)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=1024)
+    def from_json(text: str) -> "Tile":
+        """Decode a metadata constant, memoised (prepared plans run the
+        same one every time); :class:`MALError` when it is malformed."""
+
+        def malformed(why: str) -> MALError:
+            return MALError(f"tile metadata {text!r}: {why}")
+
+        def pairs(key: str) -> tuple[tuple[int, int], ...]:
+            value = meta[key]
+            if not isinstance(value, list) or len(value) != len(shape) or not all(
+                _ints(pair, 2) for pair in value
+            ):
+                raise malformed(f"{key} needs one integer pair per dimension")
+            return tuple(map(tuple, value))
+
+        try:
+            meta = json.loads(text)
+        except (TypeError, ValueError):
+            raise malformed("not JSON") from None
+        if not isinstance(meta, dict) or not {"shape", "box"} <= meta.keys() <= _TILE_KEYS:
+            raise malformed("needs shape and box, and nothing but lattice and compact")
+        shape = meta["shape"]
+        if not _ints(shape) or not shape or min(shape) < 0:
+            raise malformed("shape is not a list of sizes")
+        box = pairs("box")
+        if any(lo > hi for lo, hi in box):
+            raise malformed("a box range has lo > hi")
+        lattice = pairs("lattice") if "lattice" in meta else None
+        if lattice is not None and not all(0 <= r < m for m, r in lattice):
+            raise malformed("a lattice pair (m, r) needs 0 <= r < m")
+        compact = meta.get("compact", False)
+        if compact is not False and (compact is not True or lattice is None):
+            raise malformed("compact is true, and only with a lattice")
+        return Tile(tuple(shape), TileSpec(box), lattice, compact)
 
 
-def brute_force_tile_aggregate(
-    values: Column, shape: tuple[int, ...], spec: TileSpec, aggregate: str
-) -> list:
-    """O(anchors × tile) reference implementation for property tests.
+_TILE_KEYS = {"shape", "box", "lattice", "compact"}
 
-    It pins the kernels' integer rule: a ``sum`` or ``prod`` that does
-    not fit ``lng`` is NULL.
-    """
-    data = values.to_pylist()
-    integral = values.atom is not Atom.DBL
-    out: list = []
-    for anchor in itertools.product(*(range(size) for size in shape)):
-        members = tile_members(shape, spec, anchor)
-        cell_values = [data[m] for m in members if data[m] is not None]
-        if aggregate == "count_star":
-            out.append(len(members))
-        elif aggregate == "count":
-            out.append(len(cell_values))
-        elif not cell_values:
-            out.append(None)
-        elif aggregate == "sum":
-            total = sum(cell_values)
-            fits = not integral or _LNG_MIN <= total <= _LNG_MAX
-            out.append(total if fits else None)
-        elif aggregate == "avg":
-            out.append(sum(cell_values) / len(cell_values))
-        elif aggregate == "min":
-            out.append(min(cell_values))
-        elif aggregate == "max":
-            out.append(max(cell_values))
-        elif aggregate == "prod":
-            product = 1
-            for value in cell_values:
-                product *= value
-            fits = not integral or _LNG_MIN <= product <= _LNG_MAX
-            out.append(product if fits else None)
-        else:
-            raise GDKError(f"unsupported aggregate {aggregate!r}")
-    return out
+
+def _ints(value: Any, length: Optional[int] = None) -> bool:
+    """Is *value* a list of integers (of *length*, when given)?"""
+    return (
+        isinstance(value, list)
+        and all(type(v) is int for v in value)
+        and length in (None, len(value))
+    )

@@ -12,9 +12,11 @@ the kernels silently assume:
 * instructions never mix two different fragments of the same source
   (a candidate chain of selects must stay within one fragment's
   bounds);
-* ``array.tilepart`` halo slabs carry a sane index/pieces pair and
-  parseable tile metadata: one non-empty offset list per dimension (a
-  one-cell tile included) whose dim-0 halo fits inside the array.
+* every ``array.tileagg``/``array.tilepart`` carries tile metadata that
+  :meth:`~repro.core.tiling.Tile.from_json` decodes; a ``tilepart``
+  halo slab also carries a sane index/pieces pair, no anchor lattice,
+  and a dim-0 halo that fits inside the array (a ``tileagg`` may be
+  wider than its array).
 
 Provenance is tracked as a set of ``(source, index)`` fragment tags per
 variable: ``mat.partition`` seeds a tag, element-wise/select/join ops
@@ -25,9 +27,10 @@ clear them.
 
 from __future__ import annotations
 
-import json
 from typing import Callable
 
+from repro.core.tiling import Tile
+from repro.errors import MALError
 from repro.mal.program import Constant, Instruction, Var
 
 #: ops that legitimately combine several fragments of one source.
@@ -70,8 +73,8 @@ class FragmentState:
             self._observe_reassembly(instruction)
         if (module, function) == ("mat", "packgroups"):
             self._observe_packgroups(instruction)
-        if (module, function) == ("array", "tilepart"):
-            self._observe_tilepart(instruction)
+        if (module, function) in (("array", "tileagg"), ("array", "tilepart")):
+            self._observe_tile(instruction)
         self._propagate(instruction)
 
     def _observe_partition(self, instruction: Instruction) -> None:
@@ -169,12 +172,22 @@ class FragmentState:
                 f"{len(instruction.args) - 1} trailing args (want {2 * count})"
             )
 
-    def _observe_tilepart(self, instruction: Instruction) -> None:
+    def _observe_tile(self, instruction: Instruction) -> None:
+        op = f"array.{instruction.function}"
+        meta_arg = instruction.args[2] if len(instruction.args) > 2 else None
+        if not isinstance(meta_arg, Constant) or not isinstance(meta_arg.value, str):
+            self._fail(f"{op} tile metadata must be a JSON constant")
+        try:
+            tile = Tile.from_json(meta_arg.value)
+        except MALError as exc:
+            self._fail(f"{op}: {exc}")
+        if instruction.function == "tileagg":
+            return
         if len(instruction.args) != 5:
             self._fail("array.tilepart expects (values, aggregate, meta, i, n)")
-        _, _, meta_arg, index_arg, pieces_arg = instruction.args
-        index = index_arg.value if isinstance(index_arg, Constant) else None
-        pieces = pieces_arg.value if isinstance(pieces_arg, Constant) else None
+        index, pieces = (
+            arg.value if isinstance(arg, Constant) else None for arg in instruction.args[3:]
+        )
         if not isinstance(index, int) or not isinstance(pieces, int):
             self._fail("array.tilepart index/pieces must be integer constants")
         if pieces < 1 or not 0 <= index < pieces:
@@ -182,35 +195,13 @@ class FragmentState:
                 f"array.tilepart slab {index} outside its group of {pieces} — "
                 "the halo slab would fall outside the heap"
             )
-        if not isinstance(meta_arg, Constant) or not isinstance(meta_arg.value, str):
-            self._fail("array.tilepart tile metadata must be a JSON constant")
-        try:
-            meta = json.loads(meta_arg.value)
-        except ValueError:
-            self._fail("array.tilepart tile metadata is not valid JSON")
-            return
-        if not isinstance(meta, dict) or "shape" not in meta or "offsets" not in meta:
-            self._fail("array.tilepart tile metadata lacks shape/offsets")
-        shape, offsets = meta["shape"], meta["offsets"]
-        if (
-            not isinstance(shape, list)
-            or not shape
-            or not isinstance(offsets, list)
-            or len(offsets) != len(shape)
-            or not all(isinstance(per_dim, list) and per_dim for per_dim in offsets)
-        ):
+        if tile.lattice is not None:
+            self._fail("array.tilepart fragments no anchor lattice")
+        # Past the whole array there is nothing left to fragment.
+        if tile.spec.halo > tile.shape[0]:
             self._fail(
-                "array.tilepart needs one non-empty offset list per dimension "
-                "(a single offset is a one-cell tile)"
-            )
-        # The slab of a fragment is its own dim-0 rows plus the offset
-        # extent, the anchor's row included; past the whole array there
-        # is nothing left to fragment.
-        halo = max(max(offsets[0]), 0) - min(min(offsets[0]), 0)
-        if halo > shape[0]:
-            self._fail(
-                f"array.tilepart halo of {halo} rows exceeds the array's "
-                f"{shape[0]} — the slab would be the whole heap for every fragment"
+                f"array.tilepart halo of {tile.spec.halo} rows exceeds the array's "
+                f"{tile.shape[0]} — the slab would be the whole heap for every fragment"
             )
 
     def _propagate(self, instruction: Instruction) -> None:

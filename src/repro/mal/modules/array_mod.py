@@ -16,27 +16,26 @@ halo-fragment sibling ``array.tilepart``) and the coordinate → cell oid
 mapping behind relative cell access such as ``A[x-1][y]``
 (``array.cellindex``).
 
-Tiling ops carry one JSON metadata constant ``{"shape": [...],
-"offsets": [[...], ...]}`` — the tile spec the optimizer passes read to
-compute halo extents and fragment viability.  A ``tileagg`` whose HAVING
-keeps an anchor lattice (``x MOD 2 = 0``) also carries ``"lattice":
-[[m, r], ...]``, per dimension the anchors of rank ``r + k·m``, and
-``"compact": true`` when its rows are those anchors alone (the result's
-dimensions are then ``array.series`` of the lattice values, with the
-series' atom as a sixth argument).
+Tiling ops carry one JSON metadata constant, a
+:class:`~repro.core.tiling.Tile` (its one encoder and decoder): the
+array's shape, the tile's box (per dimension, an inclusive rank range
+``[lo, hi]``), and for a ``tileagg`` whose HAVING keeps an anchor
+lattice (``x MOD 2 = 0``) that lattice, compact when its rows are those
+anchors alone (the result's dimensions are then ``array.series`` of the
+lattice values, with the series' atom as a sixth argument).
 
-A tile with ONE offset per dimension is a constant shift of the value
-BAT, and that is how malgen lowers a cell reference to the scanned
-array itself whose every index is its own unrestricted dimension plus
-or minus a constant: ``img[x-1][y]`` is ``array.tileagg(v, "min",
-{"shape": .., "offsets": [[-1], [0]]})`` — the one cell where it
-exists, NULL where it is a hole or outside the array, exactly what
-``algebra.projectionsafe`` answers for ``array.cellindex``'s -1 (all
-offsets zero is the attribute BAT itself, and no op at all).  Being a
-``tileagg`` it fragments into halo ``tilepart`` calls in the scan's
-row space like any other tile; every other shape of cell reference
-(computed offsets, another array, non-numeric attributes, restricted
-scans) takes ``array.cellindex`` plus the gather.
+A one-cell box is a constant shift of the value BAT, and that is how
+malgen lowers a cell reference to the scanned array itself whose every
+index is its own unrestricted dimension plus or minus a constant:
+``img[x-1][y]`` is ``array.tileagg(v, "min", {"shape": .., "box":
+[[-1, -1], [0, 0]]})`` — the one cell where it exists, NULL where it is
+a hole or outside the array, exactly what ``algebra.projectionsafe``
+answers for ``array.cellindex``'s -1 (all offsets zero is the attribute
+BAT itself, and no op at all).  Being a ``tileagg`` it fragments into
+halo ``tilepart`` calls in the scan's row space like any other tile;
+every other shape of cell reference (computed offsets, another array,
+non-numeric attributes, restricted scans) takes ``array.cellindex``
+plus the gather.
 
 ``array.cellindex`` also takes one *scalar* per dimension: that is how
 a predicate pinning every dimension of a scanned array (``WHERE x = ?
@@ -49,7 +48,6 @@ a NULL, non-integral, off-step or out-of-range value names none.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 import numpy as np
@@ -59,12 +57,7 @@ from repro.gdk.atoms import Atom, atom_for_python, comparand
 from repro.gdk.bat import BAT, partition_bounds
 from repro.gdk.cells import cell_position, cell_positions, series_column
 from repro.gdk.column import Column
-from repro.core.tiling import (
-    TileSpec,
-    lattice_cells,
-    tile_aggregate,
-    tile_aggregate_fragment,
-)
+from repro.core.tiling import Tile, lattice_cells, tile_aggregate, tile_aggregate_fragment
 from repro.mal.modules import cached_loads, mal_op
 
 
@@ -91,32 +84,21 @@ def _series(ctx, start, step, stop, inner, outer, atom=None):
     )
 
 
-def _tile_meta(meta_json: str) -> tuple[tuple[int, ...], TileSpec]:
-    """Decode the tile metadata constant malgen puts on tiling ops."""
-    meta = cached_loads(meta_json)
-    shape = tuple(meta["shape"])
-    spec = TileSpec(tuple(tuple(per_dim) for per_dim in meta["offsets"]))
-    return shape, spec
-
-
 @mal_op("array", "tileagg", sig="bat, str, json -> bat")
 def _tileagg(ctx, values: BAT, aggregate: str, meta_json: str):
     """Aggregate every anchor's tile over a cell-aligned value BAT.
 
-    ``meta_json`` holds the dimension sizes (``shape``) and the tile
-    pattern's per-dimension rank offsets (``offsets``); a ``lattice``
-    keeps only the anchors it names, one row each (``compact``) or at
-    their own cells with NULL everywhere else.
+    ``meta_json`` encodes a :class:`~repro.core.tiling.Tile`; its
+    lattice keeps only the anchors it names, one row each (compact) or
+    at their own cells with NULL everywhere else.
     """
     if not isinstance(values, BAT):
         raise MALError("array.tileagg expects a BAT of cell values")
-    shape, spec = _tile_meta(meta_json)
-    meta = cached_loads(meta_json)
-    if "lattice" not in meta:
-        return BAT(tile_aggregate(values.tail, shape, spec, aggregate))
-    lattice = tuple(map(tuple, meta["lattice"]))
-    result = tile_aggregate(values.tail, shape, spec, aggregate, lattice)
-    return BAT(result if meta.get("compact") else lattice_cells(result, shape, lattice))
+    tile = Tile.from_json(meta_json)
+    result = tile_aggregate(values.tail, tile.shape, tile.spec, aggregate, tile.lattice)
+    if tile.lattice is not None and not tile.compact:
+        result = lattice_cells(result, tile.shape, tile.lattice)
+    return BAT(result)
 
 
 @mal_op("array", "tilepart", sig="bat, str, json, int, int -> bat")
@@ -133,10 +115,12 @@ def _tilepart(ctx, values: BAT, aggregate: str, meta_json: str, index, pieces):
     """
     if not isinstance(values, BAT):
         raise MALError("array.tilepart expects a BAT of cell values")
-    shape, spec = _tile_meta(meta_json)
+    tile = Tile.from_json(meta_json)
+    if tile.lattice is not None:
+        raise MALError("array.tilepart fragments no anchor lattice")
     start, stop = partition_bounds(len(values), int(index), int(pieces))
     fragment = tile_aggregate_fragment(
-        values.tail, shape, spec, aggregate, start, stop
+        values.tail, tile.shape, tile.spec, aggregate, start, stop
     )
     return BAT(fragment, hseqbase=values.hseqbase + start)
 

@@ -64,11 +64,11 @@ fragmented plan returns *byte-identical* results to the sequential one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from repro.core.tiling import Tile
 from repro.errors import CatalogError
 from repro.gdk.atoms import Atom
 from repro.mal.program import (
@@ -154,14 +154,13 @@ def halo_caps(program: MALProgram) -> dict[int, int]:
     """The halo rule: fragment caps per cell count, from the tiling ops.
 
     An ``array.tileagg`` runs as halo fragments (``array.tilepart``),
-    each reading its own dim-0 rows plus the tile's dim-0 offset extent
-    (the anchor's own row included, so the one-cell tile ``[[-1], [0]]``
-    widens its slab by one row).  To keep that duplicated halo from
-    dominating a slab, a source of ``rows0`` dim-0 rows splits at most
-    ``max(1, rows0 // (HALO_ROWS_FACTOR * (halo + 1)))`` ways.  Caps are
-    keyed by the tiled array's cell count, which is the row count of
-    every bind of that array, so exactly the cell-aligned sources are
-    capped and every other scan keeps full fragmentation.
+    each reading its own dim-0 rows plus the box's dim-0
+    :attr:`~repro.core.tiling.TileSpec.halo`.  To keep that duplicated
+    halo from dominating a slab, a source of ``rows0`` dim-0 rows splits
+    at most ``max(1, rows0 // (HALO_ROWS_FACTOR * (halo + 1)))`` ways.
+    Caps are keyed by the tiled array's cell count, which is the row
+    count of every bind of that array, so exactly the cell-aligned
+    sources are capped and every other scan keeps full fragmentation.
     """
     caps: dict[int, int] = {}
     for instruction in program.instructions:
@@ -170,19 +169,10 @@ def halo_caps(program: MALProgram) -> dict[int, int]:
         meta = instruction.args[2] if len(instruction.args) > 2 else None
         if not isinstance(meta, Constant) or not isinstance(meta.value, str):
             continue
-        try:
-            spec = json.loads(meta.value)
-            if "lattice" in spec:
-                continue  # runs whole: see _tileagg
-            shape = [int(s) for s in spec["shape"]]
-            offsets0 = [int(o) for o in spec["offsets"][0]]
-            halo = max(max(offsets0), 0) - min(min(offsets0), 0)
-            rows0 = shape[0]
-        except (ValueError, KeyError, IndexError, TypeError):
-            continue
-        cells = math.prod(shape)
-        if cells > 0:
-            cap = max(1, rows0 // (HALO_ROWS_FACTOR * (halo + 1)))
+        tile = Tile.from_json(meta.value)
+        cells = math.prod(tile.shape)
+        if tile.lattice is None and cells > 0:  # a lattice runs whole: see _tileagg
+            cap = max(1, tile.shape[0] // (HALO_ROWS_FACTOR * (tile.spec.halo + 1)))
             caps[cells] = min(caps.get(cells, cap), cap)
     return caps
 
@@ -643,7 +633,7 @@ class _Mergetable:
         if not isinstance(agg_arg, Constant) or not isinstance(agg_arg.value, str):
             return False
         meta = meta_arg.value if isinstance(meta_arg, Constant) else None
-        if not isinstance(meta, str) or "lattice" in json.loads(meta):
+        if not isinstance(meta, str) or Tile.from_json(meta).lattice is not None:
             return False
         aggregate = agg_arg.value.lower()
         if aggregate not in TILE_EXACT:

@@ -77,7 +77,7 @@ class TestPlanShapes:
             "SELECT [x], [y], SUM(v) FROM m GROUP BY m[x:x+2][y:y+2]", catalog
         )
         assert isinstance(query.root, nodes.TileProject)
-        assert query.root.spec.offsets == ((0, 1), (0, 1))
+        assert query.root.spec.box == ((0, 1), (0, 1))
         assert query.result_kind == "array"
 
     def test_tile_with_alias(self, catalog):

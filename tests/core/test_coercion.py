@@ -196,11 +196,12 @@ class TestAllNullRowsCompact:
         )
         assert dense[0].to_pylist() == [1.5] * 6
 
-    def test_an_empty_result_still_raises(self):
+    def test_an_empty_result_has_empty_dimensions(self):
         coords = [Column.from_pylist(Atom.INT, [])]
         values = [Column.from_pylist(Atom.INT, [])]
-        with pytest.raises(CoercionError):
-            table_to_array_columns(coords, values, skip_all_null_rows=True)
+        dims, dense = table_to_array_columns(coords, values, skip_all_null_rows=True)
+        assert [(d.start, d.step, d.size) for d in dims] == [(0, 1, 0)]
+        assert dense[0].to_pylist() == [] and dense[0].atom is Atom.INT
 
 
 class TestCellsToRows:

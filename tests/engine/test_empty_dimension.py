@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.coercion import table_to_array_columns
+from repro.gdk.atoms import Atom
+from repro.gdk.cells import series_column
+from repro.gdk.column import Column
 
 SHAPES = {
     "2d-inner-empty": ("x INT DIMENSION[0:1:3], y INT DIMENSION[0:1:0]", (3, 0)),
@@ -76,3 +80,41 @@ def test_a_one_dimensional_empty_array_has_an_empty_grid(conn):
     grid = conn.execute("SELECT [x], v FROM a").grid()
     assert grid.shape == (0,)
     assert np.array_equal(grid, np.zeros(0, dtype=np.int32))
+
+
+#: statements over a 4×4 INT array that keep no row.
+NO_ROW = [
+    "SELECT [x], [y], v FROM a WHERE v > 1000",
+    "SELECT [x / 2], [y / 2], SUM(v) FROM a GROUP BY a[x:x+2][y:y+2] "
+    "HAVING x MOD 7 = 5 AND y MOD 2 = 0",
+]
+
+
+@pytest.mark.parametrize("sql", NO_ROW)
+@pytest.mark.parametrize(
+    "pipeline", [{}, {"nr_threads": 4, "fragment_rows": 7}], ids=["whole", "frag7"]
+)
+def test_a_result_with_no_row_has_empty_grids(sql, pipeline):
+    """With no row to infer them from, every dimension is empty, and each
+    grid is ``(0,) * k`` in the dtype of its column's own grid."""
+    conn = repro.connect(**pipeline)
+    conn.register_array("a", np.arange(16, dtype=np.int32).reshape(4, 4))
+    result = conn.execute(sql)
+    assert result.rows() == []
+    dimensions, grids = result.to_array()
+    assert [d.size for d in dimensions] == [0, 0]
+    (name, grid), = grids.items()
+    dtype = np.int32 if name == "v" else np.int64
+    assert grid.shape == (0, 0) and grid.dtype == dtype
+    assert np.array_equal(result.grid(), np.empty((0, 0), dtype=dtype))
+    conn.close()
+
+
+def test_rows_without_a_witness_keep_a_stamped_start_and_step():
+    witnessed = series_column(5, 2, 5, 3, 1)  # no value; the other axis is bare
+    bare = Column.from_pylist(Atom.INT, [])
+    dimensions, dense = table_to_array_columns(
+        [witnessed, bare], [Column.from_pylist(Atom.DBL, [])], dimension_names=["x", "y"]
+    )
+    assert [(d.start, d.step, d.size) for d in dimensions] == [(5, 2, 0), (0, 1, 0)]
+    assert len(dense[0]) == 0 and dense[0].atom is Atom.DBL

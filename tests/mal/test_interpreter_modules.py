@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import GDKError, MALError
 from repro.catalog import Catalog
+from repro.core.tiling import Tile, TileSpec
 from repro.gdk.atoms import Atom
 from repro.gdk.bat import BAT
 from repro.mal import Interpreter, MALProgram, Var, bat_type, scalar_type
@@ -95,7 +96,7 @@ class TestCellIndexAndTiling:
         agg = program.emit1(
             "array", "tileagg",
             [Var(v), "sum",
-             json.dumps({"shape": [2, 2], "offsets": [[0, 1], [0, 1]]})],
+             Tile((2, 2), TileSpec(((0, 1), (0, 1)))).to_json()],
             bat_type(Atom.LNG),
         )
         program.emit(

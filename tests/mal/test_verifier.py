@@ -20,6 +20,7 @@ import pytest
 
 import repro
 from repro import PlanVerificationError
+from repro.core.tiling import Tile, TileSpec
 from repro.gdk.atoms import Atom
 from repro.mal import MALProgram, Var, bat_type, scalar_type
 from repro.mal.analysis import (
@@ -94,10 +95,17 @@ def join_plan():
     return p
 
 
+def corrupted_tile(**keys) -> str:
+    """The encoder's one-cell tile over a 2×2 array, *keys* overwritten."""
+    meta = json.loads(Tile((2, 2), TileSpec(((-1, -1), (0, 0)))).to_json())
+    meta.update(keys)
+    return json.dumps(meta)
+
+
 def tilepart_plan():
     p = MALProgram()
     src = source(p)
-    meta = json.dumps({"shape": [2, 2], "offsets": [[-1], [0]]})  # a one-cell tile
+    meta = Tile((2, 2), TileSpec(((-1, -1), (0, 0)))).to_json()  # a one-cell tile
     slab = p.emit1(
         "array", "tilepart", [src, "sum", meta, 0, 2], bat_type(Atom.INT)
     )
@@ -413,17 +421,16 @@ class TestMutations:
         assert "JSON" in str(error)
 
     @pytest.mark.parametrize(
-        "offsets, message",
+        "meta, message",
         [
-            ([[], [0]], "non-empty offset list"),
-            ([[0]], "non-empty offset list"),
-            ([[-3], [0]], "halo of 3 rows exceeds"),
-            ([[1, 2, 3], [0]], "halo of 3 rows exceeds"),
+            (corrupted_tile(box=[[], [0, 0]]), "one integer pair per dimension"),
+            (corrupted_tile(box=[[0, 0]]), "one integer pair per dimension"),
+            (Tile((2, 2), TileSpec(((-3, -3), (0, 0)))).to_json(), "halo of 3 rows exceeds"),
+            (Tile((2, 2), TileSpec(((1, 3), (0, 0)))).to_json(), "halo of 3 rows exceeds"),
         ],
     )
-    def test_tilepart_offsets_must_fit_the_array(self, offsets, message):
+    def test_tilepart_box_must_fit_the_array(self, meta, message):
         def widen(program):
-            meta = json.dumps({"shape": [2, 2], "offsets": offsets})
             find(program, "array", "tilepart").args[2] = Constant(meta)
             return program
 

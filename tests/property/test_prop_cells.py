@@ -184,8 +184,11 @@ class TestKernelMatchesReference:
             skip_all_null_rows=skip_all_null_rows,
         )
         if dimensions is None and len(coordinates[0]) == 0:
-            with pytest.raises(CoercionError):
-                table_to_array_columns(coordinates, values, **arguments)
+            # No row to infer from: every dimension is empty, and so is
+            # every dense column, in its own atom.
+            dims, dense = table_to_array_columns(coordinates, values, **arguments)
+            assert [d.size for d in dims] == [0] * len(coordinates)
+            assert_same_dense(dense, values)
             return
         expected_dims, expected = reference.table_to_array_columns(
             coordinates, values, **arguments

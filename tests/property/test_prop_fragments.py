@@ -9,7 +9,6 @@ The ``(1, ∞)`` cell is the sequential engine itself, so each other
 cell is compared row-for-row against it.
 """
 
-import json
 import math
 import sys
 import threading
@@ -21,6 +20,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.apps.life import numpy_life_step
+from repro.core.tiling import Tile
 from repro.errors import MALError
 from repro.mal import interpreter
 from repro.mal.analysis.explain import fragment_groups
@@ -323,11 +323,11 @@ class TestFragmentSizing:
         caps = {}
         for instruction in program.instructions:
             if instruction.module == "array" and instruction.function in ("tileagg", "tilepart"):
-                meta = json.loads(instruction.args[2].value)
-                offsets0 = meta["offsets"][0]
-                halo = max(max(offsets0), 0) - min(min(offsets0), 0)
-                cap = max(1, meta["shape"][0] // (HALO_ROWS_FACTOR * (halo + 1)))
-                cells = math.prod(meta["shape"])
+                tile = Tile.from_json(instruction.args[2].value)
+                lo, hi = tile.spec.box[0]
+                halo = max(hi, 0) - min(lo, 0)
+                cap = max(1, tile.shape[0] // (HALO_ROWS_FACTOR * (halo + 1)))
+                cells = math.prod(tile.shape)
                 caps[cells] = min(caps.get(cells, cap), cap)
         return caps
 

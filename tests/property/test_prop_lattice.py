@@ -5,8 +5,7 @@ the anchors of a lattice, and malgen tiles only those
 (``array.tileagg`` with ``"lattice"`` in its metadata).  Three checks:
 
 * *kernel*: for random 1–3-D INT/LNG/DBL/BIT arrays with NULL holes,
-  narrow and wide tile ranges with negative offsets (now and then a
-  sparse offset list), moduli 1–4 and
+  narrow and wide tile ranges with negative offsets, moduli 1–4 and
   every residue, and every tile aggregate, the lattice result is the
   whole result read at the lattice anchors, byte for byte; spread over
   the whole array it is NULL everywhere else;
@@ -38,12 +37,12 @@ from repro.core.tiling import (
     NARROW_WIDTH,
     TILE_AGGREGATES,
     TileSpec,
-    brute_force_tile_aggregate,
     lattice_cells,
     tile_aggregate,
 )
 from repro.gdk.atoms import Atom
 from repro.gdk.column import Column
+from tests.oracles.tiling import brute_force_tile_aggregate
 
 #: the pipelines every engine statement runs under: (nr_threads, fragment_rows).
 PIPELINES = [(1, math.inf), (4, 64), (1, 7)]
@@ -91,10 +90,7 @@ def kernel_case(draw):
     holes = draw(st.sampled_from([0, 1, 4]))
     cell = st.one_of(*[st.none()] * holes, value) if holes else value
     items = draw(st.lists(cell, min_size=math.prod(shape), max_size=math.prod(shape)))
-    spec = TileSpec.from_ranges(ranges)
-    if draw(st.integers(0, 9)) == 0:  # a hand-built offset list with a gap
-        spec = TileSpec(tuple(offsets[:1] + offsets[2:] or offsets for offsets in spec.offsets))
-    return Column.from_pylist(atom, items), shape, spec, tuple(lattice)
+    return Column.from_pylist(atom, items), shape, TileSpec.from_ranges(ranges), tuple(lattice)
 
 
 class TestKernel:

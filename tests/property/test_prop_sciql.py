@@ -10,13 +10,14 @@ from repro.gdk.atoms import Atom
 from repro.gdk.column import Column
 from repro.catalog.objects import DimensionDef
 from repro.core.coercion import cells_to_rows, table_to_array_columns
-from repro.core.tiling import TileSpec, brute_force_tile_aggregate, tile_aggregate
+from repro.core.tiling import TileSpec, tile_aggregate
 from repro.apps.life import GameOfLife, numpy_life_step
+from tests.oracles.tiling import brute_force_tile_aggregate
 
 
 @st.composite
 def tiling_case(draw):
-    """A random small array + tile pattern + aggregate."""
+    """A random small array + tile box + aggregate."""
     ndim = draw(st.integers(1, 3))
     shape = tuple(draw(st.integers(1, 5)) for _ in range(ndim))
     cells = int(np.prod(shape))
@@ -27,29 +28,23 @@ def tiling_case(draw):
             max_size=cells,
         )
     )
-    offsets = tuple(
-        tuple(
-            sorted(
-                draw(
-                    st.sets(st.integers(-2, 2), min_size=1, max_size=3)
-                )
-            )
-        )
+    box = tuple(
+        tuple(sorted(draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2))))
         for _ in range(ndim)
     )
     aggregate_name = draw(
         st.sampled_from(["sum", "avg", "min", "max", "count", "count_star", "prod"])
     )
-    return shape, values, offsets, aggregate_name
+    return shape, values, box, aggregate_name
 
 
 class TestTilingProperties:
     @settings(max_examples=120, deadline=None)
     @given(tiling_case())
     def test_engine_matches_brute_force(self, case):
-        shape, values, offsets, aggregate_name = case
+        shape, values, box, aggregate_name = case
         column = Column.from_pylist(Atom.INT, values)
-        spec = TileSpec(offsets)
+        spec = TileSpec(box)
         fast = tile_aggregate(column, shape, spec, aggregate_name).to_pylist()
         slow = brute_force_tile_aggregate(column, shape, spec, aggregate_name)
         assert len(fast) == len(slow)
@@ -64,9 +59,9 @@ class TestTilingProperties:
     @settings(max_examples=60, deadline=None)
     @given(tiling_case())
     def test_count_bounded_by_tile_size(self, case):
-        shape, values, offsets, _ = case
+        shape, values, box, _ = case
         column = Column.from_pylist(Atom.INT, values)
-        spec = TileSpec(offsets)
+        spec = TileSpec(box)
         counts = tile_aggregate(column, shape, spec, "count_star").to_pylist()
         assert all(0 <= c <= spec.cells_per_tile for c in counts)
 
@@ -75,7 +70,7 @@ class TestTilingProperties:
     def test_identity_tile_is_identity(self, case):
         shape, values, _, _ = case
         column = Column.from_pylist(Atom.INT, values)
-        spec = TileSpec(tuple((0,) for _ in shape))
+        spec = TileSpec(tuple((0, 0) for _ in shape))
         out = tile_aggregate(column, shape, spec, "sum").to_pylist()
         assert out == values
 

@@ -8,12 +8,13 @@ Three engines must agree on randomized inputs:
   a NumPy baseline: one shifted full-array pass per tile cell;
 * :func:`tile_aggregate` — the production dispatcher (shifted-slice
   passes for narrow axes, prefix sums by slices and van Herk–Gil-Werman
-  block extrema for wide ones, analytic count_star, one pass per tile
-  cell for sparse specs).
+  block extrema for wide ones, analytic count_star).
 
-The small matrix covers aggregate × ndim (1–3) × tile shape (negative
-offsets, step>1 dimensions, sparse hand-built offset lists) × NULL
-density against the brute-force oracle.  The wide matrix (shapes up to
+The baseline enumerates a box's cells with :func:`itertools.product`
+itself, so it shares no code with the kernels it checks.  The small
+matrix covers aggregate × ndim (1–3) × box (negative offsets, boxes
+wholly off the anchor, step>1 dimensions) × NULL density against the
+brute-force oracle.  The wide matrix (shapes up to
 40 per axis, windows up to 21 cells, so prefix-sum interiors, block
 boundaries and windows wider than the array all occur; INT cells at
 ``INT_MIN``/``INT_MAX``) is checked against the baseline, which the
@@ -24,6 +25,7 @@ the whole-array result byte for byte for the combinations the optimizer
 actually fragments (counting/extrema always; sums over integer cells).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -37,10 +39,10 @@ from repro.gdk.column import Column
 from repro.core.tiling import (
     TILE_AGGREGATES,
     TileSpec,
-    brute_force_tile_aggregate,
     tile_aggregate,
     tile_aggregate_fragment,
 )
+from tests.oracles.tiling import brute_force_tile_aggregate
 
 INT_MIN, INT_MAX = -(2**31), 2**31 - 1
 
@@ -65,7 +67,7 @@ def shifted_scan_tile_aggregate(
     }.get(aggregate, (None, 0))
     counts = np.zeros(shape, dtype=np.int64)
     acc = np.full(shape, ident, dtype=cells.dtype)
-    for deltas in spec.deltas():
+    for deltas in itertools.product(*(range(lo, hi + 1) for lo, hi in spec.box)):
         src = tuple(slice(max(d, 0), max(min(n, n + d), 0)) for n, d in zip(shape, deltas))
         dst = tuple(slice(max(-d, 0), max(min(n, n - d), 0)) for n, d in zip(shape, deltas))
         ok = np.zeros(shape, dtype=np.bool_)
@@ -95,28 +97,15 @@ def tiling_case(draw, atom=Atom.INT):
     """(values column, shape, spec) with randomized holes."""
     ndim = draw(st.integers(1, 3))
     shape = tuple(draw(st.integers(1, 5)) for _ in range(ndim))
-    per_dim = []
+    box = []
     for _ in range(ndim):
-        if draw(st.booleans()):
-            # dense range built like the SQL surface: [x+lo : x+hi) / step
-            lo = draw(st.integers(-3, 2))
-            width = draw(st.integers(1, 4))
-            step = draw(st.sampled_from([1, 1, 1, 2]))
-            ranks = tuple(
-                delta // step
-                for delta in range(lo, lo + width)
-                if delta % step == 0
-            )
-            if not ranks:
-                ranks = (lo // step,)
-            per_dim.append(ranks)
-        else:
-            # sparse hand-built offsets (gaps force the scan fallback)
-            offsets = draw(
-                st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True)
-            )
-            per_dim.append(tuple(sorted(offsets)))
-    spec = TileSpec(tuple(per_dim))
+        # a range built like the SQL surface: [x+lo : x+hi) / step
+        lo = draw(st.integers(-4, 2))
+        width = draw(st.integers(1, 4))
+        step = draw(st.sampled_from([1, 1, 1, 2]))
+        ranks = [delta // step for delta in range(lo, lo + width) if delta % step == 0]
+        box.append((ranks[0], ranks[-1]) if ranks else (lo // step,) * 2)
+    spec = TileSpec(tuple(box))
     cells = math.prod(shape)
     null_density = draw(st.sampled_from([0.0, 0.2, 0.9]))
     if atom is Atom.DBL:
@@ -176,7 +165,7 @@ def one_cell_case(draw, atom=Atom.INT):
     """One offset per dimension, inside, on and beyond the border."""
     ndim = draw(st.integers(1, 3))
     shape = tuple(draw(st.integers(1, 7)) for _ in range(ndim))
-    spec = TileSpec(tuple((draw(st.integers(-n - 1, n + 1)),) for n in shape))
+    spec = TileSpec(tuple((d, d) for d in (draw(st.integers(-n - 1, n + 1)) for n in shape)))
     return _cells(draw, atom, math.prod(shape)), shape, spec
 
 
@@ -286,11 +275,11 @@ class TestKernelsMatchOracle:
                 brute_force_tile_aggregate(values, shape, spec, aggregate),
                 float_ok=False,
             )
-        beyond = any(abs(d[0]) >= n for d, n in zip(spec.offsets, shape))
+        beyond = any(abs(d[0]) >= n for d, n in zip(spec.box, shape))
         shifted = tile_aggregate(values, shape, spec, "min").to_pylist()
         if beyond:
             assert shifted == [None] * len(cells)
-        elif not any(d[0] for d in spec.offsets):
+        elif not any(d[0] for d in spec.box):
             assert shifted == cells
 
 

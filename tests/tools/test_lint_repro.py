@@ -188,6 +188,21 @@ class TestRules:
         assert forms_in("repro/catalog/objects.py") == [(2, "record prelude"), (11, "blob spec")]
         assert forms_in("repro/gdk/codec.py") == [(5, "schema entry"), (8, "schema entry")]
         assert forms_in("repro/testing/verify.py") == []
+        # the tiling ops' metadata: its keys written, read or tested for
+        tiles = (
+            "import json\n"
+            "def encode(shape, box):\n"
+            "    return json.dumps({'shape': shape, 'box': box})\n"
+            "def halo_caps(meta):\n"
+            "    return None if 'lattice' in meta else meta['box'][0]\n"
+            "def compact(meta):\n"
+            "    return meta.get('compact', False)\n"
+        )
+        assert rules_in(tmp_path, tiles) == ["serial-form"] * 3
+        owner = tmp_path / "repro" / "core" / "tiling.py"
+        owner.parent.mkdir(parents=True)
+        owner.write_text(tiles, encoding="utf-8")
+        assert lint.lint_paths([owner]) == []
         # other keys, other layouts and attribute access are nobody's format
         assert rules_in(
             tmp_path,

@@ -23,11 +23,13 @@ AST-based checks over ``src/repro`` (and this ``tools`` directory):
   expression node classes: the binder annotates every node once, so a
   second hand-enumerated walk is a second place for the same decision;
 * ``serial-form``   — each at-rest / on-wire format has one owning
-  module (:data:`SERIAL_OWNERS`): elsewhere, a dict literal, subscript
-  or ``.get()`` spelling the schema-entry key ``has_default`` or the
-  blob-spec keys ``vlen`` / ``mlen``, or a ``struct.Struct("<II")``
-  record prelude, is a second hand-written copy of that format — call
-  ``to_json``/``from_json``/``object_from_schema`` or ``gdk.codec``;
+  module (:data:`SERIAL_OWNERS`): elsewhere, a dict literal, subscript,
+  ``.get()`` or ``"key" in`` test spelling the schema-entry key
+  ``has_default``, the blob-spec keys ``vlen`` / ``mlen`` or the tiling
+  ops' metadata keys ``box`` / ``lattice`` / ``compact``, or a
+  ``struct.Struct("<II")`` record prelude, is a second hand-written copy
+  of that format — call ``to_json``/``from_json``/``object_from_schema``,
+  ``gdk.codec`` or ``core.tiling.Tile``;
 * ``program-memo``  — outside ``mal/program.py`` nothing stores an
   underscore attribute on a MAL program (``program._x = ...``) or
   reaches one through ``getattr`` / ``setattr`` / ``hasattr`` /
@@ -104,6 +106,7 @@ SERIAL_OWNERS = {
     "schema entry": ({"has_default"}, "repro/catalog/objects.py"),
     "blob spec": ({"vlen", "mlen"}, "repro/gdk/codec.py"),
     "record prelude": ({"<II"}, "repro/gdk/codec.py"),
+    "tile metadata": ({"box", "lattice", "compact"}, "repro/core/tiling.py"),
 }
 #: the digest oracle spells the schema out on purpose: it must not
 #: share code with what it checks.
@@ -460,6 +463,8 @@ def _serial_spelling(node: ast.AST) -> tuple[bool, set]:
         keys = node.keys
     elif isinstance(node, ast.Subscript):
         keys = [node.slice]
+    elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+        keys = [node.left]
     elif isinstance(node, ast.Call):
         name = _call_name(node)
         layout = name in ("struct.Struct", "Struct")
