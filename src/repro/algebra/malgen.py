@@ -199,6 +199,13 @@ def _keeps_cell_order(plan: nodes.InsertSelectPlan, array: Array, catalog: Catal
     )
 
 
+def _bare_column(expression: Any) -> bool:
+    """True for a column reference, also under casts."""
+    while isinstance(expression, ast.CastExpression):
+        expression = expression.operand
+    return isinstance(expression, BoundColumn)
+
+
 def _conjuncts(expression: Any) -> list[Any]:
     """The operands of a chain of ANDs, left to right."""
     if isinstance(expression, ast.BinaryOp) and expression.op == "AND":
@@ -1352,14 +1359,16 @@ class MALGenerator:
         )
 
     def _update_cells(
-        self, target: str, array: Array, oids: str, column_vars: dict[str, str]
+        self, target: str, array: Array, oids: Optional[str], column_vars: dict[str, str]
     ) -> None:
-        """``sql.update`` every attribute of *column_vars* at *oids*."""
+        """``sql.update`` every attribute of *column_vars* at *oids*, or
+        of every cell in order when *oids* is ``None``."""
         affected = None
+        addressed = [] if oids is None else [Var(oids)]
         for column, values in column_vars.items():
             if not array.is_dimension(column):
                 affected = self.program.emit1(
-                    "sql", "update", [target, column, Var(oids), Var(values)],
+                    "sql", "update", [target, column, *addressed, Var(values)],
                     scalar_type(Atom.INT),
                 )
         if affected is not None:
@@ -1398,15 +1407,9 @@ class MALGenerator:
                     f"{dimension.name!r}"
                 )
         if _keeps_cell_order(plan, array, self.catalog):
-            # Row i of the query is cell i of the target: address the
-            # cells with the dense oid range instead of computing it.
-            values = next(
-                (column_vars[c] for c in plan.columns if not array.is_dimension(c)),
-                output_vars[0],
-            )
-            oids = self.program.emit1(
-                "bat", "mirror", [Var(values)], bat_type(Atom.OID)
-            )
+            # Row i of the query is cell i of the target: the values
+            # are the next version of each attribute, no address needed.
+            oids = None
         else:
             oids = self._cellindex(array, [Var(column_vars[d.name]) for d in array.dimensions])
         self._update_cells(plan.target, array, oids, column_vars)
@@ -1430,25 +1433,27 @@ class MALGenerator:
         the target's BATs are bound once and updates replace them."""
         obj = self.catalog.get(plan.target)
         binding = self._target_binding(plan)
-        candidates = self._candidates(plan.where, binding)
-        rows = binding if plan.where is None else binding.restrict(self, candidates)
+        if plan.where is None:  # every row, in order: no oids to address
+            addressed, rows = [], binding
+        else:
+            candidates = self._select(plan.where, binding)
+            addressed, rows = [Var(candidates)], binding.restrict(self, candidates)
         affected = None
         for column, expression in plan.assignments:
             atom = obj.column_def(column).atom
             selected = self._force_bat(
                 self._cast(self._eval(expression, rows), atom), rows, atom
             )
-            if plan.where is None:
-                # Every row, in order: the values already align with the
-                # mirror, and the projection gives the target a column of
-                # its own (a full-range replace adopts its replacement).
+            if not addressed and _bare_column(expression):
+                # SET a = b would publish b's own column (a cast to its
+                # own atom passes it through): give the target a copy.
                 selected = self.program.emit1(
-                    "algebra", "projection", [Var(candidates), Var(selected)],
+                    "algebra", "projection",
+                    [Var(self._candidates(None, binding)), Var(selected)],
                     bat_type(atom),
                 )
             affected = self.program.emit1(
-                "sql", "update",
-                [plan.target, column, Var(candidates), Var(selected)],
+                "sql", "update", [plan.target, column, *addressed, Var(selected)],
                 scalar_type(Atom.INT),
             )
         if affected is not None:

@@ -150,17 +150,25 @@ class _DeltaJournal:
         except KeyError:
             raise CatalogError(f"{self.kind} {self.name}: no column {column!r}") from None
 
-    def replace_values(self, column: str, oids: np.ndarray, values: Column) -> None:
+    def replace_values(self, column: str, oids: Optional[np.ndarray], values: Column) -> None:
         """Point-update one column / cell attribute at the given oids.
 
         Array INSERT/UPDATE/DELETE all reduce to this; a dimension is
-        not updatable.
+        not updatable.  ``oids=None`` writes every row in order: *values*
+        is published as the column's next BAT (the old one is left to
+        snapshots), and the journal logs it without positions.
         """
         cdef = self._updatable_def(column)
         if values.atom is not cdef.atom:
             values = values.cast(cdef.atom)
-        oids = np.asarray(oids, dtype=np.int64)
-        self.bats[column] = self.bats[column].replace(oids, values)
+        old = self.bats[column]
+        if oids is None:
+            if len(values) != len(old):
+                raise CatalogError(f"{self.name}.{column}: {len(values)} values, {len(old)} rows")
+            self.bats[column] = BAT(values, old.hseqbase)
+        else:
+            oids = np.asarray(oids, dtype=np.int64)
+            self.bats[column] = old.replace(oids, values)
         self._journal_op("replace_values", {"column": column, "oids": oids, "values": values})
 
     def journal_faithful(self) -> bool:

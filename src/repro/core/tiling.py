@@ -700,7 +700,7 @@ def tile_aggregate_fragment(
     sub_shape = (slab_hi - slab_lo,) + tuple(shape[1:])
     whole = tile_aggregate(slab, sub_shape, spec, aggregate)
     offset = start - slab_lo * stride0
-    return whole.slice(offset, offset + (stop - start))
+    return whole.view_slice(offset, offset + (stop - start))
 
 
 # ----------------------------------------------------------------------

@@ -621,19 +621,32 @@ def compile_expr(text: str) -> tuple[tuple, int]:
     return tuple(steps), len(leaves)
 
 
+@functools.lru_cache(maxsize=1024)
+def last_uses(text: str) -> tuple[tuple[int, ...], ...]:
+    """Per step of ``compile_expr(text)``, the earlier steps it is the
+    last reader of: :func:`evaluate` drops them once it has run."""
+    steps, _ = compile_expr(text)
+    last = {v: index for index, (_, refs) in enumerate(steps) for kind, v in refs if kind == _STEP}
+    return tuple(tuple(s for s, reader in last.items() if reader == i) for i in range(len(steps)))
+
+
 def evaluate(text: str, leaves: list) -> Column:
     """Evaluate an expression over *leaves* (columns and scalars)."""
     steps, count = compile_expr(text)
     if count != len(leaves):
         raise GDKError(f"expression {text!r} takes {count} leaves, got {len(leaves)}")
-    done: list[Column] = []
-    known: dict = {}  # spans of the leaves and steps so far: see _span
-    for name, refs in steps:
+    done: list[Optional[Column]] = []
+    known: dict = {}  # spans of the leaves and live steps: see _span
+    for (name, refs), dead in zip(steps, last_uses(text)):
         operands = [
             done[v] if kind == _STEP else leaves[v] if kind == _LEAF else v for kind, v in refs
         ]
         kernel = KERNELS[name][0]
         done.append(kernel(*operands, known=known) if name in _SPANNED else kernel(*operands))
+        for step in dead:  # free each temporary after its last reader
+            if type(done[step]) is Column:  # (a dictionary column would decode)
+                known.pop(id(done[step].values), None)
+            done[step] = None
     return done[-1]
 
 

@@ -57,7 +57,7 @@ KNOBS: tuple[Knob, ...] = (
     ),
     Knob(
         "REPRO_FRAGMENT_ROWS",
-        "auto (≥32768 rows split per worker)",
+        "auto (≥262144 rows per worker)",
         "Rows per scan fragment; `inf`/`off`/`none` disables "
         "fragmentation, `auto` sizes from the scan.",
         "execution",

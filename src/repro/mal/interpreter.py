@@ -48,12 +48,12 @@ from repro.mal.program import Constant, Instruction, MALProgram, Param, Var
 #: instructions whose largest BAT input is below this row count run on
 #: the scheduler thread — pool dispatch overhead would dominate.  A
 #: hand-off is two futex wake-ups plus the GIL changing hands around
-#: every kernel call, and what it costs depends on where the host put
-#: the vCPUs, not on the plan: the two-fragment Life plan (65 536
-#: cells, 0.1–0.3 ms kernels) takes 1.0 ms per statement with no system
-#: time on the scheduler thread and 1.6–2.7 ms with 0.6 ms of it on
-#: two workers (2 vCPUs, PR 19), and its throughput swung between runs.
-#: Fragments of 500 000 rows (``scan_agg``) do pay: 13 ms against 20.
+#: every kernel call; its cost follows where the host put the vCPUs.
+#: The one fragment rule derives from it: auto mode splits a source
+#: only into pieces of at least twice this many rows
+#: (``mergetable.fragment_count``), so every auto fragment reaches the
+#: pool.  On two vCPUs ``scan_agg``'s five-aggregate GROUP BY takes
+#: 4.7 ms whole against 5.0 in halves at 262 144 rows, 18 against 15 at 1M.
 #: Read at run time, not link time: cached plans outlive appends.
 PARALLEL_MIN_ROWS = 131072
 

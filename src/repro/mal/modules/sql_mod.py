@@ -76,10 +76,15 @@ def _append(ctx, name: str, columns_json: str, *bats: BAT):
     return table.append_rows({n: b.tail for n, b in zip(names, bats)})
 
 
-@mal_op("sql", "update", sig="str, str, oids, bat -> scalar", effect="write")
-def _update(ctx, name: str, column: str, oids: BAT, values: BAT):
-    """Point-update one column/attribute at the given oids."""
+@mal_op("sql", "update", sig="str, str, oids?, bat -> scalar", effect="write")
+def _update(ctx, name: str, column: str, *operands: BAT):
+    """Point-update one column/attribute at the given oids; without
+    oids, *values* is every row in order and becomes the column."""
     obj = ctx.catalog.get(name)
+    if len(operands) == 1:
+        obj.replace_values(column, None, operands[0].tail)
+        return len(operands[0])
+    oids, values = operands
     positions, tail = oids.tail.values, values.tail
     if len(positions) != len(tail):
         raise MALError("sql.update: oid/value arity mismatch")

@@ -3,8 +3,10 @@
 MonetDB splits this work between two passes — ``mitosis`` cuts large
 scans into horizontal fragments, ``mergetable`` propagates them.  Here
 one pass does both.  When it reaches a ``sql.bind`` of a large column
-``X`` it sizes the source (:func:`fragment_count`, capped by the halo
-rule of :func:`halo_caps`), emits the fragment group::
+``X`` it sizes the source (:func:`fragment_count`: auto mode makes one
+piece per worker thread, each of at least ``2 * PARALLEL_MIN_ROWS``
+rows, so every piece reaches the pool; capped by the halo rule of
+:func:`halo_caps`), emits the fragment group::
 
     X#0 := mat.partition(X, 0, N);
     ...
@@ -71,6 +73,7 @@ from typing import Any, Callable, Optional
 from repro.core.tiling import Tile
 from repro.errors import CatalogError
 from repro.gdk.atoms import Atom
+from repro.mal import interpreter
 from repro.mal.program import (
     Constant,
     Instruction,
@@ -83,10 +86,6 @@ from repro.mal.optimizer.passes import _clone_program
 
 #: never split a source into more fragments than this.
 MAX_FRAGMENTS = 64
-
-#: in auto mode (``fragment_rows=None``) only sources at least this
-#: large are fragmented, so small/interactive plans keep their shape.
-AUTO_MIN_ROWS = 32768
 
 #: a halo-fragmented tiling source keeps at least this many dim-0 rows
 #: per fragment *per halo row*, bounding the duplicated slab work.
@@ -133,16 +132,16 @@ def fragment_count(
     """How many fragments a source of *rows* rows should split into.
 
     An explicit ``fragment_rows`` knob gives ``ceil(rows /
-    fragment_rows)``; auto mode targets one fragment per worker thread
-    for sources past :data:`AUTO_MIN_ROWS`.  Either way the count is
-    capped at :data:`MAX_FRAGMENTS` and floors at 1 (no fragmentation).
+    fragment_rows)``; auto mode creates only fragments a worker will
+    run, ``min(nr_threads, rows // (2 * PARALLEL_MIN_ROWS))``: the 512²
+    image and the Life board run whole, a 1M-row scan splits per thread.
+    Either way the count is capped at :data:`MAX_FRAGMENTS` and floors
+    at 1 (no fragmentation).
     """
     if rows <= 1:
         return 1
     if fragment_rows is None:
-        if nr_threads <= 1 or rows < AUTO_MIN_ROWS:
-            return 1
-        pieces = nr_threads
+        pieces = min(nr_threads, rows // max(1, 2 * interpreter.PARALLEL_MIN_ROWS))
     elif not math.isfinite(fragment_rows) or fragment_rows <= 0:
         return 1
     else:

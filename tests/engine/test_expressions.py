@@ -266,7 +266,11 @@ class TestIdentityWriteBack:
         names = columns.replace("[", "").replace("]", "")
         sql = f"INSERT INTO a ({names}, v) SELECT {columns}, {value} {rest}"
         plan = board.explain(sql)
-        assert "bat.mirror(" in plan
+        # Row i is cell i: the values are published without any oids.
+        assert "bat.mirror(" not in plan and "algebra.projection(" not in plan
+        assert 'sql.update("a", "v", X_' in plan
+        [update] = [line for line in plan.splitlines() if "sql.update(" in line]
+        assert update.count(",") == 2
         assert "array.cellindex(" not in plan
         assert 'sql.bind("a", "x")' not in plan  # the coordinates are never read
         expected = board.execute(f"SELECT [x], [y], {value} {rest}").grid()

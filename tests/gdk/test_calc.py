@@ -1,5 +1,7 @@
 """Element-wise calculator tests (null propagation, SQL semantics)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,30 @@ class TestExpressions:
         assert leaves == 2
         assert [name for name, _ in steps].count("sub") == 1
         assert [name for name, _ in steps] == ["sub", "eq", "eq", "eq", "and", "or", "case"]
+
+    def test_each_step_is_dropped_after_its_last_reader(self, monkeypatch):
+        # sub($0,$1) is read twice, last by the second eq (step 2); the
+        # two eqs die at the and, the first eq and the and at the or.
+        assert calc.last_uses(self.LIFE) == ((), (), (0,), (), (2, 3), (1, 4), (5,))
+        subs, alive_at_case = [], []
+        sub, *sub_rest = calc.KERNELS["sub"]
+        case, *case_rest = calc.KERNELS["case"]
+
+        def spied_sub(*operands, **kwargs):
+            out = sub(*operands, **kwargs)
+            subs.append(weakref.ref(out.values))
+            return out
+
+        def spied_case(*operands):
+            alive_at_case.append(subs[0]() is not None)
+            return case(*operands)
+
+        monkeypatch.setitem(calc.KERNELS, "sub", (spied_sub, *sub_rest))
+        monkeypatch.setitem(calc.KERNELS, "case", (spied_case, *case_rest))
+        total = col(Atom.LNG, [4, 3, 3, 2, 2])
+        out = calc.evaluate(self.LIFE, [total, col(Atom.INT, [1, 1, 0, 1, 0])])
+        assert out.to_pylist() == [1, 1, 1, 0, 0]
+        assert len(subs) == 1 and alive_at_case == [False]
 
     def test_literals_keep_their_type(self):
         steps, _ = calc.compile_expr('case(eq($0,1),1.5,case(eq($0,true),"a\\"b",nil))')

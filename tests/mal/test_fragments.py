@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro
 from repro.errors import MALError
@@ -19,7 +21,7 @@ from repro.gdk.bat import (
 from repro.gdk import aggregate as aggregate_kernel
 from repro.gdk.column import Column
 from repro.catalog import Catalog
-from repro.mal.interpreter import Interpreter, link
+from repro.mal.interpreter import PARALLEL_MIN_ROWS, Interpreter, link
 from repro.mal.optimizer.mergetable import fragment_count
 from repro.mal.program import Constant, Instruction, MALProgram, Var, bat_type
 from tests.oracles.kernels import explicit_grouping
@@ -149,6 +151,24 @@ class TestMitosisSizing:
         assert fragment_count(10_000_000, None, 4) == 4
         assert fragment_count(100, None, 4) == 1  # below the auto floor
         assert fragment_count(10_000_000, None, 1) == 1
+
+    def test_auto_mode_keeps_the_paper_boards_whole(self):
+        # Every auto fragment carries 2 * PARALLEL_MIN_ROWS rows, so on
+        # two threads nothing under 524 288 rows splits: not the 512²
+        # image (262 144 cells), not the 256² Life board.
+        assert 4 * PARALLEL_MIN_ROWS == 524_288
+        for rows in (65_536, 262_144, 4 * PARALLEL_MIN_ROWS - 1):
+            assert fragment_count(rows, None, 2) == 1
+        assert fragment_count(4 * PARALLEL_MIN_ROWS, None, 2) == 2
+        assert fragment_count(1_000_000, None, 2) == 2  # scan_agg's table
+
+    @given(st.integers(0, 1 << 26), st.integers(1, 128))
+    def test_no_auto_fragment_is_under_the_floor(self, rows, threads):
+        pieces = fragment_count(rows, None, threads)
+        assert 1 <= pieces <= min(threads, 64)
+        bounds = [partition_bounds(rows, i, pieces) for i in range(pieces)]
+        smallest = min(hi - lo for lo, hi in bounds)
+        assert pieces == 1 or smallest >= 2 * PARALLEL_MIN_ROWS
 
     def test_caps(self):
         assert fragment_count(10_000_000, 1, 1) == 64  # MAX_FRAGMENTS
@@ -419,23 +439,23 @@ class TestDataflowScheduler:
         assert conn.execute("SELECT k FROM t").rows() == [(1,), (2,)]
         conn.close()
 
-    @pytest.mark.parametrize("side, pooled", [(256, False), (512, True)])
-    def test_small_fragments_stay_on_the_scheduler_thread(self, side, pooled):
-        # Auto mode on two threads halves both boards.  The Life-sized
-        # one (two fragments of 32 768 cells, kernels of 0.1-0.3 ms)
-        # must not pay a pool hand-off per instruction; the image-sized
-        # one (131 072 cells each) reaches the pool.  Same answer
-        # either way.
+    @pytest.mark.parametrize("rows, columns, tileparts", [(256, 256, 0), (512, 512, 0), (1024, 512, 2)])
+    def test_auto_mode_splits_only_what_reaches_the_pool(self, rows, columns, tileparts):
+        # Auto mode on two threads keeps the Life board (65 536 cells)
+        # and the grey-scale image (262 144) whole: halves of them would
+        # cost more in hand-offs and halo rows than the second worker
+        # wins back.  A 1024x512 board splits in two and both halves
+        # reach the pool.  Same answer either way.
         sql = "SELECT [x], [y], SUM(v) FROM g GROUP BY g[x-1:x+2][y-1:y+2]"
-        board = np.arange(side * side, dtype=np.int32).reshape(side, side) % 7
+        board = np.arange(rows * columns, dtype=np.int32).reshape(rows, columns) % 7
         grids = []
         for threads in (2, 1):
             conn = repro.connect(nr_threads=threads, fragment_rows="auto")
             conn.register_array("g", board)
             if threads == 2:
-                assert conn.explain(sql).count("array.tilepart") == 2
+                assert conn.explain(sql).count("array.tilepart") == tileparts
             grids.append(conn.execute(sql, collect_stats=True).grid())
             if threads == 2:
-                assert (conn.last_stats.parallel_batches > 0) == pooled
+                assert (conn.last_stats.parallel_batches > 0) == (tileparts > 0)
             conn.close()
         assert grids[0].tobytes() == grids[1].tobytes()

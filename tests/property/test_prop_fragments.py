@@ -336,9 +336,10 @@ class TestFragmentSizing:
     def test_every_group_is_sized_by_the_rule(self, nr_threads, fragment_rows):
         small = _make_connection(nr_threads, fragment_rows or "auto")
         TestPooledSteps.load(small)
-        # 65 536 cells: past AUTO_MIN_ROWS, so auto mode splits it too.
+        # 524 288 cells: twice the auto fragment floor, so auto mode on
+        # two threads splits it too.
         big = _make_connection(nr_threads, fragment_rows or "auto")
-        big.register_array("g", (np.arange(256 * 256, dtype=np.int32) % 19 - 9).reshape(256, 256))
+        big.register_array("g", (np.arange(1024 * 512, dtype=np.int32) % 19 - 9).reshape(1024, 512))
         groups = 0
         for conn, corpus in (
             (small, TABLE_QUERIES + ARRAY_QUERIES + TILING_QUERIES),

@@ -11,9 +11,10 @@ process, so their schema is staged here as their ``setup()`` stages it.
 ``adhoc_compile`` inlines a fresh literal into every statement: its
 first statement of each template stands for the template.
 
-Each statement compiles under two pipelines whose shape does not depend
-on the host: ``default`` (one thread, no fragments) and ``frag64``
-(four threads, 64-row fragments).  One line per (statement, pipeline):
+Each statement compiles under three pipelines whose shape does not
+depend on the host: ``default`` (one thread, no fragments), ``frag64``
+(four threads, 64-row fragments) and ``auto2`` (two threads, auto
+fragment rows: what auto mode splits).  One line per (statement, pipeline):
 workload, pipeline, plan digest, instruction count, fragment count
 (pieces summed over fragment groups), op histogram and the SQL.
 
@@ -39,7 +40,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 OUTPUT = REPO / "PLANS.txt"
 SEED = 7
-PIPELINES = (("default", 1, math.inf), ("frag64", 4, 64))
+PIPELINES = (("default", 1, math.inf), ("frag64", 4, 64), ("auto2", 2, "auto"))
 HEADER = (
     "# Generated by `python tools/plans.py`; tests/tools/test_plans.py checks it.\n"
     "# workload\tpipeline\tdigest\tinstructions\tfragments\tops\tsql\n"
