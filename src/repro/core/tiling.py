@@ -21,10 +21,11 @@ dimension, an inclusive range ``(lo, hi)`` of rank offsets (Figure
 1(d,e) gives one contiguous range per dimension).  A box is separable:
 the window runs along one axis at a time, each pass reading the
 previous pass' buffer and accumulating in place (``ufunc(..., out=)``)
-into the other of two buffers.  The kernel of an axis depends on that
-axis' window width alone (``w = hi - lo + 1`` cells, :data:`NARROW_WIDTH`
-= 6), never on the data, so halo fragments and whole-array runs always
-pick the same one:
+into a buffer drawn from the recycler of :mod:`repro.gdk.storage`,
+which takes back the buffer it read.  The kernel of an axis depends on
+that axis' window width alone (``w = hi - lo + 1`` cells,
+:data:`NARROW_WIDTH` = 6), never on the data, so halo fragments and
+whole-array runs always pick the same one:
 
 ===========  ===================  ==================================  ===========
 axis width   aggregate            kernel, passes over the array       allocates
@@ -45,13 +46,14 @@ lattice      any                  the kernel above, evaluated only    output
                                   ``m``-th block extremum
 ===========  ===================  ==================================  ===========
 
-A call allocates its result plus at most one more accumulator (plus
-the padded copy of a wide extremum axis).  Extrema compute in the
-cell's own dtype (INT stays int32).  Integer sums accumulate in the
-narrowest of int32 / int64 that ``cells_per_tile · max|v|`` (two
-reductions over the cells) proves cannot wrap — int32 only for cells
-no wider than that — and are widened once at the end; past int64 the
-same kernels run on Python integers and a sum that does not fit
+A call draws its result plus at most one more accumulator (plus the
+padded copy of a wide extremum axis) and gives back all but the
+result.  Extrema compute in the cell's own dtype (INT stays int32).
+Integer sums accumulate in the narrowest of int32 / int64 that
+``cells_per_tile · max|v|`` (two reductions over the cells) proves
+cannot wrap — int32 only for cells no wider than that — and are
+widened once at the end; past int64 the same kernels run on Python
+integers and a sum that does not fit
 ``lng`` is NULL, the engine's element-wise overflow rule; an ``avg``
 of int64 or Python-integer totals divides by the grouped AVG's mean
 rule, correctly rounded at any width.  Integer
@@ -108,7 +110,8 @@ import numpy as np
 
 from repro.errors import DimensionError, GDKError, MALError
 from repro.gdk.aggregate import _LNG_MAX, _LNG_MIN, _means, aggregate_atom
-from repro.gdk.atoms import Atom
+from repro.gdk import storage
+from repro.gdk.atoms import NUMPY_DTYPE, Atom
 from repro.gdk.column import Column
 
 #: aggregates the tiling engine supports.
@@ -233,14 +236,15 @@ def _axis_counts(
     return counts
 
 
-def _outer(vectors: list[np.ndarray], dtype) -> np.ndarray:
-    """Broadcast product of per-axis vectors as one grid of *dtype*."""
-    grid = None
+def _outer(vectors: list[np.ndarray], dtype, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Broadcast product of per-axis vectors as one grid of *dtype*, in
+    *out* when given."""
+    grid = np.ones((), dtype)
     for axis, vector in enumerate(vectors):
         view = [1] * len(vectors)
         view[axis] = len(vector)
-        factor = vector.astype(dtype).reshape(view)
-        grid = factor if grid is None else grid * factor
+        last = axis == len(vectors) - 1
+        grid = np.multiply(grid, vector.astype(dtype).reshape(view), out=out if last else None)
     return grid
 
 
@@ -290,7 +294,7 @@ def _shifted_axis(
         out[...] = ident
 
 
-def _cumsum_axis(src: np.ndarray, axis: int, out: np.ndarray) -> None:
+def _cumsum_axis(src: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     """Running sum of *src* along *axis* into *out* (which may be *src*).
 
     ``S[i] = S[i-1] + src[i]`` in that order either way; off the last
@@ -299,12 +303,12 @@ def _cumsum_axis(src: np.ndarray, axis: int, out: np.ndarray) -> None:
     once per line (3 ms against 70 ms along axis 0 of a 2048² grid)."""
     n = src.shape[axis]
     if axis == src.ndim - 1 or n * n > src.size:
-        np.cumsum(src, axis=axis, dtype=out.dtype, out=out)
-        return
+        return np.cumsum(src, axis=axis, dtype=out.dtype, out=out)
     lead = (slice(None),) * axis
     out[lead + (0,)] = src[lead + (0,)]
     for i in range(1, n):
         np.add(out[lead + (i - 1,)], src[lead + (i,)], out=out[lead + (i,)])
+    return out
 
 
 def _window_difference(
@@ -347,7 +351,7 @@ def _extremum_identity(dtype: np.dtype, maximum: bool):
 
 def _block_extrema(
     src: np.ndarray, lo: int, hi: int, axis: int, op: np.ufunc, ident, out: np.ndarray
-) -> None:
+) -> np.ndarray:
     """Clipped sliding extrema ``out[i] = op(src[i+lo .. i+hi])`` along
     *axis* — van Herk–Gil-Werman.  *out* may be *src* itself.
 
@@ -367,7 +371,8 @@ def _block_extrema(
     span = n + w - 1
     shape = list(src.shape)
     shape[axis] = -(-span // w) * w
-    padded = np.full(shape, ident, dtype=src.dtype)
+    padded = storage.empty(tuple(shape), src.dtype)
+    padded[...] = ident
     k0, k1 = max(0, -lo), min(span, n - lo)
     if k1 > k0:
         padded[_axis_slice(axis, k0, k1)] = src[_axis_slice(axis, k0 + lo, k1 + lo)]
@@ -399,6 +404,9 @@ def _block_extrema(
     for j in range(1, w):
         op(source[cell(j - 1)], source[cell(j)], out=source[cell(j)])
     op(out, padded[_axis_slice(axis, w - 1, w - 1 + n)], out=out)
+    source = cells = None  # the views die, so the padded copy goes back
+    storage.recycle(padded)
+    return out
 
 
 def _separable(
@@ -414,19 +422,9 @@ def _separable(
     at the *lattice* anchors only when given.
 
     *src* is read-only unless *owned* (a private buffer of *dtype*).
-    Every pass writes a buffer of *dtype* and then owns it; the buffer
-    it read becomes the next pass' output (a lattice pass' output is
-    smaller and takes the front of it), so the call allocates two at
-    most.  Returns a fresh array, never *src* itself unless owned."""
-    spare: Optional[np.ndarray] = None
-
-    def take(shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal spare
-        buffer, spare = spare, None
-        if buffer is None:
-            return np.empty(shape, dtype=dtype)
-        return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
-
+    Every pass writes a buffer of *dtype* drawn from the recycler and
+    then owns it; an owned buffer a pass has read goes back.  Returns a
+    fresh array, never *src* itself unless owned."""
     for axis, (lo, hi) in enumerate(ranges):
         step, residue = lattice[axis] if lattice is not None else (1, 0)
         if lo == hi == 0 and step == 1:
@@ -436,24 +434,23 @@ def _separable(
         shape = tuple(shape)
         width = hi - lo + 1
         if width <= NARROW_WIDTH or op is np.multiply:
-            out = take(shape)
+            out = storage.empty(shape, dtype)
             _shifted_axis(src, lo, hi, axis, op, ident, out, step, residue)
-            if owned:
-                spare = src
-        elif op is np.add:
-            prefix = src if owned else take(src.shape)
-            _cumsum_axis(src, axis, prefix)
-            out = take(shape)
-            _window_difference(prefix, lo, hi, axis, out, step, residue)
-            spare = prefix
-        else:
-            out = src if owned else take(src.shape)
-            _block_extrema(src, lo, hi, axis, op, ident, out)
+        elif op is np.add:  # a running sum, in place once the buffer is ours
+            src = _cumsum_axis(src, axis, src if owned else storage.empty(src.shape, dtype))
+            owned, out = True, storage.empty(shape, dtype)
+            _window_difference(src, lo, hi, axis, out, step, residue)
+        else:  # sliding extrema, in place once the buffer is ours
+            src = _block_extrema(
+                src, lo, hi, axis, op, ident, src if owned else storage.empty(src.shape, dtype)
+            )
+            owned, out = True, src
             if step > 1:  # every step-th window extremum
-                full, out = out, take(shape)
-                out[...] = full[_axis_slice(axis, residue, None, step)]
-                spare = full
-        src, owned = out, True
+                out = storage.empty(shape, dtype)
+                out[...] = src[_axis_slice(axis, residue, None, step)]
+        if owned and out is not src:
+            storage.recycle(src)
+        src, owned, out = out, True, None
     return src if owned else src.astype(dtype)
 
 
@@ -545,7 +542,7 @@ def _finalize(
     if aggregate == "avg":
         if acc.dtype.kind == "f" or acc.dtype == np.int32:  # exact in a double
             result = (
-                _outer(axis_counts, np.float64)
+                _outer(axis_counts, np.float64, storage.empty(acc.shape, np.float64))
                 if counts is None
                 else counts.astype(np.float64)
             )
@@ -560,6 +557,9 @@ def _finalize(
             overflow = np.asarray((acc < _LNG_MIN) | (acc > _LNG_MAX), dtype=np.bool_)
             result = np.where(overflow, 0, acc).astype(np.int64)
         out_atom = aggregate_atom(aggregate, input_atom)
+        if (dtype := NUMPY_DTYPE[out_atom]) != result.dtype:  # widened once, into a drawn buffer
+            np.copyto(wide := storage.empty(result.shape, dtype), result, casting="unsafe")
+            result = wide
     # NULL anchors carry a zero payload, like every kernel's NULLs.
     empty = overflow
     if counts is not None:
@@ -624,7 +624,9 @@ def tile_aggregate(
         src, owned = np.full(cells.shape, ident, dtype=dtype), True
         np.copyto(src, cells, where=valid)
     acc = _separable(src, owned, spec.box, op, ident, dtype, lattice)
-    return _finalize(acc, aggregate, values.atom, counts, axis_counts)
+    result = _finalize(acc, aggregate, values.atom, counts, axis_counts)
+    storage.recycle(acc)  # unless the result holds it
+    return result
 
 
 def lattice_cells(compact: Column, shape: tuple[int, ...], lattice: Lattice) -> Column:

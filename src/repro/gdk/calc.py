@@ -44,7 +44,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.errors import GDKError, TypeError_
-from repro.gdk import strings
+from repro.gdk import storage, strings
 from repro.gdk.atoms import (
     INTEGER_RANGE,
     NUMERIC_ATOMS,
@@ -175,12 +175,15 @@ def _int_arith(
     lspan, rspan = _span(lvals, known), _span(rvals, known)
     corners = [_EXACT[op](left, right) for left in lspan for right in rspan]
     if lowest <= min(corners) and max(corners) <= highest:
-        # Widen first: a mixed-width ufunc call is several times slower.
+        # Widen first: a mixed-width ufunc call is several times slower.  The
+        # narrower operand (never both) widens into the drawn output buffer.
+        out = storage.empty((lvals if isinstance(lvals, np.ndarray) else rvals).shape, dtype)
         lvals, rvals = (
-            v.astype(dtype, copy=False) if isinstance(v, np.ndarray) else v
+            np.copyto(out, v) or out if isinstance(v, np.ndarray) and v.dtype != dtype else v
             for v in (lvals, rvals)
         )
-        return _proven(known, ufunc(lvals, rvals, dtype=dtype), (min(corners), max(corners))), None
+        ufunc(lvals, rvals, out=out, dtype=dtype)
+        return _proven(known, out, (min(corners), max(corners))), None
     exact = ufunc(
         *(v.astype(object) if isinstance(v, np.ndarray) else v for v in (lvals, rvals))
     )
@@ -199,11 +202,10 @@ def _dbl_arith(op: str, lvals: Any, rvals: Any) -> tuple[np.ndarray, Any]:
         return np.fmod(lvals, np.where(zero, 1.0, rvals)), zero
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         result = _ARITH[op](lvals, rvals)
-    bad = ~np.isfinite(result)
-    if not bad.any():
-        return result, None
-    result[bad] = 0.0
-    return result, bad
+    if (bad := ~np.isfinite(result)).any():
+        result[bad] = 0.0
+        return result, bad
+    return result, None
 
 
 def _int_divmod(
@@ -271,7 +273,7 @@ def absolute(operand: Column, known: Optional[dict] = None) -> Column:
     """ABS() (``|MIN|`` does not fit and is NULL)."""
     if operand.atom not in NUMERIC_ATOMS:
         raise GDKError(f"no abs for {operand.atom}")
-    values = np.abs(operand.values)
+    values = np.abs(operand.values, out=storage.empty(operand.values.shape, operand.values.dtype))
     if operand.atom is Atom.DBL:
         return Column(Atom.DBL, values, operand.mask)
     lo, hi = _span(operand.values, known)
@@ -299,12 +301,9 @@ def apply_unary_math(operand: Column, name: str) -> Column:
         return operand  # already integral: exact, however wide
     with np.errstate(invalid="ignore", divide="ignore"):
         result = fn(operand.values.astype(np.float64))
-    bad = ~np.isfinite(result)
-    mask = operand.mask
-    if bad.any():
-        mask = _either(mask, bad)
-        result = np.where(bad, 0.0, result)
-    return Column(Atom.DBL, result, mask)
+    if not (bad := ~np.isfinite(result)).any():
+        return Column(Atom.DBL, result, operand.mask)
+    return Column(Atom.DBL, np.where(bad, 0.0, result), _either(operand.mask, bad))
 
 
 def cast(operand: Column, atom_name: str) -> Column:
@@ -401,7 +400,7 @@ def _select(fire: Any, then_values: Any, values: Any, atom: Atom) -> np.ndarray:
     if atom in INTEGER_RANGE and np.ndim(fire) and not np.ndim(then_values) and not np.ndim(values):
         step = int(then_values) - int(values)
         if INTEGER_RANGE[atom][0] <= step <= INTEGER_RANGE[atom][1]:
-            out = fire.astype(NUMPY_DTYPE[atom])
+            np.copyto(out := storage.empty(fire.shape, NUMPY_DTYPE[atom]), fire)
             out *= step
             out += values
             return out
@@ -638,14 +637,14 @@ def evaluate(text: str, leaves: list) -> Column:
     done: list[Optional[Column]] = []
     known: dict = {}  # spans of the leaves and live steps: see _span
     for (name, refs), dead in zip(steps, last_uses(text)):
-        operands = [
-            done[v] if kind == _STEP else leaves[v] if kind == _LEAF else v for kind, v in refs
-        ]
         kernel = KERNELS[name][0]
+        # A generator: once the call consumed it, it holds no operand that may die below.
+        operands = (done[v] if kind == _STEP else leaves[v] if kind == _LEAF else v for kind, v in refs)
         done.append(kernel(*operands, known=known) if name in _SPANNED else kernel(*operands))
         for step in dead:  # free each temporary after its last reader
             if type(done[step]) is Column:  # (a dictionary column would decode)
-                known.pop(id(done[step].values), None)
+                known.pop(id(done[step].values), None)  # first: the entry holds the array
+                storage.recycle(done[step])  # its buffer feeds a later kernel
             done[step] = None
     return done[-1]
 

@@ -4,7 +4,8 @@
 prefixed with comment lines that make plan-shape regressions diff
 cleanly in tests: a short content digest (any rewrite changes it, so a
 golden test needs to record one line, not the whole plan) and one line
-per ``mat.partition`` fragment group.
+per fragment group: a ``mat.partition`` source, or a tiling source split
+into ``array.tilepart`` halo pieces.
 """
 
 from __future__ import annotations
@@ -21,14 +22,18 @@ def plan_digest(program: MALProgram) -> str:
 
 
 def fragment_groups(program: MALProgram) -> list[tuple[str, int]]:
-    """``(source, pieces)`` per fragment group, in plan order."""
+    """``(source, pieces)`` per fragment group, in plan order: what
+    ``mat.partition(source, index, pieces)`` or ``array.tilepart(source,
+    aggregate, tile, index, pieces)`` splits."""
     seen: dict[str, int] = {}
     for instruction in program.instructions:
-        if (instruction.module, instruction.function) != ("mat", "partition"):
+        op, args = (instruction.module, instruction.function), instruction.args
+        if op == ("mat", "partition") and len(args) == 3:
+            source, pieces = args[0], args[2]
+        elif op == ("array", "tilepart") and len(args) == 5:
+            source, pieces = args[0], args[4]
+        else:
             continue
-        if len(instruction.args) != 3:
-            continue
-        source, _, pieces = instruction.args
         if isinstance(source, Var) and isinstance(pieces, Constant):
             seen.setdefault(source.name, pieces.value)
     return list(seen.items())

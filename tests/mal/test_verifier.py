@@ -16,6 +16,7 @@ Three layers:
 
 import json
 
+import numpy as np
 import pytest
 
 import repro
@@ -527,6 +528,15 @@ class TestExplainSurface:
         assert lines[0].startswith("function")
         assert lines[1].startswith("# plan digest ")
         assert lines[2] == "# fragment group X_0 x3"
+
+    def test_halo_tiling_is_a_fragment_group(self):
+        conn = repro.connect(nr_threads=4, fragment_rows=64)
+        conn.register_array("img", np.zeros((32, 32), dtype=np.int32))
+        text = conn.explain("SELECT [x], [y], AVG(v) FROM img GROUP BY img[x-1:x+2][y-1:y+2]")
+        pieces = text.count("array.tilepart(")
+        assert "mat.partition" not in text and pieces > 1
+        assert f"# fragment group X_2 x{pieces}" in text.splitlines()
+        conn.close()
 
     def test_explain_carries_digest(self, obs_conn):
         result = obs_conn.execute("EXPLAIN SELECT temp FROM obs")

@@ -43,6 +43,7 @@ from repro.core.tiling import (
 from repro.gdk.atoms import Atom
 from repro.gdk.column import Column
 from tests.oracles.tiling import brute_force_tile_aggregate
+from tests.property.recycling import column_bytes, drawn_and_emptied
 
 #: the pipelines every engine statement runs under: (nr_threads, fragment_rows).
 PIPELINES = [(1, math.inf), (4, 64), (1, 7)]
@@ -113,6 +114,21 @@ class TestKernel:
                 whole.effective_mask() | off,
             )
             assert_same_bytes(spread, expected, context)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_case())
+    def test_the_recycler_changes_no_byte(self, case):
+        values, shape, spec, lattice = case
+
+        def compute():
+            return [
+                column_bytes(tile_aggregate(values, shape, spec, aggregate, kept))
+                for aggregate in TILE_AGGREGATES
+                for kept in (None, lattice)
+            ]
+
+        drawn, emptied = drawn_and_emptied(compute)
+        assert drawn == emptied
 
 
 @st.composite
