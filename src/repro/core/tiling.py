@@ -21,9 +21,9 @@ dimension, an inclusive range ``(lo, hi)`` of rank offsets (Figure
 1(d,e) gives one contiguous range per dimension).  A box is separable:
 the window runs along one axis at a time, each pass reading the
 previous pass' buffer and accumulating in place (``ufunc(..., out=)``)
-into a buffer drawn from the recycler of :mod:`repro.gdk.storage`,
-which takes back the buffer it read.  The kernel of an axis depends on
-that axis' window width alone (``w = hi - lo + 1`` cells,
+into a new one; malloc serves it from the buffer the pass before freed
+(the heap policy of :mod:`repro.gdk.storage`).  The kernel of an axis
+depends on that axis' window width alone (``w = hi - lo + 1`` cells,
 :data:`NARROW_WIDTH` = 6), never on the data, so halo fragments and
 whole-array runs always pick the same one:
 
@@ -46,9 +46,9 @@ lattice      any                  the kernel above, evaluated only    output
                                   ``m``-th block extremum
 ===========  ===================  ==================================  ===========
 
-A call draws its result plus at most one more accumulator (plus the
-padded copy of a wide extremum axis) and gives back all but the
-result.  Extrema compute in the cell's own dtype (INT stays int32).
+A call holds its result plus at most one more accumulator (plus the
+padded copy of a wide extremum axis) at a time.  Extrema compute in
+the cell's own dtype (INT stays int32).
 Integer sums accumulate in the narrowest of int32 / int64 that
 ``cells_per_tile · max|v|`` (two reductions over the cells) proves
 cannot wrap — int32 only for cells no wider than that — and are
@@ -110,8 +110,7 @@ import numpy as np
 
 from repro.errors import DimensionError, GDKError, MALError
 from repro.gdk.aggregate import _LNG_MAX, _LNG_MIN, _means, aggregate_atom
-from repro.gdk import storage
-from repro.gdk.atoms import NUMPY_DTYPE, Atom
+from repro.gdk.atoms import Atom
 from repro.gdk.column import Column
 
 #: aggregates the tiling engine supports.
@@ -236,15 +235,14 @@ def _axis_counts(
     return counts
 
 
-def _outer(vectors: list[np.ndarray], dtype, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Broadcast product of per-axis vectors as one grid of *dtype*, in
-    *out* when given."""
-    grid = np.ones((), dtype)
+def _outer(vectors: list[np.ndarray], dtype) -> np.ndarray:
+    """Broadcast product of per-axis vectors as one grid of *dtype*."""
+    grid = None
     for axis, vector in enumerate(vectors):
         view = [1] * len(vectors)
         view[axis] = len(vector)
-        last = axis == len(vectors) - 1
-        grid = np.multiply(grid, vector.astype(dtype).reshape(view), out=out if last else None)
+        factor = vector.astype(dtype).reshape(view)
+        grid = factor if grid is None else grid * factor
     return grid
 
 
@@ -371,8 +369,7 @@ def _block_extrema(
     span = n + w - 1
     shape = list(src.shape)
     shape[axis] = -(-span // w) * w
-    padded = storage.empty(tuple(shape), src.dtype)
-    padded[...] = ident
+    padded = np.full(shape, ident, dtype=src.dtype)
     k0, k1 = max(0, -lo), min(span, n - lo)
     if k1 > k0:
         padded[_axis_slice(axis, k0, k1)] = src[_axis_slice(axis, k0 + lo, k1 + lo)]
@@ -404,8 +401,6 @@ def _block_extrema(
     for j in range(1, w):
         op(source[cell(j - 1)], source[cell(j)], out=source[cell(j)])
     op(out, padded[_axis_slice(axis, w - 1, w - 1 + n)], out=out)
-    source = cells = None  # the views die, so the padded copy goes back
-    storage.recycle(padded)
     return out
 
 
@@ -422,9 +417,10 @@ def _separable(
     at the *lattice* anchors only when given.
 
     *src* is read-only unless *owned* (a private buffer of *dtype*).
-    Every pass writes a buffer of *dtype* drawn from the recycler and
-    then owns it; an owned buffer a pass has read goes back.  Returns a
-    fresh array, never *src* itself unless owned."""
+    Every pass writes a new buffer of *dtype* (or, for a running sum or
+    extremum, its own *src* once owned) and then owns it; the owned
+    buffer a pass has read is freed.  Returns a fresh array, never *src*
+    itself unless owned."""
     for axis, (lo, hi) in enumerate(ranges):
         step, residue = lattice[axis] if lattice is not None else (1, 0)
         if lo == hi == 0 and step == 1:
@@ -434,23 +430,20 @@ def _separable(
         shape = tuple(shape)
         width = hi - lo + 1
         if width <= NARROW_WIDTH or op is np.multiply:
-            out = storage.empty(shape, dtype)
+            out = np.empty(shape, dtype)
             _shifted_axis(src, lo, hi, axis, op, ident, out, step, residue)
         elif op is np.add:  # a running sum, in place once the buffer is ours
-            src = _cumsum_axis(src, axis, src if owned else storage.empty(src.shape, dtype))
-            owned, out = True, storage.empty(shape, dtype)
+            src = _cumsum_axis(src, axis, src if owned else np.empty(src.shape, dtype))
+            out = np.empty(shape, dtype)
             _window_difference(src, lo, hi, axis, out, step, residue)
         else:  # sliding extrema, in place once the buffer is ours
-            src = _block_extrema(
-                src, lo, hi, axis, op, ident, src if owned else storage.empty(src.shape, dtype)
+            out = src = _block_extrema(
+                src, lo, hi, axis, op, ident, src if owned else np.empty(src.shape, dtype)
             )
-            owned, out = True, src
             if step > 1:  # every step-th window extremum
-                out = storage.empty(shape, dtype)
+                out = np.empty(shape, dtype)
                 out[...] = src[_axis_slice(axis, residue, None, step)]
-        if owned and out is not src:
-            storage.recycle(src)
-        src, owned, out = out, True, None
+        src, owned = out, True
     return src if owned else src.astype(dtype)
 
 
@@ -542,7 +535,7 @@ def _finalize(
     if aggregate == "avg":
         if acc.dtype.kind == "f" or acc.dtype == np.int32:  # exact in a double
             result = (
-                _outer(axis_counts, np.float64, storage.empty(acc.shape, np.float64))
+                _outer(axis_counts, np.float64)
                 if counts is None
                 else counts.astype(np.float64)
             )
@@ -557,9 +550,6 @@ def _finalize(
             overflow = np.asarray((acc < _LNG_MIN) | (acc > _LNG_MAX), dtype=np.bool_)
             result = np.where(overflow, 0, acc).astype(np.int64)
         out_atom = aggregate_atom(aggregate, input_atom)
-        if (dtype := NUMPY_DTYPE[out_atom]) != result.dtype:  # widened once, into a drawn buffer
-            np.copyto(wide := storage.empty(result.shape, dtype), result, casting="unsafe")
-            result = wide
     # NULL anchors carry a zero payload, like every kernel's NULLs.
     empty = overflow
     if counts is not None:
@@ -624,9 +614,7 @@ def tile_aggregate(
         src, owned = np.full(cells.shape, ident, dtype=dtype), True
         np.copyto(src, cells, where=valid)
     acc = _separable(src, owned, spec.box, op, ident, dtype, lattice)
-    result = _finalize(acc, aggregate, values.atom, counts, axis_counts)
-    storage.recycle(acc)  # unless the result holds it
-    return result
+    return _finalize(acc, aggregate, values.atom, counts, axis_counts)
 
 
 def lattice_cells(compact: Column, shape: tuple[int, ...], lattice: Lattice) -> Column:

@@ -235,20 +235,27 @@ class Transaction:
 
 
 class _HeadCatalogView:
-    """A live ``.get()`` view of the committed head, for the optimizer.
+    """A live view of the committed head: ``.get()`` for the optimizer,
+    a call for the interpreter's default bind target.
 
     Interned fragmented pipelines outlive any single catalog version;
     ``mergetable`` only needs current row-count estimates, so it
-    resolves through this proxy instead of pinning one snapshot.
+    resolves through this proxy instead of pinning one snapshot.  It
+    holds its database weakly, so neither those pipelines nor the
+    interpreter keep a dropped database (and its columns) alive until
+    the cyclic collector runs.
     """
 
     __slots__ = ("_database",)
 
     def __init__(self, database: "Database"):
-        self._database = database
+        self._database = weakref.ref(database)
+
+    def __call__(self) -> Catalog:
+        return self._database()._head.catalog
 
     def get(self, name: str):
-        return self._database.head().catalog.get(name)
+        return self._database().head().catalog.get(name)
 
 
 class Database:
@@ -285,7 +292,7 @@ class Database:
         self._head_view = _HeadCatalogView(self)
         #: the one dataflow scheduler every session shares; raw
         #: ``interpreter.run(program)`` calls bind against the live head.
-        self.interpreter = Interpreter(self._catalog_now, self._nr_threads)
+        self.interpreter = Interpreter(self._head_view, self._nr_threads)
         self._sessions: weakref.WeakSet = weakref.WeakSet()
         self._txn_serial = 0
         self._session_serial = 0
@@ -435,9 +442,6 @@ class Database:
     # ------------------------------------------------------------------
     # catalog versions
     # ------------------------------------------------------------------
-    def _catalog_now(self) -> Catalog:
-        return self._head.catalog
-
     def head(self) -> CatalogVersion:
         """The current committed snapshot (atomic read)."""
         self._check_open()

@@ -44,7 +44,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.errors import GDKError, TypeError_
-from repro.gdk import storage, strings
+from repro.gdk import strings
 from repro.gdk.atoms import (
     INTEGER_RANGE,
     NUMERIC_ATOMS,
@@ -176,8 +176,8 @@ def _int_arith(
     corners = [_EXACT[op](left, right) for left in lspan for right in rspan]
     if lowest <= min(corners) and max(corners) <= highest:
         # Widen first: a mixed-width ufunc call is several times slower.  The
-        # narrower operand (never both) widens into the drawn output buffer.
-        out = storage.empty((lvals if isinstance(lvals, np.ndarray) else rvals).shape, dtype)
+        # narrower operand (never both) widens into the output buffer.
+        out = np.empty((lvals if isinstance(lvals, np.ndarray) else rvals).shape, dtype)
         lvals, rvals = (
             np.copyto(out, v) or out if isinstance(v, np.ndarray) and v.dtype != dtype else v
             for v in (lvals, rvals)
@@ -273,7 +273,7 @@ def absolute(operand: Column, known: Optional[dict] = None) -> Column:
     """ABS() (``|MIN|`` does not fit and is NULL)."""
     if operand.atom not in NUMERIC_ATOMS:
         raise GDKError(f"no abs for {operand.atom}")
-    values = np.abs(operand.values, out=storage.empty(operand.values.shape, operand.values.dtype))
+    values = np.abs(operand.values)
     if operand.atom is Atom.DBL:
         return Column(Atom.DBL, values, operand.mask)
     lo, hi = _span(operand.values, known)
@@ -400,7 +400,7 @@ def _select(fire: Any, then_values: Any, values: Any, atom: Atom) -> np.ndarray:
     if atom in INTEGER_RANGE and np.ndim(fire) and not np.ndim(then_values) and not np.ndim(values):
         step = int(then_values) - int(values)
         if INTEGER_RANGE[atom][0] <= step <= INTEGER_RANGE[atom][1]:
-            np.copyto(out := storage.empty(fire.shape, NUMPY_DTYPE[atom]), fire)
+            out = fire.astype(NUMPY_DTYPE[atom])
             out *= step
             out += values
             return out
@@ -643,8 +643,7 @@ def evaluate(text: str, leaves: list) -> Column:
         done.append(kernel(*operands, known=known) if name in _SPANNED else kernel(*operands))
         for step in dead:  # free each temporary after its last reader
             if type(done[step]) is Column:  # (a dictionary column would decode)
-                known.pop(id(done[step].values), None)  # first: the entry holds the array
-                storage.recycle(done[step])  # its buffer feeds a later kernel
+                known.pop(id(done[step].values), None)
             done[step] = None
     return done[-1]
 

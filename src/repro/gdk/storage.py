@@ -15,56 +15,40 @@ report, the interpreter snapshots deltas around each program run.  A
 single run's delta is exact only when one program executes at a time
 (true for every in-suite assertion).
 
-The *recycler* lives here too, under the same lock.  A statement's
-temporaries (tile sums, widened operands, expression steps) are
-256 KiB–2 MiB arrays, and glibc hands memory of that size back to the
-kernel between statements, so every fresh one page-faults in again.
-:func:`recycle` takes back the buffer of a BAT, column or array that is
-dying — a freed plan variable, a dead expression step, a tiling
-accumulator — and :func:`empty` hands it to the next kernel that asks
-for that dtype and size.  Ownership is proven, never assumed: a buffer
-is taken only when it owns its memory (no memmap, no view of another
-array's storage but a whole-buffer reshape), is writeable, holds no
-objects, has ``RECYCLE_MIN_BYTES`` to ``RECYCLE_MAX_BYTES``, and CPython refcounts show
-that each link of the dying BAT → column → array chain has no holder
-but the link before it (NumPy's temporary elision tests the same).  A
-catalog column, a snapshot, a result, a journal entry or a view all
-hold a reference, so their buffers stay where they are.  The recycler
-keeps only sizes some kernel has asked for, at most
-``RECYCLE_CAP_BYTES`` of them, and evicts its least recently fed size
-first.
+The engine's *heap policy* is set here too, once, at import.  A
+statement's temporaries (tile sums, widened operands, expression steps)
+are 256 KiB–2 MiB arrays, and glibc's dynamic thresholds hand memory of
+that size back to the OS between statements, so every new one
+page-faults in again.  On glibc the engine pins ``M_MMAP_THRESHOLD`` to
+:data:`HEAP_MMAP_THRESHOLD` and ``M_TRIM_THRESHOLD`` to :data:`HEAP_TRIM_THRESHOLD`
+instead: a freed temporary stays in the heap and malloc hands it, warm,
+to the next kernel that asks for that much, while a payload above the
+mmap threshold (a 16 MB scan column) still maps and unmaps.  A threshold
+the host set (``MALLOC_MMAP_THRESHOLD_`` / ``MALLOC_TRIM_THRESHOLD_``,
+or ``glibc.malloc.mmap_threshold`` / ``trim_threshold`` in
+``GLIBC_TUNABLES``) is left as the host set it; other libcs are left
+alone.
 """
 
 from __future__ import annotations
 
-import math
-import sys
+import ctypes
+import os
 import threading
 
 import numpy as np
 
 from repro import knobs
-from repro.gdk.bat import BAT
-from repro.gdk.column import Column
 
 _lock = threading.Lock()
 _fragments_pruned = 0
 _bytes_faulted = 0
 
-#: smaller buffers are left to the allocator, which serves them from
-#: its heap without faults.
-RECYCLE_MIN_BYTES = 1 << 16
-#: larger buffers are left to the allocator too: held across statements
-#: they fall out of the 2 MiB per-core L2, and a cold 1 MiB output costs a
-#: ufunc more (0.14 against 0.06 ms) than malloc's hot reuse saves.
-RECYCLE_MAX_BYTES = 1 << 19
-#: the most bytes the recycler holds.
-RECYCLE_CAP_BYTES = 16 << 20
-_held: dict[tuple, list] = {}  # (dtype, size) -> idle buffers, least recently fed first
-_wanted: set = set()  # the (dtype, size) keys empty() could not serve: the only ones held
-_held_bytes = 0
-_fresh = 0  # empty() calls the recycler could not serve
-_recycled = 0  # empty() calls it served
+#: glibc's ``M_MMAP_THRESHOLD``: 4× the largest paper-scenario
+#: temporary (a 512² DOUBLE grid), below a 2M-row scan column.
+HEAP_MMAP_THRESHOLD = 8 << 20
+#: glibc's ``M_TRIM_THRESHOLD``: free heap top kept before trimming.
+HEAP_TRIM_THRESHOLD = 4 * HEAP_MMAP_THRESHOLD
 
 
 # ----------------------------------------------------------------------
@@ -128,90 +112,28 @@ def counters() -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# the recycler
+# the heap policy
 # ----------------------------------------------------------------------
-def _refs(item) -> int:
-    return sys.getrefcount(item)
-
-
-def _probe() -> int:
-    local = object()
-    return _refs(local)
-
-
-#: what :func:`_refs` reads for an object named by a local and held by
-#: one other reference — the link before it in a dying chain.
-_SOLE = _probe() + 1
-
-
-def empty(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An uninitialised array of *shape* and *dtype*: a recycled buffer
-    of that size when the recycler holds one, else a fresh one."""
-    global _held_bytes, _fresh, _recycled
-    dtype, size = np.dtype(dtype), math.prod(shape)
-    if RECYCLE_MIN_BYTES <= size * dtype.itemsize <= RECYCLE_MAX_BYTES:
-        with _lock:
-            if idle := _held.get((dtype, size)):
-                buffer = idle.pop()
-                if not idle:
-                    del _held[dtype, size]
-                _held_bytes -= buffer.nbytes
-                _recycled += 1
-                return buffer if buffer.shape == shape else buffer.reshape(shape)
-            _fresh += 1
-            if len(_wanted) >= 256:  # bounded like the buffers
-                _wanted.clear()
-            _wanted.add((dtype, size))
-    return np.empty(shape, dtype)
-
-
-def recycle(item) -> None:
-    """Take back the buffer of a dying BAT, column or array if nothing
-    else can reach it (module docstring).  The caller passes its one
-    reference to *item*, which dies with the call.  Sizes are tested
-    first: a small or absent buffer costs no refcount read."""
-    global _held_bytes
-    if type(item) is BAT:
-        if type(item.tail) is not Column or item.tail.values.nbytes < RECYCLE_MIN_BYTES:
-            return  # (a dictionary column would decode)
-        if _refs(item) > _SOLE:
-            return
-        item = item.tail
-    if type(item) is Column:
-        if item.values.nbytes < RECYCLE_MIN_BYTES or _refs(item) > _SOLE:
-            return
-        item = item.values
-    if (
-        type(item) is not np.ndarray
-        or item.nbytes < RECYCLE_MIN_BYTES
-        or _refs(item) > _SOLE
-        or not item.flags.writeable
-        or item.dtype.hasobject
+def _pin_heap() -> tuple[str, ...]:
+    """Pin glibc's heap thresholds unless the host set them (module
+    docstring); the names of those pinned."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return ()  # no mallopt: not glibc
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    pinned = []
+    for name, param, value in (
+        ("MMAP_THRESHOLD", -3, HEAP_MMAP_THRESHOLD),
+        ("TRIM_THRESHOLD", -1, HEAP_TRIM_THRESHOLD),
     ):
-        return
-    if (base := item.base) is not None:  # only a whole-buffer reshape of a dying owner
-        if type(base) is not np.ndarray or base.base is not None or base.nbytes != item.nbytes:
-            return
-        if _refs(base) > _SOLE or not base.flags.writeable:
-            return
-        item = base
-    key = item.dtype, item.size
-    with _lock:
-        if key not in _wanted or item.nbytes > RECYCLE_CAP_BYTES:
-            return
-        idle = _held.pop(key, [])
-        idle.append(item)
-        _held[key] = idle  # now the most recently fed size
-        _held_bytes += item.nbytes
-        while _held_bytes > RECYCLE_CAP_BYTES:
-            oldest = next(iter(_held))
-            _held_bytes -= _held[oldest].pop(0).nbytes
-            if not _held[oldest]:
-                del _held[oldest]
+        if f"MALLOC_{name}_" in os.environ or f"glibc.malloc.{name.lower()}" in tunables:
+            continue
+        if mallopt(param, value) == 1:  # 0: not accepted (a libc's stub)
+            pinned.append(name)
+    return tuple(pinned)
 
 
-def recycler_counts() -> tuple[int, int]:
-    """Snapshot ``(fresh, recycled)``: the :func:`empty` calls of a
-    size the recycler takes that allocated, and those it served."""
-    with _lock:
-        return _fresh, _recycled
+#: the thresholds the engine pinned at import: ``MMAP_THRESHOLD`` and
+#: ``TRIM_THRESHOLD`` on glibc when the host set neither.
+HEAP_PINNED = _pin_heap()

@@ -13,8 +13,7 @@ step without implementation that waits for its variables' readers.
 
 :meth:`Interpreter.run` executes every plan in one loop over a ready
 queue, with values in a list indexed by slot; an unwritten or freed slot
-holds a sentinel, so a use after free is a :class:`MALError`, and a
-freed BAT's buffer goes to the recycler (:func:`repro.gdk.storage.recycle`).  With one
+holds a sentinel, so a use after free is a :class:`MALError`.  With one
 thread or no ``mat`` op the queue is the program order, run on the
 calling thread.  Otherwise it holds the steps whose dependencies have
 completed — MonetDB's *dataflow* discipline — and fragments run on a
@@ -390,8 +389,6 @@ class Interpreter:
 
         def finish(step: Step) -> None:
             for slot in step.frees:
-                if type(values[slot]) is BAT:  # its buffer feeds a later kernel unless held elsewhere
-                    gdk_storage.recycle(values[slot])
                 values[slot] = _UNBOUND
             if pending is not None:
                 for position in step.dependents:

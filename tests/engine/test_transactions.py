@@ -6,6 +6,9 @@ pin the single-session transaction semantics; the multi-threaded side
 lives in ``test_concurrency.py``.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -320,6 +323,26 @@ class TestClosedInterface:
         conn.close()
         db.close()
         db.close()
+
+    def test_a_closed_database_frees_without_the_cyclic_collector(self):
+        # Interned fragmented pipelines and the interpreter hold the
+        # database weakly: dropping it frees its columns at once.
+        gc.disable()
+        try:
+            database = repro.Database(nr_threads=2, fragment_rows=64)
+            conn = database.connect()
+            conn.execute("CREATE TABLE t (a INT, b INT)")
+            conn.executemany("INSERT INTO t VALUES (?, ?)", [(i, i % 7) for i in range(500)])
+            assert len(conn.execute("SELECT b, SUM(a) FROM t GROUP BY b").rows()) == 7
+            conn.register_array("img", np.zeros((32, 32), dtype=np.int32))
+            conn.execute("SELECT [x], [y], AVG(v) FROM img GROUP BY img[x-1:x+2][y-1:y+2]")
+            conn.close()
+            database.close()
+            freed = weakref.ref(database)
+            del database, conn
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestModuleSurface:

@@ -43,7 +43,6 @@ from repro.core.tiling import (
     tile_aggregate_fragment,
 )
 from tests.oracles.tiling import brute_force_tile_aggregate
-from tests.property.recycling import column_bytes, drawn_and_emptied
 
 INT_MIN, INT_MAX = -(2**31), 2**31 - 1
 
@@ -282,30 +281,6 @@ class TestKernelsMatchOracle:
             assert shifted == [None] * len(cells)
         elif not any(d[0] for d in spec.box):
             assert shifted == cells
-
-
-class TestRecycler:
-    """Every kernel family, whole and in halo fragments, gives the same
-    bytes whether its buffers come from the recycler or not."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([Atom.INT, Atom.DBL]).flatmap(wide_case), st.integers(1, 4))
-    def test_the_recycler_changes_no_byte(self, case, pieces):
-        values, shape, spec = case
-        aggregates = TILE_AGGREGATES if values.atom is Atom.INT else ("sum", "avg", "min", "max")
-
-        def compute():
-            return [
-                column_bytes(column)
-                for aggregate in aggregates
-                for column in (
-                    tile_aggregate(values, shape, spec, aggregate),
-                    pack_fragments(values, shape, spec, aggregate, pieces),
-                )
-            ]
-
-        drawn, emptied = drawn_and_emptied(compute)
-        assert drawn == emptied
 
 
 class TestHaloFragments:
