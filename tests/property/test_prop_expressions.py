@@ -45,6 +45,7 @@ import repro
 from repro.gdk import calc
 from repro.gdk.atoms import Atom
 from repro.gdk.column import Column
+from tests.property.junk_heap import result_bytes, under_two_junks
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -532,3 +533,14 @@ class TestExpressionOracle:
     @given(tree=expressions)
     def test_generated_expressions(self, engines, oracle, tree):
         _check(engines, tree, oracle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree=expressions)
+    def test_a_junk_filled_heap_changes_no_byte(self, engines, tree):
+        params: list = []
+        sql = f"SELECT k, {render(tree, params)} AS e FROM t ORDER BY k"
+        sessions = [engines["threads1-rowsinf"], engines["threads2-rows7"]]
+        first, second = under_two_junks(
+            lambda: [result_bytes(conn.execute(sql, params)) for conn in sessions]
+        )
+        assert first == second, sql

@@ -43,6 +43,7 @@ from repro.core.tiling import (
     tile_aggregate_fragment,
 )
 from tests.oracles.tiling import brute_force_tile_aggregate
+from tests.property.junk_heap import column_bytes, under_two_junks
 
 INT_MIN, INT_MAX = -(2**31), 2**31 - 1
 
@@ -281,6 +282,30 @@ class TestKernelsMatchOracle:
             assert shifted == [None] * len(cells)
         elif not any(d[0] for d in spec.box):
             assert shifted == cells
+
+
+class TestJunkHeap:
+    """Every kernel family, whole and in halo fragments, gives the same
+    bytes whatever its freshly allocated buffers held before."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([Atom.INT, Atom.DBL]).flatmap(wide_case), st.integers(1, 4))
+    def test_a_junk_filled_heap_changes_no_byte(self, case, pieces):
+        values, shape, spec = case
+        aggregates = TILE_AGGREGATES if values.atom is Atom.INT else ("sum", "avg", "min", "max")
+
+        def compute():
+            return [
+                column_bytes(column)
+                for aggregate in aggregates
+                for column in (
+                    tile_aggregate(values, shape, spec, aggregate),
+                    pack_fragments(values, shape, spec, aggregate, pieces),
+                )
+            ]
+
+        first, second = under_two_junks(compute)
+        assert first == second
 
 
 class TestHaloFragments:
