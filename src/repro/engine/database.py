@@ -251,11 +251,17 @@ class _HeadCatalogView:
     def __init__(self, database: "Database"):
         self._database = weakref.ref(database)
 
+    def _live(self) -> "Database":
+        database = self._database()
+        if database is None:
+            raise InterfaceError("database is closed")
+        return database
+
     def __call__(self) -> Catalog:
-        return self._database()._head.catalog
+        return self._live()._head.catalog
 
     def get(self, name: str):
-        return self._database().head().catalog.get(name)
+        return self._live().head().catalog.get(name)
 
 
 class Database:

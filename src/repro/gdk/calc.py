@@ -177,7 +177,7 @@ def _int_arith(
     if lowest <= min(corners) and max(corners) <= highest:
         # Widen first: a mixed-width ufunc call is several times slower.  The
         # narrower operand (never both) widens into the output buffer.
-        out = np.empty((lvals if isinstance(lvals, np.ndarray) else rvals).shape, dtype)
+        out = np.empty_like(lvals if isinstance(lvals, np.ndarray) else rvals, dtype)
         lvals, rvals = (
             np.copyto(out, v) or out if isinstance(v, np.ndarray) and v.dtype != dtype else v
             for v in (lvals, rvals)

@@ -18,6 +18,7 @@ from repro.errors import (
     OperationalError,
     ProgrammingError,
 )
+from repro.mal.program import MALProgram
 
 
 @pytest.fixture
@@ -343,6 +344,15 @@ class TestClosedInterface:
             assert freed() is None
         finally:
             gc.enable()
+
+    def test_an_interpreter_that_outlives_its_database_reports_it_closed(self):
+        database = repro.Database()
+        interpreter = database.interpreter
+        database.close()
+        del database
+        gc.collect()
+        with pytest.raises(InterfaceError, match="closed"):
+            interpreter.run(MALProgram())
 
 
 class TestModuleSurface:
